@@ -1,10 +1,16 @@
 module Region = Kamino_nvm.Region
-module Heap = Kamino_heap.Heap
+module Cost_model = Kamino_nvm.Cost_model
 
 type policy = Lru_policy | Fifo_policy
 
+(* One free list of the slot allocator: the offsets of freed slots of one
+   rounded length, as a growable int stack. *)
+type free_list = { bytes : int; mutable stack : int array; mutable depth : int }
+
 type dynamic = {
-  slots : Heap.t;
+  slots : Region.t;
+  mutable bump : int; (* first never-carved byte of [slots] *)
+  mutable free : free_list array; (* one per slot length seen; a handful *)
   table : Phash.t;
   lru : Lru.t;
   policy : policy;
@@ -21,7 +27,62 @@ type t = Full of Region.t | Dynamic of dynamic
    keep Phash's crash-atomic publish discipline intact. *)
 let pack_slot ~slot ~len = slot lor (len lsl 32)
 
-let unpack_slot v = (v land 0xFFFFFFFF, v lsr 32)
+let slot_of v = v land 0xFFFFFFFF
+
+let len_of v = v lsr 32
+
+(* --- Slot allocator ---------------------------------------------------------
+
+   A copy of [len] bytes lives in a slot of [slot_bytes len] bytes carved
+   from a bump pointer over the slots region; there are no headers and no
+   size classes. A freed slot waits on the free list of its length for the
+   next copy of that rounded length. All of this is volatile: the table
+   names every resident slot, so [reopen] rebuilds it and nothing here is
+   ever persisted. A carve or a free charges the cost model's allocator
+   work; finding the region exhausted charges nothing. *)
+
+let slot_bytes len = (len + 15) land lnot 15
+
+let free_list d bytes =
+  let rec find i =
+    if i = Array.length d.free then begin
+      let fl = { bytes; stack = Array.make 16 0; depth = 0 } in
+      d.free <- Array.append d.free [| fl |];
+      fl
+    end
+    else if d.free.(i).bytes = bytes then d.free.(i)
+    else find (i + 1)
+  in
+  find 0
+
+(* A slot of [bytes], or [-1] when neither its free list nor the space
+   past the bump pointer has one. *)
+let carve d bytes =
+  let fl = free_list d bytes in
+  let slot =
+    if fl.depth > 0 then begin
+      fl.depth <- fl.depth - 1;
+      fl.stack.(fl.depth)
+    end
+    else if d.bump + bytes <= Region.size d.slots then begin
+      d.bump <- d.bump + bytes;
+      d.bump - bytes
+    end
+    else -1
+  in
+  if slot >= 0 then Region.charge d.slots (Region.cost_model d.slots).Cost_model.alloc_ns;
+  slot
+
+let release d packed =
+  Region.charge d.slots (Region.cost_model d.slots).Cost_model.free_ns;
+  let fl = free_list d (slot_bytes (len_of packed)) in
+  if fl.depth = Array.length fl.stack then begin
+    let grown = Array.make (2 * fl.depth) 0 in
+    Array.blit fl.stack 0 grown 0 fl.depth;
+    fl.stack <- grown
+  end;
+  fl.stack.(fl.depth) <- slot_of packed;
+  fl.depth <- fl.depth + 1
 
 let create_full region = Full region
 
@@ -34,7 +95,9 @@ let full_region = function Full region -> Some region | Dynamic _ -> None
 let create_dynamic ~slots ~table ~capacity ~policy =
   Dynamic
     {
-      slots = Heap.format slots;
+      slots;
+      bump = 0;
+      free = [||];
       table = Phash.format table ~capacity;
       lru = Lru.create ~size_hint:capacity ();
       policy;
@@ -47,25 +110,19 @@ let reopen t =
   match t with
   | Full region -> Full region
   | Dynamic d ->
-      (* The table is the persistent truth; the slot allocator's own
-         metadata was volatile and is rebuilt from the mapping. Resident
-         keys re-enter the recency queue so they stay evictable.
-
-         Both passes stream: the allocator rebuild consumes the table's
-         reverse iteration directly (the write order per object is the same
-         as the old prepend-a-list-then-rebuild path), so reattaching at
-         millions of resident copies allocates no intermediate list. *)
+      (* The table is the persistent truth. One pass re-enters every
+         resident key into the recency queue, so it stays evictable, and
+         puts the bump pointer past the last mapped slot. Slots that were
+         free or unpublished at the crash stay unused until the next
+         reopen. *)
       let table = Phash.open_existing (Phash.region d.table) in
-      let slots =
-        Heap.rebuild_via (Heap.region d.slots) ~iter:(fun f ->
-            Phash.iter_rev table (fun ~key:_ ~value ->
-                let slot, len = unpack_slot value in
-                f slot len))
-      in
       let lru = Lru.create ~size_hint:(Phash.capacity table) () in
-      Phash.iter table (fun ~key ~value:_ -> Lru.touch lru key);
+      let bump = ref 0 in
+      Phash.iter table (fun ~key ~value ->
+          bump := max !bump (slot_of value + slot_bytes (len_of value));
+          Lru.touch lru key);
       Dynamic
-        { slots; table; lru; policy = d.policy; hits = 0; misses = 0; evictions = 0 }
+        { d with bump = !bump; free = [||]; table; lru; hits = 0; misses = 0; evictions = 0 }
 
 let initialize_full t ~main =
   match t with
@@ -75,47 +132,46 @@ let initialize_full t ~main =
       Region.persist_all region
   | Dynamic _ -> ()
 
-let evict d ~locked =
+(* Evict the recency queue's victim: one probe finds its mapping and
+   durably tombstones it. Returns the victim's packed slot. When every
+   resident copy is pinned — usually because committed write sets are still
+   queued at the applier — [pressure] lets the engine drain it, unpinning
+   their copies, before one more try; raises [Failure what] if that fails
+   too. *)
+let rec evict d ~locked ~pressure ~relieved ~what =
   match Lru.evict_candidate d.lru ~locked with
-  | None -> false
   | Some key ->
-      let packed = Phash.find_or d.table ~key ~default:(-1) in
-      if packed < 0 then begin
-        (* The queue briefly knew a key the table does not (should not
-           happen); drop it and try again. *)
-        Lru.remove d.lru key;
-        true
-      end
+      Lru.remove d.lru key;
+      let packed = Phash.take d.table ~key in
+      (* A key the table does not know (should not happen): try the next. *)
+      if packed < 0 then evict d ~locked ~pressure ~relieved ~what
       else begin
-        let slot, _len = unpack_slot packed in
-        ignore (Phash.remove d.table ~key);
-        Heap.free d.slots slot;
-        Lru.remove d.lru key;
         d.evictions <- d.evictions + 1;
-        true
+        packed
       end
+  | None when not relieved ->
+      pressure ();
+      evict d ~locked ~pressure ~relieved:true ~what
+  | None -> failwith what
 
-let rec alloc_slot d ~len ~locked ~pressure ~relieved =
-  match Heap.alloc d.slots len with
-  | slot -> slot
-  | exception Out_of_memory ->
-      if evict d ~locked then alloc_slot d ~len ~locked ~pressure ~relieved
-      else if not relieved then begin
-        (* Everything resident is pinned — usually because committed write
-           sets are still queued at the applier. Let the engine drain it,
-           unpinning their copies, and retry once. *)
-        pressure ();
-        alloc_slot d ~len ~locked ~pressure ~relieved:true
-      end
-      else
-        failwith
+let rec acquire_slot d ~bytes ~locked ~pressure =
+  let slot = carve d bytes in
+  if slot >= 0 then slot
+  else begin
+    let victim =
+      evict d ~locked ~pressure ~relieved:false
+        ~what:
           "Backup: dynamic backup exhausted — every resident copy is locked \
            (working set exceeds alpha * heap)"
-
-let drop_resident d ~key ~slot =
-  ignore (Phash.remove d.table ~key);
-  Heap.free d.slots slot;
-  Lru.remove d.lru key
+    in
+    (* The victim's mapping is already durably gone, so a slot of the
+       right length is recycled in place, skipping the allocator. *)
+    if slot_bytes (len_of victim) = bytes then slot_of victim
+    else begin
+      release d victim;
+      acquire_slot d ~bytes ~locked ~pressure
+    end
+  end
 
 (* Forget the resident copy for a range whose object identity has died —
    called after rolling back an aborted or incomplete transaction, whose
@@ -124,65 +180,51 @@ let drop t ~off =
   match t with
   | Full _ -> ()
   | Dynamic d ->
-      let packed = Phash.find_or d.table ~key:off ~default:(-1) in
+      let packed = Phash.take d.table ~key:off in
       if packed >= 0 then begin
-        let slot, _len = unpack_slot packed in
-        drop_resident d ~key:off ~slot
+        release d packed;
+        Lru.remove d.lru off
       end
 
 (* Publish a mapping, shedding residents if the look-up table itself is the
    bottleneck. [Phash.Overload] only fires when the table region has no
    growth headroom left; evicting one entry leaves a reusable tombstone. *)
-let rec publish_mapping d ~key ~value ~locked ~pressure ~relieved =
+let rec publish_mapping d ~key ~value ~locked ~pressure =
   match Phash.insert d.table ~key ~value with
   | () -> ()
   | exception Phash.Overload _ ->
-      if evict d ~locked then publish_mapping d ~key ~value ~locked ~pressure ~relieved
-      else if not relieved then begin
-        pressure ();
-        publish_mapping d ~key ~value ~locked ~pressure ~relieved:true
-      end
-      else
-        failwith
-          "Backup: dynamic look-up table exhausted — every resident copy is \
-           locked and the table region cannot grow"
+      release d
+        (evict d ~locked ~pressure ~relieved:false
+           ~what:
+             "Backup: dynamic look-up table exhausted — every resident copy is \
+              locked and the table region cannot grow");
+      publish_mapping d ~key ~value ~locked ~pressure
 
 let ensure_copy t ~main ~off ~len ~locked ~pressure =
   match t with
   | Full _ -> ()
-  | Dynamic d -> (
+  | Dynamic d ->
       let packed = Phash.find_or d.table ~key:off ~default:(-1) in
-      let hit =
-        if packed >= 0 then begin
-          let slot, stored_len = unpack_slot packed in
-          if stored_len = len then true
-          else begin
-            (* The same address hosts a different-sized object now (its
-               previous allocation was rolled back by an abort or crash).
-               The stale copy is useless — and copying the new extent
-               into the undersized slot would corrupt its neighbours. *)
-            drop_resident d ~key:off ~slot;
-            false
-          end
-        end
-        else false
-      in
-      match hit with
-      | true ->
-          d.hits <- d.hits + 1;
-          (* FIFO ablation: recency is insertion order only. *)
-          if d.policy = Lru_policy then Lru.touch d.lru off
-      | false ->
-          d.misses <- d.misses + 1;
-          let slot = alloc_slot d ~len ~locked ~pressure ~relieved:false in
-          let dst = Heap.region d.slots in
-          Region.copy_between ~src:main ~src_off:off ~dst ~dst_off:slot ~len;
-          Region.persist dst slot len;
-          (* Publish the mapping only after the copy is durable; Phash's
-             two-step insert keeps the entry itself crash-atomic. *)
-          publish_mapping d ~key:off ~value:(pack_slot ~slot ~len) ~locked ~pressure
-            ~relieved:false;
-          Lru.touch d.lru off)
+      if packed >= 0 && len_of packed = len then begin
+        d.hits <- d.hits + 1;
+        (* FIFO ablation: recency is insertion order only. *)
+        if d.policy = Lru_policy then Lru.touch d.lru off
+      end
+      else begin
+        (* The same address hosts a different-sized object now (its
+           previous allocation was rolled back by an abort or crash). The
+           stale copy is useless — and copying the new extent into the
+           undersized slot would corrupt its neighbours. *)
+        if packed >= 0 then drop t ~off;
+        d.misses <- d.misses + 1;
+        let slot = acquire_slot d ~bytes:(slot_bytes len) ~locked ~pressure in
+        Region.copy_between ~src:main ~src_off:off ~dst:d.slots ~dst_off:slot ~len;
+        Region.persist d.slots slot len;
+        (* Publish the mapping only after the copy is durable; Phash's
+           two-step insert keeps the entry itself crash-atomic. *)
+        publish_mapping d ~key:off ~value:(pack_slot ~slot ~len) ~locked ~pressure;
+        Lru.touch d.lru off
+      end
 
 let is_full t = match t with Full _ -> true | Dynamic _ -> false
 
@@ -204,15 +246,14 @@ let roll_forward t ~main ~off ~len =
              "Backup.roll_forward: no resident copy for range at %d — locking \
               discipline violated"
              off);
-      let slot, stored_len = unpack_slot packed in
-      if stored_len <> len then
+      if len_of packed <> len then
         failwith
           (Printf.sprintf
              "Backup.roll_forward: resident copy at %d has length %d, range has %d"
-             off stored_len len);
-      let dst = Heap.region d.slots in
-      Region.copy_between ~src:main ~src_off:off ~dst ~dst_off:slot ~len;
-      Region.persist dst slot len
+             off (len_of packed) len);
+      let slot = slot_of packed in
+      Region.copy_between ~src:main ~src_off:off ~dst:d.slots ~dst_off:slot ~len;
+      Region.persist d.slots slot len
 
 let roll_back t ~main ~off ~len =
   match t with
@@ -224,14 +265,13 @@ let roll_back t ~main ~off ~len =
       let packed = Phash.find_or d.table ~key:off ~default:(-1) in
       if packed < 0 then false
       else begin
-        let slot, stored_len = unpack_slot packed in
-        if stored_len <> len then
+        if len_of packed <> len then
           failwith
             (Printf.sprintf
                "Backup.roll_back: resident copy at %d has length %d, range has %d" off
-               stored_len len);
-        Region.copy_between ~src:(Heap.region d.slots) ~src_off:slot ~dst:main
-          ~dst_off:off ~len;
+               (len_of packed) len);
+        Region.copy_between ~src:d.slots ~src_off:(slot_of packed) ~dst:main ~dst_off:off
+          ~len;
         Region.persist main off len;
         true
       end
@@ -239,7 +279,7 @@ let roll_back t ~main ~off ~len =
 let storage_bytes t =
   match t with
   | Full region -> Region.size region
-  | Dynamic d -> Region.size (Heap.region d.slots) + (Phash.capacity d.table * 16)
+  | Dynamic d -> Region.size d.slots + (Phash.capacity d.table * 16)
 
 let hits t = match t with Full _ -> 0 | Dynamic d -> d.hits
 
@@ -262,10 +302,9 @@ let copy_matches ?len t ~main ~off =
       match Phash.find d.table ~key:off with
       | None -> None
       | Some packed ->
-          let slot, stored_len = unpack_slot packed in
-          let len = Option.value len ~default:stored_len in
-          let len = min len stored_len in
-          Some (Region.equal_ranges (Heap.region d.slots) slot main off len))
+          let stored_len = len_of packed in
+          let len = min (Option.value len ~default:stored_len) stored_len in
+          Some (Region.equal_ranges d.slots (slot_of packed) main off len))
 
 let dump_mapping t =
   match t with
@@ -273,6 +312,5 @@ let dump_mapping t =
   | Dynamic d ->
       let acc = ref [] in
       Phash.iter d.table (fun ~key ~value ->
-          let slot, len = unpack_slot value in
-          acc := (key, slot, len) :: !acc);
+          acc := (key, slot_of value, len_of value) :: !acc);
       List.sort compare !acc

@@ -7,13 +7,18 @@
     establish a copy.
 
     A dynamic backup holds copies of only the most frequently modified
-    objects in a region of size [alpha * heap]: a slot allocator (reusing
-    {!Kamino_heap.Heap}), a persistent look-up table ({!Phash}: main offset
-    -> slot offset) and a volatile recency queue ({!Lru}). When a
-    transaction locks an object with no resident copy, the copy is created
-    {e on demand, in the critical path} — the latency/storage trade-off the
-    paper evaluates in Figures 14-16. The eviction policy is pluggable
-    (LRU per the paper, FIFO for the ablation bench). *)
+    objects in a region of size [alpha * heap]: a persistent look-up table
+    ({!Phash}: main offset -> packed slot offset and copy length), a
+    volatile slot allocator and a volatile recency queue ({!Lru}). A copy
+    of [len] bytes takes a headerless slot of [len] rounded up to 16 bytes;
+    freed slots are reused by copies of the same rounded length, and a miss
+    on a full region copies straight into the evicted victim's slot when
+    the lengths match. The table alone is durable: {!reopen} rebuilds the
+    allocator and the queue from it. When a transaction locks an object
+    with no resident copy, the copy is created {e on demand, in the
+    critical path} — the latency/storage trade-off the paper evaluates in
+    Figures 14-16. The eviction policy is pluggable (LRU per the paper,
+    FIFO for the ablation bench). *)
 
 type t
 
@@ -35,7 +40,7 @@ val create_dynamic :
   t
 
 (** Re-attach after a crash: reopens the persistent look-up table (dynamic)
-    and resets volatile state. *)
+    and rebuilds the volatile state from it. *)
 val reopen : t -> t
 
 (** [initialize_full t ~main] copies the freshly formatted main heap into a

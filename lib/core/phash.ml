@@ -114,9 +114,10 @@ let hash key =
 
 let charge_index t = Region.charge t.region (Region.cost_model t.region).Cost_model.index_ns
 
-(* Raw probes over one table of the chain. *)
+(* Raw probes over one table of the chain. [bucket_in] is the bucket
+   holding [key], or [-1]. *)
 
-let find_in t off cap mask key =
+let bucket_in t off cap mask key =
   let start = hash key land mask in
   let rec probe i steps =
     if steps > cap then -1
@@ -124,29 +125,35 @@ let find_in t off cap mask key =
       let o = slot_off off i in
       let k = Region.read_int64 t.region o in
       if k = empty_key then -1
-      else if k = Int64.of_int key then Region.read_int t.region (o + 8)
+      else if k = Int64.of_int key then o
       else probe ((i + 1) land mask) (steps + 1)
     end
   in
   probe start 0
 
+let find_in t off cap mask key =
+  match bucket_in t off cap mask key with -1 -> -1 | o -> Region.read_int t.region (o + 8)
+
+let tombstone t o =
+  Region.write_int64 t.region o tombstone_key;
+  Region.persist t.region o 8
+
 let tombstone_in t off cap mask key =
-  let start = hash key land mask in
-  let rec probe i steps =
-    if steps > cap then false
-    else begin
-      let o = slot_off off i in
-      let k = Region.read_int64 t.region o in
-      if k = empty_key then false
-      else if k = Int64.of_int key then begin
-        Region.write_int64 t.region o tombstone_key;
-        Region.persist t.region o 8;
-        true
-      end
-      else probe ((i + 1) land mask) (steps + 1)
-    end
-  in
-  probe start 0
+  match bucket_in t off cap mask key with
+  | -1 -> false
+  | o ->
+      tombstone t o;
+      true
+
+(* Read the value, then tombstone the bucket: a find and a remove in one
+   probe. *)
+let take_in t off cap mask key =
+  match bucket_in t off cap mask key with
+  | -1 -> -1
+  | o ->
+      let v = Region.read_int t.region (o + 8) in
+      tombstone t o;
+      v
 
 (* Upsert into the table at [off]: overwrite in place if present, else
    publish value-then-key at the first reusable slot. Returns [true] when a
@@ -295,25 +302,23 @@ let find_or t ~key ~default =
   end
   else match find_in t t.off t.cap t.mask key with -1 -> default | v -> v
 
-let remove t ~key =
+let take t ~key =
   charge_index t;
-  if t.mig >= 0 then begin
-    (* Tombstone both copies; a crash between the two leaves the key still
-       visible (new-table copy checked first), i.e. the remove atomically
-       did not happen. *)
-    let in_new = tombstone_in t t.noff t.ncap t.nmask key in
-    let in_old = tombstone_in t t.off t.cap t.mask key in
-    if in_new || in_old then begin
-      t.count <- t.count - 1;
-      true
+  let v =
+    if t.mig >= 0 then begin
+      (* Tombstone both copies; a crash between the two leaves the key still
+         visible (new-table copy checked first), i.e. the take atomically
+         did not happen. The target's value is the fresher. *)
+      let in_new = take_in t t.noff t.ncap t.nmask key in
+      let in_old = take_in t t.off t.cap t.mask key in
+      if in_new >= 0 then in_new else in_old
     end
-    else false
-  end
-  else if tombstone_in t t.off t.cap t.mask key then begin
-    t.count <- t.count - 1;
-    true
-  end
-  else false
+    else take_in t t.off t.cap t.mask key
+  in
+  if v >= 0 then t.count <- t.count - 1;
+  v
+
+let remove t ~key = take t ~key >= 0
 
 let iter_table t off cap f =
   for i = 0 to cap - 1 do
@@ -332,22 +337,6 @@ let iter t f =
         if find_in t t.noff t.ncap t.nmask key = -1 then f ~key ~value)
   end
   else iter_table t t.off t.cap f
-
-let iter_table_rev t off cap f =
-  for i = cap - 1 downto 0 do
-    let o = slot_off off i in
-    let k = Region.read_int64 t.region o in
-    if k <> empty_key && k <> tombstone_key then
-      f ~key:(Int64.to_int k) ~value:(Region.read_int t.region (o + 8))
-  done
-
-let iter_rev t f =
-  if t.mig >= 0 then begin
-    iter_table_rev t t.noff t.ncap f;
-    iter_table_rev t t.off t.cap (fun ~key ~value ->
-        if find_in t t.noff t.ncap t.nmask key = -1 then f ~key ~value)
-  end
-  else iter_table_rev t t.off t.cap f
 
 let rebuild_count t =
   let n = ref 0 in

@@ -22,7 +22,7 @@
     full.
 
     Keys are positive integers (NVM offsets); 0 marks an empty bucket and -1
-    a tombstone. *)
+    a tombstone. Values are non-negative: [-1] reports absence. *)
 
 type t
 
@@ -70,10 +70,11 @@ val find_or : t -> key:int -> default:int -> int
 (** [remove t ~key] deletes the mapping if present; returns whether it was. *)
 val remove : t -> key:int -> bool
 
+(** [take t ~key] — {!find_or} and {!remove} in one probe and one index
+    charge: returns the mapped value and durably tombstones the entry, or
+    returns [-1] (and writes nothing) when [key] is absent. The backup
+    evicts its victim with it. *)
+val take : t -> key:int -> int
+
 (** [iter t f] calls [f ~key ~value] for every live entry. *)
 val iter : t -> (key:int -> value:int -> unit) -> unit
-
-(** [iter_rev t f] — like {!iter} but in descending bucket order. Lets the
-    backup's reopen stream straight into the heap rebuild without first
-    materializing (and reversing) a list of every live entry. *)
-val iter_rev : t -> (key:int -> value:int -> unit) -> unit

@@ -183,37 +183,6 @@ let format region =
   t.st_valid <- true;
   t
 
-(* Streaming allocator rebuild: the caller supplies an iterator over the
-   live (ptr, size) set instead of a materialized list, so reattaching a
-   dynamic backup with millions of resident copies does not allocate a
-   million-element list first. The write sequence per object is identical to
-   the list-based [rebuild_with]. *)
-let rebuild_via region ~iter =
-  let t = mk_t region in
-  Region.write_int64 region magic_off magic_value;
-  Region.write_int64 region version_off version_value;
-  Region.write_int region size_off (Region.size region);
-  Region.write_int region root_off null;
-  for cls = 0 to n_classes - 1 do
-    Region.write_int region (class_head_off cls) null
-  done;
-  let bump = ref data_start_off in
-  iter (fun p size ->
-      let cls = class_of_size size in
-      let capacity = size_classes.(cls) in
-      Region.write_int region (p - header_size + hdr_capacity_rel) capacity;
-      Region.write_int64 region (p - header_size + hdr_flags_rel) 1L;
-      Region.persist region (p - header_size) header_size;
-      account_add t ~extent_off:(p - header_size) ~cap:capacity ~head_of_chain:false;
-      bump := max !bump (p + capacity));
-  Region.write_int region bump_off !bump;
-  Region.persist region 0 data_start_off;
-  t.st_valid <- true;
-  t
-
-let rebuild_with region ~live =
-  rebuild_via region ~iter:(fun f -> List.iter (fun (p, size) -> f p size) live)
-
 let open_existing region =
   if Region.read_int64 region magic_off <> magic_value then
     failwith "Heap.open_existing: bad magic (region was never formatted?)";

@@ -40,26 +40,6 @@ val format : Kamino_nvm.Region.t -> t
     after a crash. Raises [Failure] if the magic number does not match. *)
 val open_existing : Kamino_nvm.Region.t -> t
 
-(** [rebuild_with region ~live] re-creates a consistent allocator state
-    from an external source of truth, preserving object payloads: every
-    [(ptr, size)] in [live] becomes an allocated object (capacity = the
-    size's class), free lists are emptied, and the bump pointer is placed
-    past the last live object. Used by the dynamic backup, whose slot
-    allocator is volatile — the persistent look-up table is authoritative
-    and the allocator is reconstructed from it after a crash. Space that
-    was free before the crash and is not covered by [live] is reclaimed or
-    leaked until the next rebuild; payload bytes of live objects are not
-    touched. *)
-val rebuild_with : Kamino_nvm.Region.t -> live:(ptr * int) list -> t
-
-(** [rebuild_via region ~iter] — streaming {!rebuild_with}: [iter f] must
-    call [f ptr size] once per live object. The write sequence per object is
-    identical to [rebuild_with]; the difference is purely volatile — no
-    intermediate list of the live set is materialized, which is what keeps
-    reattaching a dynamic backup with millions of resident copies
-    allocation-lean. *)
-val rebuild_via : Kamino_nvm.Region.t -> iter:((ptr -> int -> unit) -> unit) -> t
-
 val region : t -> Kamino_nvm.Region.t
 
 (** {1 Allocation} *)

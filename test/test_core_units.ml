@@ -199,15 +199,19 @@ let test_applier_batching () =
 
 (* --- Backup --------------------------------------------------------------- *)
 
-let make_dynamic ?(policy = Backup.Lru_policy) ?(slots_bytes = 16384) () =
+let make_dynamic_regions ?(policy = Backup.Lru_policy) ?(slots_bytes = 16384)
+    ?(crash_mode = Region.Drop_unflushed) () =
   let clock = Clock.create () in
-  let mk size =
-    Region.create ~crash_mode:Region.Drop_unflushed ~rng:(Rng.create 2) ~clock ~size ()
-  in
+  let mk size = Region.create ~crash_mode ~rng:(Rng.create 2) ~clock ~size () in
   let main = mk 65536 in
   let slots = mk slots_bytes in
   let table = mk 8192 in
-  (Backup.create_dynamic ~slots ~table ~capacity:(Region.size table / 32) ~policy, main)
+  let b = Backup.create_dynamic ~slots ~table ~capacity:(Region.size table / 32) ~policy in
+  (b, main, slots, table)
+
+let make_dynamic ?policy ?slots_bytes () =
+  let b, main, _, _ = make_dynamic_regions ?policy ?slots_bytes () in
+  (b, main)
 
 let no_pressure () = ()
 
@@ -272,12 +276,14 @@ let test_backup_stale_length_replaced () =
 
 (* --- Eviction-policy properties ------------------------------------------- *)
 
-(* A slots region of the minimum formattable size (data start 256 + 4096)
-   holds exactly three 1024-byte copies (16-byte header + 1024 capacity per
-   extent), so the fourth insertion must evict. *)
-let tight_slots_bytes = 4352
-let copy_len = 1000 (* class 1024 *)
+(* A copy takes a headerless slot of its length rounded up to 16 bytes,
+   carved back to back from offset 0. Three slots plus a remainder one
+   granule short of a fourth hold exactly three copies, so the fourth
+   insertion must evict. *)
+let slot_bytes len = (len + 15) land lnot 15
+let copy_len = 1000
 let tight_capacity = 3
+let tight_slots_bytes = (tight_capacity * slot_bytes copy_len) + slot_bytes copy_len - 16
 
 let offs_of_keys keys = List.map (fun k -> 1024 * k) keys
 
@@ -352,6 +358,113 @@ let test_backup_policy_victim () =
   Alcotest.(check (list int)) "FIFO evicts the oldest insertion" [ 1024 ]
     (victim Backup.Fifo_policy)
 
+(* A full region of equal-length copies recycles: the miss that evicts
+   copies straight into the victim's slot. *)
+let test_backup_recycles_victim_slot () =
+  let b, main = make_dynamic ~slots_bytes:tight_slots_bytes () in
+  let ensure off =
+    Backup.ensure_copy b ~main ~off ~len:copy_len ~locked:(fun _ -> false)
+      ~pressure:no_pressure
+  in
+  let slot_of off =
+    List.find_map (fun (k, slot, _) -> if k = off then Some slot else None)
+      (Backup.dump_mapping b)
+  in
+  List.iter ensure [ 1024; 2048; 3072 ];
+  let victim_slot = slot_of 1024 in
+  Alcotest.(check bool) "victim was resident" true (victim_slot <> None);
+  Region.write_string main 4096 "newcomer";
+  ensure 4096;
+  Alcotest.(check int) "one eviction" 1 (Backup.evictions b);
+  Alcotest.(check (option int)) "victim gone" None (slot_of 1024);
+  Alcotest.(check (option int)) "new key in the victim's slot" victim_slot (slot_of 4096);
+  Alcotest.(check (option bool)) "recycled copy is current" (Some true)
+    (Backup.copy_matches b ~main ~off:4096)
+
+(* Crash storm over slot reuse. A tight slots region sees [ensure_copy],
+   [roll_forward] and [drop] over mixed copy lengths, so slots are recycled
+   in place and freed on a length mismatch, while a pinned subset is
+   locked against eviction. Both backup regions then crash after a random prefix of the
+   storm and the backup reopens from its table. The crash falls between
+   operations only; crashing at every fence inside one waits for a
+   region-level fault point (ROADMAP item 5's [Region.arm_crash]). *)
+let storm_lens = [| copy_len; 496; 24 |]
+let storm_slots_bytes = 4 * slot_bytes copy_len
+
+let storm_invariants b ~main =
+  let mapping = Backup.dump_mapping b in
+  let by_slot = List.sort (fun (_, s1, _) (_, s2, _) -> compare s1 s2) mapping in
+  let rec disjoint = function
+    | (_, s1, l1) :: ((_, s2, _) :: _ as rest) -> s1 + slot_bytes l1 <= s2 && disjoint rest
+    | [ (_, s, l) ] -> s + slot_bytes l <= storm_slots_bytes
+    | [] -> true
+  in
+  disjoint by_slot
+  && List.for_all
+       (fun (off, _, _) -> Backup.copy_matches b ~main ~off = Some true)
+       mapping
+  && List.fold_left (fun acc (_, _, l) -> acc + slot_bytes l) 0 mapping
+     <= storm_slots_bytes
+  && Backup.resident b = List.length mapping
+
+let storm_qcheck =
+  QCheck.Test.make ~name:"slot reuse survives a crash storm" ~count:300
+    QCheck.(
+      triple
+        (list_of_size Gen.(1 -- 60) (triple (int_bound 3) (int_bound 11) (int_bound 2)))
+        small_nat
+        (list_of_size Gen.(0 -- 2) (int_bound 11)))
+    (fun (ops, crash_at, pinned_keys) ->
+      let b, main, slots, table =
+        make_dynamic_regions ~slots_bytes:storm_slots_bytes
+          ~crash_mode:Region.Words_survive_randomly ()
+      in
+      let off_of key = 1024 * (key + 1) in
+      let pinned = List.map off_of pinned_keys in
+      let locked off = List.mem off pinned in
+      let resident_len off =
+        List.find_map (fun (k, _, l) -> if k = off then Some l else None)
+          (Backup.dump_mapping b)
+      in
+      (* Exhaustion is only allowed once every unpinned copy is gone. *)
+      let only_pinned_left b =
+        List.for_all (fun (off, _, _) -> locked off) (Backup.dump_mapping b)
+      in
+      let stamp = ref 0 in
+      let run b (kind, key, li) =
+        let off = off_of key and len = storm_lens.(li) in
+        match kind with
+        | 0 | 1 -> (
+            (* A transaction's write: pre-image copy, in-place update, then
+               propagation. *)
+            match Backup.ensure_copy b ~main ~off ~len ~locked ~pressure:no_pressure with
+            | () ->
+                incr stamp;
+                Region.fill main off len (!stamp land 0xff);
+                Backup.roll_forward b ~main ~off ~len;
+                true
+            | exception Failure _ -> only_pinned_left b)
+        | 2 -> (
+            match resident_len off with
+            | Some len ->
+                incr stamp;
+                Region.fill main off len (!stamp land 0xff);
+                Backup.roll_forward b ~main ~off ~len;
+                true
+            | None -> true)
+        | _ ->
+            if not (locked off) then Backup.drop b ~off;
+            true
+      in
+      let prefix = List.filteri (fun i _ -> i < crash_at) ops in
+      let ok_before = List.for_all (run b) prefix in
+      Region.crash slots;
+      Region.crash table;
+      let b = Backup.reopen b in
+      let ok_reopened = storm_invariants b ~main in
+      let ok_follow = List.for_all (run b) ops in
+      ok_before && ok_reopened && ok_follow && storm_invariants b ~main)
+
 let test_backup_survives_crash () =
   let b, main = make_dynamic () in
   Region.write_string main 512 "precious";
@@ -396,6 +509,9 @@ let () =
           Alcotest.test_case "eviction and pressure" `Quick test_backup_eviction_pressure;
           Alcotest.test_case "stale length replaced" `Quick test_backup_stale_length_replaced;
           Alcotest.test_case "survives crash" `Quick test_backup_survives_crash;
+          Alcotest.test_case "full region recycles the victim's slot" `Quick
+            test_backup_recycles_victim_slot;
+          QCheck_alcotest.to_alcotest storm_qcheck;
         ] );
       ( "eviction policy",
         [

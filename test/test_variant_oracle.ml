@@ -138,7 +138,10 @@ let fingerprint kind can_abort seed =
     sim c.Region.stores c.Region.bytes_stored c.Region.loads c.Region.bytes_loaded
     c.Region.lines_flushed c.Region.fences c.Region.bytes_copied (heap_hash e)
 
-(* Recorded on the pre-refactor monolithic engine (PR 5 baseline). *)
+(* Recorded on the pre-refactor monolithic engine. The kamino-dynamic
+   cells were re-recorded when the dynamic backup's slots became
+   right-sized and volatile: heap= and copied= stayed identical, and only
+   allocator and recovery work moved. *)
 let expected =
   [
     ("no-logging/seed=1", "sim=74611 stores=1019 bytes_stored=10408 loads=1412 bytes_loaded=11296 flushed=193 fences=55 copied=0 heap=2548557fdb6a5ddf");
@@ -153,9 +156,9 @@ let expected =
     ("kamino-simple/seed=1", "sim=339624 stores=3081 bytes_stored=27072 loads=2677 bytes_loaded=21416 flushed=17133 fences=342 copied=1058648 heap=15bb7a52914dce43");
     ("kamino-simple/seed=2", "sim=331292 stores=2613 bytes_stored=22184 loads=2153 bytes_loaded=17224 flushed=17040 fences=322 copied=1056840 heap=2a3b9e99e5b47915");
     ("kamino-simple/seed=3", "sim=348099 stores=4404 bytes_stored=37176 loads=2933 bytes_loaded=23464 flushed=17321 fences=383 copied=1062488 heap=f41bdf358cb150a");
-    ("kamino-dynamic/seed=1", "sim=363108 stores=2567 bytes_stored=93400 loads=90257 bytes_loaded=722056 flushed=2015 fences=518 copied=13304 heap=15bb7a52914dce43");
-    ("kamino-dynamic/seed=2", "sim=356401 stores=2319 bytes_stored=89056 loads=89527 bytes_loaded=716216 flushed=1882 fences=480 copied=10712 heap=2a3b9e99e5b47915");
-    ("kamino-dynamic/seed=3", "sim=142315 stores=3040 bytes_stored=95168 loads=4868 bytes_loaded=38944 flushed=2046 fences=447 copied=16232 heap=f41bdf358cb150a");
+    ("kamino-dynamic/seed=1", "sim=282969 stores=2148 bytes_stored=85136 loads=61436 bytes_loaded=491488 flushed=1913 fences=433 copied=13304 heap=15bb7a52914dce43");
+    ("kamino-dynamic/seed=2", "sim=278809 stores=1942 bytes_stored=82344 loads=60692 bytes_loaded=485536 flushed=1803 fences=426 copied=10712 heap=2a3b9e99e5b47915");
+    ("kamino-dynamic/seed=3", "sim=141150 stores=2938 bytes_stored=90976 loads=4807 bytes_loaded=38456 flushed=2056 fences=446 copied=16232 heap=f41bdf358cb150a");
     ("intent-only/seed=1", "sim=103085 stores=2772 bytes_stored=24432 loads=2145 bytes_loaded=17160 flushed=519 fences=254 copied=0 heap=2548557fdb6a5ddf");
     ("intent-only/seed=2", "sim=93790 stores=2411 bytes_stored=21544 loads=1660 bytes_loaded=13280 flushed=466 fences=227 copied=0 heap=2a7893ab76fb0999");
     ("intent-only/seed=3", "sim=122527 stores=4948 bytes_stored=41560 loads=3861 bytes_loaded=30888 flushed=661 fences=275 copied=0 heap=1dd8f7d19f71bbc1");
