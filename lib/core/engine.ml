@@ -194,7 +194,9 @@ let create ?(config = default_config) ?(obs = Obs.null) ?(obs_track = 1) ~kind
       last_commit_ns = 0;
       last_write_keys = [];
       all_regions;
-      ws = Array.init 64 (fun _ -> { r_off = 0; r_len = 0; r_key = 0; cow = None });
+      ws =
+        Array.init 64 (fun _ ->
+            { r_off = 0; r_len = 0; r_key = 0; cow = None; r_free = false });
       ws_n = 0;
       ws_cow_n = 0;
     }
@@ -348,28 +350,64 @@ let read_lock tx p =
   ignore (Clock.advance_to t.clk held_at);
   tx.read_entries <- e :: tx.read_entries
 
-let alloc tx size =
+(* Allocator words, fresh extents and freed extents are edited in place,
+   never redirected. *)
+let rec declare_ranges tx = function
+  | [] -> ()
+  | { Heap.off; len } :: rest ->
+      declare tx ~off ~len ~redirectable:false;
+      declare_ranges tx rest
+
+let chained size = size > Heap.max_object_size
+
+let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l)
+
+(* Allocate [sizes] in order, checking each against its prediction. *)
+let rec allocate heap sizes predicted =
+  match sizes with
+  | [] -> []
+  | size :: sizes when chained size ->
+      let head = Heap.alloc_chain heap size in
+      assert (head = List.hd predicted);
+      head :: allocate heap sizes (drop (List.length (Heap.chain_plan size)) predicted)
+  | size :: sizes ->
+      let p = Heap.alloc heap size in
+      assert (p = List.hd predicted);
+      p :: allocate heap sizes (List.tl predicted)
+
+(* Plan, then allocate: predict every allocation (a chained extent link by
+   link), declare all their allocator words and extents, cover them and
+   whatever the transaction declared before with one barrier, then
+   allocate in order. A chain appears or rolls back atomically like any
+   other allocation. *)
+let alloc_many tx sizes =
   active_tx tx;
   let t = tx.owner in
-  if size > Heap.max_object_size then begin
-    (* Chained extent: declare every link's allocator words and extent,
-       then perform the whole multi-link allocation under one barrier — the
-       chain appears or rolls back atomically like any other allocation. *)
-    let ptrs, ranges = Heap.alloc_chain_ranges t.heap size in
-    List.iter (fun { Heap.off; len } -> declare tx ~off ~len ~redirectable:false) ranges;
-    do_barrier tx;
-    let head = Heap.alloc_chain t.heap size in
-    assert (head = List.hd ptrs);
-    head
-  end
-  else begin
-    let p, ranges = Heap.alloc_ranges t.heap size in
-    List.iter (fun { Heap.off; len } -> declare tx ~off ~len ~redirectable:false) ranges;
-    do_barrier tx;
-    let p' = Heap.alloc t.heap size in
-    assert (p' = p);
-    p
-  end
+  let links =
+    if List.exists chained sizes then
+      List.concat_map (fun size -> if chained size then Heap.chain_plan size else [ size ]) sizes
+    else sizes
+  in
+  let predicted, ranges = Heap.alloc_many_ranges t.heap links in
+  declare_ranges tx ranges;
+  do_barrier tx;
+  allocate t.heap sizes predicted
+
+let alloc tx size =
+  match alloc_many tx [ size ] with [ p ] -> p | _ -> assert false
+
+(* Declaring a free marks the extent's write-set entry, so the [free]
+   itself neither recomputes nor re-declares the ranges. *)
+let declare_free tx p =
+  active_tx tx;
+  let t = tx.owner in
+  if not (Heap.is_allocated t.heap p) then
+    invalid_arg (Printf.sprintf "Engine.declare_free: %d is not an allocated object" p);
+  match Heap.free_ranges t.heap p with
+  | [ _; extent ] as ranges ->
+      declare_ranges tx ranges;
+      t.ws.(ws_find_off t extent.Heap.off).r_free <- true
+  | _ -> assert false
 
 let free tx p =
   active_tx tx;
@@ -378,9 +416,8 @@ let free tx p =
     invalid_arg (Printf.sprintf "Engine.free: %d is not an allocated object" p);
   let extent = Heap.extent t.heap p in
   t.strat.v_pre_free t tx extent;
-  List.iter
-    (fun { Heap.off; len } -> declare tx ~off ~len ~redirectable:false)
-    (Heap.free_ranges t.heap p);
+  let i = ws_find_off t extent.Heap.off in
+  if i < 0 || not t.ws.(i).r_free then declare_ranges tx (Heap.free_ranges t.heap p);
   do_barrier tx;
   Heap.free t.heap p
 
@@ -396,9 +433,7 @@ let free_chain tx p =
     (fun (lp, _, _) ->
       let extent = Heap.extent t.heap lp in
       t.strat.v_pre_free t tx extent;
-      List.iter
-        (fun { Heap.off; len } -> declare tx ~off ~len ~redirectable:false)
-        (Heap.free_ranges t.heap lp))
+      declare_ranges tx (Heap.free_ranges t.heap lp))
     links;
   do_barrier tx;
   Heap.free_chain t.heap p

@@ -174,13 +174,27 @@ val read_lock : tx -> Heap.ptr -> unit
 (** [alloc tx size] — [TX_ZALLOC]: transactionally allocates a zeroed
     object; undone on abort or crash. Sizes above [Heap.max_object_size]
     are allocated as a chained extent (a linked list of class-sized links)
-    under the same single barrier: the returned pointer is the chain head;
+    under one barrier: the returned pointer is the chain head;
     free it with {!free_chain} and address its payload via {!chain_links}. *)
 val alloc : tx -> int -> Heap.ptr
+
+(** [alloc_many tx sizes] — {!alloc} of every size, in order, behind one
+    barrier: it predicts all the allocations, declares the allocator words
+    and extents they touch, makes those intents (and every intent declared
+    before them) durable with a single barrier, then allocates. Returns the
+    same pointers, and leaves the same heap image, as one {!alloc} per size.
+    The building block of plan-then-apply transactions: declare the whole
+    write set, allocate once, then write in place (DESIGN.md §18). *)
+val alloc_many : tx -> int list -> Heap.ptr list
 
 (** [free tx p] — [TX_FREE]: transactionally frees an object. Refuses
     members of a chained extent (use {!free_chain} on the head). *)
 val free : tx -> Heap.ptr -> unit
+
+(** [declare_free tx p] declares the ranges a later [free tx p] modifies
+    (its class's free-list head and its extent), so that the [free] itself
+    adds no intent and needs no barrier of its own. *)
+val declare_free : tx -> Heap.ptr -> unit
 
 (** [free_chain tx p] transactionally frees every link of the chained
     extent headed at [p]. *)

@@ -116,6 +116,7 @@ type irec = {
   mutable r_len : int;
   mutable r_key : int;
   mutable cow : Data_log.entry option;
+  mutable r_free : bool;  (* an extent whose free ranges were declared ahead *)
 }
 
 type t = {
@@ -285,13 +286,15 @@ let ws_push t ~off ~len ~key ~cow =
      let n = Array.length t.ws in
      t.ws <-
        Array.init (2 * n) (fun i ->
-           if i < n then t.ws.(i) else { r_off = 0; r_len = 0; r_key = 0; cow = None }));
+           if i < n then t.ws.(i)
+           else { r_off = 0; r_len = 0; r_key = 0; cow = None; r_free = false }));
   let r = t.ws.(t.ws_n) in
   t.ws_n <- t.ws_n + 1;
   r.r_off <- off;
   r.r_len <- len;
   r.r_key <- key;
   r.cow <- cow;
+  r.r_free <- false;
   if cow <> None then t.ws_cow_n <- t.ws_cow_n + 1;
   r
 

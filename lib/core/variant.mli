@@ -96,6 +96,8 @@ type irec = {
   mutable r_len : int;
   mutable r_key : int;  (** write-lock key (owning object's extent) *)
   mutable cow : Data_log.entry option;  (** CoW working copy, if redirected *)
+  mutable r_free : bool;
+      (** an extent whose [free] ranges {!Engine.declare_free} declared *)
 }
 
 type t = {

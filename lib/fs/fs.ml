@@ -138,32 +138,78 @@ let make_metric_handles engine =
 
 let kind_code = function File -> kind_file | Dir -> kind_dir
 
-(* [format] creates the root directory through this inside the
-   formatting transaction. *)
-let mknod_tx tx t kind ~parent =
+(* --- Plan-then-apply ----------------------------------------------------------
+
+   Every mutating operation runs in three phases: it looks everything up
+   once, declares its whole write set (objects it edits, the B+Tree leaves
+   and descriptors it changes, the ranges it frees), then allocates
+   through one [Engine.alloc_many] and writes in place. The engine
+   barriers the intent log at the first write after a new declare, so an
+   operation whose declares all precede its first write pays one barrier
+   instead of one per object (DESIGN.md §18). Only B+Tree splits and
+   merges, which find their nodes as they go, declare mid-operation. The
+   mutation order, and therefore the heap image, is the one the operation
+   always had.
+
+   Making an inode is split in two halves so composite operations can fold
+   its allocation into their own: [plan_mknod] reads the next ordinal and
+   declares the superblock and the inode-table leaf; [apply_mknod] takes
+   its objects ([mknod_sizes]) from the front of an allocation and returns
+   the rest. *)
+type mknod_plan = { m_ino : int; m_ord : int; m_at : Btree.cursor }
+
+let mknod_sizes =
+  let file = [ inode_size ] in
+  let dir = inode_size :: Btree.create_sizes ~node_size:dir_node_size in
+  function File -> file | Dir -> dir
+
+(* ... followed by the dirent naming the new inode. *)
+let named_sizes =
+  let file = mknod_sizes File @ [ dirent_size ] in
+  let dir = mknod_sizes Dir @ [ dirent_size ] in
+  function File -> file | Dir -> dir
+
+let plan_mknod tx t =
+  let m_ord = Engine.read_int tx t.sb sb_next_ord in
+  let m_ino = t.base + (m_ord * t.stride) in
+  let m_at = Btree.seek tx t.itab m_ino in
   Engine.add tx t.sb;
-  let ord = Engine.read_int tx t.sb sb_next_ord in
-  Engine.write_int tx t.sb sb_next_ord (ord + 1);
-  let ino = t.base + (ord * t.stride) in
-  let ip = Engine.alloc tx inode_size in
-  Engine.write_int tx ip i_ino ino;
+  Btree.declare_insert tx t.itab m_at;
+  { m_ino; m_ord; m_at }
+
+let apply_mknod tx t kind ~parent { m_ino; m_ord; m_at } objs =
+  Engine.write_int tx t.sb sb_next_ord (m_ord + 1);
+  let ip = List.hd objs in
+  Engine.write_int tx ip i_ino m_ino;
   Engine.write_int tx ip i_kind (kind_code kind);
   Engine.write_int tx ip i_nlink 1;
   Engine.write_int tx ip i_size 0;
   Engine.write_int tx ip i_gen 0;
-  (match kind with
-  | File ->
-      Engine.write_int tx ip i_parent (-1);
-      Engine.write_int tx ip i_head Heap.null
-  | Dir ->
-      Engine.write_int tx ip i_parent parent;
-      let idx = Btree.create tx ~node_size:dir_node_size in
-      Engine.write_int tx ip i_head (Btree.descriptor idx));
-  ignore (Btree.insert tx t.itab ino ip);
+  let rest =
+    match (kind, List.tl objs) with
+    | File, rest ->
+        Engine.write_int tx ip i_parent (-1);
+        Engine.write_int tx ip i_head Heap.null;
+        rest
+    | Dir, desc :: root :: rest ->
+        Engine.write_int tx ip i_parent parent;
+        let idx = Btree.create_in tx ~desc ~root in
+        Engine.write_int tx ip i_head (Btree.descriptor idx);
+        rest
+    | Dir, _ -> assert false
+  in
+  ignore (Btree.insert_at tx t.itab m_at ip);
   Engine.write_int tx t.sb sb_inode_count (Engine.read_int tx t.sb sb_inode_count + 1);
   if kind = Dir then
     Engine.write_int tx t.sb sb_dir_count (Engine.read_int tx t.sb sb_dir_count + 1);
-  ino
+  rest
+
+(* [format] creates the root directory through this inside the
+   formatting transaction. *)
+let mknod_tx tx t kind ~parent =
+  let m = plan_mknod tx t in
+  ignore (apply_mknod tx t kind ~parent m (Engine.alloc_many tx (mknod_sizes kind)));
+  m.m_ino
 
 let format ?(block_size = 512) ?(dir_hash_bits = 40) ?(ino_base = 0)
     ?(ino_stride = 1) ?(with_root = true) ?(obs_track = 4) engine =
@@ -270,6 +316,11 @@ let inode_ptr_tx tx t ino =
   | Some p -> p
   | None -> err "Fs: no inode %d" ino
 
+(* An inode and its inode-table position, for operations that retire it. *)
+let inode_at tx t ino =
+  let at = Btree.seek tx t.itab ino in
+  match Btree.found at with Some ip -> (at, ip) | None -> err "Fs: no inode %d" ino
+
 let stat_of_reads ino kind nlink size parent gen =
   { ino; kind = (if kind = kind_dir then Dir else File); nlink; size; parent; gen }
 
@@ -301,229 +352,282 @@ let dir_of_tx tx t dir =
 
 (* --- Dirent chains -------------------------------------------------------- *)
 
-let find_dirent tx idx key name =
-  match Btree.find_tx tx idx key with
-  | None -> None
-  | Some head ->
-      let nlen_want = String.length name in
-      let rec go prev p =
-        if p = Heap.null then None
-        else
-          let nlen = Engine.read_int tx p d_nlen in
-          if nlen = nlen_want && Engine.read_string tx p d_name nlen = name then
-            Some (prev, p)
-          else go (Some p) (Engine.read_int tx p d_next)
-      in
-      go None head
+(* Where [name] sits in directory [dir], from one inode-table descent for
+   the directory, one index descent for the name's hash key and one walk
+   of its collision chain: [de] is the matching dirent ([Heap.null] if
+   none), [prev] its predecessor ([Heap.null] at the chain head). *)
+type slot = {
+  dp : Heap.ptr;
+  idx : Btree.t;
+  at : Btree.cursor;
+  prev : Heap.ptr;
+  de : Heap.ptr;
+}
+
+let rec chain_slot tx name dp idx at prev p =
+  if p = Heap.null then { dp; idx; at; prev = Heap.null; de = Heap.null }
+  else
+    let nlen = Engine.read_int tx p d_nlen in
+    if nlen = String.length name && Engine.read_string tx p d_name nlen = name then
+      { dp; idx; at; prev; de = p }
+    else chain_slot tx name dp idx at p (Engine.read_int tx p d_next)
+
+let find_slot tx t ~dir ~name =
+  let dp, idx = dir_of_tx tx t dir in
+  let at = Btree.seek tx idx (hash_name t name) in
+  chain_slot tx name dp idx at Heap.null (Option.value (Btree.found at) ~default:Heap.null)
 
 let dirent_lookup_tx tx t ~dir ~name =
-  let _, idx = dir_of_tx tx t dir in
-  match find_dirent tx idx (hash_name t name) name with
-  | Some (_, de) -> Some (Engine.read_int tx de d_ino)
-  | None -> None
+  let s = find_slot tx t ~dir ~name in
+  if s.de = Heap.null then None else Some (Engine.read_int tx s.de d_ino)
+
+(* Adding a dirent pushes it at the head of its collision chain: the index
+   leaf (and descriptor, for a new hash key) and the directory's entry
+   count change. *)
+let declare_dirent_add tx s =
+  Btree.declare_insert tx s.idx s.at;
+  Engine.add tx s.dp
+
+let apply_dirent_add tx s ~de ~name ~ino =
+  Engine.write_int tx de d_next (Option.value (Btree.found s.at) ~default:Heap.null);
+  Engine.write_int tx de d_ino ino;
+  Engine.write_int tx de d_nlen (String.length name);
+  Engine.write_string tx de d_name name;
+  ignore (Btree.insert_at tx s.idx s.at de);
+  Engine.write_int tx s.dp i_size (Engine.read_int tx s.dp i_size + 1)
 
 let dirent_add_tx ?on_step tx t ~dir ~name ~ino =
   check_name name;
   step on_step "dirent-add";
-  let dp, idx = dir_of_tx tx t dir in
-  let key = hash_name t name in
-  let head =
-    match Btree.find_tx tx idx key with Some h -> h | None -> Heap.null
-  in
-  let de = Engine.alloc tx dirent_size in
-  Engine.write_int tx de d_next head;
-  Engine.write_int tx de d_ino ino;
-  Engine.write_int tx de d_nlen (String.length name);
-  Engine.write_string tx de d_name name;
-  ignore (Btree.insert tx idx key de);
-  Engine.add tx dp;
-  Engine.write_int tx dp i_size (Engine.read_int tx dp i_size + 1)
+  let s = find_slot tx t ~dir ~name in
+  declare_dirent_add tx s;
+  apply_dirent_add tx s ~de:(Engine.alloc tx dirent_size) ~name ~ino
+
+(* Removing [s.de] relinks its chain — the predecessor's next pointer, or
+   the index binding (replaced by the successor, or deleted) — frees it
+   and drops the entry count. Returns the successor, read here once. *)
+let declare_dirent_remove tx s =
+  let nxt = Engine.read_int tx s.de d_next in
+  if s.prev <> Heap.null then Engine.add_field tx s.prev d_next 8
+  else if nxt = Heap.null then Btree.declare_delete tx s.idx s.at
+  else Btree.declare_insert tx s.idx s.at;
+  Engine.declare_free tx s.de;
+  Engine.add tx s.dp;
+  nxt
+
+let apply_dirent_remove tx s ~nxt =
+  if s.prev <> Heap.null then Engine.write_int tx s.prev d_next nxt
+  else if nxt = Heap.null then ignore (Btree.delete_at tx s.idx s.at)
+  else ignore (Btree.insert_at tx s.idx s.at nxt);
+  Engine.free tx s.de;
+  Engine.write_int tx s.dp i_size (Engine.read_int tx s.dp i_size - 1)
 
 let dirent_remove_tx ?on_step tx t ~dir ~name =
   check_name name;
   step on_step "dirent-remove";
-  let dp, idx = dir_of_tx tx t dir in
-  let key = hash_name t name in
-  match find_dirent tx idx key name with
-  | None -> err "Fs: %s: no such entry" name
-  | Some (prev, de) ->
-      let nxt = Engine.read_int tx de d_next in
-      (match prev with
-      | None ->
-          if nxt = Heap.null then ignore (Btree.delete tx idx key)
-          else ignore (Btree.insert tx idx key nxt)
-      | Some p ->
-          Engine.add_field tx p d_next 8;
-          Engine.write_int tx p d_next nxt);
-      let ino = Engine.read_int tx de d_ino in
-      Engine.free tx de;
-      Engine.add tx dp;
-      Engine.write_int tx dp i_size (Engine.read_int tx dp i_size - 1);
-      ino
+  let s = find_slot tx t ~dir ~name in
+  if s.de = Heap.null then err "Fs: %s: no such entry" name;
+  let ino = Engine.read_int tx s.de d_ino in
+  let nxt = declare_dirent_remove tx s in
+  apply_dirent_remove tx s ~nxt;
+  ino
 
 (* --- File extents --------------------------------------------------------- *)
 
 let blocks_for t size = (size + t.block_size - 1) / t.block_size
 let nodes_for nb = (nb + ext_slots - 1) / ext_slots
 
-let rec node_at tx p n =
-  if n = 0 then p else node_at tx (Engine.read_int tx p e_next) (n - 1)
-
-(* Visit blocks [from_b..to_b] with a single chain walk. *)
-let block_iter tx head ~from_b ~to_b f =
-  if to_b >= from_b then begin
-    let ni0 = from_b / ext_slots in
-    let node = ref (node_at tx head ni0) in
-    let ni = ref ni0 in
-    for b = from_b to to_b do
-      let n = b / ext_slots in
-      if n > !ni then begin
-        node := Engine.read_int tx !node e_next;
-        ni := n
-      end;
-      f b (Engine.read_int tx !node (e_slot (b mod ext_slots)))
-    done
-  end
-
 let sb_add_int tx t field delta =
   Engine.add tx t.sb;
   Engine.write_int tx t.sb field (Engine.read_int tx t.sb field + delta)
 
-(* Append zeroed blocks (and chain nodes) to reach [new_size]. Freshly
-   allocated objects are already intent-covered; only writes into the
-   pre-existing tail node need field declares. *)
-let grow_file_tx ?on_step tx t ip ~old_size ~new_size =
-  let old_nb = blocks_for t old_size and new_nb = blocks_for t new_size in
+(* One walk of an extent chain: its first [nn] nodes, and into [blks] the
+   pointers of blocks [from_b .. to_b] ([blks.(b - from_b)]), which must
+   lie in those nodes. *)
+let walk_chain tx head ~nn ~from_b ~to_b blks =
+  let nodes = Array.make nn Heap.null in
+  let p = ref head in
+  for i = 0 to nn - 1 do
+    if i > 0 then p := Engine.read_int tx !p e_next;
+    nodes.(i) <- !p;
+    for b = max from_b (i * ext_slots) to min to_b (((i + 1) * ext_slots) - 1) do
+      blks.(b - from_b) <- Engine.read_int tx !p (e_slot (b mod ext_slots))
+    done
+  done;
+  nodes
+
+(* Append zeroed blocks (and chain nodes) to go from [old_nb] to [new_nb]
+   blocks. Only the writes into the pre-existing [tail] node ([Heap.null]
+   for a file without blocks, whose head pointer in [ip] the caller
+   declared) need field declares; one [alloc_many] declares and allocates
+   every new node and block, in the order they are linked. Fresh blocks
+   numbered [from_b ..] are stored into [blks] for the caller's data
+   writes. *)
+let grow ?on_step tx t ip ~tail ~old_nb ~new_nb ~from_b blks =
   if new_nb > old_nb then begin
     step on_step "extend";
-    let head = Engine.read_int tx ip i_head in
-    let cur = ref Heap.null and curidx = ref (-1) and cur_fresh = ref false in
-    if old_nb > 0 then begin
-      curidx := (old_nb - 1) / ext_slots;
-      cur := node_at tx head !curidx
+    if tail <> Heap.null then begin
+      let b = ref old_nb in
+      while !b < new_nb && !b mod ext_slots <> 0 do
+        Engine.add_field tx tail (e_slot (!b mod ext_slots)) 8;
+        incr b
+      done;
+      if !b < new_nb then Engine.add_field tx tail e_next 8
     end;
+    let sizes = ref [] in
+    for b = new_nb - 1 downto old_nb do
+      sizes := t.block_size :: !sizes;
+      if b mod ext_slots = 0 then sizes := ext_size :: !sizes
+    done;
+    let fresh = Array.of_list (Engine.alloc_many tx !sizes) in
+    let k = ref 0 and cur = ref tail in
     for b = old_nb to new_nb - 1 do
-      let ni = b / ext_slots in
-      if ni > !curidx then begin
-        let n = Engine.alloc tx ext_size in
-        (if !cur = Heap.null then begin
-           Engine.add tx ip;
-           Engine.write_int tx ip i_head n
-         end
-         else begin
-           if not !cur_fresh then Engine.add_field tx !cur e_next 8;
-           Engine.write_int tx !cur e_next n
-         end);
+      if b mod ext_slots = 0 then begin
+        let n = fresh.(!k) in
+        incr k;
+        if !cur = Heap.null then Engine.write_int tx ip i_head n
+        else Engine.write_int tx !cur e_next n;
         Metrics.incr t.c_extnodes;
-        cur := n;
-        curidx := ni;
-        cur_fresh := true
+        cur := n
       end;
-      let blk = Engine.alloc tx t.block_size in
-      if not !cur_fresh then Engine.add_field tx !cur (e_slot (b mod ext_slots)) 8;
+      let blk = fresh.(!k) in
+      incr k;
       Engine.write_int tx !cur (e_slot (b mod ext_slots)) blk;
-      Metrics.incr t.c_blocks
+      Metrics.incr t.c_blocks;
+      if b >= from_b && b - from_b < Array.length blks then blks.(b - from_b) <- blk
+    done
+  end
+
+(* Shrink from [old_nb] blocks to [len] bytes: re-zero the kept tail, null
+   freed slots in kept nodes, free dropped blocks, cut the chain and free
+   trailing nodes. Everything is declared before the first write. *)
+let shrink ?on_step tx t ip ~head ~len ~old_nb =
+  let new_nb = blocks_for t len in
+  let tail = len mod t.block_size in
+  let zb = if tail <> 0 then new_nb - 1 else new_nb in
+  let keep = nodes_for new_nb and total = nodes_for old_nb in
+  let blks = Array.make (old_nb - zb) Heap.null in
+  let nodes = walk_chain tx head ~nn:total ~from_b:zb ~to_b:(old_nb - 1) blks in
+  if tail <> 0 then Engine.add_field tx blks.(0) tail (t.block_size - tail);
+  for b = new_nb to old_nb - 1 do
+    if b / ext_slots < keep then
+      Engine.add_field tx nodes.(b / ext_slots) (e_slot (b mod ext_slots)) 8;
+    Engine.declare_free tx blks.(b - zb)
+  done;
+  if total > keep then begin
+    if keep > 0 then Engine.add_field tx nodes.(keep - 1) e_next 8;
+    for i = keep to total - 1 do
+      Engine.declare_free tx nodes.(i)
     done
   end;
-  (old_nb, new_nb)
-
-(* Shrink to [new_size]: re-zero the kept tail, null freed slots in kept
-   nodes, free dropped blocks, cut the chain and free trailing nodes. *)
-let shrink_file_tx ?on_step tx t ip ~old_size ~new_size =
-  let old_nb = blocks_for t old_size and new_nb = blocks_for t new_size in
-  let head = Engine.read_int tx ip i_head in
   step on_step "zero-tail";
-  let tail = new_size mod t.block_size in
   if tail <> 0 then
-    block_iter tx head ~from_b:(new_nb - 1) ~to_b:(new_nb - 1) (fun _ blk ->
-        Engine.add_field tx blk tail (t.block_size - tail);
-        Engine.write_string tx blk tail (String.make (t.block_size - tail) '\000'));
-  let keep_nodes = nodes_for new_nb and total_nodes = nodes_for old_nb in
-  (* Snapshot the chain before any frees. *)
-  let nodes = Array.make total_nodes Heap.null in
-  let p = ref head in
-  for i = 0 to total_nodes - 1 do
-    nodes.(i) <- !p;
-    p := Engine.read_int tx !p e_next
-  done;
+    Engine.write_string tx blks.(0) tail (String.make (t.block_size - tail) '\000');
   step on_step "free-blocks";
-  if old_nb > new_nb then
-    block_iter tx head ~from_b:new_nb ~to_b:(old_nb - 1) (fun b blk ->
-        let ni = b / ext_slots in
-        if ni < keep_nodes then begin
-          Engine.add_field tx nodes.(ni) (e_slot (b mod ext_slots)) 8;
-          Engine.write_int tx nodes.(ni) (e_slot (b mod ext_slots)) Heap.null
-        end;
-        Engine.free tx blk);
+  for b = new_nb to old_nb - 1 do
+    if b / ext_slots < keep then
+      Engine.write_int tx nodes.(b / ext_slots) (e_slot (b mod ext_slots)) Heap.null;
+    Engine.free tx blks.(b - zb)
+  done;
   step on_step "free-nodes";
-  if total_nodes > keep_nodes then begin
-    (if keep_nodes = 0 then begin
-       Engine.add tx ip;
-       Engine.write_int tx ip i_head Heap.null
-     end
-     else begin
-       Engine.add_field tx nodes.(keep_nodes - 1) e_next 8;
-       Engine.write_int tx nodes.(keep_nodes - 1) e_next Heap.null
-     end);
-    for i = keep_nodes to total_nodes - 1 do
+  if total > keep then begin
+    if keep = 0 then Engine.write_int tx ip i_head Heap.null
+    else Engine.write_int tx nodes.(keep - 1) e_next Heap.null;
+    for i = keep to total - 1 do
       Engine.free tx nodes.(i)
     done
-  end;
-  (old_nb, new_nb)
+  end
 
-let free_file_tx tx t ~ino ip =
-  let size = Engine.read_int tx ip i_size in
-  let nb = blocks_for t size in
-  let head = Engine.read_int tx ip i_head in
-  block_iter tx head ~from_b:0 ~to_b:(nb - 1) (fun _ blk -> Engine.free tx blk);
-  let total_nodes = nodes_for nb in
-  let p = ref head in
-  for _ = 1 to total_nodes do
-    let nxt = Engine.read_int tx !p e_next in
-    Engine.free tx !p;
-    p := nxt
-  done;
-  Engine.free tx ip;
-  ignore (Btree.delete tx t.itab ino);
-  sb_add_int tx t sb_inode_count (-1);
-  sb_add_int tx t sb_block_count (-nb);
-  sb_add_int tx t sb_data_bytes (-size)
+(* Dropping one link of a regular file; at the last link the file goes:
+   every block, then every chain node, then the inode and its
+   inode-table binding. [d_at]/[d_ip] come from [inode_at]. *)
+type drop = {
+  d_at : Btree.cursor;
+  d_ip : Heap.ptr;
+  d_nlink : int;
+  d_size : int;
+  d_nodes : Heap.ptr array;
+  d_blks : Heap.ptr array;
+}
+
+let declare_drop_link tx t ~at ~ip =
+  let nlink = Engine.read_int tx ip i_nlink in
+  if nlink > 1 then begin
+    Engine.add tx ip;
+    { d_at = at; d_ip = ip; d_nlink = nlink; d_size = 0; d_nodes = [||]; d_blks = [||] }
+  end
+  else begin
+    let size = Engine.read_int tx ip i_size in
+    let nb = blocks_for t size in
+    let blks = Array.make nb Heap.null in
+    let nodes =
+      walk_chain tx (Engine.read_int tx ip i_head) ~nn:(nodes_for nb) ~from_b:0
+        ~to_b:(nb - 1) blks
+    in
+    Array.iter (Engine.declare_free tx) blks;
+    Array.iter (Engine.declare_free tx) nodes;
+    Engine.declare_free tx ip;
+    Btree.declare_delete tx t.itab at;
+    Engine.add tx t.sb;
+    { d_at = at; d_ip = ip; d_nlink = nlink; d_size = size; d_nodes = nodes; d_blks = blks }
+  end
+
+let apply_drop_link ?on_step tx t d =
+  step on_step "drop-link";
+  if d.d_nlink > 1 then Engine.write_int tx d.d_ip i_nlink (d.d_nlink - 1)
+  else begin
+    step on_step "free-file";
+    Array.iter (Engine.free tx) d.d_blks;
+    Array.iter (Engine.free tx) d.d_nodes;
+    Engine.free tx d.d_ip;
+    ignore (Btree.delete_at tx t.itab d.d_at);
+    sb_add_int tx t sb_inode_count (-1);
+    sb_add_int tx t sb_block_count (-Array.length d.d_blks);
+    sb_add_int tx t sb_data_bytes (-d.d_size)
+  end
 
 (* --- Inode-side primitives ------------------------------------------------ *)
 
-let add_link_tx tx t ~ino =
+let link_target tx t ~ino =
   let ip = inode_ptr_tx tx t ino in
   if Engine.read_int tx ip i_kind <> kind_file then
     err "Fs.link: ino %d is not a regular file" ino;
+  ip
+
+let add_link_tx tx t ~ino =
+  let ip = link_target tx t ~ino in
   Engine.add tx ip;
   Engine.write_int tx ip i_nlink (Engine.read_int tx ip i_nlink + 1)
 
 let drop_file_link_tx ?on_step tx t ~ino =
-  let ip = inode_ptr_tx tx t ino in
+  let at, ip = inode_at tx t ino in
   if Engine.read_int tx ip i_kind <> kind_file then
     err "Fs: ino %d is not a regular file" ino;
-  step on_step "drop-link";
-  let nlink = Engine.read_int tx ip i_nlink in
-  if nlink > 1 then begin
-    Engine.add tx ip;
-    Engine.write_int tx ip i_nlink (nlink - 1)
-  end
-  else begin
-    step on_step "free-file";
-    free_file_tx tx t ~ino ip
-  end
+  apply_drop_link ?on_step tx t (declare_drop_link tx t ~at ~ip)
+
+(* Freeing an empty, unlinked directory: its index tree, its inode and its
+   inode-table binding. Returns the index for [apply_free_dir]. *)
+let declare_free_dir tx t ~at ~ip =
+  let idx = Btree.attach t.engine (Engine.read_int tx ip i_head) in
+  Btree.declare_destroy_empty tx idx;
+  Engine.declare_free tx ip;
+  Btree.declare_delete tx t.itab at;
+  Engine.add tx t.sb;
+  idx
+
+let apply_free_dir tx t ~at ~ip idx =
+  Btree.destroy_empty tx idx;
+  Engine.free tx ip;
+  ignore (Btree.delete_at tx t.itab at);
+  sb_add_int tx t sb_inode_count (-1);
+  sb_add_int tx t sb_dir_count (-1)
 
 let free_dir_tx tx t ~ino =
-  let ip = inode_ptr_tx tx t ino in
+  let at, ip = inode_at tx t ino in
   if Engine.read_int tx ip i_kind <> kind_dir then
     err "Fs: ino %d is not a directory" ino;
   if Engine.read_int tx ip i_size <> 0 then err "Fs: directory %d not empty" ino;
-  let idx = Btree.attach t.engine (Engine.read_int tx ip i_head) in
-  Btree.destroy_empty tx idx;
-  Engine.free tx ip;
-  ignore (Btree.delete tx t.itab ino);
-  sb_add_int tx t sb_inode_count (-1);
-  sb_add_int tx t sb_dir_count (-1)
+  apply_free_dir tx t ~at ~ip (declare_free_dir tx t ~at ~ip)
 
 let touch_moved_tx tx t ~ino ~new_parent =
   let ip = inode_ptr_tx tx t ino in
@@ -535,47 +639,65 @@ let touch_moved_tx tx t ~ino ~new_parent =
 
 (* --- Composite operations ------------------------------------------------- *)
 
-let create_tx ?on_step tx t ~dir name =
+(* create and mkdir: the new inode's objects and its dirent come from one
+   allocation. *)
+let make_tx ?on_step tx t kind ~dir ~parent ~what name =
   check_name name;
-  if dirent_lookup_tx tx t ~dir ~name <> None then err "Fs.create: %s exists" name;
+  let s = find_slot tx t ~dir ~name in
+  if s.de <> Heap.null then err "Fs.%s: %s exists" what name;
   step on_step "mknod";
-  let ino = mknod_tx tx t File ~parent:(-1) in
-  dirent_add_tx ?on_step tx t ~dir ~name ~ino;
-  ino
+  let m = plan_mknod tx t in
+  declare_dirent_add tx s;
+  let objs = Engine.alloc_many tx (named_sizes kind) in
+  let de = List.hd (apply_mknod tx t kind ~parent m objs) in
+  step on_step "dirent-add";
+  apply_dirent_add tx s ~de ~name ~ino:m.m_ino;
+  m.m_ino
+
+let create_tx ?on_step tx t ~dir name =
+  make_tx ?on_step tx t File ~dir ~parent:(-1) ~what:"create" name
 
 let mkdir_tx ?on_step tx t ~dir name =
-  check_name name;
-  if dirent_lookup_tx tx t ~dir ~name <> None then err "Fs.mkdir: %s exists" name;
-  step on_step "mknod";
-  let ino = mknod_tx tx t Dir ~parent:dir in
-  dirent_add_tx ?on_step tx t ~dir ~name ~ino;
-  ino
+  make_tx ?on_step tx t Dir ~dir ~parent:dir ~what:"mkdir" name
 
 let link_tx ?on_step tx t ~ino ~dir name =
   check_name name;
-  if dirent_lookup_tx tx t ~dir ~name <> None then err "Fs.link: %s exists" name;
+  let s = find_slot tx t ~dir ~name in
+  if s.de <> Heap.null then err "Fs.link: %s exists" name;
   step on_step "nlink";
-  add_link_tx tx t ~ino;
-  dirent_add_tx ?on_step tx t ~dir ~name ~ino
+  let ip = link_target tx t ~ino in
+  Engine.add tx ip;
+  declare_dirent_add tx s;
+  let de = Engine.alloc tx dirent_size in
+  Engine.write_int tx ip i_nlink (Engine.read_int tx ip i_nlink + 1);
+  step on_step "dirent-add";
+  apply_dirent_add tx s ~de ~name ~ino
 
 let unlink_tx ?on_step tx t ~dir name =
-  (match dirent_lookup_tx tx t ~dir ~name with
-  | None -> err "Fs.unlink: %s: no such entry" name
-  | Some ino ->
-      if (stat_tx tx t ino).kind <> File then
-        err "Fs.unlink: %s is a directory (use rmdir)" name);
-  let ino = dirent_remove_tx ?on_step tx t ~dir ~name in
-  drop_file_link_tx ?on_step tx t ~ino
+  check_name name;
+  let s = find_slot tx t ~dir ~name in
+  if s.de = Heap.null then err "Fs.unlink: %s: no such entry" name;
+  let at, ip = inode_at tx t (Engine.read_int tx s.de d_ino) in
+  if Engine.read_int tx ip i_kind <> kind_file then
+    err "Fs.unlink: %s is a directory (use rmdir)" name;
+  let nxt = declare_dirent_remove tx s in
+  let d = declare_drop_link tx t ~at ~ip in
+  step on_step "dirent-remove";
+  apply_dirent_remove tx s ~nxt;
+  apply_drop_link ?on_step tx t d
 
 let rmdir_tx ?on_step tx t ~dir name =
-  (match dirent_lookup_tx tx t ~dir ~name with
-  | None -> err "Fs.rmdir: %s: no such entry" name
-  | Some ino ->
-      let st = stat_tx tx t ino in
-      if st.kind <> Dir then err "Fs.rmdir: %s is not a directory" name;
-      if st.size <> 0 then err "Fs.rmdir: %s not empty" name);
-  let ino = dirent_remove_tx ?on_step tx t ~dir ~name in
-  free_dir_tx tx t ~ino
+  check_name name;
+  let s = find_slot tx t ~dir ~name in
+  if s.de = Heap.null then err "Fs.rmdir: %s: no such entry" name;
+  let at, ip = inode_at tx t (Engine.read_int tx s.de d_ino) in
+  if Engine.read_int tx ip i_kind <> kind_dir then err "Fs.rmdir: %s is not a directory" name;
+  if Engine.read_int tx ip i_size <> 0 then err "Fs.rmdir: %s not empty" name;
+  let nxt = declare_dirent_remove tx s in
+  let idx = declare_free_dir tx t ~at ~ip in
+  step on_step "dirent-remove";
+  apply_dirent_remove tx s ~nxt;
+  apply_free_dir tx t ~at ~ip idx
 
 (* Walk [cur]'s parent chain; [Fs_error] if it passes through [m]. *)
 let check_no_cycle tx t ~moved:m ~dst =
@@ -593,13 +715,10 @@ let rename_tx ?on_step tx t ~src ~src_name ~dst ~dst_name =
   check_name dst_name;
   if src = dst && src_name = dst_name then ()
   else begin
-    let _, sidx = dir_of_tx tx t src in
+    let s = find_slot tx t ~dir:src ~name:src_name in
     ignore (dir_of_tx tx t dst);
-    let m =
-      match find_dirent tx sidx (hash_name t src_name) src_name with
-      | Some (_, de) -> Engine.read_int tx de d_ino
-      | None -> err "Fs.rename: %s: no such entry" src_name
-    in
+    if s.de = Heap.null then err "Fs.rename: %s: no such entry" src_name;
+    let m = Engine.read_int tx s.de d_ino in
     let mkind = (stat_tx tx t m).kind in
     if mkind = Dir then check_no_cycle tx t ~moved:m ~dst;
     (match dirent_lookup_tx tx t ~dir:dst ~name:dst_name with
@@ -632,15 +751,31 @@ let write_tx ?on_step tx t ~ino ~off data =
     Engine.add tx ip;
     let old_size = Engine.read_int tx ip i_size in
     let new_size = max old_size (off + len) in
-    let old_nb, new_nb = grow_file_tx ?on_step tx t ip ~old_size ~new_size in
+    let old_nb = blocks_for t old_size and new_nb = blocks_for t new_size in
+    let from_b = off / t.block_size and to_b = (off + len - 1) / t.block_size in
+    (* Walk the chain through the written blocks that exist and the tail
+       node the file grows from. *)
+    let last = if new_nb > old_nb then old_nb - 1 else to_b in
+    let blks = Array.make (to_b - from_b + 1) Heap.null in
+    let nodes =
+      walk_chain tx (Engine.read_int tx ip i_head) ~nn:(nodes_for (last + 1)) ~from_b
+        ~to_b:(min to_b (old_nb - 1)) blks
+    in
+    if new_size > old_size then Engine.add tx t.sb;
+    (* Bytes [lo, hi) of the write land in block [b], at [lo - blo]. *)
+    for b = from_b to min to_b (old_nb - 1) do
+      let blo = b * t.block_size in
+      let lo = max off blo and hi = min (off + len) (blo + t.block_size) in
+      Engine.add_field tx blks.(b - from_b) (lo - blo) (hi - lo)
+    done;
+    let tail = if new_nb > old_nb && old_nb > 0 then nodes.(Array.length nodes - 1) else Heap.null in
+    grow ?on_step tx t ip ~tail ~old_nb ~new_nb ~from_b blks;
     step on_step "data";
-    let head = Engine.read_int tx ip i_head in
-    block_iter tx head ~from_b:(off / t.block_size)
-      ~to_b:((off + len - 1) / t.block_size) (fun b blk ->
-        let blo = b * t.block_size in
-        let lo = max off blo and hi = min (off + len) (blo + t.block_size) in
-        if b < old_nb then Engine.add_field tx blk (lo - blo) (hi - lo);
-        Engine.write_string tx blk (lo - blo) (String.sub data (lo - off) (hi - lo)));
+    for b = from_b to to_b do
+      let blo = b * t.block_size in
+      let lo = max off blo and hi = min (off + len) (blo + t.block_size) in
+      Engine.write_string tx blks.(b - from_b) (lo - blo) (String.sub data (lo - off) (hi - lo))
+    done;
     step on_step "meta";
     if new_size > old_size then begin
       Engine.write_int tx ip i_size new_size;
@@ -657,10 +792,16 @@ let truncate_tx ?on_step tx t ~ino ~len =
   let old_size = Engine.read_int tx ip i_size in
   if len <> old_size then begin
     Engine.add tx ip;
-    let old_nb, new_nb =
-      if len > old_size then grow_file_tx ?on_step tx t ip ~old_size ~new_size:len
-      else shrink_file_tx ?on_step tx t ip ~old_size ~new_size:len
-    in
+    Engine.add tx t.sb;
+    let old_nb = blocks_for t old_size and new_nb = blocks_for t len in
+    let head = Engine.read_int tx ip i_head in
+    if len > old_size then begin
+      let nn = if new_nb > old_nb then nodes_for old_nb else 0 in
+      let nodes = walk_chain tx head ~nn ~from_b:0 ~to_b:(-1) [||] in
+      let tail = if nn > 0 then nodes.(nn - 1) else Heap.null in
+      grow ?on_step tx t ip ~tail ~old_nb ~new_nb ~from_b:new_nb [||]
+    end
+    else shrink ?on_step tx t ip ~head ~len ~old_nb;
     step on_step "meta";
     Engine.write_int tx ip i_size len;
     sb_add_int tx t sb_data_bytes (len - old_size);
@@ -678,13 +819,17 @@ let read_op_tx tx t ~ino ~off ~len =
   let len = min len (size - off) in
   if len <= 0 then ""
   else begin
-    let head = Engine.read_int tx ip i_head in
+    let from_b = off / t.block_size and to_b = (off + len - 1) / t.block_size in
+    let blks = Array.make (to_b - from_b + 1) Heap.null in
+    ignore
+      (walk_chain tx (Engine.read_int tx ip i_head) ~nn:(nodes_for (to_b + 1)) ~from_b ~to_b
+         blks);
     let buf = Buffer.create len in
-    block_iter tx head ~from_b:(off / t.block_size)
-      ~to_b:((off + len - 1) / t.block_size) (fun b blk ->
-        let blo = b * t.block_size in
-        let lo = max off blo and hi = min (off + len) (blo + t.block_size) in
-        Buffer.add_bytes buf (Engine.read_bytes tx blk (lo - blo) (hi - lo)));
+    for b = from_b to to_b do
+      let blo = b * t.block_size in
+      let lo = max off blo and hi = min (off + len) (blo + t.block_size) in
+      Buffer.add_bytes buf (Engine.read_bytes tx blks.(b - from_b) (lo - blo) (hi - lo))
+    done;
     Buffer.contents buf
   end
 

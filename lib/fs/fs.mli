@@ -43,7 +43,10 @@
     objects are declared whole (they are a cache line or two), file
     data is declared with byte-range [add_field] intents on exactly the
     written span — what makes the copying baselines pay for whole-block
-    logging while Kamino logs 8-byte-scale intents.
+    logging while Kamino logs 8-byte-scale intents. Each operation looks
+    everything up once and declares its whole write set before its first
+    write, so it pays one intent-log barrier however many objects it
+    touches, unless a B+Tree split or merge adds its own (DESIGN.md §18).
 
     The [*_tx] variants take a caller-owned transaction plus an
     [?on_step] hook fired at each internal mutation boundary — the

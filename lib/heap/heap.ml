@@ -196,24 +196,43 @@ let bump t = Region.read_int t.region bump_off
 
 let free_head t cls = Region.read_int t.region (class_head_off cls)
 
-let alloc_ranges t size =
-  let cls = class_of_size size in
-  let capacity = size_classes.(cls) in
-  let head = free_head t cls in
-  if head <> null then
-    (* Reuse: the free-list head word and the object extent change. *)
-    ( head,
-      [
-        { off = class_head_off cls; len = 8 };
-        { off = head - header_size; len = header_size + capacity };
-      ] )
-  else begin
-    let b = align16 (bump t) in
-    let extent_len = header_size + capacity in
-    if b + extent_len > Region.size t.region then raise Out_of_memory;
-    ( b + header_size,
-      [ { off = bump_off; len = 8 }; { off = b; len = extent_len } ] )
-  end
+(* The allocator predictor: simulate [alloc] over [sizes] without mutating
+   anything. Each allocation touches one allocator word (its class's
+   free-list head on reuse, the bump pointer otherwise) and its extent.
+   A free-list pop chases the popped object's on-NVM next pointer only when
+   the class is popped again ([seen] maps a class to the object it popped
+   last, or to [null] once its list ran dry), and bump allocations advance
+   a local cursor, so predicting a single allocation reads exactly the
+   words [alloc] is about to read. *)
+let rec predict t sizes seen cursor =
+  match sizes with
+  | [] -> ([], [])
+  | size :: rest ->
+      let cls = class_of_size size in
+      let extent_len = header_size + size_classes.(cls) in
+      let head =
+        match List.assoc_opt cls seen with
+        | Some last -> if last = null then null else Region.read_int t.region last
+        | None -> free_head t cls
+      in
+      if head <> null then begin
+        let seen = if rest = [] then seen else (cls, head) :: seen in
+        let ptrs, ranges = predict t rest seen cursor in
+        ( head :: ptrs,
+          { off = class_head_off cls; len = 8 }
+          :: { off = head - header_size; len = extent_len }
+          :: ranges )
+      end
+      else begin
+        let b = align16 (if cursor < 0 then bump t else cursor) in
+        if b + extent_len > Region.size t.region then raise Out_of_memory;
+        let seen = if rest = [] then seen else (cls, null) :: seen in
+        let ptrs, ranges = predict t rest seen (b + extent_len) in
+        ( (b + header_size) :: ptrs,
+          { off = bump_off; len = 8 } :: { off = b; len = extent_len } :: ranges )
+      end
+
+let alloc_many_ranges t sizes = predict t sizes [] (-1)
 
 let alloc t size =
   let cls = class_of_size size in
@@ -305,46 +324,6 @@ let chain_plan size =
     end
   in
   go size [] true
-
-let alloc_chain_ranges t size =
-  let plan = chain_plan size in
-  (* Predict each link's placement by simulating the allocator: free-list
-     pops chase the on-NVM next pointers (charged, same words the later
-     [alloc] reads), bump allocations advance a local cursor. *)
-  let heads = Array.make n_classes (-1) in
-  let head_of cls =
-    if heads.(cls) < 0 then heads.(cls) <- free_head t cls;
-    heads.(cls)
-  in
-  let bump_sim = ref (-1) in
-  let bump_of () =
-    if !bump_sim < 0 then bump_sim := bump t;
-    !bump_sim
-  in
-  let ptrs = ref [] and ranges = ref [] in
-  List.iter
-    (fun link_size ->
-      let cls = class_of_size link_size in
-      let cap = size_classes.(cls) in
-      let h = head_of cls in
-      if h <> null then begin
-        ptrs := h :: !ptrs;
-        ranges :=
-          { off = h - header_size; len = header_size + cap }
-          :: { off = class_head_off cls; len = 8 }
-          :: !ranges;
-        heads.(cls) <- Region.read_int t.region h
-      end
-      else begin
-        let b = align16 (bump_of ()) in
-        let extent_len = header_size + cap in
-        if b + extent_len > Region.size t.region then raise Out_of_memory;
-        ptrs := (b + header_size) :: !ptrs;
-        ranges := { off = b; len = extent_len } :: { off = bump_off; len = 8 } :: !ranges;
-        bump_sim := b + extent_len
-      end)
-    plan;
-  (List.rev !ptrs, List.rev !ranges)
 
 let alloc_chain t size =
   let plan = chain_plan size in

@@ -9,7 +9,7 @@
     Allocator metadata (bump pointer, per-class free-list heads) lives in
     NVM and is modified {e through transactions}, exactly as in the paper:
     the heap itself performs raw writes, and the transaction engines declare
-    write intents on the word ranges reported by {!alloc_ranges} /
+    write intents on the word ranges reported by {!alloc_many_ranges} /
     {!free_ranges} before invoking {!alloc} / {!free}, so aborts and crashes
     roll the allocator back together with the data.
 
@@ -48,19 +48,23 @@ val region : t -> Kamino_nvm.Region.t
     write-intent declaration. *)
 type range = { off : int; len : int }
 
-(** [alloc_ranges t size] returns [(p, ranges)] where [p] is the pointer the
-    next [alloc t size] call will return and [ranges] are the allocator
-    metadata words plus the object extent that the allocation will modify.
-    It performs no mutation: engines snapshot/declare the ranges, then call
-    {!alloc}. Raises [Out_of_memory] when the heap is exhausted and
-    [Invalid_argument] for sizes above {!max_object_size}. *)
-val alloc_ranges : t -> int -> ptr * range list
+(** [alloc_many_ranges t sizes] predicts a sequence of allocations: it
+    returns [(ptrs, ranges)] where [ptrs] are the pointers successive
+    [alloc t size] calls over [sizes] will return, in order, and [ranges]
+    are the allocator metadata word and the object extent each of them
+    will modify (word first, then extent, per allocation). It performs no
+    mutation: engines snapshot/declare the ranges, then call {!alloc} (or
+    {!alloc_chain} for a {!chain_plan}). Raises [Out_of_memory] when the
+    heap cannot hold them all and [Invalid_argument] for sizes above
+    {!max_object_size}. *)
+val alloc_many_ranges : t -> int list -> ptr list * range list
 
 (** [alloc t size] allocates an object with at least [size] payload bytes
     and returns its pointer. The payload is zeroed. *)
 val alloc : t -> int -> ptr
 
-(** [free_ranges t p] returns the ranges {!free} will modify. *)
+(** [free_ranges t p] returns the ranges {!free} will modify: [p]'s
+    class free-list head word, then [p]'s extent. *)
 val free_ranges : t -> ptr -> range list
 
 (** [free t p] returns [p]'s object to its size-class free list.
@@ -78,14 +82,14 @@ val free : t -> ptr -> unit
     them ([free_chain] owns the whole chain) and {!is_allocated} still
     answers true. *)
 
-(** [alloc_chain_ranges t size] — like {!alloc_ranges} for a chained
-    allocation: [(link_ptrs, ranges)] covering every link's extent plus the
-    allocator words each link will touch. No mutation. *)
-val alloc_chain_ranges : t -> int -> ptr list * range list
+(** [chain_plan size] — the link allocation sizes of a [size]-byte chained
+    extent, head first: [alloc_many_ranges t (chain_plan size)] predicts
+    its links. *)
+val chain_plan : int -> int list
 
 (** [alloc_chain t size] allocates the chain and wires next pointers, head
     flags and the stored total; returns the head pointer. The caller must
-    have declared [alloc_chain_ranges] first (engines do). *)
+    have declared the ranges of its {!chain_plan} first (engines do). *)
 val alloc_chain : t -> int -> ptr
 
 (** [chain_links t p] — [(link_ptr, data_rel, data_len)] per link in chain

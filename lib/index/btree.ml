@@ -78,22 +78,31 @@ let alloc_node tx ~node_cap ~leaf =
   Engine.write_int tx node n_next Heap.null;
   node
 
-let create tx ~node_size =
+let create_sizes ~node_size =
   if node_size < min_node_size then
     invalid_arg (Printf.sprintf "Btree.create: node_size must be >= %d" min_node_size);
-  let desc = Engine.alloc tx desc_size in
-  let probe = Engine.alloc tx node_size in
+  [ desc_size; node_size ]
+
+let create_in tx ~desc ~root =
   (* The heap rounds to a size class; the branching factor follows the
      actual capacity, recorded in the descriptor for reattachment. *)
-  let node_cap = Heap.capacity (Engine.heap (Engine.tx_engine tx)) probe in
-  Engine.write_int tx probe n_flags 1;
-  Engine.write_int tx probe n_nkeys 0;
-  Engine.write_int tx probe n_next Heap.null;
-  Engine.write_int tx desc d_root probe;
+  let node_cap = Heap.capacity (Engine.heap (Engine.tx_engine tx)) root in
+  Engine.write_int tx root n_flags 1;
+  Engine.write_int tx root n_nkeys 0;
+  Engine.write_int tx root n_next Heap.null;
+  Engine.write_int tx desc d_root root;
   Engine.write_int tx desc d_count 0;
   Engine.write_int tx desc d_node_cap node_cap;
   let engine = Engine.tx_engine tx in
   { engine; desc; mk = mk_of_capacity node_cap }
+
+(* Two allocations, two barriers: a standalone tree costs what it always
+   did, so the stores built on it keep their setup timeline. Callers that
+   fold the tree into a larger plan use [create_sizes] and [create_in]. *)
+let create tx ~node_size =
+  ignore (create_sizes ~node_size);
+  let desc = Engine.alloc tx desc_size in
+  create_in tx ~desc ~root:(Engine.alloc tx node_size)
 
 let descriptor t = t.desc
 
@@ -182,19 +191,55 @@ let find_snapshot snap t key =
 
 (* Path from the root to the leaf: [(node, child_index)] per internal
    level, leaf last. *)
-let path_to_leaf r t key =
-  let rec go node acc =
-    if is_leaf r node then (node, acc)
-    else begin
-      let n = nkeys r node in
-      let i = child_index r node n key in
-      go (ptr_at t r node i) ((node, i) :: acc)
-    end
-  in
-  go (root_of r t) []
+let rec descend r t key node acc =
+  if is_leaf r node then (node, acc)
+  else begin
+    let n = nkeys r node in
+    let i = child_index r node n key in
+    descend r t key (ptr_at t r node i) ((node, i) :: acc)
+  end
 
+let path_to_leaf r t key = descend r t key (root_of r t) []
+
+(* One descent to the leaf where [key] is bound or would go: everything
+   [insert_at] and [delete_at] need, so a caller that looks a key up,
+   declares, allocates and then mutates descends once. Valid until the
+   tree changes. *)
+type cursor = {
+  key : int;
+  leaf : Heap.ptr;
+  path : (Heap.ptr * int) list;
+  n : int;  (* keys in [leaf] *)
+  i : int;  (* position of the first key >= [key] *)
+  found : Heap.ptr option;
+}
+
+let seek tx t key =
+  let r = tx_reader tx in
+  let leaf, path = path_to_leaf r t key in
+  let n = nkeys r leaf in
+  let i = lower_bound r leaf n key in
+  let found = if i < n && key_at r leaf i = key then Some (ptr_at t r leaf i) else None in
+  { key; leaf; path; n; i; found }
+
+let found c = c.found
+
+(* The intents an insert or delete writes under whatever happens to the
+   shape of the tree: the leaf, and the descriptor's count when the
+   binding appears or disappears. Declaring both before the first write is
+   what lets one barrier cover a split-free update. *)
+let declare_insert tx t c =
+  Engine.add tx c.leaf;
+  if c.found = None then Engine.add tx t.desc
+
+let declare_delete tx t c =
+  if c.found <> None then begin
+    Engine.add tx c.leaf;
+    Engine.add tx t.desc
+  end
+
+(* The descriptor is declared by the caller. *)
 let bump_count tx t delta =
-  Engine.add tx t.desc;
   Engine.write_int tx t.desc d_count (Engine.read_int tx t.desc d_count + delta)
 
 (* Insert separator [sep] with right child [right] above [child]; [path] is
@@ -243,30 +288,22 @@ let rec insert_upward tx t path sep right =
         insert_upward tx t rest promoted rnode
       end
 
-let insert tx t key value =
-  let r = tx_reader tx in
-  let leaf, path = path_to_leaf r t key in
-  let n = nkeys r leaf in
-  let i = lower_bound r leaf n key in
-  if i < n && key_at r leaf i = key then begin
-    (* Replace in place. *)
-    Engine.add tx leaf;
-    let old = ptr_at t r leaf i in
-    set_ptr tx t leaf i value;
-    Some old
-  end
-  else begin
-    Engine.add tx leaf;
-    if n < t.mk then begin
+let insert_at tx t { key; leaf; path; n; i; found } value =
+  match found with
+  | Some old ->
+      (* Replace in place. *)
+      set_ptr tx t leaf i value;
+      Some old
+  | None when n < t.mk ->
       open_gap tx t leaf n ~j:i ~pj:i;
       set_key tx leaf i key;
       set_ptr tx t leaf i value;
       set_nkeys tx leaf (n + 1);
       bump_count tx t 1;
       None
-    end
-    else begin
+  | None ->
       (* Split the full leaf, then insert into the proper half. *)
+      let r = tx_reader tx in
       let keep = n - (n / 2) in
       let rcnt = n / 2 in
       let rleaf = alloc_node tx ~node_cap:(node_cap t) ~leaf:true in
@@ -285,8 +322,11 @@ let insert tx t key value =
       insert_upward tx t path sep rleaf;
       bump_count tx t 1;
       None
-    end
-  end
+
+let insert tx t key value =
+  let c = seek tx t key in
+  declare_insert tx t c;
+  insert_at tx t c value
 
 (* --- Deletion ------------------------------------------------------------ *)
 
@@ -402,21 +442,25 @@ let rec rebalance tx t node path =
             assert false
       end
 
+let delete_at tx t { leaf; path; n; i; found; _ } =
+  match found with
+  | None -> None
+  | Some old ->
+      close_gap tx t leaf n ~j:i ~pj:i;
+      set_nkeys tx leaf (n - 1);
+      bump_count tx t (-1);
+      rebalance tx t leaf path;
+      Some old
+
 let delete tx t key =
-  let r = tx_reader tx in
-  let leaf, path = path_to_leaf r t key in
-  let n = nkeys r leaf in
-  let i = lower_bound r leaf n key in
-  if i < n && key_at r leaf i = key then begin
-    Engine.add tx leaf;
-    let old = ptr_at t r leaf i in
-    close_gap tx t leaf n ~j:i ~pj:i;
-    set_nkeys tx leaf (n - 1);
-    bump_count tx t (-1);
-    rebalance tx t leaf path;
-    Some old
-  end
-  else None
+  let c = seek tx t key in
+  declare_delete tx t c;
+  delete_at tx t c
+
+(* The frees [destroy_empty] makes, declared ahead of it. *)
+let declare_destroy_empty tx t =
+  Engine.declare_free tx (root_of (tx_reader tx) t);
+  Engine.declare_free tx t.desc
 
 (* --- Bulk load ----------------------------------------------------------
 
@@ -477,12 +521,16 @@ let append_sorted tx t entries =
         set_ptr tx t dst (at + j) value
       done
     in
+    let count delta =
+      Engine.add tx t.desc;
+      bump_count tx t delta
+    in
     if n + m <= t.mk then begin
       (* The whole batch fits in the rightmost leaf. *)
       Engine.add tx leaf;
       fill leaf n ~from:0 ~cnt:m;
       set_nkeys tx leaf (n + m);
-      bump_count tx t m
+      count m
     end
     else begin
       (* Top the rightmost leaf up to capacity, then hang whole new leaves
@@ -493,7 +541,7 @@ let append_sorted tx t entries =
         Engine.add tx leaf;
         fill leaf n ~from:0 ~cnt:room;
         set_nkeys tx leaf t.mk;
-        bump_count tx t room
+        count room
       end;
       let rem = m - room in
       if rem <= min_keys t then begin
@@ -516,7 +564,7 @@ let append_sorted tx t entries =
         Engine.write_int tx prev n_next nleaf;
         let sep = key_at r nleaf 0 in
         insert_upward tx t path sep nleaf;
-        bump_count tx t rem
+        count rem
       end
       else begin
         let from = ref room in
@@ -529,7 +577,7 @@ let append_sorted tx t entries =
             Engine.add tx prev;
             Engine.write_int tx prev n_next nleaf;
             insert_upward tx t path (fst entries.(!from)) nleaf;
-            bump_count tx t cnt;
+            count cnt;
             from := !from + cnt)
           (leaf_plan t rem)
       end

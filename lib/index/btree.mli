@@ -21,6 +21,15 @@ type t
     factor follows from it (e.g. 4096 -> 254 keys/node). *)
 val create : Kamino_core.Engine.tx -> node_size:int -> t
 
+(** [create_sizes ~node_size] — the allocations [create] makes, in order
+    (descriptor, root leaf), for a caller that folds them into its own
+    {!Kamino_core.Engine.alloc_many}; [create_in] then formats the tree in
+    the returned objects. *)
+val create_sizes : node_size:int -> int list
+
+val create_in :
+  Kamino_core.Engine.tx -> desc:Kamino_heap.Heap.ptr -> root:Kamino_heap.Heap.ptr -> t
+
 (** [descriptor t] is the tree's persistent handle, e.g. to store as heap
     root. *)
 val descriptor : t -> Kamino_heap.Heap.ptr
@@ -48,6 +57,41 @@ val insert : Kamino_core.Engine.tx -> t -> int -> Kamino_heap.Heap.ptr -> Kamino
 
 (** [delete tx t key] removes the mapping; returns the removed value. *)
 val delete : Kamino_core.Engine.tx -> t -> int -> Kamino_heap.Heap.ptr option
+
+(** {2 Plan-then-apply}
+
+    [insert] and [delete] are [seek], then a declare, then the mutation at
+    the cursor. A caller that has its own objects to declare and allocate
+    runs the three steps itself, so that every intent is declared before
+    the first write and one barrier covers the whole transaction
+    (DESIGN.md §18). Only splits and merges, which find their nodes as
+    they go, still declare mid-mutation. *)
+
+(** The leaf position of one key, from a single descent. It stays valid
+    until the tree is modified. *)
+type cursor
+
+val seek : Kamino_core.Engine.tx -> t -> int -> cursor
+
+(** The value bound to the cursor's key, if any. *)
+val found : cursor -> Kamino_heap.Heap.ptr option
+
+(** [declare_insert tx t c] declares the leaf and, when the key is absent,
+    the descriptor: everything a split-free {!insert_at} writes. *)
+val declare_insert : Kamino_core.Engine.tx -> t -> cursor -> unit
+
+(** [insert_at tx t c value] is {!insert} at [c], whose intents
+    {!declare_insert} already declared. *)
+val insert_at :
+  Kamino_core.Engine.tx -> t -> cursor -> Kamino_heap.Heap.ptr -> Kamino_heap.Heap.ptr option
+
+(** [declare_delete tx t c] declares the leaf and the descriptor when the
+    key is present: everything a merge-free {!delete_at} writes. *)
+val declare_delete : Kamino_core.Engine.tx -> t -> cursor -> unit
+
+(** [delete_at tx t c] is {!delete} at [c], whose intents
+    {!declare_delete} already declared. *)
+val delete_at : Kamino_core.Engine.tx -> t -> cursor -> Kamino_heap.Heap.ptr option
 
 (** [append_sorted tx t entries] bulk-appends strictly increasing
     [(key, value)] pairs, all greater than the tree's current maximum key.
@@ -105,6 +149,10 @@ val iter_nodes : t -> (Kamino_heap.Heap.ptr -> unit) -> unit
     tree still holds keys (the caller owns emptying it first). The handle
     must not be used afterwards. *)
 val destroy_empty : Kamino_core.Engine.tx -> t -> unit
+
+(** [declare_destroy_empty tx t] declares the frees {!destroy_empty} makes
+    (see {!Kamino_core.Engine.declare_free}). *)
+val declare_destroy_empty : Kamino_core.Engine.tx -> t -> unit
 
 (** [min_key t] / [max_key t] — extremes, [None] when empty. *)
 val min_key : t -> int option

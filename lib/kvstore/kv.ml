@@ -55,9 +55,13 @@ let put_tx tx t key value =
       Engine.add tx vptr;
       write_value tx vptr value
   | None ->
+      (* Declare the index leaf and descriptor ahead of the value's
+         allocation, so its barrier covers the whole insert. *)
+      let at = Btree.seek tx t.tree key in
+      Btree.declare_insert tx t.tree at;
       let vptr = Engine.alloc tx (v_data + t.value_size) in
       write_value tx vptr value;
-      ignore (Btree.insert tx t.tree key vptr)
+      ignore (Btree.insert_at tx t.tree at vptr)
 
 let put t key value = Engine.with_tx t.engine (fun tx -> put_tx tx t key value)
 
@@ -125,10 +129,13 @@ let snapshot_get ?clock t key =
   | None -> get t key
 
 let delete_tx tx t key =
-  match Btree.find_tx tx t.tree key with
+  let at = Btree.seek tx t.tree key in
+  match Btree.found at with
   | None -> false
   | Some vptr ->
-      ignore (Btree.delete tx t.tree key);
+      Btree.declare_delete tx t.tree at;
+      Engine.declare_free tx vptr;
+      ignore (Btree.delete_at tx t.tree at);
       Engine.free tx vptr;
       true
 
@@ -159,14 +166,7 @@ let rmw_tx tx t key f =
 let put_aborted t key value =
   check_value t value;
   let tx = Engine.begin_tx t.engine in
-  (match Btree.find_tx tx t.tree key with
-  | Some vptr ->
-      Engine.add tx vptr;
-      write_value tx vptr value
-  | None ->
-      let vptr = Engine.alloc tx (v_data + t.value_size) in
-      write_value tx vptr value;
-      ignore (Btree.insert tx t.tree key vptr));
+  put_tx tx t key value;
   Engine.abort tx
 
 let value_ptr t key = Btree.find t.tree key

@@ -213,13 +213,15 @@ let sharded_fingerprint ~domains seed =
            c.Region.stores c.Region.lines_flushed c.Region.fences
            c.Region.bytes_copied (heap_hash e)))
 
-(* Recorded at domains=1 on this PR's driver; asserted at every domain
-   count below. *)
+(* Recorded at domains=1; asserted at every domain count below. Re-recorded
+   when B+Tree inserts began declaring their leaf and descriptor ahead of
+   the value allocation (one barrier per insert): heap= and cp= stayed
+   identical, and only sim, st, fl and fe moved. *)
 let expected_sharded =
   [
-    ("sharded/seed=1", "s0{sim=480285 st=3545 fl=21309 fe=1052 cp=1203832 heap=226b0fa79fc90eb2} s1{sim=479231 st=3602 fl=21335 fe=1075 cp=1203224 heap=19d9125e5804b2d5} s2{sim=482931 st=3007 fl=20617 fe=848 cp=1182224 heap=1a9d3e4ccd5bbed6} s3{sim=470463 st=2788 fl=20315 fe=795 cp=1173648 heap=29dddcee379e681c}");
-    ("sharded/seed=2", "s0{sim=482042 st=3625 fl=21448 fe=1089 cp=1209112 heap=226b0fa79fc90eb2} s1{sim=475145 st=3476 fl=21234 fe=1040 cp=1202168 heap=19d9125e5804b2d5} s2{sim=485254 st=3079 fl=20696 fe=867 cp=1184336 heap=1a9d3e4ccd5bbed6} s3{sim=474311 st=2921 fl=20493 fe=841 cp=1179456 heap=29dddcee379e681c}");
-    ("sharded/seed=3", "s0{sim=480490 st=3514 fl=21237 fe=1040 cp=1200136 heap=226b0fa79fc90eb2} s1{sim=478100 st=3534 fl=21241 fe=1047 cp=1200056 heap=19d9125e5804b2d5} s2{sim=483340 st=3026 fl=20656 fe=858 cp=1183808 heap=1a9d3e4ccd5bbed6} s3{sim=468154 st=2668 fl=20070 fe=733 cp=1163088 heap=29dddcee379e681c}");
+    ("sharded/seed=1", "s0{sim=464981 st=3482 fl=21050 fe=923 cp=1203832 heap=226b0fa79fc90eb2} s1{sim=464422 st=3539 fl=21084 fe=950 cp=1203224 heap=19d9125e5804b2d5} s2{sim=467395 st=2944 fl=20354 fe=717 cp=1182224 heap=1a9d3e4ccd5bbed6} s3{sim=455782 st=2726 fl=20067 fe=671 cp=1173648 heap=29dddcee379e681c}");
+    ("sharded/seed=2", "s0{sim=466738 st=3562 fl=21189 fe=960 cp=1209112 heap=226b0fa79fc90eb2} s1{sim=460336 st=3413 fl=20983 fe=915 cp=1202168 heap=19d9125e5804b2d5} s2{sim=469718 st=3016 fl=20433 fe=736 cp=1184336 heap=1a9d3e4ccd5bbed6} s3{sim=459630 st=2859 fl=20245 fe=717 cp=1179456 heap=29dddcee379e681c}");
+    ("sharded/seed=3", "s0{sim=465186 st=3451 fl=20978 fe=911 cp=1200136 heap=226b0fa79fc90eb2} s1{sim=463291 st=3471 fl=20990 fe=922 cp=1200056 heap=19d9125e5804b2d5} s2{sim=467804 st=2963 fl=20393 fe=727 cp=1183808 heap=1a9d3e4ccd5bbed6} s3{sim=453473 st=2606 fl=19822 fe=609 cp=1163088 heap=29dddcee379e681c}");
   ]
 
 let all_cells () =
