@@ -5,6 +5,7 @@ module Engine = Kamino_core.Engine
 module Backup = Kamino_core.Backup
 module Kv = Kamino_kv.Kv
 module Rng = Kamino_sim.Rng
+module Region = Kamino_nvm.Region
 
 let config =
   {
@@ -111,6 +112,28 @@ let test_many_keys () =
       done;
       Alcotest.(check bool) (name ^ ": valid") true (Kv.validate kv = Ok ()))
 
+(* Plan-then-apply: a fresh-key put declares the index leaf and descriptor
+   before allocating its value, and a delete declares its free up front, so
+   on kamino-simple with the applier drained each costs three fences: the
+   intent-log barrier, the data persist and the commit mark. *)
+let test_fence_budget () =
+  let kv = make () in
+  let e = Kv.engine kv in
+  let three what f =
+    Engine.drain_backup e;
+    let before = (Engine.main_counters e).Region.fences in
+    let r = f () in
+    Alcotest.(check int) (what ^ ": fences") 3 ((Engine.main_counters e).Region.fences - before);
+    r
+  in
+  three "put (fresh key)" (fun () -> Kv.put kv 1 "one");
+  three "put (second fresh key)" (fun () -> Kv.put kv 2 "two");
+  three "put (overwrite)" (fun () -> Kv.put kv 1 "uno");
+  Alcotest.(check bool) "delete present" true (three "delete" (fun () -> Kv.delete kv 2));
+  Alcotest.(check (option string)) "overwritten" (Some "uno") (Kv.get kv 1);
+  Alcotest.(check (option string)) "deleted" None (Kv.get kv 2);
+  Alcotest.(check bool) "valid" true (Kv.validate kv = Ok ())
+
 let test_crash_recover () =
   for_each atomic_kinds (fun name kv ->
       let e = Kv.engine kv in
@@ -180,6 +203,7 @@ let () =
           Alcotest.test_case "iter" `Quick test_iter;
           Alcotest.test_case "range scan" `Quick test_range;
           Alcotest.test_case "many keys" `Quick test_many_keys;
+          Alcotest.test_case "three fences per put and delete" `Quick test_fence_budget;
         ] );
       ( "durability",
         [
