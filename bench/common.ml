@@ -29,7 +29,10 @@ module Ycsb = Kamino_workload.Ycsb
 module Zipf = Kamino_workload.Zipf
 module Driver = Kamino_workload.Driver
 module Tpcc = Kamino_workload.Tpcc
-module Chain = Kamino_chain.Chain
+module Sim = Kamino_sim.Engine
+module Locks = Kamino_core.Locks
+module Async = Kamino_chain.Async_chain
+module Op = Kamino_chain.Op
 
 type params = {
   record_count : int;  (** preloaded keys (paper: 10 M) *)
@@ -132,22 +135,40 @@ let run_tpcc ?(config_tweak = Fun.id) p kind ~clients =
   | Error err -> Printf.printf "!! TPC-C consistency violated: %s\n%!" err);
   r
 
-(* Chain run: multi-client closed loop over a replicated store. *)
+type chain_result = {
+  kops : float;  (** client ops per simulated second, in thousands *)
+  mean_ns : float;  (** mean client-visible latency *)
+  storage_bytes : int;  (** cluster NVM ({!Async.storage_bytes}) *)
+  head_lock_waits : int;
+      (** lock-wait events at the head during the measured ops; includes
+          dependent writes that proceed without waiting for the tail ack *)
+}
+
+(* Chain run: [clients] closed-loop clients over an f=2 chain, each issuing
+   its next op from the previous op's completion. A Kamino-Tx client lives
+   on the head; a Traditional client pays the hop to the head on writes.
+   Reads pay the hop to the tail in both modes. *)
 let run_chain p mode workload ~clients =
+  let hop_ns = 5000 in
   let c =
-    Chain.create
-      ~engine_config:{ (engine_config p) with Engine.heap_bytes = p.heap_bytes }
-      ~rpc_ns:1000 ~mode ~f:2 ~value_size:p.value_size ~node_size:p.node_size ~seed:747 ()
+    Async.create ~engine_config:(engine_config p) ~hop_ns ~rpc_ns:1000 ~mode ~f:2
+      ~value_size:p.value_size ~node_size:p.node_size ~seed:747 ()
   in
   let payload = String.make (p.value_size - 16) 'k' in
-  let at = ref 0 in
-  for k = 0 to p.chain_records - 1 do
-    at := Chain.put c ~at:!at k payload
+  let rec load k at =
+    if k < p.chain_records then
+      Async.submit c ~at (Op.Put (k, payload)) ~on_complete:(load (k + clients))
+  in
+  for i = 0 to clients - 1 do
+    load i 0
   done;
+  ignore (Async.run c);
+  let head_locks = Engine.locks (Async.engine_at c (Async.head_id c)) in
+  Locks.reset_stats head_locks;
+  let start = Sim.now (Async.sim c) in
+  let write_hop = match mode with Async.Traditional -> hop_ns | Async.Kamino_chain _ -> 0 in
   let wl = Ycsb.create workload ~record_count:p.chain_records ~theta:p.theta in
   let rng = Rng.create 515 in
-  let start = !at in
-  let clocks = Array.make clients start in
   let lat = Hashtbl.create 4 in
   let series label =
     match Hashtbl.find_opt lat label with
@@ -157,39 +178,43 @@ let run_chain p mode workload ~clients =
         Hashtbl.add lat label s;
         s
   in
-  for _ = 1 to p.chain_ops do
-    let client = ref 0 in
-    for i = 1 to clients - 1 do
-      if clocks.(i) < clocks.(!client) then client := i
-    done;
-    let t0 = clocks.(!client) in
-    let label, t1 =
+  let issued = ref 0 and finish = ref start in
+  let rec next t0 =
+    if !issued < p.chain_ops then begin
+      incr issued;
+      let complete label t1 =
+        Stats.add (series label) (float_of_int (t1 - t0));
+        finish := max !finish t1;
+        next t1
+      in
+      let write label op =
+        Async.submit c ~at:(t0 + write_hop) op ~on_complete:(complete label)
+      in
       match Ycsb.next wl rng with
-      | Ycsb.Read k ->
-          let _, t = Chain.get c ~at:t0 k in
-          ("read", t)
-      | Ycsb.Update k -> ("update", Chain.put c ~at:t0 k payload)
-      | Ycsb.Insert k -> ("insert", Chain.put c ~at:t0 k payload)
-      | Ycsb.Scan (k, n) ->
-          (* scans are served at the tail like reads; model as a read of
-             the first key plus the leaf-walk cost at the tail *)
-          let _, t = Chain.get c ~at:t0 k in
-          ignore n;
-          ("scan", t)
-      | Ycsb.Rmw k ->
-          let _, t = Chain.rmw c ~at:t0 k (fun s -> s) in
-          ("rmw", t)
-    in
-    Stats.add (series label) (float_of_int (t1 - t0));
-    clocks.(!client) <- t1
-  done;
-  let finish = Array.fold_left max start clocks in
-  let all = Hashtbl.fold (fun _ s acc -> Stats.merge acc s) lat (Stats.create ()) in
-  let elapsed = finish - start in
-  let kops =
-    if elapsed = 0 then 0.0 else float_of_int p.chain_ops /. (float_of_int elapsed /. 1e9) /. 1e3
+      | Ycsb.Read k -> Async.read c ~at:(t0 + hop_ns) k ~on_result:(fun _ -> complete "read")
+      | Ycsb.Update k -> write "update" (Op.Put (k, payload))
+      | Ycsb.Insert k -> write "insert" (Op.Put (k, payload))
+      | Ycsb.Rmw k -> write "rmw" (Op.Append (k, ""))
+      | Ycsb.Scan _ -> invalid_arg "Common.run_chain: the chain serves no scans"
+    end
   in
-  (kops, Stats.mean all, Chain.storage_bytes c)
+  for _ = 1 to clients do
+    next start
+  done;
+  ignore (Async.run c);
+  (match Async.replicas_consistent c with
+  | Ok () -> ()
+  | Error e -> failwith ("Common.run_chain: " ^ e));
+  let all = Hashtbl.fold (fun _ s acc -> Stats.merge acc s) lat (Stats.create ()) in
+  let elapsed = !finish - start in
+  {
+    kops =
+      (if elapsed = 0 then 0.0
+       else float_of_int p.chain_ops /. (float_of_int elapsed /. 1e9) /. 1e3);
+    mean_ns = Stats.mean all;
+    storage_bytes = Async.storage_bytes c;
+    head_lock_waits = Locks.wait_events head_locks;
+  }
 
 (* --- Performance-per-dollar pricing (Figure 16) --------------------------
 

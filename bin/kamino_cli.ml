@@ -19,7 +19,8 @@ module Kv = Kamino_kv.Kv
 module Ycsb = Kamino_workload.Ycsb
 module Driver = Kamino_workload.Driver
 module Tpcc = Kamino_workload.Tpcc
-module Chain = Kamino_chain.Chain
+module Async = Kamino_chain.Async_chain
+module Op = Kamino_chain.Op
 module Chaos = Kamino_chaos.Chaos
 module Cchaos = Kamino_chaos.Cluster_chaos
 module Shard = Kamino_shard.Shard
@@ -451,65 +452,74 @@ let chain_cmd =
       Arg.conv
         ( (fun s ->
             match String.lowercase_ascii s with
-            | "traditional" -> Ok Chain.Traditional
-            | "kamino" -> Ok (Chain.Kamino_chain { alpha = None })
+            | "traditional" -> Ok Async.Traditional
+            | "kamino" -> Ok (Async.Kamino_chain { alpha = None })
             | s -> (
                 match String.split_on_char ':' s with
                 | [ "kamino"; a ] -> (
                     match float_of_string_opt a with
-                    | Some alpha -> Ok (Chain.Kamino_chain { alpha = Some alpha })
+                    | Some alpha -> Ok (Async.Kamino_chain { alpha = Some alpha })
                     | None -> Error (`Msg "bad alpha"))
                 | _ -> Error (`Msg "expected traditional | kamino | kamino:<alpha>"))),
           fun fmt -> function
-            | Chain.Traditional -> Format.pp_print_string fmt "traditional"
-            | Chain.Kamino_chain { alpha = None } -> Format.pp_print_string fmt "kamino"
-            | Chain.Kamino_chain { alpha = Some a } ->
+            | Async.Traditional -> Format.pp_print_string fmt "traditional"
+            | Async.Kamino_chain { alpha = None } -> Format.pp_print_string fmt "kamino"
+            | Async.Kamino_chain { alpha = Some a } ->
                 Format.fprintf fmt "kamino:%.2f" a )
     in
     Arg.(
       value
-      & opt mode_conv (Chain.Kamino_chain { alpha = None })
+      & opt mode_conv (Async.Kamino_chain { alpha = None })
       & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"traditional | kamino | kamino:<alpha>")
   in
   let f_arg =
     Arg.(value & opt int 2 & info [ "f" ] ~docv:"F" ~doc:"Failures to tolerate.")
   in
   let run mode f ops records seed =
+    let hop_ns = 5000 in
     let c =
-      Chain.create
+      Async.create
         ~engine_config:{ Engine.default_config with Engine.heap_bytes = 16 * 1024 * 1024 }
-        ~mode ~f ~value_size:1024 ~node_size:4096 ~seed ()
+        ~hop_ns ~mode ~f ~value_size:1024 ~node_size:4096 ~seed ()
     in
-    Printf.printf "chain with %d replicas, loading %d records...\n%!" (Chain.length c)
+    Printf.printf "chain with %d replicas, loading %d records...\n%!" (Async.length c)
       records;
     let payload = String.make 1000 'v' in
-    let at = ref 0 in
-    for k = 0 to records - 1 do
-      at := Chain.put c ~at:!at k payload
-    done;
+    let rec load k at =
+      if k < records then Async.submit c ~at (Op.Put (k, payload)) ~on_complete:(load (k + 1))
+    in
+    load 0 0;
+    ignore (Async.run c);
     let rng = Rng.create (seed + 1) in
-    let start = !at in
+    let start = Kamino_sim.Engine.now (Async.sim c) in
     let writes = Kamino_sim.Stats.create () and reads = Kamino_sim.Stats.create () in
-    for _ = 1 to ops do
-      let k = Rng.int rng records in
-      let t0 = !at in
-      if Rng.bool rng then begin
-        at := Chain.put c ~at:t0 k payload;
-        Kamino_sim.Stats.add writes (float_of_int (!at - t0))
+    (* One closed-loop client. A Kamino-Tx client lives on the head; a
+       Traditional one pays the hop to the head on writes. Reads pay the
+       hop to the tail. *)
+    let write_hop = match mode with Async.Traditional -> hop_ns | Async.Kamino_chain _ -> 0 in
+    let finish = ref start in
+    let rec step i t0 =
+      finish := t0;
+      if i < ops then begin
+        let k = Rng.int rng records in
+        let record series t1 =
+          Kamino_sim.Stats.add series (float_of_int (t1 - t0));
+          step (i + 1) t1
+        in
+        if Rng.bool rng then
+          Async.submit c ~at:(t0 + write_hop) (Op.Put (k, payload)) ~on_complete:(record writes)
+        else Async.read c ~at:(t0 + hop_ns) k ~on_result:(fun _ -> record reads)
       end
-      else begin
-        let _, t = Chain.get c ~at:t0 k in
-        at := t;
-        Kamino_sim.Stats.add reads (float_of_int (!at - t0))
-      end
-    done;
+    in
+    step 0 start;
+    ignore (Async.run c);
     Printf.printf "reads:  %s\nwrites: %s\n"
       (Kamino_sim.Stats.summary reads)
       (Kamino_sim.Stats.summary writes);
     Printf.printf "%.1f K ops/s (single closed-loop client), %.0f MB cluster NVM\n"
-      (float_of_int ops /. (float_of_int (!at - start) /. 1e9) /. 1e3)
-      (float_of_int (Chain.storage_bytes c) /. 1e6);
-    match Chain.replicas_consistent c with
+      (float_of_int ops /. (float_of_int (!finish - start) /. 1e9) /. 1e3)
+      (float_of_int (Async.storage_bytes c) /. 1e6);
+    match Async.replicas_consistent c with
     | Ok () -> Printf.printf "replicas: consistent\n"
     | Error e ->
         Printf.printf "replicas: INCONSISTENT (%s)\n" e;
@@ -607,7 +617,7 @@ let chaos_cmd =
   let mode_arg =
     Arg.(
       value
-      & opt mode_conv Kamino_chain.Async_chain.Kamino_chain
+      & opt mode_conv (Kamino_chain.Async_chain.Kamino_chain { alpha = None })
       & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"traditional | kamino")
   in
   let chaos_ops_arg =

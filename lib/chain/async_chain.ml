@@ -9,7 +9,7 @@ module Backup = Kamino_core.Backup
 module Kv = Kamino_kv.Kv
 module Obs = Kamino_obs.Obs
 
-type mode = Traditional | Kamino_chain
+type mode = Traditional | Kamino_chain of { alpha : float option }
 
 type recovery_fault = No_fault | Drop_inflight_on_reboot
 
@@ -140,11 +140,19 @@ let tail_id t =
   | tl :: _ -> tl
   | [] -> invalid_arg "Async_chain: the chain has no members left"
 
+let storage_bytes t =
+  List.fold_left
+    (fun acc i ->
+      let n = t.nodes.(i) in
+      acc + Engine.storage_bytes n.engine + Region.size n.input_region
+      + Region.size n.inflight_region)
+    0 (members t)
+
 let create ?sim ?(engine_config = Engine.default_config) ?(obs = Obs.null)
     ?(hop_ns = 5000) ?(rpc_ns = 1000) ?(promote_ns = 50_000) ?(queue_slots = 512)
     ?slot_bytes ~mode ~f ~value_size ~node_size ~seed () =
   if f < 1 then invalid_arg "Async_chain.create: f must be at least 1";
-  let n_nodes = match mode with Traditional -> f + 1 | Kamino_chain -> f + 2 in
+  let n_nodes = match mode with Traditional -> f + 1 | Kamino_chain _ -> f + 2 in
   let slot_bytes =
     match slot_bytes with Some b -> b | None -> value_size + 64
   in
@@ -154,7 +162,10 @@ let create ?sim ?(engine_config = Engine.default_config) ?(obs = Obs.null)
         let kind =
           match mode with
           | Traditional -> Engine.Undo_logging
-          | Kamino_chain -> if i = 0 then Engine.Kamino_simple else Engine.Intent_only
+          | Kamino_chain _ when i > 0 -> Engine.Intent_only
+          | Kamino_chain { alpha = None } -> Engine.Kamino_simple
+          | Kamino_chain { alpha = Some alpha } ->
+              Engine.Kamino_dynamic { alpha; policy = Backup.Lru_policy }
         in
         let engine =
           Engine.create ~config:engine_config ~obs ~obs_track:(node_track i)
@@ -481,13 +492,13 @@ let reboot_now ?(downtime_ns = 0) t i =
            original head, or a replica whose promotion completed) recovered
            locally in [Engine.recover]. *)
         (match t.mode with
-        | Kamino_chain when Engine.kind node.engine = Engine.Intent_only -> (
+        | Kamino_chain _ when Engine.kind node.engine = Engine.Intent_only -> (
             match (match pred with Some _ -> pred | None -> succ) with
             | Some p ->
                 Engine.resolve_from_peer node.engine
                   ~peer:(Engine.main_region t.nodes.(p).engine)
             | None -> ())
-        | Kamino_chain | Traditional -> ());
+        | Kamino_chain _ | Traditional -> ());
         node.kv <- Kv.reattach node.engine;
         node.input <- Opqueue.open_existing node.input_region;
         node.inflight <- Opqueue.open_existing node.inflight_region;
@@ -570,7 +581,7 @@ let fail_stop_now t i =
     (* §5.2 head failure: the next replica becomes head. Under Kamino-Tx it
        must build a local backup before it can recover alone; the build is
        scheduled as a separate event so the window is crashable. *)
-    (if was_head && t.mode = Kamino_chain then
+    (if was_head && t.mode <> Traditional then
        let nh = head_id t in
        if Engine.kind t.nodes.(nh).engine = Engine.Intent_only then begin
          t.promoting <- Some nh;
@@ -627,7 +638,7 @@ let deferred_count t = Queue.length t.deferred
    [Intent_only] until its backup build completes, so the coordinator must
    retry after the promotion window. *)
 let head_can_prepare t =
-  t.mode = Kamino_chain
+  t.mode <> Traditional
   && Engine.kind t.nodes.(head_id t).engine <> Engine.Intent_only
 
 let cluster_prepare ?seq t op =

@@ -1,8 +1,19 @@
-(** Asynchronous chain replication over the discrete-event engine.
+(** Chain replication of the key-value store (§5) over the discrete-event
+    engine.
 
-    Where {!Chain} executes a write synchronously down the chain (simple,
-    and sufficient for the latency/throughput experiments), this module
-    implements §5.1–§5.3's machinery explicitly and asynchronously:
+    Two modes over the same machinery:
+
+    - {b Traditional}: [f+1] replicas, each running the undo-logging
+      engine — every replica copies data in the critical path of every
+      write.
+    - {b Kamino-Tx-Chain}: [f+2] replicas. The head runs a Kamino engine
+      (full or dynamic backup) and is collocated with the client; every
+      other replica runs an [Intent_only] engine (in-place updates, no local
+      copies at all). Aborts are decided at the head and never enter the
+      chain.
+
+    This module implements §5.1–§5.3's machinery explicitly and
+    asynchronously:
 
     - operations are serializable commands ({!Op}) with a global sequence
       number assigned at the head;
@@ -25,12 +36,31 @@
       recovering from their persistent queues and (for Kamino replicas)
       their chain neighbours, then re-forwarding anything not yet cleaned.
 
+    The simulated network charges [hop_ns] per message and each replica
+    serves requests serially on its own virtual clock, paying [rpc_ns] per
+    request. A client's own hop to the chain is the caller's to charge:
+    completions are stamped when the tail's acknowledgment reaches the head,
+    and read results when the tail's reply is one hop out.
+
+    The head holds a write's locks open-ended until the tail acknowledges
+    ({!Kamino_core.Locks.hold_writes}). A later write to the same key that
+    reaches the head before that acknowledgment does {e not} wait for it
+    today: the acquisition is counted in the head's lock-wait events, adds
+    no wait time, and proceeds at once. Chain order still serializes the
+    two writes at every replica. Every op bumps the head's exec-seq word,
+    so any write that arrives before an earlier write's ack meets at least
+    that one held lock.
+
     Run a workload by submitting operations and calling {!run} to drain the
     event queue. The [*_now] variants apply a failure immediately — they
     exist for the chaos explorer, which injects faults at event boundaries
     of the simulation rather than at pre-planned virtual times. *)
 
-type mode = Traditional | Kamino_chain
+type mode =
+  | Traditional
+  | Kamino_chain of { alpha : float option }
+      (** [None]: full backup at the head; [Some a]: an LRU dynamic backup
+          holding a fraction [a] of the heap. *)
 
 (** Deliberately broken recovery, for validating the chaos oracles: a
     harness that cannot catch [Drop_inflight_on_reboot] (a reboot that
@@ -68,6 +98,11 @@ val create :
   t
 
 val length : t -> int
+
+(** NVM bytes across the members of the current view: each replica's
+    {!Kamino_core.Engine.storage_bytes} plus its two persistent queue
+    regions. *)
+val storage_bytes : t -> int
 
 (** The simulation driving the chain — schedule crashes on it, then {!run}. *)
 val sim : t -> Kamino_sim.Engine.t

@@ -29,12 +29,12 @@ type outcome = {
 
 let mode_name = function
   | Async.Traditional -> "traditional"
-  | Async.Kamino_chain -> "kamino"
+  | Async.Kamino_chain _ -> "kamino"
 
 let mode_of_string s =
   match String.lowercase_ascii s with
   | "traditional" -> Some Async.Traditional
-  | "kamino" | "kamino-chain" -> Some Async.Kamino_chain
+  | "kamino" | "kamino-chain" -> Some (Async.Kamino_chain { alpha = None })
   | _ -> None
 
 (* --- schedule serialization ------------------------------------------------ *)
@@ -495,7 +495,7 @@ let explore ?(recovery_fault = Async.No_fault) ?obs ?(ops = 40) ?(faults = 6)
   (* Dry run: measure the fault-free event count so the schedule spans the
      whole workload. Only the faulted run is traced. *)
   let dry = run ~mode ~seed ~ops ~schedule:[] () in
-  let nodes = match mode with Async.Traditional -> 3 | Async.Kamino_chain -> 4 in
+  let nodes = match mode with Async.Traditional -> 3 | Async.Kamino_chain _ -> 4 in
   let schedule = gen_schedule ~seed ~faults ~nodes ~events:dry.events in
   run ~recovery_fault ?obs ~mode ~seed ~ops ~schedule ()
 

@@ -279,7 +279,8 @@ let create ?(engine_config = Engine.default_config) ?(hop_ns = 5000)
         Async.create ~sim ~engine_config ~hop_ns ~rpc_ns ~promote_ns
           ~queue_slots
           ~slot_bytes:(16 + (4 * (value_size + 96)))
-          ~mode:Async.Kamino_chain ~f ~value_size ~node_size
+          ~mode:(Async.Kamino_chain { alpha = None })
+          ~f ~value_size ~node_size
           ~seed:(seed + (1000 * s)) ())
   in
   let clock = Clock.create () in

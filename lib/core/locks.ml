@@ -53,15 +53,32 @@ let record_wait t now target =
 
 let entry_of = entry
 
+(* A lock under [hold_writes] has no release time yet ([max_int]). The
+   acquirer does not wait for it: the event is counted, no wait time is
+   added, and the lock is held at [now] with no lock cost charged. *)
+let count_open_hold t = t.wait_events <- t.wait_events + 1
+
 let acquire_write_e t e ~now ~cost_ns =
-  let avail = max e.writer_release e.reader_release in
-  record_wait t now avail;
   e.active <- true;
-  max now avail + int_of_float cost_ns
+  let avail = max e.writer_release e.reader_release in
+  if avail = max_int then begin
+    count_open_hold t;
+    now
+  end
+  else begin
+    record_wait t now avail;
+    max now avail + int_of_float cost_ns
+  end
 
 let acquire_read_e t e ~now ~cost_ns =
-  record_wait t now e.writer_release;
-  max now e.writer_release + int_of_float cost_ns
+  if e.writer_release = max_int then begin
+    count_open_hold t;
+    now
+  end
+  else begin
+    record_wait t now e.writer_release;
+    max now e.writer_release + int_of_float cost_ns
+  end
 
 let release_write_e e ~at =
   e.active <- false;

@@ -32,12 +32,13 @@ val shard_count : t -> int
 
 (** [acquire_write t key ~now ~cost_ns] returns the virtual time at which
     the caller actually holds the write lock: [max now writer_release
-    reader_release] plus [cost_ns]. Marks [key] as held by the active
-    transaction. *)
+    reader_release] plus [cost_ns] (but see {!hold_writes}). Marks [key] as
+    held by the active transaction. *)
 val acquire_write : t -> key -> now:int -> cost_ns:float -> int
 
 (** [acquire_read t key ~now ~cost_ns] returns the time at which the read
-    lock is held: [max now writer_release] plus [cost_ns]. *)
+    lock is held: [max now writer_release] plus [cost_ns] (but see
+    {!hold_writes}). *)
 val acquire_read : t -> key -> now:int -> cost_ns:float -> int
 
 (** {2 Entry handles}
@@ -77,7 +78,13 @@ val release_reads : t -> key list -> at:int -> unit
 
 (** [hold_writes t keys] keeps the write locks held open-endedly (the chain
     head holding locks until the tail's acknowledgment arrives, whose time
-    is unknown yet). The prior release time is remembered. *)
+    is unknown yet). The prior release time is remembered.
+
+    An acquire on a key held this way does {e not} wait for the eventual
+    release: it counts one {!wait_events}, adds nothing to {!waits}, and
+    returns [now] without charging [cost_ns]. So a dependent write at an
+    [Kamino_chain.Async_chain] head does not wait for the tail ack
+    today. *)
 val hold_writes : t -> key list -> unit
 
 (** [release_held_writes t keys ~at] ends an open-ended hold: the locks

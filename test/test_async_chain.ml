@@ -1,6 +1,7 @@
-(* Tests for the asynchronous chain: the command language, the persistent
-   operation queues, and the event-driven protocol with mid-propagation
-   crash injection and exactly-once execution. *)
+(* Tests for the chain: the command language, the persistent operation
+   queues, the event-driven protocol with mid-propagation crash injection
+   and exactly-once execution, replication and timing in both modes,
+   aborts, membership, and the §5.2-5.3 failure protocols. *)
 
 module Sim = Kamino_sim.Engine
 module Rng = Kamino_sim.Rng
@@ -11,6 +12,8 @@ module Kv = Kamino_kv.Kv
 module Op = Kamino_chain.Op
 module Opqueue = Kamino_chain.Opqueue
 module Async = Kamino_chain.Async_chain
+module Membership = Kamino_chain.Membership
+module Locks = Kamino_core.Locks
 
 (* --- Op ------------------------------------------------------------------- *)
 
@@ -168,7 +171,9 @@ let engine_config =
     data_log_bytes = 1 lsl 19;
   }
 
-let make_chain ?(mode = Async.Kamino_chain) () =
+let kamino = Async.Kamino_chain { alpha = None }
+
+let make_chain ?(mode = kamino) () =
   Async.create ~engine_config ~hop_ns:5000 ~rpc_ns:500 ~mode ~f:2 ~value_size:128
     ~node_size:512 ~seed:99 ()
 
@@ -192,7 +197,7 @@ let test_async_replication () =
           (Printf.sprintf "replica %d executed everything exactly once" i)
           20 (Async.executed_seq c i)
       done)
-    [ Async.Kamino_chain; Async.Traditional ]
+    [ kamino; Async.Traditional ]
 
 let test_async_completion_after_full_round_trip () =
   let c = make_chain () in
@@ -290,46 +295,510 @@ let test_corrupt_input_slot_detected () =
     (not (List.mem 99 (Async.applied_seqs c 1)));
   Alcotest.(check (option string)) "state unaffected" (Some "good") (Kv.get (Async.kv_at c 1) 0)
 
-let test_async_agrees_with_sync_model () =
-  (* The synchronous chain (used by the benchmarks) and this asynchronous
-     protocol implementation model the same system; on an uncontended
-     spaced write stream their client-visible latencies must agree
-     closely. *)
-  let hop = 5000 and rpc = 1000 in
-  let n = 50 in
-  let spacing = 200_000 in
-  (* async *)
-  let ac =
-    Async.create ~engine_config ~hop_ns:hop ~rpc_ns:rpc ~mode:Async.Kamino_chain ~f:2
-      ~value_size:128 ~node_size:512 ~seed:7 ()
+(* On a spaced, uncontended write stream every replica is idle when a
+   write arrives, so a write's latency is its replicas' service times plus
+   one hop per forward and one for the tail's ack: f+2 hops on a Kamino
+   chain (f+2 replicas), f+1 on a traditional one. Raising [hop_ns] by
+   1000 ns must raise every write's latency by exactly that many hops. *)
+let test_hop_cost_is_exact () =
+  let latencies mode hop_ns =
+    let c =
+      Async.create ~engine_config ~hop_ns ~rpc_ns:1000 ~mode ~f:2 ~value_size:128
+        ~node_size:512 ~seed:7 ()
+    in
+    let lat = Array.make 50 0 in
+    for k = 0 to 49 do
+      let at = k * 200_000 in
+      Async.submit c ~at (Op.Put (k, "x")) ~on_complete:(fun t -> lat.(k) <- t - at)
+    done;
+    ignore (Async.run c);
+    lat
   in
-  let async_lat = ref 0.0 in
-  for k = 0 to n - 1 do
-    let at = k * spacing in
-    Async.submit ac ~at (Op.Put (k, "x")) ~on_complete:(fun t ->
-        async_lat := !async_lat +. float_of_int (t - at))
-  done;
-  ignore (Async.run ac);
-  let async_mean = !async_lat /. float_of_int n in
-  (* sync *)
-  let module Chain = Kamino_chain.Chain in
-  let sc =
-    Chain.create ~engine_config ~hop_ns:hop ~rpc_ns:rpc
-      ~mode:(Chain.Kamino_chain { alpha = None })
-      ~f:2 ~value_size:128 ~node_size:512 ~seed:7 ()
+  List.iter
+    (fun (name, mode, hops) ->
+      let base = latencies mode 5000 and slower = latencies mode 6000 in
+      Array.iteri
+        (fun k b ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s write %d: +%d hops of 1000 ns" name k hops)
+            (hops * 1000) (slower.(k) - b))
+        base)
+    [ ("kamino", kamino, 4); ("traditional", Async.Traditional, 3) ]
+
+(* --- Chain replication in both modes ---------------------------------------- *)
+
+let both_modes = [ ("traditional", Async.Traditional); ("kamino", kamino) ]
+
+(* Client helpers: each runs one operation to completion from the current
+   simulated time and returns what the client observes. *)
+let now c = Sim.now (Async.sim c)
+
+let exec c op =
+  let finish = ref 0 in
+  Async.submit c ~at:(now c) op ~on_complete:(fun t -> finish := t);
+  ignore (Async.run c);
+  !finish
+
+let put c k v = exec c (Op.Put (k, v))
+
+let get c k =
+  let result = ref None in
+  Async.read c ~at:(now c) k ~on_result:(fun v _ -> result := v);
+  ignore (Async.run c);
+  !result
+
+let head_kv c = Async.kv_at c (Async.head_id c)
+
+let check_consistent label c =
+  match Async.replicas_consistent c with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: %s" label e
+
+let test_replica_counts () =
+  Alcotest.(check int) "traditional: f+1 replicas" 3
+    (Async.length (make_chain ~mode:Async.Traditional ()));
+  Alcotest.(check int) "kamino: f+2 replicas" 4 (Async.length (make_chain ()))
+
+let test_writes_replicate () =
+  List.iter
+    (fun (name, mode) ->
+      let c = make_chain ~mode () in
+      for k = 0 to 19 do
+        ignore (put c k (Printf.sprintf "val-%d" k))
+      done;
+      check_consistent name c;
+      Alcotest.(check (option string)) (name ^ ": read at tail") (Some "val-7") (get c 7))
+    both_modes
+
+let test_rmw_and_delete_replicate () =
+  List.iter
+    (fun (name, mode) ->
+      let c = make_chain ~mode () in
+      ignore (put c 1 "base");
+      ignore (exec c (Op.Append (1, "+rmw")));
+      Alcotest.(check (option string)) (name ^ ": rmw applied") (Some "base+rmw") (get c 1);
+      ignore (exec c (Op.Delete 1));
+      Alcotest.(check (option string)) (name ^ ": deleted everywhere") None (get c 1);
+      check_consistent name c)
+    both_modes
+
+let test_random_workload_consistency () =
+  List.iter
+    (fun (name, mode) ->
+      let c = make_chain ~mode () in
+      let rng = Rng.create 13 in
+      let writes = ref 0 in
+      for _ = 1 to 200 do
+        let k = Rng.int rng 30 in
+        let write op =
+          incr writes;
+          ignore (exec c op)
+        in
+        match Rng.int rng 4 with
+        | 0 -> write (Op.Put (k, Printf.sprintf "p%d" k))
+        | 1 -> write (Op.Delete k)
+        | 2 -> write (Op.Append (k, "."))
+        | _ -> ignore (get c k)
+      done;
+      check_consistent (name ^ " random workload") c;
+      for i = 0 to Async.length c - 1 do
+        Alcotest.(check int)
+          (Printf.sprintf "%s: replica %d exactly-once" name i)
+          !writes (Async.executed_seq c i)
+      done)
+    both_modes
+
+(* Every write crosses each link once and the tail's ack comes back: as
+   many hops as replicas. A client's own hop to the chain is the caller's. *)
+let test_write_latency_includes_hops () =
+  List.iter
+    (fun (name, mode) ->
+      let c = make_chain ~mode () in
+      let done_at = put c 1 "x" in
+      let hops = Async.length c in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: latency %d >= %d hops" name done_at (hops * 5000))
+        true
+        (done_at >= hops * 5000))
+    both_modes
+
+let test_kamino_chain_faster_than_traditional () =
+  (* Same op stream, f=2: the Kamino chain commits without critical-path
+     copies at any replica and its client lives on the head, so writes
+     complete sooner even with one extra replica in the chain. The
+     traditional client pays its hop to the head. *)
+  let run mode =
+    let c = make_chain ~mode () in
+    let client_hop = match mode with Async.Traditional -> 5000 | Async.Kamino_chain _ -> 0 in
+    let finish = ref 0 in
+    let rec go k at =
+      if k < 50 then
+        Async.submit c ~at:(at + client_hop)
+          (Op.Put (k, String.make 100 'v'))
+          ~on_complete:(go (k + 1))
+      else finish := at
+    in
+    go 0 0;
+    ignore (Async.run c);
+    !finish
   in
-  let sync_lat = ref 0.0 in
-  for k = 0 to n - 1 do
-    let at = k * spacing in
-    let t = Chain.put sc ~at k "x" in
-    sync_lat := !sync_lat +. float_of_int (t - at)
-  done;
-  let sync_mean = !sync_lat /. float_of_int n in
-  let ratio = async_mean /. sync_mean in
+  let trad = run Async.Traditional and kam = run kamino in
   Alcotest.(check bool)
-    (Printf.sprintf "models agree (async %.0f ns vs sync %.0f ns)" async_mean sync_mean)
+    (Printf.sprintf "kamino (%d) < traditional (%d)" kam trad)
+    true (kam < trad)
+
+(* The head holds a write's locks until the tail acks. A later write to the
+   same key that reaches the head before the ack does not wait for it
+   today: the acquisition is counted as a lock-wait event with no wait
+   time, and chain order alone serializes the two writes. *)
+let test_dependent_write_does_not_wait_for_ack () =
+  List.iter
+    (fun (name, mode) ->
+      let c = make_chain ~mode () in
+      ignore (put c 1 "base-1");
+      ignore (put c 2 "base-2");
+      let locks = Engine.locks (Async.engine_at c (Async.head_id c)) in
+      Locks.reset_stats locks;
+      let t0 = now c + 1_000 in
+      let t1 = ref 0 and t_ind = ref 0 and t_dep = ref 0 in
+      Async.submit c ~at:t0 (Op.Put (1, "first")) ~on_complete:(fun t -> t1 := t);
+      Async.submit c ~at:(t0 + 100) (Op.Put (2, "independent")) ~on_complete:(fun t ->
+          t_ind := t);
+      Async.submit c ~at:(t0 + 200) (Op.Put (1, "second")) ~on_complete:(fun t ->
+          t_dep := t);
+      ignore (Async.run c);
+      (* Every op bumps the head's exec-seq word, so the independent write
+         meets one held lock and the dependent write two (that word and
+         key 1's value). *)
+      Alcotest.(check int) (name ^ ": held-lock acquisitions") 3 (Locks.wait_events locks);
+      Alcotest.(check int) (name ^ ": no wait time charged") 0 (Locks.waits locks);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: chain order (%d < %d < %d)" name !t1 !t_ind !t_dep)
+        true
+        (!t1 < !t_ind && !t_ind < !t_dep);
+      (* Waiting for the first write's ack would add a whole chain round
+         trip to the dependent write. *)
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: dependent write did not wait for the ack (%d vs %d)" name
+           (!t_dep - t0 - 200) (!t1 - t0))
+        true
+        (!t_dep - t0 - 200 < 2 * (!t1 - t0) - 5000);
+      Alcotest.(check (option string)) (name ^ ": last write wins") (Some "second") (get c 1);
+      check_consistent name c)
+    both_modes
+
+let test_storage_accounting () =
+  let trad = make_chain ~mode:Async.Traditional () and kam = make_chain () in
+  (* Kamino: f+2 heaps plus the head's backup; traditional: f+1 heaps plus
+     their undo arenas. *)
+  Alcotest.(check bool) "kamino ~ (f+2+1) heaps" true
+    (Async.storage_bytes kam > 4 * engine_config.Engine.heap_bytes);
+  Alcotest.(check bool) "traditional ~ (f+1) heaps" true
+    (Async.storage_bytes trad < Async.storage_bytes kam)
+
+(* A dynamic-backup head (Table 1's "dynamic head" row) replicates like a
+   full-backup head and needs less NVM. *)
+let test_dynamic_head () =
+  let full = make_chain () in
+  let dyn = make_chain ~mode:(Async.Kamino_chain { alpha = Some 0.2 }) () in
+  Alcotest.(check bool) "head runs the dynamic backup" true
+    (match Engine.kind (Async.engine_at dyn 0) with
+    | Engine.Kamino_dynamic { alpha; _ } -> alpha = 0.2
+    | _ -> false);
+  for k = 0 to 19 do
+    ignore (put dyn k (Printf.sprintf "d%d" k))
+  done;
+  check_consistent "dynamic head" dyn;
+  Alcotest.(check (option string)) "read at tail" (Some "d11") (get dyn 11);
+  Alcotest.(check bool)
+    (Printf.sprintf "storage %d < full head's %d" (Async.storage_bytes dyn)
+       (Async.storage_bytes full))
     true
-    (ratio > 0.75 && ratio < 1.35)
+    (Async.storage_bytes dyn < Async.storage_bytes full)
+
+(* Aborts are decided at the head and never enter the chain: undo-logging
+   heads roll back from the undo log, Kamino heads from the local backup. *)
+let test_abort_stays_local () =
+  List.iter
+    (fun (name, mode) ->
+      let c = make_chain ~mode () in
+      ignore (put c 5 "committed");
+      Kv.put_aborted (head_kv c) 5 "aborted-value";
+      Alcotest.(check (option string)) (name ^ ": abort invisible") (Some "committed")
+        (get c 5);
+      check_consistent (name ^ " after abort") c)
+    both_modes
+
+(* --- Failures in both modes ------------------------------------------------- *)
+
+let test_fail_stop_tail_and_mid () =
+  List.iter
+    (fun (name, mode) ->
+      let c = make_chain ~mode () in
+      let n = Async.length c in
+      for k = 0 to 9 do
+        ignore (put c k "v")
+      done;
+      Async.fail_stop_now c (Async.tail_id c);
+      Alcotest.(check int) (name ^ ": one replica fewer") (n - 1)
+        (List.length (Async.members c));
+      ignore (put c 100 "after-tail-failure");
+      Async.fail_stop_now c 1;
+      ignore (put c 101 "after-mid-failure");
+      check_consistent (name ^ " after failures") c;
+      Alcotest.(check (option string)) (name ^ ": write after repairs")
+        (Some "after-mid-failure") (get c 101);
+      Alcotest.(check (option string)) (name ^ ": earlier write survives")
+        (Some "after-tail-failure") (get c 100))
+    both_modes
+
+let test_head_failure_promotes () =
+  List.iter
+    (fun (name, mode) ->
+      let c = make_chain ~mode () in
+      for k = 0 to 9 do
+        ignore (put c k (Printf.sprintf "v%d" k))
+      done;
+      Async.fail_stop_now c 0;
+      (* Let a Kamino chain's promotion (the new head's backup build) run. *)
+      ignore (Async.run c);
+      Alcotest.(check int) (name ^ ": new head") 1 (Async.head_id c);
+      Alcotest.(check bool) (name ^ ": new head can roll back locally") true
+        (Engine.kind (Async.engine_at c 1) <> Engine.Intent_only);
+      ignore (put c 50 "new-head-write");
+      Kv.put_aborted (head_kv c) 50 "aborted";
+      Alcotest.(check (option string)) (name ^ ": new head works") (Some "new-head-write")
+        (get c 50);
+      check_consistent (name ^ " after promotion") c)
+    both_modes
+
+let test_quick_reboot_head () =
+  List.iter
+    (fun (name, mode) ->
+      let c = make_chain ~mode () in
+      for k = 0 to 9 do
+        ignore (put c k "stable")
+      done;
+      Async.reboot_now c (Async.head_id c);
+      check_consistent (name ^ " after head reboot") c;
+      ignore (put c 10 "post-reboot");
+      Alcotest.(check (option string)) (name ^ ": head usable after reboot")
+        (Some "post-reboot") (get c 10))
+    both_modes
+
+(* Leave a transaction torn on replica 2 (a Kamino chain's second middle
+   replica, a traditional chain's tail). *)
+let tear c ~key text =
+  let kv = Async.kv_at c 2 in
+  let vptr = Option.get (Kv.value_ptr kv key) in
+  let tx = Engine.begin_tx (Kv.engine kv) in
+  Engine.add tx vptr;
+  Engine.write_string tx vptr 8 text
+
+let test_quick_reboot_mid_with_incomplete_tx () =
+  (* §5.3: an intent-only replica rolls its torn transaction forward from
+     its predecessor; an undo-logging one rolls it back locally. *)
+  List.iter
+    (fun (name, mode) ->
+      let c = make_chain ~mode () in
+      for k = 0 to 5 do
+        ignore (put c k (Printf.sprintf "v%d" k))
+      done;
+      tear c ~key:3 "torn-write-data";
+      Async.reboot_now c 2;
+      check_consistent (name ^ " after reboot") c;
+      Alcotest.(check (option string)) (name ^ ": value restored") (Some "v3") (get c 3))
+    both_modes
+
+(* §5.3's data-integrity protocol: the whole chain loses power in one
+   event and every replica reboots, head first, so each one that needs a
+   neighbour recovers from an already repaired predecessor. *)
+let test_whole_chain_restart () =
+  List.iter
+    (fun (name, mode) ->
+      let c = make_chain ~mode () in
+      for k = 0 to 19 do
+        ignore (put c k (Printf.sprintf "v%d" k))
+      done;
+      tear c ~key:9 "half-written";
+      Sim.schedule (Async.sim c) ~at:(now c) (fun () ->
+          List.iter (fun i -> Async.reboot_now c i) (Async.members c));
+      ignore (Async.run c);
+      check_consistent (name ^ " whole-chain restart") c;
+      Alcotest.(check (option string)) (name ^ ": torn value repaired") (Some "v9") (get c 9);
+      ignore (put c 99 "post-restart");
+      Alcotest.(check (option string)) (name ^ ": chain usable after restart")
+        (Some "post-restart") (get c 99))
+    both_modes
+
+(* --- Membership --------------------------------------------------------------- *)
+
+let test_membership_views () =
+  let m = Membership.create ~members:[ 0; 1; 2; 3 ] ~failure_timeout_ns:1000 in
+  Alcotest.(check int) "initial view id" 1 (Membership.current m).Membership.id;
+  Alcotest.(check bool) "current accepted" true (Membership.validate m ~view_id:1 = `Current);
+  let v2 = Membership.remove m 1 in
+  Alcotest.(check int) "view id bumped" 2 v2.Membership.id;
+  Alcotest.(check (list int)) "member removed" [ 0; 2; 3 ] v2.Membership.members;
+  Alcotest.(check bool) "old view rejected" true
+    (match Membership.validate m ~view_id:1 with `Stale v -> v.Membership.id = 2 | `Current -> false);
+  let v3 = Membership.add_tail m 7 in
+  Alcotest.(check (list int)) "tail appended" [ 0; 2; 3; 7 ] v3.Membership.members;
+  Alcotest.(check bool) "duplicate member rejected" true
+    (try ignore (Membership.add_tail m 7); false with Invalid_argument _ -> true);
+  Alcotest.(check bool) "removing non-member rejected" true
+    (try ignore (Membership.remove m 99); false with Invalid_argument _ -> true)
+
+let test_membership_neighbours () =
+  let m = Membership.create ~members:[ 5; 6; 7 ] ~failure_timeout_ns:1000 in
+  Alcotest.(check bool) "head" true (Membership.is_head m 5);
+  Alcotest.(check (option int)) "head pred" None (Membership.predecessor m 5);
+  Alcotest.(check (option int)) "mid pred" (Some 5) (Membership.predecessor m 6);
+  Alcotest.(check (option int)) "mid succ" (Some 7) (Membership.successor m 6);
+  Alcotest.(check (option int)) "tail succ" None (Membership.successor m 7);
+  match Membership.rejoin m ~node:6 ~believed_view:1 with
+  | `Member (_, Some 5, Some 7) -> ()
+  | _ -> Alcotest.fail "rejoin neighbours wrong"
+
+let test_membership_rejoin_removed () =
+  let m = Membership.create ~members:[ 1; 2; 3 ] ~failure_timeout_ns:1000 in
+  ignore (Membership.remove m 2);
+  match Membership.rejoin m ~node:2 ~believed_view:1 with
+  | `Removed v -> Alcotest.(check int) "told the current view" 2 v.Membership.id
+  | `Member _ -> Alcotest.fail "removed node must not rejoin silently"
+
+(* Random interleavings of the membership operations preserve the view
+   invariants: every change installs a strictly larger view id; views stay
+   head-first (a removal keeps the survivors' relative order, an addition
+   appends at the tail); and the Figure-9 rejoin contract holds — a node
+   removed from the view is always told [`Removed], a member always gets
+   its model-predicted neighbours. *)
+let membership_interleaving_qcheck =
+  QCheck.Test.make ~name:"membership: random interleavings keep the view invariants"
+    ~count:300
+    QCheck.(list (pair (int_range 0 3) small_nat))
+    (fun actions ->
+      let m = Membership.create ~members:[ 0; 1; 2 ] ~failure_timeout_ns:1000 in
+      let model = ref [ 0; 1; 2 ] in
+      let removed = ref [] in
+      let next_fresh = ref 3 in
+      let last_id = ref (Membership.current m).Membership.id in
+      let check_view label v =
+        if v.Membership.id <= !last_id then
+          QCheck.Test.fail_reportf "%s: view id %d not strictly increasing (last %d)"
+            label v.Membership.id !last_id;
+        last_id := v.Membership.id;
+        if v.Membership.members <> !model then
+          QCheck.Test.fail_reportf "%s: members [%s], model [%s]" label
+            (String.concat ";" (List.map string_of_int v.Membership.members))
+            (String.concat ";" (List.map string_of_int !model))
+      in
+      List.iter
+        (fun (action, pick) ->
+          match action with
+          | 0 when List.length !model > 1 ->
+              let victim = List.nth !model (pick mod List.length !model) in
+              model := List.filter (fun n -> n <> victim) !model;
+              removed := victim :: !removed;
+              check_view "remove" (Membership.remove m victim)
+          | 1 ->
+              let fresh = !next_fresh in
+              incr next_fresh;
+              model := !model @ [ fresh ];
+              check_view "add_tail" (Membership.add_tail m fresh)
+          | 2 -> (
+              (* Rejoin either a removed node or a member, with any stale
+                 believed view. *)
+              let pool = !removed @ !model in
+              let node = List.nth pool (pick mod List.length pool) in
+              let believed = 1 + (pick mod !last_id) in
+              match Membership.rejoin m ~node ~believed_view:believed with
+              | `Removed v ->
+                  if List.mem node !model then
+                    QCheck.Test.fail_reportf "member %d told `Removed" node;
+                  if v.Membership.id <> !last_id then
+                    QCheck.Test.fail_reportf "rejoin reported view %d, current is %d"
+                      v.Membership.id !last_id
+              | `Member (v, pred, succ) ->
+                  if not (List.mem node !model) then
+                    QCheck.Test.fail_reportf "removed node %d readmitted as member" node;
+                  if v.Membership.id <> !last_id then
+                    QCheck.Test.fail_reportf "rejoin reported view %d, current is %d"
+                      v.Membership.id !last_id;
+                  let idx = ref (-1) in
+                  List.iteri (fun i n -> if n = node then idx := i) !model;
+                  let expect_pred = if !idx = 0 then None else List.nth_opt !model (!idx - 1) in
+                  let expect_succ = List.nth_opt !model (!idx + 1) in
+                  if pred <> expect_pred || succ <> expect_succ then
+                    QCheck.Test.fail_reportf "rejoin neighbours of %d wrong" node)
+          | _ ->
+              (* Validate: the current id passes, anything older is stale
+                 and reports the current view. *)
+              if Membership.validate m ~view_id:!last_id <> `Current then
+                QCheck.Test.fail_reportf "current view id %d rejected" !last_id;
+              if !last_id > 1 then
+                match Membership.validate m ~view_id:(1 + (pick mod (!last_id - 1))) with
+                | `Stale v when v.Membership.id = !last_id -> ()
+                | `Stale v ->
+                    QCheck.Test.fail_reportf "stale answer carried view %d, current %d"
+                      v.Membership.id !last_id
+                | `Current -> QCheck.Test.fail_reportf "stale view id accepted")
+        actions;
+      true)
+
+let test_membership_failure_detector () =
+  let m = Membership.create ~members:[ 1; 2 ] ~failure_timeout_ns:1000 in
+  Membership.record_heartbeat m ~node:1 ~now:0;
+  Membership.record_heartbeat m ~node:2 ~now:0;
+  Alcotest.(check (list int)) "nobody suspected yet" [] (Membership.suspects m ~now:500);
+  Membership.record_heartbeat m ~node:2 ~now:900;
+  Alcotest.(check (list int)) "silent node suspected" [ 1 ] (Membership.suspects m ~now:1500)
+
+let test_heartbeat_failure_detection_des () =
+  (* Drive the failure detector from the discrete-event engine: replicas
+     heartbeat every 1 ms; replica 2 goes silent at t = 5 ms (its last
+     heartbeat lands at t = 4 ms); with a 10 ms detection timeout, exactly
+     replica 2 must be suspected shortly after t = 14 ms, after which the
+     chain is repaired and keeps working. *)
+  let m = Membership.create ~members:[ 0; 1; 2; 3 ] ~failure_timeout_ns:10_000_000 in
+  let sim = Sim.create () in
+  let silent_from = 5_000_000 in
+  let horizon = 20_000_000 in
+  let rec schedule_heartbeats node at =
+    if at <= horizon then
+      Sim.schedule sim ~at (fun () ->
+          if not (node = 2 && at >= silent_from) then begin
+            Membership.record_heartbeat m ~node ~now:at;
+            schedule_heartbeats node (at + 1_000_000)
+          end)
+  in
+  List.iter (fun n -> schedule_heartbeats n 0) [ 0; 1; 2; 3 ];
+  let detected = ref None in
+  let rec poll at =
+    Sim.schedule sim ~at (fun () ->
+        match Membership.suspects m ~now:at with
+        | [] -> if at < horizon then poll (at + 500_000)
+        | suspects -> detected := Some (at, suspects))
+  in
+  poll 1_000_000;
+  ignore (Sim.run sim);
+  (match !detected with
+  | Some (at, [ 2 ]) ->
+      let last_heartbeat = silent_from - 1_000_000 in
+      Alcotest.(check bool)
+        (Printf.sprintf "detected at %d" at)
+        true
+        (at > last_heartbeat + 10_000_000 && at <= last_heartbeat + 12_000_000)
+  | Some (_, others) ->
+      Alcotest.failf "wrong suspects: %s" (String.concat "," (List.map string_of_int others))
+  | None -> Alcotest.fail "silent replica never suspected");
+  (* act on the detection: remove the replica and keep serving *)
+  let c = make_chain () in
+  ignore (put c 0 "before-detection");
+  Async.fail_stop_now c 2;
+  ignore (put c 1 "after-detection");
+  Alcotest.(check (option string)) "chain repaired" (Some "after-detection") (get c 1);
+  check_consistent "after detection" c
 
 let () =
   Alcotest.run "async_chain"
@@ -362,7 +831,44 @@ let () =
             test_async_repeated_reboots_random;
           Alcotest.test_case "corrupt input slot detected on reboot" `Quick
             test_corrupt_input_slot_detected;
-          Alcotest.test_case "agrees with the synchronous model" `Quick
-            test_async_agrees_with_sync_model;
+          Alcotest.test_case "hop cost is exact" `Quick test_hop_cost_is_exact;
+        ] );
+      ( "replication",
+        [
+          Alcotest.test_case "replica counts" `Quick test_replica_counts;
+          Alcotest.test_case "writes replicate" `Quick test_writes_replicate;
+          Alcotest.test_case "rmw and delete replicate" `Quick test_rmw_and_delete_replicate;
+          Alcotest.test_case "random workload consistency" `Quick
+            test_random_workload_consistency;
+          Alcotest.test_case "dynamic head" `Quick test_dynamic_head;
+        ] );
+      ( "timing",
+        [
+          Alcotest.test_case "latency includes hops" `Quick test_write_latency_includes_hops;
+          Alcotest.test_case "kamino beats traditional" `Quick
+            test_kamino_chain_faster_than_traditional;
+          Alcotest.test_case "dependent write does not wait for the ack" `Quick
+            test_dependent_write_does_not_wait_for_ack;
+          Alcotest.test_case "storage accounting" `Quick test_storage_accounting;
+        ] );
+      ("aborts", [ Alcotest.test_case "abort stays local" `Quick test_abort_stays_local ]);
+      ( "membership",
+        [
+          Alcotest.test_case "views" `Quick test_membership_views;
+          Alcotest.test_case "neighbours" `Quick test_membership_neighbours;
+          Alcotest.test_case "rejoin after removal" `Quick test_membership_rejoin_removed;
+          QCheck_alcotest.to_alcotest membership_interleaving_qcheck;
+          Alcotest.test_case "failure detector" `Quick test_membership_failure_detector;
+          Alcotest.test_case "heartbeat failure detection (DES)" `Quick
+            test_heartbeat_failure_detection_des;
+        ] );
+      ( "failures",
+        [
+          Alcotest.test_case "fail-stop tail and mid" `Quick test_fail_stop_tail_and_mid;
+          Alcotest.test_case "head failure promotes" `Quick test_head_failure_promotes;
+          Alcotest.test_case "quick reboot head" `Quick test_quick_reboot_head;
+          Alcotest.test_case "quick reboot mid with incomplete tx" `Quick
+            test_quick_reboot_mid_with_incomplete_tx;
+          Alcotest.test_case "whole-chain restart" `Quick test_whole_chain_restart;
         ] );
     ]

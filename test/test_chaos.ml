@@ -29,7 +29,7 @@ let test_bounded_sweep () =
           (Chaos.mode_name mode ^ "\n" ^ Chaos.schedule_to_string o.Chaos.schedule)
           ()
       done)
-    [ Async.Traditional; Async.Kamino_chain ];
+    [ Async.Traditional; Async.Kamino_chain { alpha = None } ];
   Alcotest.(check bool)
     (Printf.sprintf "explored %d runs, %d distinct schedules (want >= 500)" !explored
        (Hashtbl.length seen))
@@ -56,7 +56,7 @@ let test_deterministic_replay () =
       Alcotest.(check string)
         (Chaos.mode_name mode ^ ": replay from schedule")
         a.Chaos.history c.Chaos.history)
-    [ Async.Traditional; Async.Kamino_chain ]
+    [ Async.Traditional; Async.Kamino_chain { alpha = None } ]
 
 (* --- oracle self-test ------------------------------------------------------ *)
 
@@ -66,7 +66,7 @@ let test_deterministic_replay () =
    faults that still reproduce it. *)
 let test_broken_recovery_caught () =
   let recovery_fault = Async.Drop_inflight_on_reboot in
-  let mode = Async.Kamino_chain in
+  let mode = Async.Kamino_chain { alpha = None } in
   let failing = ref None in
   let seed = ref 1 in
   while !failing = None && !seed <= 60 do
@@ -116,8 +116,9 @@ let test_crash_during_promotion () =
   let c =
     Async.create
       ~engine_config:{ Engine.default_config with Engine.heap_bytes = 1 lsl 18 }
-      ~hop_ns:5000 ~rpc_ns:500 ~promote_ns:40_000 ~mode:Async.Kamino_chain ~f:2
-      ~value_size:64 ~node_size:512 ~seed:3 ()
+      ~hop_ns:5000 ~rpc_ns:500 ~promote_ns:40_000
+      ~mode:(Async.Kamino_chain { alpha = None })
+      ~f:2 ~value_size:64 ~node_size:512 ~seed:3 ()
   in
   let acked = ref 0 in
   for k = 0 to 19 do
@@ -160,8 +161,9 @@ let test_stale_probe_dropped () =
   let c =
     Async.create
       ~engine_config:{ Engine.default_config with Engine.heap_bytes = 1 lsl 18 }
-      ~hop_ns:5000 ~rpc_ns:500 ~mode:Async.Kamino_chain ~f:2 ~value_size:64
-      ~node_size:512 ~seed:5 ()
+      ~hop_ns:5000 ~rpc_ns:500
+      ~mode:(Async.Kamino_chain { alpha = None })
+      ~f:2 ~value_size:64 ~node_size:512 ~seed:5 ()
   in
   Async.submit c ~at:1_000 (Op.Put (0, "legit")) ~on_complete:(fun _ -> ());
   Async.inject_stale_probe c ~at:4_000 2;

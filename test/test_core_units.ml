@@ -91,6 +91,26 @@ let test_locks_striping () =
   in
   Alcotest.(check (list int)) "one shard agrees with sixteen" (run 1) (run 16)
 
+(* A lock under an open-ended hold (a chain head awaiting the tail ack) has
+   release time [max_int]. Acquiring it must not add [max_int - now] to the
+   wait total (which wraps negative): the event is counted, no wait time
+   is added, and the caller proceeds at [now]. *)
+let test_locks_open_hold_counts_no_wait () =
+  let l = Locks.create () in
+  ignore (Locks.acquire_write l 1 ~now:0 ~cost_ns:0.0);
+  Locks.release_writes l [ 1 ] ~at:100;
+  Locks.hold_writes l [ 1 ];
+  Alcotest.(check int) "write proceeds at now" 5_000
+    (Locks.acquire_write l 1 ~now:5_000 ~cost_ns:10.0);
+  Alcotest.(check int) "read proceeds at now" 5_000
+    (Locks.acquire_read l 1 ~now:5_000 ~cost_ns:10.0);
+  Alcotest.(check int) "both acquisitions counted" 2 (Locks.wait_events l);
+  Alcotest.(check int) "no wait time added" 0 (Locks.waits l);
+  Locks.release_held_writes l [ 1 ] ~at:9_000;
+  Alcotest.(check int) "after the release, a writer waits for it" 9_010
+    (Locks.acquire_write l 1 ~now:5_000 ~cost_ns:10.0);
+  Alcotest.(check int) "that wait is counted" 4_000 (Locks.waits l)
+
 (* --- Applier -------------------------------------------------------------- *)
 
 let make_ilog () =
@@ -494,6 +514,8 @@ let () =
           Alcotest.test_case "active tracking" `Quick test_locks_active_tracking;
           Alcotest.test_case "last task" `Quick test_locks_last_task;
           Alcotest.test_case "striping is transparent" `Quick test_locks_striping;
+          Alcotest.test_case "open-ended hold counts no wait" `Quick
+            test_locks_open_hold_counts_no_wait;
         ] );
       ( "applier",
         [

@@ -272,7 +272,7 @@ let test_differential_chaos () =
         true
         (plain.Chaos.verdict = traced.Chaos.verdict
         && plain.Chaos.events = traced.Chaos.events))
-    [ Async.Traditional; Async.Kamino_chain ]
+    [ Async.Traditional; Async.Kamino_chain { alpha = None } ]
 
 (* --- snapshot-read observability --------------------------------------------- *)
 
