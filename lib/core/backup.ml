@@ -233,27 +233,29 @@ let has_copy t ~off =
   | Full _ -> true
   | Dynamic d -> Phash.find_or d.table ~key:off ~default:(-1) >= 0
 
-let roll_forward t ~main ~off ~len =
+let propagate t ~main ~off ~len =
   match t with
   | Full region ->
       Region.copy_between ~src:main ~src_off:off ~dst:region ~dst_off:off ~len;
-      Region.persist region off len
+      Region.flush region off len
   | Dynamic d ->
       let packed = Phash.find_or d.table ~key:off ~default:(-1) in
       if packed < 0 then
         failwith
           (Printf.sprintf
-             "Backup.roll_forward: no resident copy for range at %d — locking \
+             "Backup.propagate: no resident copy for range at %d — locking \
               discipline violated"
              off);
       if len_of packed <> len then
         failwith
           (Printf.sprintf
-             "Backup.roll_forward: resident copy at %d has length %d, range has %d"
+             "Backup.propagate: resident copy at %d has length %d, range has %d"
              off (len_of packed) len);
       let slot = slot_of packed in
       Region.copy_between ~src:main ~src_off:off ~dst:d.slots ~dst_off:slot ~len;
       Region.persist d.slots slot len
+
+let settle t = match t with Full region -> Region.fence region | Dynamic _ -> ()
 
 let roll_back t ~main ~off ~len =
   match t with

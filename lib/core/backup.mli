@@ -89,11 +89,19 @@ val has_copy : t -> off:int -> bool
     boundaries, which would leave the copy stale and overlapping. *)
 val drop : t -> off:int -> unit
 
-(** [roll_forward t ~main ~off ~len] copies main -> backup and persists the
-    backup range (a committed transaction propagating). Raises [Failure]
-    for a dynamic backup with no resident copy — the engine's locking
-    discipline makes that unreachable. *)
-val roll_forward : t -> main:Kamino_nvm.Region.t -> off:int -> len:int -> unit
+(** [propagate t ~main ~off ~len] copies main -> backup (a committed
+    transaction propagating). A full backup flushes the copied lines, and
+    they are durable once {!settle} fences the region: the applier and
+    recovery propagate every range of a batch (or record), then settle
+    once, before releasing any intent-log slot. A dynamic backup persists
+    each copy on its own, so there [settle] does nothing. Raises [Failure]
+    for a dynamic backup with no resident copy of exactly [(off, len)] —
+    the engine's locking discipline makes that unreachable. *)
+val propagate : t -> main:Kamino_nvm.Region.t -> off:int -> len:int -> unit
+
+(** [settle t] fences the full backup region: every range {!propagate}d
+    before it is durable. A no-op for a dynamic backup. *)
+val settle : t -> unit
 
 (** [roll_back t ~main ~off ~len] copies backup -> main and persists the
     main range (an aborted or incomplete transaction being undone). For a

@@ -194,11 +194,10 @@ let create ?(config = default_config) ?(obs = Obs.null) ?(obs_track = 1) ~kind
       last_commit_ns = 0;
       last_write_keys = [];
       all_regions;
-      ws =
-        Array.init 64 (fun _ ->
-            { r_off = 0; r_len = 0; r_key = 0; cow = None; r_free = false });
+      ws = Array.init 64 (fun _ -> fresh_irec ());
       ws_n = 0;
       ws_cow_n = 0;
+      runs = Array.make (3 * 64) 0;
     }
   in
   (match kind with
@@ -362,6 +361,21 @@ let chained size = size > Heap.max_object_size
 
 let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l)
 
+(* An allocation stores its allocator word and its whole extent (header
+   words, zeroed payload, chain links), which are exactly its predicted
+   ranges. *)
+let rec mark_ranges t = function
+  | [] -> ()
+  | { Heap.off; len } :: rest ->
+      mark_written t off len;
+      mark_ranges t rest
+
+(* [Heap.free] of [p] (extent [extent]) stores its class's free-list head
+   word, the header flags word and the free-list link at [p-8 .. p+8]. *)
+let mark_free t p extent =
+  mark_written t (Heap.free_head_word extent) 8;
+  mark_written t (p - 8) 16
+
 (* Allocate [sizes] in order, checking each against its prediction. *)
 let rec allocate heap sizes predicted =
   match sizes with
@@ -391,7 +405,9 @@ let alloc_many tx sizes =
   let predicted, ranges = Heap.alloc_many_ranges t.heap links in
   declare_ranges tx ranges;
   do_barrier tx;
-  allocate t.heap sizes predicted
+  let ptrs = allocate t.heap sizes predicted in
+  mark_ranges t ranges;
+  ptrs
 
 let alloc tx size =
   match alloc_many tx [ size ] with [ p ] -> p | _ -> assert false
@@ -419,7 +435,8 @@ let free tx p =
   let i = ws_find_off t extent.Heap.off in
   if i < 0 || not t.ws.(i).r_free then declare_ranges tx (Heap.free_ranges t.heap p);
   do_barrier tx;
-  Heap.free t.heap p
+  Heap.free t.heap p;
+  mark_free t p extent
 
 let chain_links t p = Heap.chain_links t.heap p
 
@@ -433,7 +450,8 @@ let free_chain tx p =
     (fun (lp, _, _) ->
       let extent = Heap.extent t.heap lp in
       t.strat.v_pre_free t tx extent;
-      declare_ranges tx (Heap.free_ranges t.heap lp))
+      declare_ranges tx (Heap.free_ranges t.heap lp);
+      mark_free t lp extent)
     links;
   do_barrier tx;
   Heap.free_chain t.heap p
@@ -447,10 +465,15 @@ let free_chain tx p =
    intent": reads fall through to the main heap, writes are an intent
    violation when [check_intents] is set. *)
 
+(* Resolving the covering intent also marks the written lines dirty in it
+   (an uncovered write, possible only with [check_intents] off, marks every
+   intent it overlaps). *)
 let check_write_idx tx abs len =
-  let i = covering_idx tx.owner abs len in
-  if i < 0 && tx.owner.e_config.check_intents then
-    error (Missing_intent { off = abs; len });
+  let t = tx.owner in
+  let i = covering_idx t abs len in
+  if i >= 0 then mark_lines (Array.unsafe_get t.ws i) abs len
+  else if t.e_config.check_intents then error (Missing_intent { off = abs; len })
+  else mark_written t abs len;
   i
 
 let cow_of t i = if i < 0 then None else t.ws.(i).cow
@@ -666,9 +689,23 @@ let probe_int t p field = Region.peek_int t.main (p + field)
 let set_root tx p =
   active_tx tx;
   let t = tx.owner in
-  add_range tx (Heap.root_range t.heap);
+  let root = Heap.root_range t.heap in
+  add_range tx root;
   do_barrier tx;
-  Heap.set_root t.heap p
+  Heap.set_root t.heap p;
+  mark_written t root.Heap.off root.Heap.len
+
+(* The unmerged dirty-line runs of the write set, in declaration order:
+   what a full backup would propagate if [tx] committed now, before
+   coalescing. *)
+let dirty_ranges tx =
+  active_tx tx;
+  let t = tx.owner in
+  let n = ref 0 in
+  for i = 0 to t.ws_n - 1 do
+    n := emit_runs t t.ws.(i) !n
+  done;
+  List.init !n (fun j -> { Heap.off = t.runs.(3 * j); len = t.runs.((3 * j) + 1) })
 
 (* --- Commit and abort --------------------------------------------------- *)
 

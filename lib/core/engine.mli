@@ -208,7 +208,10 @@ val chain_links : t -> Heap.ptr -> (Heap.ptr * int * int) list
 val chain_size : t -> Heap.ptr -> int
 
 (** [commit tx] makes the transaction durable and atomic. The critical path
-    ends when this returns; lock release may be later (Kamino kinds). *)
+    ends when this returns; lock release may be later (Kamino kinds). A
+    full backup's applier task copies only the 64 B lines the transaction
+    wrote inside its declared ranges (DESIGN.md §19); the intent log,
+    abort and recovery keep the full declared ranges. *)
 val commit : tx -> unit
 
 (** [abort tx] rolls the transaction back. Raises
@@ -406,7 +409,10 @@ type metrics = {
       (** ranges eliminated by write-set coalescing (log-entry merges,
           commit-time merges and cross-task batch merges) *)
   bytes_saved : int;
-      (** net cross-region copy bytes avoided by coalescing and batching *)
+      (** net cross-region copy bytes avoided against copying every
+          declared range in full: the clean bytes dirty-line propagation
+          skips, plus what commit-time coalescing and batch merges save
+          (less the gap bytes line-threshold merges add) *)
   lock_wait_ns : int;
   lock_wait_events : int;
   storage_bytes : int;  (** total NVM footprint of the stack *)
@@ -458,3 +464,10 @@ val intent_log : t -> Intent_log.t option
 val data_log : t -> Data_log.t option
 
 val locks : t -> Locks.t
+
+(** [dirty_ranges tx] — the write set's dirty-line runs before
+    coalescing, in declaration order: each declared range's written 64 B
+    lines, clipped to the range ([[]] for an unwritten range, the whole
+    range for a written one wider than 62 lines). What a full backup would
+    propagate if [tx] committed now. *)
+val dirty_ranges : tx -> Heap.range list

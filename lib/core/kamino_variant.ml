@@ -7,7 +7,7 @@
    applier's finish time, so only dependent transactions ever wait for
    copying (§4.3).
 
-   [simple] (full backup, byte-granular propagation, write-set coalescing)
+   [simple] (full backup, dirty-line propagation, write-set coalescing)
    and [dynamic] (object-keyed partial backup of [alpha]·heap, exact
    per-object ranges only) share every path below; [~dynamic] selects the
    granularity rules.
@@ -81,20 +81,11 @@ let finalize ~dynamic t tx slot =
   let ilog = the_ilog t and appl = the_appl t in
   Intent_log.mark ilog slot Intent_log.Committed;
   let iranges =
-    if (not dynamic) && t.e_config.coalesce_writes then begin
-      (* Full backups copy at byte granularity, so the task carries the
-         coalesced write set; the counters record how many ranges the
-         pass eliminated and the net copy bytes it saved. Dynamic backups
-         need the raw per-object ranges. *)
-      let merged = coalesce_write_set t in
-      Metrics.add t.m_ranges_coalesced (t.ws_n - List.length merged);
-      let raw_bytes = ref 0 in
-      for i = 0 to t.ws_n - 1 do
-        raw_bytes := !raw_bytes + t.ws.(i).r_len
-      done;
-      Metrics.add t.m_bytes_saved (!raw_bytes - Intent_log.total_bytes merged);
-      merged
-    end
+    if (not dynamic) && t.e_config.coalesce_writes then
+      (* Full backups copy at byte granularity, so the task carries only
+         the lines the transaction wrote, coalesced (DESIGN.md par19).
+         Dynamic backups need the raw per-object ranges. *)
+      coalesce_write_set t
     else begin
       let acc = ref [] in
       for i = t.ws_n - 1 downto 0 do
@@ -177,23 +168,18 @@ let recover t ~promote_running =
      a [Running] record it claims was part of a marked cross-shard commit
      had its in-place writes made durable by [prepare] before the marker
      was written, so rolling it {e forward} is safe — the main heap
-     already holds the committed bytes. *)
+     already holds the committed bytes. A record rolls forward its full
+     logged ranges (the dirty-line clipping is volatile and lost), fenced
+     once before its slot is released. *)
   let pending = ref [] in
   Intent_log.iter_records ilog (fun slot txid state intents ->
       pending := (slot, txid, state, intents) :: !pending);
   List.iter
     (fun (slot, txid, state, intents) ->
       (match state with
-      | Intent_log.Committed ->
-          List.iter
-            (fun { Intent_log.off; len } ->
-              Backup.roll_forward b ~main:t.main ~off ~len)
-            intents
+      | Intent_log.Committed -> propagate_ranges b t.main intents
       | Intent_log.Running when promote_running txid ->
-          List.iter
-            (fun { Intent_log.off; len } ->
-              Backup.roll_forward b ~main:t.main ~off ~len)
-            intents
+          propagate_ranges b t.main intents
       | Intent_log.Running | Intent_log.Aborted ->
           List.iter
             (fun { Intent_log.off; len } ->

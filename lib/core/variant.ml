@@ -110,13 +110,19 @@ let error e = raise (Error e)
    working copy when the range is redirected; [None] means the range is
    edited in place (always, for the non-CoW kinds). [r_key] is the write
    lock protecting the range (the owning object's extent for field-granular
-   intents) — the coalescer uses it to decide which gaps are safe to fill. *)
+   intents) — the coalescer uses it to decide which gaps are safe to fill.
+   [r_dirty] is the volatile dirty-line mask of the range: bit [i] set means
+   the transaction wrote into the [i]-th 64 B line the range overlaps,
+   counted from the line holding [r_off]; {!whole_range} marks a range too
+   wide for the mask (more than {!mask_lines} lines) that was written at
+   all. A full backup propagates only the dirty lines (DESIGN.md par19). *)
 type irec = {
   mutable r_off : int;
   mutable r_len : int;
   mutable r_key : int;
   mutable cow : Data_log.entry option;
   mutable r_free : bool;  (* an extent whose free ranges were declared ahead *)
+  mutable r_dirty : int;
 }
 
 type t = {
@@ -179,6 +185,9 @@ type t = {
   mutable ws : irec array;
   mutable ws_n : int;
   mutable ws_cow_n : int;
+  (* Commit-time scratch of {!coalesce_write_set}: dirty-line runs as
+     [(off, len, key)] triples, recycled across commits. *)
+  mutable runs : int array;
 }
 
 and tx = {
@@ -278,6 +287,9 @@ let rec ws_off_scan ws off i =
 
 let ws_find_off t off = ws_off_scan t.ws off (t.ws_n - 1)
 
+let fresh_irec () =
+  { r_off = 0; r_len = 0; r_key = 0; cow = None; r_free = false; r_dirty = 0 }
+
 (* Claim the next pooled [irec], growing the pool by doubling. Growth uses
    [Array.init] so every fresh slot is a distinct record — a shared filler
    would alias the pool. *)
@@ -287,7 +299,7 @@ let ws_push t ~off ~len ~key ~cow =
      t.ws <-
        Array.init (2 * n) (fun i ->
            if i < n then t.ws.(i)
-           else { r_off = 0; r_len = 0; r_key = 0; cow = None; r_free = false }));
+           else fresh_irec ()));
   let r = t.ws.(t.ws_n) in
   t.ws_n <- t.ws_n + 1;
   r.r_off <- off;
@@ -295,8 +307,80 @@ let ws_push t ~off ~len ~key ~cow =
   r.r_key <- key;
   r.cow <- cow;
   r.r_free <- false;
+  r.r_dirty <- 0;
   if cow <> None then t.ws_cow_n <- t.ws_cow_n + 1;
   r
+
+(* --- Dirty-line masks ----------------------------------------------------- *)
+
+let line_bytes = Region.line_size
+
+(* Lines a mask can name. 62 keeps every mask a non-negative int, so the
+   whole-range sentinel (-1) can never collide with one. *)
+let mask_lines = 62
+
+let whole_range = -1
+
+(* Mark the bytes [abs, abs+len) of [r]'s range dirty; the caller passes a
+   sub-range of the declared range. *)
+let mark_lines r abs len =
+  if len > 0 && r.r_dirty <> whole_range then begin
+    let base = r.r_off / line_bytes in
+    if ((r.r_off + r.r_len - 1) / line_bytes) - base >= mask_lines then
+      r.r_dirty <- whole_range
+    else
+      let l0 = (abs / line_bytes) - base and l1 = ((abs + len - 1) / line_bytes) - base in
+      r.r_dirty <- r.r_dirty lor (((1 lsl (l1 - l0 + 1)) - 1) lsl l0)
+  end
+
+(* Mark [abs, abs+len) dirty in every write-set range it overlaps: how the
+   engine's raw heap mutations (allocation, free, root update) and any
+   write no single intent covers record what they stored. *)
+let mark_written t abs len =
+  let stop = abs + len in
+  for i = 0 to t.ws_n - 1 do
+    let r = Array.unsafe_get t.ws i in
+    let lo = if abs > r.r_off then abs else r.r_off in
+    let hi = if stop < r.r_off + r.r_len then stop else r.r_off + r.r_len in
+    if lo < hi then mark_lines r lo (hi - lo)
+  done
+
+(* Append the run [(off, len, key)] to the run scratch as triple [k],
+   growing it by doubling; returns the next free triple. *)
+let push_run t k off len key =
+  if (3 * k) + 3 > Array.length t.runs then begin
+    let grown = Array.make (2 * Array.length t.runs) 0 in
+    Array.blit t.runs 0 grown 0 (Array.length t.runs);
+    t.runs <- grown
+  end;
+  let a = t.runs in
+  a.(3 * k) <- off;
+  a.((3 * k) + 1) <- len;
+  a.((3 * k) + 2) <- key;
+  k + 1
+
+(* Trailing one bits of [d], counted from [n]. *)
+let rec ones d n = if d land 1 = 0 then n else ones (d lsr 1) (n + 1)
+
+(* Emit the runs of consecutive set bits of mask [d] (bit 0 = line [l] of
+   [r]'s range), each clipped to the declared range, from triple [k]. *)
+let rec emit_mask t r d l k =
+  if d = 0 then k
+  else if d land 1 = 0 then emit_mask t r (d lsr 1) (l + 1) k
+  else begin
+    let n = ones d 0 in
+    let first = ((r.r_off / line_bytes) + l) * line_bytes in
+    let lo = if first > r.r_off then first else r.r_off in
+    let stop = first + (n * line_bytes) in
+    let hi = if stop < r.r_off + r.r_len then stop else r.r_off + r.r_len in
+    emit_mask t r (d lsr n) (l + n) (push_run t k lo (hi - lo) r.r_key)
+  end
+
+(* [r]'s dirty-line runs, clipped to its range, appended from triple [k]:
+   nothing for an unwritten range, the whole range for a wide one. *)
+let emit_runs t r k =
+  if r.r_dirty = whole_range then push_run t k r.r_off r.r_len r.r_key
+  else emit_mask t r r.r_dirty 0 k
 
 (* Make everything appended to this transaction's log durable, once. The
    per-kind barrier target (intent-log slot vs. data log) is the variant's
@@ -356,52 +440,114 @@ let log_intent t slot ~mergeable ~off ~len =
     Obs.emit t.e_obs ~kind:Obs.k_intent ~track:t.obs_base ~ts:(Clock.now t.clk)
       ~dur:(-1) ~a:off ~b:len ~c:0
 
-(* Coalesce a committed write set before it is enqueued at the applier.
+(* Run triples compare by (offset, length, key): a total order on
+   distinct triples, so the sorted order, and the merge built on it, does
+   not depend on how a sort breaks ties (run starts are not unique: two
+   ranges can start runs on one line boundary). The annotations keep the
+   comparisons on ints rather than polymorphic compare. *)
+let run_lt (a : int array) i j =
+  let oi = a.(3 * i) and oj = a.(3 * j) in
+  oi < oj
+  || oi = oj
+     &&
+     let li = a.((3 * i) + 1) and lj = a.((3 * j) + 1) in
+     li < lj || (li = lj && a.((3 * i) + 2) < a.((3 * j) + 2))
+
+let swap_runs (a : int array) i j =
+  for f = 0 to 2 do
+    let x = a.((3 * i) + f) in
+    a.((3 * i) + f) <- a.((3 * j) + f);
+    a.((3 * j) + f) <- x
+  done
+
+let rec sift a i n =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && run_lt a l (l + 1) then l + 1 else l in
+    if run_lt a i c then begin
+      swap_runs a i c;
+      sift a c n
+    end
+  end
+
+(* Heap sort of the first [n] run triples: in place and O(n log n), since
+   an applier batch or a large free can gather hundreds. *)
+let sort_runs a n =
+  for i = (n / 2) - 1 downto 0 do
+    sift a i n
+  done;
+  for last = n - 1 downto 1 do
+    swap_runs a 0 last;
+    sift a 0 last
+  done
+
+(* Merge the [n] sorted run triples in place; returns how many remain.
    Exact overlap/adjacency merges are always safe (the union covers
    precisely the same bytes). The 64 B line-threshold merge — two ranges
    whose gap lies within one cache line become one range, gap included —
-   is applied only when both ranges belong to the same locked object
-   ([r_key]): the gap bytes then sit under this transaction's own write
-   lock, so they hold committed data whenever the (possibly lazy) copy
-   executes. A cross-object gap could cover a third, unrelated object that
-   an active transaction is updating in place, and its uncommitted bytes
-   must never reach the backup — an abort would restore them. *)
-let coalesce_write_set t =
-  let line = 64 in
-  let n = t.ws_n in
-  if n = 0 then []
-  else if n = 1 then
-    [ { Intent_log.off = t.ws.(0).r_off; len = t.ws.(0).r_len } ]
+   is applied only with [gap_fill] and when both ranges belong to the same
+   locked object ([key]): the gap bytes then sit under this transaction's
+   own write lock, so they hold committed data whenever the (possibly
+   lazy) copy executes. A cross-object gap could cover a third, unrelated
+   object that an active transaction is updating in place, and its
+   uncommitted bytes must never reach the backup — an abort would restore
+   them. *)
+let merge_runs ~gap_fill a n =
+  if n = 0 then 0
   else begin
-    (* Range starts are unique within a transaction ([scr_by_key] is keyed
-       by them), so sorting by [r_off] alone is a total order and the
-       unstable [Array.sort] cannot reorder equal keys. *)
-    let arr = Array.sub t.ws 0 n in
-    Array.sort (fun a b -> Int.compare a.r_off b.r_off) arr;
-    let acc = ref [] in
-    let coff = ref arr.(0).r_off and clen = ref arr.(0).r_len in
-    let ckey = ref arr.(0).r_key and cmixed = ref false in
+    let w = ref 0 in
+    let coff = ref a.(0) and clen = ref a.(1) in
+    let ckey = ref a.(2) and cmixed = ref false in
     for i = 1 to n - 1 do
-      let r = arr.(i) in
+      let off = a.(3 * i) and len = a.((3 * i) + 1) and key = a.((3 * i) + 2) in
       let cend = !coff + !clen in
-      let same_obj = (not !cmixed) && !ckey = r.r_key in
-      if r.r_off <= cend then begin
-        clen := max cend (r.r_off + r.r_len) - !coff;
+      let same_obj = (not !cmixed) && !ckey = key in
+      if off <= cend then begin
+        clen := Int.max cend (off + len) - !coff;
         if not same_obj then cmixed := true
       end
-      else if same_obj && r.r_off / line = (cend - 1) / line then
-        clen := r.r_off + r.r_len - !coff
+      else if gap_fill && same_obj && off / line_bytes = (cend - 1) / line_bytes then
+        clen := off + len - !coff
       else begin
-        acc := { Intent_log.off = !coff; len = !clen } :: !acc;
-        coff := r.r_off;
-        clen := r.r_len;
-        ckey := r.r_key;
+        a.(3 * !w) <- !coff;
+        a.((3 * !w) + 1) <- !clen;
+        incr w;
+        coff := off;
+        clen := len;
+        ckey := key;
         cmixed := false
       end
     done;
-    acc := { Intent_log.off = !coff; len = !clen } :: !acc;
-    List.rev !acc
+    a.(3 * !w) <- !coff;
+    a.((3 * !w) + 1) <- !clen;
+    !w + 1
   end
+
+(* The ranges a full backup propagates for the committed write set: every
+   range's dirty-line runs (DESIGN.md par19 — a clean line of a declared
+   range already agrees with the backup), sorted and merged. Runs live in
+   the engine's pooled scratch, so the only allocation is the returned
+   list. Records the ranges the merge eliminated and the bytes the runs
+   and merges saved against copying every declared range in full. *)
+let coalesce_write_set t =
+  let n = ref 0 and declared = ref 0 in
+  for i = 0 to t.ws_n - 1 do
+    let r = t.ws.(i) in
+    declared := !declared + r.r_len;
+    n := emit_runs t r !n
+  done;
+  let a = t.runs in
+  sort_runs a !n;
+  let m = merge_runs ~gap_fill:true a !n in
+  let acc = ref [] and copied = ref 0 in
+  for j = m - 1 downto 0 do
+    let len = a.((3 * j) + 1) in
+    copied := !copied + len;
+    acc := { Intent_log.off = a.(3 * j); len } :: !acc
+  done;
+  Metrics.add t.m_ranges_coalesced (!n - m);
+  Metrics.add t.m_bytes_saved (!declared - !copied);
+  !acc
 
 (* Modelled applier cost of propagating a committed write set: copy each
    range into the backup and issue its write-backs. The applier drains
@@ -515,6 +661,58 @@ let finish tx =
   tx.finished <- true;
   tx.owner.active <- None
 
+(* Top-level loops: a batch is applied on the hot path (a lock conflict
+   syncs a queued task), so it allocates no closures. *)
+let rec propagate_all b main = function
+  | [] -> ()
+  | { Intent_log.off; len } :: rest ->
+      Backup.propagate b ~main ~off ~len;
+      propagate_all b main rest
+
+let propagate_ranges b main = function
+  | [] -> ()
+  | ranges ->
+      propagate_all b main ranges;
+      Backup.settle b
+
+let rec release_tasks ilog = function
+  | [] -> ()
+  | task :: rest ->
+      Intent_log.release ilog task.Applier.slot;
+      release_tasks ilog rest
+
+let rec load_ranges t k = function
+  | [] -> k
+  | { Intent_log.off; len } :: rest ->
+      load_ranges t (if len > 0 then push_run t k off len 0 else k) rest
+
+let rec load_tasks t k = function
+  | [] -> k
+  | task :: rest -> load_tasks t (load_ranges t k task.Applier.ranges) rest
+
+(* A full backup's batch: every task's ranges gathered into the pooled run
+   scratch (a commit's [coalesce_write_set] never runs while a batch
+   applies), sorted, exact-merged, copied and flushed, then fenced once.
+   Allocation-free. *)
+let apply_full_batch t b tasks =
+  let n = load_tasks t 0 tasks in
+  let a = t.runs in
+  let raw = ref 0 in
+  for i = 0 to n - 1 do
+    raw := !raw + a.((3 * i) + 1)
+  done;
+  sort_runs a n;
+  let m = merge_runs ~gap_fill:false a n in
+  let merged = ref 0 in
+  for j = 0 to m - 1 do
+    let len = a.((3 * j) + 1) in
+    merged := !merged + len;
+    Backup.propagate b ~main:t.main ~off:a.(3 * j) ~len
+  done;
+  if m > 0 then Backup.settle b;
+  Metrics.add t.m_ranges_coalesced (n - m);
+  Metrics.add t.m_bytes_saved (!raw - !merged)
+
 (* The applier hands every drain over as one batch of tasks; merging their
    ranges into a single copy pass is what "batched backup propagation"
    means. Only {e exact} merges (overlap / adjacency — the union covers
@@ -525,9 +723,11 @@ let finish tx =
    safe to copy at any later time — [declare] applies every queued task
    covering an object before the new transaction's first write to it, so no
    queued range ever overlaps bytes an active transaction has modified.
-   Dynamic backups are object-keyed ([roll_forward] demands an exact
+   Dynamic backups are object-keyed ([Backup.propagate] demands an exact
    [(off, len)] resident match), so their batches only deduplicate
-   identical ranges, never merge bytes. *)
+   identical ranges, never merge bytes. A full backup's batch is flushed
+   range by range and fenced once, before any intent-log slot is
+   released. *)
 let make_applier t =
   let apply tasks =
     let b = the_bkp t and ilog = the_ilog t in
@@ -538,42 +738,38 @@ let make_applier t =
        in
        Obs.emit t.e_obs ~kind:Obs.k_applier_batch ~track:(t.obs_base + 1)
          ~ts:(Clock.now t.clk) ~dur:(-1) ~a:ntasks ~b:nranges ~c:0);
-    match tasks with
-    | [ ({ Applier.ranges = ([] | [ _ ]) as raw; _ } as task) ]
-      when match raw with [ r ] -> r.Intent_log.len > 0 | _ -> true ->
-        (* Singleton batch with at most one non-empty range: nothing can
-           merge or deduplicate, so skip the cross-task machinery. This is
-           the common shape when a lock conflict syncs one queued task. *)
-        List.iter
-          (fun { Intent_log.off; len } -> Backup.roll_forward b ~main:t.main ~off ~len)
-          raw;
-        Intent_log.release ilog task.Applier.slot
+    (match tasks with
+    | [ { Applier.ranges = raw; _ } ] ->
+        (* Singleton batch: a task's ranges are already merged (full
+           backup), distinct objects (dynamic) or deliberately raw
+           (coalescing off), so skip the cross-task machinery. This is the
+           common shape when a lock conflict syncs one queued task. *)
+        propagate_ranges b t.main raw
+    | _ when t.e_config.coalesce_writes && Backup.is_full b -> apply_full_batch t b tasks
     | _ ->
-    let raw = List.concat_map (fun task -> task.Applier.ranges) tasks in
-    let merged =
-      if not t.e_config.coalesce_writes then raw
-      else if Backup.is_full b then Intent_log.coalesce raw
-      else begin
-        let seen = Hashtbl.create 16 in
-        List.filter
-          (fun { Intent_log.off; len } ->
-            if Hashtbl.mem seen (off, len) then false
-            else begin
-              Hashtbl.add seen (off, len) ();
-              true
-            end)
-          raw
-      end
-    in
-    if t.e_config.coalesce_writes then begin
-      Metrics.add t.m_ranges_coalesced (List.length raw - List.length merged);
-      Metrics.add t.m_bytes_saved
-        (Intent_log.total_bytes raw - Intent_log.total_bytes merged)
-    end;
-    List.iter
-      (fun { Intent_log.off; len } -> Backup.roll_forward b ~main:t.main ~off ~len)
-      merged;
-    List.iter (fun task -> Intent_log.release ilog task.Applier.slot) tasks
+        let raw = List.concat_map (fun task -> task.Applier.ranges) tasks in
+        let ranges =
+          if not t.e_config.coalesce_writes then raw
+          else begin
+            let seen = Hashtbl.create 16 in
+            let merged =
+              List.filter
+                (fun { Intent_log.off; len } ->
+                  if Hashtbl.mem seen (off, len) then false
+                  else begin
+                    Hashtbl.add seen (off, len) ();
+                    true
+                  end)
+                raw
+            in
+            Metrics.add t.m_ranges_coalesced (List.length raw - List.length merged);
+            Metrics.add t.m_bytes_saved
+              (Intent_log.total_bytes raw - Intent_log.total_bytes merged);
+            merged
+          end
+        in
+        propagate_ranges b t.main ranges);
+    release_tasks ilog tasks
   in
   Applier.create ~regions:t.all_regions ~apply
 

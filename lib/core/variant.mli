@@ -98,6 +98,10 @@ type irec = {
   mutable cow : Data_log.entry option;  (** CoW working copy, if redirected *)
   mutable r_free : bool;
       (** an extent whose [free] ranges {!Engine.declare_free} declared *)
+  mutable r_dirty : int;
+      (** volatile mask of the 64 B lines written under this intent: bit
+          [i] is the [i]-th line the range overlaps; [-1] (the whole
+          range) for a written range wider than 62 lines *)
 }
 
 type t = {
@@ -138,6 +142,9 @@ type t = {
   mutable ws : irec array;  (** pooled write set, [0 .. ws_n-1] live *)
   mutable ws_n : int;
   mutable ws_cow_n : int;  (** entries carrying a CoW redirection *)
+  mutable runs : int array;
+      (** commit-time scratch: dirty-line runs as [(off, len, key)]
+          triples *)
 }
 
 and tx = {
@@ -229,9 +236,26 @@ val covering_idx : t -> int -> int -> int
 (** Index of the write-set entry whose range starts at [off], or [-1]. *)
 val ws_find_off : t -> int -> int
 
-(** Claim the next pooled write-set record. *)
+(** A zeroed write-set record, for growing the pool. *)
+val fresh_irec : unit -> irec
+
+(** Claim the next pooled write-set record (its dirty mask cleared). *)
 val ws_push :
   t -> off:int -> len:int -> key:int -> cow:Data_log.entry option -> irec
+
+(** {2 Dirty-line masks} *)
+
+(** [mark_lines r abs len] marks the lines of [abs, abs+len) dirty in [r];
+    the bytes must lie inside [r]'s range. *)
+val mark_lines : irec -> int -> int -> unit
+
+(** [mark_written t abs len] marks [abs, abs+len) dirty in every write-set
+    record it overlaps. *)
+val mark_written : t -> int -> int -> unit
+
+(** [emit_runs t r k] appends [r]'s dirty-line runs, clipped to its range,
+    to [t.runs] from triple [k]; returns the next free triple. *)
+val emit_runs : t -> irec -> int -> int
 
 (** Make everything appended to this transaction's log durable, once
     (dispatches to {!field-v_barrier}). *)
@@ -250,8 +274,11 @@ val claim_slot : tx -> Intent_log.slot
     argument). *)
 val log_intent : t -> Intent_log.slot -> mergeable:bool -> off:int -> len:int -> unit
 
-(** Coalesce the committed write set for the applier task (exact merges
-    plus same-object 64 B line-threshold gap fills). *)
+(** The committed write set's dirty-line runs, coalesced for a full
+    backup's applier task (exact merges plus same-object 64 B
+    line-threshold gap fills). Adds the ranges merged away to
+    [engine.ranges_coalesced] and the declared bytes it does not copy to
+    [engine.bytes_saved]. *)
 val coalesce_write_set : t -> Intent_log.intent list
 
 val applier_fence_batch : float
@@ -277,6 +304,10 @@ val verify_backup : t -> (unit, string) result
 val release_all : tx -> write_release:int -> unit
 
 val finish : tx -> unit
+
+(** [propagate_ranges b main ranges] copies and flushes every range into
+    the backup, then fences once ({!Backup.settle}); nothing for [[]]. *)
+val propagate_ranges : Backup.t -> Region.t -> Intent_log.intent list -> unit
 
 (** The batching backup applier (see the implementation's merge-safety
     argument). *)

@@ -43,12 +43,14 @@ let chain_link_flag = 5L
 let chain_head_meta = 16
 let chain_link_meta = 8
 
+(* Top-level, so a lookup allocates no closure. *)
+let rec class_from size i = if size_classes.(i) >= size then i else class_from size (i + 1)
+
 let class_of_size size =
   if size <= 0 then invalid_arg "Heap: object size must be positive";
   if size > max_object_size then
     invalid_arg (Printf.sprintf "Heap: object size %d exceeds max %d" size max_object_size);
-  let rec find i = if size_classes.(i) >= size then i else find (i + 1) in
-  find 0
+  class_from size 0
 
 let is_class_size len = Array.exists (fun c -> c = len) size_classes
 
@@ -285,6 +287,8 @@ let free_ranges t p =
   let cap = capacity t p in
   let cls = class_of_size cap in
   [ { off = class_head_off cls; len = 8 }; { off = p - header_size; len = header_size + cap } ]
+
+let free_head_word { off = _; len } = class_head_off (class_of_size (len - header_size))
 
 let free_one t p ~head_of_chain =
   charge_cost t (Region.cost_model t.region).Cost_model.free_ns;

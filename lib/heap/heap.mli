@@ -67,6 +67,13 @@ val alloc : t -> int -> ptr
     class free-list head word, then [p]'s extent. *)
 val free_ranges : t -> ptr -> range list
 
+(** [free_head_word extent] — the offset of the free-list head word
+    {!free} updates when it frees the object whose extent is [extent].
+    Besides that word, [free] stores only the header flags word and the
+    free-list link, the 16 bytes at [p-8 .. p+8) around the payload
+    pointer [p]. Pure: reads no NVM, charges nothing. *)
+val free_head_word : range -> int
+
 (** [free t p] returns [p]'s object to its size-class free list.
     Raises [Invalid_argument] if [p] is not an allocated object. *)
 val free : t -> ptr -> unit

@@ -245,7 +245,7 @@ let test_backup_roundtrip () =
   Alcotest.(check bool) "main rolled back" true (Backup.roll_back b ~main ~off:1000 ~len:8);
   Alcotest.(check string) "old version restored" "versionA" (Region.read_string main 1000 8);
   Region.write_string main 1000 "versionC";
-  Backup.roll_forward b ~main ~off:1000 ~len:8;
+  Backup.propagate b ~main ~off:1000 ~len:8;
   Region.write_string main 1000 "versionD";
   ignore (Backup.roll_back b ~main ~off:1000 ~len:8);
   Alcotest.(check string) "roll-forwarded version restored" "versionC"
@@ -402,7 +402,7 @@ let test_backup_recycles_victim_slot () =
     (Backup.copy_matches b ~main ~off:4096)
 
 (* Crash storm over slot reuse. A tight slots region sees [ensure_copy],
-   [roll_forward] and [drop] over mixed copy lengths, so slots are recycled
+   [propagate] and [drop] over mixed copy lengths, so slots are recycled
    in place and freed on a length mismatch, while a pinned subset is
    locked against eviction. Both backup regions then crash after a random prefix of the
    storm and the backup reopens from its table. The crash falls between
@@ -461,7 +461,7 @@ let storm_qcheck =
             | () ->
                 incr stamp;
                 Region.fill main off len (!stamp land 0xff);
-                Backup.roll_forward b ~main ~off ~len;
+                Backup.propagate b ~main ~off ~len;
                 true
             | exception Failure _ -> only_pinned_left b)
         | 2 -> (
@@ -469,7 +469,7 @@ let storm_qcheck =
             | Some len ->
                 incr stamp;
                 Region.fill main off len (!stamp land 0xff);
-                Backup.roll_forward b ~main ~off ~len;
+                Backup.propagate b ~main ~off ~len;
                 true
             | None -> true)
         | _ ->
