@@ -57,6 +57,7 @@ type t = {
   mutable promoting : int option;  (* replica whose head promotion is in flight *)
   mutable recovery_fault : recovery_fault;
   obs : Obs.t;  (* chain-level events: hops, view changes, promotions *)
+  wire : Buffer.t;  (* envelope scratch: each envelope is encoded once here *)
   (* Cluster composition (2PC over chain heads, DESIGN.md §14). While a
      cluster transaction is prepared-but-undecided on this chain the head
      is wedged: client submissions park in [deferred] so no later sequence
@@ -78,27 +79,30 @@ type t = {
 let node_track i = 10 * (i + 1)
 let link_track i = node_track i + 3
 
-(* Envelope: 8-byte op sequence followed by the encoded command. *)
-let envelope ~seq op =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int seq);
-  Bytes.to_string b ^ Op.encode op
+(* Envelope: 8-byte op sequence followed by the encoded command. The
+   returned string is the message every hop forwards. *)
+let envelope t ~seq op =
+  Buffer.clear t.wire;
+  Buffer.add_int64_le t.wire (Int64.of_int seq);
+  Op.add_encoded t.wire op;
+  Buffer.contents t.wire
 
-let open_envelope payload =
-  ( Int64.to_int (String.get_int64_le payload 0),
-    Op.decode (String.sub payload 8 (String.length payload - 8)) )
+(* Envelopes are read in place from a queue's slot view. Decoding can fail
+   if the slot was corrupted in place (the queue's checksum guards torn
+   publishes, not bit rot under a valid checksum): surface it as a typed
+   error naming the replica and the slot instead of executing garbage. *)
+let corrupt node slot reason =
+  raise (Corrupt_entry { node = node.id; queue_seq = Opqueue.Slot.seq slot; reason })
 
-(* Decoding a persistent queue slot can fail if the slot was corrupted in
-   place (the queue's checksum guards torn publishes, not bit rot under a
-   valid checksum). Surface it as a typed error naming the replica and the
-   slot instead of executing garbage. *)
-let open_envelope_exn node ~queue_seq payload =
-  match open_envelope payload with
-  | v -> v
-  | exception Op.Decode_error reason ->
-      raise (Corrupt_entry { node = node.id; queue_seq; reason })
-  | exception Invalid_argument reason ->
-      raise (Corrupt_entry { node = node.id; queue_seq; reason })
+let envelope_seq node slot =
+  if Opqueue.Slot.length slot < 8 then
+    corrupt node slot "Async_chain: envelope shorter than its sequence word";
+  Int64.to_int (Bytes.get_int64_le (Opqueue.Slot.bytes slot) 0)
+
+let envelope_op node slot =
+  match Op.decode_sub (Opqueue.Slot.bytes slot) 8 (Opqueue.Slot.length slot - 8) with
+  | op -> op
+  | exception Op.Decode_error reason -> corrupt node slot reason
 
 let length t = Array.length t.nodes
 
@@ -109,6 +113,8 @@ let kv_at t i = t.nodes.(i).kv
 let engine_at t i = t.nodes.(i).engine
 
 let input_queue t i = t.nodes.(i).input
+
+let inflight_queue t i = t.nodes.(i).inflight
 
 let executed_seq t i =
   let n = t.nodes.(i) in
@@ -232,6 +238,7 @@ let create ?sim ?(engine_config = Engine.default_config) ?(obs = Obs.null)
     promoting = None;
     recovery_fault = No_fault;
     obs;
+    wire = Buffer.create 256;
     cluster_hold = false;
     deferred = Queue.create ();
     on_view_change = None;
@@ -268,24 +275,25 @@ let record_inflight node ~seq payload =
 
 (* Garbage-collect the in-flight queue up to (and including) an op
    sequence: queue positions and op sequences differ after reboots, so the
-   match is on the envelope. *)
-let gc_inflight node op_seq =
-  let rec go () =
-    match Opqueue.peek node.inflight with
-    | Some (qseq, payload)
-      when fst (open_envelope_exn node ~queue_seq:qseq payload) <= op_seq ->
-        ignore (Opqueue.dequeue node.inflight);
-        go ()
-    | Some _ | None -> ()
-  in
-  go ()
+   match is on the envelope's sequence word (the command is not decoded). *)
+let rec gc_inflight node op_seq =
+  match Opqueue.peek node.inflight with
+  | Some slot when envelope_seq node slot <= op_seq ->
+      ignore (Opqueue.dequeue node.inflight);
+      gc_inflight node op_seq
+  | Some _ | None -> ()
 
-(* Snapshot the in-flight entries before re-driving them: the re-drive may
-   itself garbage-collect the queue (a node that became tail acks its own
-   backlog), and iterating a queue while dequeuing from it is undefined. *)
+(* Snapshot the in-flight entries, as (op seq, message), before re-driving
+   them: the re-drive may itself garbage-collect the queue (a node that
+   became tail acks its own backlog), and iterating a queue while dequeuing
+   from it is undefined. Each command is decoded once here, so a corrupt
+   entry is reported before anything is re-sent. *)
 let inflight_entries node =
   let acc = ref [] in
-  Opqueue.iter node.inflight (fun ~seq:_ ~payload -> acc := payload :: !acc);
+  Opqueue.iter node.inflight (fun slot ->
+      let seq = envelope_seq node slot in
+      ignore (envelope_op node slot);
+      acc := (seq, Opqueue.Slot.to_string slot) :: !acc);
   List.rev !acc
 
 (* --- message handlers ----------------------------------------------------- *)
@@ -326,39 +334,49 @@ let rec deliver_forward t ~view i payload =
 and process_input t node =
   match Opqueue.peek node.input with
   | None -> ()
-  | Some (qseq, payload) ->
-      let seq, op = open_envelope_exn node ~queue_seq:qseq payload in
-      execute node ~seq op;
-      (* A tail forwards to nobody, so it records no in-flight entry. *)
+  | Some slot ->
+      let seq = envelope_seq node slot in
+      execute node ~seq (envelope_op node slot);
+      (* A replica with a successor copies the slot out once, as the
+         message it records in flight and forwards; a tail forwards to
+         nobody, so it copies nothing and records no in-flight entry. *)
       (match Membership.successor t.membership node.id with
-      | Some _ -> record_inflight node ~seq payload
-      | None -> ());
-      ignore (Opqueue.dequeue node.input);
-      forward_or_finish t node ~seq payload;
+      | Some nxt ->
+          let payload = Opqueue.Slot.to_string slot in
+          record_inflight node ~seq payload;
+          ignore (Opqueue.dequeue node.input);
+          forward t node ~seq nxt payload
+      | None ->
+          ignore (Opqueue.dequeue node.input);
+          finish t node ~seq);
       process_input t node
 
 and forward_or_finish t node ~seq payload =
   match Membership.successor t.membership node.id with
-  | Some nxt ->
-      let vid = view_id t in
-      send_on_fwd_link t node
-        ~at:(Clock.now node.clock + hop_delay t)
-        ~seq ~dst:nxt
-        (fun () -> deliver_forward t ~view:vid nxt payload)
-  | None ->
-      (* Tail: acknowledge to the head and start the cleanup cascade. A
-         node that just became tail also drains its own in-flight backlog
-         here — it has nobody left to forward to. *)
-      let vid = view_id t in
-      let at = Clock.now node.clock + hop_delay t in
-      trace_hop t node ~at ~seq ~dst:(head_id t);
-      Sim.schedule t.sim ~at (fun () -> deliver_ack t ~view:vid seq);
-      gc_inflight node seq;
-      (match Membership.predecessor t.membership node.id with
-      | Some p ->
-          trace_hop t node ~at ~seq ~dst:p;
-          Sim.schedule t.sim ~at (fun () -> deliver_cleanup t ~view:vid p seq)
-      | None -> ())
+  | Some nxt -> forward t node ~seq nxt payload
+  | None -> finish t node ~seq
+
+and forward t node ~seq nxt payload =
+  let vid = view_id t in
+  send_on_fwd_link t node
+    ~at:(Clock.now node.clock + hop_delay t)
+    ~seq ~dst:nxt
+    (fun () -> deliver_forward t ~view:vid nxt payload)
+
+(* Tail: acknowledge to the head and start the cleanup cascade. A node
+   that just became tail also drains its own in-flight backlog here — it
+   has nobody left to forward to. *)
+and finish t node ~seq =
+  let vid = view_id t in
+  let at = Clock.now node.clock + hop_delay t in
+  trace_hop t node ~at ~seq ~dst:(head_id t);
+  Sim.schedule t.sim ~at (fun () -> deliver_ack t ~view:vid seq);
+  gc_inflight node seq;
+  match Membership.predecessor t.membership node.id with
+  | Some p ->
+      trace_hop t node ~at ~seq ~dst:p;
+      Sim.schedule t.sim ~at (fun () -> deliver_cleanup t ~view:vid p seq)
+  | None -> ()
 
 and deliver_ack t ~view seq =
   match Membership.validate t.membership ~view_id:view with
@@ -414,7 +432,7 @@ let rec submit_now t ?(on_submit = fun _ -> ()) op ~on_complete =
     let seq = t.next_op_seq in
     t.next_op_seq <- seq + 1;
     on_submit seq;
-    let payload = envelope ~seq op in
+    let payload = envelope t ~seq op in
     execute head ~seq op;
     let keys = Engine.last_write_keys head.engine in
     Hashtbl.replace t.pending seq (keys, on_complete);
@@ -447,6 +465,9 @@ let read t ~at key ~on_result =
       end)
 
 (* --- failures -------------------------------------------------------------- *)
+
+let redrive_inflight t node =
+  List.iter (fun (seq, payload) -> forward_or_finish t node ~seq payload) (inflight_entries node)
 
 (* §5.3 quick reboot: crash and recover in place, without a view change.
    The rejoin handshake tells a node that was fail-stopped while dark that
@@ -513,19 +534,15 @@ let reboot_now ?(downtime_ns = 0) t i =
             done
         | No_fault -> ());
         node.last_forwarded <- 0;
-        Opqueue.iter node.inflight (fun ~seq:_ ~payload ->
-            let s, _ = open_envelope_exn node ~queue_seq:0 payload in
+        Opqueue.iter node.inflight (fun slot ->
+            let s = envelope_seq node slot in
             if s > node.last_forwarded then node.last_forwarded <- s);
         node.up <- true;
         (* Re-drive: execute anything buffered but unexecuted, and re-forward
            everything not yet cleaned (duplicates are deduplicated downstream
            by the executed-sequence check). *)
         process_input t node;
-        List.iter
-          (fun payload ->
-            let seq, _ = open_envelope_exn node ~queue_seq:0 payload in
-            forward_or_finish t node ~seq payload)
-          (inflight_entries node)
+        redrive_inflight t node
   end
 
 let quick_reboot ?(downtime_ns = 0) t ~at i =
@@ -558,11 +575,7 @@ let repair_node t i =
   if node.up && (not node.removed) && List.mem i (members t) then begin
     enter t node;
     process_input t node;
-    List.iter
-      (fun payload ->
-        let seq, _ = open_envelope_exn node ~queue_seq:0 payload in
-        forward_or_finish t node ~seq payload)
-      (inflight_entries node)
+    redrive_inflight t node
   end
 
 let fail_stop_now t i =
@@ -614,7 +627,7 @@ let inject_stale_probe_now t i =
   if node.up && not node.removed then begin
     let stale_view = view_id t - 1 in
     let payload =
-      envelope ~seq:(t.next_op_seq + 1_000_000) (Op.Put (0, "stale-probe"))
+      envelope t ~seq:(t.next_op_seq + 1_000_000) (Op.Put (0, "stale-probe"))
     in
     Sim.schedule t.sim
       ~at:(Sim.now t.sim + t.hop_ns)
@@ -679,7 +692,7 @@ let cluster_commit ?(on_ack = fun _ -> ()) t ~seq op =
   let head = t.nodes.(head_id t) in
   if not head.up then failwith "Async_chain.cluster_commit: head is down";
   enter t head;
-  let payload = envelope ~seq op in
+  let payload = envelope t ~seq op in
   let committed_now =
     match head.cluster_tx with
     | Some (s, tx) when s = seq ->
@@ -713,7 +726,7 @@ let cluster_redrive t ~seq op =
   let head = t.nodes.(head_id t) in
   if head.up && not head.removed then begin
     enter t head;
-    let payload = envelope ~seq op in
+    let payload = envelope t ~seq op in
     execute head ~seq op;
     (match Membership.successor t.membership head.id with
     | Some _ -> record_inflight head ~seq payload

@@ -69,7 +69,8 @@ type mode =
 type recovery_fault = No_fault | Drop_inflight_on_reboot
 
 (** A persistent queue slot decoded to garbage (bit rot under a valid
-    queue checksum): surfaced with the replica and slot, never executed. *)
+    queue checksum): surfaced with the replica and the slot's queue
+    sequence number, never executed or re-sent. *)
 exception Corrupt_entry of { node : int; queue_seq : int; reason : string }
 
 type t
@@ -243,9 +244,11 @@ val kv_at : t -> int -> Kamino_kv.Kv.t
 
 val engine_at : t -> int -> Kamino_core.Engine.t
 
-(** White-box access to a replica's persistent input queue (corruption
-    tests). *)
+(** White-box access to a replica's persistent input and in-flight queues
+    (corruption tests). *)
 val input_queue : t -> int -> Opqueue.t
+
+val inflight_queue : t -> int -> Opqueue.t
 
 (** Every member of the current view holds the same committed contents. *)
 val replicas_consistent : t -> (unit, string) result

@@ -16,56 +16,60 @@ let rec apply_tx tx op kv =
 let apply op kv =
   Kamino_core.Engine.with_tx (Kv.engine kv) (fun tx -> apply_tx tx op kv)
 
-let rec encode op =
-  let buf = Buffer.create 32 in
-  let add_int n =
-    let b = Bytes.create 8 in
-    Bytes.set_int64_le b 0 (Int64.of_int n);
-    Buffer.add_bytes buf b
-  in
-  (match op with
-  | Put (k, v) ->
-      Buffer.add_char buf 'P';
-      add_int k;
-      add_int (String.length v);
-      Buffer.add_string buf v
+let rec encoded_size = function
+  | Put (_, v) | Append (_, v) -> 17 + String.length v
+  | Delete _ -> 9
+  | Batch ops -> List.fold_left (fun acc sub -> acc + 8 + encoded_size sub) 9 ops
+
+let add_int buf n = Buffer.add_int64_le buf (Int64.of_int n)
+
+let add_payload buf tag k v =
+  Buffer.add_char buf tag;
+  add_int buf k;
+  add_int buf (String.length v);
+  Buffer.add_string buf v
+
+let rec add_encoded buf = function
+  | Put (k, v) -> add_payload buf 'P' k v
   | Delete k ->
       Buffer.add_char buf 'D';
-      add_int k
-  | Append (k, v) ->
-      Buffer.add_char buf 'A';
-      add_int k;
-      add_int (String.length v);
-      Buffer.add_string buf v
+      add_int buf k
+  | Append (k, v) -> add_payload buf 'A' k v
   | Batch ops ->
       Buffer.add_char buf 'B';
-      add_int (List.length ops);
+      add_int buf (List.length ops);
       List.iter
         (fun sub ->
-          let s = encode sub in
-          add_int (String.length s);
-          Buffer.add_string buf s)
-        ops);
+          add_int buf (encoded_size sub);
+          add_encoded buf sub)
+        ops
+
+let encode op =
+  let buf = Buffer.create (encoded_size op) in
+  add_encoded buf op;
   Buffer.contents buf
 
 exception Decode_error of string
 
 let fail () = raise (Decode_error "Op.decode: malformed command")
 
-let rec decode s =
-  let len = String.length s in
-  if len < 9 then fail ();
-  let int_at off = Int64.to_int (String.get_int64_le s off) in
-  let key = int_at 1 in
-  let with_payload mk =
-    if len < 17 then fail ();
-    let n = int_at 9 in
-    if n < 0 || 17 + n <> len then fail ();
-    mk key (String.sub s 17 n)
-  in
-  match s.[0] with
-  | 'P' -> with_payload (fun k v -> Put (k, v))
-  | 'A' -> with_payload (fun k v -> Append (k, v))
+let int_at b off = Int64.to_int (Bytes.get_int64_le b off)
+
+let value_at b pos len =
+  if len < 17 then fail ();
+  let n = int_at b (pos + 9) in
+  if n < 0 || 17 + n <> len then fail ();
+  Bytes.sub_string b (pos + 17) n
+
+(* Every read below stays inside [pos, pos + len), which the entry check
+   keeps inside [b]: a malformed command can only fail, never read past
+   its bytes. Only values are copied out. *)
+let rec decode_sub b pos len =
+  if pos < 0 || len < 9 || pos > Bytes.length b - len then fail ();
+  let key = int_at b (pos + 1) in
+  match Bytes.get b pos with
+  | 'P' -> Put (key, value_at b pos len)
+  | 'A' -> Append (key, value_at b pos len)
   | 'D' -> if len <> 9 then fail () else Delete key
   | 'B' ->
       let count = key in
@@ -74,13 +78,15 @@ let rec decode s =
         if n = 0 then if off <> len then fail () else List.rev acc
         else begin
           if off + 8 > len then fail ();
-          let sl = int_at off in
-          if sl < 0 || off + 8 + sl > len then fail ();
-          subs (off + 8 + sl) (n - 1) (decode (String.sub s (off + 8) sl) :: acc)
+          let sl = int_at b (pos + off) in
+          if sl < 0 || sl > len - off - 8 then fail ();
+          subs (off + 8 + sl) (n - 1) (decode_sub b (pos + off + 8) sl :: acc)
         end
       in
       Batch (subs 9 count [])
   | _ -> fail ()
+
+let decode s = decode_sub (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let equal a b = a = b
 

@@ -28,6 +28,10 @@ val apply_tx : Kamino_core.Engine.tx -> t -> Kamino_kv.Kv.t -> unit
 (** [encode op] — wire bytes (tag, key, payload). *)
 val encode : t -> string
 
+(** [add_encoded buf op] appends [encode op] to [buf] without building
+    the intermediate string. *)
+val add_encoded : Buffer.t -> t -> unit
+
 (** Raised by {!decode} on malformed wire bytes — a dedicated exception so
     callers (and tests) don't conflate wire corruption with the generic
     [Failure] any library function may raise. *)
@@ -35,6 +39,13 @@ exception Decode_error of string
 
 (** [decode s] — inverse of [encode]. Raises {!Decode_error} on garbage. *)
 val decode : string -> t
+
+(** [decode_sub b pos len] decodes the command in [b.[pos .. pos+len)] in
+    place: tag, key and lengths are read where they lie and only values
+    are copied out. Every read is bounds-checked against that range (and
+    the range against [b]), so garbage raises {!Decode_error} and nothing
+    else. *)
+val decode_sub : bytes -> int -> int -> t
 
 val equal : t -> t -> bool
 

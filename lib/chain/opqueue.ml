@@ -1,5 +1,16 @@
 module Region = Kamino_nvm.Region
 
+exception Corrupt of string
+
+module Slot = struct
+  type t = { buf : bytes; mutable seq : int; mutable len : int }
+
+  let seq s = s.seq
+  let length s = s.len
+  let bytes s = s.buf
+  let to_string s = Bytes.sub_string s.buf 0 s.len
+end
+
 type t = {
   region : Region.t;
   slot_bytes : int;
@@ -9,6 +20,14 @@ type t = {
      at open. *)
   mutable head : int;
   mutable tail : int;
+  (* Scratch reused by every load and store: [slot.buf] receives a
+     slot's payload, [check] a computed checksum and [stored] the one read
+     back. [some_slot] is [Some slot], built once so that [peek] returns it
+     without allocating. *)
+  slot : Slot.t;
+  some_slot : Slot.t option;
+  check : bytes;
+  stored : bytes;
 }
 
 let magic_value = 0x4B544F505155455FL (* "KTOPQUE_" *)
@@ -31,14 +50,41 @@ let slot_stride t = slot_header + t.slot_bytes
 
 let slot_off t seq = t.slots_start + (seq mod t.n_slots * slot_stride t)
 
-let check_of ~seq ~payload =
+(* FNV-style fold of [src.[0 .. len)] under [seq], stored little-endian at
+   [dst.[0 .. 8)]. A plain loop keeps the int64 accumulator unboxed, and
+   storing the result (rather than returning it) keeps the caller's
+   comparison unboxed too. *)
+let check_into dst ~seq src len =
   let acc = ref (Int64.of_int (seq lxor 0x5EED)) in
-  String.iter
-    (fun c -> acc := Int64.add (Int64.mul !acc 1099511628211L) (Int64.of_int (Char.code c + 1)))
-    payload;
-  Int64.add !acc 0x5A17EDL
+  for i = 0 to len - 1 do
+    acc :=
+      Int64.add
+        (Int64.mul !acc 1099511628211L)
+        (Int64.of_int (Char.code (Bytes.unsafe_get src i) + 1))
+  done;
+  Bytes.set_int64_le dst 0 (Int64.add !acc 0x5A17EDL)
+
+let checksum ~seq payload =
+  let b = Bytes.create 8 in
+  check_into b ~seq (Bytes.unsafe_of_string payload) (String.length payload);
+  Bytes.get_int64_le b 0
 
 let config_of ~slot_bytes ~n_slots = Int64.of_int ((slot_bytes * 31) + (n_slots * 7) + 5)
+
+let make region ~slot_bytes ~n_slots ~head ~tail =
+  let slot = { Slot.buf = Bytes.create slot_bytes; seq = 0; len = 0 } in
+  {
+    region;
+    slot_bytes;
+    n_slots;
+    slots_start = header_size;
+    head;
+    tail;
+    slot;
+    some_slot = Some slot;
+    check = Bytes.create 8;
+    stored = Bytes.create 8;
+  }
 
 let format region ~slot_bytes ~n_slots =
   if Region.size region < required_size ~slot_bytes ~n_slots then
@@ -51,42 +97,47 @@ let format region ~slot_bytes ~n_slots =
   Region.write_int region 32 slot_bytes;
   Region.write_int region 40 n_slots;
   Region.persist region 0 header_size;
-  { region; slot_bytes; n_slots; slots_start = header_size; head = 0; tail = 0 }
+  make region ~slot_bytes ~n_slots ~head:0 ~tail:0
 
-let read_entry t seq =
+(* Load slot [seq] into [t.slot] and validate it. The loads (seq, length,
+   payload, checksum, with those byte counts and in that order) are the
+   whole simulated cost of reading an entry. *)
+let load t seq =
   let off = slot_off t seq in
-  let stored_seq = Region.read_int t.region (off + s_seq) in
-  if stored_seq <> seq then None
-  else begin
-    let len = Region.read_int t.region (off + s_len) in
-    if len < 0 || len > t.slot_bytes then None
-    else begin
-      let payload = Region.read_string t.region (off + slot_header) len in
-      if Region.read_int64 t.region (off + s_check) <> check_of ~seq ~payload then None
-      else Some payload
-    end
-  end
+  Region.read_int t.region (off + s_seq) = seq
+  &&
+  let len = Region.read_int t.region (off + s_len) in
+  len >= 0
+  && len <= t.slot_bytes
+  &&
+  let s = t.slot in
+  Region.read_into t.region (off + slot_header) s.buf 0 len;
+  Region.read_into t.region (off + s_check) t.stored 0 8;
+  check_into t.check ~seq s.buf len;
+  (Bytes.get_int64_le t.check 0 : int64) = Bytes.get_int64_le t.stored 0
+  && begin
+       s.seq <- seq;
+       s.len <- len;
+       true
+     end
 
 let open_existing region =
   if Region.read_int64 region magic_off <> magic_value then
-    failwith "Opqueue.open_existing: bad magic";
+    raise (Corrupt "Opqueue.open_existing: bad magic");
   let slot_bytes = Region.read_int region 32 in
   let n_slots = Region.read_int region 40 in
-  if Region.read_int64 region config_off <> config_of ~slot_bytes ~n_slots then
-    failwith "Opqueue.open_existing: corrupt configuration";
+  if
+    Region.read_int64 region config_off <> config_of ~slot_bytes ~n_slots
+    || slot_bytes < 0 || n_slots <= 0
+    || Region.size region < required_size ~slot_bytes ~n_slots
+  then raise (Corrupt "Opqueue.open_existing: corrupt configuration");
   let t =
-    {
-      region;
-      slot_bytes;
-      n_slots;
-      slots_start = header_size;
-      head = Region.read_int region head_off;
-      tail = Region.read_int region tail_off;
-    }
+    make region ~slot_bytes ~n_slots ~head:(Region.read_int region head_off)
+      ~tail:(Region.read_int region tail_off)
   in
   (* The persistent tail never points past a torn entry (entries persist
      before the tail), but be defensive: validate the window. *)
-  let rec trim seq = if seq < t.tail && read_entry t seq <> None then trim (seq + 1) else seq in
+  let rec trim seq = if seq < t.tail && load t seq then trim (seq + 1) else seq in
   t.tail <- trim t.head;
   t
 
@@ -102,26 +153,32 @@ let tail_seq t = t.tail
 
 let enqueue t payload =
   if is_full t then failwith "Opqueue.enqueue: queue full";
-  if String.length payload > t.slot_bytes then failwith "Opqueue.enqueue: payload too large";
+  let len = String.length payload in
+  if len > t.slot_bytes then failwith "Opqueue.enqueue: payload too large";
   let seq = t.tail in
   let off = slot_off t seq in
   Region.write_int t.region (off + s_seq) seq;
-  Region.write_int t.region (off + s_len) (String.length payload);
-  Region.write_int64 t.region (off + s_check) (check_of ~seq ~payload);
+  Region.write_int t.region (off + s_len) len;
+  check_into t.check ~seq (Bytes.unsafe_of_string payload) len;
+  Region.write_bytes t.region (off + s_check) t.check;
   Region.write_string t.region (off + slot_header) payload;
-  Region.persist t.region off (slot_header + String.length payload);
+  Region.persist t.region off (slot_header + len);
   (* Publish: single-word tail update. *)
   t.tail <- seq + 1;
   Region.write_int t.region tail_off t.tail;
   Region.persist t.region tail_off 8;
   seq
 
+let load_published t seq what =
+  if not (load t seq) then
+    raise (Corrupt (Printf.sprintf "Opqueue.%s: corrupt published entry %d" what seq))
+
 let peek t =
   if is_empty t then None
-  else
-    match read_entry t t.head with
-    | Some payload -> Some (t.head, payload)
-    | None -> failwith "Opqueue.peek: corrupt published entry"
+  else begin
+    load_published t t.head "peek";
+    t.some_slot
+  end
 
 let advance_head t seq =
   t.head <- seq;
@@ -131,16 +188,17 @@ let advance_head t seq =
 let dequeue t =
   match peek t with
   | None -> None
-  | Some (seq, payload) ->
-      advance_head t (seq + 1);
-      Some (seq, payload)
+  | Some s as r ->
+      advance_head t (s.Slot.seq + 1);
+      r
 
 let drop_through t seq =
   if seq >= t.head then advance_head t (min (seq + 1) t.tail)
 
+let digest t = Region.digest t.region
+
 let iter t f =
   for seq = t.head to t.tail - 1 do
-    match read_entry t seq with
-    | Some payload -> f ~seq ~payload
-    | None -> failwith "Opqueue.iter: corrupt published entry"
+    load_published t seq "iter";
+    f t.slot
   done

@@ -14,6 +14,39 @@
 
 type t
 
+(** A persisted queue image that cannot be read back: a bad magic word, a
+    configuration that fails its check word or describes an impossible
+    geometry, or a published entry (inside
+    the head..tail window) whose checksum no longer matches. Torn
+    {e unpublished} entries are not corruption: [open_existing] trims
+    them. *)
+exception Corrupt of string
+
+(** A read-only view of one validated entry. It lives in its queue's
+    scratch buffer, so reading an entry copies nothing out of the queue
+    beyond that buffer, and the view is overwritten by the next
+    [peek]/[dequeue]/[iter] on the same queue: copy out ({!Slot.to_string})
+    whatever must outlive it. *)
+module Slot : sig
+  type t
+
+  (** The entry's queue sequence number. *)
+  val seq : t -> int
+
+  (** Payload length in bytes. *)
+  val length : t -> int
+
+  (** The scratch buffer; the payload is its first [length] bytes. Callers
+      must not write to it. *)
+  val bytes : t -> bytes
+
+  (** A fresh copy of the payload. *)
+  val to_string : t -> string
+end
+
+(** [checksum ~seq payload] — the persisted check word of an entry. *)
+val checksum : seq:int -> string -> int64
+
 (** [required_size ~slot_bytes ~n_slots]. *)
 val required_size : slot_bytes:int -> n_slots:int -> int
 
@@ -21,7 +54,8 @@ val required_size : slot_bytes:int -> n_slots:int -> int
     command. *)
 val format : Kamino_nvm.Region.t -> slot_bytes:int -> n_slots:int -> t
 
-(** Reopen after a crash; drops any torn (unpublished) tail entry. *)
+(** Reopen after a crash; drops any torn (unpublished) tail entry. Raises
+    {!Corrupt} on a bad magic word or configuration. *)
 val open_existing : Kamino_nvm.Region.t -> t
 
 val length : t -> int
@@ -41,16 +75,24 @@ val tail_seq : t -> int
     size. *)
 val enqueue : t -> string -> int
 
-(** [peek t] — oldest entry, as [(seq, payload)]. *)
-val peek : t -> (int * string) option
+(** [peek t] — a view of the oldest entry. Allocation-free: the option is
+    built once per queue. Raises {!Corrupt} if the entry fails validation. *)
+val peek : t -> Slot.t option
 
-(** [dequeue t] durably removes and returns the oldest entry. *)
-val dequeue : t -> (int * string) option
+(** [dequeue t] re-validates the oldest entry (the same loads as [peek]),
+    durably removes it and returns its view. *)
+val dequeue : t -> Slot.t option
 
 (** [drop_through t seq] durably removes every entry with sequence [<= seq]
     — the §5.1 cleanup acknowledgments garbage-collecting the in-flight
     queue. *)
 val drop_through : t -> int -> unit
 
-(** [iter t f] visits queued entries oldest-first as [f ~seq ~payload]. *)
-val iter : t -> (seq:int -> payload:string -> unit) -> unit
+(** [iter t f] visits queued entries oldest-first. Raises {!Corrupt} on an
+    entry that fails validation. *)
+val iter : t -> (Slot.t -> unit) -> unit
+
+(** [digest t] fingerprints the queue's region (volatile and persistent
+    images) without charging any simulated cost — a determinism oracle
+    for the queue's persisted format. *)
+val digest : t -> string
