@@ -1,0 +1,99 @@
+(* Pinned per-seed outcomes of the chaos explorer. Every campaign is a
+   pure function of its flags, so a refactor of the harness must leave
+   these numbers exactly as they are. The test drives the [kamino] CLI
+   rather than the library, so the pins do not depend on the harness's
+   OCaml API: the same file checks the code before and after a rework. *)
+
+let cli = "../bin/kamino_cli.exe"
+
+let run_cli args =
+  let out = Filename.temp_file "kamino-pins" ".txt" in
+  let rc = Sys.command (Printf.sprintf "%s %s > %s" cli args (Filename.quote out)) in
+  let ic = open_in out in
+  let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+  close_in ic;
+  Sys.remove out;
+  (rc, List.filter (fun l -> l <> "") lines)
+
+(* (seed, verdict, events, submitted, acked, reads, stale drops,
+   survivor count) of [explore] with the default 40 ops and 6 faults. *)
+let chain_pins =
+  [
+    ( "kamino",
+      [
+        (1, "PASS", 200, 23, 23, 17, 25, 2);
+        (2, "PASS", 282, 26, 26, 14, 1, 4);
+        (3, "PASS", 300, 22, 22, 18, 2, 4);
+        (4, "PASS", 259, 25, 24, 15, 20, 3);
+        (5, "PASS", 231, 25, 25, 15, 13, 3);
+        (6, "PASS", 202, 23, 23, 17, 12, 3);
+        (7, "PASS", 301, 29, 25, 11, 69, 2);
+        (8, "PASS", 285, 22, 22, 18, 28, 3);
+      ] );
+    ( "traditional",
+      [
+        (1, "PASS", 94, 23, 6, 17, 23, 2);
+        (2, "PASS", 275, 26, 26, 14, 1, 3);
+        (3, "PASS", 206, 22, 22, 18, 2, 3);
+        (4, "PASS", 215, 25, 25, 15, 25, 2);
+        (5, "PASS", 205, 25, 25, 15, 27, 2);
+        (6, "PASS", 147, 23, 23, 17, 29, 2);
+        (7, "PASS", 190, 29, 29, 11, 16, 2);
+        (8, "PASS", 137, 22, 12, 18, 47, 2);
+      ] );
+  ]
+
+(* (seed, events, fingerprint) of the default 3-shard cluster campaign. *)
+let cluster_pins =
+  [
+    (1, 204, "8916400223a2382b703ece31623daed3");
+    (2, 205, "7ddea3ddc6b5e8f3a6aea3f7f5947746");
+    (3, 175, "762d8b3fb6e858c559e55dc0071cb85b");
+    (4, 195, "9fd9225ca94d8c28b845d0f9b17728c5");
+  ]
+
+let test_chain_pins () =
+  List.iter
+    (fun (mode, pins) ->
+      let rc, lines = run_cli ("chaos --sweep 8 --seed 1 --mode " ^ mode) in
+      Alcotest.(check int) (mode ^ ": sweep exit code") 0 rc;
+      List.iter2
+        (fun (seed, verdict, events, submitted, acked, reads, stale, survivors) line ->
+          let want =
+            Printf.sprintf
+              "seed %d: %s (%d events, %d/%d acked, %d reads, %d stale drops, %d \
+               survivors)"
+              seed verdict events acked submitted reads stale survivors
+          in
+          Alcotest.(check string) (Printf.sprintf "%s seed %d" mode seed) want line)
+        pins
+        (List.filteri (fun i _ -> i < List.length pins) lines))
+    chain_pins
+
+let test_cluster_pins () =
+  List.iter
+    (fun (seed, events, fingerprint) ->
+      let rc, lines = run_cli (Printf.sprintf "cluster --seed %d" seed) in
+      Alcotest.(check int) (Printf.sprintf "seed %d: exit code" seed) 0 rc;
+      match lines with
+      | _verdict :: summary :: fp :: _ ->
+          Alcotest.(check int)
+            (Printf.sprintf "seed %d: events" seed)
+            events
+            (Scanf.sscanf summary " %d events" Fun.id);
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d: fingerprint" seed)
+            ("  fingerprint " ^ fingerprint)
+            fp
+      | _ -> Alcotest.failf "seed %d: unexpected output:\n%s" seed (String.concat "\n" lines))
+    cluster_pins
+
+let () =
+  Alcotest.run "chaos-pins"
+    [
+      ( "outcomes",
+        [
+          Alcotest.test_case "chain campaign, seeds 1-8, both modes" `Quick test_chain_pins;
+          Alcotest.test_case "cluster campaign, seeds 1-4" `Quick test_cluster_pins;
+        ] );
+    ]
