@@ -267,20 +267,21 @@ let on_view_change t s () =
       Async.cluster_redrive t.chains.(s) ~seq:p.p_seq p.p_op)
     (List.sort (fun a b -> compare a.p_seq b.p_seq) !due)
 
-let create ?(engine_config = Engine.default_config) ?(hop_ns = 5000)
+let create ?(engine_config = Engine.default_config) ?obs ?(hop_ns = 5000)
     ?(rpc_ns = 1000) ?(promote_ns = 50_000) ?(retry_ns = 10_000)
-    ?(queue_slots = 256) ~shards ~f ~value_size ~node_size ~seed () =
+    ?(queue_slots = 256) ?slot_bytes ?(mode = Async.Kamino_chain { alpha = None })
+    ~shards ~f ~value_size ~node_size ~seed () =
   if shards <= 0 then invalid_arg "Cluster.create: shards must be positive";
   let sim = Sim.create () in
+  (* Slots must hold a [Op.Batch] slice of a multi_put — up to four
+     sub-ops of up to [value_size] bytes each, plus framing. *)
+  let slot_bytes =
+    Option.value slot_bytes ~default:(16 + (4 * (value_size + 96)))
+  in
   let chains =
     Array.init shards (fun s ->
-        (* Slots must hold a [Op.Batch] slice of a multi_put — up to four
-           sub-ops of up to [value_size] bytes each, plus framing. *)
-        Async.create ~sim ~engine_config ~hop_ns ~rpc_ns ~promote_ns
-          ~queue_slots
-          ~slot_bytes:(16 + (4 * (value_size + 96)))
-          ~mode:(Async.Kamino_chain { alpha = None })
-          ~f ~value_size ~node_size
+        Async.create ~sim ~engine_config ?obs ~hop_ns ~rpc_ns ~promote_ns
+          ~queue_slots ~slot_bytes ~mode ~f ~value_size ~node_size
           ~seed:(seed + (1000 * s)) ())
   in
   let clock = Clock.create () in

@@ -34,14 +34,23 @@ type t
 (** [create ~shards ~f ...] builds [shards] chains of f+2 Kamino replicas
     each, all driven by one shared simulation, plus the persistent
     cross-chain commit marker. [retry_ns] is the coordinator's back-off
-    when a participant's head is mid-promotion and cannot prepare. *)
+    when a participant's head is mid-promotion and cannot prepare.
+    [mode] (default [Kamino_chain { alpha = None }]) is every chain's
+    replication mode; [Traditional] chains have f+1 replicas and cannot
+    prepare, so they take no cross-shard multi_put. [slot_bytes] (default sized for a four-key
+    multi_put slice) is each replica's queue slot size. [obs] (default
+    {!Kamino_obs.Obs.null}) is handed to every chain; the chains number
+    their tracks alike, so a trace of several shards overlays them. *)
 val create :
   ?engine_config:Kamino_core.Engine.config ->
+  ?obs:Kamino_obs.Obs.t ->
   ?hop_ns:int ->
   ?rpc_ns:int ->
   ?promote_ns:int ->
   ?retry_ns:int ->
   ?queue_slots:int ->
+  ?slot_bytes:int ->
+  ?mode:Async.mode ->
   shards:int ->
   f:int ->
   value_size:int ->

@@ -6,7 +6,7 @@
 module Engine = Kamino_core.Engine
 module Op = Kamino_chain.Op
 module Async = Kamino_chain.Async_chain
-module Chaos = Kamino_chaos.Chaos
+module Cchaos = Kamino_chaos.Cluster_chaos
 
 (* --- bounded exploration --------------------------------------------------- *)
 
@@ -18,15 +18,15 @@ let test_bounded_sweep () =
   List.iter
     (fun mode ->
       for seed = 1 to 250 do
-        let o = Chaos.explore ~mode ~seed () in
-        (match o.Chaos.verdict with
+        let o = Cchaos.explore (Cchaos.Chain_campaign mode) ~seed () in
+        (match o.Cchaos.verdict with
         | Ok () -> ()
         | Error e ->
-            Alcotest.failf "mode %s seed %d failed: %s\n%s" (Chaos.mode_name mode) seed e
-              o.Chaos.history);
+            Alcotest.failf "mode %s seed %d failed: %s\n%s" (Cchaos.mode_name mode) seed e
+              o.Cchaos.history);
         incr explored;
         Hashtbl.replace seen
-          (Chaos.mode_name mode ^ "\n" ^ Chaos.schedule_to_string o.Chaos.schedule)
+          (Cchaos.mode_name mode ^ "\n" ^ Cchaos.schedule_to_string o.Cchaos.schedule)
           ()
       done)
     [ Async.Traditional; Async.Kamino_chain { alpha = None } ];
@@ -39,23 +39,23 @@ let test_bounded_sweep () =
 let test_deterministic_replay () =
   List.iter
     (fun mode ->
-      let a = Chaos.explore ~mode ~seed:17 () in
-      let b = Chaos.explore ~mode ~seed:17 () in
+      let a = Cchaos.explore (Cchaos.Chain_campaign mode) ~seed:17 () in
+      let b = Cchaos.explore (Cchaos.Chain_campaign mode) ~seed:17 () in
       Alcotest.(check string)
-        (Chaos.mode_name mode ^ ": byte-identical history")
-        a.Chaos.history b.Chaos.history;
+        (Cchaos.mode_name mode ^ ": byte-identical history")
+        a.Cchaos.history b.Cchaos.history;
       Alcotest.(check bool)
-        (Chaos.mode_name mode ^ ": same verdict")
+        (Cchaos.mode_name mode ^ ": same verdict")
         true
-        (a.Chaos.verdict = b.Chaos.verdict);
+        (a.Cchaos.verdict = b.Cchaos.verdict);
       (* Replaying the recorded schedule through [run] reproduces the
          faulted half of the explore exactly. *)
       let c =
-        Chaos.run ~mode ~seed:17 ~ops:a.Chaos.ops ~schedule:a.Chaos.schedule ()
+        Cchaos.run (Cchaos.Chain_campaign mode) ~seed:17 ~ops:a.Cchaos.ops ~schedule:a.Cchaos.schedule ()
       in
       Alcotest.(check string)
-        (Chaos.mode_name mode ^ ": replay from schedule")
-        a.Chaos.history c.Chaos.history)
+        (Cchaos.mode_name mode ^ ": replay from schedule")
+        a.Cchaos.history c.Cchaos.history)
     [ Async.Traditional; Async.Kamino_chain { alpha = None } ]
 
 (* --- oracle self-test ------------------------------------------------------ *)
@@ -70,8 +70,8 @@ let test_broken_recovery_caught () =
   let failing = ref None in
   let seed = ref 1 in
   while !failing = None && !seed <= 60 do
-    let o = Chaos.explore ~recovery_fault ~mode ~seed:!seed () in
-    (match o.Chaos.verdict with
+    let o = Cchaos.explore ~recovery_fault (Cchaos.Chain_campaign mode) ~seed:!seed () in
+    (match o.Cchaos.verdict with
     | Error _ -> failing := Some o
     | Ok () -> ());
     incr seed
@@ -79,33 +79,35 @@ let test_broken_recovery_caught () =
   match !failing with
   | None -> Alcotest.fail "broken recovery never caught in 60 seeds"
   | Some o ->
-      (match o.Chaos.verdict with
+      (* The chain campaign is shard 0 of a 1-shard cluster. *)
+      let prefix = "shard 0: durable-prefix" in
+      (match o.Cchaos.verdict with
       | Error e ->
           Alcotest.(check bool)
             ("durable-prefix oracle named: " ^ e)
             true
-            (String.length e >= 14 && String.sub e 0 14 = "durable-prefix")
+            (String.starts_with ~prefix e)
       | Ok () -> assert false);
       let shrunk =
-        Chaos.shrink ~recovery_fault ~mode ~seed:o.Chaos.seed ~ops:o.Chaos.ops
-          o.Chaos.schedule
+        Cchaos.shrink ~recovery_fault (Cchaos.Chain_campaign mode) ~seed:o.Cchaos.seed ~ops:o.Cchaos.ops
+          o.Cchaos.schedule
       in
       Alcotest.(check bool)
         (Printf.sprintf "shrunk to %d fault(s) (want <= 5)" (List.length shrunk))
         true
         (List.length shrunk <= 5);
       let replay =
-        Chaos.run ~recovery_fault ~mode ~seed:o.Chaos.seed ~ops:o.Chaos.ops
+        Cchaos.run ~recovery_fault (Cchaos.Chain_campaign mode) ~seed:o.Cchaos.seed ~ops:o.Cchaos.ops
           ~schedule:shrunk ()
       in
-      Alcotest.(check bool) "shrunk schedule still fails" true (replay.Chaos.verdict <> Ok ());
+      Alcotest.(check bool) "shrunk schedule still fails" true (replay.Cchaos.verdict <> Ok ());
       (* The same shrunk schedule under a correct recovery passes: the
          fault is in the mutated protocol, not in the oracle. *)
       let healthy =
-        Chaos.run ~mode ~seed:o.Chaos.seed ~ops:o.Chaos.ops ~schedule:shrunk ()
+        Cchaos.run (Cchaos.Chain_campaign mode) ~seed:o.Cchaos.seed ~ops:o.Cchaos.ops ~schedule:shrunk ()
       in
       Alcotest.(check bool) "correct recovery passes the same schedule" true
-        (healthy.Chaos.verdict = Ok ())
+        (healthy.Cchaos.verdict = Ok ())
 
 (* --- §5.2: crash during head promotion ------------------------------------- *)
 
@@ -182,22 +184,50 @@ let test_stale_probe_dropped () =
 
 (* --- schedule serialization ------------------------------------------------ *)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn > 0 && go 0
+
 let test_schedule_roundtrip () =
-  let schedule = Chaos.gen_schedule ~seed:9 ~faults:12 ~nodes:4 ~events:300 in
+  let kamino = Cchaos.Chain_campaign (Async.Kamino_chain { alpha = None }) in
+  let schedule = Cchaos.gen_schedule kamino ~seed:9 ~faults:12 ~events:300 ~multis:0 in
   Alcotest.(check int) "drew the requested faults" 12 (List.length schedule);
-  (match Chaos.schedule_of_string (Chaos.schedule_to_string schedule) with
+  (match Cchaos.schedule_of_string (Cchaos.schedule_to_string schedule) with
   | Ok parsed ->
       Alcotest.(check bool) "roundtrip preserves the schedule" true (parsed = schedule)
   | Error e -> Alcotest.failf "roundtrip failed to parse: %s" e);
-  (* Comments and blank lines are tolerated; junk is rejected with a line
+  (* Comments and blank lines are tolerated; a line without [shard=] (the
+     single-chain format) addresses shard 0; junk is rejected with a line
      number. *)
-  (match Chaos.schedule_of_string "# header\n\nreboot node=1 at-event=5 downtime-ns=0\n" with
-  | Ok [ Chaos.Reboot { node = 1; at_event = 5; downtime_ns = 0 } ] -> ()
+  (match Cchaos.schedule_of_string "# header\n\nreboot node=1 at-event=5 downtime-ns=0\n" with
+  | Ok [ Cchaos.Reboot { shard = 0; node = 1; at_event = 5; downtime_ns = 0 } ] -> ()
   | Ok _ -> Alcotest.fail "parsed into the wrong schedule"
   | Error e -> Alcotest.failf "failed to parse commented schedule: %s" e);
-  match Chaos.schedule_of_string "reboot node=1\n" with
+  (match Cchaos.schedule_of_string "reboot node=1\n" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted a schedule missing fields"
+  | Ok _ -> Alcotest.fail "accepted a schedule missing fields");
+  (* A negative downtime used to reach [Clock.advance] and crash the run. *)
+  (match
+     Cchaos.schedule_of_string
+       "fail-stop node=2 at-event=9\nreboot node=1 at-event=40 downtime-ns=-50000\n"
+   with
+  | Error e ->
+      Alcotest.(check bool) ("line-numbered rejection: " ^ e) true
+        (String.starts_with ~prefix:"line 2: " e)
+  | Ok _ -> Alcotest.fail "accepted a negative downtime");
+  (* A shard the campaign does not have is a deterministic skip. *)
+  match Cchaos.schedule_of_string "reboot shard=1 node=0 at-event=5 downtime-ns=0\n" with
+  | Error e -> Alcotest.failf "failed to parse a shard-addressed fault: %s" e
+  | Ok schedule ->
+      let faulted = Cchaos.run kamino ~seed:3 ~ops:12 ~schedule () in
+      let clean = Cchaos.run kamino ~seed:3 ~ops:12 ~schedule:[] () in
+      Alcotest.(check bool) "out-of-range shard skipped" true
+        (contains faulted.Cchaos.history
+           "reboot shard=1 node=0 at-event=5 downtime-ns=0 -> skipped");
+      Alcotest.(check bool) "skipped fault passes" true (faulted.Cchaos.verdict = Ok ());
+      Alcotest.(check int) "skipped fault leaves the run alone" clean.Cchaos.events
+        faulted.Cchaos.events
 
 let () =
   Alcotest.run "chaos"

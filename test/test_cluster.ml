@@ -41,6 +41,11 @@ let cross_shard_keys c =
 
 (* --- bounded exploration --------------------------------------------------- *)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn > 0 && go 0
+
 (* The acceptance budget: >= 500 distinct seeded schedules over the
    3-shard cluster, every run green under the durable-prefix, atomicity,
    linearizability and quiescence oracles — and the sweep must actually
@@ -49,13 +54,8 @@ let cross_shard_keys c =
 let test_bounded_sweep () =
   let seen = Hashtbl.create 1024 in
   let prepare_fired = ref 0 and marker_fired = ref 0 in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    nn > 0 && go 0
-  in
   for seed = 1 to 500 do
-    let o = Cchaos.explore ~seed () in
+    let o = Cchaos.explore Cchaos.Cluster_campaign ~seed () in
     (match o.Cchaos.verdict with
     | Ok () -> ()
     | Error e -> Alcotest.failf "seed %d failed: %s\n%s" seed e o.Cchaos.history);
@@ -77,16 +77,20 @@ let test_bounded_sweep () =
     true (!marker_fired >= 10)
 
 let test_deterministic_replay () =
-  let a = Cchaos.explore ~seed:23 () in
-  let b = Cchaos.explore ~seed:23 () in
+  let a = Cchaos.explore Cchaos.Cluster_campaign ~seed:23 () in
+  let b = Cchaos.explore Cchaos.Cluster_campaign ~seed:23 () in
   Alcotest.(check string) "byte-identical history" a.Cchaos.history b.Cchaos.history;
-  Alcotest.(check string) "identical fingerprint" a.Cchaos.fingerprint
-    b.Cchaos.fingerprint;
+  Alcotest.(check string) "identical fingerprint"
+    (Lazy.force a.Cchaos.fingerprint)
+    (Lazy.force b.Cchaos.fingerprint);
   let c =
-    Cchaos.run ~seed:23 ~ops:a.Cchaos.ops ~schedule:a.Cchaos.schedule ()
+    Cchaos.run Cchaos.Cluster_campaign ~seed:23 ~ops:a.Cchaos.ops ~schedule:a.Cchaos.schedule ()
   in
   Alcotest.(check string) "replay from recorded schedule" a.Cchaos.history
-    c.Cchaos.history
+    c.Cchaos.history;
+  Alcotest.(check string) "replay reproduces the fingerprint"
+    (Lazy.force a.Cchaos.fingerprint)
+    (Lazy.force c.Cchaos.fingerprint)
 
 (* --- oracle self-test ------------------------------------------------------ *)
 
@@ -102,7 +106,7 @@ let test_broken_recovery_caught () =
      reboot drops a node's in-flight window and a later repair on the same
      shard needs it. *)
   while !failing = None && !seed <= 60 do
-    let o = Cchaos.explore ~recovery_fault ~ops:40 ~faults:12 ~seed:!seed () in
+    let o = Cchaos.explore ~recovery_fault ~ops:40 ~faults:12 Cchaos.Cluster_campaign ~seed:!seed () in
     (match o.Cchaos.verdict with
     | Error _ -> failing := Some o
     | Ok () -> ());
@@ -112,7 +116,7 @@ let test_broken_recovery_caught () =
   | None -> Alcotest.fail "broken recovery never caught in 60 seeds"
   | Some o ->
       let shrunk =
-        Cchaos.shrink ~recovery_fault ~seed:o.Cchaos.seed ~ops:o.Cchaos.ops
+        Cchaos.shrink ~recovery_fault Cchaos.Cluster_campaign ~seed:o.Cchaos.seed ~ops:o.Cchaos.ops
           o.Cchaos.schedule
       in
       Alcotest.(check bool)
@@ -120,13 +124,13 @@ let test_broken_recovery_caught () =
         true
         (List.length shrunk <= 5);
       let replay =
-        Cchaos.run ~recovery_fault ~seed:o.Cchaos.seed ~ops:o.Cchaos.ops
+        Cchaos.run ~recovery_fault Cchaos.Cluster_campaign ~seed:o.Cchaos.seed ~ops:o.Cchaos.ops
           ~schedule:shrunk ()
       in
       Alcotest.(check bool) "shrunk schedule still fails" true
         (replay.Cchaos.verdict <> Ok ());
       let healthy =
-        Cchaos.run ~seed:o.Cchaos.seed ~ops:o.Cchaos.ops ~schedule:shrunk ()
+        Cchaos.run Cchaos.Cluster_campaign ~seed:o.Cchaos.seed ~ops:o.Cchaos.ops ~schedule:shrunk ()
       in
       Alcotest.(check bool) "correct recovery passes the same schedule" true
         (healthy.Cchaos.verdict = Ok ())
@@ -300,12 +304,11 @@ let test_latency_percentiles () =
 (* --- serialization ---------------------------------------------------------- *)
 
 let test_schedule_roundtrip () =
-  let workload = Cchaos.gen_workload ~seed:31 ~ops:40 in
+  let workload = Cchaos.gen_workload Cchaos.Cluster_campaign ~seed:31 ~ops:40 in
   let multis = Cchaos.count_multis workload in
   Alcotest.(check bool) "workload draws multi_puts" true (multis >= 3);
   let schedule =
-    Cchaos.gen_schedule ~seed:31 ~faults:14 ~shards:Cchaos.cluster_shards
-      ~nodes_per_chain:Cchaos.nodes_per_chain ~events:400 ~multis
+    Cchaos.gen_schedule Cchaos.Cluster_campaign ~seed:31 ~faults:14 ~events:400 ~multis
   in
   Alcotest.(check int) "drew the requested faults" 14 (List.length schedule);
   (match Cchaos.schedule_of_string (Cchaos.schedule_to_string schedule) with
@@ -325,9 +328,31 @@ let test_schedule_roundtrip () =
       ()
   | Ok _ -> Alcotest.fail "parsed into the wrong schedule"
   | Error e -> Alcotest.failf "failed to parse commented schedule: %s" e);
-  match Cchaos.schedule_of_string "marker-head-fail cross=1\n" with
+  (match Cchaos.schedule_of_string "marker-head-fail cross=1\n" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted a schedule missing fields"
+  | Ok _ -> Alcotest.fail "accepted a schedule missing fields");
+  (* Negative values used to crash a run (an array index, [Clock.advance]);
+     the parser rejects them with the line number. *)
+  List.iter
+    (fun line ->
+      match Cchaos.schedule_of_string ("# bad\n" ^ line ^ "\n") with
+      | Error e ->
+          Alcotest.(check bool) ("line-numbered rejection: " ^ e) true
+            (String.starts_with ~prefix:"line 2: " e)
+      | Ok _ -> Alcotest.failf "accepted %S" line)
+    [
+      "reboot shard=-1 node=0 at-event=5 downtime-ns=0";
+      "reboot shard=0 node=1 at-event=40 downtime-ns=-50000";
+    ];
+  (* A shard at or above the campaign's count is a deterministic skip. *)
+  match Cchaos.schedule_of_string "reboot shard=3 node=0 at-event=5 downtime-ns=0\n" with
+  | Error e -> Alcotest.failf "failed to parse a shard-addressed fault: %s" e
+  | Ok schedule ->
+      let o = Cchaos.run Cchaos.Cluster_campaign ~seed:31 ~ops:20 ~schedule () in
+      Alcotest.(check bool) "out-of-range shard skipped" true
+        (contains o.Cchaos.history
+           "reboot shard=3 node=0 at-event=5 downtime-ns=0 -> skipped");
+      Alcotest.(check bool) "skipped fault passes" true (o.Cchaos.verdict = Ok ())
 
 let () =
   Alcotest.run "cluster"

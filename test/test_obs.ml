@@ -12,7 +12,7 @@ module Obs = Kamino_obs.Obs
 module Metrics = Kamino_obs.Metrics
 module Sink = Kamino_obs.Sink
 module Async = Kamino_chain.Async_chain
-module Chaos = Kamino_chaos.Chaos
+module Cchaos = Kamino_chaos.Cluster_chaos
 
 (* --- event ring ------------------------------------------------------------ *)
 
@@ -260,18 +260,32 @@ let test_differential_crash_recovery () =
 let test_differential_chaos () =
   List.iter
     (fun mode ->
-      let plain = Chaos.explore ~mode ~seed:17 () in
+      let plain = Cchaos.explore (Cchaos.Chain_campaign mode) ~seed:17 () in
       let obs = Obs.create () in
-      let traced = Chaos.explore ~obs ~mode ~seed:17 () in
+      let traced = Cchaos.explore ~obs (Cchaos.Chain_campaign mode) ~seed:17 () in
       Alcotest.(check bool) "tracer saw the run" true (Obs.total obs > 0);
+      (* One fault instant per applied fault, none per skipped one. *)
+      let instants = ref 0 in
+      Obs.iter obs (fun ~kind ~track:_ ~ts:_ ~dur:_ ~a:_ ~b:_ ~c:_ ->
+          if kind = Obs.k_fault then incr instants);
+      let applied =
+        String.split_on_char '\n' traced.Cchaos.history
+        |> List.filter (String.ends_with ~suffix:"-> applied")
+        |> List.length
+      in
+      Alcotest.(check bool) "no trace event dropped" true (Obs.dropped obs = 0);
+      Alcotest.(check bool) "some fault applied" true (applied > 0);
+      Alcotest.(check int)
+        (Cchaos.mode_name mode ^ ": one fault instant per applied fault")
+        applied !instants;
       Alcotest.(check string)
-        (Chaos.mode_name mode ^ ": byte-identical history")
-        plain.Chaos.history traced.Chaos.history;
+        (Cchaos.mode_name mode ^ ": byte-identical history")
+        plain.Cchaos.history traced.Cchaos.history;
       Alcotest.(check bool)
-        (Chaos.mode_name mode ^ ": same verdict and event count")
+        (Cchaos.mode_name mode ^ ": same verdict and event count")
         true
-        (plain.Chaos.verdict = traced.Chaos.verdict
-        && plain.Chaos.events = traced.Chaos.events))
+        (plain.Cchaos.verdict = traced.Cchaos.verdict
+        && plain.Cchaos.events = traced.Cchaos.events))
     [ Async.Traditional; Async.Kamino_chain { alpha = None } ]
 
 (* --- snapshot-read observability --------------------------------------------- *)
