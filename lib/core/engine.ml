@@ -611,8 +611,6 @@ let read_byte tx p field =
    the driver's per-client multiplexing), never the writer's. *)
 type snapshot = { s_owner : t; s_reg : Region.t }
 
-let snapshot_engine s = s.s_owner
-
 let snapshot_watermark t =
   match (t.bkp, t.appl) with
   | Some b, Some a when Backup.is_full b -> Some (Applier.watermark a)
@@ -662,8 +660,6 @@ let snapshot_read_int64 s p field = Region.read_int64 s.s_reg (p + field)
 let snapshot_read_int s p field = Region.read_int s.s_reg (p + field)
 
 let snapshot_read_byte s p field = Region.read_byte s.s_reg (p + field)
-
-let snapshot_read_bytes s p field len = Region.read_bytes s.s_reg (p + field) len
 
 let snapshot_read_string s p field len = Region.read_string s.s_reg (p + field) len
 

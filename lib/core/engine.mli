@@ -327,8 +327,6 @@ val read_tx : ?clock:Kamino_sim.Clock.t -> t -> (snapshot -> 'a option) -> 'a op
     prefix. *)
 val snapshot_watermark : t -> (int * int) option
 
-val snapshot_engine : snapshot -> t
-
 (** Reads inside a {!read_tx} body: identical offsets to the main heap
     (the full backup mirrors it), charged to the reading clock. *)
 
@@ -337,8 +335,6 @@ val snapshot_read_int64 : snapshot -> Heap.ptr -> int -> int64
 val snapshot_read_int : snapshot -> Heap.ptr -> int -> int
 
 val snapshot_read_byte : snapshot -> Heap.ptr -> int -> int
-
-val snapshot_read_bytes : snapshot -> Heap.ptr -> int -> int -> bytes
 
 val snapshot_read_string : snapshot -> Heap.ptr -> int -> int -> string
 

@@ -374,9 +374,6 @@ let chain_size t p =
     invalid_arg (Printf.sprintf "Heap.chain_size: %d is not a chain head" p);
   Region.read_int t.region (p + chain_link_meta)
 
-let free_chain_ranges t p =
-  List.concat_map (fun (lp, _, _) -> free_ranges t lp) (chain_links t p)
-
 let free_chain t p =
   let links = chain_links t p in
   List.iteri
@@ -396,8 +393,6 @@ let root_range _t = { off = root_off; len = 8 }
 (* Introspection. *)
 
 let data_start _t = data_start_off
-
-let high_water t = bump t
 
 let iter_objects t f =
   let limit = bump t in

@@ -108,9 +108,6 @@ val chain_links : t -> ptr -> (ptr * int * int) list
 (** [chain_size t p] — the logical byte size the chain was allocated with. *)
 val chain_size : t -> ptr -> int
 
-(** [free_chain_ranges t p] returns the ranges {!free_chain} will modify. *)
-val free_chain_ranges : t -> ptr -> range list
-
 (** [free_chain t p] frees every link of the chain headed at [p]. *)
 val free_chain : t -> ptr -> unit
 
@@ -166,11 +163,9 @@ val live_objects : t -> int
 (** [live_bytes t] sums payload capacities of allocated objects. *)
 val live_bytes : t -> int
 
-(** [data_start t] and [high_water t] delimit the object area in use;
-    engines use them for whole-heap copies (backup initialization). *)
+(** [data_start t] is the offset where the object area begins; the
+    bytes below it are heap metadata. *)
 val data_start : t -> int
-
-val high_water : t -> int
 
 (** [validate t] walks every object header and checks structural invariants
     (capacity is a known class, flags are 0/1, extents chain exactly to the
