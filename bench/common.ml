@@ -222,19 +222,15 @@ let run_chain p mode workload ~clients =
    price per dataset-sized multiple. The paper's evaluation ran ~10 GB-scale
    datasets on 112 GB VMs where memory dominates the bill; our scaled heap
    is tiny, so pricing is per heap-equivalent rather than per raw GB to
-   preserve the figure's shape. Only ratios matter. Shared between the
-   figure bench and the throughput harness's fig16-at-scale sweep so the
-   two report the same economics. *)
+   preserve the figure's shape. Only ratios matter. *)
 
 let server_base_usd = 2000.0
 
 let usd_per_dataset = 2000.0
 
-let dollars_of ~heap_bytes storage_bytes =
+let dollars p storage_bytes =
   server_base_usd
-  +. (float_of_int storage_bytes /. float_of_int heap_bytes *. usd_per_dataset)
-
-let dollars p storage_bytes = dollars_of ~heap_bytes:p.heap_bytes storage_bytes
+  +. (float_of_int storage_bytes /. float_of_int p.heap_bytes *. usd_per_dataset)
 
 (* --- Table formatting ---------------------------------------------------- *)
 

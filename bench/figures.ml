@@ -176,8 +176,7 @@ let fig14_15 p =
 
 (* --- Figure 16: normalized performance per dollar ------------------------ *)
 
-(* Pricing lives in {!Common} ([dollars] and friends), shared with the
-   throughput harness's fig16-at-scale sweep. *)
+(* Pricing lives in {!Common} ([dollars] and friends). *)
 let fig16 p =
   header "Figure 16: normalized ops/sec per dollar (baseline: undo-logging)";
   let configs =

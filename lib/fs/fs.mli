@@ -243,25 +243,7 @@ val dump : t -> string
     each mutation phase. *)
 
 val create_tx : ?on_step:(string -> unit) -> Engine.tx -> t -> dir:int -> string -> int
-val mkdir_tx : ?on_step:(string -> unit) -> Engine.tx -> t -> dir:int -> string -> int
-
-val rename_tx :
-  ?on_step:(string -> unit) ->
-  Engine.tx ->
-  t ->
-  src:int ->
-  src_name:string ->
-  dst:int ->
-  dst_name:string ->
-  unit
-
-val link_tx : ?on_step:(string -> unit) -> Engine.tx -> t -> ino:int -> dir:int -> string -> unit
-val unlink_tx : ?on_step:(string -> unit) -> Engine.tx -> t -> dir:int -> string -> unit
-val rmdir_tx : ?on_step:(string -> unit) -> Engine.tx -> t -> dir:int -> string -> unit
 val write_tx : ?on_step:(string -> unit) -> Engine.tx -> t -> ino:int -> off:int -> string -> unit
-val truncate_tx : ?on_step:(string -> unit) -> Engine.tx -> t -> ino:int -> len:int -> unit
-val read_op_tx : Engine.tx -> t -> ino:int -> off:int -> len:int -> string
-val readdir_tx : Engine.tx -> t -> dir:int -> (string * int) list
 
 val mknod_tx : Engine.tx -> t -> kind -> parent:int -> int
 (** Allocate an ino (from this filesystem's congruence class) and its

@@ -172,8 +172,8 @@ let mark_dirty t off len =
 (* Stores.
 
    The [_unchecked] halves update counters, dirty lines and simulated cost
-   exactly as the checked entry points do; the public unsafe accessors use
-   them after the caller has validated the enclosing range once. *)
+   exactly as the checked entry points do; [unsafe_read_int] uses the load
+   half after the caller has validated the enclosing range once. *)
 
 (* The cost arithmetic is open-coded here rather than calling
    [Cost_model.store_cost]/[charge]: without flambda a float returned
@@ -218,14 +218,6 @@ let write_int t off v =
 let write_byte t off v =
   record_store t off 1;
   Bytes.set_uint8 t.volatile off (v land 0xff)
-
-let unsafe_write_int t off v =
-  record_store_unchecked t off 8;
-  set_int_le t.volatile off v
-
-let unsafe_write_byte t off v =
-  record_store_unchecked t off 1;
-  Bytes.unsafe_set t.volatile off (Char.unsafe_chr (v land 0xff))
 
 (* Loads. *)
 
@@ -276,10 +268,6 @@ let read_byte t off =
 let unsafe_read_int t off =
   record_load_unchecked t 8;
   get_int_le t.volatile off
-
-let unsafe_read_byte t off =
-  record_load_unchecked t 1;
-  Char.code (Bytes.unsafe_get t.volatile off)
 
 let equal_ranges a aoff b boff len =
   check_range a aoff len "equal_ranges";

@@ -91,19 +91,15 @@ val read_byte : t -> int -> int
     (same load accounting, same bounds checks, caller-supplied buffer). *)
 val read_into : t -> int -> bytes -> int -> int -> unit
 
-(** {2 Unchecked accessors}
+(** {2 Unchecked accessor}
 
-    Identical to their checked counterparts — same counters, dirty-line
-    tracking and simulated cost — except the per-call range check is
-    skipped. The caller must have validated that the whole enclosing range
-    is in bounds (e.g. an object extent or a log-slot header checked once
-    at lookup); passing an unvalidated offset corrupts adjacent data
+    Identical to {!read_int} — same counters and simulated cost — except
+    the per-call range check is skipped. The caller must have validated
+    that the whole enclosing range is in bounds (e.g. a log-slot header
+    checked once at lookup); an unvalidated offset reads adjacent data
     silently. *)
 
 val unsafe_read_int : t -> int -> int
-val unsafe_read_byte : t -> int -> int
-val unsafe_write_int : t -> int -> int -> unit
-val unsafe_write_byte : t -> int -> int -> unit
 
 (** [equal_ranges a aoff b boff len] compares [len] bytes of [a]'s and
     [b]'s volatile images without allocating. Each region is charged

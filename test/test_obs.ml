@@ -2,8 +2,9 @@
    drop accounting, the null tracer), the metrics registry (deterministic
    log2-bucket percentiles), the Perfetto sink's document shape, seed
    determinism of traces, and — the load-bearing invariant — that turning
-   tracing on changes no simulated nanosecond, no NVM counter, and no
-   crash-recovery or chaos outcome (DESIGN.md §8/§10). *)
+   tracing on changes no simulated nanosecond, no NVM counter, no minor
+   word allocated per op, and no crash-recovery or chaos outcome
+   (DESIGN.md §8/§10). *)
 
 module Rng = Kamino_sim.Rng
 module Engine = Kamino_core.Engine
@@ -149,12 +150,17 @@ let config =
     data_log_bytes = 2 * 1024 * 1024;
   }
 
+let rounds = 400
+
+(* Returns the engine, the store, the model's contents and the minor words
+   allocated per op over the op loop. *)
 let run_workload ?obs ?(crashes = false) kind =
   let e = Engine.create ~config ?obs ~kind ~seed:11 () in
   let kv = ref (Kv.create e ~value_size:256 ~node_size:512) in
   let rng = Rng.create 99 in
   let model = Hashtbl.create 64 in
-  for round = 1 to 400 do
+  let w0 = Gc.minor_words () in
+  for round = 1 to rounds do
     let k = Rng.int rng 64 in
     (match Rng.int rng 3 with
     | 0 ->
@@ -171,12 +177,13 @@ let run_workload ?obs ?(crashes = false) kind =
       kv := Kv.reattach e
     end
   done;
+  let words_per_op = (Gc.minor_words () -. w0) /. float_of_int rounds in
   Engine.drain_backup e;
   let contents =
     Hashtbl.fold (fun k v acc -> Printf.sprintf "%d=%s" k v :: acc) model []
     |> List.sort compare |> String.concat ";"
   in
-  (e, !kv, contents)
+  (e, !kv, contents, words_per_op)
 
 (* --- Perfetto sink ---------------------------------------------------------- *)
 
@@ -185,7 +192,7 @@ let run_workload ?obs ?(crashes = false) kind =
    braces/brackets, and one object per recorded event. *)
 let test_perfetto_shape () =
   let obs = Obs.create ~capacity:1024 () in
-  let e, _, _ = run_workload ~obs Engine.Kamino_simple in
+  let e, _, _, _ = run_workload ~obs Engine.Kamino_simple in
   let s = Sink.perfetto_string obs in
   let count c = String.fold_left (fun n ch -> if ch = c then n + 1 else n) 0 s in
   Alcotest.(check bool) "opens with traceEvents" true
@@ -234,13 +241,16 @@ let engine_fingerprint e =
 let test_differential_ycsb () =
   List.iter
     (fun kind ->
-      let plain, _, contents = run_workload kind in
+      let plain, _, contents, words = run_workload kind in
       let obs = Obs.create () in
-      let traced, _, contents' = run_workload ~obs kind in
+      let traced, _, contents', words' = run_workload ~obs kind in
       Alcotest.(check bool) "tracer saw the run" true (Obs.total obs > 0);
       Alcotest.(check bool) "same simulated time and counters" true
         (engine_fingerprint plain = engine_fingerprint traced);
-      Alcotest.(check string) "same committed contents" contents contents')
+      Alcotest.(check string) "same committed contents" contents contents';
+      (* Emitting into the preallocated ring must not allocate: the traced
+         run's op loop allocates exactly what the untraced one does. *)
+      Alcotest.(check (float 0.0)) "same minor words per op" words words')
     [
       Engine.Kamino_simple;
       Engine.Kamino_dynamic { alpha = 0.5; policy = Kamino_core.Backup.Lru_policy };
@@ -248,9 +258,9 @@ let test_differential_ycsb () =
     ]
 
 let test_differential_crash_recovery () =
-  let plain, kv_a, contents = run_workload ~crashes:true Engine.Kamino_simple in
+  let plain, kv_a, contents, _ = run_workload ~crashes:true Engine.Kamino_simple in
   let obs = Obs.create () in
-  let traced, kv_b, contents' = run_workload ~obs ~crashes:true Engine.Kamino_simple in
+  let traced, kv_b, contents', _ = run_workload ~obs ~crashes:true Engine.Kamino_simple in
   Alcotest.(check bool) "same simulated time and counters" true
     (engine_fingerprint plain = engine_fingerprint traced);
   Alcotest.(check string) "same surviving contents" contents contents';
@@ -369,7 +379,7 @@ let test_snapshot_ab_invisible () =
 (* --- registry wiring --------------------------------------------------------- *)
 
 let test_engine_registry () =
-  let e, _, _ = run_workload Engine.Kamino_simple in
+  let e, _, _, _ = run_workload Engine.Kamino_simple in
   let m = Engine.metrics e in
   let reg = Engine.registry e in
   let get name =
