@@ -19,10 +19,11 @@
 module Op = Kamino_chain.Op
 module Async = Kamino_chain.Async_chain
 
-(** Mirror of {!Kamino_shard.Shard.cross_step} at cluster scope, reported
-    as the coordinator crosses each protocol step — the chaos harness
-    arms targeted faults on these (e.g. fail-stop the prepared head
-    between prepare and marker persist). *)
+(** The 2PC protocol steps, reported as the coordinator crosses each
+    one — the chaos harness arms targeted network faults on these (e.g.
+    fail-stop the prepared head between prepare and marker persist).
+    Power failures are injected at fences instead
+    ({!Kamino_nvm.Region.at_fence}). *)
 type cross_step =
   | Prepared of int  (** participant shard prepared at its current head *)
   | Marker_written  (** the commit point *)

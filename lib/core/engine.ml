@@ -32,11 +32,9 @@ type config = Variant.config = {
   data_log_bytes : int;
   cost : Cost_model.t;
   crash_mode : Region.crash_mode;
-  check_intents : bool;
   flush_per_intent : bool;
   global_pending : bool;
   coalesce_writes : bool;
-  lock_shards : int;
 }
 
 let default_config = Variant.default_config
@@ -172,7 +170,7 @@ let create ?(config = default_config) ?(obs = Obs.null) ?(obs_track = 1) ~kind
       dlog_region;
       dlog;
       bkp;
-      locks = Locks.create ~shards:config.lock_shards ();
+      locks = Locks.create ();
       appl = None;
       clk;
       rng;
@@ -463,17 +461,14 @@ let free_chain tx p =
    [read_via] formulation dominated per-access allocation on the hot read
    path (every B+Tree key comparison lands here). [-1] means "no covering
    intent": reads fall through to the main heap, writes are an intent
-   violation when [check_intents] is set. *)
+   violation. *)
 
-(* Resolving the covering intent also marks the written lines dirty in it
-   (an uncovered write, possible only with [check_intents] off, marks every
-   intent it overlaps). *)
+(* Resolving the covering intent also marks the written lines dirty in it. *)
 let check_write_idx tx abs len =
   let t = tx.owner in
   let i = covering_idx t abs len in
   if i >= 0 then mark_lines (Array.unsafe_get t.ws i) abs len
-  else if t.e_config.check_intents then error (Missing_intent { off = abs; len })
-  else mark_written t abs len;
+  else error (Missing_intent { off = abs; len });
   i
 
 let cow_of t i = if i < 0 then None else t.ws.(i).cow
@@ -778,7 +773,7 @@ let crash t =
   Array.iter Region.crash t.all_regions
 
 let recover ?(promote_running = fun _ -> false) t =
-  t.locks <- Locks.create ~shards:t.e_config.lock_shards ();
+  t.locks <- Locks.create ();
   t.active <- None;
   t.heap <- Heap.open_existing t.main;
   t.strat.v_recover t ~promote_running

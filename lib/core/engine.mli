@@ -54,8 +54,6 @@ type config = Variant.config = {
   data_log_bytes : int;  (** undo/CoW arena size *)
   cost : Kamino_nvm.Cost_model.t;
   crash_mode : Kamino_nvm.Region.crash_mode;
-  check_intents : bool;
-      (** verify every transactional write is covered by a declared intent *)
   flush_per_intent : bool;
       (** ablation: persist each intent individually instead of batching *)
   global_pending : bool;
@@ -67,7 +65,6 @@ type config = Variant.config = {
           same-object gaps) before it reaches the intent log and the
           applier, and merge consecutive applier tasks into one copy pass
           when draining. Off = the raw per-declare path, for A/B benches. *)
-  lock_shards : int;  (** stripe count of the volatile lock table *)
 }
 
 val default_config : config
@@ -86,8 +83,8 @@ type error = Variant.error =
   | Intent_log_exhausted of string
       (** no free slot and no way to make one; the payload says where *)
   | Missing_intent of { off : int; len : int }
-      (** transactional write not covered by a declared intent (when
-          [check_intents]) — missing [TX_ADD] *)
+      (** transactional write not covered by a declared intent —
+          missing [TX_ADD] *)
   | Abort_unsupported of kind
       (** the kind cannot roll back locally (no-logging, chain replicas) *)
   | Component_missing of string
@@ -248,8 +245,7 @@ val root : t -> Heap.ptr
 
 (** {1 Data access}
 
-    Writes must be covered by a declared intent (checked when
-    [check_intents]); field offsets are relative to the object payload.
+    Writes must be covered by a declared intent (checked); field offsets are relative to the object payload.
     Reads inside a transaction see the transaction's own writes (CoW
     redirection included). *)
 

@@ -32,31 +32,6 @@ type t = {
   mutable la_len : int;
 }
 
-(* --- Range coalescing ----------------------------------------------------- *)
-
-(* [coalesce ~line intents] sorts the ranges by offset and merges every
-   overlapping or adjacent pair; with [line > 1], two ranges are also merged
-   when the first ends in the same [line]-byte cache line in which the
-   second starts (so two fields of one line become one range, at the cost of
-   covering the gap bytes between them). The result is sorted and disjoint.
-   With [line = 1] the merge is exact: the output covers precisely the bytes
-   of the input, no more and no fewer. *)
-let coalesce ?(line = 1) intents =
-  let intents = List.filter (fun { len; _ } -> len > 0) intents in
-  match List.sort (fun a b -> compare (a.off, a.len) (b.off, b.len)) intents with
-  | [] -> []
-  | first :: rest ->
-      let merged, last =
-        List.fold_left
-          (fun (acc, cur) r ->
-            let cur_end = cur.off + cur.len in
-            if r.off <= cur_end || r.off / line = (cur_end - 1) / line then
-              (acc, { off = cur.off; len = max cur_end (r.off + r.len) - cur.off })
-            else (cur :: acc, r))
-          ([], first) rest
-      in
-      List.rev (last :: merged)
-
 let total_bytes intents = List.fold_left (fun acc { len; _ } -> acc + len) 0 intents
 
 let magic_value = 0x4B54584C4F475631L (* "KTXLOGV1" *)

@@ -22,19 +22,6 @@ type state = Free | Running | Committed | Aborted
 
 type intent = { off : int; len : int }
 
-(** [coalesce ?line intents] — the write-set coalescing pass: sorts the
-    ranges by offset and merges every overlapping or adjacent pair into one
-    range. With [line > 1] (the engine uses the 64 B cache-line size), two
-    ranges are additionally merged when the first ends in the same
-    [line]-byte line in which the second starts, so two fields of one cache
-    line become a single range (the merged range then covers the gap bytes
-    between them — safe wherever over-coverage is safe, e.g. backup
-    roll-forward from a consistent main heap). With the default [line = 1]
-    the merge is exact: the output covers precisely the input's bytes, no
-    more and no fewer. The result is sorted and disjoint. Ranges with
-    [len <= 0] are dropped. *)
-val coalesce : ?line:int -> intent list -> intent list
-
 (** Sum of the lengths of [intents]. *)
 val total_bytes : intent list -> int
 

@@ -46,11 +46,9 @@ type config = {
   data_log_bytes : int;
   cost : Cost_model.t;
   crash_mode : Region.crash_mode;
-  check_intents : bool;
   flush_per_intent : bool;
   global_pending : bool;
   coalesce_writes : bool;
-  lock_shards : int;
 }
 
 let default_config =
@@ -61,11 +59,9 @@ let default_config =
     data_log_bytes = 8 * 1024 * 1024;
     cost = Cost_model.default;
     crash_mode = Region.Words_survive_randomly;
-    check_intents = true;
     flush_per_intent = false;
     global_pending = false;
     coalesce_writes = true;
-    lock_shards = 16;
   }
 
 (* --- Typed errors -------------------------------------------------------- *)
@@ -334,8 +330,8 @@ let mark_lines r abs len =
   end
 
 (* Mark [abs, abs+len) dirty in every write-set range it overlaps: how the
-   engine's raw heap mutations (allocation, free, root update) and any
-   write no single intent covers record what they stored. *)
+   engine's raw heap mutations (allocation, free, root update) record what
+   they stored. *)
 let mark_written t abs len =
   let stop = abs + len in
   for i = 0 to t.ws_n - 1 do

@@ -50,11 +50,9 @@ type config = {
   data_log_bytes : int;
   cost : Cost_model.t;
   crash_mode : Region.crash_mode;
-  check_intents : bool;
   flush_per_intent : bool;
   global_pending : bool;
   coalesce_writes : bool;
-  lock_shards : int;
 }
 
 val default_config : config

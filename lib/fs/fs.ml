@@ -126,8 +126,6 @@ let name_hash_raw name =
 
 let hash_name t name = name_hash_raw name land t.hash_mask
 
-let step on_step label = match on_step with Some f -> f label | None -> ()
-
 (* --- Lifecycle ------------------------------------------------------------ *)
 
 let make_metric_handles engine =
@@ -396,9 +394,8 @@ let apply_dirent_add tx s ~de ~name ~ino =
   ignore (Btree.insert_at tx s.idx s.at de);
   Engine.write_int tx s.dp i_size (Engine.read_int tx s.dp i_size + 1)
 
-let dirent_add_tx ?on_step tx t ~dir ~name ~ino =
+let dirent_add_tx tx t ~dir ~name ~ino =
   check_name name;
-  step on_step "dirent-add";
   let s = find_slot tx t ~dir ~name in
   declare_dirent_add tx s;
   apply_dirent_add tx s ~de:(Engine.alloc tx dirent_size) ~name ~ino
@@ -422,9 +419,8 @@ let apply_dirent_remove tx s ~nxt =
   Engine.free tx s.de;
   Engine.write_int tx s.dp i_size (Engine.read_int tx s.dp i_size - 1)
 
-let dirent_remove_tx ?on_step tx t ~dir ~name =
+let dirent_remove_tx tx t ~dir ~name =
   check_name name;
-  step on_step "dirent-remove";
   let s = find_slot tx t ~dir ~name in
   if s.de = Heap.null then err "Fs: %s: no such entry" name;
   let ino = Engine.read_int tx s.de d_ino in
@@ -463,9 +459,8 @@ let walk_chain tx head ~nn ~from_b ~to_b blks =
    every new node and block, in the order they are linked. Fresh blocks
    numbered [from_b ..] are stored into [blks] for the caller's data
    writes. *)
-let grow ?on_step tx t ip ~tail ~old_nb ~new_nb ~from_b blks =
+let grow tx t ip ~tail ~old_nb ~new_nb ~from_b blks =
   if new_nb > old_nb then begin
-    step on_step "extend";
     if tail <> Heap.null then begin
       let b = ref old_nb in
       while !b < new_nb && !b mod ext_slots <> 0 do
@@ -501,7 +496,7 @@ let grow ?on_step tx t ip ~tail ~old_nb ~new_nb ~from_b blks =
 (* Shrink from [old_nb] blocks to [len] bytes: re-zero the kept tail, null
    freed slots in kept nodes, free dropped blocks, cut the chain and free
    trailing nodes. Everything is declared before the first write. *)
-let shrink ?on_step tx t ip ~head ~len ~old_nb =
+let shrink tx t ip ~head ~len ~old_nb =
   let new_nb = blocks_for t len in
   let tail = len mod t.block_size in
   let zb = if tail <> 0 then new_nb - 1 else new_nb in
@@ -520,16 +515,13 @@ let shrink ?on_step tx t ip ~head ~len ~old_nb =
       Engine.declare_free tx nodes.(i)
     done
   end;
-  step on_step "zero-tail";
   if tail <> 0 then
     Engine.write_string tx blks.(0) tail (String.make (t.block_size - tail) '\000');
-  step on_step "free-blocks";
   for b = new_nb to old_nb - 1 do
     if b / ext_slots < keep then
       Engine.write_int tx nodes.(b / ext_slots) (e_slot (b mod ext_slots)) Heap.null;
     Engine.free tx blks.(b - zb)
   done;
-  step on_step "free-nodes";
   if total > keep then begin
     if keep = 0 then Engine.write_int tx ip i_head Heap.null
     else Engine.write_int tx nodes.(keep - 1) e_next Heap.null;
@@ -572,11 +564,9 @@ let declare_drop_link tx t ~at ~ip =
     { d_at = at; d_ip = ip; d_nlink = nlink; d_size = size; d_nodes = nodes; d_blks = blks }
   end
 
-let apply_drop_link ?on_step tx t d =
-  step on_step "drop-link";
+let apply_drop_link tx t d =
   if d.d_nlink > 1 then Engine.write_int tx d.d_ip i_nlink (d.d_nlink - 1)
   else begin
-    step on_step "free-file";
     Array.iter (Engine.free tx) d.d_blks;
     Array.iter (Engine.free tx) d.d_nodes;
     Engine.free tx d.d_ip;
@@ -599,11 +589,11 @@ let add_link_tx tx t ~ino =
   Engine.add tx ip;
   Engine.write_int tx ip i_nlink (Engine.read_int tx ip i_nlink + 1)
 
-let drop_file_link_tx ?on_step tx t ~ino =
+let drop_file_link_tx tx t ~ino =
   let at, ip = inode_at tx t ino in
   if Engine.read_int tx ip i_kind <> kind_file then
     err "Fs: ino %d is not a regular file" ino;
-  apply_drop_link ?on_step tx t (declare_drop_link tx t ~at ~ip)
+  apply_drop_link tx t (declare_drop_link tx t ~at ~ip)
 
 (* Freeing an empty, unlinked directory: its index tree, its inode and its
    inode-table binding. Returns the index for [apply_free_dir]. *)
@@ -641,39 +631,32 @@ let touch_moved_tx tx t ~ino ~new_parent =
 
 (* create and mkdir: the new inode's objects and its dirent come from one
    allocation. *)
-let make_tx ?on_step tx t kind ~dir ~parent ~what name =
+let make_tx tx t kind ~dir ~parent ~what name =
   check_name name;
   let s = find_slot tx t ~dir ~name in
   if s.de <> Heap.null then err "Fs.%s: %s exists" what name;
-  step on_step "mknod";
   let m = plan_mknod tx t in
   declare_dirent_add tx s;
   let objs = Engine.alloc_many tx (named_sizes kind) in
   let de = List.hd (apply_mknod tx t kind ~parent m objs) in
-  step on_step "dirent-add";
   apply_dirent_add tx s ~de ~name ~ino:m.m_ino;
   m.m_ino
 
-let create_tx ?on_step tx t ~dir name =
-  make_tx ?on_step tx t File ~dir ~parent:(-1) ~what:"create" name
+let create_tx tx t ~dir name = make_tx tx t File ~dir ~parent:(-1) ~what:"create" name
+let mkdir_tx tx t ~dir name = make_tx tx t Dir ~dir ~parent:dir ~what:"mkdir" name
 
-let mkdir_tx ?on_step tx t ~dir name =
-  make_tx ?on_step tx t Dir ~dir ~parent:dir ~what:"mkdir" name
-
-let link_tx ?on_step tx t ~ino ~dir name =
+let link_tx tx t ~ino ~dir name =
   check_name name;
   let s = find_slot tx t ~dir ~name in
   if s.de <> Heap.null then err "Fs.link: %s exists" name;
-  step on_step "nlink";
   let ip = link_target tx t ~ino in
   Engine.add tx ip;
   declare_dirent_add tx s;
   let de = Engine.alloc tx dirent_size in
   Engine.write_int tx ip i_nlink (Engine.read_int tx ip i_nlink + 1);
-  step on_step "dirent-add";
   apply_dirent_add tx s ~de ~name ~ino
 
-let unlink_tx ?on_step tx t ~dir name =
+let unlink_tx tx t ~dir name =
   check_name name;
   let s = find_slot tx t ~dir ~name in
   if s.de = Heap.null then err "Fs.unlink: %s: no such entry" name;
@@ -682,11 +665,10 @@ let unlink_tx ?on_step tx t ~dir name =
     err "Fs.unlink: %s is a directory (use rmdir)" name;
   let nxt = declare_dirent_remove tx s in
   let d = declare_drop_link tx t ~at ~ip in
-  step on_step "dirent-remove";
   apply_dirent_remove tx s ~nxt;
-  apply_drop_link ?on_step tx t d
+  apply_drop_link tx t d
 
-let rmdir_tx ?on_step tx t ~dir name =
+let rmdir_tx tx t ~dir name =
   check_name name;
   let s = find_slot tx t ~dir ~name in
   if s.de = Heap.null then err "Fs.rmdir: %s: no such entry" name;
@@ -695,7 +677,6 @@ let rmdir_tx ?on_step tx t ~dir name =
   if Engine.read_int tx ip i_size <> 0 then err "Fs.rmdir: %s not empty" name;
   let nxt = declare_dirent_remove tx s in
   let idx = declare_free_dir tx t ~at ~ip in
-  step on_step "dirent-remove";
   apply_dirent_remove tx s ~nxt;
   apply_free_dir tx t ~at ~ip idx
 
@@ -710,7 +691,7 @@ let check_no_cycle tx t ~moved:m ~dst =
   in
   up dst 1_000_000
 
-let rename_tx ?on_step tx t ~src ~src_name ~dst ~dst_name =
+let rename_tx tx t ~src ~src_name ~dst ~dst_name =
   check_name src_name;
   check_name dst_name;
   if src = dst && src_name = dst_name then ()
@@ -731,17 +712,16 @@ let rename_tx ?on_step tx t ~src ~src_name ~dst ~dst_name =
           err "Fs.rename: %s exists and is a directory" dst_name;
         if mkind <> File then
           err "Fs.rename: cannot replace %s with a directory" dst_name;
-        ignore (dirent_remove_tx ?on_step tx t ~dir:dst ~name:dst_name);
-        drop_file_link_tx ?on_step tx t ~ino:c
+        ignore (dirent_remove_tx tx t ~dir:dst ~name:dst_name);
+        drop_file_link_tx tx t ~ino:c
     | None -> ());
-    ignore (dirent_remove_tx ?on_step tx t ~dir:src ~name:src_name);
-    dirent_add_tx ?on_step tx t ~dir:dst ~name:dst_name ~ino:m;
-    step on_step "touch";
+    ignore (dirent_remove_tx tx t ~dir:src ~name:src_name);
+    dirent_add_tx tx t ~dir:dst ~name:dst_name ~ino:m;
     touch_moved_tx tx t ~ino:m
       ~new_parent:(if mkind = Dir then Some dst else None)
   end
 
-let write_tx ?on_step tx t ~ino ~off data =
+let write_tx tx t ~ino ~off data =
   if off < 0 then err "Fs.write: negative offset";
   let ip = inode_ptr_tx tx t ino in
   if Engine.read_int tx ip i_kind <> kind_file then
@@ -769,14 +749,12 @@ let write_tx ?on_step tx t ~ino ~off data =
       Engine.add_field tx blks.(b - from_b) (lo - blo) (hi - lo)
     done;
     let tail = if new_nb > old_nb && old_nb > 0 then nodes.(Array.length nodes - 1) else Heap.null in
-    grow ?on_step tx t ip ~tail ~old_nb ~new_nb ~from_b blks;
-    step on_step "data";
+    grow tx t ip ~tail ~old_nb ~new_nb ~from_b blks;
     for b = from_b to to_b do
       let blo = b * t.block_size in
       let lo = max off blo and hi = min (off + len) (blo + t.block_size) in
       Engine.write_string tx blks.(b - from_b) (lo - blo) (String.sub data (lo - off) (hi - lo))
     done;
-    step on_step "meta";
     if new_size > old_size then begin
       Engine.write_int tx ip i_size new_size;
       sb_add_int tx t sb_data_bytes (new_size - old_size);
@@ -784,7 +762,7 @@ let write_tx ?on_step tx t ~ino ~off data =
     end
   end
 
-let truncate_tx ?on_step tx t ~ino ~len =
+let truncate_tx tx t ~ino ~len =
   if len < 0 then err "Fs.truncate: negative length";
   let ip = inode_ptr_tx tx t ino in
   if Engine.read_int tx ip i_kind <> kind_file then
@@ -799,10 +777,9 @@ let truncate_tx ?on_step tx t ~ino ~len =
       let nn = if new_nb > old_nb then nodes_for old_nb else 0 in
       let nodes = walk_chain tx head ~nn ~from_b:0 ~to_b:(-1) [||] in
       let tail = if nn > 0 then nodes.(nn - 1) else Heap.null in
-      grow ?on_step tx t ip ~tail ~old_nb ~new_nb ~from_b:new_nb [||]
+      grow tx t ip ~tail ~old_nb ~new_nb ~from_b:new_nb [||]
     end
-    else shrink ?on_step tx t ip ~head ~len ~old_nb;
-    step on_step "meta";
+    else shrink tx t ip ~head ~len ~old_nb;
     Engine.write_int tx ip i_size len;
     sb_add_int tx t sb_data_bytes (len - old_size);
     sb_add_int tx t sb_block_count (new_nb - old_nb)
@@ -858,9 +835,9 @@ let record_op t ~op ~t0 ~ino ~aux =
       ~c:aux
 
 (* Not [Engine.with_tx]: a semantic [Fs_error] raised mid-validation must
-   surface even on engines whose [abort] raises (No_logging), and a
-   crash-injection hook that crashed the engine leaves a finished
-   transaction behind ([abort] then raises [Tx_finished]). *)
+   surface even on engines whose [abort] raises (No_logging), and a crash
+   injected at a fence mid-operation leaves a finished transaction behind
+   ([abort] then raises [Tx_finished]). *)
 let op_span t op f =
   let t0 = Engine.now t.engine in
   let tx = Engine.begin_tx t.engine in
@@ -873,19 +850,19 @@ let op_span t op f =
       (try Engine.abort tx with Engine.Error _ -> ());
       raise exn
 
-let create ?on_step t ~dir name =
+let create t ~dir name =
   op_span t op_create (fun tx ->
-      let ino = create_tx ?on_step tx t ~dir name in
+      let ino = create_tx tx t ~dir name in
       (ino, ino, dir))
 
-let mkdir ?on_step t ~dir name =
+let mkdir t ~dir name =
   op_span t op_mkdir (fun tx ->
-      let ino = mkdir_tx ?on_step tx t ~dir name in
+      let ino = mkdir_tx tx t ~dir name in
       (ino, ino, dir))
 
-let write ?on_step t ~ino ~off data =
+let write t ~ino ~off data =
   op_span t op_write (fun tx ->
-      write_tx ?on_step tx t ~ino ~off data;
+      write_tx tx t ~ino ~off data;
       ((), ino, String.length data))
 
 let read t ~ino ~off ~len =
@@ -898,29 +875,29 @@ let readdir t ~dir =
       let es = readdir_tx tx t ~dir in
       (es, dir, List.length es))
 
-let rename ?on_step t ~src ~src_name ~dst ~dst_name =
+let rename t ~src ~src_name ~dst ~dst_name =
   op_span t op_rename (fun tx ->
-      rename_tx ?on_step tx t ~src ~src_name ~dst ~dst_name;
+      rename_tx tx t ~src ~src_name ~dst ~dst_name;
       ((), src, dst))
 
-let link ?on_step t ~ino ~dir name =
+let link t ~ino ~dir name =
   op_span t op_link (fun tx ->
-      link_tx ?on_step tx t ~ino ~dir name;
+      link_tx tx t ~ino ~dir name;
       ((), ino, dir))
 
-let unlink ?on_step t ~dir name =
+let unlink t ~dir name =
   op_span t op_unlink (fun tx ->
-      unlink_tx ?on_step tx t ~dir name;
+      unlink_tx tx t ~dir name;
       ((), dir, 0))
 
-let rmdir ?on_step t ~dir name =
+let rmdir t ~dir name =
   op_span t op_rmdir (fun tx ->
-      rmdir_tx ?on_step tx t ~dir name;
+      rmdir_tx tx t ~dir name;
       ((), dir, 0))
 
-let truncate ?on_step t ~ino ~len =
+let truncate t ~ino ~len =
   op_span t op_truncate (fun tx ->
-      truncate_tx ?on_step tx t ~ino ~len;
+      truncate_tx tx t ~ino ~len;
       ((), ino, len))
 
 (* --- Committed-state conveniences ----------------------------------------- *)

@@ -48,13 +48,12 @@
     write, so it pays one intent-log barrier however many objects it
     touches, unless a B+Tree split or merge adds its own (DESIGN.md §18).
 
-    The [*_tx] variants take a caller-owned transaction plus an
-    [?on_step] hook fired at each internal mutation boundary — the
-    crash-injection surface the fs crash-matrix dimension drives
-    (crash at step [k] for every [k], recover, fsck). The plain
+    The [*_tx] variants take a caller-owned transaction. The plain
     variants open their own transaction, emit a {!Kamino_obs.Obs.k_fs_op}
     span and feed the [fs.op_ns.<op>] histogram of the engine's metrics
-    registry. *)
+    registry. Crash tests inject a power failure at every fence of an
+    operation ({!Kamino_nvm.Region.at_fence}), the applier's and
+    recovery's included, and check fsck plus the before-or-after state. *)
 
 module Engine = Kamino_core.Engine
 module Heap = Kamino_heap.Heap
@@ -172,11 +171,11 @@ val ino_stride : t -> int
     Directories are named by ino ([dir]); the root comes from
     {!root_ino}. Each call is one transaction. *)
 
-val create : ?on_step:(string -> unit) -> t -> dir:int -> string -> int
+val create : t -> dir:int -> string -> int
 (** Create an empty regular file; returns its ino. Raises [Fs_error]
     if the name exists. *)
 
-val mkdir : ?on_step:(string -> unit) -> t -> dir:int -> string -> int
+val mkdir : t -> dir:int -> string -> int
 
 val lookup : t -> dir:int -> string -> int option
 (** Committed-state name lookup (single-shard view; dangling entries of
@@ -188,7 +187,7 @@ val resolve : t -> string -> int option
 val stat : t -> int -> stat
 val stat_tx : Engine.tx -> t -> int -> stat
 
-val write : ?on_step:(string -> unit) -> t -> ino:int -> off:int -> string -> unit
+val write : t -> ino:int -> off:int -> string -> unit
 (** Write bytes at [off], extending the file as needed; a write past
     EOF materializes the gap as zeroed blocks. *)
 
@@ -199,7 +198,6 @@ val readdir : t -> dir:int -> (string * int) list
 (** All entries, in name-hash order (deterministic). *)
 
 val rename :
-  ?on_step:(string -> unit) ->
   t ->
   src:int ->
   src_name:string ->
@@ -215,18 +213,18 @@ val rename :
     anything else there raises [Fs_error], as does moving a directory
     under its own subtree (cycle). *)
 
-val link : ?on_step:(string -> unit) -> t -> ino:int -> dir:int -> string -> unit
+val link : t -> ino:int -> dir:int -> string -> unit
 (** Hard link (regular files only). *)
 
-val unlink : ?on_step:(string -> unit) -> t -> dir:int -> string -> unit
+val unlink : t -> dir:int -> string -> unit
 (** Drop a regular file's dirent; at link count zero the inode, its
     extent chain and every data block are freed in the same
     transaction. *)
 
-val rmdir : ?on_step:(string -> unit) -> t -> dir:int -> string -> unit
+val rmdir : t -> dir:int -> string -> unit
 (** Remove an {e empty} directory (dirent, index tree, inode). *)
 
-val truncate : ?on_step:(string -> unit) -> t -> ino:int -> len:int -> unit
+val truncate : t -> ino:int -> len:int -> unit
 (** Grow (zero-filled) or shrink; shrinking frees blocks and trailing
     extent nodes and re-zeroes the kept tail. *)
 
@@ -239,11 +237,10 @@ val dump : t -> string
     Building blocks of the composite operations, exported for the
     sharded façade ({!Shard_fs}), which runs each piece on the owning
     shard's transaction inside one cross-shard 2PC. All take the
-    transaction of {e this} filesystem's engine. [on_step] fires before
-    each mutation phase. *)
+    transaction of {e this} filesystem's engine. *)
 
-val create_tx : ?on_step:(string -> unit) -> Engine.tx -> t -> dir:int -> string -> int
-val write_tx : ?on_step:(string -> unit) -> Engine.tx -> t -> ino:int -> off:int -> string -> unit
+val create_tx : Engine.tx -> t -> dir:int -> string -> int
+val write_tx : Engine.tx -> t -> ino:int -> off:int -> string -> unit
 
 val mknod_tx : Engine.tx -> t -> kind -> parent:int -> int
 (** Allocate an ino (from this filesystem's congruence class) and its
@@ -252,13 +249,13 @@ val mknod_tx : Engine.tx -> t -> kind -> parent:int -> int
     another shard. *)
 
 val dirent_add_tx :
-  ?on_step:(string -> unit) -> Engine.tx -> t -> dir:int -> name:string -> ino:int -> unit
+  Engine.tx -> t -> dir:int -> name:string -> ino:int -> unit
 (** Insert a dirent (no existence check beyond name validity — use
     {!dirent_lookup_tx} first) and bump the directory's entry count.
     The target inode is untouched (it may live on another shard). *)
 
 val dirent_remove_tx :
-  ?on_step:(string -> unit) -> Engine.tx -> t -> dir:int -> name:string -> int
+  Engine.tx -> t -> dir:int -> name:string -> int
 (** Remove a dirent and return the ino it referenced. The target inode
     is untouched. *)
 
@@ -268,7 +265,7 @@ val add_link_tx : Engine.tx -> t -> ino:int -> unit
 (** Increment a regular file's link count. *)
 
 val drop_file_link_tx :
-  ?on_step:(string -> unit) -> Engine.tx -> t -> ino:int -> unit
+  Engine.tx -> t -> ino:int -> unit
 (** Decrement a regular file's link count; at zero, free the inode,
     extent chain and data blocks and retire it from the inode table. *)
 

@@ -14,22 +14,6 @@ type t = { shard : Shard.t; fss : Fs.t array; n : int }
 
 let err fmt = Printf.ksprintf (fun s -> raise (Fs.Fs_error s)) fmt
 
-let step on_step label =
-  match on_step with Some f -> f label | None -> ()
-
-(* Map the 2PC protocol positions into the same string-label stream as
-   the fs mutation steps, so one crash-injection loop covers both. *)
-let cross_hook on_step =
-  match on_step with
-  | None -> None
-  | Some f ->
-      Some
-        (function
-        | Shard.Prepared i -> f (Printf.sprintf "prepare:%d" i)
-        | Shard.Marker_written -> f "marker"
-        | Shard.Committed i -> f (Printf.sprintf "commit:%d" i)
-        | Shard.Marker_cleared -> f "clear")
-
 let create ?config ?obs ?(obs_track_base = 1) ?block_size ?dir_hash_bits
     ~kind ~seed ~shards () =
   if shards < 1 then invalid_arg "Shard_fs.create: shards < 1";
@@ -96,75 +80,63 @@ let resolve t path =
    engine, so the plain Fs operation — own transaction, span,
    histogram — is exactly right).                                  *)
 
-let write ?on_step t ~ino ~off data =
-  Fs.write ?on_step t.fss.(owner t ino) ~ino ~off data
-
-let truncate ?on_step t ~ino ~len =
-  Fs.truncate ?on_step t.fss.(owner t ino) ~ino ~len
+let write t ~ino ~off data = Fs.write t.fss.(owner t ino) ~ino ~off data
+let truncate t ~ino ~len = Fs.truncate t.fss.(owner t ino) ~ino ~len
 
 (* -------------------------------------------------------------- *)
 (* Namespace operations: cross-shard when the participating inodes
    land on different shards.                                       *)
 
-let mk_generic knd op ?on_step t ~dir name =
+let mk_generic knd op t ~dir name =
   Fs.check_name name;
   let p = owner t dir in
   let c = placement t ~dir name in
   if p = c then
     match knd with
-    | Fs.File -> Fs.create ?on_step t.fss.(p) ~dir name
-    | Fs.Dir -> Fs.mkdir ?on_step t.fss.(p) ~dir name
+    | Fs.File -> Fs.create t.fss.(p) ~dir name
+    | Fs.Dir -> Fs.mkdir t.fss.(p) ~dir name
   else begin
     let fsp = t.fss.(p) in
     let t0 = Engine.now (Fs.engine fsp) in
     let ino =
-      Shard.with_cross_tx
-        ?on_step:(cross_hook on_step)
-        t.shard [ min p c; max p c ]
+      Shard.with_cross_tx t.shard [ min p c; max p c ]
         (fun tx_of ->
           (match Fs.dirent_lookup_tx (tx_of p) fsp ~dir ~name with
           | Some _ -> err "create: %S already exists" name
           | None -> ());
-          step on_step "mknod";
           let parent = match knd with Fs.Dir -> dir | Fs.File -> -1 in
           let ino = Fs.mknod_tx (tx_of c) t.fss.(c) knd ~parent in
-          Fs.dirent_add_tx ?on_step (tx_of p) fsp ~dir ~name ~ino;
+          Fs.dirent_add_tx (tx_of p) fsp ~dir ~name ~ino;
           ino)
     in
     record fsp op ~t0 ~ino ~aux:dir;
     ino
   end
 
-let create_file ?on_step t ~dir name =
-  mk_generic Fs.File Fs.op_create ?on_step t ~dir name
+let create_file t ~dir name = mk_generic Fs.File Fs.op_create t ~dir name
+let mkdir t ~dir name = mk_generic Fs.Dir Fs.op_mkdir t ~dir name
 
-let mkdir ?on_step t ~dir name =
-  mk_generic Fs.Dir Fs.op_mkdir ?on_step t ~dir name
-
-let link ?on_step t ~ino ~dir name =
+let link t ~ino ~dir name =
   Fs.check_name name;
   let p = owner t dir in
   let f = owner t ino in
   let st = Fs.stat t.fss.(f) ino in
   if st.Fs.kind <> Fs.File then err "link: ino %d is not a regular file" ino;
-  if p = f then Fs.link ?on_step t.fss.(p) ~ino ~dir name
+  if p = f then Fs.link t.fss.(p) ~ino ~dir name
   else begin
     let fsp = t.fss.(p) in
     let t0 = Engine.now (Fs.engine fsp) in
-    Shard.with_cross_tx
-      ?on_step:(cross_hook on_step)
-      t.shard [ min p f; max p f ]
+    Shard.with_cross_tx t.shard [ min p f; max p f ]
       (fun tx_of ->
         (match Fs.dirent_lookup_tx (tx_of p) fsp ~dir ~name with
         | Some _ -> err "link: %S already exists" name
         | None -> ());
-        step on_step "nlink";
         Fs.add_link_tx (tx_of f) t.fss.(f) ~ino;
-        Fs.dirent_add_tx ?on_step (tx_of p) fsp ~dir ~name ~ino);
+        Fs.dirent_add_tx (tx_of p) fsp ~dir ~name ~ino);
     record fsp Fs.op_link ~t0 ~ino ~aux:dir
   end
 
-let unlink ?on_step t ~dir name =
+let unlink t ~dir name =
   Fs.check_name name;
   let p = owner t dir in
   let fsp = t.fss.(p) in
@@ -174,22 +146,20 @@ let unlink ?on_step t ~dir name =
       let f = owner t ino in
       let st = Fs.stat t.fss.(f) ino in
       if st.Fs.kind <> Fs.File then err "unlink: %S is a directory" name;
-      if p = f then Fs.unlink ?on_step fsp ~dir name
+      if p = f then Fs.unlink fsp ~dir name
       else begin
         let t0 = Engine.now (Fs.engine fsp) in
-        Shard.with_cross_tx
-          ?on_step:(cross_hook on_step)
-          t.shard [ min p f; max p f ]
+        Shard.with_cross_tx t.shard [ min p f; max p f ]
           (fun tx_of ->
             (match Fs.dirent_lookup_tx (tx_of p) fsp ~dir ~name with
             | Some i when i = ino -> ()
             | _ -> err "unlink: entry %S changed underneath" name);
-            ignore (Fs.dirent_remove_tx ?on_step (tx_of p) fsp ~dir ~name);
-            Fs.drop_file_link_tx ?on_step (tx_of f) t.fss.(f) ~ino);
+            ignore (Fs.dirent_remove_tx (tx_of p) fsp ~dir ~name);
+            Fs.drop_file_link_tx (tx_of f) t.fss.(f) ~ino);
         record fsp Fs.op_unlink ~t0 ~ino ~aux:dir
       end
 
-let rmdir ?on_step t ~dir name =
+let rmdir t ~dir name =
   Fs.check_name name;
   let p = owner t dir in
   let fsp = t.fss.(p) in
@@ -199,19 +169,17 @@ let rmdir ?on_step t ~dir name =
       let d = owner t ino in
       let st = Fs.stat t.fss.(d) ino in
       if st.Fs.kind <> Fs.Dir then err "rmdir: %S is not a directory" name;
-      if p = d then Fs.rmdir ?on_step fsp ~dir name
+      if p = d then Fs.rmdir fsp ~dir name
       else begin
         let t0 = Engine.now (Fs.engine fsp) in
-        Shard.with_cross_tx
-          ?on_step:(cross_hook on_step)
-          t.shard [ min p d; max p d ]
+        Shard.with_cross_tx t.shard [ min p d; max p d ]
           (fun tx_of ->
             (match Fs.dirent_lookup_tx (tx_of p) fsp ~dir ~name with
             | Some i when i = ino -> ()
             | _ -> err "rmdir: entry %S changed underneath" name);
             let st = Fs.stat_tx (tx_of d) t.fss.(d) ino in
             if st.Fs.size <> 0 then err "rmdir: %S not empty" name;
-            ignore (Fs.dirent_remove_tx ?on_step (tx_of p) fsp ~dir ~name);
+            ignore (Fs.dirent_remove_tx (tx_of p) fsp ~dir ~name);
             Fs.free_dir_tx (tx_of d) t.fss.(d) ~ino);
         record fsp Fs.op_rmdir ~t0 ~ino ~aux:dir
       end
@@ -228,7 +196,7 @@ let check_no_cycle t ~moved ~dst =
   in
   up dst 1_000_000
 
-let rename ?on_step t ~src ~src_name ~dst ~dst_name =
+let rename t ~src ~src_name ~dst ~dst_name =
   Fs.check_name src_name;
   Fs.check_name dst_name;
   let ps = owner t src in
@@ -261,10 +229,10 @@ let rename ?on_step t ~src ~src_name ~dst ~dst_name =
         :: (match clobber with Some c -> [ owner t c ] | None -> []))
     in
     match participants with
-    | [ _ ] -> Fs.rename ?on_step fs_s ~src ~src_name ~dst ~dst_name
+    | [ _ ] -> Fs.rename fs_s ~src ~src_name ~dst ~dst_name
     | ids ->
         let t0 = Engine.now (Fs.engine fs_s) in
-        Shard.with_cross_tx ?on_step:(cross_hook on_step) t.shard ids
+        Shard.with_cross_tx t.shard ids
           (fun tx_of ->
             (match Fs.dirent_lookup_tx (tx_of ps) fs_s ~dir:src ~name:src_name with
             | Some i when i = m -> ()
@@ -275,17 +243,16 @@ let rename ?on_step t ~src ~src_name ~dst ~dst_name =
             (match clobber with
             | Some c ->
                 ignore
-                  (Fs.dirent_remove_tx ?on_step (tx_of pd) fs_d ~dir:dst
+                  (Fs.dirent_remove_tx (tx_of pd) fs_d ~dir:dst
                      ~name:dst_name);
-                Fs.drop_file_link_tx ?on_step (tx_of (owner t c)) t.fss.(owner t c)
+                Fs.drop_file_link_tx (tx_of (owner t c)) t.fss.(owner t c)
                   ~ino:c
             | None -> ());
             ignore
-              (Fs.dirent_remove_tx ?on_step (tx_of ps) fs_s ~dir:src
+              (Fs.dirent_remove_tx (tx_of ps) fs_s ~dir:src
                  ~name:src_name);
-            Fs.dirent_add_tx ?on_step (tx_of pd) fs_d ~dir:dst ~name:dst_name
+            Fs.dirent_add_tx (tx_of pd) fs_d ~dir:dst ~name:dst_name
               ~ino:m;
-            step on_step "touch";
             let new_parent =
               if mst.Fs.kind = Fs.Dir then Some dst else None
             in

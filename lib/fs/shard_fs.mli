@@ -22,12 +22,11 @@
     all-or-nothing across shards at every crash point. Only the Kamino
     engine kinds support cross-shard commit.
 
-    [on_step] fires the filesystem-level mutation labels first
-    (["mknod"], ["dirent-add"], ...) and then the 2PC protocol
-    positions (["prepare:<shard>"], ["marker"], ["commit:<shard>"],
-    ["clear"]) — the crash-injection surface of the sharded fs crash
-    tests: the marker step is the commit point, before it a crash must
-    roll every shard back, from it on every shard rolls forward. *)
+    The sharded fs crash tests crash at every fence of an operation
+    ({!Kamino_nvm.Region.at_fence}), counted across every shard and the
+    marker region: the fence that makes the marker's valid flag durable
+    is the commit point, before it a crash must roll every shard back,
+    from it on every shard rolls forward. *)
 
 module Engine = Kamino_core.Engine
 module Shard = Kamino_shard.Shard
@@ -72,14 +71,13 @@ val drain_backups : t -> unit
 
 (** {1 Operations} — same contracts as the {!Fs} equivalents. *)
 
-val create_file : ?on_step:(string -> unit) -> t -> dir:int -> string -> int
-val mkdir : ?on_step:(string -> unit) -> t -> dir:int -> string -> int
-val link : ?on_step:(string -> unit) -> t -> ino:int -> dir:int -> string -> unit
-val unlink : ?on_step:(string -> unit) -> t -> dir:int -> string -> unit
-val rmdir : ?on_step:(string -> unit) -> t -> dir:int -> string -> unit
+val create_file : t -> dir:int -> string -> int
+val mkdir : t -> dir:int -> string -> int
+val link : t -> ino:int -> dir:int -> string -> unit
+val unlink : t -> dir:int -> string -> unit
+val rmdir : t -> dir:int -> string -> unit
 
 val rename :
-  ?on_step:(string -> unit) ->
   t ->
   src:int ->
   src_name:string ->
@@ -87,8 +85,8 @@ val rename :
   dst_name:string ->
   unit
 
-val write : ?on_step:(string -> unit) -> t -> ino:int -> off:int -> string -> unit
-val truncate : ?on_step:(string -> unit) -> t -> ino:int -> len:int -> unit
+val write : t -> ino:int -> off:int -> string -> unit
+val truncate : t -> ino:int -> len:int -> unit
 val read : t -> ino:int -> off:int -> len:int -> string
 val readdir : t -> dir:int -> (string * int) list
 val lookup : t -> dir:int -> string -> int option

@@ -406,7 +406,32 @@ let flush t off len =
   end
   else flush_quiet t off len
 
+(* Crash-point injection for tests: fences left to pass before [at_fence]'s
+   callback runs, [-1] when disarmed. One process-wide countdown, so it
+   counts fences across every region; disarmed, [fence] pays one compare
+   and writes nothing, which keeps it safe to read from every domain. *)
+let fence_countdown = ref (-1)
+let fence_callback = ref ignore
+
+let at_fence n f =
+  if n < 0 then invalid_arg "Region.at_fence: negative fence index";
+  fence_callback := f;
+  fence_countdown := n
+
+let disarm_fence () =
+  fence_countdown := -1;
+  fence_callback := ignore
+
+let fence_armed () =
+  if !fence_countdown = 0 then begin
+    let f = !fence_callback in
+    disarm_fence ();
+    f ()
+  end
+  else decr fence_countdown
+
 let fence t =
+  if !fence_countdown >= 0 then fence_armed ();
   t.counters.fences <- t.counters.fences + 1;
   if Obs.enabled t.obs then begin
     let t0 = Clock.now t.clock in

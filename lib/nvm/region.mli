@@ -130,6 +130,20 @@ val flush : t -> int -> int -> unit
     flushed lines is only guaranteed after a fence. *)
 val fence : t -> unit
 
+(** [at_fence n f] arms a one-shot crash point: [f] runs at entry to the
+    [n]-th {!fence} from now ([0] = the next one), counted across every
+    region in the process, before that fence takes effect; the countdown
+    disarms itself first, so [f] may fence, re-arm, or raise. A test that
+    crashes its engines in [f] and raises sweeps every durability point
+    of an operation by re-running it for [n = 0, 1, ...]. Disarmed, it
+    costs [fence] one integer compare: no allocation, no simulated ns, no
+    counter. Arm it only from single-domain code. Raises
+    [Invalid_argument] on a negative [n]. *)
+val at_fence : int -> (unit -> unit) -> unit
+
+(** [disarm_fence ()] cancels a pending {!at_fence}. *)
+val disarm_fence : unit -> unit
+
 (** [persist t off len] = flush then fence: the standard persist barrier. *)
 val persist : t -> int -> int -> unit
 

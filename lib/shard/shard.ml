@@ -110,8 +110,6 @@ let with_tx t i f = Engine.with_tx t.engines.(i) f
 
 (* --- Cross-shard transactions ------------------------------------------- *)
 
-type cross_step = Prepared of int | Marker_written | Committed of int | Marker_cleared
-
 let write_marker t pairs =
   let m = t.marker in
   Region.write_int m 8 (List.length pairs);
@@ -142,7 +140,7 @@ let read_marker t =
     List.init n (fun k ->
         (Region.read_int m (16 + (16 * k)), Region.read_int m (24 + (16 * k))))
 
-let with_cross_tx ?(on_step = fun _ -> ()) t shard_ids f =
+let with_cross_tx t shard_ids f =
   let ids = List.sort_uniq compare shard_ids in
   (match ids with
   | [] -> invalid_arg "Shard.with_cross_tx: no participant shards"
@@ -173,21 +171,11 @@ let with_cross_tx ?(on_step = fun _ -> ()) t shard_ids f =
         (List.rev txs);
       raise exn
   | v ->
-      List.iter
-        (fun (i, tx) ->
-          Engine.prepare tx;
-          on_step (Prepared i))
-        txs;
+      List.iter (fun (_, tx) -> Engine.prepare tx) txs;
       Region.set_clock t.marker clk;
       write_marker t (List.map (fun (i, tx) -> (i, Engine.tx_id tx)) txs);
-      on_step Marker_written;
-      List.iter
-        (fun (i, tx) ->
-          Engine.commit_prepared tx;
-          on_step (Committed i))
-        txs;
+      List.iter (fun (_, tx) -> Engine.commit_prepared tx) txs;
       clear_marker t;
-      on_step Marker_cleared;
       v
 
 (* --- Crash and recovery -------------------------------------------------- *)

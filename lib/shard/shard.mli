@@ -66,14 +66,6 @@ val set_clock : t -> int -> Kamino_sim.Clock.t -> unit
     plain [Engine.with_tx], no façade overhead. *)
 val with_tx : t -> int -> (Engine.tx -> 'a) -> 'a
 
-(** Protocol positions reported to [on_step] during {!with_cross_tx} —
-    the crash-injection hook for the sharded crash matrix. *)
-type cross_step =
-  | Prepared of int  (** shard [i]'s write set is durable, still Running *)
-  | Marker_written  (** the commit point: marker valid flag persisted *)
-  | Committed of int  (** shard [i] marked committed, propagation queued *)
-  | Marker_cleared
-
 (** [with_cross_tx t ids f] runs one atomic transaction spanning shards
     [ids]. Participants begin in ascending shard order on the first
     participant's clock; [f] receives a lookup from shard id to its open
@@ -83,8 +75,7 @@ type cross_step =
     On exception from [f]: abort every participant and re-raise. Only the
     Kamino kinds support this (two-phase commit); others raise
     [Engine.Error (Unsupported _)]. *)
-val with_cross_tx :
-  ?on_step:(cross_step -> unit) -> t -> int list -> ((int -> Engine.tx) -> 'a) -> 'a
+val with_cross_tx : t -> int list -> ((int -> Engine.tx) -> 'a) -> 'a
 
 (** {1 Crashes and recovery} *)
 

@@ -60,7 +60,7 @@ let scan t ~lo ~count f = Kv.scan (store_of_key t lo) ~lo ~count f
    client's home shard as [from]): foreign-shard batches then lease the
    owning executor domains instead of racing them, and the single-shard
    home case stays lock-free. *)
-let multi_put ?on_step ?router ?(from = 0) t bindings =
+let multi_put ?router ?(from = 0) t bindings =
   match bindings with
   | [] -> ()
   | _ ->
@@ -91,8 +91,8 @@ let multi_put ?on_step ?router ?(from = 0) t bindings =
       (match (ids, router) with
       | [ i ], None -> single i
       | [ i ], Some r -> Shard_router.exclusive r ~from [ i ] (fun () -> single i)
-      | _, None -> cross (Shard.with_cross_tx ?on_step t.shard ids)
-      | _, Some r -> cross (Shard_router.with_cross_tx ?on_step r ~from ids))
+      | _, None -> cross (Shard.with_cross_tx t.shard ids)
+      | _, Some r -> cross (Shard_router.with_cross_tx r ~from ids))
 
 let validate t =
   let rec go i =

@@ -54,8 +54,7 @@ val scan : t -> lo:int -> count:int -> (int -> string -> unit) -> int
 
 (** [multi_put t bindings] makes all bindings visible atomically. One
     participating shard: a plain transaction. Several: a cross-shard
-    two-phase commit ([on_step] passes through to
-    {!Shard.with_cross_tx}).
+    two-phase commit ({!Shard.with_cross_tx}).
 
     Under {!Shard_driver.run} with [domains > 1], pass the run's
     [router] and the calling client's home shard as [from]: batches
@@ -63,7 +62,6 @@ val scan : t -> lo:int -> count:int -> (int -> string -> unit) -> int
     (coordinator lock + domain leases) instead of racing the owning
     executors. Home-shard single-shard batches stay lock-free. *)
 val multi_put :
-  ?on_step:(Shard.cross_step -> unit) ->
   ?router:Shard_router.t ->
   ?from:int ->
   t ->

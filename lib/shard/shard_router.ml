@@ -168,8 +168,8 @@ let exclusive t ~from ids f =
             Atomic.incr t.crossed;
             v))
 
-let with_cross_tx ?on_step t ~from ids f =
-  exclusive t ~from ids (fun () -> Shard.with_cross_tx ?on_step t.shard ids f)
+let with_cross_tx t ~from ids f =
+  exclusive t ~from ids (fun () -> Shard.with_cross_tx t.shard ids f)
 
 let with_remote_tx t ~from i f =
   exclusive t ~from [ i ] (fun () -> Shard.with_tx t.shard i f)

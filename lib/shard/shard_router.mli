@@ -57,7 +57,6 @@ val exclusive : t -> from:int -> int list -> (unit -> 'a) -> 'a
 (** {!Shard.with_cross_tx} under {!exclusive} — the cross-shard 2PC,
     safe from any executor domain. *)
 val with_cross_tx :
-  ?on_step:(Shard.cross_step -> unit) ->
   t ->
   from:int ->
   int list ->

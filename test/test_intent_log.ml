@@ -5,7 +5,6 @@ module Rng = Kamino_sim.Rng
 module Clock = Kamino_sim.Clock
 module Region = Kamino_nvm.Region
 module Ilog = Kamino_core.Intent_log
-module IntSet = Set.Make (Int)
 
 let make ?(crash_mode = Region.Words_survive_randomly) ?(seed = 1) ?(n_slots = 8) () =
   let clock = Clock.create () in
@@ -153,71 +152,6 @@ let torn_crash_qcheck =
           end);
       !ok)
 
-(* --- Coalescing ----------------------------------------------------------- *)
-
-(* Byte-set oracle for the coalescer. *)
-let cover intents =
-  List.fold_left
-    (fun acc { Ilog.off; len } ->
-      List.fold_left (fun acc b -> IntSet.add b acc) acc
-        (List.init len (fun i -> off + i)))
-    IntSet.empty intents
-
-let sorted_disjoint intents =
-  let rec check = function
-    | { Ilog.off = o1; len = l1 } :: ({ Ilog.off = o2; _ } as r2) :: rest ->
-        (* strictly disjoint AND non-adjacent: adjacency would mean the
-           coalescer left a merge on the table *)
-        o1 + l1 < o2 && check (r2 :: rest)
-    | [ _ ] | [] -> true
-  in
-  check intents
-
-let range_gen =
-  QCheck.(
-    small_list (pair (int_bound 4096) (int_bound 96))
-    |> map (List.map (fun (off, len) -> { Ilog.off; len })))
-
-let coalesce_exact_qcheck =
-  QCheck.Test.make ~name:"exact coalescing covers the same bytes, sorted, disjoint"
-    ~count:500 range_gen (fun intents ->
-      let merged = Ilog.coalesce intents in
-      IntSet.equal (cover intents) (cover merged) && sorted_disjoint merged)
-
-let coalesce_line_qcheck =
-  QCheck.Test.make
-    ~name:"line-threshold coalescing covers a superset within the same cache lines"
-    ~count:500 range_gen (fun intents ->
-      let merged = Ilog.coalesce ~line:64 intents in
-      let input = cover intents and output = cover merged in
-      IntSet.subset input output
-      && sorted_disjoint merged
-      (* every extra byte must share a 64 B line with an input byte: the
-         threshold merge never reaches across a line it does not touch *)
-      && IntSet.for_all
-           (fun b -> IntSet.exists (fun b' -> b / 64 = b' / 64) input)
-           (IntSet.diff output input))
-
-let test_coalesce_examples () =
-  let pairs intents = List.map (fun i -> (i.Ilog.off, i.Ilog.len)) intents in
-  Alcotest.(check (list (pair int int))) "overlap merges"
-    [ (0, 12) ]
-    (pairs (Ilog.coalesce [ intent 0 8; intent 4 8 ]));
-  Alcotest.(check (list (pair int int))) "adjacency merges"
-    [ (0, 16) ]
-    (pairs (Ilog.coalesce [ intent 8 8; intent 0 8 ]));
-  Alcotest.(check (list (pair int int))) "gap survives exact mode"
-    [ (0, 8); (16, 8) ]
-    (pairs (Ilog.coalesce [ intent 16 8; intent 0 8 ]));
-  Alcotest.(check (list (pair int int))) "same-line gap merges at line granularity"
-    [ (0, 24) ]
-    (pairs (Ilog.coalesce ~line:64 [ intent 16 8; intent 0 8 ]));
-  Alcotest.(check (list (pair int int))) "cross-line gap survives line granularity"
-    [ (56, 8); (72, 8) ]
-    (pairs (Ilog.coalesce ~line:64 [ intent 72 8; intent 56 8 ]));
-  Alcotest.(check (list (pair int int))) "empty ranges dropped" []
-    (pairs (Ilog.coalesce [ intent 10 0 ]))
-
 (* add_intent_merged: merges with the previous entry only inside the
    unflushed window, and always records the exact union. *)
 let test_add_intent_merged () =
@@ -296,9 +230,6 @@ let () =
         ] );
       ( "coalescing",
         [
-          Alcotest.test_case "examples" `Quick test_coalesce_examples;
-          QCheck_alcotest.to_alcotest coalesce_exact_qcheck;
-          QCheck_alcotest.to_alcotest coalesce_line_qcheck;
           Alcotest.test_case "add_intent_merged window" `Quick test_add_intent_merged;
           Alcotest.test_case "merged entry recovers exactly" `Quick
             test_add_intent_merged_crash_exact;

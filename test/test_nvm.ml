@@ -178,6 +178,47 @@ let test_counters () =
   Region.reset_counters r;
   Alcotest.(check int) "reset" 0 (Region.counters r).Region.stores
 
+(* [at_fence n] counts fences across regions, fires once at entry to the
+   n-th, and leaves no trace on the simulation: an armed run whose
+   callback fires ends with the same counters, clocks and images as an
+   unarmed one. *)
+let test_at_fence () =
+  let script ~arm =
+    let a, ca = make ~seed:3 () and b, cb = make ~seed:4 () in
+    let fired = ref [] in
+    if arm then
+      Region.at_fence 3 (fun () ->
+          fired :=
+            ((Region.counters a).Region.fences, (Region.counters b).Region.fences)
+            :: !fired);
+    for i = 0 to 5 do
+      let r = if i mod 2 = 0 then a else b in
+      Region.write_int r (8 * i) i;
+      Region.persist r (8 * i) 8
+    done;
+    Region.fence a;
+    (!fired, List.map Region.counters [ a; b ], (Clock.now ca, Clock.now cb),
+     (Region.digest a, Region.digest b))
+  in
+  let fired, counters, clocks, digests = script ~arm:true in
+  Alcotest.(check (list (pair int int)))
+    "fired once, at entry to the fourth fence (b's second)" [ (2, 1) ] fired;
+  let _, counters', clocks', digests' = script ~arm:false in
+  Alcotest.(check bool) "counters identical to an unarmed run" true (counters = counters');
+  Alcotest.(check (pair int int)) "clocks identical to an unarmed run" clocks' clocks;
+  Alcotest.(check (pair string string)) "digests identical to an unarmed run" digests'
+    digests;
+  let r, _ = make () in
+  let fired = ref 0 in
+  Region.at_fence 1 (fun () -> incr fired);
+  Region.disarm_fence ();
+  Region.fence r;
+  Region.fence r;
+  Alcotest.(check int) "disarmed countdown never fires" 0 !fired;
+  Alcotest.check_raises "negative index rejected"
+    (Invalid_argument "Region.at_fence: negative fence index") (fun () ->
+      Region.at_fence (-1) ignore)
+
 let test_fill () =
   let r, _ = make () in
   Region.fill r 0 32 0xFF;
@@ -270,5 +311,6 @@ let () =
           Alcotest.test_case "charged to clock" `Quick test_costs_charged;
           Alcotest.test_case "clock switching" `Quick test_clock_switch;
           Alcotest.test_case "counters" `Quick test_counters;
+          Alcotest.test_case "at_fence fires once, invisibly" `Quick test_at_fence;
         ] );
     ]
