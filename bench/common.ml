@@ -20,7 +20,6 @@ end
 
 module Rng = Kamino_sim.Rng
 module Clock = Kamino_sim.Clock
-module Stats = Kamino_sim.Stats
 module Cost_model = Kamino_nvm.Cost_model
 module Engine = Kamino_core.Engine
 module Backup = Kamino_core.Backup
@@ -33,6 +32,7 @@ module Sim = Kamino_sim.Engine
 module Locks = Kamino_core.Locks
 module Async = Kamino_chain.Async_chain
 module Op = Kamino_chain.Op
+module Metrics = Kamino_obs.Metrics
 
 type params = {
   record_count : int;  (** preloaded keys (paper: 10 M) *)
@@ -169,32 +169,21 @@ let run_chain p mode workload ~clients =
   let write_hop = match mode with Async.Traditional -> hop_ns | Async.Kamino_chain _ -> 0 in
   let wl = Ycsb.create workload ~record_count:p.chain_records ~theta:p.theta in
   let rng = Rng.create 515 in
-  let lat = Hashtbl.create 4 in
-  let series label =
-    match Hashtbl.find_opt lat label with
-    | Some s -> s
-    | None ->
-        let s = Stats.create () in
-        Hashtbl.add lat label s;
-        s
-  in
+  let lat = Metrics.hist (Metrics.create ()) "op" in
   let issued = ref 0 and finish = ref start in
   let rec next t0 =
     if !issued < p.chain_ops then begin
       incr issued;
-      let complete label t1 =
-        Stats.add (series label) (float_of_int (t1 - t0));
+      let complete t1 =
+        Metrics.observe lat (t1 - t0);
         finish := max !finish t1;
         next t1
       in
-      let write label op =
-        Async.submit c ~at:(t0 + write_hop) op ~on_complete:(complete label)
-      in
+      let write op = Async.submit c ~at:(t0 + write_hop) op ~on_complete:complete in
       match Ycsb.next wl rng with
-      | Ycsb.Read k -> Async.read c ~at:(t0 + hop_ns) k ~on_result:(fun _ -> complete "read")
-      | Ycsb.Update k -> write "update" (Op.Put (k, payload))
-      | Ycsb.Insert k -> write "insert" (Op.Put (k, payload))
-      | Ycsb.Rmw k -> write "rmw" (Op.Append (k, ""))
+      | Ycsb.Read k -> Async.read c ~at:(t0 + hop_ns) k ~on_result:(fun _ -> complete)
+      | Ycsb.Update k | Ycsb.Insert k -> write (Op.Put (k, payload))
+      | Ycsb.Rmw k -> write (Op.Append (k, ""))
       | Ycsb.Scan _ -> invalid_arg "Common.run_chain: the chain serves no scans"
     end
   in
@@ -205,13 +194,12 @@ let run_chain p mode workload ~clients =
   (match Async.replicas_consistent c with
   | Ok () -> ()
   | Error e -> failwith ("Common.run_chain: " ^ e));
-  let all = Hashtbl.fold (fun _ s acc -> Stats.merge acc s) lat (Stats.create ()) in
   let elapsed = !finish - start in
   {
     kops =
       (if elapsed = 0 then 0.0
        else float_of_int p.chain_ops /. (float_of_int elapsed /. 1e9) /. 1e3);
-    mean_ns = Stats.mean all;
+    mean_ns = Metrics.mean lat;
     storage_bytes = Async.storage_bytes c;
     head_lock_waits = Locks.wait_events head_locks;
   }

@@ -6,7 +6,6 @@ open Common
 module Engine = Kamino_core.Engine
 module Backup = Kamino_core.Backup
 module Heap = Kamino_heap.Heap
-module Stats = Kamino_sim.Stats
 module Clock = Kamino_sim.Clock
 module Rng = Kamino_sim.Rng
 module Kv = Kamino_kv.Kv
@@ -351,7 +350,7 @@ let dependent p =
     in
     let r = Driver.run ~engine:(Kv.engine kv) ~clients:4 ~total_ops:p.ops ~step in
     let inserts = Option.get (Driver.latency_of r "insert") in
-    (r.Driver.mean_latency_ns, Stats.mean inserts)
+    (r.Driver.mean_latency_ns, Metrics.mean inserts)
   in
   let rows =
     List.concat_map
@@ -492,7 +491,10 @@ let availability p =
   let period = 25_000 in
   let n = 2000 in
   let reboot_at = n / 2 * period in
-  let before = Stats.create () and during = Stats.create () and after = Stats.create () in
+  let phases = Metrics.create () in
+  let before = Metrics.hist phases "before"
+  and during = Metrics.hist phases "during"
+  and after = Metrics.hist phases "after" in
   for k = 0 to n - 1 do
     let at = k * period in
     Async.submit c ~at (Op.Put (k mod 500, payload)) ~on_complete:(fun finish ->
@@ -501,17 +503,17 @@ let availability p =
           else if at < reboot_at + 500_000 then during
           else after
         in
-        Stats.add bucket (float_of_int (finish - at)))
+        Metrics.observe bucket (finish - at))
   done;
   Async.quick_reboot ~downtime_ns:2_000_000 c ~at:reboot_at 2;
   ignore (Async.run c);
   (match Async.replicas_consistent c with
   | Ok () -> ()
-  | Error e -> Printf.printf "!! replicas diverged: %s
-" e);
-  let row name s =
-    [ name; f1 (us_of_ns (Stats.mean s)); f1 (us_of_ns (Stats.percentile s 99.0));
-      string_of_int (Stats.count s) ]
+  | Error e -> failwith ("Figures.availability: " ^ e));
+  let row name h =
+    [ name; f1 (us_of_ns (Metrics.mean h));
+      f1 (us_of_ns (float_of_int (Metrics.percentile h 99.0)));
+      string_of_int (Metrics.count h) ]
   in
   print_table ~cols:[ "phase"; "mean us"; "p99 us"; "writes" ]
     [ row "before fault" before; row "fault window (+-0.5ms)" during; row "after fault" after ]

@@ -26,6 +26,7 @@ module Shard = Kamino_shard.Shard
 module Shard_kv = Kamino_shard.Shard_kv
 module Shard_driver = Kamino_shard.Shard_driver
 module Obs = Kamino_obs.Obs
+module Metrics = Kamino_obs.Metrics
 module Sink = Kamino_obs.Sink
 module Fs = Kamino_fs.Fs
 module Fs_check = Kamino_fs.Fs_check
@@ -102,20 +103,24 @@ let print_metrics e =
     "coalescing: %d ranges coalesced, %d tasks batched, %d copy bytes saved\n"
     m.Engine.ranges_coalesced m.Engine.tasks_batched m.Engine.bytes_saved
 
+(* Latency histograms, in the table [Sink.summary] prints. *)
+let print_hists hists =
+  let buf = Buffer.create 512 in
+  Sink.hist_rows buf hists;
+  print_string (Buffer.contents buf)
+
 (* Printed only when the run actually issued snapshot reads. *)
 let print_snapshot_summary e =
   let m = Engine.metrics e in
   if m.Engine.snapshot_hits > 0 || m.Engine.snapshot_fallbacks > 0 then begin
-    let h =
-      Kamino_obs.Metrics.hist (Engine.registry e) "engine.snapshot_staleness_ns"
-    in
+    let h = Metrics.hist (Engine.registry e) "engine.snapshot_staleness_ns" in
     Printf.printf
       "snapshot reads: %d backup hits, %d locked fallbacks, staleness p50/p99/max \
        %d/%d/%d ns\n"
       m.Engine.snapshot_hits m.Engine.snapshot_fallbacks
-      (Kamino_obs.Metrics.percentile h 50.0)
-      (Kamino_obs.Metrics.percentile h 99.0)
-      (Kamino_obs.Metrics.max_value h)
+      (Metrics.percentile h 50.0)
+      (Metrics.percentile h 99.0)
+      (Metrics.max_value h)
   end
 
 let workload_conv =
@@ -282,10 +287,7 @@ let ycsb_cmd =
       let e = Engine.create ~config:(config_of heap_mb) ~kind ~seed () in
       let r = run_ycsb ~snapshot_reads e ~kind ~workload ~clients ~ops ~records ~seed in
       Format.printf "%a@." Driver.pp_result r;
-      List.iter
-        (fun (label, s) ->
-          Printf.printf "  %-8s %s\n" label (Kamino_sim.Stats.summary s))
-        r.Driver.latencies;
+      print_hists r.Driver.latencies;
       print_metrics e;
       print_snapshot_summary e
     end
@@ -295,10 +297,7 @@ let ycsb_cmd =
           ~workload ~shards ~clients ~ops ~records ~seed ()
       in
       Format.printf "%a@." Driver.pp_result r;
-      List.iter
-        (fun (label, st) ->
-          Printf.printf "  %-8s %s\n" label (Kamino_sim.Stats.summary st))
-        r.Driver.latencies;
+      print_hists r.Driver.latencies;
       for i = 0 to Shard.shards s - 1 do
         Printf.printf "shard %d: " i;
         print_metrics (Shard.engine s i);
@@ -319,7 +318,7 @@ let ycsb_cmd =
           simulated clients in deterministic virtual time. $(b,--shards) partitions \
           the heap across independent engines and $(b,--domains) executes the shards \
           on real OCaml domains with bit-identical simulated results. Reports \
-          simulated throughput, per-operation latency series and engine metrics.")
+          simulated throughput, per-operation latency histograms and engine metrics.")
     term
 
 (* --- trace ------------------------------------------------------------------ *)
@@ -491,7 +490,8 @@ let chain_cmd =
     ignore (Async.run c);
     let rng = Rng.create (seed + 1) in
     let start = Kamino_sim.Engine.now (Async.sim c) in
-    let writes = Kamino_sim.Stats.create () and reads = Kamino_sim.Stats.create () in
+    let lat = Metrics.create () in
+    let reads = Metrics.hist lat "read" and writes = Metrics.hist lat "write" in
     (* One closed-loop client. A Kamino-Tx client lives on the head; a
        Traditional one pays the hop to the head on writes. Reads pay the
        hop to the tail. *)
@@ -501,8 +501,8 @@ let chain_cmd =
       finish := t0;
       if i < ops then begin
         let k = Rng.int rng records in
-        let record series t1 =
-          Kamino_sim.Stats.add series (float_of_int (t1 - t0));
+        let record hist t1 =
+          Metrics.observe hist (t1 - t0);
           step (i + 1) t1
         in
         if Rng.bool rng then
@@ -512,9 +512,7 @@ let chain_cmd =
     in
     step 0 start;
     ignore (Async.run c);
-    Printf.printf "reads:  %s\nwrites: %s\n"
-      (Kamino_sim.Stats.summary reads)
-      (Kamino_sim.Stats.summary writes);
+    print_hists [ ("read", reads); ("write", writes) ];
     Printf.printf "%.1f K ops/s (single closed-loop client), %.0f MB cluster NVM\n"
       (float_of_int ops /. (float_of_int (!finish - start) /. 1e9) /. 1e3)
       (float_of_int (Async.storage_bytes c) /. 1e6);
@@ -907,14 +905,14 @@ let fs_cmd =
     if dump then print_string (Fs.dump fs);
     let reg = Engine.registry e in
     let p op =
-      let h = Kamino_obs.Metrics.hist reg ("fs.op_ns." ^ op) in
-      if Kamino_obs.Metrics.count h = 0 then ""
+      let h = Metrics.hist reg ("fs.op_ns." ^ op) in
+      if Metrics.count h = 0 then ""
       else
         Printf.sprintf "  %-8s %6d ops  p50/p95/p99 %d/%d/%d sim-ns\n" op
-          (Kamino_obs.Metrics.count h)
-          (Kamino_obs.Metrics.percentile h 50.0)
-          (Kamino_obs.Metrics.percentile h 95.0)
-          (Kamino_obs.Metrics.percentile h 99.0)
+          (Metrics.count h)
+          (Metrics.percentile h 50.0)
+          (Metrics.percentile h 95.0)
+          (Metrics.percentile h 99.0)
     in
     Printf.printf "%d fs ops on %s, %d boundary crashes injected: CONSISTENT\n" rounds
       (Engine.kind_name kind) !crashed;

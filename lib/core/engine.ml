@@ -654,8 +654,6 @@ let snapshot_read_int64 s p field = Region.read_int64 s.s_reg (p + field)
 
 let snapshot_read_int s p field = Region.read_int s.s_reg (p + field)
 
-let snapshot_read_byte s p field = Region.read_byte s.s_reg (p + field)
-
 let snapshot_read_string s p field len = Region.read_string s.s_reg (p + field) len
 
 (* The root pointer as the snapshot saw it: the entry point for traversing
@@ -783,18 +781,6 @@ let drain_backup = Variant.drain_backup
 let verify_backup = Variant.verify_backup
 
 let last_write_keys t = t.last_write_keys
-
-let unresolved_records t =
-  match t.ilog with
-  | None -> []
-  | Some ilog ->
-      let acc = ref [] in
-      Intent_log.iter_records ilog (fun _ tx_id _ intents ->
-          acc :=
-            ( tx_id,
-              List.map (fun { Intent_log.off; len } -> { Heap.off; len }) intents )
-            :: !acc);
-      List.rev !acc
 
 let resolve_from_peer t ~peer =
   let ilog = the_ilog t in

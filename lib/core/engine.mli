@@ -330,8 +330,6 @@ val snapshot_read_int64 : snapshot -> Heap.ptr -> int -> int64
 
 val snapshot_read_int : snapshot -> Heap.ptr -> int -> int
 
-val snapshot_read_byte : snapshot -> Heap.ptr -> int -> int
-
 val snapshot_read_string : snapshot -> Heap.ptr -> int -> int -> string
 
 (** The heap root pointer as the snapshot saw it ([Heap.null] if the
@@ -369,10 +367,6 @@ val verify_backup : t -> (unit, string) result
     chain layer uses them to extend the head's lock hold until the tail's
     acknowledgment arrives. *)
 val last_write_keys : t -> int list
-
-(** Intent-log records that survived a crash unresolved ([Intent_only]
-    engines only resolve them through a peer): [(tx_id, ranges)]. *)
-val unresolved_records : t -> (int * Heap.range list) list
 
 (** [resolve_from_peer t ~peer] completes an [Intent_only] replica's
     recovery by copying every unresolved record's ranges from a chain

@@ -279,8 +279,6 @@ val log_intent : t -> Intent_log.slot -> mergeable:bool -> off:int -> len:int ->
     [engine.bytes_saved]. *)
 val coalesce_write_set : t -> Intent_log.intent list
 
-val applier_fence_batch : float
-
 (** Modelled applier cost of propagating a committed write set. *)
 val task_cost : Cost_model.t -> Intent_log.intent list -> float
 

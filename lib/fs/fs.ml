@@ -295,7 +295,6 @@ let engine t = t.engine
 let block_size t = t.block_size
 let superblock t = t.sb
 let itab t = t.itab
-let hash_mask t = t.hash_mask
 let ino_base t = t.base
 let ino_stride t = t.stride
 let has_root t = Engine.peek_int t.engine t.sb sb_root_ino >= 0

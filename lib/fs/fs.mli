@@ -289,7 +289,6 @@ val name_hash_raw : string -> int
 
 val superblock : t -> Heap.ptr
 val itab : t -> Btree.t
-val hash_mask : t -> int
 val hash_name : t -> string -> int
 val inode_ptr : t -> int -> Heap.ptr option
 (** Committed inode-table lookup. *)

@@ -50,25 +50,6 @@ let slow_nvm =
 let whole_system_persistence =
   { default with flush_line_ns = 0.0; fence_ns = 0.0; clflush_ns = 0.0 }
 
-let free_model =
-  {
-    store_overhead_ns = 0.0;
-    store_ns_per_byte = 0.0;
-    load_overhead_ns = 0.0;
-    load_ns_per_byte = 0.0;
-    flush_line_ns = 0.0;
-    fence_ns = 0.0;
-    copy_ns_per_byte = 0.0;
-    copy_overhead_ns = 0.0;
-    alloc_ns = 0.0;
-    free_ns = 0.0;
-    index_ns = 0.0;
-    lock_ns = 0.0;
-    log_entry_ns = 0.0;
-    clflush_ns = 0.0;
-    tx_overhead_ns = 0.0;
-  }
-
 let store_cost t len = t.store_overhead_ns +. (t.store_ns_per_byte *. float_of_int len)
 
 let load_cost t len = t.load_overhead_ns +. (t.load_ns_per_byte *. float_of_int len)

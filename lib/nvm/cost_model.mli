@@ -47,9 +47,6 @@ val slow_nvm : t
     live-locks", and Kamino-Tx's copy elimination still pays. *)
 val whole_system_persistence : t
 
-(** Zero-cost model for functional tests where time is irrelevant. *)
-val free_model : t
-
 (** Cost in ns of storing [len] bytes. *)
 val store_cost : t -> int -> float
 

@@ -633,9 +633,3 @@ let reset_counters t =
   c.fences <- 0;
   c.bytes_copied <- 0;
   c.crashes <- 0
-
-let pp_counters fmt c =
-  Format.fprintf fmt
-    "{stores=%d (%dB) loads=%d (%dB) flushed_lines=%d fences=%d copied=%dB crashes=%d}"
-    c.stores c.bytes_stored c.loads c.bytes_loaded c.lines_flushed c.fences
-    c.bytes_copied c.crashes

@@ -204,5 +204,3 @@ type counters = {
 val counters : t -> counters
 
 val reset_counters : t -> unit
-
-val pp_counters : Format.formatter -> counters -> unit

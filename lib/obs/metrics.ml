@@ -1,8 +1,7 @@
-type counter = { c_name : string; mutable count : int }
+type counter = { mutable count : int }
 
 type hist = {
-  h_name : string;
-  buckets : int array; (* index = bit length of the sample *)
+  buckets : int array; (* [n_buckets] slots, indexed by [index 0 v] *)
   mutable n : int;
   mutable total : int;
   mutable hmax : int;
@@ -22,7 +21,7 @@ let counter t name =
   match List.assoc_opt name t.counters with
   | Some c -> c
   | None ->
-      let c = { c_name = name; count = 0 } in
+      let c = { count = 0 } in
       t.counters <- (name, c) :: t.counters;
       c
 
@@ -30,32 +29,44 @@ let incr c = c.count <- c.count + 1
 let add c n = c.count <- c.count + n
 let set c n = c.count <- n
 let value c = c.count
-let counter_name c = c.c_name
+
+(* Log-linear buckets, 32 per octave: 0..63 map to themselves; above,
+   [v] keeps its top 6 significant bits [m] (32..63) and is shifted
+   right by [s], landing in bucket [s * 32 + m]. The largest int has 62
+   bits, so [s <= 56] and the last bucket is [56 * 32 + 63]. *)
+let n_buckets = 1856
+
+let rec index s v = if v < 64 then (s * 32) + v else index (s + 1) (v lsr 1)
+
+(* Largest value that lands in bucket [i]. *)
+let upper i =
+  if i < 64 then i
+  else
+    let s = (i / 32) - 1 in
+    ((32 + (i mod 32)) lsl s) + ((1 lsl s) - 1)
 
 let hist t name =
   match List.assoc_opt name t.hists with
   | Some h -> h
   | None ->
-      let h =
-        { h_name = name; buckets = Array.make 64 0; n = 0; total = 0; hmax = 0 }
-      in
+      let h = { buckets = Array.make n_buckets 0; n = 0; total = 0; hmax = 0 } in
       t.hists <- (name, h) :: t.hists;
       h
 
-(* Number of significant bits: bits 0 = 0, bits 1 = 1, bits 7 = 3. *)
-let bits v =
-  let rec go acc v = if v = 0 then acc else go (acc + 1) (v lsr 1) in
-  go 0 v
-
 let observe h v =
   let v = if v < 0 then 0 else v in
-  let i = bits v in
+  let i = index 0 v in
   h.buckets.(i) <- h.buckets.(i) + 1;
   h.n <- h.n + 1;
   h.total <- h.total + v;
   if v > h.hmax then h.hmax <- v
 
-let hist_name h = h.h_name
+let merge ~into h =
+  Array.iteri (fun i c -> into.buckets.(i) <- into.buckets.(i) + c) h.buckets;
+  into.n <- into.n + h.n;
+  into.total <- into.total + h.total;
+  if h.hmax > into.hmax then into.hmax <- h.hmax
+
 let count h = h.n
 let sum h = h.total
 let max_value h = h.hmax
@@ -70,13 +81,11 @@ let percentile h p =
     in
     let i = ref 0 in
     let seen = ref 0 in
-    while !seen < rank && !i < 64 do
+    while !seen < rank && !i < n_buckets do
       seen := !seen + h.buckets.(!i);
       if !seen < rank then i := !i + 1
     done;
-    (* Upper bound of bucket !i: 2^!i - 1 (bucket 0 holds only 0). *)
-    let ub = if !i = 0 then 0 else (1 lsl !i) - 1 in
-    min ub h.hmax
+    min (upper !i) h.hmax
   end
 
 let percentiles h ps = Array.map (fun p -> percentile h p) ps

@@ -1,17 +1,18 @@
 (** Named counters and simulated-time histograms.
 
-    A registry is a flat namespace of monotonic counters and log2-bucket
+    A registry is a flat namespace of monotonic counters and log-linear
     histograms.  Handles are resolved once (at engine creation) so every
     hot-path update is a plain field mutation — no hashing, no
     allocation.  All aggregation is over integers, so percentile
     estimates are deterministic across runs and machines.
 
-    Histogram buckets are by bit length: value [v] lands in bucket
-    [bits v] (0 -> bucket 0, 1 -> 1, 2..3 -> 2, 4..7 -> 3, ...), 64
-    buckets total.  A percentile is reported as the upper bound of the
-    bucket holding that rank, clamped to the observed maximum — a
-    <= 2x overestimate, stable and cheap, which is what a regression
-    tripwire needs. *)
+    Histogram buckets are log-linear (HdrHistogram-style, 32 sub-buckets
+    per octave): values 0..63 each have their own bucket; a value
+    [v >= 64] with [s = bits v - 6] lands in bucket [s * 32 + (v lsr s)],
+    1856 buckets for OCaml's 62-bit ints.  A percentile is the upper
+    bound of the bucket holding its nearest rank, clamped to the observed
+    maximum: exact below 64, and never below the exact nearest-rank
+    sample nor more than 1/32 above it. *)
 
 type t
 type counter
@@ -31,15 +32,20 @@ val set : counter -> int -> unit
 (** Overwrite the value — for gauges synced from an external source. *)
 
 val value : counter -> int
-val counter_name : counter -> string
 
 (** {1 Histograms} *)
 
 val hist : t -> string -> hist
-val observe : hist -> int -> unit
-(** Negative samples are clamped to 0. *)
+(** Find or register, like {!counter}. *)
 
-val hist_name : hist -> string
+val observe : hist -> int -> unit
+(** Negative samples are clamped to 0. Keeps no sample; allocates
+    nothing. *)
+
+val merge : into:hist -> hist -> unit
+(** [merge ~into h] adds every sample of [h] to [into] — the same
+    histogram as observing both sample sets into one. *)
+
 val count : hist -> int
 val sum : hist -> int
 val max_value : hist -> int

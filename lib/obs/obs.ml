@@ -38,7 +38,6 @@ let k_view_change = 10
 let k_promote = 11
 let k_fault = 12
 let k_fs_op = 13
-let n_kinds = 14
 
 let kind_name = function
   | 0 -> "flush"

@@ -81,8 +81,6 @@ val k_fs_op : int
     order), [b] = primary inode, [c] = op-specific auxiliary (bytes
     written, entries scanned, target inode, ...). *)
 
-val n_kinds : int
-
 val kind_name : int -> string
 (** Stable display name, e.g. ["flush"], ["lock_wait"]. *)
 

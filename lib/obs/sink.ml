@@ -74,6 +74,19 @@ let write_perfetto_file path obs =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (perfetto_string obs))
 
+let hist_rows buf hists =
+  Printf.bprintf buf "  %-28s %10s %12s %10s %10s %10s %12s\n" "name" "count"
+    "mean" "p50" "p95" "p99" "max";
+  List.iter
+    (fun (name, h) ->
+      Printf.bprintf buf "  %-28s %10d %12.1f %10d %10d %10d %12d\n" name
+        (Metrics.count h) (Metrics.mean h)
+        (Metrics.percentile h 50.)
+        (Metrics.percentile h 95.)
+        (Metrics.percentile h 99.)
+        (Metrics.max_value h))
+    hists
+
 let summary buf ?obs reg =
   Buffer.add_string buf "== counters ==\n";
   let any =
@@ -83,19 +96,9 @@ let summary buf ?obs reg =
   in
   if not any then Buffer.add_string buf "  (none)\n";
   Buffer.add_string buf "== histograms (sim ns) ==\n";
-  Printf.bprintf buf "  %-28s %10s %12s %10s %10s %10s %12s\n" "name" "count"
-    "mean" "p50" "p95" "p99" "max";
-  let any =
-    Metrics.fold_hists reg ~init:false ~f:(fun _ name h ->
-        Printf.bprintf buf "  %-28s %10d %12.1f %10d %10d %10d %12d\n" name
-          (Metrics.count h) (Metrics.mean h)
-          (Metrics.percentile h 50.)
-          (Metrics.percentile h 95.)
-          (Metrics.percentile h 99.)
-          (Metrics.max_value h);
-        true)
-  in
-  if not any then Buffer.add_string buf "  (none)\n";
+  let hists = Metrics.fold_hists reg ~init:[] ~f:(fun acc name h -> (name, h) :: acc) in
+  hist_rows buf (List.rev hists);
+  if hists = [] then Buffer.add_string buf "  (none)\n";
   match obs with
   | None -> ()
   | Some o ->

@@ -15,6 +15,11 @@ val perfetto_string : Obs.t -> string
 val write_perfetto_file : string -> Obs.t -> unit
 (** Write (truncate) [path] with the JSON document. *)
 
+val hist_rows : Buffer.t -> (string * Metrics.hist) list -> unit
+(** A header line, then one row per histogram: count, mean, p50, p95,
+    p99 and max — the table {!summary} prints, for callers that hold
+    histograms of their own. *)
+
 val summary : Buffer.t -> ?obs:Obs.t -> Metrics.t -> unit
 (** Plain-text report: counters, then histograms
     (count/mean/p50/p95/p99/max), then — when [obs] is given — ring

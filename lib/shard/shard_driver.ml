@@ -1,5 +1,5 @@
 module Clock = Kamino_sim.Clock
-module Stats = Kamino_sim.Stats
+module Metrics = Kamino_obs.Metrics
 module Driver = Kamino_workload.Driver
 
 let home ~shards client = client mod shards
@@ -13,7 +13,7 @@ let home ~shards client = client mod shards
    furthest-behind pick (clients never migrate, quotas are fixed, and no
    cross-shard state feeds the choice). So the driver executes each
    shard as an independent *lane* — its clients, their clocks and
-   quotas, its latency series — and the lane's operation stream is the
+   quotas, its latency histograms — and the lane's operation stream is the
    same whether lanes run interleaved on one domain or concurrently on
    many. test_shard.ml holds the per-shard timelines to a standalone
    engine bit-for-bit, and the parallel-vs-sequential oracle fingerprints
@@ -26,9 +26,7 @@ type lane = {
   l_clocks : Clock.t array;
   l_start : int;  (* shard timeline at lane start (post-load) *)
   mutable l_remaining : int;
-  (* Label -> series, plus first-appearance order for a canonical merge. *)
-  l_series : (string, Stats.series) Hashtbl.t;
-  mutable l_labels : string list;  (* reversed first-appearance order *)
+  l_latencies : Metrics.t;  (* one histogram per op label *)
   mutable l_elapsed : int;
 }
 
@@ -51,19 +49,9 @@ let make_lanes ~shard ~clients ~total_ops =
         l_clocks = Array.map (fun _ -> Clock.create_at start) mine;
         l_start = start;
         l_remaining = Array.fold_left ( + ) 0 quota;
-        l_series = Hashtbl.create 8;
-        l_labels = [];
+        l_latencies = Metrics.create ();
         l_elapsed = 0;
       })
-
-let lane_series lane label =
-  match Hashtbl.find_opt lane.l_series label with
-  | Some s -> s
-  | None ->
-      let s = Stats.create () in
-      Hashtbl.add lane.l_series label s;
-      lane.l_labels <- label :: lane.l_labels;
-      s
 
 (* One full lane: the furthest-behind client with quota left runs next,
    progress measured from the lane's own start so shards whose load
@@ -90,49 +78,24 @@ let exec_lane ~shard ~step ~service lane =
     Shard.set_clock shard lane.l_shard clock;
     let t0 = Clock.now clock in
     let label = step ~client:lane.l_clients.(k) ~shard_id:lane.l_shard () in
-    Stats.add (lane_series lane label) (float_of_int (Clock.now clock - t0))
+    Metrics.observe (Metrics.hist lane.l_latencies label) (Clock.now clock - t0)
   done;
   let m = ref 0 in
   Array.iter (fun clk -> m := max !m (Clock.now clk - lane.l_start)) lane.l_clocks;
   lane.l_elapsed <- !m
 
-(* Merge lane results into one Driver.result, canonically: labels in
-   first-appearance order over lanes in shard order, each label's series
-   rebuilt lane by lane in shard order. Merge order never depends on
-   which domain finished first, so the result is bit-identical across
-   [domains] settings — including the float sums inside Stats. *)
+(* Merge lane results into one Driver.result, label by label. Histogram
+   merges are integer sums, so the result does not depend on which
+   domain finished first. *)
 let merge_lanes ~total_ops lanes =
-  let labels =
-    Array.fold_left
-      (fun acc lane ->
-        List.fold_left
-          (fun acc l -> if List.mem l acc then acc else acc @ [ l ])
-          acc
-          (List.rev lane.l_labels))
-      [] lanes
-  in
-  let merged label =
-    Array.fold_left
-      (fun acc lane ->
-        match Hashtbl.find_opt lane.l_series label with
-        | Some s -> Stats.merge acc s
-        | None -> acc)
-      (Stats.create ()) lanes
-  in
-  let latencies = List.map (fun l -> (l, merged l)) labels in
-  let all =
-    List.fold_left (fun acc (_, s) -> Stats.merge acc s) (Stats.create ()) latencies
-  in
+  let latencies = Metrics.create () in
+  Array.iter
+    (fun lane ->
+      Metrics.fold_hists lane.l_latencies ~init:() ~f:(fun () label h ->
+          Metrics.merge ~into:(Metrics.hist latencies label) h))
+    lanes;
   let elapsed_ns = Array.fold_left (fun m lane -> max m lane.l_elapsed) 0 lanes in
-  {
-    Driver.total_ops;
-    elapsed_ns;
-    throughput_mops =
-      (if elapsed_ns = 0 then 0.0
-       else float_of_int total_ops /. (float_of_int elapsed_ns /. 1e9) /. 1e6);
-    mean_latency_ns = Stats.mean all;
-    latencies;
-  }
+  Driver.result_of ~total_ops ~elapsed_ns latencies
 
 let run ?(domains = 1) ?router ~shard ~clients ~total_ops ~step () =
   if clients <= 0 then invalid_arg "Shard_driver.run: clients must be positive";

@@ -27,7 +27,7 @@ val home : shards:int -> int -> int
     [domains] (default 1, clamped to the shard count) runs lanes on that
     many OCaml domains, shard [s] on domain [s mod domains]; each domain
     executes its lanes in ascending shard order. Simulated time, NVM
-    counters, final heap images, latency series and Perfetto rings (via
+    counters, final heap images, latency histograms and Perfetto rings (via
     [shard_obs] + {!Kamino_obs.Obs.merged}) are bit-identical for any
     [domains] — wall-clock time is what changes. [step] must be
     domain-safe in the natural sharded sense: state it touches for shard

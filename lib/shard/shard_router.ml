@@ -170,6 +170,3 @@ let exclusive t ~from ids f =
 
 let with_cross_tx t ~from ids f =
   exclusive t ~from ids (fun () -> Shard.with_cross_tx t.shard ids f)
-
-let with_remote_tx t ~from i f =
-  exclusive t ~from [ i ] (fun () -> Shard.with_tx t.shard i f)

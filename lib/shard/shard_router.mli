@@ -63,10 +63,6 @@ val with_cross_tx :
   ((int -> Kamino_core.Engine.tx) -> 'a) ->
   'a
 
-(** A single-shard transaction on shard [i], which may be foreign —
-    {!Shard.with_tx} under {!exclusive}. *)
-val with_remote_tx : t -> from:int -> int -> (Kamino_core.Engine.tx -> 'a) -> 'a
-
 (** Leased (locked) operations completed so far. *)
 val crossed : t -> int
 

@@ -36,7 +36,3 @@ val bernoulli : t -> float -> bool
 
 (** [shuffle t a] permutes array [a] in place (Fisher-Yates). *)
 val shuffle : t -> 'a array -> unit
-
-(** [choose t a] returns a uniformly chosen element of [a].
-    Raises [Invalid_argument] on an empty array. *)
-val choose : t -> 'a array -> 'a

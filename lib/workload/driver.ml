@@ -1,14 +1,30 @@
 module Clock = Kamino_sim.Clock
-module Stats = Kamino_sim.Stats
 module Engine = Kamino_core.Engine
+module Metrics = Kamino_obs.Metrics
 
 type result = {
   total_ops : int;
   elapsed_ns : int;
   throughput_mops : float;
   mean_latency_ns : float;
-  latencies : (string * Stats.series) list;
+  latencies : (string * Metrics.hist) list;
 }
+
+let result_of ~total_ops ~elapsed_ns latencies =
+  let latencies =
+    List.rev (Metrics.fold_hists latencies ~init:[] ~f:(fun acc l h -> (l, h) :: acc))
+  in
+  let n = List.fold_left (fun acc (_, h) -> acc + Metrics.count h) 0 latencies in
+  let total = List.fold_left (fun acc (_, h) -> acc + Metrics.sum h) 0 latencies in
+  {
+    total_ops;
+    elapsed_ns;
+    throughput_mops =
+      (if elapsed_ns = 0 then 0.0
+       else float_of_int total_ops /. (float_of_int elapsed_ns /. 1e9) /. 1e6);
+    mean_latency_ns = float_of_int total /. float_of_int n;
+    latencies;
+  }
 
 let run ~engine ~clients ~total_ops ~step =
   if clients <= 0 then invalid_arg "Driver.run: clients must be positive";
@@ -17,15 +33,7 @@ let run ~engine ~clients ~total_ops ~step =
      "wait" for load-time lock releases. *)
   let start = Engine.now engine in
   let clocks = Array.init clients (fun _ -> Clock.create_at start) in
-  let latencies : (string, Stats.series) Hashtbl.t = Hashtbl.create 8 in
-  let series label =
-    match Hashtbl.find_opt latencies label with
-    | Some s -> s
-    | None ->
-        let s = Stats.create () in
-        Hashtbl.add latencies label s;
-        s
-  in
+  let latencies = Metrics.create () in
   for _ = 1 to total_ops do
     (* The client furthest behind in virtual time runs next; this is the
        conservative discrete-event order that makes lock release times
@@ -38,24 +46,12 @@ let run ~engine ~clients ~total_ops ~step =
     Engine.set_clock engine clock;
     let t0 = Clock.now clock in
     let label = step ~client:!client () in
-    Stats.add (series label) (float_of_int (Clock.now clock - t0))
+    Metrics.observe (Metrics.hist latencies label) (Clock.now clock - t0)
   done;
   let elapsed_ns = Array.fold_left (fun acc c -> max acc (Clock.now c)) start clocks - start in
-  let all = Hashtbl.fold (fun _ s acc -> Stats.merge acc s) latencies (Stats.create ()) in
-  {
-    total_ops;
-    elapsed_ns;
-    throughput_mops =
-      (if elapsed_ns = 0 then 0.0
-       else float_of_int total_ops /. (float_of_int elapsed_ns /. 1e9) /. 1e6);
-    mean_latency_ns = Stats.mean all;
-    latencies = Hashtbl.fold (fun k v acc -> (k, v) :: acc) latencies [];
-  }
+  result_of ~total_ops ~elapsed_ns latencies
 
 let latency_of result label = List.assoc_opt label result.latencies
-
-let all_latencies result =
-  List.fold_left (fun acc (_, s) -> Stats.merge acc s) (Stats.create ()) result.latencies
 
 let pp_result fmt r =
   Format.fprintf fmt "%d ops in %.3f ms: %.3f M ops/s, mean latency %.0f ns" r.total_ops

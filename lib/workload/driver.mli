@@ -5,15 +5,15 @@
     serially at the data level in virtual-time order (always the client
     whose clock is furthest behind runs next), and contention surfaces as
     lock waits that push a client's clock forward. Throughput is
-    [total_ops / max client end-time]; per-operation latencies feed labeled
-    series. *)
+    [total_ops / max client end-time]; per-operation latencies feed one
+    histogram per op label. *)
 
 type result = {
   total_ops : int;
   elapsed_ns : int;  (** latest client clock at the end *)
   throughput_mops : float;  (** million ops per simulated second *)
   mean_latency_ns : float;
-  latencies : (string * Kamino_sim.Stats.series) list;  (** by op label *)
+  latencies : (string * Kamino_obs.Metrics.hist) list;  (** sorted by op label *)
 }
 
 (** [run ~engine ~clients ~total_ops ~step] executes [total_ops] operations
@@ -28,11 +28,13 @@ val run :
   step:(client:int -> unit -> string) ->
   result
 
-(** [latency_of result label] — the series for one op label, if any ops of
-    that label ran. *)
-val latency_of : result -> string -> Kamino_sim.Stats.series option
+(** [result_of ~total_ops ~elapsed_ns latencies] builds a result from a
+    registry holding one histogram per op label; the mean latency is
+    taken over every histogram. *)
+val result_of : total_ops:int -> elapsed_ns:int -> Kamino_obs.Metrics.t -> result
 
-(** Merge all latency series of a result into one. *)
-val all_latencies : result -> Kamino_sim.Stats.series
+(** [latency_of result label] — the histogram for one op label, if any
+    ops of that label ran. *)
+val latency_of : result -> string -> Kamino_obs.Metrics.hist option
 
 val pp_result : Format.formatter -> result -> unit

@@ -249,6 +249,7 @@ let stock_level t rng =
       done;
       ignore !low)
 
+(* Draws a transaction type from the standard mix. *)
 let sample_kind rng =
   let p = Rng.int rng 100 in
   if p < 45 then New_order

@@ -27,9 +27,6 @@ val setup :
   rng:Kamino_sim.Rng.t ->
   t
 
-(** [sample_kind rng] draws a transaction type from the standard mix. *)
-val sample_kind : Kamino_sim.Rng.t -> tx_kind
-
 (** [run t rng kind] executes one transaction of the given type. *)
 val run : t -> Kamino_sim.Rng.t -> tx_kind -> unit
 

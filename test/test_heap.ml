@@ -202,7 +202,7 @@ let test_stats_accounting () =
   Heap.free h a;
   let s2 = Heap.stats h in
   Alcotest.(check int) "one live after free" 1 s2.Heap.live_objects;
-  (* Stats survive a stale -> resync cycle (what reopen does). *)
+  (* [Heap.stats] survive a stale -> resync cycle (what reopen does). *)
   let h' = Heap.open_existing r in
   let s3 = Heap.stats h' in
   Alcotest.(check int) "resynced live objects" 1 s3.Heap.live_objects;

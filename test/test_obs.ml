@@ -1,6 +1,6 @@
 (* Tests for the observability subsystem: the event ring (wraparound,
    drop accounting, the null tracer), the metrics registry (deterministic
-   log2-bucket percentiles), the Perfetto sink's document shape, seed
+   log-linear percentiles), the Perfetto sink's document shape, seed
    determinism of traces, and — the load-bearing invariant — that turning
    tracing on changes no simulated nanosecond, no NVM counter, no minor
    word allocated per op, and no crash-recovery or chaos outcome
@@ -130,15 +130,88 @@ let test_metrics_percentiles () =
   Alcotest.(check int) "count" 100 (Metrics.count h);
   Alcotest.(check int) "max" 100 (Metrics.max_value h);
   Alcotest.(check (float 0.001)) "mean" 50.5 (Metrics.mean h);
-  (* Log2 buckets: rank 50 lands in bucket [32,63], reported as its upper
-     bound; the top ranks clamp to the observed max. *)
-  Alcotest.(check int) "p50 = bucket upper bound" 63 (Metrics.percentile h 50.0);
-  Alcotest.(check int) "p99 clamps to max" 100 (Metrics.percentile h 99.0);
+  (* Values below 64 have a bucket each, so rank 50 is reported exactly.
+     Above, buckets are 2 wide: 99 sits in [98, 99], and 100 in
+     [100, 101], whose upper bound clamps to the observed max. *)
+  Alcotest.(check int) "p50 exact" 50 (Metrics.percentile h 50.0);
+  Alcotest.(check int) "p99 = bucket upper bound" 99 (Metrics.percentile h 99.0);
+  Alcotest.(check int) "p100 clamps to max" 100 (Metrics.percentile h 100.0);
   Metrics.observe h (-5);
   Alcotest.(check int) "negatives clamp to 0" 101 (Metrics.count h);
   let empty = Metrics.hist r "empty" in
   Alcotest.(check int) "empty percentile" 0 (Metrics.percentile empty 99.0);
   Alcotest.(check (float 0.001)) "empty mean" 0.0 (Metrics.mean empty)
+
+(* The [ceil (p/100 * n)]-th smallest sample, the rank
+   [Metrics.percentile] reports. *)
+let nearest_rank samples p =
+  let sorted = Array.of_list (List.sort compare samples) in
+  let n = Array.length sorted in
+  let r = int_of_float (ceil (p /. 100. *. float_of_int n)) in
+  sorted.(max 1 (min n r) - 1)
+
+let hist_of samples =
+  let h = Metrics.hist (Metrics.create ()) "h" in
+  List.iter (Metrics.observe h) samples;
+  h
+
+let test_hist_exact_below_64 () =
+  let samples = List.init 64 Fun.id in
+  let h = hist_of samples in
+  for p = 1 to 100 do
+    let p = float_of_int p in
+    Alcotest.(check int)
+      (Printf.sprintf "p%.0f" p)
+      (nearest_rank samples p) (Metrics.percentile h p)
+  done
+
+(* Non-negative ints spread over every magnitude up to [max_int]. *)
+let samples_arb =
+  let open QCheck in
+  let value = Gen.map2 (fun shift x -> (x land max_int) lsr shift) (Gen.int_range 0 62) Gen.int in
+  make ~print:Print.(list int) Gen.(list_size (int_range 1 300) value)
+
+let test_hist_error_bound =
+  QCheck.Test.make ~count:500 ~name:"percentile in [exact, exact + exact/32]" samples_arb
+    (fun samples ->
+      let h = hist_of samples in
+      List.for_all
+        (fun p ->
+          let exact = nearest_rank samples p and got = Metrics.percentile h p in
+          exact <= got && got - exact <= exact / 32)
+        [ 50.; 95.; 99.; 99.9 ])
+
+let test_hist_merge =
+  QCheck.Test.make ~count:200 ~name:"merge a b = observing the union"
+    (QCheck.pair samples_arb samples_arb) (fun (a, b) ->
+      let ha = hist_of a and hb = hist_of b and hu = hist_of (a @ b) in
+      Metrics.merge ~into:ha hb;
+      let ps = Array.init 101 float_of_int in
+      Metrics.count ha = Metrics.count hu
+      && Metrics.sum ha = Metrics.sum hu
+      && Metrics.max_value ha = Metrics.max_value hu
+      && Metrics.percentiles ha ps = Metrics.percentiles hu ps)
+
+let test_hist_observe_no_alloc () =
+  let h = Metrics.hist (Metrics.create ()) "h" in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 100_000 do
+    Metrics.observe h (i * 7919)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
+let test_hist_extremes () =
+  let h = hist_of [ -5; min_int ] in
+  Alcotest.(check int) "negatives counted" 2 (Metrics.count h);
+  Alcotest.(check int) "negatives clamp to 0" 0 (Metrics.sum h);
+  Alcotest.(check int) "p99 of clamped" 0 (Metrics.percentile h 99.);
+  let h = hist_of [ max_int; max_int / 2 ] in
+  Alcotest.(check int) "max_int kept" max_int (Metrics.max_value h);
+  Alcotest.(check int) "p100 = max_int" max_int (Metrics.percentile h 100.);
+  let p50 = Metrics.percentile h 50. in
+  Alcotest.(check bool) "p50 within 1/32 of max_int/2" true
+    (p50 >= max_int / 2 && p50 - (max_int / 2) <= max_int / 64)
 
 (* --- a small deterministic engine workload ---------------------------------- *)
 
@@ -423,6 +496,11 @@ let () =
         [
           Alcotest.test_case "counters" `Quick test_metrics_counters;
           Alcotest.test_case "percentiles" `Quick test_metrics_percentiles;
+          Alcotest.test_case "0..63 exact" `Quick test_hist_exact_below_64;
+          QCheck_alcotest.to_alcotest test_hist_error_bound;
+          QCheck_alcotest.to_alcotest test_hist_merge;
+          Alcotest.test_case "observe allocates nothing" `Quick test_hist_observe_no_alloc;
+          Alcotest.test_case "negatives and max_int" `Quick test_hist_extremes;
         ] );
       ( "sink",
         [

@@ -177,50 +177,75 @@ let test_transparent_resize () =
   Alcotest.(check (option int)) "removed gone" None (Phash.find h ~key:(2 * 131));
   Alcotest.(check int) "count tracks" (n - 1) (Phash.count h)
 
-(* Crash at every insert index, under both crash modes: reopening must
-   recover every completed insert with its exact value — including
-   crashes that land mid-migration, where [open_existing] finishes the
-   interrupted split before serving. *)
+(* Crash at every fence of every insert, under both crash modes — the
+   inserts that arm a doubling and the ones that run a migration batch
+   included — and at every fence of the [open_existing] that recovers
+   from it. Reopening must yield exactly the table before or after the
+   insert, with no migration pending, and the table must keep growing. *)
+type resize_state = { r : Region.t; mutable h : Phash.t }
+
 let test_resize_crash_sweep () =
   (* capacity 16 with two doublings tops out at 64 slots; 60 inserts cross
      both arm thresholds (>14 and >28) without overloading the final table. *)
   let n = 60 in
+  let key k = k * 4093 in
+  let insert s k = Phash.insert s.h ~key:(key k) ~value:(k * 3) in
+  let observe s =
+    let found =
+      List.filter_map
+        (fun k -> Option.map (fun v -> (key k, v)) (Phash.find s.h ~key:(key k)))
+        (List.init n succ)
+    in
+    let listed = ref [] in
+    Phash.iter s.h (fun ~key ~value -> listed := (key, value) :: !listed);
+    let show l = String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%d:%d" k v) l) in
+    Printf.sprintf "count=%d found=[%s] listed=[%s]" (Phash.count s.h) (show found)
+      (show (List.sort compare !listed))
+  in
   List.iter
-    (fun crash_mode ->
+    (fun (mode_name, crash_mode) ->
       List.iter
         (fun seed ->
-          for crash_at = 0 to n do
-            let clock = Clock.create () in
-            let r =
-              Region.create ~crash_mode ~rng:(Rng.create (seed + (crash_at * 97)))
-                ~clock
-                ~size:(Phash.chain_size ~capacity:16 ~doublings:2) ()
+          let recovery_points = ref 0 in
+          for i = 1 to n do
+            let setup () =
+              let r =
+                Region.create ~crash_mode ~rng:(Rng.create (seed + (i * 97)))
+                  ~clock:(Clock.create ())
+                  ~size:(Phash.chain_size ~capacity:16 ~doublings:2) ()
+              in
+              let s = { r; h = Phash.format r ~capacity:16 } in
+              for k = 1 to i - 1 do
+                insert s k
+              done;
+              s
             in
-            let h = Phash.format r ~capacity:16 in
-            for k = 1 to crash_at do
-              Phash.insert h ~key:(k * 4093) ~value:(k * 3)
-            done;
-            Region.crash r;
-            let h' = Phash.open_existing r in
-            Alcotest.(check bool) "no migration pending after reopen" false
-              (Phash.resizing h');
-            Alcotest.(check int)
-              (Printf.sprintf "count at crash_at=%d" crash_at)
-              crash_at (Phash.count h');
-            for k = 1 to crash_at do
-              Alcotest.(check (option int))
-                (Printf.sprintf "crash_at=%d key %d" crash_at k)
-                (Some (k * 3))
-                (Phash.find h' ~key:(k * 4093))
-            done;
-            (* The reopened table must keep working, through more growth. *)
-            for k = crash_at + 1 to n do
-              Phash.insert h' ~key:(k * 4093) ~value:(k * 3)
-            done;
-            Alcotest.(check int) "final count" n (Phash.count h')
-          done)
+            let ctx = Printf.sprintf "%s seed=%d insert %d" mode_name seed i in
+            let st =
+              Fence_sweep.sweep ~ctx ~setup
+                ~crash:(fun s -> Region.crash s.r)
+                ~recover:(fun s -> s.h <- Phash.open_existing s.r)
+                ~op:(fun s -> insert s i)
+                ~drain:ignore ~observe
+                ~check:(fun s here ->
+                  Alcotest.(check bool) (here ^ ": no migration pending after reopen") false
+                    (Phash.resizing s.h))
+                ~on_crash:(fun s _ ->
+                  (* The reopened table must keep working, through more growth. *)
+                  for k = Phash.count s.h + 1 to n do
+                    insert s k
+                  done;
+                  Alcotest.(check int) (ctx ^ ": final count") n (Phash.count s.h))
+                ()
+            in
+            recovery_points := !recovery_points + st.Fence_sweep.recovery_points
+          done;
+          (* Reopens that finish an interrupted migration have fences of
+             their own; the sweep must have crashed some of them. *)
+          if !recovery_points = 0 then
+            Alcotest.failf "%s seed=%d: no open_existing fence crashed" mode_name seed)
         [ 1; 2 ])
-    [ Region.Drop_unflushed; Region.Words_survive_randomly ]
+    [ ("drop-unflushed", Region.Drop_unflushed); ("words-survive", Region.Words_survive_randomly) ]
 
 let test_iter () =
   let h, _ = make () in

@@ -21,7 +21,7 @@ module Shard_kv = Kamino_shard.Shard_kv
 module Shard_driver = Kamino_shard.Shard_driver
 module Shard_router = Kamino_shard.Shard_router
 module Mailbox = Kamino_shard.Mailbox
-module Stats = Kamino_sim.Stats
+module Metrics = Kamino_obs.Metrics
 module Obs = Kamino_obs.Obs
 module Sink = Kamino_obs.Sink
 module Driver = Kamino_workload.Driver
@@ -228,14 +228,17 @@ let test_scaling () =
 
 (* --- parallel execution (OCaml 5 domains) ----------------------------------- *)
 
-(* The float fields compare with [=]: bit-identity, not tolerance — the
-   merge order in [Shard_driver] is domain-count-independent by design. *)
+(* The float fields compare with [=]: bit-identity, not tolerance. Every
+   label's histogram is compared by count, sum, p50 and p99. *)
 let result_fingerprint (r : Driver.result) =
   ( r.Driver.total_ops,
     r.Driver.elapsed_ns,
     r.Driver.throughput_mops,
     r.Driver.mean_latency_ns,
-    List.map (fun (l, s) -> (l, Stats.count s, Stats.sum s)) r.Driver.latencies )
+    List.map
+      (fun (l, h) ->
+        (l, Metrics.count h, Metrics.sum h, Metrics.percentiles h [| 50.; 99. |]))
+      r.Driver.latencies )
 
 let shard_fingerprints s =
   Array.init (Shard.shards s) (fun i -> Engine.fingerprint (Shard.engine s i))

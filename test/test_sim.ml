@@ -3,7 +3,6 @@
 module Rng = Kamino_sim.Rng
 module Clock = Kamino_sim.Clock
 module Pqueue = Kamino_sim.Pqueue
-module Stats = Kamino_sim.Stats
 module Engine = Kamino_sim.Engine
 
 let test_rng_deterministic () =
@@ -116,36 +115,6 @@ let test_pqueue_qcheck =
       in
       drain [] = List.sort compare prios)
 
-let test_stats () =
-  let s = Stats.create () in
-  List.iter (fun x -> Stats.add s x) [ 1.0; 2.0; 3.0; 4.0; 5.0 ];
-  Alcotest.(check (float 1e-9)) "mean" 3.0 (Stats.mean s);
-  Alcotest.(check (float 1e-9)) "median" 3.0 (Stats.percentile s 50.0);
-  Alcotest.(check (float 1e-9)) "min" 1.0 (Stats.min_value s);
-  Alcotest.(check (float 1e-9)) "max" 5.0 (Stats.max_value s);
-  Alcotest.(check int) "count" 5 (Stats.count s);
-  (* adding after a percentile query must still work *)
-  Stats.add s 11.0;
-  Alcotest.(check (float 1e-9)) "max after re-sort" 11.0 (Stats.max_value s)
-
-let test_stats_percentile_interpolation () =
-  let s = Stats.create () in
-  List.iter (fun x -> Stats.add s x) [ 0.0; 10.0 ];
-  Alcotest.(check (float 1e-9)) "p25 interpolates" 2.5 (Stats.percentile s 25.0)
-
-let test_stats_stddev () =
-  let s = Stats.create () in
-  List.iter (fun x -> Stats.add s x) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  Alcotest.(check (float 1e-9)) "known stddev" 2.0 (Stats.stddev s)
-
-let test_stats_merge () =
-  let a = Stats.create () and b = Stats.create () in
-  Stats.add a 1.0;
-  Stats.add b 3.0;
-  let m = Stats.merge a b in
-  Alcotest.(check int) "merged count" 2 (Stats.count m);
-  Alcotest.(check (float 1e-9)) "merged mean" 2.0 (Stats.mean m)
-
 let test_engine_ordering () =
   let e = Engine.create () in
   let log = ref [] in
@@ -209,14 +178,6 @@ let () =
           Alcotest.test_case "ordering" `Quick test_pqueue_ordering;
           Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
           QCheck_alcotest.to_alcotest test_pqueue_qcheck;
-        ] );
-      ( "stats",
-        [
-          Alcotest.test_case "basic" `Quick test_stats;
-          Alcotest.test_case "percentile interpolation" `Quick
-            test_stats_percentile_interpolation;
-          Alcotest.test_case "stddev" `Quick test_stats_stddev;
-          Alcotest.test_case "merge" `Quick test_stats_merge;
         ] );
       ( "event engine",
         [
