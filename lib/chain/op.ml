@@ -89,12 +89,3 @@ let rec decode_sub b pos len =
 let decode s = decode_sub (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let equal a b = a = b
-
-let rec pp fmt = function
-  | Put (k, v) -> Format.fprintf fmt "Put(%d, %d bytes)" k (String.length v)
-  | Delete k -> Format.fprintf fmt "Delete(%d)" k
-  | Append (k, v) -> Format.fprintf fmt "Append(%d, %d bytes)" k (String.length v)
-  | Batch ops ->
-      Format.fprintf fmt "Batch[%a]"
-        (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f "; ") pp)
-        ops

@@ -48,5 +48,3 @@ val decode : string -> t
 val decode_sub : bytes -> int -> int -> t
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -43,6 +43,7 @@
 module Sim = Kamino_sim.Engine
 module Clock = Kamino_sim.Clock
 module Region = Kamino_nvm.Region
+module Commit_marker = Kamino_nvm.Commit_marker
 module Engine = Kamino_core.Engine
 module Metrics = Kamino_obs.Metrics
 module Async = Kamino_chain.Async_chain
@@ -77,7 +78,7 @@ type cross = {
 type t = {
   sim : Sim.t;
   chains : Async.t array;
-  marker : Region.t;
+  marker : Commit_marker.t;
   clock : Clock.t;  (* the coordinator's own timeline (marker persists) *)
   rpc_ns : int;
   retry_ns : int;
@@ -93,57 +94,6 @@ type t = {
   queue : cross Queue.t;
   mutable outstanding : cross list;  (* not yet fully acknowledged *)
 }
-
-(* Marker layout (8-byte words): [0] valid flag, [8] participant count,
-   then 32 bytes per participant — shard, chain op seq, prepared head
-   node, engine tx id. One cross-chain commit is in flight at a time. *)
-let marker_size ~shards =
-  let need = 16 + (32 * shards) in
-  ((need + 4095) / 4096) * 4096
-
-let part_off k = 16 + (32 * k)
-
-let write_marker t parts =
-  let m = t.marker in
-  ignore (Clock.advance_to t.clock (Sim.now t.sim));
-  Region.write_int m 8 (Array.length parts);
-  Array.iteri
-    (fun k p ->
-      Region.write_int m (part_off k) p.p_shard;
-      Region.write_int m (part_off k + 8) p.p_seq;
-      Region.write_int m (part_off k + 16) p.p_node;
-      Region.write_int m (part_off k + 24) p.p_tx_id)
-    parts;
-  Region.flush m 8 (8 + (32 * Array.length parts));
-  Region.fence m;
-  (* The commit point: the valid flag becomes durable strictly after the
-     payload it covers. *)
-  Region.write_int m 0 1;
-  Region.flush m 0 8;
-  Region.fence m
-
-let clear_marker t =
-  ignore (Clock.advance_to t.clock (Sim.now t.sim));
-  Region.write_int t.marker 0 0;
-  Region.flush t.marker 0 8;
-  Region.fence t.marker
-
-let marker_valid t = Region.read_int t.marker 0 = 1
-
-(* The recovery decision: does a valid marker list (shard, node, tx_id)? *)
-let marker_lists t ~shard ~node ~tx_id =
-  marker_valid t
-  && begin
-       let n = Region.read_int t.marker 8 in
-       let rec go k =
-         k < n
-         && ((Region.read_int t.marker (part_off k) = shard
-             && Region.read_int t.marker (part_off k + 16) = node
-             && Region.read_int t.marker (part_off k + 24) = tx_id)
-            || go (k + 1))
-       in
-       go 0
-     end
 
 (* --- the serialized coordinator state machine ----------------------------- *)
 
@@ -206,7 +156,12 @@ and step_marker t x =
         Sim.schedule_after t.sim ~delay:t.rpc_ns (fun () -> step_marker t x)
       end
   | None ->
-      write_marker t x.parts;
+      (* One marker entry per participant: shard, chain op seq, prepared
+         head node, engine tx id. *)
+      ignore (Clock.advance_to t.clock (Sim.now t.sim));
+      Commit_marker.write t.marker (Array.length x.parts) (fun k j ->
+          let p = x.parts.(k) in
+          match j with 0 -> p.p_shard | 1 -> p.p_seq | 2 -> p.p_node | _ -> p.p_tx_id);
       x.x_on_step Marker_written;
       Sim.schedule_after t.sim ~delay:t.rpc_ns (fun () -> step_commit t x 0)
 
@@ -223,7 +178,8 @@ and step_commit t x k =
       else step_clear t x)
 
 and step_clear t x =
-  clear_marker t;
+  ignore (Clock.advance_to t.clock (Sim.now t.sim));
+  Commit_marker.clear t.marker;
   x.x_on_step Marker_cleared;
   t.active <- None;
   start_next t
@@ -286,10 +242,9 @@ let create ?(engine_config = Engine.default_config) ?obs ?(hop_ns = 5000)
   in
   let clock = Clock.create () in
   let marker =
-    Region.create ~cost:engine_config.Engine.cost
-      ~crash_mode:engine_config.Engine.crash_mode
-      ~rng:(Kamino_sim.Rng.create (seed lxor 0x5bd1))
-      ~clock ~size:(marker_size ~shards) ()
+    Commit_marker.create ~cost:engine_config.Engine.cost
+      ~crash_mode:engine_config.Engine.crash_mode ~seed ~clock ~entry_words:4
+      ~max_entries:shards
   in
   let registry = Metrics.create () in
   let t =
@@ -316,8 +271,13 @@ let create ?(engine_config = Engine.default_config) ?obs ?(hop_ns = 5000)
   Array.iteri
     (fun s ch ->
       Async.set_view_change_hook ch (Some (on_view_change t s));
+      (* The recovery decision: does a valid marker list (s, node, tx_id)? *)
       Async.set_recovery_hook ch
-        (Some (fun ~node ~tx_id -> marker_lists t ~shard:s ~node ~tx_id)))
+        (Some
+           (fun ~node ~tx_id ->
+             match Commit_marker.read t.marker with
+             | None -> false
+             | Some es -> Array.exists (fun e -> e.(0) = s && e.(2) = node && e.(3) = tx_id) es)))
     chains;
   t
 
@@ -329,11 +289,9 @@ let chain t s = t.chains.(s)
 
 let registry t = t.registry
 
-let marker_region t = t.marker
+let marker_region t = Commit_marker.region t.marker
 
 let route t key = Shard.route_key ~shards:(Array.length t.chains) key
-
-let outstanding t = List.length t.outstanding
 
 let crossed t = Metrics.value t.crossed_c
 
@@ -433,7 +391,7 @@ let quiescent t =
     Error "cross-chain transactions are still queued"
   else if t.outstanding <> [] then
     Error "a cross-chain transaction is still awaiting tail acknowledgments"
-  else if marker_valid t then Error "the commit marker was never retired"
+  else if Commit_marker.read t.marker <> None then Error "the commit marker was never retired"
   else Ok ()
 
 let verify t =
@@ -466,5 +424,5 @@ let fingerprint t =
         Buffer.add_char buf ';'
       done)
     t.chains;
-  Buffer.add_string buf (Region.digest t.marker);
+  Buffer.add_string buf (Region.digest (Commit_marker.region t.marker));
   Digest.to_hex (Digest.string (Buffer.contents buf))

@@ -14,7 +14,10 @@
     unacknowledged operations through the new head after every view
     change. Reboot recovery consults the marker: a Running intent record
     at node [n] of shard [s] rolls forward iff a valid marker lists
-    [(s, n, tx_id)]. *)
+    [(s, n, tx_id)]. A corrupt marker image makes that reboot's recovery
+    hook raise {!Kamino_nvm.Commit_marker.Corrupt} out of {!run}; it is
+    never read as "no marker", which could roll a decided transaction
+    back on some participants. *)
 
 module Op = Kamino_chain.Op
 module Async = Kamino_chain.Async_chain
@@ -77,9 +80,8 @@ val route : t -> int -> int
     [cluster.re_prepares] / [cluster.prepare_retries] counters. *)
 val registry : t -> Kamino_obs.Metrics.t
 
+(** The commit marker's region ({!Kamino_nvm.Commit_marker.region}). *)
 val marker_region : t -> Kamino_nvm.Region.t
-
-val marker_valid : t -> bool
 
 (** [run t] drains the shared event queue; returns the number of events. *)
 val run : t -> int
@@ -129,9 +131,6 @@ val crossed : t -> int
 
 (** Committed-but-unacknowledged re-drives triggered by view changes. *)
 val redrives : t -> int
-
-(** Cross-chain transactions still awaiting acknowledgments. *)
-val outstanding : t -> int
 
 (** After {!run} drains: no active/queued/unacknowledged cross-chain
     transaction, and the marker is retired. *)

@@ -15,8 +15,6 @@ type t = { c : Cluster.t }
 
 let create c = { c }
 
-let cluster t = t.c
-
 let next_at t = Sim.now (Cluster.sim t.c) + 1
 
 let drive t op =

@@ -8,8 +8,6 @@ type t
 
 val create : Cluster.t -> t
 
-val cluster : t -> Cluster.t
-
 (** Writes propagate through the owning chain (head to tail) before the
     call returns; [multi_put] additionally runs the persistent-marker 2PC
     over the participant heads when the bindings span several chains. *)

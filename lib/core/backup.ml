@@ -278,11 +278,6 @@ let roll_back t ~main ~off ~len =
         true
       end
 
-let storage_bytes t =
-  match t with
-  | Full region -> Region.size region
-  | Dynamic d -> Region.size d.slots + (Phash.capacity d.table * 16)
-
 let hits t = match t with Full _ -> 0 | Dynamic d -> d.hits
 
 let misses t = match t with Full _ -> 0 | Dynamic d -> d.misses

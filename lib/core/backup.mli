@@ -110,9 +110,6 @@ val settle : t -> unit
     untouched there. *)
 val roll_back : t -> main:Kamino_nvm.Region.t -> off:int -> len:int -> bool
 
-(** Total NVM bytes the backup occupies (slots + table for dynamic). *)
-val storage_bytes : t -> int
-
 (** {1 Metrics (dynamic; zero for full)} *)
 
 val hits : t -> int

@@ -51,8 +51,6 @@ type error = Variant.error =
 
 exception Error = Variant.Error
 
-let error_message = Variant.error_message
-
 type nonrec t = t
 
 type nonrec tx = tx
@@ -82,8 +80,6 @@ let backup t = t.bkp
 let applier t = t.appl
 
 let intent_log t = t.ilog
-
-let data_log t = t.dlog
 
 let locks t = t.locks
 

@@ -93,8 +93,6 @@ type error = Variant.error =
 
 exception Error of error
 
-val error_message : error -> string
-
 type t
 
 type tx
@@ -446,8 +444,6 @@ val backup : t -> Backup.t option
 val applier : t -> Applier.t option
 
 val intent_log : t -> Intent_log.t option
-
-val data_log : t -> Data_log.t option
 
 val locks : t -> Locks.t
 

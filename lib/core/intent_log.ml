@@ -175,8 +175,6 @@ let open_existing region =
   rebuild_free t;
   t
 
-let max_tx_entries t = t.max_tx_entries
-
 let note_unflushed t slot lo hi =
   if t.uf_slot = slot then begin
     if lo < t.uf_lo then t.uf_lo <- lo;
@@ -330,8 +328,6 @@ let intents t slot =
   collect 0 []
 
 let free_slots t = Queue.length t.free
-
-let n_slots t = t.n_slots
 
 let occupied_slots t =
   let slots = ref [] in

@@ -40,8 +40,6 @@ val format :
     checksum. Raises [Failure] on mismatch. *)
 val open_existing : Kamino_nvm.Region.t -> t
 
-val max_tx_entries : t -> int
-
 (** [begin_record t ~tx_id] claims a free slot and writes its header
     ([Running], zero entries) without flushing. Returns [None] when every
     slot is occupied — the coordinator then drains the backup applier to
@@ -87,8 +85,6 @@ val intents : t -> slot -> intent list
 
 (** Number of currently free slots. *)
 val free_slots : t -> int
-
-val n_slots : t -> int
 
 (** [iter_records t f] calls [f slot tx_id state intents] for every non-free
     slot, ordered by ascending transaction id — the recovery scan. *)

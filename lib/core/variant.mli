@@ -81,8 +81,6 @@ type error =
 
 exception Error of error
 
-val error_message : error -> string
-
 (** [error e] raises [Error e]. *)
 val error : error -> 'a
 

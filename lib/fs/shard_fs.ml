@@ -34,8 +34,6 @@ let create ?config ?obs ?(obs_track_base = 1) ?block_size ?dir_hash_bits
   { shard; fss; n = shards }
 
 let shard t = t.shard
-let shards t = t.n
-let fs t i = t.fss.(i)
 let fss t = t.fss
 
 let owner t ino =

@@ -50,8 +50,6 @@ val create :
     named ["shard<i>.fs"]. *)
 
 val shard : t -> Shard.t
-val shards : t -> int
-val fs : t -> int -> Fs.t
 val fss : t -> Fs.t array
 (** All shards' filesystems, indexed by shard — what
     {!Fs_check.fsck_cluster} takes. *)

@@ -123,8 +123,6 @@ let account_remove t ~extent_off ~cap ~head_of_chain =
 
 let mark_stats_stale t = t.st_valid <- false
 
-let region t = t.region
-
 let charge_cost t ns = Region.charge t.region ns
 
 let align16 n = (n + 15) land lnot 15

@@ -40,8 +40,6 @@ val format : Kamino_nvm.Region.t -> t
     after a crash. Raises [Failure] if the magic number does not match. *)
 val open_existing : Kamino_nvm.Region.t -> t
 
-val region : t -> Kamino_nvm.Region.t
-
 (** {1 Allocation} *)
 
 (** A contiguous NVM byte range, as reported to transaction engines for

@@ -32,8 +32,6 @@ let reattach engine =
 
 let engine t = t.engine
 
-let value_size t = t.value_size
-
 let size t = Btree.cardinal t.tree
 
 let check_value t value =

@@ -22,8 +22,6 @@ val reattach : Kamino_core.Engine.t -> t
 
 val engine : t -> Kamino_core.Engine.t
 
-val value_size : t -> int
-
 (** Number of keys present. *)
 val size : t -> int
 

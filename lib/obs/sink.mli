@@ -7,9 +7,6 @@
     become per-tid thread metadata.  Output is a pure function of ring
     contents, so traces are byte-identical for the same seed. *)
 
-val perfetto : Buffer.t -> Obs.t -> unit
-(** Append the full JSON document to [buf]. *)
-
 val perfetto_string : Obs.t -> string
 
 val write_perfetto_file : string -> Obs.t -> unit

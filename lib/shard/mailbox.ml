@@ -80,13 +80,3 @@ let send t v =
   while not (try_send t v) do
     Domain.cpu_relax ()
   done
-
-let recv t =
-  let rec go () =
-    match try_recv t with
-    | Some v -> v
-    | None ->
-        Domain.cpu_relax ();
-        go ()
-  in
-  go ()

@@ -20,9 +20,6 @@ val try_send : 'a t -> 'a -> bool
 (** [try_recv t] dequeues the oldest message, or [None] if empty. *)
 val try_recv : 'a t -> 'a option
 
-(** Blocking variants: spin with [Domain.cpu_relax] until space or a
-    message is available. *)
-
+(** [send t v] is the blocking {!try_send}: it spins with
+    [Domain.cpu_relax] until the ring has space. *)
 val send : 'a t -> 'a -> unit
-
-val recv : 'a t -> 'a

@@ -11,7 +11,9 @@
    to a standalone engine run of the same sub-workload). Cross-shard
    transactions use ordered shard acquisition (ascending shard id, which
    makes deadlock impossible under the serial data-level execution) and
-   two-phase commit against a persistent commit marker:
+   two-phase commit against a persistent commit marker
+   ({!Kamino_nvm.Commit_marker}, one [(shard, tx_id)] entry per
+   participant):
 
      prepare each shard (write set + intent record durable, still
          Running)
@@ -30,11 +32,12 @@
    transaction is all-or-nothing. *)
 
 module Region = Kamino_nvm.Region
+module Commit_marker = Kamino_nvm.Commit_marker
 module Clock = Kamino_sim.Clock
 module Obs = Kamino_obs.Obs
 module Engine = Kamino_core.Engine
 
-type t = { engines : Engine.t array; marker : Region.t; s_obs : Obs.t }
+type t = { engines : Engine.t array; marker : Commit_marker.t }
 
 (* Deterministic key->shard router: a multiplicative mix so consecutive
    keys spread across shards (plain [key mod shards] would stripe YCSB's
@@ -44,14 +47,6 @@ let route_key ~shards key =
   let h = key * 0x9e3779b97f4a7 in
   let h = h lxor (h lsr 31) in
   (h land max_int) mod shards
-
-(* Marker layout (all 8-byte words): [0] valid flag, [8] participant
-   count, then per participant [16+16k] shard id, [24+16k] tx id. One
-   cross-shard commit is in flight at a time (execution is serial at the
-   data level), so one record suffices. *)
-let marker_size ~shards =
-  let need = 16 + (16 * shards) in
-  ((need + 4095) / 4096) * 4096
 
 let create ?(config = Engine.default_config) ?(obs = Obs.null) ?shard_obs
     ?(obs_track_base = 1) ~kind ~seed ~shards () =
@@ -81,64 +76,31 @@ let create ?(config = Engine.default_config) ?(obs = Obs.null) ?shard_obs
         end;
         e)
   in
+  (* One cross-shard commit is in flight at a time (execution is serial
+     at the data level), so one marker suffices. *)
   let marker =
-    Region.create ~cost:config.Engine.cost ~crash_mode:config.Engine.crash_mode
-      ~rng:(Kamino_sim.Rng.create (seed lxor 0x5bd1))
-      ~clock:(Clock.create ()) ~size:(marker_size ~shards) ()
+    Commit_marker.create ~cost:config.Engine.cost ~crash_mode:config.Engine.crash_mode
+      ~seed ~clock:(Clock.create ()) ~entry_words:2 ~max_entries:shards
   in
-  { engines; marker; s_obs = obs }
+  { engines; marker }
 
 let shards t = Array.length t.engines
 
 let engine t i = t.engines.(i)
 
-let kind t = Engine.kind t.engines.(0)
-
 let route t key = route_key ~shards:(Array.length t.engines) key
 
-let obs t = t.s_obs
-
-let marker_region t = t.marker
+let marker t = t.marker
 
 let storage_bytes t =
   Array.fold_left (fun acc e -> acc + Engine.storage_bytes e) 0 t.engines
-  + Region.size t.marker
+  + Region.size (Commit_marker.region t.marker)
 
 let set_clock t i clk = Engine.set_clock t.engines.(i) clk
 
 let with_tx t i f = Engine.with_tx t.engines.(i) f
 
 (* --- Cross-shard transactions ------------------------------------------- *)
-
-let write_marker t pairs =
-  let m = t.marker in
-  Region.write_int m 8 (List.length pairs);
-  List.iteri
-    (fun k (shard, txid) ->
-      Region.write_int m (16 + (16 * k)) shard;
-      Region.write_int m (24 + (16 * k)) txid)
-    pairs;
-  Region.flush m 8 (8 + (16 * List.length pairs));
-  Region.fence m;
-  (* The commit point: the valid flag becomes durable strictly after the
-     payload it covers. *)
-  Region.write_int m 0 1;
-  Region.flush m 0 8;
-  Region.fence m
-
-let clear_marker t =
-  let m = t.marker in
-  Region.write_int m 0 0;
-  Region.flush m 0 8;
-  Region.fence m
-
-let read_marker t =
-  let m = t.marker in
-  if Region.read_int m 0 <> 1 then []
-  else
-    let n = Region.read_int m 8 in
-    List.init n (fun k ->
-        (Region.read_int m (16 + (16 * k)), Region.read_int m (24 + (16 * k))))
 
 let with_cross_tx t shard_ids f =
   let ids = List.sort_uniq compare shard_ids in
@@ -172,26 +134,29 @@ let with_cross_tx t shard_ids f =
       raise exn
   | v ->
       List.iter (fun (_, tx) -> Engine.prepare tx) txs;
-      Region.set_clock t.marker clk;
-      write_marker t (List.map (fun (i, tx) -> (i, Engine.tx_id tx)) txs);
+      Region.set_clock (Commit_marker.region t.marker) clk;
+      let parts = Array.of_list txs in
+      Commit_marker.write t.marker (Array.length parts) (fun k j ->
+          let i, tx = parts.(k) in
+          if j = 0 then i else Engine.tx_id tx);
       List.iter (fun (_, tx) -> Engine.commit_prepared tx) txs;
-      clear_marker t;
+      Commit_marker.clear t.marker;
       v
 
 (* --- Crash and recovery -------------------------------------------------- *)
 
 let crash t =
   Array.iter Engine.crash t.engines;
-  Region.crash t.marker
+  Region.crash (Commit_marker.region t.marker)
 
 let recover t =
-  let marked = read_marker t in
-  Array.iteri
-    (fun i e ->
-      Engine.recover ~promote_running:(fun txid -> List.mem (i, txid) marked) e)
-    t.engines;
+  let marked = Commit_marker.read t.marker in
+  let listed i txid =
+    match marked with Some es -> Array.mem [| i; txid |] es | None -> false
+  in
+  Array.iteri (fun i e -> Engine.recover ~promote_running:(listed i) e) t.engines;
   (* Decision fully applied on every shard; retire the marker. *)
-  if marked <> [] then clear_marker t
+  if Option.is_some marked then Commit_marker.clear t.marker
 
 let drain_backups t = Array.iter Engine.drain_backup t.engines
 
@@ -215,6 +180,3 @@ let verify_backups t =
 
 let committed t =
   Array.fold_left (fun acc e -> acc + (Engine.metrics e).Engine.committed) 0 t.engines
-
-let aborted t =
-  Array.fold_left (fun acc e -> acc + (Engine.metrics e).Engine.aborted) 0 t.engines

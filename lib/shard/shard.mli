@@ -42,12 +42,8 @@ val shards : t -> int
 (** [engine t i] is shard [i]'s engine — the full standalone API applies. *)
 val engine : t -> int -> Engine.t
 
-val kind : t -> Engine.kind
-
-val obs : t -> Kamino_obs.Obs.t
-
-(** The commit-marker region (white-box tests). *)
-val marker_region : t -> Kamino_nvm.Region.t
+(** The cross-shard commit marker (white-box tests). *)
+val marker : t -> Kamino_nvm.Commit_marker.t
 
 (** {1 Routing} *)
 
@@ -85,7 +81,10 @@ val crash : t -> unit
 (** Recovers every shard. A valid commit marker promotes its listed
     participants — their Running intent records roll {e forward} — and
     is then cleared; without one every incomplete transaction rolls back
-    as on a standalone engine. *)
+    as on a standalone engine. Raises {!Kamino_nvm.Commit_marker.Corrupt},
+    before touching any shard, if the marker's persisted image is
+    corrupt: reading it as "no marker" could roll a decided transaction
+    back on some participants. *)
 val recover : t -> unit
 
 val drain_backups : t -> unit
@@ -105,5 +104,3 @@ val verify_backups : t -> (unit, string) result
 val storage_bytes : t -> int
 
 val committed : t -> int
-
-val aborted : t -> int

@@ -76,10 +76,6 @@ let attach t ~domains =
   t.domains <- nd;
   Array.iteri (fun i _ -> t.host_of.(i) <- i mod nd) t.host_of
 
-let domains t = t.domains
-
-let host t i = t.host_of.(i)
-
 (* Answer pending parks addressed to [domain]. Called by the executor
    between operations and from every wait loop; the common case is one
    atomic load ([parks] = 0). A parked executor holds no transaction, so

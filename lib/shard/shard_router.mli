@@ -34,11 +34,6 @@ val shard : t -> Shard.t
     without the driver. *)
 val attach : t -> domains:int -> unit
 
-val domains : t -> int
-
-(** The executor domain slot hosting shard [i]. *)
-val host : t -> int -> int
-
 (** [service t ~domain] answers pending leases addressed to [domain]:
     ack, spin until released, repeat. Executors call it between
     operations; the no-lease fast path is one atomic load. While parked

@@ -17,7 +17,3 @@ let advance_to t ns =
     wait
   end
   else 0
-
-let reset t = t.now <- 0
-
-let pp fmt t = Format.fprintf fmt "%dns" t.now

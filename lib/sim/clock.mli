@@ -25,8 +25,3 @@ val advance : t -> int -> unit
     the future; does nothing otherwise. Returns the wait incurred (0 if
     none). Used for lock waits: "block until the backup catches up". *)
 val advance_to : t -> int -> int
-
-(** [reset t] sets the clock back to 0. *)
-val reset : t -> unit
-
-val pp : Format.formatter -> t -> unit

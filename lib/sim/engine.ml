@@ -49,5 +49,3 @@ let run_until t ~deadline =
   !n
 
 let pending t = Pqueue.length t.queue
-
-let clear t = Pqueue.clear t.queue

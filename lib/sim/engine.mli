@@ -45,6 +45,3 @@ val events_executed : t -> int
     view, schedule new events — without racing the event it follows. One
     hook at a time; [None] uninstalls. *)
 val set_boundary_hook : t -> (unit -> unit) option -> unit
-
-(** [clear t] drops all queued events without running them. *)
-val clear : t -> unit

@@ -10,8 +10,6 @@ let create () = { data = [||]; size = 0; next_seq = 0 }
 
 let length q = q.size
 
-let is_empty q = q.size = 0
-
 (* [a] orders before [b] when its priority is smaller, or on equal priority
    when it was inserted earlier. *)
 let before a b = a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)
@@ -77,5 +75,3 @@ let pop q =
   end
 
 let peek q = if q.size = 0 then None else Some (q.data.(0).prio, q.data.(0).value)
-
-let clear q = q.size <- 0

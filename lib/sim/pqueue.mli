@@ -10,8 +10,6 @@ val create : unit -> 'a t
 
 val length : 'a t -> int
 
-val is_empty : 'a t -> bool
-
 (** [push q prio v] inserts [v] with priority [prio]. *)
 val push : 'a t -> int -> 'a -> unit
 
@@ -21,6 +19,3 @@ val pop : 'a t -> (int * 'a) option
 
 (** [peek q] returns the minimum-priority element without removing it. *)
 val peek : 'a t -> (int * 'a) option
-
-(** [clear q] removes all elements. *)
-val clear : 'a t -> unit

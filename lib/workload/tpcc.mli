@@ -27,9 +27,6 @@ val setup :
   rng:Kamino_sim.Rng.t ->
   t
 
-(** [run t rng kind] executes one transaction of the given type. *)
-val run : t -> Kamino_sim.Rng.t -> tx_kind -> unit
-
 (** [run_mix t rng] draws from the mix and runs it; returns the kind. *)
 val run_mix : t -> Kamino_sim.Rng.t -> tx_kind
 

@@ -14,8 +14,6 @@ let workload_of_string s =
 
 let name = function A -> "A" | B -> "B" | C -> "C" | D -> "D" | E -> "E" | F -> "F"
 
-let all = [ A; B; C; D; E; F ]
-
 type op = Read of int | Update of int | Insert of int | Scan of int * int | Rmw of int
 
 type t = {

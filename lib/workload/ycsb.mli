@@ -24,8 +24,6 @@ val workload_of_string : string -> workload option
 
 val name : workload -> string
 
-val all : workload list
-
 type op =
   | Read of int
   | Update of int

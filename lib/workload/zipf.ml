@@ -31,8 +31,6 @@ let create ~n ~theta =
     half_pow_theta = 1.0 +. Float.pow 0.5 theta;
   }
 
-let n t = t.n
-
 let sample t rng =
   let u = Rng.float rng in
   let uz = u *. t.zetan in

@@ -13,8 +13,6 @@ type t
     [0 < theta < 1]. *)
 val create : n:int -> theta:float -> t
 
-val n : t -> int
-
 (** [sample t rng] draws a rank in [0, n), rank 0 being the hottest. *)
 val sample : t -> Kamino_sim.Rng.t -> int
 

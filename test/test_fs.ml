@@ -9,6 +9,7 @@
 module Rng = Kamino_sim.Rng
 module Heap = Kamino_heap.Heap
 module Region = Kamino_nvm.Region
+module Commit_marker = Kamino_nvm.Commit_marker
 module Engine = Kamino_core.Engine
 module Backup = Kamino_core.Backup
 module Btree = Kamino_index.Btree
@@ -597,8 +598,8 @@ let shard_fs_sweep ~ctx ~setup op =
       (match Shard.verify_backups (Shard_fs.shard t) with
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s: backups: %s" here e);
-      Alcotest.(check int) (here ^ ": marker retired") 0
-        (Region.read_int (Shard.marker_region (Shard_fs.shard t)) 0))
+      Alcotest.(check bool) (here ^ ": marker retired") true
+        (Commit_marker.read (Shard.marker (Shard_fs.shard t)) = None))
     ()
 
 (* Cross-shard renames, crashed at every fence. *)

@@ -5,6 +5,7 @@ module Rng = Kamino_sim.Rng
 module Clock = Kamino_sim.Clock
 module Region = Kamino_nvm.Region
 module Cost_model = Kamino_nvm.Cost_model
+module Commit_marker = Kamino_nvm.Commit_marker
 
 let make ?(crash_mode = Region.Drop_unflushed) ?(size = 4096) ?(seed = 1) () =
   let clock = Clock.create () in
@@ -278,6 +279,112 @@ let partial_flush_qcheck =
       || (* noise may legitimately overwrite the payload bytes and survive *)
       List.exists (fun o -> let o = o mod 4096 in o >= off && o < off + 8) noise)
 
+(* --- commit marker ---------------------------------------------------------- *)
+
+let make_marker ?(crash_mode = Region.Drop_unflushed) ?(seed = 1) () =
+  Commit_marker.create ~cost:Cost_model.default ~crash_mode ~seed ~clock:(Clock.create ())
+    ~entry_words:3 ~max_entries:4
+
+let marker_entries n = Array.init n (fun k -> [| k; 100 + k; -(k + 1) |])
+
+let write_entries m es = Commit_marker.write m (Array.length es) (fun k j -> es.(k).(j))
+
+let show_marker m =
+  match Commit_marker.read m with
+  | None -> "none"
+  | Some es ->
+      String.concat ";"
+        (Array.to_list
+           (Array.map (fun e -> String.concat "," (Array.to_list (Array.map string_of_int e))) es))
+  | exception Commit_marker.Corrupt msg -> Alcotest.failf "recovered marker is corrupt: %s" msg
+
+let test_marker_roundtrip () =
+  let m = make_marker () in
+  Alcotest.(check string) "fresh marker is cleared" "none" (show_marker m);
+  let r = Commit_marker.region m in
+  Region.reset_counters r;
+  (* A full record is accepted, and written as count + entries behind one
+     fence and the flag behind a second. *)
+  write_entries m (marker_entries 4);
+  let c = Region.counters r in
+  Alcotest.(check int) "stores: count, 4 x 3 words, flag" 14 c.Region.stores;
+  Alcotest.(check int) "fences" 2 c.Region.fences;
+  Region.crash r;
+  Alcotest.(check string) "count = max_entries survives a crash"
+    "0,100,-1;1,101,-2;2,102,-3;3,103,-4" (show_marker m);
+  Commit_marker.clear m;
+  Region.crash r;
+  Alcotest.(check string) "cleared" "none" (show_marker m);
+  Alcotest.check_raises "too many entries"
+    (Invalid_argument "Commit_marker.write: 5 entries outside 0..4") (fun () ->
+      write_entries m (marker_entries 5))
+
+(* A flag other than 0 or 1, or a count outside 0..max_entries, is a
+   typed [Corrupt] from [read] — never "no marker", never a partial list,
+   never an untyped exception from reading past the entries. *)
+let test_marker_corrupt () =
+  let poked pokes =
+    let m = make_marker () in
+    write_entries m (marker_entries 2);
+    let r = Commit_marker.region m in
+    List.iter (fun (off, v) -> Region.write_int r off v) pokes;
+    Region.persist_all r;
+    Region.crash r;
+    m
+  in
+  List.iter
+    (fun (what, pokes) ->
+      match Commit_marker.read (poked pokes) with
+      | _ -> Alcotest.failf "%s: read accepted a corrupt marker" what
+      | exception Commit_marker.Corrupt _ -> ())
+    [
+      ("flag 2", [ (0, 2) ]);
+      ("flag -1", [ (0, -1) ]);
+      ("flag max_int", [ (0, max_int) ]);
+      ("count -1", [ (8, -1) ]);
+      ("count max_entries + 1", [ (8, 5) ]);
+      ("count max_int", [ (8, max_int) ]);
+    ];
+  Alcotest.(check int) "count = max_entries is accepted" 4
+    (Array.length (Option.get (Commit_marker.read (poked [ (8, 4) ]))))
+
+(* Crash at every fence of [write] on a cleared marker, and of [clear] on
+   a written one, in every crash mode: each recovered [read] is exactly
+   the before- or the after-state. *)
+let test_marker_fence_sweep () =
+  List.iter
+    (fun (mode_name, crash_mode) ->
+      List.iter
+        (fun n ->
+          let entries = marker_entries n in
+          let sweep what ~setup ~op ~fences =
+            let ctx = Printf.sprintf "%s, %d entries, %s" what n mode_name in
+            let st =
+              Fence_sweep.sweep ~ctx ~setup
+                ~crash:(fun m -> Region.crash (Commit_marker.region m))
+                ~recover:(fun m -> ignore (show_marker m))
+                ~op ~drain:ignore ~observe:show_marker
+                ~check:(fun _ _ -> ())
+                ()
+            in
+            Alcotest.(check int) (ctx ^ ": fences") fences st.Fence_sweep.points
+          in
+          sweep "write" ~fences:2
+            ~setup:(fun () -> make_marker ~crash_mode ~seed:(7 + n) ())
+            ~op:(fun m -> write_entries m entries);
+          sweep "clear" ~fences:1
+            ~setup:(fun () ->
+              let m = make_marker ~crash_mode ~seed:(7 + n) () in
+              write_entries m entries;
+              m)
+            ~op:Commit_marker.clear)
+        [ 1; 4 ])
+    [
+      ("drop-unflushed", Region.Drop_unflushed);
+      ("words-survive", Region.Words_survive_randomly);
+      ("lines-survive", Region.Lines_survive_randomly);
+    ]
+
 let () =
   Alcotest.run "nvm"
     [
@@ -312,5 +419,12 @@ let () =
           Alcotest.test_case "clock switching" `Quick test_clock_switch;
           Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "at_fence fires once, invisibly" `Quick test_at_fence;
+        ] );
+      ( "commit marker",
+        [
+          Alcotest.test_case "round trip and persist order" `Quick test_marker_roundtrip;
+          Alcotest.test_case "corrupt flag or count is typed" `Quick test_marker_corrupt;
+          Alcotest.test_case "write and clear swept at every fence" `Quick
+            test_marker_fence_sweep;
         ] );
     ]

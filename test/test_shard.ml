@@ -14,6 +14,7 @@ module Rng = Kamino_sim.Rng
 module Clock = Kamino_sim.Clock
 module Cost_model = Kamino_nvm.Cost_model
 module Region = Kamino_nvm.Region
+module Commit_marker = Kamino_nvm.Commit_marker
 module Engine = Kamino_core.Engine
 module Kv = Kamino_kv.Kv
 module Shard = Kamino_shard.Shard
@@ -468,8 +469,8 @@ let test_cross_commit () =
   let ids = [ 0; 1; 2; 3 ] in
   stamp_all s cells ids 42L;
   check_cells s cells ids ~expect:42L "cross-shard commit";
-  Alcotest.(check int) "marker cleared after commit" 0
-    (Region.read_int (Shard.marker_region s) 0);
+  Alcotest.(check bool) "marker cleared after commit" true
+    (Commit_marker.read (Shard.marker s) = None);
   (* Partial participant lists work too, and leave bystanders alone. *)
   stamp_all s cells [ 1; 3 ] 43L;
   check_cells s cells [ 1; 3 ] ~expect:43L "partial cross-shard commit";
@@ -506,8 +507,8 @@ let test_cross_abort () =
 let sweep_config = { config with Engine.heap_bytes = 1 lsl 18 }
 
 let check_marker_retired s ctx =
-  Alcotest.(check int) (ctx ^ ": marker retired") 0
-    (Region.read_int (Shard.marker_region s) 0)
+  Alcotest.(check bool) (ctx ^ ": marker retired") true
+    (Commit_marker.read (Shard.marker s) = None)
 
 let check_backups s ctx =
   match Shard.verify_backups s with Ok () -> () | Error e -> Alcotest.failf "%s: %s" ctx e
@@ -552,6 +553,27 @@ let test_cross_crash_at_each_step () =
     (st.Fence_sweep.after >= 1 && st.Fence_sweep.after < st.Fence_sweep.points);
   Alcotest.(check bool) "crash points in the drain after the commit returned" true
     (st.Fence_sweep.committed >= 1)
+
+(* A corrupt marker image is a typed error out of recovery. Reading it as
+   "no marker" could roll a decided transaction back on some shards; an
+   unchecked count reads past the entries. *)
+let test_corrupt_marker_recover () =
+  List.iter
+    (fun (what, pokes) ->
+      let s, cells = make_cross ~shards:3 ~seed:13 () in
+      stamp_all s cells [ 0; 1; 2 ] 5L;
+      let r = Commit_marker.region (Shard.marker s) in
+      List.iter (fun (off, v) -> Region.write_int r off v) pokes;
+      Region.persist_all r;
+      Shard.crash s;
+      match Shard.recover s with
+      | () -> Alcotest.failf "%s: recovered from a corrupt marker" what
+      | exception Commit_marker.Corrupt _ -> ())
+    [
+      ("flag 2", [ (0, 2) ]);
+      ("count -1", [ (0, 1); (8, -1) ]);
+      ("count max_int", [ (0, 1); (8, max_int) ]);
+    ]
 
 (* --- sharded kv ------------------------------------------------------------ *)
 
@@ -740,6 +762,8 @@ let () =
             test_cross_abort;
           Alcotest.test_case "crash at every protocol step is all-or-nothing" `Quick
             test_cross_crash_at_each_step;
+          Alcotest.test_case "corrupt marker is a typed recovery error" `Quick
+            test_corrupt_marker_recover;
         ] );
       ( "kv",
         [ Alcotest.test_case "multi_put atomic, crash-safe" `Quick test_multi_put ] );

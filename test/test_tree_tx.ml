@@ -6,30 +6,30 @@
    merges several nodes, so each transaction's write set spans many
    objects.
 
-   Atomic kinds additionally sweep a crash through {e every} mutation
-   step of every batch: the batch is replayed with the power failing
-   before step 0, before step 1, ..., and after the last step but before
-   commit. After each recovery the tree must be bit-for-bit back at the
-   pre-batch state (full rollback), structurally valid, and equal to the
-   volatile map mirror. [No_logging] promises nothing mid-transaction,
-   so it only crashes at operation boundaries — the same convention as
-   the crash matrix. Both region crash modes are exercised. *)
+   Atomic kinds additionally sweep a crash through {e every} fence of the
+   first batch that splits or merges a node, its applier drain included,
+   and through every fence of each recovery that follows (chained: see
+   [Fence_sweep]). After each recovery the tree must be structurally
+   valid, the heap and backup clean, and its bindings exactly the
+   volatile map mirror before or after the batch — after once the commit
+   has returned. [No_logging] promises nothing mid-transaction, so it
+   only crashes at operation boundaries — the same convention as the
+   crash matrix. Both region crash modes are exercised. *)
 
 module Engine = Kamino_core.Engine
+module Heap = Kamino_heap.Heap
 module Backup = Kamino_core.Backup
 module Btree = Kamino_index.Btree
 module Region = Kamino_nvm.Region
 module Rng = Kamino_sim.Rng
 module M = Map.Make (Int)
 
-exception Crashed
-
 let config crash_mode =
   {
     Engine.default_config with
-    Engine.heap_bytes = 4 lsl 20;
+    Engine.heap_bytes = 1 lsl 18;
     log_slots = 64;
-    data_log_bytes = 1 lsl 20;
+    data_log_bytes = 1 lsl 18;
     crash_mode;
   }
 
@@ -114,29 +114,49 @@ let crash_recover e tree =
   Engine.recover e;
   tree := Btree.attach e (Engine.root e)
 
-(* Replay [batch] with a crash injected before mutation step [crash_at]
-   (crash_at = length means every step ran but commit did not). The
-   transaction must roll back entirely. *)
-let crash_mid_batch ctx e tree model batch crash_at =
-  (try
-     Engine.with_tx e (fun tx ->
-         List.iteri
-           (fun i (k, ins) ->
-             if i = crash_at then begin
-               Engine.crash e;
-               raise Crashed
-             end;
-             if ins then ignore (Btree.insert tx !tree k (v k))
-             else ignore (Btree.delete tx !tree k))
-           batch;
-         if crash_at >= List.length batch then begin
-           Engine.crash e;
-           raise Crashed
-         end)
-   with Crashed -> ());
-  Engine.recover e;
-  tree := Btree.attach e (Engine.root e);
-  verify (Printf.sprintf "%s crash_at=%d" ctx crash_at) !tree model
+let show_bindings fold =
+  let b = Buffer.create 4096 in
+  fold (fun k value -> Buffer.add_string b (Printf.sprintf "%d=%d;" k value));
+  Buffer.contents b
+
+let tree_bindings e = show_bindings (Btree.iter (Btree.attach e (Engine.root e)))
+
+let model_bindings model = show_bindings (fun f -> M.iter f model)
+
+let node_count tree =
+  let st = Btree.stats tree in
+  st.Btree.internal_nodes + st.Btree.leaf_nodes
+
+(* Crash at every fence of [batch]'s transaction and its applier drain,
+   and at every fence of the recoveries after it. [setup] rebuilds the
+   preloaded tree and commits [prefix], so every crash point starts from
+   the same state; the recovered bindings must be [model] before or after
+   the batch. *)
+let sweep_batch ctx spec crash_mode prefix model batch =
+  let setup () =
+    let e, tree, _ = make spec crash_mode in
+    List.iter (fun b -> Engine.with_tx e (fun tx -> apply_batch tx tree b)) prefix;
+    e
+  in
+  let before = model_bindings model and after = model_bindings (model_batch model batch) in
+  let check e here =
+    (match Btree.validate (Btree.attach e (Engine.root e)) with
+    | Ok () -> ()
+    | Error err -> Alcotest.failf "%s: invalid tree: %s" here err);
+    (match Heap.validate (Engine.heap e) with
+    | Ok () -> ()
+    | Error err -> Alcotest.failf "%s: heap invalid: %s" here err);
+    (match Engine.verify_backup e with
+    | Ok () -> ()
+    | Error err -> Alcotest.failf "%s: backup: %s" here err);
+    let got = tree_bindings e in
+    if got <> before && got <> after then Alcotest.failf "%s: tree matches neither mirror" here
+  in
+  ignore
+    (Fence_sweep.sweep ~ctx ~setup ~crash:Engine.crash ~recover:Engine.recover
+       ~op:(fun e ->
+         Engine.with_tx e (fun tx -> apply_batch tx (Btree.attach e (Engine.root e)) batch))
+       ~drain:Engine.drain_backup ~observe:tree_bindings ~check ())
 
 let tree_tx_qcheck (kname, spec, atomic) crash_mode =
   let mode_name =
@@ -171,17 +191,18 @@ let tree_tx_qcheck (kname, spec, atomic) crash_mode =
         in
         group ops
       in
+      let swept = ref false in
       List.iteri
         (fun bi batch ->
           let ctx = Printf.sprintf "%s/%s seed=%d batch=%d" kname mode_name seed bi in
-          (* Atomic kinds: the power fails at every mutation step in turn;
-             each time the transaction must vanish without trace. *)
-          if atomic then
-            for crash_at = 0 to List.length batch do
-              crash_mid_batch ctx e tree !model batch crash_at
-            done;
-          (* Then the batch commits for real and the mirror advances. *)
+          let nodes = node_count !tree in
           Engine.with_tx e (fun tx -> apply_batch tx !tree batch);
+          (* Atomic kinds: the first batch that splits or merges a node is
+             replayed with the power failing at each of its fences. *)
+          if atomic && (not !swept) && node_count !tree <> nodes then begin
+            swept := true;
+            sweep_batch ctx spec crash_mode (List.filteri (fun i _ -> i < bi) batches) !model batch
+          end;
           model := model_batch !model batch;
           (* Operation-boundary crash — the only point [No_logging]
              promises anything about; all kinds take it. *)
@@ -190,6 +211,7 @@ let tree_tx_qcheck (kname, spec, atomic) crash_mode =
             verify (ctx ^ " (boundary)") !tree !model
           end)
         batches;
+      if atomic && not !swept then Alcotest.failf "%s seed=%d: no batch split or merged" kname seed;
       verify (Printf.sprintf "%s/%s seed=%d final" kname mode_name seed) !tree !model;
       (* Structural mutations really happened: splits and merges at this
          depth mean the op mix above is meaningless if height collapsed. *)
