@@ -218,10 +218,13 @@ let ensure_copy t ~main ~off ~len ~locked ~pressure =
         if packed >= 0 then drop t ~off;
         d.misses <- d.misses + 1;
         let slot = acquire_slot d ~bytes:(slot_bytes len) ~locked ~pressure in
+        (* The copy need only be durable before the key word that publishes
+           it, so it is flushed without a fence of its own: the fence
+           Phash's two-step insert issues for the value word orders both.
+           Until the key lands the bucket is free, and every reader skips
+           it, so any subset of the copy's lines may reach the medium. *)
         Region.copy_between ~src:main ~src_off:off ~dst:d.slots ~dst_off:slot ~len;
-        Region.persist d.slots slot len;
-        (* Publish the mapping only after the copy is durable; Phash's
-           two-step insert keeps the entry itself crash-atomic. *)
+        Region.flush d.slots slot len;
         publish_mapping d ~key:off ~value:(pack_slot ~slot ~len) ~locked ~pressure;
         Lru.touch d.lru off
       end
@@ -233,6 +236,7 @@ let has_copy t ~off =
   | Full _ -> true
   | Dynamic d -> Phash.find_or d.table ~key:off ~default:(-1) >= 0
 
+(* Copy and flush only; [settle] fences the batch. *)
 let propagate t ~main ~off ~len =
   match t with
   | Full region ->
@@ -253,9 +257,10 @@ let propagate t ~main ~off ~len =
              off (len_of packed) len);
       let slot = slot_of packed in
       Region.copy_between ~src:main ~src_off:off ~dst:d.slots ~dst_off:slot ~len;
-      Region.persist d.slots slot len
+      Region.flush d.slots slot len
 
-let settle t = match t with Full region -> Region.fence region | Dynamic _ -> ()
+let settle t =
+  match t with Full region -> Region.fence region | Dynamic d -> Region.fence d.slots
 
 let roll_back t ~main ~off ~len =
   match t with

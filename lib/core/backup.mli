@@ -55,7 +55,9 @@ val initialize_full : t -> main:Kamino_nvm.Region.t -> unit
     final retry; only if that fails too does the call raise [Failure] —
     the working set genuinely exceeds [alpha * heap]. Charges all work to
     the current clock — this is the dynamic variant's critical-path miss
-    cost. *)
+    cost. A miss that evicts issues three fences: the victim's durable
+    tombstone, then the copy and the mapping's value word under one fence,
+    then the mapping's key word, the commit point. *)
 val ensure_copy :
   t ->
   main:Kamino_nvm.Region.t ->
@@ -90,17 +92,17 @@ val has_copy : t -> off:int -> bool
 val drop : t -> off:int -> unit
 
 (** [propagate t ~main ~off ~len] copies main -> backup (a committed
-    transaction propagating). A full backup flushes the copied lines, and
-    they are durable once {!settle} fences the region: the applier and
-    recovery propagate every range of a batch (or record), then settle
-    once, before releasing any intent-log slot. A dynamic backup persists
-    each copy on its own, so there [settle] does nothing. Raises [Failure]
-    for a dynamic backup with no resident copy of exactly [(off, len)] —
-    the engine's locking discipline makes that unreachable. *)
+    transaction propagating) and flushes the copied lines, full or dynamic
+    alike. They are durable once {!settle} fences the backup: the applier
+    and recovery propagate every range of a batch (or record), then settle
+    once, before releasing any intent-log slot. Raises [Failure] for a
+    dynamic backup with no resident copy of exactly [(off, len)] — the
+    engine's locking discipline makes that unreachable. *)
 val propagate : t -> main:Kamino_nvm.Region.t -> off:int -> len:int -> unit
 
-(** [settle t] fences the full backup region: every range {!propagate}d
-    before it is durable. A no-op for a dynamic backup. *)
+(** [settle t] fences the backup region (the whole-heap region of a full
+    backup, the slots region of a dynamic one): every range {!propagate}d
+    before it is durable. *)
 val settle : t -> unit
 
 (** [roll_back t ~main ~off ~len] copies backup -> main and persists the

@@ -29,7 +29,18 @@ module Cost_model = Kamino_nvm.Cost_model
      removes tombstone both tables; finds probe new-then-old.
    - complete: one persisted store of the state word advances the
      generation and clears the armed bit atomically. Recovery (open) of an
-     armed image just finishes the remaining batches and completes. *)
+     armed image just finishes the remaining batches and completes.
+
+   Insert: a new entry is published value-then-key, each with a persist;
+   an existing one is overwritten in place with one. An insert right
+   after a [find_or] miss of the same key reuses that probe: [find_or]
+   keeps the bucket the insert would take (the hint), and the insert
+   publishes there with no second probe or index charge. Between the two
+   only tombstones can be written, which leave the key absent and the
+   bucket free. Any insert spends the hint, and the migrating and arming
+   paths ignore it. The value word's fence also orders whatever the
+   caller flushed before the insert: the dynamic backup's miss flushes
+   its copy without a fence of its own and relies on it. *)
 
 type t = {
   region : Region.t;
@@ -42,6 +53,9 @@ type t = {
   mutable nmask : int;
   mutable noff : int;
   mutable count : int;
+  mutable free : int; (* insert bucket the last miss probe found; see [locate] *)
+  mutable hint_key : int; (* key of the last [find_or] miss; 0 = none *)
+  mutable hint_bucket : int; (* where [insert ~key:hint_key] publishes *)
 }
 
 exception Overload of { capacity : int; count : int }
@@ -53,8 +67,10 @@ let state_off = 8
 let mig_cursor_off = 16
 let entries_start = 64
 
-let empty_key = 0L
-let tombstone_key = -1L
+(* Key words: 0 marks an empty bucket, -1 a tombstone, a positive key a
+   live entry. *)
+let empty_key = 0
+let tombstone_key = -1
 
 let armed_bit = 1 lsl 62
 let cap_mask = (1 lsl 48) - 1
@@ -94,6 +110,9 @@ let format region ~capacity =
     nmask = 0;
     noff = 0;
     count = 0;
+    free = -1;
+    hint_key = 0;
+    hint_bucket = -1;
   }
 
 let capacity t = t.cap
@@ -114,32 +133,45 @@ let hash key =
 
 let charge_index t = Region.charge t.region (Region.cost_model t.region).Cost_model.index_ns
 
-(* Raw probes over one table of the chain. [bucket_in] is the bucket
-   holding [key], or [-1]. *)
+(* Raw probes over one table of the chain. [locate] returns the bucket
+   holding [key], or [-1]. A miss also leaves in [t.free] the bucket an
+   insert of [key] would take: the first tombstone on the probe path, else
+   the empty bucket that ended it. A probe that wraps around the whole
+   table has proved [key] absent, so its first tombstone serves too; only
+   a table of live entries leaves [-1]. Words are read as plain
+   ints: the load is charged the same as an [int64] read, and the key
+   encoding (0 empty, -1 tombstone, positive live) survives the trip. *)
 
-let bucket_in t off cap mask key =
-  let start = hash key land mask in
-  let rec probe i steps =
-    if steps > cap then -1
+let locate t off cap mask key =
+  let rec probe i steps first_tomb =
+    if steps > cap then begin
+      t.free <- first_tomb;
+      -1
+    end
     else begin
       let o = slot_off off i in
-      let k = Region.read_int64 t.region o in
-      if k = empty_key then -1
-      else if k = Int64.of_int key then o
-      else probe ((i + 1) land mask) (steps + 1)
+      let k = Region.read_int t.region o in
+      if k = empty_key then begin
+        t.free <- (if first_tomb >= 0 then first_tomb else o);
+        -1
+      end
+      else if k = key then o
+      else
+        probe ((i + 1) land mask) (steps + 1)
+          (if k = tombstone_key && first_tomb < 0 then o else first_tomb)
     end
   in
-  probe start 0
+  probe (hash key land mask) 0 (-1)
 
 let find_in t off cap mask key =
-  match bucket_in t off cap mask key with -1 -> -1 | o -> Region.read_int t.region (o + 8)
+  match locate t off cap mask key with -1 -> -1 | o -> Region.read_int t.region (o + 8)
 
 let tombstone t o =
-  Region.write_int64 t.region o tombstone_key;
+  Region.write_int t.region o tombstone_key;
   Region.persist t.region o 8
 
 let tombstone_in t off cap mask key =
-  match bucket_in t off cap mask key with
+  match locate t off cap mask key with
   | -1 -> false
   | o ->
       tombstone t o;
@@ -148,75 +180,47 @@ let tombstone_in t off cap mask key =
 (* Read the value, then tombstone the bucket: a find and a remove in one
    probe. *)
 let take_in t off cap mask key =
-  match bucket_in t off cap mask key with
+  match locate t off cap mask key with
   | -1 -> -1
   | o ->
       let v = Region.read_int t.region (o + 8) in
       tombstone t o;
       v
 
+(* Publish a new entry at a free bucket: the value first, then the key —
+   the commit point — each with its own persist. *)
+let publish t slot key value =
+  Region.write_int t.region (slot + 8) value;
+  Region.persist t.region slot 16;
+  Region.write_int t.region slot key;
+  Region.persist t.region slot 16
+
+(* A miss that found no free bucket: every bucket holds a live entry. *)
+let free_or_overload t cap =
+  if t.free < 0 then raise (Overload { capacity = cap; count = t.count });
+  t.free
+
 (* Upsert into the table at [off]: overwrite in place if present, else
    publish value-then-key at the first reusable slot. Returns [true] when a
    new entry was created (as opposed to an overwrite). *)
 let upsert_in t off cap mask key value =
-  let start = hash key land mask in
-  let rec probe i steps first_tomb =
-    if steps > cap then raise (Overload { capacity = cap; count = t.count })
-    else begin
-      let o = slot_off off i in
-      let k = Region.read_int64 t.region o in
-      if k = Int64.of_int key then begin
-        (* Overwrite in place: publish the new value with a persist; the key
-           word is untouched so the entry is never half-visible. *)
-        Region.write_int t.region (o + 8) value;
-        Region.persist t.region o 16;
-        false
-      end
-      else if k = empty_key then begin
-        let slot = match first_tomb with Some s -> s | None -> o in
-        Region.write_int t.region (slot + 8) value;
-        Region.persist t.region slot 16;
-        Region.write_int t.region slot key;
-        Region.persist t.region slot 16;
-        true
-      end
-      else begin
-        let first_tomb =
-          if k = tombstone_key && first_tomb = None then Some o else first_tomb
-        in
-        probe ((i + 1) land mask) (steps + 1) first_tomb
-      end
-    end
-  in
-  probe start 0 None
+  match locate t off cap mask key with
+  | -1 ->
+      publish t (free_or_overload t cap) key value;
+      true
+  | o ->
+      (* Overwrite in place: publish the new value with a persist; the key
+         word is untouched so the entry is never half-visible. *)
+      Region.write_int t.region (o + 8) value;
+      Region.persist t.region o 16;
+      false
 
 (* Insert-if-absent into the migration target: the idempotent step that
    makes batch replay after a crash harmless. A key already present keeps
    its (fresher) value. *)
 let migrate_entry t key value =
-  let start = hash key land t.nmask in
-  let rec probe i steps first_tomb =
-    if steps > t.ncap then raise (Overload { capacity = t.ncap; count = t.count })
-    else begin
-      let o = slot_off t.noff i in
-      let k = Region.read_int64 t.region o in
-      if k = Int64.of_int key then ()
-      else if k = empty_key then begin
-        let slot = match first_tomb with Some s -> s | None -> o in
-        Region.write_int t.region (slot + 8) value;
-        Region.persist t.region slot 16;
-        Region.write_int t.region slot key;
-        Region.persist t.region slot 16
-      end
-      else begin
-        let first_tomb =
-          if k = tombstone_key && first_tomb = None then Some o else first_tomb
-        in
-        probe ((i + 1) land t.nmask) (steps + 1) first_tomb
-      end
-    end
-  in
-  probe start 0 None
+  if locate t t.noff t.ncap t.nmask key < 0 then
+    publish t (free_or_overload t t.ncap) key value
 
 let complete t =
   Region.write_int t.region state_off
@@ -235,41 +239,55 @@ let migrate_step t =
   let stop = min (t.mig + migrate_batch) t.cap in
   for i = t.mig to stop - 1 do
     let o = slot_off t.off i in
-    let k = Region.read_int64 t.region o in
+    let k = Region.read_int t.region o in
     if k <> empty_key && k <> tombstone_key then
-      migrate_entry t (Int64.to_int k) (Region.read_int t.region (o + 8))
+      migrate_entry t k (Region.read_int t.region (o + 8))
   done;
   Region.write_int t.region mig_cursor_off stop;
   Region.persist t.region mig_cursor_off 8;
   t.mig <- stop;
   if stop >= t.cap then complete t
 
-(* Arm a 2x resize if the region has room for the next table in the chain;
-   silently a no-op when it does not (the table then degrades to the
-   explicit [Overload] once genuinely full). *)
-let try_arm t =
+(* An insert arms a 2x resize when it would push the load factor past 7/8
+   and the region has room for the next table in the chain. Without room
+   the table degrades to the explicit [Overload] once genuinely full. *)
+let arms_resize t =
+  t.mig < 0
+  && t.count + 1 > t.cap - (t.cap lsr 3)
+  && t.off + (t.cap * 16) + (t.cap * 32) <= Region.size t.region
+
+let arm t =
   let noff = t.off + (t.cap * 16) in
   let ncap = t.cap * 2 in
-  if noff + (ncap * 16) <= Region.size t.region then begin
-    Region.fill t.region noff (ncap * 16) 0;
-    Region.persist t.region noff (ncap * 16);
-    Region.write_int t.region mig_cursor_off 0;
-    Region.persist t.region mig_cursor_off 8;
-    Region.write_int t.region state_off
-      (encode_state ~cap:t.cap ~d:t.doublings ~armed:true);
-    Region.persist t.region state_off 8;
-    t.ncap <- ncap;
-    t.nmask <- ncap - 1;
-    t.noff <- noff;
-    t.mig <- 0
-  end
+  Region.fill t.region noff (ncap * 16) 0;
+  Region.persist t.region noff (ncap * 16);
+  Region.write_int t.region mig_cursor_off 0;
+  Region.persist t.region mig_cursor_off 8;
+  Region.write_int t.region state_off (encode_state ~cap:t.cap ~d:t.doublings ~armed:true);
+  Region.persist t.region state_off 8;
+  t.ncap <- ncap;
+  t.nmask <- ncap - 1;
+  t.noff <- noff;
+  t.mig <- 0
 
 let insert t ~key ~value =
   if key <= 0 then invalid_arg "Phash.insert: keys must be positive";
-  charge_index t;
-  if t.mig < 0 && t.count + 1 > t.cap - (t.cap lsr 3) then try_arm t;
-  if t.mig >= 0 then begin
-    migrate_step t;
+  let hinted = key = t.hint_key in
+  (* Any insert may fill the hinted bucket, so a hint serves one insert. *)
+  t.hint_key <- 0;
+  if hinted && t.mig < 0 && not (arms_resize t) then begin
+    (* The [find_or] miss that set the hint probed for [key] and found this
+       bucket free. Only tombstones were written since, so [key] is still
+       absent and the bucket still free: publish there, with no second
+       probe or index charge. *)
+    publish t t.hint_bucket key value;
+    t.count <- t.count + 1
+  end
+  else begin
+    charge_index t;
+    if arms_resize t then arm t;
+    (* A migration step can complete the resize. *)
+    if t.mig >= 0 then migrate_step t;
     if t.mig >= 0 then begin
       (* Publish into the target first, then tombstone any live old copy so
          a replayed migration batch cannot resurrect the stale value. A
@@ -280,7 +298,6 @@ let insert t ~key ~value =
     end
     else if upsert_in t t.off t.cap t.mask key value then t.count <- t.count + 1
   end
-  else if upsert_in t t.off t.cap t.mask key value then t.count <- t.count + 1
 
 let find t ~key =
   charge_index t;
@@ -300,7 +317,17 @@ let find_or t ~key ~default =
         match find_in t t.off t.cap t.mask key with -1 -> default | v -> v)
     | v -> v
   end
-  else match find_in t t.off t.cap t.mask key with -1 -> default | v -> v
+  else
+    match locate t t.off t.cap t.mask key with
+    | -1 ->
+        (* Keep the bucket an insert of [key] would take, for an insert
+           that follows (the backup's miss path). *)
+        if t.free >= 0 then begin
+          t.hint_key <- key;
+          t.hint_bucket <- t.free
+        end;
+        default
+    | o -> Region.read_int t.region (o + 8)
 
 let take t ~key =
   charge_index t;
@@ -323,9 +350,9 @@ let remove t ~key = take t ~key >= 0
 let iter_table t off cap f =
   for i = 0 to cap - 1 do
     let o = slot_off off i in
-    let k = Region.read_int64 t.region o in
+    let k = Region.read_int t.region o in
     if k <> empty_key && k <> tombstone_key then
-      f ~key:(Int64.to_int k) ~value:(Region.read_int t.region (o + 8))
+      f ~key:k ~value:(Region.read_int t.region (o + 8))
   done
 
 let iter t f =
@@ -341,7 +368,7 @@ let iter t f =
 let rebuild_count t =
   let n = ref 0 in
   for i = 0 to t.cap - 1 do
-    let k = Region.read_int64 t.region (slot_off t.off i) in
+    let k = Region.read_int t.region (slot_off t.off i) in
     if k <> empty_key && k <> tombstone_key then incr n
   done;
   t.count <- !n
@@ -367,6 +394,9 @@ let open_existing reg =
       nmask = 0;
       noff = 0;
       count = 0;
+      free = -1;
+      hint_key = 0;
+      hint_bucket = -1;
     }
   in
   if armed then begin

@@ -58,13 +58,20 @@ val migrations : t -> int
 val resizing : t -> bool
 
 (** [insert t ~key ~value] adds or overwrites. Raises {!Overload} when the
-    table is full and the region has no room to grow it. *)
+    table is full and the region has no room to grow it. A new entry's
+    value word is persisted before its key word, so lines the caller
+    flushed before the insert are durable before the entry is visible.
+    Right after a {!find_or} miss of the same key, with no insert in
+    between, the insert publishes at the bucket that probe found: no
+    second probe and no index charge, unless a resize is migrating or
+    this insert arms one. *)
 val insert : t -> key:int -> value:int -> unit
 
 val find : t -> key:int -> int option
 
 (** [find_or t ~key ~default] — allocation-free {!find} for hot paths
-    (the backup consults the table on every transactional write). *)
+    (the backup consults the table on every transactional write). A miss
+    remembers where an {!insert} of [key] would go. *)
 val find_or : t -> key:int -> default:int -> int
 
 (** [remove t ~key] deletes the mapping if present; returns whether it was. *)

@@ -406,8 +406,8 @@ let test_backup_recycles_victim_slot () =
    in place and freed on a length mismatch, while a pinned subset is
    locked against eviction. Both backup regions then crash after a random prefix of the
    storm and the backup reopens from its table. The crash falls between
-   operations only; crashing at every fence inside one waits for a
-   region-level fault point (ROADMAP item 5's [Region.arm_crash]). *)
+   operations; the miss fence sweep below crashes at every fence inside
+   one. *)
 let storm_lens = [| copy_len; 496; 24 |]
 let storm_slots_bytes = 4 * slot_bytes copy_len
 
@@ -462,6 +462,7 @@ let storm_qcheck =
                 incr stamp;
                 Region.fill main off len (!stamp land 0xff);
                 Backup.propagate b ~main ~off ~len;
+                Backup.settle b;
                 true
             | exception Failure _ -> only_pinned_left b)
         | 2 -> (
@@ -470,6 +471,7 @@ let storm_qcheck =
                 incr stamp;
                 Region.fill main off len (!stamp land 0xff);
                 Backup.propagate b ~main ~off ~len;
+                Backup.settle b;
                 true
             | None -> true)
         | _ ->
@@ -484,6 +486,65 @@ let storm_qcheck =
       let ok_reopened = storm_invariants b ~main in
       let ok_follow = List.for_all (run b) ops in
       ok_before && ok_reopened && ok_follow && storm_invariants b ~main)
+
+(* Crash at every fence of one miss that evicts and recycles: a full,
+   tight slots region of equal-length copies, then a fourth key. The miss
+   durably tombstones its victim, then orders the copy and the mapping's
+   value word with one fence and the key word with another: three crash
+   points, in every crash mode. After each, the reopened backup keeps the
+   storm's invariants, the newcomer is unmapped or mapped to a current
+   copy, and the victim is mapped to its intact copy or gone. *)
+type miss_state = {
+  m_main : Region.t;
+  m_slots : Region.t;
+  m_table : Region.t;
+  mutable m_b : Backup.t;
+}
+
+let test_backup_miss_fence_sweep () =
+  let victim = 1024 and newcomer = 4096 in
+  let ensure s off =
+    Backup.ensure_copy s.m_b ~main:s.m_main ~off ~len:copy_len ~locked:(fun _ -> false)
+      ~pressure:no_pressure
+  in
+  List.iter
+    (fun (mode_name, crash_mode) ->
+      let setup () =
+        let b, main, slots, table =
+          make_dynamic_regions ~slots_bytes:tight_slots_bytes ~crash_mode ()
+        in
+        List.iter
+          (fun off -> Region.fill main off copy_len (off / 1024))
+          [ victim; 2048; 3072; newcomer ];
+        Region.persist_all main;
+        let s = { m_main = main; m_slots = slots; m_table = table; m_b = b } in
+        List.iter (ensure s) [ victim; 2048; 3072 ];
+        s
+      in
+      let st =
+        Fence_sweep.sweep ~ctx:("miss fence sweep, " ^ mode_name) ~setup
+          ~crash:(fun s -> List.iter Region.crash [ s.m_main; s.m_slots; s.m_table ])
+          ~recover:(fun s -> s.m_b <- Backup.reopen s.m_b)
+          ~op:(fun s -> ensure s newcomer)
+          ~drain:ignore
+          ~observe:(fun s ->
+            match Backup.copy_matches s.m_b ~main:s.m_main ~off:newcomer with
+            | None -> "newcomer unmapped"
+            | Some true -> "newcomer mapped to a current copy"
+            | Some false -> "newcomer mapped to a stale copy")
+          ~check:(fun s here ->
+            Alcotest.(check bool) (here ^ ": storm invariants") true
+              (storm_invariants s.m_b ~main:s.m_main);
+            Alcotest.(check bool) (here ^ ": victim intact or gone") true
+              (Backup.copy_matches s.m_b ~main:s.m_main ~off:victim <> Some false))
+          ()
+      in
+      Alcotest.(check int) (mode_name ^ ": crash points") 3 st.Fence_sweep.points)
+    [
+      ("drop-unflushed", Region.Drop_unflushed);
+      ("lines-survive", Region.Lines_survive_randomly);
+      ("words-survive", Region.Words_survive_randomly);
+    ]
 
 let test_backup_survives_crash () =
   let b, main = make_dynamic () in
@@ -534,6 +595,8 @@ let () =
           Alcotest.test_case "full region recycles the victim's slot" `Quick
             test_backup_recycles_victim_slot;
           QCheck_alcotest.to_alcotest storm_qcheck;
+          Alcotest.test_case "crash at every fence of an evicting miss" `Quick
+            test_backup_miss_fence_sweep;
         ] );
       ( "eviction policy",
         [

@@ -256,6 +256,208 @@ let test_iter () =
   Alcotest.(check (list (pair int int))) "all entries" [ (1, 10); (2, 20) ]
     (List.sort compare !acc)
 
+(* --- Probe hint: an insert after a find_or miss reuses its probe --- *)
+
+(* Integral costs, so no fractional carry blurs a per-call delta, and an
+   index charge far above everything else one insert can cost, so a
+   delta's quotient by it counts the index charges. *)
+let index_ns = 1_000_000
+
+let hint_cost =
+  {
+    Kamino_nvm.Cost_model.default with
+    store_overhead_ns = 3.;
+    store_ns_per_byte = 1.;
+    load_overhead_ns = 2.;
+    load_ns_per_byte = 1.;
+    flush_line_ns = 5.;
+    fence_ns = 40.;
+    index_ns = float_of_int index_ns;
+  }
+
+(* The publish of one new entry: value then key, each an 8-byte store, a
+   one-line flush and a fence. *)
+let publish_ns = 2 * ((3 + 8) + 5 + 40)
+
+let make_hinted ?(doublings = 0) () =
+  let clock = Clock.create () in
+  let r =
+    Region.create ~cost:hint_cost ~rng:(Rng.create 1) ~clock
+      ~size:(Phash.chain_size ~capacity:16 ~doublings) ()
+  in
+  (Phash.format r ~capacity:16, r)
+
+(* [measure r f] runs [f] and returns its simulated ns and the loads,
+   stores, flushed lines and fences it charged to [r]. *)
+let measure r f =
+  let c = Region.counters r in
+  let ns0 = Clock.now (Region.clock r) in
+  let l0 = c.loads and s0 = c.stores and f0 = c.lines_flushed and n0 = c.fences in
+  f ();
+  ( Clock.now (Region.clock r) - ns0,
+    (c.loads - l0, c.stores - s0, c.lines_flushed - f0, c.fences - n0) )
+
+let load_ns = 2 + 8
+
+(* An insert that ignores the hint pays a full probe and one index charge:
+   at least one load, and [index_ns] in its delta. *)
+let check_full_probe ctx r f =
+  let ns, (loads, _, _, _) = measure r f in
+  Alcotest.(check int) (ctx ^ ": one index charge") 1 (ns / index_ns);
+  Alcotest.(check bool) (ctx ^ ": probed") true (loads > 0)
+
+let test_hinted_insert_cost () =
+  let h, r = make_hinted () in
+  for k = 1 to 6 do
+    Phash.insert h ~key:(k * 1000) ~value:k
+  done;
+  ignore (Phash.remove h ~key:3000);
+  let find_ns, (probe_loads, _, _, _) =
+    measure r (fun () ->
+        Alcotest.(check int) "a miss" (-1) (Phash.find_or h ~key:777 ~default:(-1)))
+  in
+  Alcotest.(check int) "find_or: one index charge and its probe"
+    (index_ns + (probe_loads * load_ns)) find_ns;
+  let ins_ns, (loads, stores, flushed, fences) =
+    measure r (fun () -> Phash.insert h ~key:777 ~value:7)
+  in
+  Alcotest.(check (list int))
+    "insert: no load; two stores, two flushed lines, two fences" [ 0; 2; 2; 2 ]
+    [ loads; stores; flushed; fences ];
+  Alcotest.(check int) "insert: the publish only, no index charge" publish_ns ins_ns;
+  Alcotest.(check (option int)) "published" (Some 7) (Phash.find h ~key:777);
+  Alcotest.(check int) "counted" 6 (Phash.count h);
+  (* An eviction between the two (a take elsewhere) keeps the hint. *)
+  ignore (Phash.find_or h ~key:888 ~default:(-1));
+  Alcotest.(check int) "take between" 2 (Phash.take h ~key:2000);
+  let ins_ns, _ = measure r (fun () -> Phash.insert h ~key:888 ~value:8) in
+  Alcotest.(check int) "insert after a take: the publish only" publish_ns ins_ns;
+  Alcotest.(check (option int)) "published after take" (Some 8) (Phash.find h ~key:888);
+  (* The hint serves one insert: inserting the same key again probes. *)
+  check_full_probe "re-insert" r (fun () -> Phash.insert h ~key:888 ~value:9);
+  Alcotest.(check (option int)) "overwritten" (Some 9) (Phash.find h ~key:888)
+
+(* A key whose probe starts at [key]'s bucket: with only [key] in a fresh
+   table, its find_or miss loads two buckets instead of one. *)
+let colliding_key key =
+  let rec search k =
+    let h, r = make_hinted () in
+    Phash.insert h ~key ~value:0;
+    let _, (loads, _, _, _) = measure r (fun () -> ignore (Phash.find_or h ~key:k ~default:0)) in
+    if k <> key && loads = 2 then k else search (k + 1)
+  in
+  search 1
+
+let test_hint_ignored () =
+  (* A different key. *)
+  let h, r = make_hinted () in
+  ignore (Phash.find_or h ~key:5 ~default:(-1));
+  check_full_probe "different key" r (fun () -> Phash.insert h ~key:6 ~value:6);
+  check_full_probe "hint spent by the other insert" r (fun () -> Phash.insert h ~key:5 ~value:5);
+  Alcotest.(check (list (option int))) "both present" [ Some 5; Some 6 ]
+    [ Phash.find h ~key:5; Phash.find h ~key:6 ];
+  (* An intervening insert into the hinted bucket. *)
+  let key = 4242 in
+  let other = colliding_key key in
+  let h, r = make_hinted () in
+  ignore (Phash.find_or h ~key ~default:(-1));
+  Phash.insert h ~key:other ~value:1;
+  check_full_probe "hinted bucket taken" r (fun () -> Phash.insert h ~key ~value:2);
+  Alcotest.(check (list (option int))) "neither overwritten" [ Some 1; Some 2 ]
+    [ Phash.find h ~key:other; Phash.find h ~key ];
+  (* An armed migration: the 15th insert into 16 buckets arms a doubling
+     and copies the first batch, so the table is still migrating. *)
+  let h, r = make_hinted ~doublings:1 () in
+  for k = 1 to 15 do
+    Phash.insert h ~key:(k * 1000) ~value:k
+  done;
+  Alcotest.(check bool) "migrating" true (Phash.resizing h);
+  ignore (Phash.find_or h ~key:99 ~default:(-1));
+  check_full_probe "armed migration" r (fun () -> Phash.insert h ~key:99 ~value:99);
+  Alcotest.(check (option int)) "inserted while migrating" (Some 99) (Phash.find h ~key:99);
+  (* An insert that arms a resize. *)
+  let h, r = make_hinted ~doublings:1 () in
+  for k = 1 to 14 do
+    Phash.insert h ~key:(k * 1000) ~value:k
+  done;
+  Alcotest.(check bool) "not yet migrating" false (Phash.resizing h);
+  ignore (Phash.find_or h ~key:99 ~default:(-1));
+  check_full_probe "arming insert" r (fun () -> Phash.insert h ~key:99 ~value:99);
+  Alcotest.(check bool) "armed" true (Phash.resizing h);
+  Alcotest.(check (option int)) "inserted while arming" (Some 99) (Phash.find h ~key:99)
+
+(* A table whose free buckets are all tombstones still takes inserts: a
+   miss that probes the whole table has proved the key absent, and reuses
+   the first tombstone instead of raising [Overload]. *)
+let test_insert_into_tombstoned_table () =
+  let h, r = make_hinted ~doublings:1 () in
+  for k = 1 to 10 do
+    Phash.insert h ~key:k ~value:k
+  done;
+  let absent = 999_999 in
+  let probe_loads () =
+    let _, (loads, _, _, _) = measure r (fun () -> ignore (Phash.find h ~key:absent)) in
+    loads
+  in
+  (* Churn fresh keys through until no bucket is empty: a miss then reads
+     all 16 buckets and the first one again. *)
+  let next = ref 1000 in
+  while probe_loads () <= 16 do
+    if !next > 100_000 then Alcotest.fail "churn never filled the empty buckets";
+    Phash.insert h ~key:!next ~value:0;
+    ignore (Phash.remove h ~key:!next);
+    incr next
+  done;
+  Phash.insert h ~key:absent ~value:1;
+  Alcotest.(check (option int)) "inserted" (Some 1) (Phash.find h ~key:absent);
+  Alcotest.(check int) "counted" 11 (Phash.count h);
+  Alcotest.(check bool) "no resize needed" false (Phash.resizing h)
+
+(* Interleaved find_or / insert / take / remove against a Hashtbl model,
+   through three doublings: find_or misses are usually followed by an
+   insert of the same key, the path that reuses the probe. *)
+let hint_model_qcheck =
+  QCheck.Test.make ~name:"find_or/insert/take/remove match a Hashtbl model" ~count:200
+    QCheck.(list_of_size Gen.(20 -- 200) (triple (int_bound 4) (int_bound 59) small_nat))
+    (fun ops ->
+      let h, _ = make_hinted ~doublings:3 () in
+      let model = Hashtbl.create 64 in
+      let expect k = Option.value (Hashtbl.find_opt model k) ~default:(-1) in
+      let step_ok (op, k, v) =
+        let k = k + 1 in
+        match op with
+        | 0 | 1 ->
+            let found = Phash.find_or h ~key:k ~default:(-1) in
+            let ok = found = expect k in
+            if found < 0 then begin
+              Phash.insert h ~key:k ~value:v;
+              Hashtbl.replace model k v
+            end;
+            ok
+        | 2 ->
+            Phash.insert h ~key:k ~value:v;
+            Hashtbl.replace model k v;
+            true
+        | 3 ->
+            let taken = Phash.take h ~key:k in
+            let ok = taken = expect k in
+            Hashtbl.remove model k;
+            ok
+        | _ ->
+            let removed = Phash.remove h ~key:k in
+            let ok = removed = Hashtbl.mem model k in
+            Hashtbl.remove model k;
+            ok
+      in
+      let steps_ok = List.for_all step_ok ops in
+      let listed = ref [] in
+      Phash.iter h (fun ~key ~value -> listed := (key, value) :: !listed);
+      let modelled = Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [] in
+      steps_ok
+      && List.for_all (fun k -> Phash.find h ~key:k = Hashtbl.find_opt model k) (List.init 60 succ)
+      && List.sort compare !listed = List.sort compare modelled
+      && Phash.count h = Hashtbl.length model)
+
 (* --- LRU --- *)
 
 let test_lru_order () =
@@ -333,6 +535,14 @@ let () =
           Alcotest.test_case "transparent incremental resize" `Quick
             test_transparent_resize;
           Alcotest.test_case "resize crash sweep" `Quick test_resize_crash_sweep;
+        ] );
+      ( "phash probe hint",
+        [
+          Alcotest.test_case "insert after a find_or miss" `Quick test_hinted_insert_cost;
+          Alcotest.test_case "hint ignored" `Quick test_hint_ignored;
+          Alcotest.test_case "insert into a table of tombstones" `Quick
+            test_insert_into_tombstoned_table;
+          QCheck_alcotest.to_alcotest hint_model_qcheck;
         ] );
       ( "phash durability",
         [

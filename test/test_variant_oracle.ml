@@ -145,7 +145,11 @@ let fingerprint kind can_abort seed =
    re-recorded when the applier began copying only dirty lines and
    fencing once per batch, and recovery once per record: heap= and every
    other kind's cell stayed identical, and only sim, flushed, fences and
-   copied moved. *)
+   copied moved. The kamino-dynamic cells were re-recorded again when a
+   miss stopped fencing its copy on its own (the mapping's value fence
+   orders it), the insert after a find_or miss stopped re-probing, and the
+   dynamic applier began fencing once per batch: only sim, fences, loads
+   and bytes_loaded moved. *)
 let expected =
   [
     ("no-logging/seed=1", "sim=74611 stores=1019 bytes_stored=10408 loads=1412 bytes_loaded=11296 flushed=193 fences=55 copied=0 heap=2548557fdb6a5ddf");
@@ -160,9 +164,9 @@ let expected =
     ("kamino-simple/seed=1", "sim=338323 stores=3081 bytes_stored=27072 loads=2677 bytes_loaded=21416 flushed=17132 fences=283 copied=1058616 heap=15bb7a52914dce43");
     ("kamino-simple/seed=2", "sim=330393 stores=2613 bytes_stored=22184 loads=2153 bytes_loaded=17224 flushed=17027 fences=277 copied=1056472 heap=2a3b9e99e5b47915");
     ("kamino-simple/seed=3", "sim=348099 stores=4404 bytes_stored=37176 loads=2933 bytes_loaded=23464 flushed=17306 fences=326 copied=1062024 heap=f41bdf358cb150a");
-    ("kamino-dynamic/seed=1", "sim=282969 stores=2148 bytes_stored=85136 loads=61436 bytes_loaded=491488 flushed=1913 fences=433 copied=13304 heap=15bb7a52914dce43");
-    ("kamino-dynamic/seed=2", "sim=278809 stores=1942 bytes_stored=82344 loads=60692 bytes_loaded=485536 flushed=1803 fences=426 copied=10712 heap=2a3b9e99e5b47915");
-    ("kamino-dynamic/seed=3", "sim=141150 stores=2938 bytes_stored=90976 loads=4807 bytes_loaded=38456 flushed=2056 fences=446 copied=16232 heap=f41bdf358cb150a");
+    ("kamino-dynamic/seed=1", "sim=276402 stores=2148 bytes_stored=85136 loads=61406 bytes_loaded=491248 flushed=1913 fences=337 copied=13304 heap=15bb7a52914dce43");
+    ("kamino-dynamic/seed=2", "sim=272618 stores=1942 bytes_stored=82344 loads=60654 bytes_loaded=485232 flushed=1803 fences=341 copied=10712 heap=2a3b9e99e5b47915");
+    ("kamino-dynamic/seed=3", "sim=137490 stores=2938 bytes_stored=90976 loads=4785 bytes_loaded=38280 flushed=2056 fences=360 copied=16232 heap=f41bdf358cb150a");
     ("intent-only/seed=1", "sim=103085 stores=2772 bytes_stored=24432 loads=2145 bytes_loaded=17160 flushed=519 fences=254 copied=0 heap=2548557fdb6a5ddf");
     ("intent-only/seed=2", "sim=93790 stores=2411 bytes_stored=21544 loads=1660 bytes_loaded=13280 flushed=466 fences=227 copied=0 heap=2a7893ab76fb0999");
     ("intent-only/seed=3", "sim=122527 stores=4948 bytes_stored=41560 loads=3861 bytes_loaded=30888 flushed=661 fences=275 copied=0 heap=1dd8f7d19f71bbc1");
