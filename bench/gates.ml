@@ -259,10 +259,9 @@ let shard_run ~zipf ~shards ~domains =
      own hot set and the hottest shard bounds wall-clock scaling. *)
   let zipfs = Array.map (fun keys -> Zipf.create ~n:(Array.length keys) ~theta:0.99) own in
   let rngs = Array.init shard_clients (fun c -> Rng.create (777 + c)) in
-  let router = Kamino_shard.Shard_router.create s in
   let t0 = Common.Wall.now_s () in
   let r =
-    Kamino_shard.Shard_driver.run ~domains ~router ~shard:s ~clients:shard_clients
+    Kamino_shard.Shard_driver.run ~domains ~shard:s ~clients:shard_clients
       ~total_ops:shard_ops
       ~step:(fun ~client ~shard_id () ->
         let rng = rngs.(client) and keys = own.(shard_id) in

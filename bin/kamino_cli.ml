@@ -219,9 +219,8 @@ let run_ycsb_sharded ?(snapshot_reads = false) ?(domains = 1) ~config ~kind ~wor
   Printf.printf "running YCSB-%s: %d ops, %d clients, %d shards, %d domains, engine %s%s\n%!"
     (Ycsb.name workload) ops clients shards domains (Engine.kind_name kind)
     (if snapshot_reads then ", snapshot reads" else "");
-  let router = Kamino_shard.Shard_router.create s in
   let r =
-    Shard_driver.run ~domains ~router ~shard:s ~clients ~total_ops:ops
+    Shard_driver.run ~domains ~shard:s ~clients ~total_ops:ops
       ~step:(fun ~client ~shard_id () ->
         let keys = own.(shard_id) in
         (* Inserts (workloads D/E) grow the generator's key space past the

@@ -28,10 +28,6 @@ let drive t op =
 
 let put t k v = ignore (drive t (Op.Put (k, v)))
 
-let delete t k = ignore (drive t (Op.Delete k))
-
-let append t k suffix = ignore (drive t (Op.Append (k, suffix)))
-
 let multi_put t bindings =
   let done_at = ref None in
   Cluster.multi_put t.c ~at:(next_at t) bindings ~on_complete:(fun at ->

@@ -14,10 +14,6 @@ val create : Cluster.t -> t
 
 val put : t -> int -> string -> unit
 
-val delete : t -> int -> unit
-
-val append : t -> int -> string -> unit
-
 val multi_put : t -> (int * string) list -> unit
 
 (** Served by the owning chain's tail. *)

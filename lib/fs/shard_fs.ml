@@ -74,12 +74,11 @@ let resolve t path =
   go root parts
 
 (* -------------------------------------------------------------- *)
-(* Single-shard writes (the owning shard's engine is a standalone
+(* A single-shard write (the owning shard's engine is a standalone
    engine, so the plain Fs operation — own transaction, span,
    histogram — is exactly right).                                  *)
 
 let write t ~ino ~off data = Fs.write t.fss.(owner t ino) ~ino ~off data
-let truncate t ~ino ~len = Fs.truncate t.fss.(owner t ino) ~ino ~len
 
 (* -------------------------------------------------------------- *)
 (* Namespace operations: cross-shard when the participating inodes

@@ -84,7 +84,6 @@ val rename :
   unit
 
 val write : t -> ino:int -> off:int -> string -> unit
-val truncate : t -> ino:int -> len:int -> unit
 val read : t -> ino:int -> off:int -> len:int -> string
 val readdir : t -> dir:int -> (string * int) list
 val lookup : t -> dir:int -> string -> int option

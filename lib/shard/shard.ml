@@ -37,7 +37,10 @@ module Clock = Kamino_sim.Clock
 module Obs = Kamino_obs.Obs
 module Engine = Kamino_core.Engine
 
-type t = { engines : Engine.t array; marker : Commit_marker.t }
+(* [parallel] is set by [Shard_driver.run] while lanes run on several
+   domains: each engine then has one owning domain, and a cross-shard
+   transaction would drive engines it does not own. *)
+type t = { engines : Engine.t array; marker : Commit_marker.t; mutable parallel : bool }
 
 (* Deterministic key->shard router: a multiplicative mix so consecutive
    keys spread across shards (plain [key mod shards] would stripe YCSB's
@@ -82,7 +85,7 @@ let create ?(config = Engine.default_config) ?(obs = Obs.null) ?shard_obs
     Commit_marker.create ~cost:config.Engine.cost ~crash_mode:config.Engine.crash_mode
       ~seed ~clock:(Clock.create ()) ~entry_words:2 ~max_entries:shards
   in
-  { engines; marker }
+  { engines; marker; parallel = false }
 
 let shards t = Array.length t.engines
 
@@ -92,9 +95,7 @@ let route t key = route_key ~shards:(Array.length t.engines) key
 
 let marker t = t.marker
 
-let storage_bytes t =
-  Array.fold_left (fun acc e -> acc + Engine.storage_bytes e) 0 t.engines
-  + Region.size (Commit_marker.region t.marker)
+let set_parallel t on = t.parallel <- on
 
 let set_clock t i clk = Engine.set_clock t.engines.(i) clk
 
@@ -103,6 +104,8 @@ let with_tx t i f = Engine.with_tx t.engines.(i) f
 (* --- Cross-shard transactions ------------------------------------------- *)
 
 let with_cross_tx t shard_ids f =
+  if t.parallel then
+    invalid_arg "Shard.with_cross_tx: lanes run on several domains";
   let ids = List.sort_uniq compare shard_ids in
   (match ids with
   | [] -> invalid_arg "Shard.with_cross_tx: no participant shards"

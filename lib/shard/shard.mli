@@ -58,6 +58,11 @@ val route : t -> int -> int
 (** [set_clock t i c] switches shard [i]'s active client clock. *)
 val set_clock : t -> int -> Kamino_sim.Clock.t -> unit
 
+(** [set_parallel t on] marks whether lanes of [t] currently run on
+    several domains; {!Shard_driver.run} sets it for the duration of a
+    multi-domain run. *)
+val set_parallel : t -> bool -> unit
+
 (** [with_tx t i f] runs a single-shard transaction on shard [i] —
     plain [Engine.with_tx], no façade overhead. *)
 val with_tx : t -> int -> (Engine.tx -> 'a) -> 'a
@@ -70,7 +75,9 @@ val with_tx : t -> int -> (Engine.tx -> 'a) -> 'a
     its own fence), commit each prepared transaction, clear the marker.
     On exception from [f]: abort every participant and re-raise. Only the
     Kamino kinds support this (two-phase commit); others raise
-    [Engine.Error (Unsupported _)]. *)
+    [Engine.Error (Unsupported _)]. Raises [Invalid_argument], touching
+    no shard, while {!set_parallel} is on: each engine then belongs to
+    one executor domain (DESIGN.md §13). *)
 val with_cross_tx : t -> int list -> ((int -> Engine.tx) -> 'a) -> 'a
 
 (** {1 Crashes and recovery} *)
@@ -100,7 +107,5 @@ val watermarks : t -> (int * int) option array
 val verify_backups : t -> (unit, string) result
 
 (** {1 Aggregates} *)
-
-val storage_bytes : t -> int
 
 val committed : t -> int

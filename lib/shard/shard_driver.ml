@@ -55,13 +55,10 @@ let make_lanes ~shard ~clients ~total_ops =
 
 (* One full lane: the furthest-behind client with quota left runs next,
    progress measured from the lane's own start so shards whose load
-   phases ended at different times are compared fairly. [service] is the
-   router poll point — between operations, no transaction active — where
-   a parallel executor answers lease requests from coordinators. *)
-let exec_lane ~shard ~step ~service lane =
+   phases ended at different times are compared fairly. *)
+let exec_lane ~shard ~step lane =
   let n = Array.length lane.l_clients in
   while lane.l_remaining > 0 do
-    service ();
     let pick = ref (-1) in
     let behind = ref max_int in
     for k = 0 to n - 1 do
@@ -97,51 +94,52 @@ let merge_lanes ~total_ops lanes =
   let elapsed_ns = Array.fold_left (fun m lane -> max m lane.l_elapsed) 0 lanes in
   Driver.result_of ~total_ops ~elapsed_ns latencies
 
-let run ?(domains = 1) ?router ~shard ~clients ~total_ops ~step () =
+(* Run [body d] for every [d < nd]: [d = 0] on the calling domain, the
+   rest on spawned ones. Every spawned domain is joined whatever any
+   body raised, then the first exception in domain order is re-raised. *)
+let on_domains nd body =
+  let attempt f =
+    match f () with () -> None | exception e -> Some (e, Printexc.get_raw_backtrace ())
+  in
+  let spawned = ref [] in
+  let first =
+    attempt (fun () ->
+        for d = 1 to nd - 1 do
+          spawned := Domain.spawn (fun () -> body d) :: !spawned
+        done;
+        body 0)
+  in
+  let rest = List.rev_map (fun dom -> attempt (fun () -> Domain.join dom)) !spawned in
+  match List.find_map Fun.id (first :: rest) with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ()
+
+let run ?(domains = 1) ~shard ~clients ~total_ops ~step () =
   if clients <= 0 then invalid_arg "Shard_driver.run: clients must be positive";
   if domains <= 0 then invalid_arg "Shard_driver.run: domains must be positive";
-  (match router with
-  | Some r when Shard_router.shard r != shard ->
-      invalid_arg "Shard_driver.run: router belongs to a different facade"
-  | _ -> ());
   let shards = Shard.shards shard in
   let nd = max 1 (min domains shards) in
   let lanes = make_lanes ~shard ~clients ~total_ops in
-  Option.iter (fun r -> Shard_router.attach r ~domains:nd) router;
-  let service_for d =
-    match router with
-    | Some r when nd > 1 -> fun () -> Shard_router.service r ~domain:d
-    | _ -> fun () -> ()
-  in
   if nd = 1 then
     (* Sequential mode: lanes run to completion in shard order on the
        calling domain. (Interleaving lanes op-by-op would also be
        correct — lanes share nothing — but whole-lane order is what the
        parallel mode's per-domain loop produces, so both modes are the
        same code path per lane.) *)
-    Array.iter (exec_lane ~shard ~step ~service:(service_for 0)) lanes
+    Array.iter (exec_lane ~shard ~step) lanes
   else begin
     (* Parallel mode: domain [d] owns lanes [s] with [s mod nd = d] and
        runs them in ascending shard order. Engines, clocks, rngs and obs
-       rings of a lane are touched only by its owner (router leases
-       excepted), so no locks are needed. After its last lane a domain
-       keeps answering lease requests until every domain is done —
-       coordinators may still need its engines. *)
-    let active = Atomic.make nd in
-    let body d =
-      let service = service_for d in
-      Array.iter
-        (fun lane -> if lane.l_shard mod nd = d then exec_lane ~shard ~step ~service lane)
-        lanes;
-      Atomic.decr active;
-      while Atomic.get active > 0 do
-        service ();
-        Domain.cpu_relax ()
-      done
-    in
-    let spawned = Array.init (nd - 1) (fun k -> Domain.spawn (fun () -> body (k + 1))) in
-    body 0;
-    Array.iter Domain.join spawned
+       rings of a lane are touched only by its owner, so no locks are
+       needed — and no lane may reach into another shard, which
+       [Shard.with_cross_tx] enforces while the run lasts. *)
+    Shard.set_parallel shard true;
+    Fun.protect
+      ~finally:(fun () -> Shard.set_parallel shard false)
+      (fun () ->
+        on_domains nd (fun d ->
+            Array.iter
+              (fun lane -> if lane.l_shard mod nd = d then exec_lane ~shard ~step lane)
+              lanes))
   end;
-  Option.iter (fun r -> Shard_router.attach r ~domains:1) router;
   merge_lanes ~total_ops lanes

@@ -29,20 +29,21 @@ val home : shards:int -> int -> int
     executes its lanes in ascending shard order. Simulated time, NVM
     counters, final heap images, latency histograms and Perfetto rings (via
     [shard_obs] + {!Kamino_obs.Obs.merged}) are bit-identical for any
-    [domains] — wall-clock time is what changes. [step] must be
-    domain-safe in the natural sharded sense: state it touches for shard
-    [s] (stores, rng streams of [s]'s clients) must not be shared with
-    other shards' operations.
+    [domains] — wall-clock time is what changes.
 
-    [router] enables cross-shard operations from inside [step] under
-    [domains > 1] (pass it to {!Shard_kv.multi_put} or use
-    {!Shard_router.with_cross_tx} with [~from:shard_id]): the driver
-    attaches it to the run's placement and executors answer its lease
-    requests between operations. Routed cross-shard operations are
-    linearizable but excluded from the bit-determinism contract. *)
+    With more than one domain, a lane touches only its own shard: state
+    [step] touches for shard [s] (its store, its clients' rng streams)
+    must not be shared with other shards' operations, and nothing may
+    cross shards. {!Shard.with_cross_tx} (hence a cross-shard
+    {!Shard_kv.multi_put}) raises [Invalid_argument] for the duration of
+    such a run; under [domains = 1] it commits as usual.
+
+    If [step] raises, the domain running it stops. The other domains
+    finish their lanes, every spawned domain is joined, and [run]
+    re-raises the first exception in domain order, the calling domain
+    (domain 0) first. *)
 val run :
   ?domains:int ->
-  ?router:Shard_router.t ->
   shard:Shard.t ->
   clients:int ->
   total_ops:int ->

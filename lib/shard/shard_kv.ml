@@ -40,27 +40,11 @@ let snapshot_get ?clock t key = Kv.snapshot_get ?clock (store_of_key t key) key
 let snapshot_multi_get ?clock t keys =
   List.map (fun key -> (key, snapshot_get ?clock t key)) keys
 
-let delete t key = Kv.delete (store_of_key t key) key
-
-let read_modify_write t key f = Kv.read_modify_write (store_of_key t key) key f
-
-let exists t key = Kv.exists (store_of_key t key) key
-
-let range t i ~lo ~hi = Kv.range t.stores.(i) ~lo ~hi
-
-(* Keys are hash-routed, so the ordered successor set of [lo] lives on the
-   shard that owns [lo]'s slice of the key space — YCSB-E's scan runs
-   against the owning store's leaf chain. *)
-let scan t ~lo ~count f = Kv.scan (store_of_key t lo) ~lo ~count f
-
 (* [multi_put] is the cross-shard client: all bindings become visible
    atomically even when their keys route to different shards. The
    single-shard case degenerates to one plain transaction — no marker,
-   no 2PC. Under the parallel driver pass [router] (and the calling
-   client's home shard as [from]): foreign-shard batches then lease the
-   owning executor domains instead of racing them, and the single-shard
-   home case stays lock-free. *)
-let multi_put ?router ?(from = 0) t bindings =
+   no 2PC. *)
+let multi_put t bindings =
   match bindings with
   | [] -> ()
   | _ ->
@@ -72,27 +56,16 @@ let multi_put ?router ?(from = 0) t bindings =
             ((key, value) :: Option.value ~default:[] (Hashtbl.find_opt by_shard i)))
         bindings;
       let ids = Hashtbl.fold (fun i _ acc -> i :: acc) by_shard [] in
-      let single i =
-        Engine.with_tx (Shard.engine t.shard i) (fun tx ->
-            List.iter
-              (fun (key, value) -> Kv.put_tx tx t.stores.(i) key value)
-              (List.rev (Hashtbl.find by_shard i)))
+      let puts tx i =
+        List.iter
+          (fun (key, value) -> Kv.put_tx tx t.stores.(i) key value)
+          (List.rev (Hashtbl.find by_shard i))
       in
-      let cross with_cross_tx =
-        with_cross_tx (fun tx_of ->
-            List.iter
-              (fun i ->
-                let tx = tx_of i in
-                List.iter
-                  (fun (key, value) -> Kv.put_tx tx t.stores.(i) key value)
-                  (List.rev (Hashtbl.find by_shard i)))
-              (List.sort compare ids))
-      in
-      (match (ids, router) with
-      | [ i ], None -> single i
-      | [ i ], Some r -> Shard_router.exclusive r ~from [ i ] (fun () -> single i)
-      | _, None -> cross (Shard.with_cross_tx t.shard ids)
-      | _, Some r -> cross (Shard_router.with_cross_tx r ~from ids))
+      match ids with
+      | [ i ] -> Engine.with_tx (Shard.engine t.shard i) (fun tx -> puts tx i)
+      | _ ->
+          Shard.with_cross_tx t.shard ids (fun tx_of ->
+              List.iter (fun i -> puts (tx_of i) i) (List.sort compare ids))
 
 let validate t =
   let rec go i =

@@ -36,36 +36,12 @@ val snapshot_get : ?clock:Kamino_sim.Clock.t -> t -> int -> string option
 val snapshot_multi_get :
   ?clock:Kamino_sim.Clock.t -> t -> int list -> (int * string option) list
 
-val delete : t -> int -> bool
-
-val read_modify_write : t -> int -> (string -> string) -> bool
-
-val exists : t -> int -> bool
-
-(** [range t i ~lo ~hi] scans shard [i]'s local index (keys are hash
-    routed, so a global key-ordered scan does not exist by design). *)
-val range : t -> int -> lo:int -> hi:int -> (int * string) list
-
-(** [scan t ~lo ~count f] — count-bounded ordered scan from the first key
-    [>= lo], served by the shard owning [lo] (keys are hash-routed; the
-    ordered window lives in that shard's leaf chain). Returns the number
-    of bindings visited. *)
-val scan : t -> lo:int -> count:int -> (int -> string -> unit) -> int
-
 (** [multi_put t bindings] makes all bindings visible atomically. One
     participating shard: a plain transaction. Several: a cross-shard
-    two-phase commit ({!Shard.with_cross_tx}).
-
-    Under {!Shard_driver.run} with [domains > 1], pass the run's
-    [router] and the calling client's home shard as [from]: batches
-    touching foreign shards then run under {!Shard_router.exclusive}
-    (coordinator lock + domain leases) instead of racing the owning
-    executors. Home-shard single-shard batches stay lock-free. *)
-val multi_put :
-  ?router:Shard_router.t ->
-  ?from:int ->
-  t ->
-  (int * string) list ->
-  unit
+    two-phase commit ({!Shard.with_cross_tx}), which raises
+    [Invalid_argument] under {!Shard_driver.run} with [domains > 1]:
+    there a lane touches only its own shard, so a step may only pass
+    bindings of its own shard. *)
+val multi_put : t -> (int * string) list -> unit
 
 val validate : t -> (unit, string) result

@@ -7,6 +7,12 @@
    - Scaling: the applier-bound uniform-key YCSB-A cell gains >= 2x
      aggregate simulated throughput at 4 shards (the acceptance gate the
      bench's `--shards` curve tracks in CI).
+   - Parallel driver: bit-identical results, streams and traces across
+     domain counts; clients stay on their home shard with fixed quotas;
+     shard s runs on domain s mod domains; a raising step re-raises after
+     every domain is joined, the first exception in domain order winning;
+     a cross-shard transaction under several domains is refused, and
+     allowed again once the run ends.
    - Cross-shard transactions: all-or-nothing with and without crashes,
      marker lifecycle, abort path. *)
 
@@ -20,8 +26,6 @@ module Kv = Kamino_kv.Kv
 module Shard = Kamino_shard.Shard
 module Shard_kv = Kamino_shard.Shard_kv
 module Shard_driver = Kamino_shard.Shard_driver
-module Shard_router = Kamino_shard.Shard_router
-module Mailbox = Kamino_shard.Mailbox
 module Metrics = Kamino_obs.Metrics
 module Obs = Kamino_obs.Obs
 module Sink = Kamino_obs.Sink
@@ -62,35 +66,6 @@ let test_router () =
         counts)
     [ 1; 2; 4; 8 ]
 
-(* The lease fast path is what keeps the parallel driver's per-op router
-   overhead flat: with zero leases in flight, a service drive costs
-   exactly one atomic load of the park gate and never touches the
-   mailbox. The counters are exact on a single domain. *)
-let test_service_fast_path () =
-  let s = Shard.create ~config ~kind:Engine.Kamino_simple ~seed:3 ~shards:4 () in
-  let router = Shard_router.create s in
-  Shard_router.attach router ~domains:2;
-  let n = 1_000 in
-  for _ = 1 to n do
-    Shard_router.service router ~domain:0;
-    Shard_router.service router ~domain:1
-  done;
-  Alcotest.(check int) "every drive counted" (2 * n)
-    (Shard_router.service_calls router);
-  Alcotest.(check int) "exactly one atomic load per drive" (2 * n)
-    (Shard_router.service_loads router);
-  Alcotest.(check int) "no mailbox drains without leases" 0
-    (Shard_router.service_drains router);
-  (* A home-hosted multi-shard exclusive takes the coordinator lock but
-     leases nobody — the fast-path accounting must not move. *)
-  Shard_router.attach router ~domains:1;
-  let loads = Shard_router.service_loads router in
-  Shard_router.exclusive router ~from:0 [ 0; 1 ] (fun () -> ());
-  Alcotest.(check int) "lock without foreign hosts loads nothing" loads
-    (Shard_router.service_loads router);
-  Alcotest.(check int) "and still never drains" 0
-    (Shard_router.service_drains router)
-
 (* --- per-shard isolation --------------------------------------------------- *)
 
 (* The uniform-key YCSB-A cell from the bench, parameterized so the same
@@ -129,9 +104,8 @@ let run_sharded ?(domains = 1) ~shards ~clients ~total_ops ~records ~seed () =
   load_kv kv records;
   let own = owned_keys s records in
   let rngs = Array.init clients (fun c -> Rng.create (777 + c)) in
-  let router = Shard_router.create s in
   let r =
-    Shard_driver.run ~domains ~router ~shard:s ~clients ~total_ops
+    Shard_driver.run ~domains ~shard:s ~clients ~total_ops
       ~step:(fun ~client ~shard_id () ->
         step_op ~own ~rngs (Shard_kv.store kv shard_id) ~client ~shard_id)
       ()
@@ -326,9 +300,8 @@ let prop_parallel_stream =
        load_kv kv records;
        let own = owned_keys s records in
        let rngs = Array.init clients (fun c -> Rng.create (777 + c)) in
-       let router = Shard_router.create s in
        ignore
-         (Shard_driver.run ~domains ~router ~shard:s ~clients ~total_ops
+         (Shard_driver.run ~domains ~shard:s ~clients ~total_ops
             ~step:(fun ~client ~shard_id () ->
               streams_par.(shard_id) <- client :: streams_par.(shard_id);
               step_op ~own ~rngs (Shard_kv.store kv shard_id) ~client ~shard_id)
@@ -359,9 +332,8 @@ let test_parallel_trace_identity () =
     load_kv kv records;
     let own = owned_keys s records in
     let rngs = Array.init clients (fun c -> Rng.create (777 + c)) in
-    let router = Shard_router.create s in
     ignore
-      (Shard_driver.run ~domains ~router ~shard:s ~clients ~total_ops
+      (Shard_driver.run ~domains ~shard:s ~clients ~total_ops
          ~step:(fun ~client ~shard_id () ->
            step_op ~own ~rngs (Shard_kv.store kv shard_id) ~client ~shard_id)
          ());
@@ -376,62 +348,180 @@ let test_parallel_trace_identity () =
           domains)
     [ 2; 4 ]
 
-(* Cross-shard transactions from inside the parallel executor: one client
-   periodically issues a [multi_put] spanning every shard, routed through
-   the router's lease protocol. Leased operations are linearizable (not
-   bit-scheduled), so the check is semantic: the batch lands atomically,
-   the store validates, and the backups converge. The spanning keys live
-   outside the preloaded range so no other client overwrites them. *)
-let test_cross_domain_multi_put () =
-  let shards = 4 and clients = 8 and total_ops = 2000 and records = 512 in
-  let s = Shard.create ~config ~kind:Engine.Kamino_simple ~seed:77 ~shards () in
-  let kv = Shard_kv.create s ~value_size:1024 ~node_size:1024 in
-  load_kv kv records;
-  let own = owned_keys s records in
-  let rngs = Array.init clients (fun c -> Rng.create (777 + c)) in
-  let router = Shard_router.create s in
-  (* One fresh key per shard, outside [0, records). *)
-  let span =
-    Array.to_list
-      (Array.init shards (fun i ->
-           let k = ref records in
-           while Shard.route s !k <> i do
-             incr k
-           done;
-           !k))
+(* Run [f] on a watchdog domain and wait at most [seconds] of wall time
+   for its outcome, so a driver that never returns fails the case
+   instead of stalling the suite. *)
+let within ~seconds f =
+  let outcome = Atomic.make None in
+  let runner =
+    Domain.spawn (fun () ->
+        Atomic.set outcome (Some (match f () with v -> Ok v | exception e -> Error e)))
   in
-  let stamps = ref 0 and ops0 = ref 0 in
-  (* Both refs belong to client 0 alone, hence to one executor domain. *)
-  ignore
-    (Shard_driver.run ~domains:shards ~router ~shard:s ~clients ~total_ops
-       ~step:(fun ~client ~shard_id () ->
-         if client = 0 then begin
-           incr ops0;
-           if !ops0 mod 50 = 0 then begin
-             incr stamps;
-             Shard_kv.multi_put ~router ~from:shard_id kv
-               (List.map (fun k -> (k, Printf.sprintf "stamp%d" !stamps)) span);
-             "multi"
-           end
-           else step_op ~own ~rngs (Shard_kv.store kv shard_id) ~client ~shard_id
-         end
-         else step_op ~own ~rngs (Shard_kv.store kv shard_id) ~client ~shard_id)
-       ());
-  Alcotest.(check bool) "issued cross-shard transactions" true (!stamps > 0);
-  Alcotest.(check bool) "router leased foreign domains" true
-    (Shard_router.crossed router > 0);
-  let expect = Printf.sprintf "stamp%d" !stamps in
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec wait () =
+    match Atomic.get outcome with
+    | Some r ->
+        Domain.join runner;
+        r
+    | None when Unix.gettimeofday () > deadline ->
+        Alcotest.failf "Shard_driver.run did not return within %.0f s" seconds
+    | None ->
+        Unix.sleepf 0.001;
+        wait ()
+  in
+  wait ()
+
+(* A step that raises must surface from [run] on any domain count, and
+   only after every spawned domain has finished its lanes and been
+   joined: the non-raising shard's quota is fully executed. *)
+let test_step_raises () =
+  let shards = 2 and clients = 2 and total_ops = 40 in
   List.iter
-    (fun k ->
-      match Shard_kv.get kv k with
-      | Some got when got = expect -> ()
-      | v ->
-          Alcotest.failf "key %d after parallel multi_put run: %s, expected %S" k
-            (Option.value ~default:"<none>" v)
-            expect)
-    span;
+    (fun (bad, domains) ->
+      let s = Shard.create ~config ~kind:Engine.Kamino_simple ~seed:5 ~shards () in
+      let ran = Array.init shards (fun _ -> Atomic.make 0) in
+      let run () =
+        Shard_driver.run ~domains ~shard:s ~clients ~total_ops
+          ~step:(fun ~client:_ ~shard_id () ->
+            if shard_id = bad then failwith "boom";
+            Atomic.incr ran.(shard_id);
+            "noop")
+          ()
+      in
+      let context = Printf.sprintf "shard %d raises, domains=%d" bad domains in
+      (match within ~seconds:30. run with
+      | Error (Failure msg) when msg = "boom" -> ()
+      | Error e -> Alcotest.failf "%s: raised %s" context (Printexc.to_string e)
+      | Ok _ -> Alcotest.failf "%s: run returned normally" context);
+      let good = 1 - bad in
+      (* Sequentially, lanes run in shard order: a raise on shard 0 stops
+         the run before shard 1's lane starts. *)
+      let expect = if domains = 1 && bad = 0 then 0 else total_ops / clients in
+      Alcotest.(check int) (context ^ ": ops on the other shard") expect
+        (Atomic.get ran.(good)))
+    [ (1, 1); (1, 2); (0, 2) ]
+
+(* Under a multi-domain run each engine belongs to one executor domain,
+   so a cross-shard transaction from a step is a typed error that
+   touches no shard. The same step on one domain commits atomically. *)
+let test_cross_shard_under_domains () =
+  let shards = 2 and clients = 2 and total_ops = 20 in
+  let s = Shard.create ~config ~kind:Engine.Kamino_simple ~seed:11 ~shards () in
+  let kv = Shard_kv.create s ~value_size:64 ~node_size:1024 in
+  let span =
+    List.init shards (fun i ->
+        let k = ref 0 in
+        while Shard.route s !k <> i do
+          incr k
+        done;
+        !k)
+  in
+  let stamps = ref 0 in
+  let run domains =
+    Shard_driver.run ~domains ~shard:s ~clients ~total_ops
+      ~step:(fun ~client:_ ~shard_id () ->
+        if shard_id = 0 then begin
+          incr stamps;
+          Shard_kv.multi_put kv
+            (List.map (fun k -> (k, Printf.sprintf "stamp%d" !stamps)) span)
+        end;
+        "multi")
+      ()
+  in
+  Alcotest.check_raises "refused under domains=2"
+    (Invalid_argument "Shard.with_cross_tx: lanes run on several domains") (fun () ->
+      ignore (run 2));
+  let check_span what expect =
+    List.iter
+      (fun k -> Alcotest.(check (option string)) what expect (Shard_kv.get kv k))
+      span
+  in
+  check_span "refused batch wrote nothing" None;
+  ignore (run 1);
+  check_span "domains=1 commits atomically" (Some (Printf.sprintf "stamp%d" !stamps));
   (match Shard_kv.validate kv with Ok () -> () | Error e -> Alcotest.fail e);
   match Shard.verify_backups s with Ok () -> () | Error e -> Alcotest.fail e
+
+(* Client [c] only ever runs on its home shard, and carries
+   [total_ops / clients] operations, the first [total_ops mod clients]
+   clients one more. *)
+let test_home_and_quota () =
+  let shards = 3 and clients = 7 and total_ops = 45 in
+  List.iter
+    (fun domains ->
+      let s = Shard.create ~config ~kind:Engine.Kamino_simple ~seed:3 ~shards () in
+      (* Slot [c] is written only by the lane of [c]'s home shard. *)
+      let ops = Array.make clients 0 in
+      let wrong = Atomic.make 0 in
+      let r =
+        Shard_driver.run ~domains ~shard:s ~clients ~total_ops
+          ~step:(fun ~client ~shard_id () ->
+            if shard_id <> Shard_driver.home ~shards client then Atomic.incr wrong;
+            ops.(client) <- ops.(client) + 1;
+            "noop")
+          ()
+      in
+      let context = Printf.sprintf "domains=%d" domains in
+      Alcotest.(check int) (context ^ ": steps off their home shard") 0 (Atomic.get wrong);
+      Array.iteri
+        (fun c n ->
+          let quota = (total_ops / clients) + if c < total_ops mod clients then 1 else 0 in
+          Alcotest.(check int) (Printf.sprintf "%s: client %d quota" context c) quota n)
+        ops;
+      Alcotest.(check int) (context ^ ": total ops") total_ops r.Driver.total_ops)
+    [ 1; 3 ]
+
+(* Shard [s] runs on domain [s mod domains]: the calling domain owns
+   shard 0, every lane stays on one domain, and lanes share a domain
+   exactly when their shard ids agree modulo [domains]. *)
+let test_lane_placement () =
+  let shards = 4 and domains = 2 in
+  let s = Shard.create ~config ~kind:Engine.Kamino_simple ~seed:9 ~shards () in
+  (* Slot [i] is written only by shard [i]'s lane. *)
+  let seen = Array.make shards [] in
+  ignore
+    (Shard_driver.run ~domains ~shard:s ~clients:8 ~total_ops:64
+       ~step:(fun ~client:_ ~shard_id () ->
+         let d = (Domain.self () :> int) in
+         if not (List.mem d seen.(shard_id)) then seen.(shard_id) <- d :: seen.(shard_id);
+         "noop")
+       ());
+  let dom =
+    Array.mapi
+      (fun i ds ->
+        match ds with
+        | [ d ] -> d
+        | _ -> Alcotest.failf "shard %d ran on %d domains" i (List.length ds))
+      seen
+  in
+  Alcotest.(check int) "shard 0 on the calling domain" (Domain.self () :> int) dom.(0);
+  for i = 0 to shards - 1 do
+    for j = 0 to shards - 1 do
+      Alcotest.(check bool)
+        (Printf.sprintf "shards %d and %d share a domain" i j)
+        (i mod domains = j mod domains)
+        (dom.(i) = dom.(j))
+    done
+  done
+
+(* When several lanes raise, [run] re-raises the first exception in
+   domain order, the calling domain's first, whatever order the lanes
+   failed in. With 4 shards on 2 domains, shard 2 runs on domain 0 and
+   shard 1 on domain 1. *)
+let test_first_exception_in_domain_order () =
+  let shards = 4 in
+  let s = Shard.create ~config ~kind:Engine.Kamino_simple ~seed:13 ~shards () in
+  let run () =
+    Shard_driver.run ~domains:2 ~shard:s ~clients:4 ~total_ops:40
+      ~step:(fun ~client:_ ~shard_id () ->
+        if shard_id = 1 || shard_id = 2 then failwith (Printf.sprintf "shard %d" shard_id);
+        "noop")
+      ()
+  in
+  match within ~seconds:30. run with
+  | Error (Failure msg) -> Alcotest.(check string) "domain 0's exception wins" "shard 2" msg
+  | Error e -> Alcotest.failf "raised %s" (Printexc.to_string e)
+  | Ok _ -> Alcotest.fail "run returned normally"
 
 (* --- cross-shard transactions ---------------------------------------------- *)
 
@@ -463,6 +553,29 @@ let check_cells s cells ids ~expect context =
       if v <> expect then
         Alcotest.failf "%s: shard %d cell is %Ld, expected %Ld" context i v expect)
     ids
+
+(* The several-domains guard lasts only as long as the run: after a
+   multi-domain run, whether it returned or raised, a cross-shard
+   transaction commits again. *)
+let test_parallel_flag_cleared () =
+  let s, cells = make_cross ~shards:2 ~seed:17 () in
+  let ids = [ 0; 1 ] in
+  let run ~raise_on =
+    Shard_driver.run ~domains:2 ~shard:s ~clients:2 ~total_ops:10
+      ~step:(fun ~client:_ ~shard_id () ->
+        if Some shard_id = raise_on then failwith "boom";
+        "noop")
+      ()
+  in
+  ignore (run ~raise_on:None);
+  stamp_all s cells ids 1L;
+  check_cells s cells ids ~expect:1L "after a run that returned";
+  (match within ~seconds:30. (fun () -> run ~raise_on:(Some 1)) with
+  | Error (Failure _) -> ()
+  | Error e -> Alcotest.failf "raised %s" (Printexc.to_string e)
+  | Ok _ -> Alcotest.fail "run returned normally");
+  stamp_all s cells ids 2L;
+  check_cells s cells ids ~expect:2L "after a run that raised"
 
 let test_cross_commit () =
   let s, cells = make_cross ~shards:4 ~seed:11 () in
@@ -733,11 +846,7 @@ let () =
   Alcotest.run "shard"
     [
       ( "router",
-        [
-          Alcotest.test_case "deterministic, in range, spreads" `Quick test_router;
-          Alcotest.test_case "lease-free service is one atomic load" `Quick
-            test_service_fast_path;
-        ] );
+        [ Alcotest.test_case "deterministic, in range, spreads" `Quick test_router ] );
       ( "isolation",
         [
           Alcotest.test_case "per-shard sim-ns equals a standalone engine" `Quick
@@ -752,8 +861,16 @@ let () =
           QCheck_alcotest.to_alcotest prop_parallel_stream;
           Alcotest.test_case "merged Perfetto trace byte-identical" `Quick
             test_parallel_trace_identity;
-          Alcotest.test_case "cross-shard multi_put under domains" `Quick
-            test_cross_domain_multi_put;
+          Alcotest.test_case "a raising step re-raises after every join" `Quick
+            test_step_raises;
+          Alcotest.test_case "cross-shard tx refused on several domains" `Quick
+            test_cross_shard_under_domains;
+          Alcotest.test_case "clients stay home with fixed quotas" `Quick
+            test_home_and_quota;
+          Alcotest.test_case "shard s runs on domain s mod domains" `Quick
+            test_lane_placement;
+          Alcotest.test_case "first exception in domain order wins" `Quick
+            test_first_exception_in_domain_order;
         ] );
       ( "cross-shard",
         [
@@ -764,6 +881,8 @@ let () =
             test_cross_crash_at_each_step;
           Alcotest.test_case "corrupt marker is a typed recovery error" `Quick
             test_corrupt_marker_recover;
+          Alcotest.test_case "guard lifts when a parallel run ends" `Quick
+            test_parallel_flag_cleared;
         ] );
       ( "kv",
         [ Alcotest.test_case "multi_put atomic, crash-safe" `Quick test_multi_put ] );

@@ -21,7 +21,6 @@ module Backup = Kamino_core.Backup
 module Shard = Kamino_shard.Shard
 module Shard_kv = Kamino_shard.Shard_kv
 module Shard_driver = Kamino_shard.Shard_driver
-module Shard_router = Kamino_shard.Shard_router
 
 let config =
   {
@@ -195,9 +194,8 @@ let sharded_fingerprint ~domains seed =
   done;
   let own = Array.map Array.of_list own in
   let rngs = Array.init clients (fun c -> Rng.create ((seed * 131) + c)) in
-  let router = Shard_router.create s in
   ignore
-    (Shard_driver.run ~domains ~router ~shard:s ~clients ~total_ops
+    (Shard_driver.run ~domains ~shard:s ~clients ~total_ops
        ~step:(fun ~client ~shard_id () ->
          let keys = own.(shard_id) in
          let rng = rngs.(client) in
