@@ -14,17 +14,33 @@ let size_off = 16
 let root_off = 24
 let bump_off = 32
 let free_heads_off = 64
-let data_start_off = 256
+let data_start_off = 512
 
 let magic_value = 0x4B414D494E4F5458L (* "KAMINOTX" *)
-let version_value = 1L
+let version_value = 2L
 
+exception Corrupt of string
+
+(* Size classes, jemalloc-style: multiples of 16 from 32 to 112, then four
+   per power of two ([b], [1.25b], [1.5b], [1.75b] for [b] = 128 .. 131072),
+   then 262144. Every class is a multiple of 16, and above 128 B a request
+   wastes at most 20% of its class. *)
 let size_classes =
-  [| 32; 64; 128; 256; 512; 1024; 2048; 4096; 8192; 16384; 32768; 65536; 131072; 262144 |]
+  let small = List.init 6 (fun i -> 32 + (16 * i)) in
+  let quarters =
+    List.concat_map
+      (fun k ->
+        let b = 1 lsl k in
+        [ b; b + (b / 4); b + (b / 2); b + (3 * b / 4) ])
+      (List.init 11 (fun i -> 7 + i))
+  in
+  Array.of_list (small @ quarters @ [ 1 lsl 18 ])
 
 let n_classes = Array.length size_classes
 
 let max_object_size = size_classes.(n_classes - 1)
+
+let () = assert (free_heads_off + (8 * n_classes) <= data_start_off)
 
 let header_size = 16
 
@@ -43,16 +59,51 @@ let chain_link_flag = 5L
 let chain_head_meta = 16
 let chain_link_meta = 8
 
-(* Top-level, so a lookup allocates no closure. *)
-let rec class_from size i = if size_classes.(i) >= size then i else class_from size (i + 1)
+(* Index of the highest set bit of [n], for 0 < n < 2^32. *)
+let msb n =
+  let n = ref n and r = ref 0 in
+  if !n lsr 16 <> 0 then begin
+    n := !n lsr 16;
+    r := 16
+  end;
+  if !n lsr 8 <> 0 then begin
+    n := !n lsr 8;
+    r := !r + 8
+  end;
+  if !n lsr 4 <> 0 then begin
+    n := !n lsr 4;
+    r := !r + 4
+  end;
+  if !n lsr 2 <> 0 then begin
+    n := !n lsr 2;
+    r := !r + 2
+  end;
+  if !n lsr 1 <> 0 then r := !r + 1;
+  !r
+
+(* The smallest class holding [size] bytes, 0 < size <= max_object_size,
+   computed without scanning the table: 16 B steps up to 128; above, the
+   leading bit of [size - 1] picks the power of two [b] and the next two
+   bits the quarter of [b] the request exceeds. *)
+let class_slot size =
+  if size <= 128 then max 0 (((size + 15) lsr 4) - 2)
+  else begin
+    let s = size - 1 in
+    let k = msb s in
+    7 + (4 * (k - 7)) + ((s lsr (k - 2)) land 3)
+  end
 
 let class_of_size size =
   if size <= 0 then invalid_arg "Heap: object size must be positive";
   if size > max_object_size then
     invalid_arg (Printf.sprintf "Heap: object size %d exceeds max %d" size max_object_size);
-  class_from size 0
+  class_slot size
 
-let is_class_size len = Array.exists (fun c -> c = len) size_classes
+let is_class_size len =
+  len > 0 && len <= max_object_size && size_classes.(class_slot len) = len
+
+(* The class of capacity [cap], or -1 if [cap] is not a class size. *)
+let class_index cap = if is_class_size cap then class_slot cap else -1
 
 let class_head_off cls = free_heads_off + (cls * 8)
 
@@ -98,10 +149,6 @@ let mk_t region =
     st_class = Array.make n_classes 0;
     seg_live = Array.make segs 0;
   }
-
-let class_index cap =
-  let rec find i = if i >= n_classes then -1 else if size_classes.(i) = cap then i else find (i + 1) in
-  find 0
 
 let account_add t ~extent_off ~cap ~head_of_chain =
   t.st_objects <- t.st_objects + 1;
@@ -184,10 +231,15 @@ let format region =
   t
 
 let open_existing region =
+  let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt ("Heap.open_existing: " ^ s))) fmt in
   if Region.read_int64 region magic_off <> magic_value then
-    failwith "Heap.open_existing: bad magic (region was never formatted?)";
-  if Region.read_int64 region version_off <> version_value then
-    failwith "Heap.open_existing: unsupported heap version";
+    corrupt "bad magic (region was never formatted?)";
+  let version = Region.read_int64 region version_off in
+  if version <> version_value then
+    corrupt "unsupported heap version %Ld (this build reads %Ld)" version version_value;
+  let size = Region.read_int region size_off in
+  if size <> Region.size region then
+    corrupt "size word %d disagrees with the %d-byte region" size (Region.size region);
   mk_t region
 
 (* Allocation. *)

@@ -13,8 +13,9 @@
     {!free_ranges} before invoking {!alloc} / {!free}, so aborts and crashes
     roll the allocator back together with the data.
 
-    Layout: a 256-byte metadata block (magic, version, size, root, bump
-    pointer, free-list heads) followed by the object area. Each object has a
+    Layout: a 512-byte metadata block (magic, version 2, size, root, bump
+    pointer, one free-list head per size class) followed by the object
+    area. Each object has a
     16-byte header (capacity, allocated flag) in front of its payload. *)
 
 type t
@@ -25,8 +26,11 @@ type ptr = int
 
 val null : ptr
 
-(** Size classes available to the allocator, in bytes. Requests are rounded
-    up to the next class. *)
+(** Size classes available to the allocator, in bytes, ascending. Requests
+    are rounded up to the next class: multiples of 16 from 32 to 112, then
+    [b], [1.25b], [1.5b] and [1.75b] for every power of two [b] from 128 to
+    131072, then {!max_object_size}. Above 128 B a request wastes at most
+    20% of its class. *)
 val size_classes : int array
 
 (** Largest allocatable payload. *)
@@ -36,9 +40,22 @@ val max_object_size : int
     metadata block. Raises [Invalid_argument] if the region is too small. *)
 val format : Kamino_nvm.Region.t -> t
 
+(** A persisted heap image that this build cannot decode. *)
+exception Corrupt of string
+
 (** [open_existing region] attaches to a previously formatted heap, e.g.
-    after a crash. Raises [Failure] if the magic number does not match. *)
+    after a crash. Raises {!Corrupt} on a bad magic number, a version other
+    than this build's, or a size word that disagrees with the region. *)
 val open_existing : Kamino_nvm.Region.t -> t
+
+(** [class_of_size size] — the index in {!size_classes} of the smallest
+    class holding [size] bytes, computed in O(1). Raises
+    [Invalid_argument] unless [0 < size <= max_object_size]. *)
+val class_of_size : int -> int
+
+(** [is_class_size n] — whether [n] is an entry of {!size_classes}, in
+    O(1). *)
+val is_class_size : int -> bool
 
 (** {1 Allocation} *)
 

@@ -1,10 +1,12 @@
 (* Tests for the persistent object heap: allocation, free lists, roots,
-   reopening, and structural validation. *)
+   reopening, structural validation, and crashes at every fence of the
+   transactions that allocate and free. *)
 
 module Rng = Kamino_sim.Rng
 module Clock = Kamino_sim.Clock
 module Region = Kamino_nvm.Region
 module Heap = Kamino_heap.Heap
+module Engine = Kamino_core.Engine
 
 let make ?(size = 1 lsl 20) () =
   let clock = Clock.create () in
@@ -18,7 +20,7 @@ let test_alloc_basic () =
   let p = Heap.alloc h 100 in
   Alcotest.(check bool) "non-null" true (p <> Heap.null);
   Alcotest.(check bool) "allocated" true (Heap.is_allocated h p);
-  Alcotest.(check int) "rounded to class" 128 (Heap.capacity h p);
+  Alcotest.(check int) "rounded to class" 112 (Heap.capacity h p);
   Alcotest.(check int) "one live object" 1 (Heap.live_objects h)
 
 let test_alloc_zeroed () =
@@ -38,7 +40,57 @@ let test_alloc_size_classes () =
     (fun (req, expect) ->
       let p = Heap.alloc h req in
       Alcotest.(check int) (Printf.sprintf "capacity for %d" req) expect (Heap.capacity h p))
-    [ (1, 32); (32, 32); (33, 64); (1000, 1024); (1024, 1024); (1025, 2048) ]
+    [
+      (1, 32);
+      (32, 32);
+      (33, 48);
+      (72, 80);
+      (129, 160);
+      (264, 320);
+      (1000, 1024);
+      (1024, 1024);
+      (1025, 1280);
+      (1032, 1280);
+      (1793, 2048);
+    ]
+
+(* The arithmetic lookup against the table itself, for every request size:
+   [class_of_size] is the first entry that holds the size, and
+   [is_class_size] is table membership. *)
+let test_class_lookup () =
+  let classes = Heap.size_classes in
+  Alcotest.(check int) "51 classes" 51 (Array.length classes);
+  Alcotest.(check int) "last class is the largest object" Heap.max_object_size
+    classes.(Array.length classes - 1);
+  let first = ref 0 in
+  for size = 1 to Heap.max_object_size do
+    while classes.(!first) < size do
+      incr first
+    done;
+    let got = Heap.class_of_size size in
+    if got <> !first then Alcotest.failf "class_of_size %d = %d, table says %d" size got !first;
+    let member = classes.(!first) = size in
+    if Heap.is_class_size size <> member then
+      Alcotest.failf "is_class_size %d = %b, table says %b" size (not member) member
+  done;
+  List.iter
+    (fun n ->
+      if Heap.is_class_size n then Alcotest.failf "is_class_size %d outside the table" n)
+    [ 0; -16; -262144; Heap.max_object_size + 16; 2 * Heap.max_object_size; max_int; min_int ]
+
+(* The table's shape, probed at random sizes: the class picked for a size
+   and its predecessor are multiples of 16, strictly increasing, and the
+   picked class wastes under 16 B up to 128 B and at most 20% above. *)
+let class_table_qcheck =
+  QCheck.Test.make ~name:"size classes: increasing, 16 B multiples, bounded waste" ~count:500
+    QCheck.(int_range 17 Heap.max_object_size)
+    (fun size ->
+      let cls = Heap.class_of_size size in
+      let c = Heap.size_classes.(cls) in
+      let prev = if cls = 0 then 16 else Heap.size_classes.(cls - 1) in
+      let waste = c - size in
+      c mod 16 = 0 && prev mod 16 = 0 && prev < size && size <= c
+      && if c <= 128 then waste < 16 else 5 * waste <= c)
 
 let test_alloc_invalid () =
   let h, _ = make () in
@@ -165,17 +217,43 @@ let test_reopen_preserves_objects () =
   Alcotest.(check bool) "still allocated" true (Heap.is_allocated h' p);
   Alcotest.(check string) "data survived" "persistent" (Region.read_string r p 10)
 
+let expect_corrupt what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Heap.Corrupt _ -> ()
+
 let test_open_bad_magic () =
   let clock = Clock.create () in
   let r =
     Region.create ~crash_mode:Region.Drop_unflushed ~rng:(Rng.create 1) ~clock
       ~size:(1 lsl 20) ()
   in
-  Alcotest.(check bool) "unformatted region rejected" true
-    (try
-       ignore (Heap.open_existing r);
-       false
-     with Failure _ -> true)
+  expect_corrupt "unformatted region" (fun () -> Heap.open_existing r);
+  let _, r = make () in
+  Region.write_int64 r 0 (Int64.logxor (Region.read_int64 r 0) 0x100L);
+  Region.persist r 0 8;
+  expect_corrupt "flipped magic" (fun () -> Heap.open_existing r)
+
+(* A version-1 image (power-of-two classes, 256-byte metadata block) and a
+   size word that disagrees with the region are both refused, typed. *)
+let test_open_bad_header () =
+  let _, r = make () in
+  Region.write_int64 r 8 1L;
+  Region.persist r 8 8;
+  expect_corrupt "version-1 image" (fun () -> Heap.open_existing r);
+  let _, r = make () in
+  Region.write_int r 16 (Region.size r / 2);
+  Region.persist r 16 8;
+  expect_corrupt "wrong size word" (fun () -> Heap.open_existing r)
+
+(* The typed error reaches the caller of engine recovery unchanged. *)
+let test_recover_corrupt () =
+  let e = Engine.create ~kind:Engine.Kamino_simple ~seed:1 () in
+  let r = Engine.main_region e in
+  Engine.crash e;
+  Region.write_int64 r 8 1L;
+  Region.persist r 8 8;
+  expect_corrupt "engine recovery of a version-1 heap" (fun () -> Engine.recover e)
 
 let test_live_bytes () =
   let h, _ = make () in
@@ -294,6 +372,113 @@ let alloc_free_qcheck =
       && Heap.live_objects h = Hashtbl.length live
       && Hashtbl.fold (fun p () acc -> acc && Heap.is_allocated h p) live true)
 
+(* Random allocs and frees across every class: a freed extent is the next
+   one its class hands out (LIFO), no class hands out another class's
+   extent, a fresh extent is never one seen before, and the heap validates
+   at the end. *)
+let class_reuse_qcheck =
+  QCheck.Test.make ~name:"freed extents are reused within their class" ~count:100
+    QCheck.(small_list (pair bool (int_range 1 (64 * 1024))))
+    (fun ops ->
+      let h, _ = make ~size:(1 lsl 23) () in
+      let freed = Array.make (Array.length Heap.size_classes) [] in
+      let seen = Hashtbl.create 64 in
+      let live = ref [] in
+      let ok = ref true in
+      List.iter
+        (fun (is_alloc, size) ->
+          match !live with
+          | p :: rest when not is_alloc ->
+              let cls = Heap.class_of_size (Heap.capacity h p) in
+              Heap.free h p;
+              freed.(cls) <- p :: freed.(cls);
+              live := rest
+          | _ ->
+              let cls = Heap.class_of_size size in
+              let p = Heap.alloc h size in
+              (match freed.(cls) with
+              | q :: rest ->
+                  if p <> q then ok := false;
+                  freed.(cls) <- rest
+              | [] -> if Hashtbl.mem seen p then ok := false);
+              if Heap.capacity h p <> Heap.size_classes.(cls) then ok := false;
+              Hashtbl.replace seen p ();
+              live := p :: !live)
+        ops;
+      !ok && Heap.validate h = Ok ())
+
+(* --- Every fence of an alloc, a free and a free_chain ---
+
+   Three transactions, each crashed at every one of its fences (and at
+   every fence of the recoveries after it) in all three crash modes: the
+   first allocates objects in three classes plus a chained extent above
+   [max_object_size], the second frees the three objects, the third frees
+   the chain. After every recovery the heap validates and its live object
+   set is the before- or the after-state (the after-state once the commit
+   has returned). *)
+
+let sweep_config crash_mode =
+  { Engine.default_config with Engine.heap_bytes = 1 lsl 20; log_slots = 16; crash_mode }
+
+let sweep_sizes = [ 72; 264; 1032 ]
+
+let chain_bytes = Heap.max_object_size + 1000
+
+let alloc_all tx = Engine.alloc_many tx (sweep_sizes @ [ chain_bytes ])
+
+let live_set e =
+  let objs = ref [] in
+  Heap.iter_objects (Engine.heap e) (fun p ~capacity ~allocated ->
+      if allocated then objs := Printf.sprintf "%d:%d" p capacity :: !objs);
+  String.concat " " (List.rev !objs)
+
+let sweep_heap_tx (name, kind) crash_mode (step, prefix, op) =
+  let setup () =
+    let e = Engine.create ~config:(sweep_config crash_mode) ~kind ~seed:24 () in
+    let ps = if prefix then Engine.with_tx e alloc_all else [] in
+    Engine.drain_backup e;
+    (e, ps)
+  in
+  let check (e, _) here =
+    (match Heap.validate (Engine.heap e) with
+    | Ok () -> ()
+    | Error err -> Alcotest.failf "%s: heap invalid: %s" here err);
+    match Engine.verify_backup e with
+    | Ok () -> ()
+    | Error err -> Alcotest.failf "%s: backup: %s" here err
+  in
+  let ctx = Printf.sprintf "%s %s" name step in
+  let st =
+    Fence_sweep.sweep ~ctx ~setup
+      ~crash:(fun (e, _) -> Engine.crash e)
+      ~recover:(fun (e, _) -> Engine.recover e)
+      ~op:(fun (e, ps) -> Engine.with_tx e (fun tx -> op tx ps))
+      ~drain:(fun (e, _) -> Engine.drain_backup e)
+      ~observe:(fun (e, _) -> live_set e)
+      ~check ()
+  in
+  if st.Fence_sweep.after < 1 || st.Fence_sweep.after >= st.Fence_sweep.points then
+    Alcotest.failf "%s: %d of %d crash points rolled forward; expected some but not all" ctx
+      st.Fence_sweep.after st.Fence_sweep.points;
+  if st.Fence_sweep.recovery_points = 0 then Alcotest.failf "%s: no crash point inside recovery" ctx
+
+(* [alloc_all]'s pointers: the class objects first, the chain head last. *)
+let class_objects ps = List.filteri (fun i _ -> i < List.length sweep_sizes) ps
+
+let chain_head ps = List.nth ps (List.length sweep_sizes)
+
+let heap_txs =
+  [
+    ("alloc", false, fun tx _ -> ignore (alloc_all tx));
+    ("free", true, fun tx ps -> List.iter (Engine.free tx) (class_objects ps));
+    ("free_chain", true, fun tx ps -> Engine.free_chain tx (chain_head ps));
+  ]
+
+let test_every_fence kind () =
+  List.iter
+    (fun mode -> List.iter (sweep_heap_tx kind mode) heap_txs)
+    [ Region.Words_survive_randomly; Region.Lines_survive_randomly; Region.Drop_unflushed ]
+
 let () =
   Alcotest.run "heap"
     [
@@ -302,6 +487,8 @@ let () =
           Alcotest.test_case "basic" `Quick test_alloc_basic;
           Alcotest.test_case "zeroed payloads" `Quick test_alloc_zeroed;
           Alcotest.test_case "size classes" `Quick test_alloc_size_classes;
+          Alcotest.test_case "class lookup matches the table" `Quick test_class_lookup;
+          QCheck_alcotest.to_alcotest class_table_qcheck;
           Alcotest.test_case "invalid sizes" `Quick test_alloc_invalid;
           Alcotest.test_case "out of memory" `Quick test_out_of_memory;
           Alcotest.test_case "alloc_ranges predicts" `Quick test_alloc_ranges_predicts;
@@ -319,6 +506,8 @@ let () =
           Alcotest.test_case "root" `Quick test_root;
           Alcotest.test_case "reopen preserves objects" `Quick test_reopen_preserves_objects;
           Alcotest.test_case "bad magic rejected" `Quick test_open_bad_magic;
+          Alcotest.test_case "bad version and size rejected" `Quick test_open_bad_header;
+          Alcotest.test_case "recovery raises Corrupt" `Quick test_recover_corrupt;
         ] );
       ( "validation",
         [
@@ -328,5 +517,17 @@ let () =
           Alcotest.test_case "detects corruption" `Quick test_validate_detects_corruption;
           Alcotest.test_case "iter objects" `Quick test_iter_objects;
           QCheck_alcotest.to_alcotest alloc_free_qcheck;
+          QCheck_alcotest.to_alcotest class_reuse_qcheck;
         ] );
+      ( "fence sweep",
+        List.map
+          (fun ((name, _) as kind) ->
+            Alcotest.test_case (name ^ " alloc, free, free_chain") `Quick (test_every_fence kind))
+          [
+            ("undo", Engine.Undo_logging);
+            ("cow", Engine.Cow);
+            ("kamino-simple", Engine.Kamino_simple);
+            ( "kamino-dynamic",
+              Engine.Kamino_dynamic { alpha = 0.3; policy = Kamino_core.Backup.Lru_policy } );
+          ] );
     ]

@@ -148,27 +148,31 @@ let fingerprint kind can_abort seed =
    miss stopped fencing its copy on its own (the mapping's value fence
    orders it), the insert after a find_or miss stopped re-probing, and the
    dynamic applier began fencing once per batch: only sim, fences, loads
-   and bytes_loaded moved. *)
+   and bytes_loaded moved. Every cell was re-recorded when the heap went
+   to four size classes per power of two (51 free-list heads, a 512-byte
+   metadata block): heap= moved everywhere but still agrees across the
+   kinds of each seed, and format's 37 extra head words account for most
+   of the stores and flushed lines. *)
 let expected =
   [
-    ("no-logging/seed=1", "sim=74611 stores=1019 bytes_stored=10408 loads=1412 bytes_loaded=11296 flushed=193 fences=55 copied=0 heap=2548557fdb6a5ddf");
-    ("no-logging/seed=2", "sim=69234 stores=1092 bytes_stored=10992 loads=1072 bytes_loaded=8576 flushed=181 fences=50 copied=0 heap=2a7893ab76fb0999");
-    ("no-logging/seed=3", "sim=88579 stores=2063 bytes_stored=18480 loads=2829 bytes_loaded=22632 flushed=305 fences=58 copied=0 heap=1dd8f7d19f71bbc1");
-    ("undo-logging/seed=1", "sim=1093669 stores=3783 bytes_stored=32688 loads=2453 bytes_loaded=26248 flushed=1475 fences=549 copied=10808 heap=15bb7a52914dce43");
-    ("undo-logging/seed=2", "sim=887135 stores=3139 bytes_stored=26392 loads=1958 bytes_loaded=21376 flushed=1193 fences=459 copied=9704 heap=2a3b9e99e5b47915");
-    ("undo-logging/seed=3", "sim=1482255 stores=5436 bytes_stored=45432 loads=3411 bytes_loaded=37656 flushed=2036 fences=737 copied=16200 heap=f41bdf358cb150a");
-    ("cow/seed=1", "sim=1263268 stores=4528 bytes_stored=38648 loads=3335 bytes_loaded=39464 flushed=2109 fences=678 copied=19856 heap=15bb7a52914dce43");
-    ("cow/seed=2", "sim=1030311 stores=3743 bytes_stored=31224 loads=2642 bytes_loaded=31768 flushed=1691 fences=569 copied=16352 heap=2a3b9e99e5b47915");
-    ("cow/seed=3", "sim=1622873 stores=6293 bytes_stored=52288 loads=4639 bytes_loaded=57584 flushed=2902 fences=876 copied=30304 heap=f41bdf358cb150a");
-    ("kamino-simple/seed=1", "sim=338323 stores=3081 bytes_stored=27072 loads=2677 bytes_loaded=21416 flushed=17132 fences=283 copied=1058616 heap=15bb7a52914dce43");
-    ("kamino-simple/seed=2", "sim=330393 stores=2613 bytes_stored=22184 loads=2153 bytes_loaded=17224 flushed=17027 fences=277 copied=1056472 heap=2a3b9e99e5b47915");
-    ("kamino-simple/seed=3", "sim=348099 stores=4404 bytes_stored=37176 loads=2933 bytes_loaded=23464 flushed=17306 fences=326 copied=1062024 heap=f41bdf358cb150a");
-    ("kamino-dynamic/seed=1", "sim=276402 stores=2148 bytes_stored=85136 loads=61406 bytes_loaded=491248 flushed=1913 fences=337 copied=13304 heap=15bb7a52914dce43");
-    ("kamino-dynamic/seed=2", "sim=272618 stores=1942 bytes_stored=82344 loads=60654 bytes_loaded=485232 flushed=1803 fences=341 copied=10712 heap=2a3b9e99e5b47915");
-    ("kamino-dynamic/seed=3", "sim=137490 stores=2938 bytes_stored=90976 loads=4785 bytes_loaded=38280 flushed=2056 fences=360 copied=16232 heap=f41bdf358cb150a");
-    ("intent-only/seed=1", "sim=103085 stores=2772 bytes_stored=24432 loads=2145 bytes_loaded=17160 flushed=519 fences=254 copied=0 heap=2548557fdb6a5ddf");
-    ("intent-only/seed=2", "sim=93790 stores=2411 bytes_stored=21544 loads=1660 bytes_loaded=13280 flushed=466 fences=227 copied=0 heap=2a7893ab76fb0999");
-    ("intent-only/seed=3", "sim=122527 stores=4948 bytes_stored=41560 loads=3861 bytes_loaded=30888 flushed=661 fences=275 copied=0 heap=1dd8f7d19f71bbc1");
+    ("no-logging/seed=1", "sim=74751 stores=1056 bytes_stored=10704 loads=1417 bytes_loaded=11336 flushed=198 fences=55 copied=0 heap=2069efb6e70cd527");
+    ("no-logging/seed=2", "sim=69375 stores=1129 bytes_stored=11288 loads=1077 bytes_loaded=8616 flushed=186 fences=50 copied=0 heap=13deed71d51cb41a");
+    ("no-logging/seed=3", "sim=88723 stores=2100 bytes_stored=18776 loads=2832 bytes_loaded=22656 flushed=311 fences=58 copied=0 heap=147adbebe2c787fb");
+    ("undo-logging/seed=1", "sim=1093814 stores=3820 bytes_stored=32984 loads=2460 bytes_loaded=26304 flushed=1480 fences=549 copied=10808 heap=3402600e0d667a7c");
+    ("undo-logging/seed=2", "sim=887281 stores=3176 bytes_stored=26688 loads=1965 bytes_loaded=21432 flushed=1198 fences=459 copied=9704 heap=2781a7a1d38069ae");
+    ("undo-logging/seed=3", "sim=1482392 stores=5473 bytes_stored=45728 loads=3411 bytes_loaded=37656 flushed=2042 fences=737 copied=16200 heap=1bb003283a02d882");
+    ("cow/seed=1", "sim=1263414 stores=4565 bytes_stored=38944 loads=3342 bytes_loaded=39520 flushed=2114 fences=678 copied=19856 heap=3402600e0d667a7c");
+    ("cow/seed=2", "sim=1030457 stores=3780 bytes_stored=31520 loads=2649 bytes_loaded=31824 flushed=1696 fences=569 copied=16352 heap=2781a7a1d38069ae");
+    ("cow/seed=3", "sim=1623009 stores=6330 bytes_stored=52584 loads=4639 bytes_loaded=57584 flushed=2908 fences=876 copied=30304 heap=1bb003283a02d882");
+    ("kamino-simple/seed=1", "sim=338468 stores=3118 bytes_stored=27368 loads=2684 bytes_loaded=21472 flushed=17138 fences=283 copied=1058616 heap=3402600e0d667a7c");
+    ("kamino-simple/seed=2", "sim=330539 stores=2650 bytes_stored=22480 loads=2160 bytes_loaded=17280 flushed=17033 fences=277 copied=1056472 heap=2781a7a1d38069ae");
+    ("kamino-simple/seed=3", "sim=348236 stores=4441 bytes_stored=37472 loads=2933 bytes_loaded=23464 flushed=17313 fences=326 copied=1062024 heap=1bb003283a02d882");
+    ("kamino-dynamic/seed=1", "sim=276548 stores=2185 bytes_stored=85432 loads=61413 bytes_loaded=491304 flushed=1918 fences=337 copied=13304 heap=3402600e0d667a7c");
+    ("kamino-dynamic/seed=2", "sim=272764 stores=1979 bytes_stored=82640 loads=60661 bytes_loaded=485288 flushed=1808 fences=341 copied=10712 heap=2781a7a1d38069ae");
+    ("kamino-dynamic/seed=3", "sim=137627 stores=2975 bytes_stored=91272 loads=4785 bytes_loaded=38280 flushed=2062 fences=360 copied=16232 heap=1bb003283a02d882");
+    ("intent-only/seed=1", "sim=103225 stores=2809 bytes_stored=24728 loads=2150 bytes_loaded=17200 flushed=524 fences=254 copied=0 heap=2069efb6e70cd527");
+    ("intent-only/seed=2", "sim=93931 stores=2448 bytes_stored=21840 loads=1665 bytes_loaded=13320 flushed=471 fences=227 copied=0 heap=13deed71d51cb41a");
+    ("intent-only/seed=3", "sim=122671 stores=4985 bytes_stored=41856 loads=3864 bytes_loaded=30912 flushed=667 fences=275 copied=0 heap=147adbebe2c787fb");
   ]
 
 (* --- sharded parallel oracle ------------------------------------------------ *)
@@ -224,12 +228,14 @@ let sharded_fingerprint ~domains seed =
    the value allocation (one barrier per insert): heap= and cp= stayed
    identical, and only sim, st, fl and fe moved. Re-recorded again for
    dirty-line propagation with one backup fence per applied batch: heap=
-   and st stayed identical, and only sim, fl, fe and cp moved. *)
+   and st stayed identical, and only sim, fl, fe and cp moved. Re-recorded
+   for four heap size classes per power of two: 256 B values take 320 B
+   extents instead of 528 B, so heap= and every counter moved. *)
 let expected_sharded =
   [
-    ("sharded/seed=1", "s0{sim=464821 st=3482 fl=19773 fe=731 cp=1123608 heap=226b0fa79fc90eb2} s1{sim=464422 st=3539 fl=19807 fe=762 cp=1123128 heap=19d9125e5804b2d5} s2{sim=467303 st=2944 fl=19278 fe=558 cp=1113728 heap=1a9d3e4ccd5bbed6} s3{sim=455782 st=2726 fl=19045 fe=513 cp=1108624 heap=29dddcee379e681c}");
-    ("sharded/seed=2", "s0{sim=466621 st=3562 fl=19858 fe=754 cp=1126168 heap=226b0fa79fc90eb2} s1{sim=460268 st=3413 fl=19713 fe=721 cp=1123064 heap=19d9125e5804b2d5} s2{sim=469626 st=3016 fl=19340 fe=572 cp=1114672 heap=1a9d3e4ccd5bbed6} s3{sim=459630 st=2859 fl=19170 fe=555 cp=1111536 heap=29dddcee379e681c}");
-    ("sharded/seed=3", "s0{sim=465094 st=3451 fl=19731 fe=727 cp=1122024 heap=226b0fa79fc90eb2} s1{sim=463291 st=3471 fl=19742 fe=732 cp=1122024 heap=19d9125e5804b2d5} s2{sim=467712 st=2963 fl=19300 fe=558 cp=1114480 heap=1a9d3e4ccd5bbed6} s3{sim=453473 st=2606 fl=18903 fe=473 cp=1103824 heap=29dddcee379e681c}");
+    ("sharded/seed=1", "s0{sim=462766 st=3519 fl=19388 fe=731 cp=1111128 heap=84901bcc1c4c07c} s1{sim=462427 st=3576 fl=19434 fe=762 cp=1111032 heap=31b61f87ba3c654e} s2{sim=465214 st=2981 fl=18887 fe=558 cp=1101056 heap=106d38b4d4059a09} s3{sim=453828 st=2763 fl=18678 fe=513 cp=1096720 heap=2466dd297a558f44}");
+    ("sharded/seed=2", "s0{sim=464566 st=3599 fl=19473 fe=754 cp=1113688 heap=84901bcc1c4c07c} s1{sim=458279 st=3450 fl=19340 fe=721 cp=1110968 heap=31b61f87ba3c654e} s2{sim=467537 st=3053 fl=18949 fe=572 cp=1102000 heap=106d38b4d4059a09} s3{sim=457676 st=2896 fl=18803 fe=555 cp=1099632 heap=2466dd297a558f44}");
+    ("sharded/seed=3", "s0{sim=463039 st=3488 fl=19346 fe=727 cp=1109544 heap=84901bcc1c4c07c} s1{sim=461291 st=3508 fl=19369 fe=732 cp=1109928 heap=31b61f87ba3c654e} s2{sim=465623 st=3000 fl=18909 fe=558 cp=1101808 heap=106d38b4d4059a09} s3{sim=451519 st=2643 fl=18536 fe=473 cp=1091920 heap=2466dd297a558f44}");
   ]
 
 let all_cells () =
