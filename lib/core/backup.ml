@@ -4,8 +4,15 @@ module Cost_model = Kamino_nvm.Cost_model
 type policy = Lru_policy | Fifo_policy
 
 (* One free list of the slot allocator: the offsets of freed slots of one
-   rounded length, as a growable int stack. *)
-type free_list = { bytes : int; mutable stack : int array; mutable depth : int }
+   rounded length, as a growable int stack, and the spare: the slot of
+   the last victim of that length, parked until a fence has made its
+   tombstone durable ([-1] = none). *)
+type free_list = {
+  bytes : int;
+  mutable stack : int array;
+  mutable depth : int;
+  mutable spare : int;
+}
 
 type dynamic = {
   slots : Region.t;
@@ -46,7 +53,7 @@ let slot_bytes len = (len + 15) land lnot 15
 let free_list d bytes =
   let rec find i =
     if i = Array.length d.free then begin
-      let fl = { bytes; stack = Array.make 16 0; depth = 0 } in
+      let fl = { bytes; stack = Array.make 16 0; depth = 0; spare = -1 } in
       d.free <- Array.append d.free [| fl |];
       fl
     end
@@ -55,10 +62,10 @@ let free_list d bytes =
   in
   find 0
 
-(* A slot of [bytes], or [-1] when neither its free list nor the space
-   past the bump pointer has one. *)
-let carve d bytes =
-  let fl = free_list d bytes in
+(* A slot of [fl]'s length, or [-1] when neither [fl] nor the space past
+   the bump pointer has one. *)
+let carve d fl =
+  let bytes = fl.bytes in
   let slot =
     if fl.depth > 0 then begin
       fl.depth <- fl.depth - 1;
@@ -133,44 +140,83 @@ let initialize_full t ~main =
   | Dynamic _ -> ()
 
 (* Evict the recency queue's victim: one probe finds its mapping and
-   durably tombstones it. Returns the victim's packed slot. When every
-   resident copy is pinned — usually because committed write sets are still
-   queued at the applier — [pressure] lets the engine drain it, unpinning
-   their copies, before one more try; raises [Failure what] if that fails
-   too. *)
-let rec evict d ~locked ~pressure ~relieved ~what =
+   tombstones it, flushed but not fenced. Returns the victim's packed
+   slot, or [-1] when every resident copy is pinned. *)
+let rec evict_unpinned d ~locked =
   match Lru.evict_candidate d.lru ~locked with
+  | None -> -1
   | Some key ->
       Lru.remove d.lru key;
       let packed = Phash.take d.table ~key in
       (* A key the table does not know (should not happen): try the next. *)
-      if packed < 0 then evict d ~locked ~pressure ~relieved ~what
+      if packed < 0 then evict_unpinned d ~locked
       else begin
         d.evictions <- d.evictions + 1;
         packed
       end
-  | None when not relieved ->
-      pressure ();
-      evict d ~locked ~pressure ~relieved:true ~what
-  | None -> failwith what
 
-let rec acquire_slot d ~bytes ~locked ~pressure =
-  let slot = carve d bytes in
+(* Every resident copy is pinned, usually because committed write sets
+   are still queued at the applier: [pressure] lets the engine drain it,
+   unpinning their copies, before one more try. Raises [Failure what] if
+   that fails too, after a fence makes the tombstones written so far
+   durable, since their slots are already free. *)
+let evict_relieved d ~locked ~pressure ~what =
+  pressure ();
+  match evict_unpinned d ~locked with
+  | -1 ->
+      Region.fence (Phash.region d.table);
+      failwith what
+  | packed -> packed
+
+let slots_exhausted =
+  "Backup: dynamic backup exhausted — every resident copy is locked (working set \
+   exceeds alpha * heap)"
+
+(* A slot of [fl]'s length for a miss. On a full region the miss evicts,
+   but the victim's tombstone is only flushed, so its slot must not take a
+   copy before a fence: a crash could then keep the victim's mapping over
+   the newcomer's bytes. The victim is parked as [fl]'s spare instead, and
+   the miss copies into the spare an earlier miss parked, whose tombstone
+   that miss's value fence made durable. Like the victim's slot it
+   replaces, the spare is reused with no allocator charge. A victim of
+   another length is freed; its free list hands it out no earlier than the
+   next miss, after this one's fence. *)
+let rec acquire_slot d fl ~locked ~pressure =
+  let slot = carve d fl in
   if slot >= 0 then slot
+  else
+    match evict_unpinned d ~locked with
+    | -1 when fl.spare >= 0 ->
+        (* Nothing to evict, but the spare is free. *)
+        let spare = fl.spare in
+        fl.spare <- -1;
+        spare
+    | -1 ->
+        recycle d fl ~locked ~pressure
+          (evict_relieved d ~locked ~pressure ~what:slots_exhausted)
+    | victim -> recycle d fl ~locked ~pressure victim
+
+and recycle d fl ~locked ~pressure victim =
+  if slot_bytes (len_of victim) <> fl.bytes then begin
+    release d victim;
+    acquire_slot d fl ~locked ~pressure
+  end
+  else if fl.spare >= 0 then begin
+    let spare = fl.spare in
+    fl.spare <- slot_of victim;
+    spare
+  end
   else begin
-    let victim =
-      evict d ~locked ~pressure ~relieved:false
-        ~what:
-          "Backup: dynamic backup exhausted — every resident copy is locked \
-           (working set exceeds alpha * heap)"
-    in
-    (* The victim's mapping is already durably gone, so a slot of the
-       right length is recycled in place, skipping the allocator. *)
-    if slot_bytes (len_of victim) = bytes then slot_of victim
-    else begin
-      release d victim;
-      acquire_slot d ~bytes ~locked ~pressure
-    end
+    (* The first eviction of this length on a full region: no spare yet.
+       One more fence makes this victim's tombstone durable, so its slot
+       serves now, and the next unpinned victim, if it has this length, is
+       parked as the spare. *)
+    Region.fence (Phash.region d.table);
+    (match evict_unpinned d ~locked with
+    | -1 -> ()
+    | next when slot_bytes (len_of next) = fl.bytes -> fl.spare <- slot_of next
+    | next -> release d next);
+    slot_of victim
   end
 
 (* Forget the resident copy for a range whose object identity has died —
@@ -182,22 +228,29 @@ let drop t ~off =
   | Dynamic d ->
       let packed = Phash.take d.table ~key:off in
       if packed >= 0 then begin
+        (* The freed slot may take a copy at once: fence the tombstone. *)
+        Region.fence (Phash.region d.table);
         release d packed;
         Lru.remove d.lru off
       end
 
 (* Publish a mapping, shedding residents if the look-up table itself is the
    bottleneck. [Phash.Overload] only fires when the table region has no
-   growth headroom left; evicting one entry leaves a reusable tombstone. *)
+   growth headroom left; evicting one entry leaves a reusable tombstone,
+   fenced before the retry may publish into its bucket. *)
 let rec publish_mapping d ~key ~value ~locked ~pressure =
   match Phash.insert d.table ~key ~value with
   | () -> ()
   | exception Phash.Overload _ ->
       release d
-        (evict d ~locked ~pressure ~relieved:false
-           ~what:
-             "Backup: dynamic look-up table exhausted — every resident copy is \
-              locked and the table region cannot grow");
+        (match evict_unpinned d ~locked with
+        | -1 ->
+            evict_relieved d ~locked ~pressure
+              ~what:
+                "Backup: dynamic look-up table exhausted — every resident copy is \
+                 locked and the table region cannot grow"
+        | victim -> victim);
+      Region.fence (Phash.region d.table);
       publish_mapping d ~key ~value ~locked ~pressure
 
 let ensure_copy t ~main ~off ~len ~locked ~pressure =
@@ -217,12 +270,15 @@ let ensure_copy t ~main ~off ~len ~locked ~pressure =
            undersized slot would corrupt its neighbours. *)
         if packed >= 0 then drop t ~off;
         d.misses <- d.misses + 1;
-        let slot = acquire_slot d ~bytes:(slot_bytes len) ~locked ~pressure in
-        (* The copy need only be durable before the key word that publishes
-           it, so it is flushed without a fence of its own: the fence
-           Phash's two-step insert issues for the value word orders both.
-           Until the key lands the bucket is free, and every reader skips
-           it, so any subset of the copy's lines may reach the medium. *)
+        let slot = acquire_slot d (free_list d (slot_bytes len)) ~locked ~pressure in
+        (* One fence per miss. The copy need only be durable before the
+           key word that publishes it, so it is flushed without a fence of
+           its own: the fence Phash's insert issues for the value word
+           orders it, and the victim's tombstone too. Until the key lands
+           the bucket is free, and every reader skips it, so any subset of
+           the copy's lines may reach the medium. The key word is flushed
+           only; the intent-log barrier that precedes the transaction's
+           first in-place write makes it durable (DESIGN.md par17). *)
         Region.copy_between ~src:main ~src_off:off ~dst:d.slots ~dst_off:slot ~len;
         Region.flush d.slots slot len;
         publish_mapping d ~key:off ~value:(pack_slot ~slot ~len) ~locked ~pressure;

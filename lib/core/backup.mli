@@ -11,10 +11,12 @@
     ({!Phash}: main offset -> packed slot offset and copy length), a
     volatile slot allocator and a volatile recency queue ({!Lru}). A copy
     of [len] bytes takes a headerless slot of [len] rounded up to 16 bytes;
-    freed slots are reused by copies of the same rounded length, and a miss
-    on a full region copies straight into the evicted victim's slot when
-    the lengths match. The table alone is durable: {!reopen} rebuilds the
-    allocator and the queue from it. When a transaction locks an object
+    freed slots are reused by copies of the same rounded length. A miss on
+    a full region evicts one victim ahead: it copies into the slot an
+    earlier eviction of that length parked as the spare, and parks its own
+    victim's slot, so a full region holds one spare per length. The table
+    alone is durable: {!reopen} rebuilds the allocator and the queue from
+    it. When a transaction locks an object
     with no resident copy, the copy is created {e on demand, in the
     critical path} — the latency/storage trade-off the paper evaluates in
     Figures 14-16. The eviction policy is pluggable (LRU per the paper,
@@ -55,9 +57,13 @@ val initialize_full : t -> main:Kamino_nvm.Region.t -> unit
     final retry; only if that fails too does the call raise [Failure] —
     the working set genuinely exceeds [alpha * heap]. Charges all work to
     the current clock — this is the dynamic variant's critical-path miss
-    cost. A miss that evicts issues three fences: the victim's durable
-    tombstone, then the copy and the mapping's value word under one fence,
-    then the mapping's key word, the commit point. *)
+    cost. A miss issues one fence, evicting or not: the copy, the mapping's
+    value word and any victim's tombstone are flushed, then fenced once.
+    The mapping's key word, the commit point, is flushed only, so the copy
+    is durable at the caller's next fence; the engine's intent-log barrier
+    before the first in-place write is that fence. The first eviction on a
+    full region has no spare and fences once more to reuse its victim's
+    slot (DESIGN.md par17). *)
 val ensure_copy :
   t ->
   main:Kamino_nvm.Region.t ->
@@ -84,8 +90,8 @@ val is_full : t -> bool
     at [off]? Always true for full backups. *)
 val has_copy : t -> off:int -> bool
 
-(** [drop t ~off] forgets the resident copy for the range at [off] (no-op
-    for full backups and absent copies). The engine calls it for every
+(** [drop t ~off] durably forgets the resident copy for the range at
+    [off] (no-op for full backups and absent copies). The engine calls it for every
     range it rolls back: a rolled-back allocation returns its space to the
     allocator, and future objects there may have different extent
     boundaries, which would leave the copy stale and overlapping. *)

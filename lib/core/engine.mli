@@ -348,8 +348,10 @@ val crash : t -> unit
     intent-log record whose transaction id it accepts is treated as
     committed and rolled {e forward} — safe only because {!prepare} made
     the record's in-place writes durable before any marker naming it
-    could exist. Raises [Heap.Corrupt], before recovery writes anything,
-    when the main region's heap metadata cannot be decoded. *)
+    could exist. Raises [Heap.Corrupt], [Intent_log.Corrupt] or
+    [Phash.Corrupt], before recovery writes anything, when the main
+    region's heap metadata, the intent log or a dynamic backup's look-up
+    table cannot be decoded. *)
 val recover : ?promote_running:(int -> bool) -> t -> unit
 
 (** Apply every queued backup task (e.g. before clean shutdown or before

@@ -6,6 +6,8 @@ type state = Free | Running | Committed | Aborted
 
 type intent = { off : int; len : int }
 
+exception Corrupt of string
+
 type t = {
   region : Region.t;
   max_user_threads : int;
@@ -73,7 +75,7 @@ let state_of_int = function
   | 1 -> Running
   | 2 -> Committed
   | 3 -> Aborted
-  | n -> failwith (Printf.sprintf "Intent_log: corrupt state %d" n)
+  | n -> raise (Corrupt (Printf.sprintf "Intent_log: slot state %d outside 0..3" n))
 
 let slot_size_of ~max_tx_entries = slot_header_size + (max_tx_entries * entry_size)
 
@@ -146,14 +148,19 @@ let format region ~max_user_threads ~max_tx_entries ~n_slots =
 
 let open_existing region =
   if Region.read_int64 region magic_off <> magic_value then
-    failwith "Intent_log.open_existing: bad magic";
+    raise (Corrupt "Intent_log.open_existing: bad magic");
   let max_user_threads = Region.read_int region threads_off in
   let max_tx_entries = Region.read_int region entries_off in
   let n_slots = Region.read_int region slots_off in
   if
     Region.read_int64 region checksum_off
     <> checksum_of ~max_user_threads ~max_tx_entries ~n_slots
-  then failwith "Intent_log.open_existing: header checksum mismatch";
+  then raise (Corrupt "Intent_log.open_existing: header checksum mismatch");
+  (* The unchecked slot accessors rely on the region covering every slot. *)
+  if
+    max_user_threads < 0 || max_tx_entries < 0 || n_slots < 0
+    || required_size ~max_user_threads ~max_tx_entries ~n_slots > Region.size region
+  then raise (Corrupt "Intent_log.open_existing: header slots overrun the region");
   let t =
     {
       region;
@@ -307,6 +314,8 @@ let release t slot =
   Region.write_int t.region (off + sh_count) 0;
   if not never_persisted then Region.persist t.region off 24;
   Queue.add slot t.free
+
+let region t = t.region
 
 let intents t slot =
   let base = slot_off t slot in

@@ -36,8 +36,13 @@ val format :
   n_slots:int ->
   t
 
-(** [open_existing region] re-attaches after a crash; validates the header
-    checksum. Raises [Failure] on mismatch. *)
+(** A persisted log image that this build cannot decode. *)
+exception Corrupt of string
+
+(** [open_existing region] re-attaches after a crash. Raises {!Corrupt} on
+    a bad magic word, a header checksum mismatch, a header whose slots
+    overrun the region, or a slot state word outside [0..3] (every slot's
+    state is read here, before anything is written). *)
 val open_existing : Kamino_nvm.Region.t -> t
 
 (** [begin_record t ~tx_id] claims a free slot and writes its header
@@ -89,6 +94,9 @@ val free_slots : t -> int
 (** [iter_records t f] calls [f slot tx_id state intents] for every non-free
     slot, ordered by ascending transaction id — the recovery scan. *)
 val iter_records : t -> (slot -> int -> state -> intent list -> unit) -> unit
+
+(** The log's NVM region (white-box tests corrupt it). *)
+val region : t -> Kamino_nvm.Region.t
 
 (** Highest transaction id present in any non-free slot, or 0. Recovery
     seeds the volatile transaction-id counter above it. *)

@@ -55,6 +55,11 @@ let declare ~dynamic t tx ~le ~off ~len ~redirectable:_ =
   let slot = claim_slot tx in
   Backup.ensure_copy b ~main:t.main ~off ~len ~locked:(pinned t)
     ~pressure:(fun () -> Applier.drain appl);
+  (* A dynamic miss leaves its mapping's key word flushed but unfenced.
+     A dynamic intent never merges, so this append always leaves the
+     record unflushed, and the barrier before the first in-place write
+     always fences: that fence makes the mapping durable (DESIGN.md
+     par17). *)
   log_intent t slot ~mergeable:((not dynamic) && t.e_config.coalesce_writes) ~off
     ~len;
   None

@@ -25,22 +25,37 @@ module Cost_model = Kamino_nvm.Cost_model
    - migrate: each insert call first copies a small batch of old-table
      buckets into the new table via insert-if-absent (idempotent, so
      replaying a batch after a crash is harmless), then persists the
-     cursor. Live inserts go to the new table and tombstone any old copy;
-     removes tombstone both tables; finds probe new-then-old.
+     cursor, whose fence also makes the batch's key words durable. Live
+     inserts go to the new table and tombstone any old copy, fencing the
+     new key first; removes tombstone both tables, the old one first;
+     finds probe new-then-old.
    - complete: one persisted store of the state word advances the
      generation and clears the armed bit atomically. Recovery (open) of an
      armed image just finishes the remaining batches and completes.
 
-   Insert: a new entry is published value-then-key, each with a persist;
-   an existing one is overwritten in place with one. An insert right
-   after a [find_or] miss of the same key reuses that probe: [find_or]
-   keeps the bucket the insert would take (the hint), and the insert
-   publishes there with no second probe or index charge. Between the two
-   only tombstones can be written, which leave the key absent and the
-   bucket free. Any insert spends the hint, and the migrating and arming
-   paths ignore it. The value word's fence also orders whatever the
-   caller flushed before the insert: the dynamic backup's miss flushes
-   its copy without a fence of its own and relies on it. *)
+   Insert: a new entry is published value-then-key. The value word is
+   persisted; the key word, the commit point, is only flushed, and the
+   caller's next fence makes it durable. Until then a crash leaves the
+   entry absent, never half-published: the key store follows the value's
+   fence, so it cannot reach the medium before the value. The dynamic
+   backup relies on the intent-log barrier that precedes a transaction's
+   first in-place write. An existing entry is overwritten in place with
+   one persist. The value word's fence also orders whatever the caller
+   flushed before the insert: the backup's miss flushes its copy and its
+   victim's tombstone without a fence of their own and relies on it.
+
+   Take: a tombstone is only flushed, durable at the caller's next fence.
+   Until then its bucket must not be reused, or a crash could pair the
+   old key with a new value word. Any insert may reuse it, except the
+   hinted insert of a [find_or] miss made before the take (below).
+   [remove] fences at once.
+
+   An insert right after a [find_or] miss of the same key reuses that
+   probe: [find_or] keeps the bucket the insert would take (the hint),
+   and the insert publishes there with no second probe or index charge.
+   Between the two only tombstones can be written, which leave the key
+   absent and the hinted bucket free. Any insert spends the hint, and
+   the migrating and arming paths ignore it. *)
 
 type t = {
   region : Region.t;
@@ -59,6 +74,8 @@ type t = {
 }
 
 exception Overload of { capacity : int; count : int }
+
+exception Corrupt of string
 
 let magic_value = 0x4B54484153485631L (* "KTHASHV1" *)
 
@@ -166,16 +183,10 @@ let locate t off cap mask key =
 let find_in t off cap mask key =
   match locate t off cap mask key with -1 -> -1 | o -> Region.read_int t.region (o + 8)
 
+(* Flushed, not fenced: durable at the caller's next fence. *)
 let tombstone t o =
   Region.write_int t.region o tombstone_key;
-  Region.persist t.region o 8
-
-let tombstone_in t off cap mask key =
-  match locate t off cap mask key with
-  | -1 -> false
-  | o ->
-      tombstone t o;
-      true
+  Region.flush t.region o 8
 
 (* Read the value, then tombstone the bucket: a find and a remove in one
    probe. *)
@@ -187,13 +198,14 @@ let take_in t off cap mask key =
       tombstone t o;
       v
 
-(* Publish a new entry at a free bucket: the value first, then the key —
-   the commit point — each with its own persist. *)
+(* Publish a new entry at a free bucket: the value with a persist, then
+   the key, the commit point, with a flush that the caller's next fence
+   makes durable. *)
 let publish t slot key value =
   Region.write_int t.region (slot + 8) value;
   Region.persist t.region slot 16;
   Region.write_int t.region slot key;
-  Region.persist t.region slot 16
+  Region.flush t.region slot 16
 
 (* A miss that found no free bucket: every bucket holds a live entry. *)
 let free_or_overload t cap =
@@ -290,11 +302,16 @@ let insert t ~key ~value =
     if t.mig >= 0 then migrate_step t;
     if t.mig >= 0 then begin
       (* Publish into the target first, then tombstone any live old copy so
-         a replayed migration batch cannot resurrect the stale value. A
-         crash between the two leaves both copies live; finds prefer the
-         target and insert-if-absent skips the stale one. *)
+         a replayed migration batch cannot resurrect the stale value. The
+         new key is fenced before the old copy's tombstone, so a crash
+         between the two leaves both copies live; finds prefer the target
+         and insert-if-absent skips the stale one. *)
       if upsert_in t t.noff t.ncap t.nmask key value then
-        if not (tombstone_in t t.off t.cap t.mask key) then t.count <- t.count + 1
+        match locate t t.off t.cap t.mask key with
+        | -1 -> t.count <- t.count + 1
+        | o ->
+            Region.fence t.region;
+            tombstone t o
     end
     else if upsert_in t t.off t.cap t.mask key value then t.count <- t.count + 1
   end
@@ -333,19 +350,29 @@ let take t ~key =
   charge_index t;
   let v =
     if t.mig >= 0 then begin
-      (* Tombstone both copies; a crash between the two leaves the key still
-         visible (new-table copy checked first), i.e. the take atomically
-         did not happen. The target's value is the fresher. *)
-      let in_new = take_in t t.noff t.ncap t.nmask key in
+      (* Tombstone both copies, the old one first. The target's value is
+         the fresher; when the two differ, the old tombstone is fenced
+         before the target's, so a crash between them leaves the key
+         visible with the fresher value, i.e. the take did not happen.
+         Equal values need no order. *)
       let in_old = take_in t t.off t.cap t.mask key in
-      if in_new >= 0 then in_new else in_old
+      match locate t t.noff t.ncap t.nmask key with
+      | -1 -> in_old
+      | o ->
+          let in_new = Region.read_int t.region (o + 8) in
+          if in_old >= 0 && in_old <> in_new then Region.fence t.region;
+          tombstone t o;
+          in_new
     end
     else take_in t t.off t.cap t.mask key
   in
   if v >= 0 then t.count <- t.count - 1;
   v
 
-let remove t ~key = take t ~key >= 0
+let remove t ~key =
+  let found = take t ~key >= 0 in
+  if found then Region.fence t.region;
+  found
 
 let iter_table t off cap f =
   for i = 0 to cap - 1 do
@@ -374,13 +401,22 @@ let rebuild_count t =
   t.count <- !n
 
 let open_existing reg =
-  if Region.read_int64 reg magic_off <> magic_value then
-    failwith "Phash.open_existing: bad magic";
+  let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt ("Phash.open_existing: " ^ s))) fmt in
+  if Region.read_int64 reg magic_off <> magic_value then corrupt "bad magic";
   let state = Region.read_int reg state_off in
   let armed = state land armed_bit <> 0 in
   let d = (state lsr 48) land 0x3FFF in
   let cap = state land cap_mask in
+  (* The first table has a power-of-two capacity of at least 16, and each
+     doubling doubles it, so [cap] is one too, at least [16 lsl d]. *)
+  if cap land (cap - 1) <> 0 || d > 44 || cap asr d < 16 then
+    corrupt "state word %#x: capacity %d is not a power of two of at least 16 lsl %d" state
+      cap d;
   let c0 = cap asr d in
+  let need = chain_size ~capacity:c0 ~doublings:(if armed then d + 1 else d) in
+  if need > Region.size reg then
+    corrupt "state word %#x: table chain needs %d bytes, the region has %d" state need
+      (Region.size reg);
   let off = entries_start + ((cap - c0) * 16) in
   let t =
     {
@@ -407,6 +443,7 @@ let open_existing reg =
     t.nmask <- t.ncap - 1;
     t.noff <- off + (cap * 16);
     t.mig <- Region.read_int reg mig_cursor_off;
+    if t.mig < 0 || t.mig > cap then corrupt "migration cursor %d outside [0, %d]" t.mig cap;
     while t.mig >= 0 do
       migrate_step t
     done

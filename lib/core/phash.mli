@@ -4,11 +4,13 @@
     Kamino-Tx-Dynamic's "backup look-up table": maps a main-heap offset to
     the offset of its copy in the partial backup region. The mapping must be
     durable — after a crash, recovery locates the roll-back copies through
-    it — so mutations follow a two-step ordering: the value word is
-    persisted first, then the key word is published with a second persist.
-    The key store is the atomic commit point (8-byte aligned), so a torn
-    insert leaves either no entry or a complete one, never a key pointing at
-    a garbage value.
+    it — so a new entry is published value-then-key: the value word is
+    persisted, then the key word is stored and flushed. The key store is
+    the atomic commit point (8-byte aligned), so a torn insert leaves
+    either no entry or a complete one, never a key pointing at a garbage
+    value. The key word and a removal's tombstone carry no fence of their
+    own: they are durable at the caller's next fence (see {!insert} and
+    {!take}).
 
     When an insert would push the load factor past 7/8 and the region has
     room for the next table in the geometric chain, the table arms a 2x
@@ -41,6 +43,15 @@ val chain_size : capacity:int -> doublings:int -> int
 
 val format : Kamino_nvm.Region.t -> capacity:int -> t
 
+(** A persisted table image that this build cannot decode. *)
+exception Corrupt of string
+
+(** [open_existing region] re-attaches after a crash and finishes an
+    interrupted resize. Raises {!Corrupt}, before writing anything, on a
+    bad magic word, a state word whose capacity is not a power of two of
+    at least 16 (doubled once per completed resize) or whose table chain
+    overruns the region, or an armed migration cursor outside
+    [[0, capacity]]. *)
 val open_existing : Kamino_nvm.Region.t -> t
 
 (** Capacity of the {e active} table (grows across resizes). *)
@@ -59,12 +70,16 @@ val resizing : t -> bool
 
 (** [insert t ~key ~value] adds or overwrites. Raises {!Overload} when the
     table is full and the region has no room to grow it. A new entry's
-    value word is persisted before its key word, so lines the caller
-    flushed before the insert are durable before the entry is visible.
+    value word is persisted, then its key word is stored and flushed with
+    no fence: the entry is durable at the caller's next fence, and a
+    crash before it leaves the entry absent, never half-published. Lines
+    the caller flushed before the insert are durable before the entry can
+    be visible. An overwrite persists the value word in place.
     Right after a {!find_or} miss of the same key, with no insert in
     between, the insert publishes at the bucket that probe found: no
     second probe and no index charge, unless a resize is migrating or
-    this insert arms one. *)
+    this insert arms one. Any other insert may reuse a bucket a {!take}
+    tombstoned, so a fence must separate the two. *)
 val insert : t -> key:int -> value:int -> unit
 
 val find : t -> key:int -> int option
@@ -74,13 +89,19 @@ val find : t -> key:int -> int option
     remembers where an {!insert} of [key] would go. *)
 val find_or : t -> key:int -> default:int -> int
 
-(** [remove t ~key] deletes the mapping if present; returns whether it was. *)
+(** [remove t ~key] deletes the mapping if present, durably (a {!take}
+    and a fence); returns whether it was. *)
 val remove : t -> key:int -> bool
 
-(** [take t ~key] — {!find_or} and {!remove} in one probe and one index
-    charge: returns the mapped value and durably tombstones the entry, or
-    returns [-1] (and writes nothing) when [key] is absent. The backup
-    evicts its victim with it. *)
+(** [take t ~key] — {!find_or} and a removal in one probe and one index
+    charge: returns the mapped value and tombstones the entry, or returns
+    [-1] (and writes nothing) when [key] is absent. The tombstone is
+    flushed with no fence: it is durable at the caller's next fence, and
+    until then a crash may leave the entry live. So the caller fences
+    before it reuses what the entry named, and before any insert that
+    could reuse the bucket (every insert but the hinted one of a
+    {!find_or} miss made before the take). The backup evicts its victim
+    with it. *)
 val take : t -> key:int -> int
 
 (** [iter t f] calls [f ~key ~value] for every live entry. *)

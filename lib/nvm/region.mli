@@ -123,11 +123,17 @@ val copy_between : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> un
 
 (** {1 Persistence} *)
 
-(** [flush t off len] writes back every dirty line intersecting the range. *)
+(** [flush t off len] writes back every dirty line intersecting the range.
+    The simulator is stronger than x86 here: a flushed line is durable at
+    the flush, while on x86 ([clwb]/[clflushopt]) it is durable only at
+    the next fence. Code must still be written to the x86 rule, and the
+    fence sweeps ({!at_fence}) cannot catch a fence missing after a
+    flush: see DESIGN.md par17. *)
 val flush : t -> int -> int -> unit
 
-(** [fence t] charges the ordering/drain latency. Durability of previously
-    flushed lines is only guaranteed after a fence. *)
+(** [fence t] charges the ordering/drain latency. On x86 a line flushed
+    before a fence is durable once the fence retires, and a fence orders
+    every earlier flush, whatever region it was in. *)
 val fence : t -> unit
 
 (** [at_fence n f] arms a one-shot crash point: [f] runs at entry to the

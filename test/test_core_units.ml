@@ -356,33 +356,50 @@ let exhaustion_iff_oversubscribed_qcheck policy name =
       else raised && !pressured)
 
 (* The observable LRU/FIFO distinction: fill to capacity with A, B, C,
-   re-touch A, then insert D. LRU evicts B (least recently used); FIFO
-   ignores the re-touch and evicts A (first in). *)
+   re-touch A, then insert D, then E. A miss on a full region evicts one
+   victim ahead: D's miss, the first eviction, evicts two (one to use, one
+   to park as the spare), and E's evicts one. LRU evicts B, C, then A
+   (least recently used first); FIFO ignores the re-touch and evicts A, B,
+   then C (first in). *)
 let test_backup_policy_victim () =
-  let victim policy =
+  let victims policy =
     let b, main = make_dynamic ~policy ~slots_bytes:tight_slots_bytes () in
     let ensure off =
       Backup.ensure_copy b ~main ~off ~len:copy_len ~locked:(fun _ -> false)
         ~pressure:no_pressure
     in
-    let a, bk, c, d = (1024, 2048, 3072, 4096) in
+    let a, bk, c, d, e = (1024, 2048, 3072, 4096, 5120) in
+    let gone () = List.filter (fun off -> not (Backup.has_copy b ~off)) [ a; bk; c; d; e ] in
     ensure a; ensure bk; ensure c;
     Alcotest.(check int) "filled to capacity" tight_capacity (Backup.resident b);
     ensure a; (* hit: refreshes recency under LRU, a no-op under FIFO *)
     ensure d;
-    Alcotest.(check int) "one eviction" 1 (Backup.evictions b);
-    List.filter (fun off -> not (Backup.has_copy b ~off)) [ a; bk; c; d ]
+    Alcotest.(check int) "first eviction: the victim and the spare" 2 (Backup.evictions b);
+    Alcotest.(check int) "one slot parked" (tight_capacity - 1) (Backup.resident b);
+    let after_d = List.filter (fun off -> off <> e) (gone ()) in
+    ensure e;
+    Alcotest.(check int) "then one eviction per miss" 3 (Backup.evictions b);
+    Alcotest.(check int) "still one slot parked" (tight_capacity - 1) (Backup.resident b);
+    let after_e = List.filter (fun off -> not (List.mem off after_d)) (gone ()) in
+    (after_d, after_e)
   in
-  Alcotest.(check (list int)) "LRU evicts the stale key" [ 2048 ]
-    (victim Backup.Lru_policy);
-  Alcotest.(check (list int)) "FIFO evicts the oldest insertion" [ 1024 ]
-    (victim Backup.Fifo_policy)
+  Alcotest.(check (pair (list int) (list int))) "LRU evicts the stale keys first"
+    ([ 2048; 3072 ], [ 1024 ])
+    (victims Backup.Lru_policy);
+  Alcotest.(check (pair (list int) (list int))) "FIFO evicts the oldest insertions first"
+    ([ 1024; 2048 ], [ 3072 ])
+    (victims Backup.Fifo_policy)
 
-(* A full region of equal-length copies recycles: the miss that evicts
-   copies straight into the victim's slot. *)
+(* A full region of equal-length copies recycles one miss ahead. The
+   first eviction has no spare: it copies into its victim's slot after one
+   more fence and parks the next victim's slot as the spare. Every later
+   miss copies into the spare and parks its own victim's slot. So slots
+   serve newcomers in victim order, one spare stays parked, and the region
+   holds capacity - 1 copies. *)
 let test_backup_recycles_victim_slot () =
   let b, main = make_dynamic ~slots_bytes:tight_slots_bytes () in
   let ensure off =
+    Region.write_string main off (Printf.sprintf "key %d" off);
     Backup.ensure_copy b ~main ~off ~len:copy_len ~locked:(fun _ -> false)
       ~pressure:no_pressure
   in
@@ -390,16 +407,44 @@ let test_backup_recycles_victim_slot () =
     List.find_map (fun (k, slot, _) -> if k = off then Some slot else None)
       (Backup.dump_mapping b)
   in
-  List.iter ensure [ 1024; 2048; 3072 ];
-  let victim_slot = slot_of 1024 in
-  Alcotest.(check bool) "victim was resident" true (victim_slot <> None);
-  Region.write_string main 4096 "newcomer";
-  ensure 4096;
-  Alcotest.(check int) "one eviction" 1 (Backup.evictions b);
-  Alcotest.(check (option int)) "victim gone" None (slot_of 1024);
-  Alcotest.(check (option int)) "new key in the victim's slot" victim_slot (slot_of 4096);
-  Alcotest.(check (option bool)) "recycled copy is current" (Some true)
-    (Backup.copy_matches b ~main ~off:4096)
+  let first = [ 1024; 2048; 3072 ] in
+  List.iter ensure first;
+  let slots = List.map slot_of first in
+  Alcotest.(check bool) "all resident" true (List.for_all Option.is_some slots);
+  List.iteri
+    (fun i newcomer ->
+      ensure newcomer;
+      let victim = List.nth first i in
+      Alcotest.(check int) "evictions: one ahead" (i + 2) (Backup.evictions b);
+      Alcotest.(check int) "one spare parked" (tight_capacity - 1) (Backup.resident b);
+      Alcotest.(check (option int)) "victim gone" None (slot_of victim);
+      Alcotest.(check (option int)) "newcomer in the victim's slot" (List.nth slots i)
+        (slot_of newcomer);
+      Alcotest.(check (option bool)) "recycled copy is current" (Some true)
+        (Backup.copy_matches b ~main ~off:newcomer))
+    [ 4096; 5120; 6144 ]
+
+(* Fences per miss, summed over the slots and table regions. A miss with
+   a free slot, or with the spare a full region parked, issues one: the
+   mapping's value word, which also orders the copy and any victim's
+   tombstone. The first eviction on a full region has no spare and issues
+   two. *)
+let test_backup_miss_fences () =
+  let b, main, slots, table = make_dynamic_regions ~slots_bytes:tight_slots_bytes () in
+  let fences () = (Region.counters slots).fences + (Region.counters table).fences in
+  let miss_fences off =
+    let before = fences () in
+    Backup.ensure_copy b ~main ~off ~len:copy_len ~locked:(fun _ -> false)
+      ~pressure:no_pressure;
+    fences () - before
+  in
+  Alcotest.(check (list int)) "free slots: one fence each" [ 1; 1; 1 ]
+    (List.map miss_fences [ 1024; 2048; 3072 ]);
+  Alcotest.(check int) "first eviction: two fences" 2 (miss_fences 4096);
+  Alcotest.(check (list int)) "spare reused: one fence each" [ 1; 1; 1; 1 ]
+    (List.map miss_fences [ 5120; 6144; 7168; 8192 ]);
+  Alcotest.(check int) "a hit: none" 0 (miss_fences 8192);
+  Alcotest.(check int) "six evictions" 6 (Backup.evictions b)
 
 (* Crash storm over slot reuse. A tight slots region sees [ensure_copy],
    [propagate] and [drop] over mixed copy lengths, so slots are recycled
@@ -487,13 +532,17 @@ let storm_qcheck =
       let ok_follow = List.for_all (run b) ops in
       ok_before && ok_reopened && ok_follow && storm_invariants b ~main)
 
-(* Crash at every fence of one miss that evicts and recycles: a full,
-   tight slots region of equal-length copies, then a fourth key. The miss
-   durably tombstones its victim, then orders the copy and the mapping's
-   value word with one fence and the key word with another: three crash
-   points, in every crash mode. After each, the reopened backup keeps the
-   storm's invariants, the newcomer is unmapped or mapped to a current
-   copy, and the victim is mapped to its intact copy or gone. *)
+(* Crash at every fence of a miss that evicts: a full, tight slots region
+   of equal-length copies, then one newcomer or two. The first eviction
+   fences once to reuse its victim's slot and once for the mapping's value
+   word: two crash points. A later miss copies into the spare the first
+   parked, and its only fence is the value word's: one crash point. The
+   key word and the victim's tombstone are flushed only; the simulator
+   makes a flushed line durable at once, so the sweep visits the states
+   the x86 argument of DESIGN.md par17 admits. After each crash, in every
+   crash mode, the reopened backup keeps the storm's invariants, the
+   newcomer is unmapped or mapped to a current copy, and every earlier
+   resident is mapped to its intact copy or gone. *)
 type miss_state = {
   m_main : Region.t;
   m_slots : Region.t;
@@ -502,49 +551,56 @@ type miss_state = {
 }
 
 let test_backup_miss_fence_sweep () =
-  let victim = 1024 and newcomer = 4096 in
+  let residents = [ 1024; 2048; 3072 ] in
   let ensure s off =
     Backup.ensure_copy s.m_b ~main:s.m_main ~off ~len:copy_len ~locked:(fun _ -> false)
       ~pressure:no_pressure
   in
   List.iter
-    (fun (mode_name, crash_mode) ->
-      let setup () =
-        let b, main, slots, table =
-          make_dynamic_regions ~slots_bytes:tight_slots_bytes ~crash_mode ()
-        in
-        List.iter
-          (fun off -> Region.fill main off copy_len (off / 1024))
-          [ victim; 2048; 3072; newcomer ];
-        Region.persist_all main;
-        let s = { m_main = main; m_slots = slots; m_table = table; m_b = b } in
-        List.iter (ensure s) [ victim; 2048; 3072 ];
-        s
-      in
-      let st =
-        Fence_sweep.sweep ~ctx:("miss fence sweep, " ^ mode_name) ~setup
-          ~crash:(fun s -> List.iter Region.crash [ s.m_main; s.m_slots; s.m_table ])
-          ~recover:(fun s -> s.m_b <- Backup.reopen s.m_b)
-          ~op:(fun s -> ensure s newcomer)
-          ~drain:ignore
-          ~observe:(fun s ->
-            match Backup.copy_matches s.m_b ~main:s.m_main ~off:newcomer with
-            | None -> "newcomer unmapped"
-            | Some true -> "newcomer mapped to a current copy"
-            | Some false -> "newcomer mapped to a stale copy")
-          ~check:(fun s here ->
-            Alcotest.(check bool) (here ^ ": storm invariants") true
-              (storm_invariants s.m_b ~main:s.m_main);
-            Alcotest.(check bool) (here ^ ": victim intact or gone") true
-              (Backup.copy_matches s.m_b ~main:s.m_main ~off:victim <> Some false))
-          ()
-      in
-      Alcotest.(check int) (mode_name ^ ": crash points") 3 st.Fence_sweep.points)
-    [
-      ("drop-unflushed", Region.Drop_unflushed);
-      ("lines-survive", Region.Lines_survive_randomly);
-      ("words-survive", Region.Words_survive_randomly);
-    ]
+    (fun (case, earlier, newcomer, points) ->
+      List.iter
+        (fun (mode_name, crash_mode) ->
+          let setup () =
+            let b, main, slots, table =
+              make_dynamic_regions ~slots_bytes:tight_slots_bytes ~crash_mode ()
+            in
+            List.iter
+              (fun off -> Region.fill main off copy_len (off / 1024))
+              (residents @ earlier @ [ newcomer ]);
+            Region.persist_all main;
+            let s = { m_main = main; m_slots = slots; m_table = table; m_b = b } in
+            List.iter (ensure s) (residents @ earlier);
+            s
+          in
+          let ctx = Printf.sprintf "%s fence sweep, %s" case mode_name in
+          let st =
+            Fence_sweep.sweep ~ctx ~setup
+              ~crash:(fun s -> List.iter Region.crash [ s.m_main; s.m_slots; s.m_table ])
+              ~recover:(fun s -> s.m_b <- Backup.reopen s.m_b)
+              ~op:(fun s -> ensure s newcomer)
+              ~drain:ignore
+              ~observe:(fun s ->
+                match Backup.copy_matches s.m_b ~main:s.m_main ~off:newcomer with
+                | None -> "newcomer unmapped"
+                | Some true -> "newcomer mapped to a current copy"
+                | Some false -> "newcomer mapped to a stale copy")
+              ~check:(fun s here ->
+                Alcotest.(check bool) (here ^ ": storm invariants") true
+                  (storm_invariants s.m_b ~main:s.m_main);
+                List.iter
+                  (fun off ->
+                    Alcotest.(check bool) (here ^ ": earlier resident intact or gone") true
+                      (Backup.copy_matches s.m_b ~main:s.m_main ~off <> Some false))
+                  (residents @ earlier))
+              ()
+          in
+          Alcotest.(check int) (ctx ^ ": crash points") points st.Fence_sweep.points)
+        [
+          ("drop-unflushed", Region.Drop_unflushed);
+          ("lines-survive", Region.Lines_survive_randomly);
+          ("words-survive", Region.Words_survive_randomly);
+        ])
+    [ ("first-eviction", [], 4096, 2); ("spare-reuse", [ 4096 ], 5120, 1) ]
 
 let test_backup_survives_crash () =
   let b, main = make_dynamic () in
@@ -594,6 +650,7 @@ let () =
           Alcotest.test_case "survives crash" `Quick test_backup_survives_crash;
           Alcotest.test_case "full region recycles the victim's slot" `Quick
             test_backup_recycles_victim_slot;
+          Alcotest.test_case "one fence per miss" `Quick test_backup_miss_fences;
           QCheck_alcotest.to_alcotest storm_qcheck;
           Alcotest.test_case "crash at every fence of an evicting miss" `Quick
             test_backup_miss_fence_sweep;

@@ -20,6 +20,7 @@ module Region = Kamino_nvm.Region
 module Heap = Kamino_heap.Heap
 module Engine = Kamino_core.Engine
 module Backup = Kamino_core.Backup
+module Kv = Kamino_kv.Kv
 
 let config =
   {
@@ -294,6 +295,78 @@ let test_every_fence (name, kind) crash_mode () =
   if st.Fence_sweep.recovery_points = 0 then
     Alcotest.failf "%s: no crash point inside recovery" name
 
+(* Crash at every fence of a KV put whose backup miss evicts, on a
+   kamino-dynamic engine whose 64 KiB slots region is full of value
+   copies: the put, the applier drain after it, and the recoveries, which
+   crash at each of their own fences in turn. The miss issues one fence of
+   its own. The key word of its mapping is durable only at the put's
+   intent-log barrier, and its victim's tombstone at the mapping's value
+   fence. After every recovery the store equals the before- or the
+   after-mirror, and the backup and the store validate. *)
+type kv_state = { k_e : Engine.t; mutable k_kv : Kv.t }
+
+let kv_keys = 96
+let kv_value key round = String.make 1000 (Char.chr (97 + ((key + round) mod 26)))
+
+let test_evicting_put_every_fence crash_mode () =
+  let evictions s = Backup.evictions (Option.get (Engine.backup s.k_e)) in
+  let setup () =
+    let e =
+      Engine.create
+        ~config:{ config with Engine.crash_mode }
+        ~kind:(Engine.Kamino_dynamic { alpha = 0.01; policy = Backup.Lru_policy })
+        ~seed:9 ()
+    in
+    let kv = Kv.create e ~value_size:1000 ~node_size:4096 in
+    for round = 0 to 1 do
+      for key = 1 to kv_keys do
+        Kv.put kv key (kv_value key round)
+      done
+    done;
+    Engine.drain_backup e;
+    { k_e = e; k_kv = kv }
+  in
+  let op s = Kv.put s.k_kv 1 (kv_value 1 2) in
+  let observe s =
+    let b = Buffer.create (kv_keys * 1000) in
+    Kv.iter s.k_kv (fun k v -> Buffer.add_string b (Printf.sprintf "%d=%s;" k v));
+    Printf.sprintf "%d keys, key 1 = %s..., digest %s" (Kv.size s.k_kv)
+      (String.sub (Option.value (Kv.get s.k_kv 1) ~default:"absent") 0 6)
+      (Digest.to_hex (Digest.string (Buffer.contents b)))
+  in
+  let check s here =
+    (match Engine.verify_backup s.k_e with
+    | Ok () -> ()
+    | Error err -> Alcotest.failf "%s: backup: %s" here err);
+    match Kv.validate s.k_kv with
+    | Ok () -> ()
+    | Error err -> Alcotest.failf "%s: store invalid: %s" here err
+  in
+  let reference = setup () in
+  Alcotest.(check bool) "the setup fills the slots region" true (evictions reference > 0);
+  let before = evictions reference in
+  op reference;
+  Alcotest.(check bool) "the put's miss evicts" true (evictions reference > before);
+  let st =
+    Fence_sweep.sweep ~ctx:"evicting put" ~setup
+      ~crash:(fun s -> Engine.crash s.k_e)
+      ~recover:(fun s ->
+        Engine.recover s.k_e;
+        s.k_kv <- Kv.reattach s.k_e)
+      ~op
+      ~drain:(fun s -> Engine.drain_backup s.k_e)
+      ~observe ~check ()
+  in
+  (* The put: the miss's value fence, the intent-log barrier, the write
+     set's persist and the commit mark; the drain: the backup's settle and
+     the slot's release. *)
+  Alcotest.(check int) "evicting put: crash points" 6 st.Fence_sweep.points;
+  if st.Fence_sweep.after < 1 || st.Fence_sweep.after >= st.Fence_sweep.points then
+    Alcotest.failf "evicting put: %d of %d crash points rolled forward; expected some but not all"
+      st.Fence_sweep.after st.Fence_sweep.points;
+  if st.Fence_sweep.recovery_points = 0 then
+    Alcotest.failf "evicting put: no crash point inside recovery"
+
 let () =
   let workload_cases =
     List.concat_map
@@ -326,6 +399,12 @@ let () =
               (fun mode -> test_every_fence (name, kind) mode ())
               [ Region.Words_survive_randomly; Region.Lines_survive_randomly; Region.Drop_unflushed ]))
       atomic_kinds
+    @ [
+        Alcotest.test_case "kamino-dynamic evicting put, every fence" `Quick (fun () ->
+            List.iter
+              (fun mode -> test_evicting_put_every_fence mode ())
+              [ Region.Words_survive_randomly; Region.Lines_survive_randomly; Region.Drop_unflushed ]);
+      ]
   in
   Alcotest.run "crash"
     [

@@ -197,16 +197,55 @@ let test_add_intent_merged_crash_exact () =
     [ (3, [ (64, 32) ]) ]
     !seen
 
+let expect_corrupt what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Ilog.Corrupt _ -> ()
+
 let test_open_validates () =
   let clock = Clock.create () in
   let r =
     Region.create ~crash_mode:Region.Drop_unflushed ~rng:(Rng.create 1) ~clock ~size:8192 ()
   in
-  Alcotest.(check bool) "bad magic rejected" true
-    (try
-       ignore (Ilog.open_existing r);
-       false
-     with Failure _ -> true)
+  expect_corrupt "bad magic" (fun () -> Ilog.open_existing r)
+
+(* Header words: the magic at byte 0, the checksum at 8, then the thread,
+   entry and slot counts. The slots start after the 64-byte header and one
+   64-byte scratchpad per thread; a slot's state word is its second. *)
+let test_open_checksum_mismatch () =
+  let _, r = make () in
+  Region.write_int r 32 9;
+  Region.persist_all r;
+  expect_corrupt "slot count changed under the checksum" (fun () -> Ilog.open_existing r)
+
+let test_open_bad_slot_state () =
+  let log, r = make () in
+  let slot = Option.get (Ilog.begin_record log ~tx_id:5) in
+  Ilog.barrier log slot;
+  Alcotest.(check bool) "slot 0 claimed" true (Ilog.slot_tx_id log slot = 5);
+  let state_word = 64 + (4 * 64) + 8 in
+  Alcotest.(check int) "slot 0's state word is Running" 1 (Region.read_int r state_word);
+  Region.write_int r state_word 4;
+  Region.persist_all r;
+  Region.crash r;
+  expect_corrupt "slot state 4" (fun () -> Ilog.open_existing r)
+
+(* A valid header of a 64-slot log, copied onto a region sized for 8. *)
+let test_open_slots_overrun () =
+  let _, big = make ~n_slots:64 () in
+  let _, small = make ~n_slots:8 () in
+  Region.write_bytes small 0 (Region.read_bytes big 0 64);
+  Region.persist_all small;
+  expect_corrupt "64 slots in a region sized for 8" (fun () -> Ilog.open_existing small)
+
+(* The typed error reaches the caller of engine recovery unchanged. *)
+let test_recover_corrupt () =
+  let e = Kamino_core.Engine.create ~kind:Kamino_core.Engine.Kamino_simple ~seed:1 () in
+  let r = Ilog.region (Option.get (Kamino_core.Engine.intent_log e)) in
+  Kamino_core.Engine.crash e;
+  Region.write_int r 16 (Region.read_int r 16 + 1);
+  Region.persist_all r;
+  expect_corrupt "engine recovery" (fun () -> Kamino_core.Engine.recover e)
 
 let () =
   Alcotest.run "intent_log"
@@ -217,6 +256,10 @@ let () =
           Alcotest.test_case "exhaustion" `Quick test_exhaustion;
           Alcotest.test_case "entry limit" `Quick test_entry_limit;
           Alcotest.test_case "open validates" `Quick test_open_validates;
+          Alcotest.test_case "header checksum mismatch" `Quick test_open_checksum_mismatch;
+          Alcotest.test_case "slot state outside 0..3" `Quick test_open_bad_slot_state;
+          Alcotest.test_case "header slots overrun the region" `Quick test_open_slots_overrun;
+          Alcotest.test_case "recovery raises Corrupt" `Quick test_recover_corrupt;
         ] );
       ( "recovery",
         [

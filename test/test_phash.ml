@@ -91,6 +91,73 @@ let test_no_half_inserts_on_crash () =
     | Some v -> Alcotest.(check int) "published value correct" 90 v
   done
 
+(* --- Corrupt images: open_existing raises the typed Corrupt --- *)
+
+(* Header words (phash.ml): the magic at byte 0, the state word
+   [cap | doublings << 48 | armed << 62] at byte 8, the migration cursor
+   at byte 16. *)
+let state_word ?(doublings = 0) ?(armed = false) cap =
+  cap lor (doublings lsl 48) lor if armed then 1 lsl 62 else 0
+
+let expect_corrupt what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Phash.Corrupt _ -> ()
+
+(* [corrupted words] formats a 16-bucket table in a region with room for
+   one doubling, overwrites the given header words, and reopens it. *)
+let open_corrupted words =
+  let clock = Clock.create () in
+  let r =
+    Region.create ~rng:(Rng.create 1) ~clock ~size:(Phash.chain_size ~capacity:16 ~doublings:1) ()
+  in
+  ignore (Phash.format r ~capacity:16);
+  List.iter (fun (off, v) -> Region.write_int r off v) words;
+  Region.persist_all r;
+  Region.crash r;
+  fun () -> Phash.open_existing r
+
+let test_corrupt_magic () = expect_corrupt "bad magic" (open_corrupted [ (0, 42) ])
+
+let test_corrupt_capacity () =
+  expect_corrupt "capacity 48" (open_corrupted [ (8, state_word 48) ]);
+  expect_corrupt "capacity 8" (open_corrupted [ (8, state_word 8) ]);
+  expect_corrupt "capacity 0" (open_corrupted [ (8, state_word 0) ]);
+  expect_corrupt "capacity 16 after a doubling (a first table of 8)"
+    (open_corrupted [ (8, state_word ~doublings:1 16) ])
+
+let test_corrupt_chain_overrun () =
+  expect_corrupt "a 64-bucket table" (open_corrupted [ (8, state_word 64) ]);
+  expect_corrupt "a 32-bucket table after one doubling, armed"
+    (open_corrupted [ (8, state_word ~doublings:1 ~armed:true 32) ]);
+  (* The region holds exactly the 16- and 32-bucket tables. *)
+  Alcotest.(check int) "the largest table that fits opens" 32
+    (Phash.capacity (open_corrupted [ (8, state_word ~doublings:1 32) ] ()))
+
+let test_corrupt_cursor () =
+  let armed = (8, state_word ~armed:true 16) in
+  expect_corrupt "cursor -1" (open_corrupted [ armed; (16, -1) ]);
+  expect_corrupt "cursor past the table" (open_corrupted [ armed; (16, 17) ]);
+  Alcotest.(check int) "a cursor at the end completes the resize" 32
+    (Phash.capacity (open_corrupted [ armed; (16, 16) ] ()))
+
+(* The typed error reaches the caller of a dynamic backup's reopen. *)
+let test_corrupt_through_backup () =
+  let clock = Clock.create () in
+  let mk size = Region.create ~rng:(Rng.create 1) ~clock ~size () in
+  let main = mk 4096 and slots = mk 4096 and table = mk (Phash.required_size ~capacity:16) in
+  let b =
+    Kamino_core.Backup.create_dynamic ~slots ~table ~capacity:16
+      ~policy:Kamino_core.Backup.Lru_policy
+  in
+  Kamino_core.Backup.ensure_copy b ~main ~off:64 ~len:64
+    ~locked:(fun _ -> false)
+    ~pressure:ignore;
+  Region.write_int table 8 (state_word 48);
+  Region.persist_all table;
+  Region.crash table;
+  expect_corrupt "Backup.reopen" (fun () -> Kamino_core.Backup.reopen b)
+
 let model_qcheck =
   QCheck.Test.make ~name:"phash matches Hashtbl model" ~count:100
     QCheck.(small_list (pair (int_range 1 50) (option small_int)))
@@ -275,9 +342,10 @@ let hint_cost =
     index_ns = float_of_int index_ns;
   }
 
-(* The publish of one new entry: value then key, each an 8-byte store, a
-   one-line flush and a fence. *)
-let publish_ns = 2 * ((3 + 8) + 5 + 40)
+(* The publish of one new entry: value then key, each an 8-byte store and
+   a one-line flush, with one fence between them. The key word's fence is
+   the caller's. *)
+let publish_ns = (2 * ((3 + 8) + 5)) + 40
 
 let make_hinted ?(doublings = 0) () =
   let clock = Clock.create () in
@@ -322,7 +390,7 @@ let test_hinted_insert_cost () =
     measure r (fun () -> Phash.insert h ~key:777 ~value:7)
   in
   Alcotest.(check (list int))
-    "insert: no load; two stores, two flushed lines, two fences" [ 0; 2; 2; 2 ]
+    "insert: no load; two stores, two flushed lines, one fence" [ 0; 2; 2; 1 ]
     [ loads; stores; flushed; fences ];
   Alcotest.(check int) "insert: the publish only, no index charge" publish_ns ins_ns;
   Alcotest.(check (option int)) "published" (Some 7) (Phash.find h ~key:777);
@@ -543,6 +611,15 @@ let () =
           Alcotest.test_case "insert into a table of tombstones" `Quick
             test_insert_into_tombstoned_table;
           QCheck_alcotest.to_alcotest hint_model_qcheck;
+        ] );
+      ( "phash corrupt image",
+        [
+          Alcotest.test_case "bad magic" `Quick test_corrupt_magic;
+          Alcotest.test_case "capacity not a power of two >= 16" `Quick test_corrupt_capacity;
+          Alcotest.test_case "table chain overruns the region" `Quick
+            test_corrupt_chain_overrun;
+          Alcotest.test_case "migration cursor out of range" `Quick test_corrupt_cursor;
+          Alcotest.test_case "typed through Backup.reopen" `Quick test_corrupt_through_backup;
         ] );
       ( "phash durability",
         [
