@@ -666,6 +666,8 @@ let peek_bytes t p field len = Region.read_bytes t.main (p + field) len
 
 let peek_string t p field len = Region.read_string t.main (p + field) len
 
+let peek_run t p field len = Region.charge_load t.main (p + field) len
+
 (* Cost-free committed read for observability walks (B+Tree depth/occupancy
    gauges): no simulated load is charged, so gauge collection cannot drift
    the bit-identity oracles. Never use on a data path. *)

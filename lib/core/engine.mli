@@ -277,6 +277,13 @@ val peek_bytes : t -> Heap.ptr -> int -> int -> bytes
 
 val peek_string : t -> Heap.ptr -> int -> int -> string
 
+(** [peek_run t p field len] charges one committed load of [len] bytes at
+    [field] ({!Kamino_nvm.Region.charge_load}) and returns nothing: the
+    caller then reads the run's words with {!probe_int}. A run costs one
+    load's overhead however many words it holds, with no buffer
+    allocated. *)
+val peek_run : t -> Heap.ptr -> int -> int -> unit
+
 (** [probe_int t p field] — cost-free committed read (no simulated load
     charged, like [Region.peek_int]). Strictly for observability walks such
     as the B+Tree depth/occupancy gauges; data paths must use {!peek_int}

@@ -140,8 +140,8 @@ let kind_code = function File -> kind_file | Dir -> kind_dir
 
    Every mutating operation runs in three phases: it looks everything up
    once, declares its whole write set (objects it edits, the B+Tree leaves
-   and descriptors it changes, the ranges it frees), then allocates
-   through one [Engine.alloc_many] and writes in place. The engine
+   it changes, the ranges it frees), then allocates through one
+   [Engine.alloc_many] and writes in place. The engine
    barriers the intent log at the first write after a new declare, so an
    operation whose declares all precede its first write pays one barrier
    instead of one per object (DESIGN.md §18). Only B+Tree splits and
@@ -172,7 +172,7 @@ let plan_mknod tx t =
   let m_ino = t.base + (m_ord * t.stride) in
   let m_at = Btree.seek tx t.itab m_ino in
   Engine.add tx t.sb;
-  Btree.declare_insert tx t.itab m_at;
+  Btree.declare_insert tx m_at;
   { m_ino; m_ord; m_at }
 
 let apply_mknod tx t kind ~parent { m_ino; m_ord; m_at } objs =
@@ -316,7 +316,9 @@ let inode_ptr_tx tx t ino =
 (* An inode and its inode-table position, for operations that retire it. *)
 let inode_at tx t ino =
   let at = Btree.seek tx t.itab ino in
-  match Btree.found at with Some ip -> (at, ip) | None -> err "Fs: no inode %d" ino
+  let ip = Btree.found at in
+  if ip = Heap.null then err "Fs: no inode %d" ino;
+  (at, ip)
 
 let stat_of_reads ino kind nlink size parent gen =
   { ino; kind = (if kind = kind_dir then Dir else File); nlink; size; parent; gen }
@@ -372,21 +374,20 @@ let rec chain_slot tx name dp idx at prev p =
 let find_slot tx t ~dir ~name =
   let dp, idx = dir_of_tx tx t dir in
   let at = Btree.seek tx idx (hash_name t name) in
-  chain_slot tx name dp idx at Heap.null (Option.value (Btree.found at) ~default:Heap.null)
+  chain_slot tx name dp idx at Heap.null (Btree.found at)
 
 let dirent_lookup_tx tx t ~dir ~name =
   let s = find_slot tx t ~dir ~name in
   if s.de = Heap.null then None else Some (Engine.read_int tx s.de d_ino)
 
 (* Adding a dirent pushes it at the head of its collision chain: the index
-   leaf (and descriptor, for a new hash key) and the directory's entry
-   count change. *)
+   leaf and the directory's entry count change. *)
 let declare_dirent_add tx s =
-  Btree.declare_insert tx s.idx s.at;
+  Btree.declare_insert tx s.at;
   Engine.add tx s.dp
 
 let apply_dirent_add tx s ~de ~name ~ino =
-  Engine.write_int tx de d_next (Option.value (Btree.found s.at) ~default:Heap.null);
+  Engine.write_int tx de d_next (Btree.found s.at);
   Engine.write_int tx de d_ino ino;
   Engine.write_int tx de d_nlen (String.length name);
   Engine.write_string tx de d_name name;
@@ -405,8 +406,8 @@ let dirent_add_tx tx t ~dir ~name ~ino =
 let declare_dirent_remove tx s =
   let nxt = Engine.read_int tx s.de d_next in
   if s.prev <> Heap.null then Engine.add_field tx s.prev d_next 8
-  else if nxt = Heap.null then Btree.declare_delete tx s.idx s.at
-  else Btree.declare_insert tx s.idx s.at;
+  else if nxt = Heap.null then Btree.declare_delete tx s.at
+  else Btree.declare_insert tx s.at;
   Engine.declare_free tx s.de;
   Engine.add tx s.dp;
   nxt
@@ -558,7 +559,7 @@ let declare_drop_link tx t ~at ~ip =
     Array.iter (Engine.declare_free tx) blks;
     Array.iter (Engine.declare_free tx) nodes;
     Engine.declare_free tx ip;
-    Btree.declare_delete tx t.itab at;
+    Btree.declare_delete tx at;
     Engine.add tx t.sb;
     { d_at = at; d_ip = ip; d_nlink = nlink; d_size = size; d_nodes = nodes; d_blks = blks }
   end
@@ -600,7 +601,7 @@ let declare_free_dir tx t ~at ~ip =
   let idx = Btree.attach t.engine (Engine.read_int tx ip i_head) in
   Btree.declare_destroy_empty tx idx;
   Engine.declare_free tx ip;
-  Btree.declare_delete tx t.itab at;
+  Btree.declare_delete tx at;
   Engine.add tx t.sb;
   idx
 

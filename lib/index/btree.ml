@@ -3,7 +3,10 @@ module Engine = Kamino_core.Engine
 
 type t = { engine : Engine.t; desc : Heap.ptr; mk : int }
 
-(* Descriptor object fields. *)
+(* Descriptor object fields. [d_count] is a retired key count: written 0
+   at create and never maintained, because a word that every insert and
+   delete bumps puts the descriptor into every write set. It stays in the
+   layout so descriptors, heap images and old stores keep their shape. *)
 let d_root = 0
 let d_count = 8
 let d_node_cap = 16
@@ -112,8 +115,6 @@ let attach engine desc =
 
 let root_of r t = r.rd t.desc d_root
 
-let cardinal t = Engine.peek_int t.engine t.desc d_count
-
 let node_cap t = Engine.peek_int t.engine t.desc d_node_cap
 
 let branching t = t.mk
@@ -189,65 +190,87 @@ let find_snapshot snap t key =
 
 (* --- Insertion ----------------------------------------------------------- *)
 
-(* Path from the root to the leaf: [(node, child_index)] per internal
-   level, leaf last. *)
-let rec descend r t key node acc =
-  if is_leaf r node then (node, acc)
-  else begin
-    let n = nkeys r node in
-    let i = child_index r node n key in
-    descend r t key (ptr_at t r node i) ((node, i) :: acc)
-  end
-
-let path_to_leaf r t key = descend r t key (root_of r t) []
-
 (* One descent to the leaf where [key] is bound or would go: everything
    [insert_at] and [delete_at] need, so a caller that looks a key up,
-   declares, allocates and then mutates descends once. Valid until the
-   tree changes. *)
+   declares, allocates and then mutates descends once. A cursor is
+   reusable scratch: [seek_into] refills it in place and allocates nothing
+   once [path] has grown to the tree's height, so a store keeps one per
+   handle and its lookups stay allocation-free. Valid until the tree
+   changes or the cursor is sought again. *)
 type cursor = {
-  key : int;
-  leaf : Heap.ptr;
-  path : (Heap.ptr * int) list;
-  n : int;  (* keys in [leaf] *)
-  i : int;  (* position of the first key >= [key] *)
-  found : Heap.ptr option;
+  mutable key : int;
+  mutable leaf : Heap.ptr;
+  mutable n : int;  (* keys in [leaf] *)
+  mutable i : int;  (* position of the first key >= [key] *)
+  mutable found : Heap.ptr;  (* value bound to [key], [Heap.null] if none *)
+  mutable path : int array;  (* node, child index per internal level, root first *)
+  mutable depth : int;  (* internal levels recorded in [path] *)
 }
 
-let seek tx t key =
+let cursor () =
+  { key = 0; leaf = Heap.null; n = 0; i = 0; found = Heap.null; path = [||]; depth = 0 }
+
+let path_node c lvl = c.path.(2 * lvl)
+
+let path_index c lvl = c.path.((2 * lvl) + 1)
+
+let record c lvl node i =
+  let len = Array.length c.path in
+  if (2 * lvl) + 2 > len then begin
+    let grown = Array.make (max 8 (2 * len)) 0 in
+    Array.blit c.path 0 grown 0 len;
+    c.path <- grown
+  end;
+  c.path.(2 * lvl) <- node;
+  c.path.((2 * lvl) + 1) <- i
+
+(* Descend from [node] at level [lvl] to a leaf, recording each internal
+   hop in [c]: towards [key], or along the last child when [rightmost]
+   (the bulk append's spine). Returns the leaf. *)
+let rec descend r t c ~rightmost key node lvl =
+  if is_leaf r node then begin
+    c.depth <- lvl;
+    node
+  end
+  else begin
+    let n = nkeys r node in
+    let i = if rightmost then n else child_index r node n key in
+    record c lvl node i;
+    descend r t c ~rightmost key (ptr_at t r node i) (lvl + 1)
+  end
+
+let seek_into tx t c key =
   let r = tx_reader tx in
-  let leaf, path = path_to_leaf r t key in
+  let leaf = descend r t c ~rightmost:false key (root_of r t) 0 in
   let n = nkeys r leaf in
   let i = lower_bound r leaf n key in
-  let found = if i < n && key_at r leaf i = key then Some (ptr_at t r leaf i) else None in
-  { key; leaf; path; n; i; found }
+  c.key <- key;
+  c.leaf <- leaf;
+  c.n <- n;
+  c.i <- i;
+  c.found <- (if i < n && key_at r leaf i = key then ptr_at t r leaf i else Heap.null)
+
+let seek tx t key =
+  let c = cursor () in
+  seek_into tx t c key;
+  c
 
 let found c = c.found
 
-(* The intents an insert or delete writes under whatever happens to the
-   shape of the tree: the leaf, and the descriptor's count when the
-   binding appears or disappears. Declaring both before the first write is
-   what lets one barrier cover a split-free update. *)
-let declare_insert tx t c =
-  Engine.add tx c.leaf;
-  if c.found = None then Engine.add tx t.desc
+(* The intents a split-free insert or merge-free delete writes: the leaf
+   alone. Declaring it before the first write is what lets one barrier
+   cover the update. The descriptor changes only when the root does, and
+   the split or collapse that changes it declares it then. *)
+let declare_insert tx c = Engine.add tx c.leaf
 
-let declare_delete tx t c =
-  if c.found <> None then begin
-    Engine.add tx c.leaf;
-    Engine.add tx t.desc
-  end
+let declare_delete tx c = if c.found <> Heap.null then Engine.add tx c.leaf
 
-(* The descriptor is declared by the caller. *)
-let bump_count tx t delta =
-  Engine.write_int tx t.desc d_count (Engine.read_int tx t.desc d_count + delta)
-
-(* Insert separator [sep] with right child [right] above [child]; [path] is
-   the remaining ancestor chain (nearest parent first). *)
-let rec insert_upward tx t path sep right =
+(* Insert separator [sep] with right child [right] into the parent at
+   level [lvl] of [c]'s path; at level -1 the root itself split. *)
+let rec insert_upward tx t c lvl sep right =
   let r = tx_reader tx in
-  match path with
-  | [] ->
+  match lvl with
+  | -1 ->
       (* The root split: grow the tree with a new internal root. *)
       let old_root = root_of r t in
       let new_root = alloc_node tx ~node_cap:(node_cap t) ~leaf:false in
@@ -257,7 +280,8 @@ let rec insert_upward tx t path sep right =
       set_nkeys tx new_root 1;
       Engine.add tx t.desc;
       Engine.write_int tx t.desc d_root new_root
-  | (parent, i) :: rest ->
+  | _ ->
+      let parent = path_node c lvl and i = path_index c lvl in
       Engine.add tx parent;
       let n = nkeys r parent in
       if n < t.mk then begin
@@ -285,23 +309,22 @@ let rec insert_upward tx t path sep right =
         set_key tx target ti sep;
         set_ptr tx t target (ti + 1) right;
         set_nkeys tx target (tn + 1);
-        insert_upward tx t rest promoted rnode
+        insert_upward tx t c (lvl - 1) promoted rnode
       end
 
-let insert_at tx t { key; leaf; path; n; i; found } value =
+let insert_at tx t ({ key; leaf; n; i; found; _ } as c) value =
   match found with
-  | Some old ->
+  | old when old <> Heap.null ->
       (* Replace in place. *)
       set_ptr tx t leaf i value;
       Some old
-  | None when n < t.mk ->
+  | _ when n < t.mk ->
       open_gap tx t leaf n ~j:i ~pj:i;
       set_key tx leaf i key;
       set_ptr tx t leaf i value;
       set_nkeys tx leaf (n + 1);
-      bump_count tx t 1;
       None
-  | None ->
+  | _ ->
       (* Split the full leaf, then insert into the proper half. *)
       let r = tx_reader tx in
       let keep = n - (n / 2) in
@@ -319,26 +342,25 @@ let insert_at tx t { key; leaf; path; n; i; found } value =
       set_key tx target ti key;
       set_ptr tx t target ti value;
       set_nkeys tx target (tn + 1);
-      insert_upward tx t path sep rleaf;
-      bump_count tx t 1;
+      insert_upward tx t c (c.depth - 1) sep rleaf;
       None
 
 let insert tx t key value =
   let c = seek tx t key in
-  declare_insert tx t c;
+  declare_insert tx c;
   insert_at tx t c value
 
 (* --- Deletion ------------------------------------------------------------ *)
 
 let min_keys t = (t.mk / 2) - 1
 
-(* Rebalance [node] (which just lost a key) using its parent; [path] is the
-   ancestor chain. *)
-let rec rebalance tx t node path =
+(* Rebalance [node] (which just lost a key) using its parent, level [lvl]
+   of [c]'s path; at level -1 [node] is the root. *)
+let rec rebalance tx t c node lvl =
   let r = tx_reader tx in
   let n = nkeys r node in
-  match path with
-  | [] ->
+  match lvl with
+  | -1 ->
       (* Root: collapse when an internal root runs out of keys. *)
       if (not (is_leaf r node)) && n = 0 then begin
         let only_child = ptr_at t r node 0 in
@@ -346,9 +368,10 @@ let rec rebalance tx t node path =
         Engine.write_int tx t.desc d_root only_child;
         Engine.free tx node
       end
-  | (parent, i) :: rest ->
+  | _ ->
       if n >= min_keys t then ()
       else begin
+        let parent = path_node c lvl and i = path_index c lvl in
         Engine.add tx parent;
         let pn = nkeys r parent in
         let leaf = is_leaf r node in
@@ -416,7 +439,7 @@ let rec rebalance tx t node path =
             Engine.free tx node;
             close_gap tx t parent pn ~j:(i - 1) ~pj:i;
             set_nkeys tx parent (pn - 1);
-            rebalance tx t parent rest
+            rebalance tx t c parent (lvl - 1)
         | None, Some s ->
             (* Merge the right sibling into [node], dropping parent key i. *)
             Engine.add tx s;
@@ -436,25 +459,24 @@ let rec rebalance tx t node path =
             Engine.free tx s;
             close_gap tx t parent pn ~j:i ~pj:(i + 1);
             set_nkeys tx parent (pn - 1);
-            rebalance tx t parent rest
+            rebalance tx t c parent (lvl - 1)
         | None, None ->
             (* A non-root node always has a sibling. *)
             assert false
       end
 
-let delete_at tx t { leaf; path; n; i; found; _ } =
-  match found with
-  | None -> None
-  | Some old ->
-      close_gap tx t leaf n ~j:i ~pj:i;
-      set_nkeys tx leaf (n - 1);
-      bump_count tx t (-1);
-      rebalance tx t leaf path;
-      Some old
+let delete_at tx t ({ leaf; n; i; found; _ } as c) =
+  if found = Heap.null then None
+  else begin
+    close_gap tx t leaf n ~j:i ~pj:i;
+    set_nkeys tx leaf (n - 1);
+    rebalance tx t c leaf (c.depth - 1);
+    Some found
+  end
 
 let delete tx t key =
   let c = seek tx t key in
-  declare_delete tx t c;
+  declare_delete tx c;
   delete_at tx t c
 
 (* The frees [destroy_empty] makes, declared ahead of it. *)
@@ -487,19 +509,6 @@ let leaf_plan t total =
   in
   go total []
 
-(* Rightmost root-to-leaf path, in [insert_upward]'s format: every hop
-   takes the last child, so each path entry is [(node, nkeys node)] — the
-   position where a new separator for an appended sibling belongs. *)
-let path_to_rightmost r t =
-  let rec go node acc =
-    if is_leaf r node then (node, acc)
-    else begin
-      let n = nkeys r node in
-      go (ptr_at t r node n) ((node, n) :: acc)
-    end
-  in
-  go (root_of r t) []
-
 let append_sorted tx t entries =
   let m = Array.length entries in
   if m > 0 then begin
@@ -508,7 +517,9 @@ let append_sorted tx t entries =
       if fst entries.(i) <= fst entries.(i - 1) then
         invalid_arg "Btree.append_sorted: keys not strictly increasing"
     done;
-    let leaf, _ = path_to_leaf r t (fst entries.(0)) in
+    (* One cursor carries every spine path this append records. *)
+    let c = cursor () in
+    let leaf = descend r t c ~rightmost:false (fst entries.(0)) (root_of r t) 0 in
     let n = nkeys r leaf in
     if n > 0 && fst entries.(0) <= key_at r leaf (n - 1) then
       invalid_arg "Btree.append_sorted: keys must exceed the current maximum";
@@ -521,16 +532,11 @@ let append_sorted tx t entries =
         set_ptr tx t dst (at + j) value
       done
     in
-    let count delta =
-      Engine.add tx t.desc;
-      bump_count tx t delta
-    in
     if n + m <= t.mk then begin
       (* The whole batch fits in the rightmost leaf. *)
       Engine.add tx leaf;
       fill leaf n ~from:0 ~cnt:m;
-      set_nkeys tx leaf (n + m);
-      count m
+      set_nkeys tx leaf (n + m)
     end
     else begin
       (* Top the rightmost leaf up to capacity, then hang whole new leaves
@@ -540,8 +546,7 @@ let append_sorted tx t entries =
       if room > 0 then begin
         Engine.add tx leaf;
         fill leaf n ~from:0 ~cnt:room;
-        set_nkeys tx leaf t.mk;
-        count room
+        set_nkeys tx leaf t.mk
       end;
       let rem = m - room in
       if rem <= min_keys t then begin
@@ -550,7 +555,7 @@ let append_sorted tx t entries =
            tail into a fresh sibling. Both halves end >= min_keys, and
            the work touches O(depth) objects — never one tx intent per
            tail key. *)
-        let prev, path = path_to_rightmost r t in
+        let prev = descend r t c ~rightmost:true 0 (root_of r t) 0 in
         let total = t.mk + rem in
         let keep = total / 2 in
         let moved = t.mk - keep in
@@ -563,21 +568,19 @@ let append_sorted tx t entries =
         set_nkeys tx prev keep;
         Engine.write_int tx prev n_next nleaf;
         let sep = key_at r nleaf 0 in
-        insert_upward tx t path sep nleaf;
-        count rem
+        insert_upward tx t c (c.depth - 1) sep nleaf
       end
       else begin
         let from = ref room in
         List.iter
           (fun cnt ->
-            let prev, path = path_to_rightmost r t in
+            let prev = descend r t c ~rightmost:true 0 (root_of r t) 0 in
             let nleaf = alloc_node tx ~node_cap:(node_cap t) ~leaf:true in
             fill nleaf 0 ~from:!from ~cnt;
             set_nkeys tx nleaf cnt;
             Engine.add tx prev;
             Engine.write_int tx prev n_next nleaf;
-            insert_upward tx t path (fst entries.(!from)) nleaf;
-            count cnt;
+            insert_upward tx t c (c.depth - 1) (fst entries.(!from)) nleaf;
             from := !from + cnt)
           (leaf_plan t rem)
       end
@@ -589,6 +592,21 @@ let append_sorted tx t entries =
 let leftmost_leaf r t =
   let rec go node = if is_leaf r node then node else go (ptr_at t r node 0) in
   go (root_of r t)
+
+(* The leaf holding the first key >= [key], without recording the path:
+   the descent of the committed-state walks below. *)
+let rec leaf_for r t key node =
+  if is_leaf r node then node
+  else leaf_for r t key (ptr_at t r node (child_index r node (nkeys r node) key))
+
+(* Number of keys: a walk of the leaf chain through the cost-free probe
+   reader, O(leaves). The count is derived state and is not persisted. *)
+let cardinal t =
+  let r = probe_reader t.engine in
+  let rec sum leaf acc =
+    if leaf = Heap.null then acc else sum (next_leaf r leaf) (acc + nkeys r leaf)
+  in
+  sum (leftmost_leaf r t) 0
 
 let iter t f =
   let r = peek_reader t.engine in
@@ -607,10 +625,6 @@ let iter t f =
    >= [lo], then follow the leaf chain until a key exceeds [hi]. The
    reader parameterizes committed-state vs in-transaction traversal. *)
 let fold_range_with r t ~lo ~hi ~init ~f =
-  let rec descend node =
-    if is_leaf r node then node
-    else descend (ptr_at t r node (child_index r node (nkeys r node) lo))
-  in
   let rec walk leaf acc =
     if leaf = Heap.null then acc
     else begin
@@ -628,7 +642,7 @@ let fold_range_with r t ~lo ~hi ~init ~f =
       if stop then acc else walk (next_leaf r leaf) acc
     end
   in
-  if lo > hi then init else walk (descend (root_of r t)) init
+  if lo > hi then init else walk (leaf_for r t lo (root_of r t)) init
 
 let fold_range t ~lo ~hi ~init ~f =
   fold_range_with (peek_reader t.engine) t ~lo ~hi ~init ~f
@@ -642,34 +656,42 @@ let range t ~lo ~hi f =
 (* Count-bounded scan (YCSB-E): descend once to the first key >= [lo],
    then walk the leaf chain, stopping as soon as [count] bindings have
    been visited — the charged cost is O(depth + count), independent of
-   how many records lie beyond the window. Returns the visited count. *)
+   how many records lie beyond the window. Returns the visited count.
+
+   A leaf's visited keys [start, start + m) are one charged load of
+   [8m] bytes and its pointers another, the rule [read_span] follows for
+   the bulk edits: the bytes are those of [m] word loads, the per-access
+   overhead is paid twice per leaf instead of twice per key. The words
+   themselves are then read through the probe path, so the walk allocates
+   nothing per leaf. [start] is non-zero only in the first leaf; later
+   leaves hold only keys >= lo, so re-running the binary search would
+   waste charged reads. Returns how many of [remaining] were not
+   visited. *)
+let rec scan_leaves t f leaf start remaining =
+  if leaf = Heap.null then remaining
+  else begin
+    let e = t.engine in
+    let m = min (Engine.peek_int e leaf n_nkeys - start) remaining in
+    if m > 0 then begin
+      let keys = keys_base + (8 * start) and ptrs = ptrs_base t.mk + (8 * start) in
+      Engine.peek_run e leaf keys (8 * m);
+      Engine.peek_run e leaf ptrs (8 * m);
+      for j = 0 to m - 1 do
+        f
+          (Engine.probe_int e leaf (keys + (8 * j)))
+          (Engine.probe_int e leaf (ptrs + (8 * j)))
+      done
+    end;
+    let remaining = remaining - m in
+    if remaining = 0 then 0 else scan_leaves t f (Engine.peek_int e leaf n_next) 0 remaining
+  end
+
 let scan t ~lo ~count f =
   if count <= 0 then 0
   else begin
     let r = peek_reader t.engine in
-    let rec descend node =
-      if is_leaf r node then node
-      else descend (ptr_at t r node (child_index r node (nkeys r node) lo))
-    in
-    let remaining = ref count in
-    (* [start] is non-zero only in the first leaf; later leaves hold only
-       keys >= lo, so re-running the binary search would waste charged
-       reads. *)
-    let rec walk leaf start =
-      if leaf <> Heap.null && !remaining > 0 then begin
-        let n = nkeys r leaf in
-        let i = ref start in
-        while !i < n && !remaining > 0 do
-          f (key_at r leaf !i) (ptr_at t r leaf !i);
-          decr remaining;
-          incr i
-        done;
-        if !remaining > 0 then walk (next_leaf r leaf) 0
-      end
-    in
-    let first = descend (root_of r t) in
-    walk first (lower_bound r first (nkeys r first) lo);
-    count - !remaining
+    let first = leaf_for r t lo (root_of r t) in
+    count - scan_leaves t f first (lower_bound r first (nkeys r first) lo) count
   end
 
 let iter_nodes t f =
@@ -763,7 +785,6 @@ let validate t =
   let heap = Engine.heap t.engine in
   let error = ref None in
   let fail fmt = Printf.ksprintf (fun s -> if !error = None then error := Some s) fmt in
-  let count = ref 0 in
   let leaves = ref [] in
   let root = root_of r t in
   (* Returns the depth of the subtree; checks ordering within (lo, hi]. *)
@@ -786,7 +807,6 @@ let validate t =
         if i > 0 && key_at r node (i - 1) >= k then fail "node %d keys out of order" node
       done;
       if is_leaf r node then begin
-        count := !count + n;
         leaves := node :: !leaves;
         1
       end
@@ -805,21 +825,16 @@ let validate t =
     end
   in
   ignore (check root ~lo:None ~hi:None ~is_root:true);
-  (* Leaf chain must visit exactly the leaves found by the tree walk, left
-     to right. *)
-  (match !error with
-  | Some _ -> ()
-  | None ->
-      let chain = ref [] in
-      let rec walk leaf =
-        if leaf <> Heap.null then begin
-          chain := leaf :: !chain;
-          walk (next_leaf r leaf)
-        end
-      in
-      walk (leftmost_leaf r t);
-      if List.sort compare !chain <> List.sort compare !leaves then
-        fail "leaf chain does not match tree leaves";
-      if !count <> cardinal t then
-        fail "descriptor count %d but leaves hold %d keys" (cardinal t) !count);
+  (* The leaf chain must visit exactly the tree walk's leaves, in key
+     order, and end after the last. The walk is bounded by the tree's
+     leaves, so a cyclic chain cannot hang it. *)
+  let rec follow leaf = function
+    | [] ->
+        if leaf <> Heap.null then fail "leaf chain continues past the last leaf to %d" leaf
+    | expected :: rest ->
+        if leaf <> expected then
+          fail "leaf chain reaches %d where the tree walk has leaf %d" leaf expected
+        else follow (next_leaf r leaf) rest
+  in
+  if !error = None then follow (leftmost_leaf r t) (List.rev !leaves);
   match !error with None -> Ok () | Some e -> Error e

@@ -11,8 +11,11 @@
     the undo-logging baseline expensive (a split undo-logs whole 4 KB
     nodes) and Kamino-Tx cheap (it logs three 24-byte intents).
 
-    A tree is named by the pointer of its {e descriptor object} (root
-    pointer + key count), typically stored as the heap root. *)
+    A tree is named by the pointer of its {e descriptor object}, typically
+    stored as the heap root. The descriptor holds the root pointer and the
+    node capacity. It keeps no key count: a count bumped by every insert
+    and delete would put the descriptor into every write set, so only a
+    root split or collapse writes it. *)
 
 type t
 
@@ -67,27 +70,40 @@ val delete : Kamino_core.Engine.tx -> t -> int -> Kamino_heap.Heap.ptr option
     (DESIGN.md §18). Only splits and merges, which find their nodes as
     they go, still declare mid-mutation. *)
 
-(** The leaf position of one key, from a single descent. It stays valid
-    until the tree is modified. *)
+(** The leaf position of one key and its ancestor path, from a single
+    descent. It stays valid until the tree is modified or the cursor is
+    sought again. *)
 type cursor
 
+(** [cursor ()] is an empty cursor, scratch for {!seek_into}. *)
+val cursor : unit -> cursor
+
+(** [seek_into tx t c key] descends once to [key]'s leaf and records the
+    position in [c], in place. Once [c] has held a path as deep as the
+    tree it allocates nothing, so a caller that keeps one cursor per
+    handle looks keys up allocation-free and, on a miss, inserts at the
+    same cursor without a second descent. *)
+val seek_into : Kamino_core.Engine.tx -> t -> cursor -> int -> unit
+
+(** [seek tx t key] is {!seek_into} on a fresh cursor. *)
 val seek : Kamino_core.Engine.tx -> t -> int -> cursor
 
-(** The value bound to the cursor's key, if any. *)
-val found : cursor -> Kamino_heap.Heap.ptr option
+(** The value bound to the cursor's key, [Heap.null] if none. Values are
+    persistent pointers, never null. *)
+val found : cursor -> Kamino_heap.Heap.ptr
 
-(** [declare_insert tx t c] declares the leaf and, when the key is absent,
-    the descriptor: everything a split-free {!insert_at} writes. *)
-val declare_insert : Kamino_core.Engine.tx -> t -> cursor -> unit
+(** [declare_insert tx c] declares the leaf: everything a split-free
+    {!insert_at} writes. *)
+val declare_insert : Kamino_core.Engine.tx -> cursor -> unit
 
 (** [insert_at tx t c value] is {!insert} at [c], whose intents
     {!declare_insert} already declared. *)
 val insert_at :
   Kamino_core.Engine.tx -> t -> cursor -> Kamino_heap.Heap.ptr -> Kamino_heap.Heap.ptr option
 
-(** [declare_delete tx t c] declares the leaf and the descriptor when the
-    key is present: everything a merge-free {!delete_at} writes. *)
-val declare_delete : Kamino_core.Engine.tx -> t -> cursor -> unit
+(** [declare_delete tx c] declares the leaf when the key is present:
+    everything a merge-free {!delete_at} writes. *)
+val declare_delete : Kamino_core.Engine.tx -> cursor -> unit
 
 (** [delete_at tx t c] is {!delete} at [c], whose intents
     {!declare_delete} already declared. *)
@@ -109,7 +125,9 @@ val append_sorted :
     Loaders use it to size per-transaction batches. *)
 val branching : t -> int
 
-(** Number of keys in the tree (maintained in the descriptor). *)
+(** Number of keys in the tree: O(leaves) introspection, a walk of the
+    leaf chain through the cost-free probe path (like {!depth}), so it
+    charges nothing. *)
 val cardinal : t -> int
 
 (** [iter t f] visits all bindings in ascending key order (committed
@@ -162,7 +180,9 @@ val max_key : t -> int option
 (** [scan t ~lo ~count f] visits up to [count] committed bindings with
     key [>= lo] in ascending order (the YCSB-E range query) and returns
     the number visited. Charged cost is O(depth + count) — the walk stops
-    at the count bound, never the end of the leaf chain. *)
+    at the count bound, never the end of the leaf chain. Past the descent,
+    each leaf costs its header loads plus two run loads: its visited keys
+    as one load and their pointers as another. *)
 val scan : t -> lo:int -> count:int -> (int -> Kamino_heap.Heap.ptr -> unit) -> int
 
 (** Height of the tree (1 = root is a leaf). *)
@@ -188,6 +208,6 @@ val stats : t -> stats
 
 (** [validate t] checks the B+Tree structural invariants on committed
     state: key ordering within and across nodes, uniform leaf depth,
-    minimum occupancy of non-root nodes, leaf-chain consistency, and that
-    [cardinal] matches the leaves. *)
+    minimum occupancy of non-root nodes, and that the leaf chain visits
+    exactly the tree's leaves in key order. *)
 val validate : t -> (unit, string) result

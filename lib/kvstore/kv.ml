@@ -2,7 +2,9 @@ module Heap = Kamino_heap.Heap
 module Engine = Kamino_core.Engine
 module Btree = Kamino_index.Btree
 
-type t = { engine : Engine.t; tree : Btree.t; value_size : int }
+(* [at] is the handle's lookup scratch: every transactional operation
+   descends into it once, and an insert or delete mutates at it. *)
+type t = { engine : Engine.t; tree : Btree.t; value_size : int; at : Btree.cursor }
 
 (* Store-descriptor object anchored at the heap root. *)
 let sd_tree = 0
@@ -22,13 +24,18 @@ let create engine ~value_size ~node_size =
       Engine.write_int tx sd sd_tree (Btree.descriptor tree);
       Engine.write_int tx sd sd_value_size value_size;
       Engine.set_root tx sd;
-      { engine; tree; value_size })
+      { engine; tree; value_size; at = Btree.cursor () })
 
 let reattach engine =
   let sd = Engine.root engine in
   if sd = Heap.null then failwith "Kv.reattach: heap has no root (store never created?)";
   let tree = Btree.attach engine (Engine.peek_int engine sd sd_tree) in
-  { engine; tree; value_size = Engine.peek_int engine sd sd_value_size }
+  {
+    engine;
+    tree;
+    value_size = Engine.peek_int engine sd sd_value_size;
+    at = Btree.cursor ();
+  }
 
 let engine t = t.engine
 
@@ -44,22 +51,31 @@ let write_value tx vptr value =
   Engine.write_int tx vptr v_len (String.length value);
   Engine.write_string tx vptr v_data value
 
+(* One descent per operation: [lookup] records the path in [t.at], and on
+   a miss [insert_at] runs at it. Returns the bound value, [Heap.null] if
+   none. *)
+let lookup tx t key =
+  Btree.seek_into tx t.tree t.at key;
+  Btree.found t.at
+
+(* Declaring the index leaf ahead of the value's allocation lets its
+   barrier cover the whole insert. *)
+let insert_at tx t value =
+  Btree.declare_insert tx t.at;
+  let vptr = Engine.alloc tx (v_data + t.value_size) in
+  write_value tx vptr value;
+  ignore (Btree.insert_at tx t.tree t.at vptr)
+
 let put_tx tx t key value =
   check_value t value;
-  match Btree.find_tx tx t.tree key with
-  | Some vptr ->
-      (* Update in place: the whole point of the comparison — undo logging
-         snapshots the 1 KB object here, Kamino-Tx logs a 24-byte intent. *)
-      Engine.add tx vptr;
-      write_value tx vptr value
-  | None ->
-      (* Declare the index leaf and descriptor ahead of the value's
-         allocation, so its barrier covers the whole insert. *)
-      let at = Btree.seek tx t.tree key in
-      Btree.declare_insert tx t.tree at;
-      let vptr = Engine.alloc tx (v_data + t.value_size) in
-      write_value tx vptr value;
-      ignore (Btree.insert_at tx t.tree at vptr)
+  let vptr = lookup tx t key in
+  if vptr = Heap.null then insert_at tx t value
+  else begin
+    (* Update in place: the whole point of the comparison — undo logging
+       snapshots the 1 KB object here, Kamino-Tx logs a 24-byte intent. *)
+    Engine.add tx vptr;
+    write_value tx vptr value
+  end
 
 let put t key value = Engine.with_tx t.engine (fun tx -> put_tx tx t key value)
 
@@ -92,12 +108,13 @@ let load t ~count ~key ~value =
 
 let get t key =
   Engine.with_tx t.engine (fun tx ->
-      match Btree.find_tx tx t.tree key with
-      | None -> None
-      | Some vptr ->
-          Engine.read_lock tx vptr;
-          let len = Engine.read_int tx vptr v_len in
-          Some (Engine.read_string tx vptr v_data len))
+      let vptr = lookup tx t key in
+      if vptr = Heap.null then None
+      else begin
+        Engine.read_lock tx vptr;
+        let len = Engine.read_int tx vptr v_len in
+        Some (Engine.read_string tx vptr v_data len)
+      end)
 
 (* Read-only lookup served from the backup image at the applier's
    watermark: tree traversal and value bytes all come from the snapshot,
@@ -127,39 +144,43 @@ let snapshot_get ?clock t key =
   | None -> get t key
 
 let delete_tx tx t key =
-  let at = Btree.seek tx t.tree key in
-  match Btree.found at with
-  | None -> false
-  | Some vptr ->
-      Btree.declare_delete tx t.tree at;
-      Engine.declare_free tx vptr;
-      ignore (Btree.delete_at tx t.tree at);
-      Engine.free tx vptr;
-      true
+  let vptr = lookup tx t key in
+  if vptr = Heap.null then false
+  else begin
+    Btree.declare_delete tx t.at;
+    Engine.declare_free tx vptr;
+    ignore (Btree.delete_at tx t.tree t.at);
+    Engine.free tx vptr;
+    true
+  end
 
 let delete t key = Engine.with_tx t.engine (fun tx -> delete_tx tx t key)
 
+(* Apply [f] in place to the value at [vptr]. *)
+let update_with tx t vptr f =
+  Engine.add tx vptr;
+  let len = Engine.read_int tx vptr v_len in
+  let value = f (Engine.read_string tx vptr v_data len) in
+  check_value t value;
+  write_value tx vptr value
+
 let read_modify_write t key f =
   Engine.with_tx t.engine (fun tx ->
-      match Btree.find_tx tx t.tree key with
-      | None -> false
-      | Some vptr ->
-          Engine.add tx vptr;
-          let len = Engine.read_int tx vptr v_len in
-          let value = f (Engine.read_string tx vptr v_data len) in
-          check_value t value;
-          write_value tx vptr value;
-          true)
+      let vptr = lookup tx t key in
+      if vptr = Heap.null then false
+      else begin
+        update_with tx t vptr f;
+        true
+      end)
 
 let rmw_tx tx t key f =
-  match Btree.find_tx tx t.tree key with
-  | Some vptr ->
-      Engine.add tx vptr;
-      let len = Engine.read_int tx vptr v_len in
-      let value = f (Engine.read_string tx vptr v_data len) in
-      check_value t value;
-      write_value tx vptr value
-  | None -> put_tx tx t key (f "")
+  let vptr = lookup tx t key in
+  if vptr <> Heap.null then update_with tx t vptr f
+  else begin
+    let value = f "" in
+    check_value t value;
+    insert_at tx t value
+  end
 
 let put_aborted t key value =
   check_value t value;

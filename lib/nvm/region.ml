@@ -243,6 +243,8 @@ let read_string t off len =
   record_load t off len;
   Bytes.sub_string t.volatile off len
 
+let charge_load t off len = record_load t off len
+
 let read_into t off dst pos len =
   if pos < 0 || len < 0 || pos + len > Bytes.length dst then
     invalid_arg "Region.read_into: destination range out of bounds";

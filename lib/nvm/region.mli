@@ -91,6 +91,13 @@ val read_byte : t -> int -> int
     (same load accounting, same bounds checks, caller-supplied buffer). *)
 val read_into : t -> int -> bytes -> int -> int -> unit
 
+(** [charge_load t off len] charges one load of [len] bytes at [off] —
+    the counters and simulated cost of {!read_bytes} — and copies
+    nothing. For a data path that loads a run of words at once and then
+    reads them with {!peek_int}: one load's overhead for the run, no
+    buffer allocated. Bounds-checked. *)
+val charge_load : t -> int -> int -> unit
+
 (** {2 Unchecked accessor}
 
     Identical to {!read_int} — same counters and simulated cost — except

@@ -200,9 +200,9 @@ let test_find_tx_sees_own_writes () =
       ignore (Btree.insert tx tree 77 123);
       Alcotest.(check (option int)) "visible in tx" (Some 123) (Btree.find_tx tx tree 77))
 
-(* A split-free insert declares its leaf and the descriptor before its
-   first write, so it costs one intent-log barrier; with [declare_insert]
-   run ahead of it, the insert appends no intent at all. *)
+(* A split-free insert declares its leaf before its first write, so it
+   costs one intent-log barrier; with [declare_insert] run ahead of it,
+   the insert appends no intent at all. *)
 let test_insert_barrier_budget () =
   let obs = Obs.create ~capacity:65536 () in
   let e = Engine.create ~config ~obs ~kind:Engine.Kamino_simple ~seed:99 () in
@@ -222,7 +222,7 @@ let test_insert_barrier_budget () =
       Alcotest.(check int) "one barrier per split-free insert" 1 (fences () - f0));
   Engine.drain_backup e;
   Engine.with_tx e (fun tx ->
-      Btree.declare_insert tx tree (Btree.seek tx tree 30);
+      Btree.declare_insert tx (Btree.seek tx tree 30);
       let n0 = intents () in
       ignore (Btree.insert tx tree 30 (v 30));
       Alcotest.(check int) "declared insert appends no intent" n0 (intents ()));
@@ -231,9 +231,9 @@ let test_insert_barrier_budget () =
     (List.map (Btree.find tree) [ 10; 20; 30 ]);
   check_validate tree "after declared inserts"
 
-(* The delete-side twin: a merge-free delete declares its leaf and the
-   descriptor up front (one barrier), and after [declare_delete] the
-   delete appends no intent. A root leaf never merges. *)
+(* The delete-side twin: a merge-free delete declares its leaf up front
+   (one barrier), and after [declare_delete] the delete appends no
+   intent. A root leaf never merges. *)
 let test_delete_barrier_budget () =
   let obs = Obs.create ~capacity:65536 () in
   let e = Engine.create ~config ~obs ~kind:Engine.Kamino_simple ~seed:99 () in
@@ -255,8 +255,8 @@ let test_delete_barrier_budget () =
   Engine.drain_backup e;
   Engine.with_tx e (fun tx ->
       let at = Btree.seek tx tree 30 in
-      Alcotest.(check (option int)) "cursor finds the key" (Some (v 30)) (Btree.found at);
-      Btree.declare_delete tx tree at;
+      Alcotest.(check int) "cursor finds the key" (v 30) (Btree.found at);
+      Btree.declare_delete tx at;
       let n0 = intents () in
       Alcotest.(check (option int)) "deleted at cursor" (Some (v 30)) (Btree.delete_at tx tree at);
       Alcotest.(check int) "declared delete appends no intent" n0 (intents ()));
@@ -265,6 +265,73 @@ let test_delete_barrier_budget () =
     (List.map (Btree.find tree) [ 10; 20; 30; 40 ]);
   Alcotest.(check int) "cardinal" 2 (Btree.cardinal tree);
   check_validate tree "after declared deletes"
+
+(* The intents an insert declares, as (offset, length) pairs. *)
+let intents_of obs f =
+  let before = ref 0 in
+  Obs.iter obs (fun ~kind ~track:_ ~ts:_ ~dur:_ ~a:_ ~b:_ ~c:_ ->
+      if kind = Obs.k_intent then incr before);
+  f ();
+  let seen = ref [] and i = ref 0 in
+  Obs.iter obs (fun ~kind ~track:_ ~ts:_ ~dur:_ ~a ~b ~c:_ ->
+      if kind = Obs.k_intent then begin
+        if !i >= !before then seen := (a, b) :: !seen;
+        incr i
+      end);
+  List.rev !seen
+
+(* The store's insert, plan then apply: one descent, the leaf declared,
+   the value allocated, the binding written. *)
+let store_insert tx tree key =
+  let at = Btree.seek tx tree key in
+  Btree.declare_insert tx at;
+  let vptr = Engine.alloc tx 64 in
+  ignore (Btree.insert_at tx tree at vptr);
+  vptr
+
+(* A split-free insert writes the leaf, the allocator word and the value
+   extent, and nothing else: the descriptor holds no count, so it is not
+   in the write set. A root split still declares it, for the root
+   pointer. *)
+let test_insert_write_set () =
+  let obs = Obs.create ~capacity:65536 () in
+  let e = Engine.create ~config ~obs ~kind:Engine.Kamino_simple ~seed:99 () in
+  let tree = Engine.with_tx e (fun tx -> Btree.create tx ~node_size:96) in
+  let heap = Engine.heap e in
+  let extent p =
+    let { Heap.off; len } = Heap.extent heap p in
+    (off, len)
+  in
+  let desc = extent (Btree.descriptor tree) in
+  let root_leaf () =
+    let nodes = ref [] in
+    Btree.iter_nodes tree (fun p -> nodes := p :: !nodes);
+    match !nodes with [ leaf; _desc ] -> leaf | _ -> Alcotest.fail "expected a root leaf"
+  in
+  let leaf = extent (root_leaf ()) in
+  let vptr = ref Heap.null in
+  let split_free =
+    intents_of obs (fun () -> Engine.with_tx e (fun tx -> vptr := store_insert tx tree 10))
+  in
+  Alcotest.(check int) "three intents" 3 (List.length split_free);
+  Alcotest.(check bool) "the leaf" true (List.mem leaf split_free);
+  Alcotest.(check bool) "the value extent" true (List.mem (extent !vptr) split_free);
+  Alcotest.(check bool) "no descriptor" false (List.mem desc split_free);
+  (* Fill the root leaf, then split it. *)
+  let mk = Btree.branching tree in
+  Engine.with_tx e (fun tx ->
+      for k = 11 to 9 + mk do
+        ignore (store_insert tx tree k)
+      done);
+  Alcotest.(check int) "root is a full leaf" 1 (Btree.height tree);
+  let split =
+    intents_of obs (fun () ->
+        Engine.with_tx e (fun tx -> ignore (store_insert tx tree 100)))
+  in
+  Alcotest.(check int) "the root split" 2 (Btree.height tree);
+  Alcotest.(check bool) "a root split declares the descriptor" true (List.mem desc split);
+  Alcotest.(check int) "cardinal" (mk + 1) (Btree.cardinal tree);
+  check_validate tree "after the root split"
 
 let test_abort_rolls_back_structure () =
   List.iter
@@ -458,6 +525,101 @@ let test_scan_count_bounded () =
   Alcotest.(check int) "count 0" 0 (fst (collect 0 0));
   Alcotest.(check int) "lo past max" 0 (fst (collect 1000 5))
 
+(* A scan's charged loads past its descent: per leaf, the header words
+   (its key count, and the previous leaf's next pointer) and two run
+   loads, its visited keys and their pointers. A one-key scan from [lo]
+   is the descent plus the first leaf's header and runs, so a scan of m
+   keys inside that leaf costs the same loads and 16 (m - 1) more bytes,
+   and each further leaf adds exactly four loads. 100 appended keys
+   with node_size 96 (4 keys per node) make 25 leaves of keys
+   [4j, 4j + 4). *)
+let test_scan_loads () =
+  let e, tree = make () in
+  Engine.with_tx e (fun tx ->
+      Btree.append_sorted tx tree (Array.init 100 (fun i -> (i, v i))));
+  Alcotest.(check int) "4 keys per node" 4 (Btree.branching tree);
+  Alcotest.(check int) "25 leaves" 25 (Btree.stats tree).Btree.leaf_nodes;
+  let cost ~lo ~count =
+    let c0 = Engine.main_counters e in
+    let n = Btree.scan tree ~lo ~count (fun _ _ -> ()) in
+    Alcotest.(check int) (Printf.sprintf "scan %d from %d: visited" count lo) count n;
+    let c1 = Engine.main_counters e in
+    (c1.Region.loads - c0.Region.loads, c1.Region.bytes_loaded - c0.Region.bytes_loaded)
+  in
+  let check ~lo ~count ~leaves =
+    let base_loads, base_bytes = cost ~lo ~count:1 in
+    let loads, bytes = cost ~lo ~count in
+    let ctx = Printf.sprintf "scan %d from %d" count lo in
+    Alcotest.(check bool) (ctx ^ ": the descent is charged") true (base_loads > 2);
+    Alcotest.(check int) (ctx ^ ": loads") (base_loads + (4 * (leaves - 1))) loads;
+    Alcotest.(check int) (ctx ^ ": bytes")
+      (base_bytes + (16 * (count - 1)) + (16 * (leaves - 1)))
+      bytes
+  in
+  check ~lo:4 ~count:4 ~leaves:1;
+  check ~lo:5 ~count:2 ~leaves:1;
+  check ~lo:4 ~count:12 ~leaves:3;
+  check ~lo:6 ~count:7 ~leaves:3;
+  check ~lo:0 ~count:100 ~leaves:25
+
+(* Scan against the fold it must agree with: on random trees shaped by
+   inserts, deletes, splits and merges, [scan ~lo ~count] is the first
+   [count] bindings of [fold_range] from [lo], for every [lo] (so every
+   start offset in every leaf) and counts that stop inside a leaf, at its
+   end, and past the last key. *)
+let scan_qcheck =
+  QCheck.Test.make ~name:"scan is a prefix of fold_range" ~count:30
+    QCheck.(list_of_size (Gen.int_range 0 150) (pair (int_range 0 200) bool))
+    (fun ops ->
+      let e, tree = make () in
+      List.iteri
+        (fun i (k, ins) ->
+          Engine.with_tx e (fun tx ->
+              if ins || i mod 3 = 0 then ignore (Btree.insert tx tree k (v k))
+              else ignore (Btree.delete tx tree k)))
+        ops;
+      let rec take n = function x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> [] in
+      let ok = ref (Btree.validate tree = Ok ()) in
+      for lo = -1 to 201 do
+        let all =
+          List.rev
+            (Btree.fold_range tree ~lo ~hi:max_int ~init:[] ~f:(fun acc k p ->
+                 (k, p) :: acc))
+        in
+        List.iter
+          (fun count ->
+            let seen = ref [] in
+            let n = Btree.scan tree ~lo ~count (fun k p -> seen := (k, p) :: !seen) in
+            let want = take count all in
+            if n <> List.length want || List.rev !seen <> want then ok := false)
+          [ 0; 1; 2; 3; 5; 6; 7; 13; 400 ]
+      done;
+      !ok)
+
+(* The leaf chain must visit the tree's leaves in key order. Swapping
+   two adjacent leaves in the chain keeps the set of leaves and every
+   key count, so only the order check can see it. Nodes lay out their
+   flags word at 0 (1 for a leaf) and the next-leaf pointer at 16. *)
+let test_validate_chain_order () =
+  let e, tree = make () in
+  Engine.with_tx e (fun tx ->
+      Btree.append_sorted tx tree (Array.init 40 (fun i -> (i, v i))));
+  check_validate tree "before";
+  let leaves = ref [] in
+  Btree.iter_nodes tree (fun p ->
+      if p <> Btree.descriptor tree && Engine.probe_int e p 0 = 1 then
+        leaves := p :: !leaves);
+  match List.rev !leaves with
+  | l0 :: l1 :: l2 :: l3 :: _ ->
+      let r = Engine.main_region e in
+      Region.write_int r (l0 + 16) l2;
+      Region.write_int r (l2 + 16) l1;
+      Region.write_int r (l1 + 16) l3;
+      Alcotest.(check int) "every key still counted" 40 (Btree.cardinal tree);
+      Alcotest.(check bool) "a mis-ordered chain fails validate" true
+        (Result.is_error (Btree.validate tree))
+  | _ -> Alcotest.fail "expected at least four leaves"
+
 let test_depth_and_stats () =
   let e, tree = make () in
   let entries = Array.init 200 (fun i -> (i, v i)) in
@@ -510,6 +672,8 @@ let () =
             test_insert_barrier_budget;
           Alcotest.test_case "one barrier per merge-free delete" `Quick
             test_delete_barrier_budget;
+          Alcotest.test_case "an insert's write set has no descriptor" `Quick
+            test_insert_write_set;
           Alcotest.test_case "attach after reopen" `Quick test_attach_after_reopen;
         ] );
       ( "bulk",
@@ -518,8 +682,11 @@ let () =
           Alcotest.test_case "append_sorted rejects bad input" `Quick
             test_append_rejects_bad_input;
           Alcotest.test_case "count-bounded scan" `Quick test_scan_count_bounded;
+          Alcotest.test_case "scan loads each leaf's runs once" `Quick test_scan_loads;
           Alcotest.test_case "depth and stats are cost-free" `Quick
             test_depth_and_stats;
+          Alcotest.test_case "validate checks the leaf chain's order" `Quick
+            test_validate_chain_order;
         ] );
       ( "properties",
         [
@@ -530,6 +697,7 @@ let () =
             (model_qcheck (Engine.Kamino_dynamic { alpha = 0.4; policy = Backup.Lru_policy }));
           QCheck_alcotest.to_alcotest (fold_range_qcheck Engine.Undo_logging);
           QCheck_alcotest.to_alcotest (fold_range_qcheck Engine.Kamino_simple);
+          QCheck_alcotest.to_alcotest scan_qcheck;
           QCheck_alcotest.to_alcotest (crash_qcheck Engine.Undo_logging);
           QCheck_alcotest.to_alcotest (crash_qcheck Engine.Kamino_simple);
           QCheck_alcotest.to_alcotest

@@ -16,43 +16,49 @@ let run_cli args =
   (rc, List.filter (fun l -> l <> "") lines)
 
 (* (seed, verdict, events, submitted, acked, reads, stale drops,
-   survivor count) of [explore] with the default 40 ops and 6 faults. *)
+   survivor count) of [explore] with the default 40 ops and 6 faults.
+   Re-recorded when the B+Tree stopped persisting its key count: a put
+   that inserts got shorter in simulated time, so faults land at other
+   points of the op stream and the event, ack and stale-drop counts of
+   some seeds moved. Every verdict stayed PASS. *)
 let chain_pins =
   [
     ( "kamino",
       [
-        (1, "PASS", 200, 23, 23, 17, 25, 2);
+        (1, "PASS", 204, 23, 23, 17, 25, 2);
         (2, "PASS", 282, 26, 26, 14, 1, 4);
         (3, "PASS", 300, 22, 22, 18, 2, 4);
         (4, "PASS", 259, 25, 24, 15, 20, 3);
         (5, "PASS", 231, 25, 25, 15, 13, 3);
-        (6, "PASS", 202, 23, 23, 17, 12, 3);
-        (7, "PASS", 301, 29, 25, 11, 69, 2);
-        (8, "PASS", 285, 22, 22, 18, 28, 3);
+        (6, "PASS", 199, 23, 23, 17, 12, 3);
+        (7, "PASS", 300, 29, 25, 11, 68, 2);
+        (8, "PASS", 280, 22, 22, 18, 29, 3);
       ] );
     ( "traditional",
       [
-        (1, "PASS", 94, 23, 6, 17, 23, 2);
-        (2, "PASS", 275, 26, 26, 14, 1, 3);
-        (3, "PASS", 206, 22, 22, 18, 2, 3);
-        (4, "PASS", 215, 25, 25, 15, 25, 2);
-        (5, "PASS", 205, 25, 25, 15, 27, 2);
+        (1, "PASS", 98, 23, 7, 17, 23, 2);
+        (2, "PASS", 286, 26, 26, 14, 1, 3);
+        (3, "PASS", 210, 22, 22, 18, 2, 3);
+        (4, "PASS", 234, 25, 25, 15, 27, 2);
+        (5, "PASS", 205, 25, 25, 15, 26, 2);
         (6, "PASS", 147, 23, 23, 17, 29, 2);
-        (7, "PASS", 190, 29, 29, 11, 16, 2);
-        (8, "PASS", 137, 22, 12, 18, 47, 2);
+        (7, "PASS", 184, 29, 29, 11, 15, 2);
+        (8, "PASS", 144, 22, 13, 18, 48, 2);
       ] );
   ]
 
 (* (seed, events, fingerprint) of the default 3-shard cluster campaign.
    The fingerprints were re-recorded when the heap went to four size
    classes per power of two, which moves every engine's heap image; the
-   event counts did not move. *)
+   event counts did not move. They were re-recorded again when the
+   B+Tree stopped persisting its key count (the descriptor's count word
+   stays 0, and inserts got shorter); the event counts did not move. *)
 let cluster_pins =
   [
-    (1, 204, "f3d3c34b2432d6110c813d0d263eac9d");
-    (2, 205, "63298cd3784205548743e452073c697d");
-    (3, 175, "c792befdb16777adaac2e42a3d25a181");
-    (4, 195, "3ee0da493affd65ec4e605fc5481ff33");
+    (1, 204, "6b36fadaf73e6ff6125e51a93a6af2e5");
+    (2, 205, "ab769e44171a64824138af34c1865ee6");
+    (3, 175, "cfe593db122beda5a036ddbcc7214a48");
+    (4, 195, "2f0f4693a6c1c65ed9af38925cc8d6a3");
   ]
 
 let test_chain_pins () =

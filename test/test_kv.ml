@@ -68,7 +68,16 @@ let test_rmw () =
       Alcotest.(check (option string)) (name ^ ": rmw applied") (Some "counter:0+1")
         (Kv.get kv 5);
       Alcotest.(check bool) (name ^ ": rmw absent") false
-        (Kv.read_modify_write kv 99 Fun.id))
+        (Kv.read_modify_write kv 99 Fun.id);
+      (* [rmw_tx] inserts [f ""] at an absent key. *)
+      Engine.with_tx (Kv.engine kv) (fun tx -> Kv.rmw_tx tx kv 99 (fun s -> s ^ "fresh"));
+      Engine.with_tx (Kv.engine kv) (fun tx -> Kv.rmw_tx tx kv 5 (fun s -> s ^ "+2"));
+      Alcotest.(check (option string)) (name ^ ": rmw_tx inserted") (Some "fresh")
+        (Kv.get kv 99);
+      Alcotest.(check (option string)) (name ^ ": rmw_tx updated") (Some "counter:0+1+2")
+        (Kv.get kv 5);
+      Alcotest.(check int) (name ^ ": size") 2 (Kv.size kv);
+      Alcotest.(check bool) (name ^ ": valid") true (Kv.validate kv = Ok ()))
 
 let test_value_size_enforced () =
   let kv = make () in
@@ -134,6 +143,36 @@ let test_fence_budget () =
   Alcotest.(check (option string)) "deleted" None (Kv.get kv 2);
   Alcotest.(check bool) "valid" true (Kv.validate kv = Ok ())
 
+(* An update descends once, into the handle's cursor, and reads what a
+   committed lookup reads: its loads are [Btree.find]'s ([Kv.value_ptr])
+   plus the value write's. The same transaction with the lookup done
+   before it isolates the write's share. *)
+let test_update_loads () =
+  let kv = make () in
+  let e = Kv.engine kv in
+  for k = 0 to 199 do
+    Kv.put kv k "v"
+  done;
+  let loads f =
+    Engine.drain_backup e;
+    let before = (Engine.main_counters e).Region.loads in
+    let r = f () in
+    ((Engine.main_counters e).Region.loads - before, r)
+  in
+  let find, vptr = loads (fun () -> Kv.value_ptr kv 77) in
+  let vptr = Option.get vptr in
+  let write, () =
+    loads (fun () ->
+        Engine.with_tx e (fun tx ->
+            Engine.add tx vptr;
+            Engine.write_int tx vptr 0 (String.length "w");
+            Engine.write_string tx vptr 8 "w"))
+  in
+  let put, () = loads (fun () -> Kv.put kv 77 "w") in
+  Alcotest.(check bool) "the lookup charges loads" true (find > 0);
+  Alcotest.(check int) "put = find + value write" (find + write) put;
+  Alcotest.(check (option string)) "updated" (Some "w") (Kv.get kv 77)
+
 let test_crash_recover () =
   for_each atomic_kinds (fun name kv ->
       let e = Kv.engine kv in
@@ -179,7 +218,9 @@ let test_mixed_workload_with_crashes () =
         if round mod 60 = 0 then begin
           Engine.crash e;
           Engine.recover e;
-          kv := Kv.reattach e
+          kv := Kv.reattach e;
+          Alcotest.(check int) (name ^ ": size after recovery") (M.cardinal !model)
+            (Kv.size !kv)
         end
       done;
       M.iter
@@ -204,6 +245,7 @@ let () =
           Alcotest.test_case "range scan" `Quick test_range;
           Alcotest.test_case "many keys" `Quick test_many_keys;
           Alcotest.test_case "three fences per put and delete" `Quick test_fence_budget;
+          Alcotest.test_case "an update loads what a lookup loads" `Quick test_update_loads;
         ] );
       ( "durability",
         [
