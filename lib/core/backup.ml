@@ -19,7 +19,7 @@ type dynamic = {
   mutable bump : int; (* first never-carved byte of [slots] *)
   mutable free : free_list array; (* one per slot length seen; a handful *)
   table : Phash.t;
-  lru : Lru.t;
+  lru : Lru.t; (* the resident map: one node per table entry *)
   policy : policy;
   mutable hits : int;
   mutable misses : int;
@@ -118,16 +118,16 @@ let reopen t =
   | Full region -> Full region
   | Dynamic d ->
       (* The table is the persistent truth. One pass re-enters every
-         resident key into the recency queue, so it stays evictable, and
-         puts the bump pointer past the last mapped slot. Slots that were
-         free or unpublished at the crash stay unused until the next
-         reopen. *)
+         entry into the resident map, with its slot word and bucket, so it
+         stays evictable, and puts the bump pointer past the last mapped
+         slot. Slots that were free or unpublished at the crash stay
+         unused until the next reopen. *)
       let table = Phash.open_existing (Phash.region d.table) in
       let lru = Lru.create ~size_hint:(Phash.capacity table) () in
       let bump = ref 0 in
-      Phash.iter table (fun ~key ~value ->
+      Phash.iter table (fun ~key ~value ~bucket ->
           bump := max !bump (slot_of value + slot_bytes (len_of value));
-          Lru.touch lru key);
+          Lru.add lru key ~slot:value ~bucket);
       Dynamic
         { d with bump = !bump; free = [||]; table; lru; hits = 0; misses = 0; evictions = 0 }
 
@@ -139,15 +139,20 @@ let initialize_full t ~main =
       Region.persist_all region
   | Dynamic _ -> ()
 
-(* Evict the recency queue's victim: one probe finds its mapping and
-   tombstones it, flushed but not fenced. Returns the victim's packed
-   slot, or [-1] when every resident copy is pinned. *)
+(* Forget a resident copy: tombstone the bucket its node remembers,
+   flushed but not fenced. Returns the packed slot, or [-1] if the table
+   does not hold the key (should not happen). *)
+let take d n =
+  Lru.remove d.lru n;
+  Phash.take_at d.table ~key:(Lru.key n) ~bucket:(Lru.bucket n)
+
+(* Evict the recency queue's victim. Returns its packed slot, or [-1]
+   when every resident copy is pinned. *)
 let rec evict_unpinned d ~locked =
   match Lru.evict_candidate d.lru ~locked with
   | None -> -1
-  | Some key ->
-      Lru.remove d.lru key;
-      let packed = Phash.take d.table ~key in
+  | Some n ->
+      let packed = take d n in
       (* A key the table does not know (should not happen): try the next. *)
       if packed < 0 then evict_unpinned d ~locked
       else begin
@@ -164,7 +169,7 @@ let evict_relieved d ~locked ~pressure ~what =
   pressure ();
   match evict_unpinned d ~locked with
   | -1 ->
-      Region.fence (Phash.region d.table);
+      Phash.fence d.table;
       failwith what
   | packed -> packed
 
@@ -211,12 +216,21 @@ and recycle d fl ~locked ~pressure victim =
        One more fence makes this victim's tombstone durable, so its slot
        serves now, and the next unpinned victim, if it has this length, is
        parked as the spare. *)
-    Region.fence (Phash.region d.table);
+    Phash.fence d.table;
     (match evict_unpinned d ~locked with
     | -1 -> ()
     | next when slot_bytes (len_of next) = fl.bytes -> fl.spare <- slot_of next
     | next -> release d next);
     slot_of victim
+  end
+
+(* Durably forget a resident copy: its freed slot may take a copy at
+   once, so the tombstone is fenced. *)
+let drop_node d n =
+  let packed = take d n in
+  if packed >= 0 then begin
+    Phash.fence d.table;
+    release d packed
   end
 
 (* Forget the resident copy for a range whose object identity has died —
@@ -225,22 +239,23 @@ and recycle d fl ~locked ~pressure victim =
 let drop t ~off =
   match t with
   | Full _ -> ()
-  | Dynamic d ->
-      let packed = Phash.take d.table ~key:off in
-      if packed >= 0 then begin
-        (* The freed slot may take a copy at once: fence the tombstone. *)
-        Region.fence (Phash.region d.table);
-        release d packed;
-        Lru.remove d.lru off
-      end
+  | Dynamic d -> (
+      match Lru.find d.lru off with n -> drop_node d n | exception Not_found -> ())
 
-(* Publish a mapping, shedding residents if the look-up table itself is the
-   bottleneck. [Phash.Overload] only fires when the table region has no
-   growth headroom left; evicting one entry leaves a reusable tombstone,
-   fenced before the retry may publish into its bucket. *)
+(* Publish a mapping and return its bucket, shedding residents if the
+   look-up table itself is the bottleneck. [Phash.Overload] only fires
+   when the table region has no growth headroom left; evicting one entry
+   leaves a reusable tombstone, fenced before the retry may publish into
+   its bucket. An insert that arms a resize makes every remembered bucket
+   stale once the migration completes, so the map forgets them all; the
+   inserts that migrate return [-1]. *)
 let rec publish_mapping d ~key ~value ~locked ~pressure =
+  let resizing = Phash.resizing d.table in
   match Phash.insert d.table ~key ~value with
-  | () -> ()
+  | bucket ->
+      if Phash.resizing d.table && not resizing then
+        Lru.iter d.lru (fun n -> Lru.set_bucket n (-1));
+      bucket
   | exception Phash.Overload _ ->
       release d
         (match evict_unpinned d ~locked with
@@ -250,47 +265,59 @@ let rec publish_mapping d ~key ~value ~locked ~pressure =
                 "Backup: dynamic look-up table exhausted — every resident copy is \
                  locked and the table region cannot grow"
         | victim -> victim);
-      Region.fence (Phash.region d.table);
+      Phash.fence d.table;
       publish_mapping d ~key ~value ~locked ~pressure
+
+(* A miss: copy the range into a slot and publish its mapping. *)
+let fill d ~main ~off ~len ~locked ~pressure =
+  d.misses <- d.misses + 1;
+  let slot = acquire_slot d (free_list d (slot_bytes len)) ~locked ~pressure in
+  (* One fence per miss. The copy need only be durable before the key
+     word that publishes it, so it is flushed without a fence of its own:
+     the fence Phash's insert issues for the value word orders it, and the
+     victim's tombstone too. Until the key lands the bucket is free, and
+     every reader skips it, so any subset of the copy's lines may reach
+     the medium. The key word is flushed only; the intent-log barrier that
+     precedes the transaction's first in-place write makes it durable
+     (DESIGN.md par17). *)
+  Region.copy_between ~src:main ~src_off:off ~dst:d.slots ~dst_off:slot ~len;
+  Region.flush d.slots slot len;
+  let value = pack_slot ~slot ~len in
+  let bucket = publish_mapping d ~key:off ~value ~locked ~pressure in
+  Lru.add d.lru off ~slot:value ~bucket
 
 let ensure_copy t ~main ~off ~len ~locked ~pressure =
   match t with
   | Full _ -> ()
-  | Dynamic d ->
-      let packed = Phash.find_or d.table ~key:off ~default:(-1) in
-      if packed >= 0 && len_of packed = len then begin
-        d.hits <- d.hits + 1;
-        (* FIFO ablation: recency is insertion order only. *)
-        if d.policy = Lru_policy then Lru.touch d.lru off
-      end
-      else begin
-        (* The same address hosts a different-sized object now (its
-           previous allocation was rolled back by an abort or crash). The
-           stale copy is useless — and copying the new extent into the
-           undersized slot would corrupt its neighbours. *)
-        if packed >= 0 then drop t ~off;
-        d.misses <- d.misses + 1;
-        let slot = acquire_slot d (free_list d (slot_bytes len)) ~locked ~pressure in
-        (* One fence per miss. The copy need only be durable before the
-           key word that publishes it, so it is flushed without a fence of
-           its own: the fence Phash's insert issues for the value word
-           orders it, and the victim's tombstone too. Until the key lands
-           the bucket is free, and every reader skips it, so any subset of
-           the copy's lines may reach the medium. The key word is flushed
-           only; the intent-log barrier that precedes the transaction's
-           first in-place write makes it durable (DESIGN.md par17). *)
-        Region.copy_between ~src:main ~src_off:off ~dst:d.slots ~dst_off:slot ~len;
-        Region.flush d.slots slot len;
-        publish_mapping d ~key:off ~value:(pack_slot ~slot ~len) ~locked ~pressure;
-        Lru.touch d.lru off
-      end
+  | Dynamic d -> (
+      match Lru.find d.lru off with
+      | n when len_of (Lru.slot n) = len ->
+          d.hits <- d.hits + 1;
+          (* FIFO ablation: recency is insertion order only. *)
+          if d.policy = Lru_policy then Lru.touch d.lru n
+      | n ->
+          (* The same address hosts a different-sized object now (its
+             previous allocation was rolled back by an abort or crash).
+             The stale copy is useless — and copying the new extent into
+             the undersized slot would corrupt its neighbours. *)
+          drop_node d n;
+          fill d ~main ~off ~len ~locked ~pressure
+      | exception Not_found -> fill d ~main ~off ~len ~locked ~pressure)
 
 let is_full t = match t with Full _ -> true | Dynamic _ -> false
 
 let has_copy t ~off =
-  match t with
-  | Full _ -> true
-  | Dynamic d -> Phash.find_or d.table ~key:off ~default:(-1) >= 0
+  match t with Full _ -> true | Dynamic d -> Option.is_some (Phash.find d.table ~key:off)
+
+(* The resident copy of exactly [(off, len)]; [what] names the caller in
+   the failure. *)
+let resident_slot d ~off ~len ~what =
+  let packed = Lru.slot (Lru.find d.lru off) in
+  if len_of packed <> len then
+    failwith
+      (Printf.sprintf "Backup.%s: resident copy at %d has length %d, range has %d" what off
+         (len_of packed) len);
+  slot_of packed
 
 (* Copy and flush only; [settle] fences the batch. *)
 let propagate t ~main ~off ~len =
@@ -299,19 +326,15 @@ let propagate t ~main ~off ~len =
       Region.copy_between ~src:main ~src_off:off ~dst:region ~dst_off:off ~len;
       Region.flush region off len
   | Dynamic d ->
-      let packed = Phash.find_or d.table ~key:off ~default:(-1) in
-      if packed < 0 then
-        failwith
-          (Printf.sprintf
-             "Backup.propagate: no resident copy for range at %d — locking \
-              discipline violated"
-             off);
-      if len_of packed <> len then
-        failwith
-          (Printf.sprintf
-             "Backup.propagate: resident copy at %d has length %d, range has %d"
-             off (len_of packed) len);
-      let slot = slot_of packed in
+      let slot =
+        try resident_slot d ~off ~len ~what:"propagate"
+        with Not_found ->
+          failwith
+            (Printf.sprintf
+               "Backup.propagate: no resident copy for range at %d — locking \
+                discipline violated"
+               off)
+      in
       Region.copy_between ~src:main ~src_off:off ~dst:d.slots ~dst_off:slot ~len;
       Region.flush d.slots slot len
 
@@ -324,20 +347,13 @@ let roll_back t ~main ~off ~len =
       Region.copy_between ~src:region ~src_off:off ~dst:main ~dst_off:off ~len;
       Region.persist main off len;
       true
-  | Dynamic d ->
-      let packed = Phash.find_or d.table ~key:off ~default:(-1) in
-      if packed < 0 then false
-      else begin
-        if len_of packed <> len then
-          failwith
-            (Printf.sprintf
-               "Backup.roll_back: resident copy at %d has length %d, range has %d" off
-               (len_of packed) len);
-        Region.copy_between ~src:d.slots ~src_off:(slot_of packed) ~dst:main ~dst_off:off
-          ~len;
-        Region.persist main off len;
-        true
-      end
+  | Dynamic d -> (
+      match resident_slot d ~off ~len ~what:"roll_back" with
+      | exception Not_found -> false
+      | slot ->
+          Region.copy_between ~src:d.slots ~src_off:slot ~dst:main ~dst_off:off ~len;
+          Region.persist main off len;
+          true)
 
 let hits t = match t with Full _ -> 0 | Dynamic d -> d.hits
 
@@ -369,6 +385,25 @@ let dump_mapping t =
   | Full _ -> []
   | Dynamic d ->
       let acc = ref [] in
-      Phash.iter d.table (fun ~key ~value ->
+      Phash.iter d.table (fun ~key ~value ~bucket:_ ->
           acc := (key, slot_of value, len_of value) :: !acc);
       List.sort compare !acc
+
+let check_resident t =
+  match t with
+  | Full _ -> Ok ()
+  | Dynamic d ->
+      let resident = ref [] in
+      Lru.iter d.lru (fun n -> resident := (Lru.key n, Lru.slot n, Lru.bucket n) :: !resident);
+      let show (k, v, b) = Printf.sprintf "(key %d, slot word %#x, bucket %d)" k v b in
+      (* Both lists are sorted by key; a remembered bucket may be unknown. *)
+      let rec agree = function
+        | [], [] -> Ok ()
+        | ((k, v, b) :: rs, (k', v', b') :: es) when k = k' && v = v' && (b = -1 || b = b') ->
+            agree (rs, es)
+        | r :: _, e :: _ ->
+            Error (Printf.sprintf "resident map has %s, the table %s" (show r) (show e))
+        | r :: _, [] -> Error (show r ^ " is in the resident map only")
+        | [], e :: _ -> Error (show e ^ " is in the table only")
+      in
+      agree (List.sort compare !resident, Phash.entries d.table)

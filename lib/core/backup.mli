@@ -9,14 +9,18 @@
     A dynamic backup holds copies of only the most frequently modified
     objects in a region of size [alpha * heap]: a persistent look-up table
     ({!Phash}: main offset -> packed slot offset and copy length), a
-    volatile slot allocator and a volatile recency queue ({!Lru}). A copy
+    volatile slot allocator and a volatile resident map ({!Lru}), the
+    recency queue whose node for each resident copy keeps the table's
+    value and the bucket holding it. Hits, propagation and roll-back read
+    the map and never probe the table; an eviction tombstones the bucket
+    its node remembers ({!Phash.take_at}). A copy
     of [len] bytes takes a headerless slot of [len] rounded up to 16 bytes;
     freed slots are reused by copies of the same rounded length. A miss on
     a full region evicts one victim ahead: it copies into the slot an
     earlier eviction of that length parked as the spare, and parks its own
     victim's slot, so a full region holds one spare per length. The table
-    alone is durable: {!reopen} rebuilds the allocator and the queue from
-    it. When a transaction locks an object
+    alone is durable: {!reopen} rebuilds the allocator and the resident
+    map from it. When a transaction locks an object
     with no resident copy, the copy is created {e on demand, in the
     critical path} — the latency/storage trade-off the paper evaluates in
     Figures 14-16. The eviction policy is pluggable (LRU per the paper,
@@ -42,7 +46,8 @@ val create_dynamic :
   t
 
 (** Re-attach after a crash: reopens the persistent look-up table (dynamic)
-    and rebuilds the volatile state from it. *)
+    and rebuilds the volatile state, the slot allocator and the resident
+    map, from one walk of it. *)
 val reopen : t -> t
 
 (** [initialize_full t ~main] copies the freshly formatted main heap into a
@@ -55,15 +60,18 @@ val initialize_full : t -> main:Kamino_nvm.Region.t -> unit
     copy is pinned, [pressure] is invoked once (the engine drains the
     backup applier, unpinning committed-but-unapplied copies) before a
     final retry; only if that fails too does the call raise [Failure] —
-    the working set genuinely exceeds [alpha * heap]. Charges all work to
-    the current clock — this is the dynamic variant's critical-path miss
-    cost. A miss issues one fence, evicting or not: the copy, the mapping's
-    value word and any victim's tombstone are flushed, then fenced once.
-    The mapping's key word, the commit point, is flushed only, so the copy
-    is durable at the caller's next fence; the engine's intent-log barrier
-    before the first in-place write is that fence. The first eviction on a
-    full region has no spare and fences once more to reuse its victim's
-    slot (DESIGN.md par17). *)
+    the working set genuinely exceeds [alpha * heap]. A hit reads the
+    resident map only: no table probe, no simulated ns. Charges all work
+    to the current clock — this is the dynamic variant's critical-path
+    miss cost: one table probe to publish the mapping, and none to evict,
+    which tombstones the victim's remembered bucket. A miss issues one
+    fence, evicting or not: the copy, the mapping's value word and any
+    victim's tombstone are flushed, then fenced once. The mapping's key
+    word, the commit point, is flushed only, so the copy is durable at the
+    caller's next fence; the engine's intent-log barrier before the first
+    in-place write is that fence. The first eviction on a full region has
+    no spare and fences once more to reuse its victim's slot (DESIGN.md
+    par17). *)
 val ensure_copy :
   t ->
   main:Kamino_nvm.Region.t ->
@@ -86,8 +94,8 @@ val full_region : t -> Kamino_nvm.Region.t option
     [(off, len)] matches. *)
 val is_full : t -> bool
 
-(** [has_copy t ~off] — does a resident copy exist for the range starting
-    at [off]? Always true for full backups. *)
+(** [has_copy t ~off] — does the look-up table map the range starting at
+    [off]? Always true for full backups. *)
 val has_copy : t -> off:int -> bool
 
 (** [drop t ~off] durably forgets the resident copy for the range at
@@ -101,7 +109,8 @@ val drop : t -> off:int -> unit
     transaction propagating) and flushes the copied lines, full or dynamic
     alike. They are durable once {!settle} fences the backup: the applier
     and recovery propagate every range of a batch (or record), then settle
-    once, before releasing any intent-log slot. Raises [Failure] for a
+    once, before releasing any intent-log slot. A dynamic backup finds the
+    slot in its resident map, with no table probe. Raises [Failure] for a
     dynamic backup with no resident copy of exactly [(off, len)] — the
     engine's locking discipline makes that unreachable. *)
 val propagate : t -> main:Kamino_nvm.Region.t -> off:int -> len:int -> unit
@@ -112,8 +121,9 @@ val propagate : t -> main:Kamino_nvm.Region.t -> off:int -> len:int -> unit
 val settle : t -> unit
 
 (** [roll_back t ~main ~off ~len] copies backup -> main and persists the
-    main range (an aborted or incomplete transaction being undone). For a
-    dynamic backup, a missing copy is a no-op returning [false]: the crash
+    main range (an aborted or incomplete transaction being undone). A
+    dynamic backup finds the slot in its resident map, which {!reopen}
+    rebuilt from the table; a missing copy is a no-op returning [false]: the crash
     happened before the transaction's first write to that range, so main is
     untouched there. *)
 val roll_back : t -> main:Kamino_nvm.Region.t -> off:int -> len:int -> bool
@@ -140,3 +150,9 @@ val copy_matches : ?len:int -> t -> main:Kamino_nvm.Region.t -> off:int -> bool 
 (** Debug/test introspection of the dynamic mapping:
     [(main_off, slot_off, len)] triples, sorted. Empty for full backups. *)
 val dump_mapping : t -> (int * int * int) list
+
+(** [check_resident t] — the dynamic backup's DRAM invariant: the resident
+    map and the look-up table hold the same keys with the same packed
+    value each, and every bucket a node remembers is [-1] or the active
+    table's bucket holding its key. Cost-free. [Ok ()] for full backups. *)
+val check_resident : t -> (unit, string) result

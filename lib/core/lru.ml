@@ -1,70 +1,77 @@
+(* The nodes form a ring closed by a sentinel, [root]: [root.next] is the
+   most recently used node and [root.prev] the least. Linking and
+   unlinking allocate nothing. *)
 type node = {
   key : int;
-  mutable prev : node option;  (* towards MRU *)
-  mutable next : node option;  (* towards LRU *)
+  slot : int;
+  mutable bucket : int;
+  mutable prev : node; (* towards MRU *)
+  mutable next : node; (* towards LRU *)
 }
 
-type t = {
-  table : (int, node) Hashtbl.t;
-  mutable mru : node option;
-  mutable lru : node option;
-}
+type t = { table : (int, node) Hashtbl.t; root : node }
+
+let detached key ~slot ~bucket =
+  let rec n = { key; slot; bucket; prev = n; next = n } in
+  n
 
 (* [size_hint] pre-sizes the key table: at millions of resident copies the
    default 1024 buckets would force a cascade of doubling rehashes while
    reattaching after a crash. *)
 let create ?(size_hint = 1024) () =
-  { table = Hashtbl.create (max 16 size_hint); mru = None; lru = None }
+  {
+    table = Hashtbl.create (max 16 size_hint);
+    root = detached 0 ~slot:(-1) ~bucket:(-1);
+  }
 
 let length t = Hashtbl.length t.table
 
-let mem t key = Hashtbl.mem t.table key
+let find t key = Hashtbl.find t.table key
 
-let unlink t n =
-  (match n.prev with
-  | Some p -> p.next <- n.next
-  | None -> t.mru <- n.next);
-  (match n.next with
-  | Some s -> s.prev <- n.prev
-  | None -> t.lru <- n.prev);
-  n.prev <- None;
-  n.next <- None
+let key n = n.key
+
+let slot n = n.slot
+
+let bucket n = n.bucket
+
+let set_bucket n b = n.bucket <- b
+
+let unlink n =
+  n.prev.next <- n.next;
+  n.next.prev <- n.prev
 
 let push_front t n =
-  n.next <- t.mru;
-  n.prev <- None;
-  (match t.mru with Some m -> m.prev <- Some n | None -> t.lru <- Some n);
-  t.mru <- Some n
+  let first = t.root.next in
+  n.prev <- t.root;
+  n.next <- first;
+  first.prev <- n;
+  t.root.next <- n
 
-let touch t key =
-  match Hashtbl.find_opt t.table key with
-  | Some n ->
-      unlink t n;
-      push_front t n
-  | None ->
-      let n = { key; prev = None; next = None } in
-      Hashtbl.add t.table key n;
-      push_front t n
+let add t key ~slot ~bucket =
+  let n = detached key ~slot ~bucket in
+  Hashtbl.add t.table key n;
+  push_front t n
 
-let remove t key =
-  match Hashtbl.find_opt t.table key with
-  | Some n ->
-      unlink t n;
-      Hashtbl.remove t.table key
-  | None -> ()
+let touch t n =
+  unlink n;
+  push_front t n
+
+let remove t n =
+  unlink n;
+  Hashtbl.remove t.table n.key
 
 let evict_candidate t ~locked =
-  let rec walk = function
-    | None -> None
-    | Some n -> if locked n.key then walk n.prev else Some n.key
+  let rec walk n =
+    if n == t.root then None else if locked n.key then walk n.prev else Some n
   in
-  walk t.lru
+  walk t.root.prev
 
-let iter_lru_order t f =
-  let rec walk = function
-    | None -> ()
-    | Some n ->
-        f n.key;
-        walk n.prev
+let iter t f =
+  let rec walk n =
+    if n != t.root then begin
+      let towards_mru = n.prev in
+      f n;
+      walk towards_mru
+    end
   in
-  walk t.lru
+  walk t.root.prev

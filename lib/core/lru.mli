@@ -1,14 +1,21 @@
-(** Volatile least-recently-used queue.
+(** The dynamic backup's resident map: a volatile least-recently-used
+    queue with one node per resident copy.
 
-    Tracks recency of updates to objects held in the dynamic backup region
-    (§6.4). Purely volatile — after a crash it is rebuilt empty, the
-    persistent {!Phash} being the source of truth for which copies exist.
+    Each node carries the copy's packed slot word (the look-up table's
+    value for the key) and the {!Phash} bucket where the table published
+    it, so a hit, a propagation or a roll-back reads the node and never
+    probes the table, and an eviction tombstones the remembered bucket
+    ({!Phash.take_at}). Recency orders the nodes by update (§6.4). Purely
+    volatile: after a crash it is rebuilt from the persistent {!Phash},
+    the source of truth for which copies exist.
 
     Eviction skips keys the caller marks as locked: "locked objects are
     never evicted to ensure safety, that is pending objects are never
     candidates for eviction". *)
 
 type t
+
+type node
 
 (** [create ?size_hint ()] — [size_hint] pre-sizes the internal key table
     (e.g. to the backup table's capacity) so large reattaches avoid
@@ -17,18 +24,35 @@ val create : ?size_hint:int -> unit -> t
 
 val length : t -> int
 
-val mem : t -> int -> bool
+(** [find t key] is [key]'s node. Raises [Not_found] when absent; the
+    lookup allocates nothing. *)
+val find : t -> int -> node
 
-(** [touch t key] inserts [key] as most-recently-used, or moves it there. *)
-val touch : t -> int -> unit
+(** [add t key ~slot ~bucket] inserts [key], which must be absent, as
+    most-recently-used. *)
+val add : t -> int -> slot:int -> bucket:int -> unit
 
-(** [remove t key] drops the key if present. *)
-val remove : t -> int -> unit
+val key : node -> int
 
-(** [evict_candidate t ~locked] returns the least-recently-used key for
-    which [locked key] is false, without removing it. [None] if every
+(** The copy's packed slot word. *)
+val slot : node -> int
+
+(** The table bucket holding the entry, or [-1] when unknown. *)
+val bucket : node -> int
+
+val set_bucket : node -> int -> unit
+
+(** [touch t n] moves [n] to most-recently-used. *)
+val touch : t -> node -> unit
+
+(** [remove t n] drops [n], which must be in [t]. *)
+val remove : t -> node -> unit
+
+(** [evict_candidate t ~locked] returns the least-recently-used node whose
+    key [locked] reports false, without removing it. [None] if every
     resident key is locked (or the queue is empty). *)
-val evict_candidate : t -> locked:(int -> bool) -> int option
+val evict_candidate : t -> locked:(int -> bool) -> node option
 
-(** [iter_lru_order t f] visits keys from least to most recently used. *)
-val iter_lru_order : t -> (int -> unit) -> unit
+(** [iter t f] visits nodes from least to most recently used. [f] may
+    remove the node it is given. *)
+val iter : t -> (node -> unit) -> unit

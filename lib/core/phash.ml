@@ -44,18 +44,15 @@ module Cost_model = Kamino_nvm.Cost_model
    flushed before the insert: the backup's miss flushes its copy and its
    victim's tombstone without a fence of their own and relies on it.
 
-   Take: a tombstone is only flushed, durable at the caller's next fence.
-   Until then its bucket must not be reused, or a crash could pair the
-   old key with a new value word. Any insert may reuse it, except the
-   hinted insert of a [find_or] miss made before the take (below).
-   [remove] fences at once.
-
-   An insert right after a [find_or] miss of the same key reuses that
-   probe: [find_or] keeps the bucket the insert would take (the hint),
-   and the insert publishes there with no second probe or index charge.
-   Between the two only tombstones can be written, which leave the key
-   absent and the hinted bucket free. Any insert spends the hint, and
-   the migrating and arming paths ignore it. *)
+   Take: a tombstone is only flushed, durable at the next fence. Until
+   then its bucket must not take a new entry, or a crash could keep the
+   old key word over the new value word (the two words of a bucket
+   persist independently). So the table remembers the buckets it
+   tombstoned since its last fence ([fresh]), and an insert's probe
+   passes over them; every fence the table issues, and [fence], clears
+   the set. [remove] fences at once. [take_at] tombstones a bucket the
+   caller remembered from the insert: the same stores and flush as
+   [take], with the key word checked instead of probed for. *)
 
 type t = {
   region : Region.t;
@@ -69,8 +66,8 @@ type t = {
   mutable noff : int;
   mutable count : int;
   mutable free : int; (* insert bucket the last miss probe found; see [locate] *)
-  mutable hint_key : int; (* key of the last [find_or] miss; 0 = none *)
-  mutable hint_bucket : int; (* where [insert ~key:hint_key] publishes *)
+  mutable fresh : int array; (* buckets tombstoned since the last fence ... *)
+  mutable nfresh : int; (* ... the first [nfresh] of them *)
 }
 
 exception Overload of { capacity : int; count : int }
@@ -128,8 +125,8 @@ let format region ~capacity =
     noff = 0;
     count = 0;
     free = -1;
-    hint_key = 0;
-    hint_bucket = -1;
+    fresh = Array.make 4 0;
+    nfresh = 0;
   }
 
 let capacity t = t.cap
@@ -150,14 +147,29 @@ let hash key =
 
 let charge_index t = Region.charge t.region (Region.cost_model t.region).Cost_model.index_ns
 
+(* The table's own fences. Each makes every tombstone written before it
+   durable, so their buckets may take new entries again. *)
+let fence t =
+  Region.fence t.region;
+  t.nfresh <- 0
+
+let persist t off len =
+  Region.persist t.region off len;
+  t.nfresh <- 0
+
+let is_fresh t o =
+  let rec mem i = i < t.nfresh && (t.fresh.(i) = o || mem (i + 1)) in
+  mem 0
+
 (* Raw probes over one table of the chain. [locate] returns the bucket
    holding [key], or [-1]. A miss also leaves in [t.free] the bucket an
-   insert of [key] would take: the first tombstone on the probe path, else
-   the empty bucket that ended it. A probe that wraps around the whole
-   table has proved [key] absent, so its first tombstone serves too; only
-   a table of live entries leaves [-1]. Words are read as plain
-   ints: the load is charged the same as an [int64] read, and the key
-   encoding (0 empty, -1 tombstone, positive live) survives the trip. *)
+   insert of [key] would take: the first tombstone on the probe path that
+   is not fresh (see [fence]), else the empty bucket that ended it. A
+   probe that wraps around the whole table has proved [key] absent, so its
+   first such tombstone serves too; only a table of live entries and
+   fresh tombstones leaves [-1]. Words are read as plain ints: the load is
+   charged the same as an [int64] read, and the key encoding (0 empty, -1
+   tombstone, positive live) survives the trip. *)
 
 let locate t off cap mask key =
   let rec probe i steps first_tomb =
@@ -175,7 +187,8 @@ let locate t off cap mask key =
       else if k = key then o
       else
         probe ((i + 1) land mask) (steps + 1)
-          (if k = tombstone_key && first_tomb < 0 then o else first_tomb)
+          (if k = tombstone_key && first_tomb < 0 && not (is_fresh t o) then o
+           else first_tomb)
     end
   in
   probe (hash key land mask) 0 (-1)
@@ -183,10 +196,14 @@ let locate t off cap mask key =
 let find_in t off cap mask key =
   match locate t off cap mask key with -1 -> -1 | o -> Region.read_int t.region (o + 8)
 
-(* Flushed, not fenced: durable at the caller's next fence. *)
+(* Flushed, not fenced: durable at the next fence, and until then the
+   bucket is fresh. *)
 let tombstone t o =
   Region.write_int t.region o tombstone_key;
-  Region.flush t.region o 8
+  Region.flush t.region o 8;
+  if t.nfresh = Array.length t.fresh then t.fresh <- Array.append t.fresh t.fresh;
+  t.fresh.(t.nfresh) <- o;
+  t.nfresh <- t.nfresh + 1
 
 (* Read the value, then tombstone the bucket: a find and a remove in one
    probe. *)
@@ -203,29 +220,21 @@ let take_in t off cap mask key =
    makes durable. *)
 let publish t slot key value =
   Region.write_int t.region (slot + 8) value;
-  Region.persist t.region slot 16;
+  persist t slot 16;
   Region.write_int t.region slot key;
   Region.flush t.region slot 16
 
-(* A miss that found no free bucket: every bucket holds a live entry. *)
+(* Overwrite in place: publish the new value with a persist; the key word
+   is untouched so the entry is never half-visible. *)
+let overwrite t o value =
+  Region.write_int t.region (o + 8) value;
+  persist t o 16
+
+(* A miss that found no free bucket: every bucket holds a live entry or a
+   fresh tombstone. *)
 let free_or_overload t cap =
   if t.free < 0 then raise (Overload { capacity = cap; count = t.count });
   t.free
-
-(* Upsert into the table at [off]: overwrite in place if present, else
-   publish value-then-key at the first reusable slot. Returns [true] when a
-   new entry was created (as opposed to an overwrite). *)
-let upsert_in t off cap mask key value =
-  match locate t off cap mask key with
-  | -1 ->
-      publish t (free_or_overload t cap) key value;
-      true
-  | o ->
-      (* Overwrite in place: publish the new value with a persist; the key
-         word is untouched so the entry is never half-visible. *)
-      Region.write_int t.region (o + 8) value;
-      Region.persist t.region o 16;
-      false
 
 (* Insert-if-absent into the migration target: the idempotent step that
    makes batch replay after a crash harmless. A key already present keeps
@@ -237,7 +246,7 @@ let migrate_entry t key value =
 let complete t =
   Region.write_int t.region state_off
     (encode_state ~cap:t.ncap ~d:(t.doublings + 1) ~armed:false);
-  Region.persist t.region state_off 8;
+  persist t state_off 8;
   t.cap <- t.ncap;
   t.mask <- t.nmask;
   t.off <- t.noff;
@@ -256,7 +265,7 @@ let migrate_step t =
       migrate_entry t k (Region.read_int t.region (o + 8))
   done;
   Region.write_int t.region mig_cursor_off stop;
-  Region.persist t.region mig_cursor_off 8;
+  persist t mig_cursor_off 8;
   t.mig <- stop;
   if stop >= t.cap then complete t
 
@@ -272,11 +281,11 @@ let arm t =
   let noff = t.off + (t.cap * 16) in
   let ncap = t.cap * 2 in
   Region.fill t.region noff (ncap * 16) 0;
-  Region.persist t.region noff (ncap * 16);
+  persist t noff (ncap * 16);
   Region.write_int t.region mig_cursor_off 0;
-  Region.persist t.region mig_cursor_off 8;
+  persist t mig_cursor_off 8;
   Region.write_int t.region state_off (encode_state ~cap:t.cap ~d:t.doublings ~armed:true);
-  Region.persist t.region state_off 8;
+  persist t state_off 8;
   t.ncap <- ncap;
   t.nmask <- ncap - 1;
   t.noff <- noff;
@@ -284,37 +293,37 @@ let arm t =
 
 let insert t ~key ~value =
   if key <= 0 then invalid_arg "Phash.insert: keys must be positive";
-  let hinted = key = t.hint_key in
-  (* Any insert may fill the hinted bucket, so a hint serves one insert. *)
-  t.hint_key <- 0;
-  if hinted && t.mig < 0 && not (arms_resize t) then begin
-    (* The [find_or] miss that set the hint probed for [key] and found this
-       bucket free. Only tombstones were written since, so [key] is still
-       absent and the bucket still free: publish there, with no second
-       probe or index charge. *)
-    publish t t.hint_bucket key value;
-    t.count <- t.count + 1
-  end
-  else begin
-    charge_index t;
-    if arms_resize t then arm t;
-    (* A migration step can complete the resize. *)
-    if t.mig >= 0 then migrate_step t;
-    if t.mig >= 0 then begin
-      (* Publish into the target first, then tombstone any live old copy so
-         a replayed migration batch cannot resurrect the stale value. The
-         new key is fenced before the old copy's tombstone, so a crash
-         between the two leaves both copies live; finds prefer the target
-         and insert-if-absent skips the stale one. *)
-      if upsert_in t t.noff t.ncap t.nmask key value then
+  charge_index t;
+  if arms_resize t then arm t;
+  (* A migration step can complete the resize. *)
+  if t.mig >= 0 then migrate_step t;
+  if t.mig >= 0 then begin
+    (* Publish into the target first, then tombstone any live old copy so
+       a replayed migration batch cannot resurrect the stale value. The
+       new key is fenced before the old copy's tombstone, so a crash
+       between the two leaves both copies live; finds prefer the target
+       and insert-if-absent skips the stale one. *)
+    (match locate t t.noff t.ncap t.nmask key with
+    | -1 -> (
+        publish t (free_or_overload t t.ncap) key value;
         match locate t t.off t.cap t.mask key with
         | -1 -> t.count <- t.count + 1
         | o ->
-            Region.fence t.region;
-            tombstone t o
-    end
-    else if upsert_in t t.off t.cap t.mask key value then t.count <- t.count + 1
+            fence t;
+            tombstone t o)
+    | o -> overwrite t o value);
+    -1
   end
+  else
+    match locate t t.off t.cap t.mask key with
+    | -1 ->
+        let o = free_or_overload t t.cap in
+        publish t o key value;
+        t.count <- t.count + 1;
+        o
+    | o ->
+        overwrite t o value;
+        o
 
 let find t ~key =
   charge_index t;
@@ -325,26 +334,6 @@ let find t ~key =
     | v -> Some v
   end
   else match find_in t t.off t.cap t.mask key with -1 -> None | v -> Some v
-
-let find_or t ~key ~default =
-  charge_index t;
-  if t.mig >= 0 then begin
-    match find_in t t.noff t.ncap t.nmask key with
-    | -1 -> (
-        match find_in t t.off t.cap t.mask key with -1 -> default | v -> v)
-    | v -> v
-  end
-  else
-    match locate t t.off t.cap t.mask key with
-    | -1 ->
-        (* Keep the bucket an insert of [key] would take, for an insert
-           that follows (the backup's miss path). *)
-        if t.free >= 0 then begin
-          t.hint_key <- key;
-          t.hint_bucket <- t.free
-        end;
-        default
-    | o -> Region.read_int t.region (o + 8)
 
 let take t ~key =
   charge_index t;
@@ -360,7 +349,7 @@ let take t ~key =
       | -1 -> in_old
       | o ->
           let in_new = Region.read_int t.region (o + 8) in
-          if in_old >= 0 && in_old <> in_new then Region.fence t.region;
+          if in_old >= 0 && in_old <> in_new then fence t;
           tombstone t o;
           in_new
     end
@@ -369,9 +358,22 @@ let take t ~key =
   if v >= 0 then t.count <- t.count - 1;
   v
 
+(* A bucket of the active table, by its offset. *)
+let in_active t o = o >= t.off && o < t.off + (t.cap * 16) && (o - t.off) land 15 = 0
+
+let take_at t ~key ~bucket =
+  if t.mig >= 0 || (not (in_active t bucket)) || Region.read_int t.region bucket <> key then
+    take t ~key
+  else begin
+    let v = Region.read_int t.region (bucket + 8) in
+    tombstone t bucket;
+    t.count <- t.count - 1;
+    v
+  end
+
 let remove t ~key =
   let found = take t ~key >= 0 in
-  if found then Region.fence t.region;
+  if found then fence t;
   found
 
 let iter_table t off cap f =
@@ -379,18 +381,33 @@ let iter_table t off cap f =
     let o = slot_off off i in
     let k = Region.read_int t.region o in
     if k <> empty_key && k <> tombstone_key then
-      f ~key:k ~value:(Region.read_int t.region (o + 8))
+      f ~key:k ~value:(Region.read_int t.region (o + 8)) ~bucket:o
   done
 
 let iter t f =
   if t.mig >= 0 then begin
     (* Live set = target ∪ (active \ target): the target copy wins for keys
        present in both (it is at least as fresh). *)
-    iter_table t t.noff t.ncap f;
-    iter_table t t.off t.cap (fun ~key ~value ->
-        if find_in t t.noff t.ncap t.nmask key = -1 then f ~key ~value)
+    iter_table t t.noff t.ncap (fun ~key ~value ~bucket:_ -> f ~key ~value ~bucket:(-1));
+    iter_table t t.off t.cap (fun ~key ~value ~bucket ->
+        if find_in t t.noff t.ncap t.nmask key = -1 then f ~key ~value ~bucket)
   end
   else iter_table t t.off t.cap f
+
+let entries t =
+  let live = Hashtbl.create 64 in
+  let walk off cap bucket =
+    for i = 0 to cap - 1 do
+      let o = slot_off off i in
+      let k = Region.peek_int t.region o in
+      if k <> empty_key && k <> tombstone_key && not (Hashtbl.mem live k) then
+        Hashtbl.replace live k (Region.peek_int t.region (o + 8), bucket o)
+    done
+  in
+  (* The target first, as in [iter]. *)
+  if t.mig >= 0 then walk t.noff t.ncap (fun _ -> -1);
+  walk t.off t.cap Fun.id;
+  List.sort compare (Hashtbl.fold (fun k (v, b) acc -> (k, v, b) :: acc) live [])
 
 let rebuild_count t =
   let n = ref 0 in
@@ -431,8 +448,8 @@ let open_existing reg =
       noff = 0;
       count = 0;
       free = -1;
-      hint_key = 0;
-      hint_bucket = -1;
+      fresh = Array.make 4 0;
+      nfresh = 0;
     }
   in
   if armed then begin

@@ -12,6 +12,11 @@
     own: they are durable at the caller's next fence (see {!insert} and
     {!take}).
 
+    The table is the recovery truth, not the lookup path: the dynamic
+    backup keeps a DRAM map of its entries ({!Lru}) and probes the table
+    only to publish one. {!insert} returns the bucket it published at, and
+    {!take_at} tombstones that bucket with no probe.
+
     When an insert would push the load factor past 7/8 and the region has
     room for the next table in the geometric chain, the table arms a 2x
     {e split-migration}: a handful of old buckets are copied per subsequent
@@ -24,7 +29,8 @@
     full.
 
     Keys are positive integers (NVM offsets); 0 marks an empty bucket and -1
-    a tombstone. Values are non-negative: [-1] reports absence. *)
+    a tombstone. Values are non-negative: [-1] reports absence. A bucket is
+    named by its byte offset in the region. *)
 
 type t
 
@@ -68,41 +74,56 @@ val migrations : t -> int
 (** Whether a split-migration is currently in flight. *)
 val resizing : t -> bool
 
-(** [insert t ~key ~value] adds or overwrites. Raises {!Overload} when the
-    table is full and the region has no room to grow it. A new entry's
-    value word is persisted, then its key word is stored and flushed with
-    no fence: the entry is durable at the caller's next fence, and a
-    crash before it leaves the entry absent, never half-published. Lines
-    the caller flushed before the insert are durable before the entry can
-    be visible. An overwrite persists the value word in place.
-    Right after a {!find_or} miss of the same key, with no insert in
-    between, the insert publishes at the bucket that probe found: no
-    second probe and no index charge, unless a resize is migrating or
-    this insert arms one. Any other insert may reuse a bucket a {!take}
-    tombstoned, so a fence must separate the two. *)
-val insert : t -> key:int -> value:int -> unit
+(** [insert t ~key ~value] adds or overwrites, and returns the entry's
+    bucket: where it now lives in the active table, or [-1] when a resize
+    is migrating and the entry went to its target (a bucket of the active
+    table goes stale when the resize completes). Raises {!Overload} when
+    the table is full and the region has no room to grow it. A new
+    entry's value word is persisted, then its key word is stored and
+    flushed with no fence: the entry is durable at the caller's next
+    fence, and a crash before it leaves the entry absent, never
+    half-published. Lines the caller flushed before the insert are
+    durable before the entry can be visible. An overwrite persists the
+    value word in place. A new entry never takes a bucket tombstoned since
+    the table's last fence (see {!fence}). *)
+val insert : t -> key:int -> value:int -> int
 
 val find : t -> key:int -> int option
-
-(** [find_or t ~key ~default] — allocation-free {!find} for hot paths
-    (the backup consults the table on every transactional write). A miss
-    remembers where an {!insert} of [key] would go. *)
-val find_or : t -> key:int -> default:int -> int
 
 (** [remove t ~key] deletes the mapping if present, durably (a {!take}
     and a fence); returns whether it was. *)
 val remove : t -> key:int -> bool
 
-(** [take t ~key] — {!find_or} and a removal in one probe and one index
+(** [take t ~key] — a find and a removal in one probe and one index
     charge: returns the mapped value and tombstones the entry, or returns
     [-1] (and writes nothing) when [key] is absent. The tombstone is
     flushed with no fence: it is durable at the caller's next fence, and
     until then a crash may leave the entry live. So the caller fences
-    before it reuses what the entry named, and before any insert that
-    could reuse the bucket (every insert but the hinted one of a
-    {!find_or} miss made before the take). The backup evicts its victim
-    with it. *)
+    before it reuses what the entry named. The table itself keeps the
+    bucket from any new entry until its next fence. *)
 val take : t -> key:int -> int
 
-(** [iter t f] calls [f ~key ~value] for every live entry. *)
-val iter : t -> (key:int -> value:int -> unit) -> unit
+(** [take_at t ~key ~bucket] — {!take} at the bucket {!insert} returned
+    for [key]: one load checks that the bucket still holds [key], a second
+    reads the value, and the same tombstone and flush as {!take} follow,
+    with no index charge. Falls back to {!take} while a resize is armed,
+    when [bucket] lies outside the active table (it is [-1], or a resize
+    completed since), or when the bucket holds another key. *)
+val take_at : t -> key:int -> bucket:int -> int
+
+(** [fence t] fences the table's region. Every tombstone written before it
+    is durable, so its bucket may take a new entry again: the table
+    forgets the buckets it tombstoned since its last fence. Callers that
+    fence the table after a {!take} use it rather than a bare
+    {!Kamino_nvm.Region.fence}, which would leave those buckets unused
+    until the table's next fence. *)
+val fence : t -> unit
+
+(** [iter t f] calls [f ~key ~value ~bucket] for every live entry, with
+    [bucket] as {!insert} reports it. Charged like the loads it makes. *)
+val iter : t -> (key:int -> value:int -> bucket:int -> unit) -> unit
+
+(** [entries t] — every live entry as [(key, value, bucket)], sorted, the
+    set {!iter} visits. Cost-free: no simulated time, no counters. For
+    oracles. *)
+val entries : t -> (int * int * int) list

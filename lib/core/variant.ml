@@ -640,7 +640,10 @@ let verify_backup t =
               | Some true | None -> ())
             mapping);
       match !mismatches with
-      | [] -> Ok ()
+      | [] ->
+          Result.map_error
+            (fun e -> "backup's resident map diverges from its table: " ^ e)
+            (Backup.check_resident b)
       | w :: _ ->
           Error
             (Printf.sprintf "backup diverges from main (%d ranges, first: %s)"

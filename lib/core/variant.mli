@@ -292,7 +292,9 @@ val storage_bytes : t -> int
 (** Apply every queued backup task. *)
 val drain_backup : t -> unit
 
-(** Drain, then check that the backup agrees with the main heap. *)
+(** Drain, then check that the backup agrees with the main heap, and a
+    dynamic backup's resident map with its look-up table
+    ({!Backup.check_resident}). *)
 val verify_backup : t -> (unit, string) result
 
 val release_all : tx -> write_release:int -> unit

@@ -294,6 +294,42 @@ let test_backup_stale_length_replaced () =
   Alcotest.(check string) "full-length restore" "old-size-contents!"
     (Region.read_string main 2048 18)
 
+(* The resident map against the look-up table through two table
+   doublings, evictions, hits, drops and a reopen. A doubling moves every
+   entry, so the buckets the map remembered from before it are stale once
+   it completes; the map must forget them. *)
+let test_backup_resident_map_resizes () =
+  let clock = Clock.create () in
+  let mk size = Region.create ~rng:(Rng.create 2) ~clock ~size () in
+  let main = mk 65536 and slots = mk (40 * 16) in
+  let table = mk (Kamino_core.Phash.chain_size ~capacity:16 ~doublings:2) in
+  let b = ref (Backup.create_dynamic ~slots ~table ~capacity:16 ~policy:Backup.Lru_policy) in
+  let check ctx =
+    match Backup.check_resident !b with Ok () -> () | Error e -> Alcotest.failf "%s: %s" ctx e
+  in
+  let ensure i =
+    Backup.ensure_copy !b ~main ~off:(i * 64) ~len:16 ~locked:(fun _ -> false)
+      ~pressure:no_pressure
+  in
+  for i = 1 to 60 do
+    ensure i;
+    check (Printf.sprintf "miss %d" i)
+  done;
+  Alcotest.(check int) "two doublings" 2 (Backup.migrations !b);
+  Alcotest.(check bool) "evicted" true (Backup.evictions !b > 0);
+  for i = 21 to 60 do
+    if i mod 3 = 0 then Backup.drop !b ~off:(i * 64) else ensure i;
+    check (Printf.sprintf "hit or drop %d" i)
+  done;
+  Region.crash slots;
+  Region.crash table;
+  b := Backup.reopen !b;
+  check "reopen";
+  for i = 61 to 80 do
+    ensure i;
+    check (Printf.sprintf "miss %d after reopen" i)
+  done
+
 (* --- Eviction-policy properties ------------------------------------------- *)
 
 (* A copy takes a headerless slot of its length rounded up to 16 bytes,
@@ -647,6 +683,8 @@ let () =
           Alcotest.test_case "hit counting" `Quick test_backup_hit_counting;
           Alcotest.test_case "eviction and pressure" `Quick test_backup_eviction_pressure;
           Alcotest.test_case "stale length replaced" `Quick test_backup_stale_length_replaced;
+          Alcotest.test_case "resident map through table resizes" `Quick
+            test_backup_resident_map_resizes;
           Alcotest.test_case "survives crash" `Quick test_backup_survives_crash;
           Alcotest.test_case "full region recycles the victim's slot" `Quick
             test_backup_recycles_victim_slot;

@@ -1,5 +1,5 @@
-(* Tests for the persistent hash table and the volatile LRU queue used by
-   the dynamic backup. *)
+(* Tests for the persistent hash table and the volatile resident map (the
+   LRU queue) used by the dynamic backup. *)
 
 module Rng = Kamino_sim.Rng
 module Clock = Kamino_sim.Clock
@@ -15,10 +15,13 @@ let make ?(capacity = 64) ?(crash_mode = Region.Drop_unflushed) ?(seed = 1) () =
   in
   (Phash.format r ~capacity, r)
 
+(* An insert whose bucket the caller does not keep. *)
+let insert h ~key ~value = ignore (Phash.insert h ~key ~value)
+
 let test_insert_find_remove () =
   let h, _ = make () in
-  Phash.insert h ~key:100 ~value:1;
-  Phash.insert h ~key:200 ~value:2;
+  insert h ~key:100 ~value:1;
+  insert h ~key:200 ~value:2;
   Alcotest.(check (option int)) "find 100" (Some 1) (Phash.find h ~key:100);
   Alcotest.(check (option int)) "find 200" (Some 2) (Phash.find h ~key:200);
   Alcotest.(check (option int)) "absent" None (Phash.find h ~key:300);
@@ -30,8 +33,8 @@ let test_insert_find_remove () =
 
 let test_overwrite () =
   let h, _ = make () in
-  Phash.insert h ~key:5 ~value:10;
-  Phash.insert h ~key:5 ~value:20;
+  insert h ~key:5 ~value:10;
+  insert h ~key:5 ~value:20;
   Alcotest.(check (option int)) "overwritten" (Some 20) (Phash.find h ~key:5);
   Alcotest.(check int) "no duplicate" 1 (Phash.count h)
 
@@ -41,7 +44,7 @@ let test_tombstone_reuse () =
      probing must still find keys past tombstones. *)
   for round = 1 to 50 do
     for k = 1 to 12 do
-      Phash.insert h ~key:(k * 1000) ~value:(round * k)
+      insert h ~key:(k * 1000) ~value:(round * k)
     done;
     for k = 1 to 12 do
       Alcotest.(check (option int))
@@ -59,14 +62,14 @@ let test_invalid_key () =
   let h, _ = make () in
   Alcotest.(check bool) "non-positive key rejected" true
     (try
-       Phash.insert h ~key:0 ~value:1;
+       insert h ~key:0 ~value:1;
        false
      with Invalid_argument _ -> true)
 
 let test_persistence_across_crash () =
   let h, r = make () in
-  Phash.insert h ~key:11 ~value:101;
-  Phash.insert h ~key:22 ~value:202;
+  insert h ~key:11 ~value:101;
+  insert h ~key:22 ~value:202;
   ignore (Phash.remove h ~key:11);
   Region.crash r;
   let h' = Phash.open_existing r in
@@ -80,9 +83,9 @@ let test_no_half_inserts_on_crash () =
      garbage). *)
   for seed = 1 to 60 do
     let h, r = make ~crash_mode:Region.Words_survive_randomly ~seed () in
-    Phash.insert h ~key:7 ~value:70;
+    insert h ~key:7 ~value:70;
     (* A second insert that may tear. *)
-    (try Phash.insert h ~key:9 ~value:90 with _ -> ());
+    (try insert h ~key:9 ~value:90 with _ -> ());
     Region.crash r;
     let h' = Phash.open_existing r in
     Alcotest.(check (option int)) "stable entry intact" (Some 70) (Phash.find h' ~key:7);
@@ -168,7 +171,7 @@ let model_qcheck =
         (fun (k, v) ->
           match v with
           | Some v ->
-              Phash.insert h ~key:k ~value:v;
+              insert h ~key:k ~value:v;
               Hashtbl.replace model k v
           | None ->
               ignore (Phash.remove h ~key:k);
@@ -186,7 +189,7 @@ let test_load_factors () =
   let capacity = 64 in
   let check_load h n =
     for k = 1 to n do
-      Phash.insert h ~key:(k * 7919) ~value:k
+      insert h ~key:(k * 7919) ~value:k
     done;
     for k = 1 to n do
       Alcotest.(check (option int))
@@ -207,7 +210,7 @@ let test_load_factors () =
   (* 1.0: completely full, every key still reachable *)
   Alcotest.(check bool) "not resizing (no headroom)" false (Phash.resizing h);
   match Phash.insert h ~key:999_999 ~value:1 with
-  | () -> Alcotest.fail "insert past capacity must raise Overload"
+  | _ -> Alcotest.fail "insert past capacity must raise Overload"
   | exception Phash.Overload { capacity = c; count } ->
       Alcotest.(check int) "overload capacity" capacity c;
       Alcotest.(check int) "overload count" capacity count
@@ -226,7 +229,7 @@ let test_transparent_resize () =
   let n = 100 in
   (* > 2x initial capacity: needs both doublings *)
   for k = 1 to n do
-    Phash.insert h ~key:(k * 131) ~value:k
+    insert h ~key:(k * 131) ~value:k
   done;
   Alcotest.(check int) "count after growth" n (Phash.count h);
   Alcotest.(check bool) "capacity grew" true (Phash.capacity h > capacity);
@@ -238,7 +241,7 @@ let test_transparent_resize () =
       (Phash.find h ~key:(k * 131))
   done;
   (* Overwrites and removes stay correct whatever table a key lives in. *)
-  Phash.insert h ~key:131 ~value:1001;
+  insert h ~key:131 ~value:1001;
   Alcotest.(check (option int)) "overwrite post-resize" (Some 1001) (Phash.find h ~key:131);
   Alcotest.(check bool) "remove post-resize" true (Phash.remove h ~key:(2 * 131));
   Alcotest.(check (option int)) "removed gone" None (Phash.find h ~key:(2 * 131));
@@ -256,7 +259,7 @@ let test_resize_crash_sweep () =
      both arm thresholds (>14 and >28) without overloading the final table. *)
   let n = 60 in
   let key k = k * 4093 in
-  let insert s k = Phash.insert s.h ~key:(key k) ~value:(k * 3) in
+  let insert s k = insert s.h ~key:(key k) ~value:(k * 3) in
   let observe s =
     let found =
       List.filter_map
@@ -264,7 +267,7 @@ let test_resize_crash_sweep () =
         (List.init n succ)
     in
     let listed = ref [] in
-    Phash.iter s.h (fun ~key ~value -> listed := (key, value) :: !listed);
+    Phash.iter s.h (fun ~key ~value ~bucket:_ -> listed := (key, value) :: !listed);
     let show l = String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%d:%d" k v) l) in
     Printf.sprintf "count=%d found=[%s] listed=[%s]" (Phash.count s.h) (show found)
       (show (List.sort compare !listed))
@@ -316,21 +319,21 @@ let test_resize_crash_sweep () =
 
 let test_iter () =
   let h, _ = make () in
-  Phash.insert h ~key:1 ~value:10;
-  Phash.insert h ~key:2 ~value:20;
+  insert h ~key:1 ~value:10;
+  insert h ~key:2 ~value:20;
   let acc = ref [] in
-  Phash.iter h (fun ~key ~value -> acc := (key, value) :: !acc);
+  Phash.iter h (fun ~key ~value ~bucket:_ -> acc := (key, value) :: !acc);
   Alcotest.(check (list (pair int int))) "all entries" [ (1, 10); (2, 20) ]
     (List.sort compare !acc)
 
-(* --- Probe hint: an insert after a find_or miss reuses its probe --- *)
+(* --- Bucket-addressed takes --- *)
 
 (* Integral costs, so no fractional carry blurs a per-call delta, and an
-   index charge far above everything else one insert can cost, so a
-   delta's quotient by it counts the index charges. *)
+   index charge far above everything else one call can cost, so a delta's
+   quotient by it counts the index charges. *)
 let index_ns = 1_000_000
 
-let hint_cost =
+let unit_cost =
   {
     Kamino_nvm.Cost_model.default with
     store_overhead_ns = 3.;
@@ -342,129 +345,151 @@ let hint_cost =
     index_ns = float_of_int index_ns;
   }
 
-(* The publish of one new entry: value then key, each an 8-byte store and
-   a one-line flush, with one fence between them. The key word's fence is
-   the caller's. *)
-let publish_ns = (2 * ((3 + 8) + 5)) + 40
-
-let make_hinted ?(doublings = 0) () =
+let make_costed ?(doublings = 0) () =
   let clock = Clock.create () in
   let r =
-    Region.create ~cost:hint_cost ~rng:(Rng.create 1) ~clock
+    Region.create ~cost:unit_cost ~rng:(Rng.create 1) ~clock
       ~size:(Phash.chain_size ~capacity:16 ~doublings) ()
   in
   (Phash.format r ~capacity:16, r)
 
-(* [measure r f] runs [f] and returns its simulated ns and the loads,
-   stores, flushed lines and fences it charged to [r]. *)
+(* [measure r f] runs [f] and returns its result, its simulated ns and the
+   loads, stores, flushed lines and fences it charged to [r]. *)
 let measure r f =
   let c = Region.counters r in
   let ns0 = Clock.now (Region.clock r) in
   let l0 = c.loads and s0 = c.stores and f0 = c.lines_flushed and n0 = c.fences in
-  f ();
-  ( Clock.now (Region.clock r) - ns0,
+  let v = f () in
+  ( v,
+    Clock.now (Region.clock r) - ns0,
     (c.loads - l0, c.stores - s0, c.lines_flushed - f0, c.fences - n0) )
 
 let load_ns = 2 + 8
 
-(* An insert that ignores the hint pays a full probe and one index charge:
-   at least one load, and [index_ns] in its delta. *)
-let check_full_probe ctx r f =
-  let ns, (loads, _, _, _) = measure r f in
-  Alcotest.(check int) (ctx ^ ": one index charge") 1 (ns / index_ns);
-  Alcotest.(check bool) (ctx ^ ": probed") true (loads > 0)
+(* The buckets holding [key] in any table of [r]'s chain, read cost-free. *)
+let buckets_holding r key =
+  List.filter
+    (fun o -> Region.peek_int r o = key)
+    (List.init ((Region.size r - 64) / 16) (fun i -> 64 + (i * 16)))
 
-let test_hinted_insert_cost () =
-  let h, r = make_hinted () in
-  for k = 1 to 6 do
-    Phash.insert h ~key:(k * 1000) ~value:k
+(* Two tables built by the same inserts, so a [take] on one and a
+   [take_at] on the other can be compared byte for byte. *)
+let twin_tables ?doublings keys =
+  let build () =
+    let h, r = make_costed ?doublings () in
+    let buckets = List.map (fun k -> (k, Phash.insert h ~key:k ~value:(k / 1000))) keys in
+    (h, r, buckets)
+  in
+  (build (), build ())
+
+let test_take_at_valid_bucket () =
+  let (h, r, buckets), (h', r', _) = twin_tables (List.init 6 (fun i -> (i + 1) * 1000)) in
+  let bucket = List.assoc 4000 buckets in
+  Alcotest.(check bool) "insert returned a bucket" true (bucket >= 0);
+  let v, ns, (loads, stores, flushed, fences) =
+    measure r (fun () -> Phash.take_at h ~key:4000 ~bucket)
+  in
+  let v', ns', (loads', stores', flushed', fences') =
+    measure r' (fun () -> Phash.take h' ~key:4000)
+  in
+  Alcotest.(check (list int)) "same value" [ 4; 4 ] [ v; v' ];
+  Alcotest.(check int) "take_at: two loads" 2 loads;
+  Alcotest.(check int) "take_at: no index charge" 0 (ns / index_ns);
+  Alcotest.(check int) "the difference is take's index charge and extra probe loads"
+    (index_ns + ((loads' - loads) * load_ns))
+    (ns' - ns);
+  Alcotest.(check (list int)) "same stores, flushed lines, fences" [ stores'; flushed'; fences' ]
+    [ stores; flushed; fences ];
+  Alcotest.(check string) "same bytes, volatile and persistent" (Region.digest r')
+    (Region.digest r);
+  Alcotest.(check int) "counted" (Phash.count h') (Phash.count h);
+  Alcotest.(check (option int)) "gone" None (Phash.find h ~key:4000)
+
+(* A completed resize moves every entry: the bucket an insert returned
+   before it lies outside the active table, and [take_at] probes. *)
+let test_take_at_after_resize () =
+  let h, r = make_costed ~doublings:1 () in
+  let bucket = Phash.insert h ~key:7000 ~value:7 in
+  let k = ref 1 in
+  while Phash.migrations h = 0 do
+    insert h ~key:(!k * 13) ~value:!k;
+    incr k
   done;
-  ignore (Phash.remove h ~key:3000);
-  let find_ns, (probe_loads, _, _, _) =
-    measure r (fun () ->
-        Alcotest.(check int) "a miss" (-1) (Phash.find_or h ~key:777 ~default:(-1)))
+  Alcotest.(check bool) "resize completed" false (Phash.resizing h);
+  let live =
+    match buckets_holding r 7000 with
+    | [ old; live ] when old = bucket -> live
+    | l -> Alcotest.failf "expected the old and the live copy, found %d" (List.length l)
   in
-  Alcotest.(check int) "find_or: one index charge and its probe"
-    (index_ns + (probe_loads * load_ns)) find_ns;
-  let ins_ns, (loads, stores, flushed, fences) =
-    measure r (fun () -> Phash.insert h ~key:777 ~value:7)
-  in
-  Alcotest.(check (list int))
-    "insert: no load; two stores, two flushed lines, one fence" [ 0; 2; 2; 1 ]
-    [ loads; stores; flushed; fences ];
-  Alcotest.(check int) "insert: the publish only, no index charge" publish_ns ins_ns;
-  Alcotest.(check (option int)) "published" (Some 7) (Phash.find h ~key:777);
-  Alcotest.(check int) "counted" 6 (Phash.count h);
-  (* An eviction between the two (a take elsewhere) keeps the hint. *)
-  ignore (Phash.find_or h ~key:888 ~default:(-1));
-  Alcotest.(check int) "take between" 2 (Phash.take h ~key:2000);
-  let ins_ns, _ = measure r (fun () -> Phash.insert h ~key:888 ~value:8) in
-  Alcotest.(check int) "insert after a take: the publish only" publish_ns ins_ns;
-  Alcotest.(check (option int)) "published after take" (Some 8) (Phash.find h ~key:888);
-  (* The hint serves one insert: inserting the same key again probes. *)
-  check_full_probe "re-insert" r (fun () -> Phash.insert h ~key:888 ~value:9);
-  Alcotest.(check (option int)) "overwritten" (Some 9) (Phash.find h ~key:888)
+  let n = Phash.count h in
+  let v, ns, _ = measure r (fun () -> Phash.take_at h ~key:7000 ~bucket) in
+  Alcotest.(check int) "value" 7 v;
+  Alcotest.(check int) "fell back: one index charge" 1 (ns / index_ns);
+  Alcotest.(check int) "live copy tombstoned" (-1) (Region.peek_int r live);
+  Alcotest.(check int) "stale bucket untouched" 7000 (Region.peek_int r bucket);
+  Alcotest.(check (option int)) "gone" None (Phash.find h ~key:7000);
+  Alcotest.(check int) "counted" (n - 1) (Phash.count h)
 
-(* A key whose probe starts at [key]'s bucket: with only [key] in a fresh
-   table, its find_or miss loads two buckets instead of one. *)
-let colliding_key key =
-  let rec search k =
-    let h, r = make_hinted () in
-    Phash.insert h ~key ~value:0;
-    let _, (loads, _, _, _) = measure r (fun () -> ignore (Phash.find_or h ~key:k ~default:0)) in
-    if k <> key && loads = 2 then k else search (k + 1)
+(* While a resize is armed, [take_at] is [take]: it tombstones the old
+   copy first, then fences, then the target's. *)
+let test_take_at_during_migration () =
+  (* 14 entries fill 16 buckets to the 7/8 mark, so the next insert arms
+     a doubling and migrates the first batch of 8 buckets. Make it
+     overwrite a key in that batch: the target copy gets the fresher
+     value, and the two copies differ. *)
+  let (h, r, buckets), (h', r', _) =
+    twin_tables ~doublings:1 (List.init 14 (fun i -> (i + 1) * 1000))
   in
-  search 1
-
-let test_hint_ignored () =
-  (* A different key. *)
-  let h, r = make_hinted () in
-  ignore (Phash.find_or h ~key:5 ~default:(-1));
-  check_full_probe "different key" r (fun () -> Phash.insert h ~key:6 ~value:6);
-  check_full_probe "hint spent by the other insert" r (fun () -> Phash.insert h ~key:5 ~value:5);
-  Alcotest.(check (list (option int))) "both present" [ Some 5; Some 6 ]
-    [ Phash.find h ~key:5; Phash.find h ~key:6 ];
-  (* An intervening insert into the hinted bucket. *)
-  let key = 4242 in
-  let other = colliding_key key in
-  let h, r = make_hinted () in
-  ignore (Phash.find_or h ~key ~default:(-1));
-  Phash.insert h ~key:other ~value:1;
-  check_full_probe "hinted bucket taken" r (fun () -> Phash.insert h ~key ~value:2);
-  Alcotest.(check (list (option int))) "neither overwritten" [ Some 1; Some 2 ]
-    [ Phash.find h ~key:other; Phash.find h ~key ];
-  (* An armed migration: the 15th insert into 16 buckets arms a doubling
-     and copies the first batch, so the table is still migrating. *)
-  let h, r = make_hinted ~doublings:1 () in
-  for k = 1 to 15 do
-    Phash.insert h ~key:(k * 1000) ~value:k
-  done;
+  let key, _ = List.find (fun (_, b) -> b < 64 + (8 * 16)) buckets in
+  List.iter (fun h -> insert h ~key ~value:99) [ h; h' ];
   Alcotest.(check bool) "migrating" true (Phash.resizing h);
-  ignore (Phash.find_or h ~key:99 ~default:(-1));
-  check_full_probe "armed migration" r (fun () -> Phash.insert h ~key:99 ~value:99);
-  Alcotest.(check (option int)) "inserted while migrating" (Some 99) (Phash.find h ~key:99);
-  (* An insert that arms a resize. *)
-  let h, r = make_hinted ~doublings:1 () in
-  for k = 1 to 14 do
-    Phash.insert h ~key:(k * 1000) ~value:k
-  done;
-  Alcotest.(check bool) "not yet migrating" false (Phash.resizing h);
-  ignore (Phash.find_or h ~key:99 ~default:(-1));
-  check_full_probe "arming insert" r (fun () -> Phash.insert h ~key:99 ~value:99);
-  Alcotest.(check bool) "armed" true (Phash.resizing h);
-  Alcotest.(check (option int)) "inserted while arming" (Some 99) (Phash.find h ~key:99)
+  let old, fresh =
+    match buckets_holding r key with [ o; n ] -> (o, n) | _ -> Alcotest.fail "two copies"
+  in
+  Alcotest.(check int) "the old bucket was remembered" old (List.assoc key buckets);
+  let order = ref "" in
+  Region.at_fence 0 (fun () ->
+      order :=
+        Printf.sprintf "old=%d target=%d" (Region.peek_int r old) (Region.peek_int r fresh));
+  let v, ns, (_, stores, flushed, fences) =
+    measure r (fun () -> Phash.take_at h ~key ~bucket:old)
+  in
+  Region.disarm_fence ();
+  let v', ns', (_, stores', flushed', fences') = measure r' (fun () -> Phash.take h' ~key) in
+  Alcotest.(check string) "old tombstone before the fence, target after"
+    (Printf.sprintf "old=-1 target=%d" key) !order;
+  Alcotest.(check (list int)) "take's value, cost and writes"
+    [ v'; ns'; stores'; flushed'; fences' ]
+    [ v; ns; stores; flushed; fences ];
+  Alcotest.(check int) "the fresher value" 99 v;
+  Alcotest.(check string) "same bytes" (Region.digest r') (Region.digest r)
+
+(* A tombstone not yet fenced keeps its bucket from a new entry: a crash
+   could otherwise pair the old key word with the new value word. *)
+let test_fresh_tombstone_not_reused () =
+  let reinsert ~fenced =
+    let h, _ = make_costed () in
+    let first = Phash.insert h ~key:5000 ~value:1 in
+    Alcotest.(check int) "taken" 1 (Phash.take h ~key:5000);
+    if fenced then Phash.fence h;
+    (first, Phash.insert h ~key:5000 ~value:2)
+  in
+  let first, again = reinsert ~fenced:false in
+  Alcotest.(check bool) "unfenced: another bucket" true (first <> again);
+  let first, again = reinsert ~fenced:true in
+  Alcotest.(check int) "fenced: the tombstone is reused" first again
 
 (* A table whose free buckets are all tombstones still takes inserts: a
    miss that probes the whole table has proved the key absent, and reuses
    the first tombstone instead of raising [Overload]. *)
 let test_insert_into_tombstoned_table () =
-  let h, r = make_hinted ~doublings:1 () in
+  let h, r = make_costed ~doublings:1 () in
   for k = 1 to 10 do
-    Phash.insert h ~key:k ~value:k
+    insert h ~key:k ~value:k
   done;
   let absent = 999_999 in
   let probe_loads () =
-    let _, (loads, _, _, _) = measure r (fun () -> ignore (Phash.find h ~key:absent)) in
+    let _, _, (loads, _, _, _) = measure r (fun () -> ignore (Phash.find h ~key:absent)) in
     loads
   in
   (* Churn fresh keys through until no bucket is empty: a miss then reads
@@ -472,103 +497,123 @@ let test_insert_into_tombstoned_table () =
   let next = ref 1000 in
   while probe_loads () <= 16 do
     if !next > 100_000 then Alcotest.fail "churn never filled the empty buckets";
-    Phash.insert h ~key:!next ~value:0;
+    insert h ~key:!next ~value:0;
     ignore (Phash.remove h ~key:!next);
     incr next
   done;
-  Phash.insert h ~key:absent ~value:1;
+  insert h ~key:absent ~value:1;
   Alcotest.(check (option int)) "inserted" (Some 1) (Phash.find h ~key:absent);
   Alcotest.(check int) "counted" 11 (Phash.count h);
   Alcotest.(check bool) "no resize needed" false (Phash.resizing h)
 
-(* Interleaved find_or / insert / take / remove against a Hashtbl model,
-   through three doublings: find_or misses are usually followed by an
-   insert of the same key, the path that reuses the probe. *)
-let hint_model_qcheck =
-  QCheck.Test.make ~name:"find_or/insert/take/remove match a Hashtbl model" ~count:200
+(* Interleaved find / insert / take / take_at / remove against a Hashtbl
+   model, through three doublings. [take_at] uses the bucket captured at
+   the key's last insert, which a resize since may have made stale, and
+   every insert's bucket is checked against where the entry lives. *)
+let bucket_model_qcheck =
+  QCheck.Test.make ~name:"find/insert/take/take_at/remove match a Hashtbl model" ~count:200
     QCheck.(list_of_size Gen.(20 -- 200) (triple (int_bound 4) (int_bound 59) small_nat))
     (fun ops ->
-      let h, _ = make_hinted ~doublings:3 () in
-      let model = Hashtbl.create 64 in
+      let h, _ = make_costed ~doublings:3 () in
+      let model = Hashtbl.create 64 and captured = Hashtbl.create 64 in
       let expect k = Option.value (Hashtbl.find_opt model k) ~default:(-1) in
+      let forget k =
+        Hashtbl.remove model k;
+        Hashtbl.remove captured k
+      in
       let step_ok (op, k, v) =
         let k = k + 1 in
         match op with
-        | 0 | 1 ->
-            let found = Phash.find_or h ~key:k ~default:(-1) in
-            let ok = found = expect k in
-            if found < 0 then begin
-              Phash.insert h ~key:k ~value:v;
-              Hashtbl.replace model k v
-            end;
-            ok
-        | 2 ->
-            Phash.insert h ~key:k ~value:v;
+        | 0 -> Phash.find h ~key:k = Hashtbl.find_opt model k
+        | 1 ->
+            let b = Phash.insert h ~key:k ~value:v in
             Hashtbl.replace model k v;
-            true
+            Hashtbl.replace captured k b;
+            let lives_at =
+              List.find_map (fun (k', _, b') -> if k' = k then Some b' else None) (Phash.entries h)
+            in
+            lives_at = Some b && (b >= 0 || Phash.resizing h)
+        | 2 ->
+            let ok = Phash.take h ~key:k = expect k in
+            forget k;
+            ok
         | 3 ->
-            let taken = Phash.take h ~key:k in
-            let ok = taken = expect k in
-            Hashtbl.remove model k;
+            let bucket = Option.value (Hashtbl.find_opt captured k) ~default:(-1) in
+            let ok = Phash.take_at h ~key:k ~bucket = expect k in
+            forget k;
             ok
         | _ ->
-            let removed = Phash.remove h ~key:k in
-            let ok = removed = Hashtbl.mem model k in
-            Hashtbl.remove model k;
+            let ok = Phash.remove h ~key:k = Hashtbl.mem model k in
+            forget k;
             ok
       in
       let steps_ok = List.for_all step_ok ops in
       let listed = ref [] in
-      Phash.iter h (fun ~key ~value -> listed := (key, value) :: !listed);
-      let modelled = Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [] in
+      Phash.iter h (fun ~key ~value ~bucket:_ -> listed := (key, value) :: !listed);
+      let modelled = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []) in
       steps_ok
       && List.for_all (fun k -> Phash.find h ~key:k = Hashtbl.find_opt model k) (List.init 60 succ)
-      && List.sort compare !listed = List.sort compare modelled
+      && List.sort compare !listed = modelled
+      && List.map (fun (k, v, _) -> (k, v)) (Phash.entries h) = modelled
       && Phash.count h = Hashtbl.length model)
 
 (* --- LRU --- *)
 
+let unlocked _ = false
+
+let add_all q = List.iter (fun k -> Lru.add q k ~slot:(k * 10) ~bucket:(k * 100))
+
+let candidate q ~locked = Option.map Lru.key (Lru.evict_candidate q ~locked)
+
 let test_lru_order () =
   let q = Lru.create () in
-  List.iter (Lru.touch q) [ 1; 2; 3 ];
-  Alcotest.(check (option int)) "LRU is 1" (Some 1)
-    (Lru.evict_candidate q ~locked:(fun _ -> false));
-  Lru.touch q 1;
+  add_all q [ 1; 2; 3 ];
+  Alcotest.(check (option int)) "LRU is 1" (Some 1) (candidate q ~locked:unlocked);
+  Lru.touch q (Lru.find q 1);
   (* 1 becomes MRU; 2 is now LRU *)
-  Alcotest.(check (option int)) "after touch LRU is 2" (Some 2)
-    (Lru.evict_candidate q ~locked:(fun _ -> false))
+  Alcotest.(check (option int)) "after touch LRU is 2" (Some 2) (candidate q ~locked:unlocked)
 
 let test_lru_skips_locked () =
   let q = Lru.create () in
-  List.iter (Lru.touch q) [ 1; 2; 3 ];
-  Alcotest.(check (option int)) "skips locked LRU" (Some 2)
-    (Lru.evict_candidate q ~locked:(fun k -> k = 1));
-  Alcotest.(check (option int)) "all locked" None
-    (Lru.evict_candidate q ~locked:(fun _ -> true))
+  add_all q [ 1; 2; 3 ];
+  Alcotest.(check (option int)) "skips locked LRU" (Some 2) (candidate q ~locked:(fun k -> k = 1));
+  Alcotest.(check (option int)) "all locked" None (candidate q ~locked:(fun _ -> true))
 
 let test_lru_remove () =
   let q = Lru.create () in
-  List.iter (Lru.touch q) [ 1; 2; 3 ];
-  Lru.remove q 2;
+  add_all q [ 1; 2; 3 ];
+  Lru.remove q (Lru.find q 2);
   Alcotest.(check int) "length" 2 (Lru.length q);
-  Alcotest.(check bool) "gone" false (Lru.mem q 2);
+  Alcotest.(check bool) "gone" true
+    (match Lru.find q 2 with _ -> false | exception Not_found -> true);
   let order = ref [] in
-  Lru.iter_lru_order q (fun k -> order := k :: !order);
+  Lru.iter q (fun n -> order := Lru.key n :: !order);
   Alcotest.(check (list int)) "remaining order (MRU first)" [ 3; 1 ] !order
 
 let test_lru_remove_head_tail () =
   let q = Lru.create () in
-  List.iter (Lru.touch q) [ 1; 2; 3 ];
-  Lru.remove q 3;
+  add_all q [ 1; 2; 3 ];
+  Lru.remove q (Lru.find q 3);
   (* MRU *)
-  Lru.remove q 1;
+  Lru.remove q (Lru.find q 1);
   (* LRU *)
-  Alcotest.(check (option int)) "middle remains" (Some 2)
-    (Lru.evict_candidate q ~locked:(fun _ -> false));
-  Lru.remove q 2;
-  Alcotest.(check (option int)) "empty" None (Lru.evict_candidate q ~locked:(fun _ -> false));
-  (* removing from empty is a no-op *)
-  Lru.remove q 2
+  Alcotest.(check (option int)) "middle remains" (Some 2) (candidate q ~locked:unlocked);
+  Lru.remove q (Lru.find q 2);
+  Alcotest.(check (option int)) "empty" None (candidate q ~locked:unlocked);
+  Alcotest.(check int) "length" 0 (Lru.length q)
+
+(* A node keeps the slot word and bucket it was added with; [iter] may
+   rewrite buckets, as a resize makes the backup forget them. *)
+let test_lru_node_words () =
+  let q = Lru.create () in
+  add_all q [ 1; 2 ];
+  let n = Lru.find q 2 in
+  Alcotest.(check (list int)) "key, slot, bucket" [ 2; 20; 200 ]
+    [ Lru.key n; Lru.slot n; Lru.bucket n ];
+  Lru.iter q (fun n -> Lru.set_bucket n (-1));
+  Alcotest.(check (list int)) "buckets forgotten" [ -1; -1 ]
+    [ Lru.bucket (Lru.find q 1); Lru.bucket (Lru.find q 2) ];
+  Alcotest.(check int) "slot kept" 10 (Lru.slot (Lru.find q 1))
 
 let lru_model_qcheck =
   QCheck.Test.make ~name:"lru eviction order matches a list model" ~count:100
@@ -578,11 +623,13 @@ let lru_model_qcheck =
       let model = ref [] in
       List.iter
         (fun k ->
-          Lru.touch q k;
+          (match Lru.find q k with
+          | n -> Lru.touch q n
+          | exception Not_found -> Lru.add q k ~slot:k ~bucket:(-1));
           model := k :: List.filter (fun x -> x <> k) !model)
         touches;
       let expect = match List.rev !model with [] -> None | k :: _ -> Some k in
-      Lru.evict_candidate q ~locked:(fun _ -> false) = expect)
+      candidate q ~locked:unlocked = expect)
 
 let () =
   Alcotest.run "phash_lru"
@@ -604,13 +651,17 @@ let () =
             test_transparent_resize;
           Alcotest.test_case "resize crash sweep" `Quick test_resize_crash_sweep;
         ] );
-      ( "phash probe hint",
+      ( "phash buckets",
         [
-          Alcotest.test_case "insert after a find_or miss" `Quick test_hinted_insert_cost;
-          Alcotest.test_case "hint ignored" `Quick test_hint_ignored;
+          Alcotest.test_case "take_at a valid bucket" `Quick test_take_at_valid_bucket;
+          Alcotest.test_case "take_at after a completed resize" `Quick
+            test_take_at_after_resize;
+          Alcotest.test_case "take_at during a migration" `Quick test_take_at_during_migration;
+          Alcotest.test_case "fresh tombstone not reused" `Quick
+            test_fresh_tombstone_not_reused;
           Alcotest.test_case "insert into a table of tombstones" `Quick
             test_insert_into_tombstoned_table;
-          QCheck_alcotest.to_alcotest hint_model_qcheck;
+          QCheck_alcotest.to_alcotest bucket_model_qcheck;
         ] );
       ( "phash corrupt image",
         [
@@ -632,6 +683,7 @@ let () =
           Alcotest.test_case "skips locked" `Quick test_lru_skips_locked;
           Alcotest.test_case "remove" `Quick test_lru_remove;
           Alcotest.test_case "remove head/tail" `Quick test_lru_remove_head_tail;
+          Alcotest.test_case "node words" `Quick test_lru_node_words;
           QCheck_alcotest.to_alcotest lru_model_qcheck;
         ] );
     ]

@@ -155,7 +155,12 @@ let fingerprint kind can_abort seed =
    of the stores and flushed lines. The kamino-dynamic cells were
    re-recorded again when a miss's mapping key word began riding the
    intent-log barrier instead of a fence of its own: only fences fell
-   (337, 341 and 360 to 311, 315 and 342), and sim by fence_ns for each. *)
+   (337, 341 and 360 to 311, 315 and 342), and sim by fence_ns for each.
+   They were re-recorded again when hits, propagation, roll-back and drop
+   began reading the backup's DRAM resident map instead of probing the
+   look-up table, and evictions began tombstoning the bucket a node
+   remembers: only sim, loads and bytes_loaded moved (seed 1: sim 273948
+   to 261179, loads 61413 to 61013). *)
 let expected =
   [
     ("no-logging/seed=1", "sim=74751 stores=1056 bytes_stored=10704 loads=1417 bytes_loaded=11336 flushed=198 fences=55 copied=0 heap=2069efb6e70cd527");
@@ -170,9 +175,9 @@ let expected =
     ("kamino-simple/seed=1", "sim=338468 stores=3118 bytes_stored=27368 loads=2684 bytes_loaded=21472 flushed=17138 fences=283 copied=1058616 heap=3402600e0d667a7c");
     ("kamino-simple/seed=2", "sim=330539 stores=2650 bytes_stored=22480 loads=2160 bytes_loaded=17280 flushed=17033 fences=277 copied=1056472 heap=2781a7a1d38069ae");
     ("kamino-simple/seed=3", "sim=348236 stores=4441 bytes_stored=37472 loads=2933 bytes_loaded=23464 flushed=17313 fences=326 copied=1062024 heap=1bb003283a02d882");
-    ("kamino-dynamic/seed=1", "sim=273948 stores=2185 bytes_stored=85432 loads=61413 bytes_loaded=491304 flushed=1918 fences=311 copied=13304 heap=3402600e0d667a7c");
-    ("kamino-dynamic/seed=2", "sim=270164 stores=1979 bytes_stored=82640 loads=60661 bytes_loaded=485288 flushed=1808 fences=315 copied=10712 heap=2781a7a1d38069ae");
-    ("kamino-dynamic/seed=3", "sim=135827 stores=2975 bytes_stored=91272 loads=4785 bytes_loaded=38280 flushed=2062 fences=342 copied=16232 heap=1bb003283a02d882");
+    ("kamino-dynamic/seed=1", "sim=261179 stores=2185 bytes_stored=85432 loads=61013 bytes_loaded=488104 flushed=1918 fences=311 copied=13304 heap=3402600e0d667a7c");
+    ("kamino-dynamic/seed=2", "sim=257754 stores=1979 bytes_stored=82640 loads=60293 bytes_loaded=482344 flushed=1808 fences=315 copied=10712 heap=2781a7a1d38069ae");
+    ("kamino-dynamic/seed=3", "sim=124744 stores=2975 bytes_stored=91272 loads=4365 bytes_loaded=34920 flushed=2062 fences=342 copied=16232 heap=1bb003283a02d882");
     ("intent-only/seed=1", "sim=103225 stores=2809 bytes_stored=24728 loads=2150 bytes_loaded=17200 flushed=524 fences=254 copied=0 heap=2069efb6e70cd527");
     ("intent-only/seed=2", "sim=93931 stores=2448 bytes_stored=21840 loads=1665 bytes_loaded=13320 flushed=471 fences=227 copied=0 heap=13deed71d51cb41a");
     ("intent-only/seed=3", "sim=122671 stores=4985 bytes_stored=41856 loads=3864 bytes_loaded=30912 flushed=667 fences=275 copied=0 heap=147adbebe2c787fb");
