@@ -5,8 +5,9 @@
 
    - snapshot reads: YCSB-B/C/D on kamino-simple, reads through the locked
      transactional path ([Kv.get]) and through the lock-free backup
-     snapshot ([Kv.snapshot_get] on a reader clock). Fails if a snapshot
-     cell is slower in wall ops/s than its locked cell, or serves no
+     snapshot ([Kv.snapshot_get] on a reader clock, counted in the
+     cell's sim-ns). Fails if a snapshot cell is slower than its locked
+     cell in wall ops/s or is not cheaper in sim-ns/op, or serves no
      backup hits: readers that skip locks must not lose.
    - shards: YCSB-A, uniform and zipf keys, 8 clients pinned round-robin
      over 1, 2 and 4 shards, each on 1 and 2 OCaml domains. Fails if more
@@ -76,9 +77,12 @@ let kamino_dyn alpha = Engine.Kamino_dynamic { alpha; policy = Backup.Lru_policy
 (* --- the fixed-op window -------------------------------------------------- *)
 
 (* One engine's measured window: [warmup] calls of [step 0], then the
-   measured steps, numbered from 1 and run in one go or in slices. *)
+   measured steps, numbered from 1 and run in one go or in slices. The
+   window's sim-ns is the engine clock's advance plus [reader]'s, the
+   clock snapshot reads charge. *)
 type meter = {
   e : Engine.t;
+  reader : Kamino_sim.Clock.t option;
   step : int -> unit;
   mutable steps : int;
   mutable sim_ns : int;
@@ -86,22 +90,25 @@ type meter = {
   mutable wall_s : float;
 }
 
-let meter ~warmup e step =
+let meter ?reader ~warmup e step =
   for _ = 1 to warmup do
     step 0
   done;
   Engine.drain_backup e;
   Gc.minor ();
-  { e; step; steps = 0; sim_ns = 0; words = 0.0; wall_s = 0.0 }
+  { e; reader; step; steps = 0; sim_ns = 0; words = 0.0; wall_s = 0.0 }
+
+let sim_now m =
+  Engine.now m.e + match m.reader with Some c -> Kamino_sim.Clock.now c | None -> 0
 
 let run m n =
-  let sim0 = Engine.now m.e and w0 = Gc.minor_words () and t0 = Common.Wall.now_s () in
+  let sim0 = sim_now m and w0 = Gc.minor_words () and t0 = Common.Wall.now_s () in
   for i = m.steps + 1 to m.steps + n do
     m.step i
   done;
   m.wall_s <- m.wall_s +. Common.Wall.elapsed_s ~since:t0;
   m.words <- m.words +. (Gc.minor_words () -. w0);
-  m.sim_ns <- m.sim_ns + (Engine.now m.e - sim0);
+  m.sim_ns <- m.sim_ns + (sim_now m - sim0);
   m.steps <- m.steps + n
 
 (* The cell's common fields; [ops] is the operation count the measured
@@ -157,12 +164,11 @@ let read_meter ~snapshot wl =
   in
   let w = Ycsb.create wl ~record_count:read_records ~theta:0.99 in
   let rng = Rng.create 777 in
-  let reader = Kamino_sim.Clock.create_at (Engine.now e) in
-  let read =
-    if snapshot then fun k -> ignore (Kv.snapshot_get ~clock:reader kv k)
-    else fun k -> ignore (Kv.get kv k)
-  in
-  meter ~warmup:64 e (ycsb_step ~read kv w rng)
+  if snapshot then
+    let reader = Kamino_sim.Clock.create_at (Engine.now e) in
+    let read k = ignore (Kv.snapshot_get ~clock:reader kv k) in
+    meter ~reader ~warmup:64 e (ycsb_step ~read kv w rng)
+  else meter ~warmup:64 e (ycsb_step ~read:(fun k -> ignore (Kv.get kv k)) kv w rng)
 
 let read_cell ~snapshot wl_name m =
   let em = Engine.metrics m.e in
@@ -197,12 +203,18 @@ let snapshot_reads () =
       done;
       let locked = read_cell ~snapshot:false name ml and snap = read_cell ~snapshot:true name ms in
       let l = float_field locked "wall_ops_per_s" and s = float_field snap "wall_ops_per_s" in
+      let lsim = float_field locked "sim_ns_per_op" and ssim = float_field snap "sim_ns_per_op" in
       let hits = int_of_float (float_field snap "snapshot_hits") in
-      Printf.printf "  %-7s locked %9.0f ops/s | snapshot %9.0f ops/s (%.2fx)  %d hits\n%!" name
-        l s
+      Printf.printf
+        "  %-7s locked %9.0f ops/s %6.1f sim-ns/op | snapshot %9.0f ops/s %6.1f sim-ns/op \
+         (%.2fx)  %d hits\n%!"
+        name l lsim s ssim
         (if l > 0.0 then s /. l else 0.0)
         hits;
       if s < l then fail "%s snapshot reads (%.0f ops/s) below the locked baseline (%.0f)" name s l;
+      if ssim >= lsim then
+        fail "%s snapshot reads (%.1f sim-ns/op) not below the locked baseline (%.1f)" name
+          ssim lsim;
       if hits = 0 then fail "%s snapshot run served zero backup hits" name;
       [ locked; snap ])
     [ ("ycsb-b", Ycsb.B); ("ycsb-c", Ycsb.C); ("ycsb-d", Ycsb.D) ]

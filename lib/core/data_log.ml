@@ -210,11 +210,6 @@ let payload_read_bytes t entry rel len =
     invalid_arg "Data_log.payload_read_bytes: out of entry range";
   Region.read_bytes t.region (entry.payload_off + rel) len
 
-let payload_read_string t entry rel len =
-  if rel < 0 || rel + len > entry.len then
-    invalid_arg "Data_log.payload_read_string: out of entry range";
-  Region.read_string t.region (entry.payload_off + rel) len
-
 let payload_read_int64 t entry rel =
   if rel < 0 || rel + 8 > entry.len then
     invalid_arg "Data_log.payload_read_int64: out of entry range";

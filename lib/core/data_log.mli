@@ -66,8 +66,6 @@ val payload_write_byte : t -> entry -> int -> int -> unit
 
 val payload_read_bytes : t -> entry -> int -> int -> bytes
 
-val payload_read_string : t -> entry -> int -> int -> string
-
 val payload_read_int64 : t -> entry -> int -> int64
 
 val payload_read_int : t -> entry -> int -> int

@@ -564,17 +564,68 @@ let read_bytes tx p field len =
     | Some entry ->
         Data_log.payload_read_bytes (the_dlog t) entry (abs - t.ws.(i).r_off) len
 
-let read_string tx p field len =
+(* Where byte [x] lives for the transaction: in the working copy of
+   intent [i] under CoW, in the main heap otherwise. *)
+let locate t i x =
+  match cow_of t i with
+  | None -> (t.main, x)
+  | Some entry ->
+      (Option.get t.dlog_region, entry.Data_log.payload_off + (x - t.ws.(i).r_off))
+
+(* The newest intent overlapping [lo, hi) when it covers the whole run,
+   [-1] when none overlaps it, [-2] when the run straddles the edge of
+   one: then bytes of the run live in different places. *)
+let rec run_idx ws lo hi i =
+  if i < 0 then -1
+  else
+    let r = Array.unsafe_get ws i in
+    if r.r_off + r.r_len <= lo || hi <= r.r_off then run_idx ws lo hi (i - 1)
+    else if r.r_off <= lo && hi <= r.r_off + r.r_len then i
+    else -2
+
+(* End of the piece that starts at [x] and lives where intent [i] (or the
+   main heap, at [-1]) puts it: the first start of a newer intent past [x]
+   cuts it. *)
+let rec piece_end ws x e j n =
+  if j >= n then e
+  else
+    let o = (Array.unsafe_get ws j).r_off in
+    piece_end ws x (if o > x && o < e then o else e) (j + 1) n
+
+(* Bytes [lo, hi) as the transaction sees them, one load per piece that
+   lives in one place. *)
+let read_pieces t lo hi =
+  let buf = Bytes.create (hi - lo) in
+  let rec fill x =
+    if x < hi then begin
+      let i = covering_idx t x 1 in
+      let e = if i < 0 then hi else min hi (t.ws.(i).r_off + t.ws.(i).r_len) in
+      let e = piece_end t.ws x e (i + 1) t.ws_n in
+      let reg, off = locate t i x in
+      Region.read_into reg off buf (x - lo) (e - x);
+      fill e
+    end
+  in
+  fill lo;
+  Bytes.unsafe_to_string buf
+
+let read_prefixed tx p field ~max =
   active_tx tx;
   let t = tx.owner in
   let abs = p + field in
-  if t.ws_cow_n = 0 then Region.read_string t.main abs len
+  if t.ws_cow_n = 0 then Region.read_prefixed t.main abs ~max
   else
-    let i = covering_idx t abs len in
-    match cow_of t i with
-    | None -> Region.read_string t.main abs len
-    | Some entry ->
-        Data_log.payload_read_string (the_dlog t) entry (abs - t.ws.(i).r_off) len
+    match run_idx t.ws abs (abs + 8 + max) (t.ws_n - 1) with
+    | -2 ->
+        (* The record's largest extent straddles a working copy (a
+           field-granular [add_field]): the length word, then each piece
+           of the bytes, from where it lives. *)
+        let len = Int64.to_int (String.get_int64_le (read_pieces t abs (abs + 8)) 0) in
+        if len < 0 || len > max then raise (Region.Bad_length { off = abs; len; max });
+        read_pieces t (abs + 8) (abs + 8 + len)
+    | i ->
+        let reg, off = locate t i abs in
+        Region.read_prefixed reg off ~max
 
 let read_byte tx p field =
   active_tx tx;
@@ -650,7 +701,7 @@ let snapshot_read_int64 s p field = Region.read_int64 s.s_reg (p + field)
 
 let snapshot_read_int s p field = Region.read_int s.s_reg (p + field)
 
-let snapshot_read_string s p field len = Region.read_string s.s_reg (p + field) len
+let snapshot_read_prefixed s p field ~max = Region.read_prefixed s.s_reg (p + field) ~max
 
 (* The root pointer as the snapshot saw it: the entry point for traversing
    persistent structures inside the backup image. *)
@@ -665,6 +716,8 @@ let peek_int t p field = Region.read_int t.main (p + field)
 let peek_bytes t p field len = Region.read_bytes t.main (p + field) len
 
 let peek_string t p field len = Region.read_string t.main (p + field) len
+
+let peek_prefixed t p field ~max = Region.read_prefixed t.main (p + field) ~max
 
 let peek_run t p field len = Region.charge_load t.main (p + field) len
 

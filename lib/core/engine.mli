@@ -265,7 +265,20 @@ val read_byte : tx -> Heap.ptr -> int -> int
 
 val read_bytes : tx -> Heap.ptr -> int -> int -> bytes
 
-val read_string : tx -> Heap.ptr -> int -> int -> string
+(** [read_prefixed tx p field ~max] reads the length-prefixed record at
+    [field]: its length word [len], then the [len] bytes after it, charged
+    as one load of [8 + len] bytes ({!Kamino_nvm.Region.read_prefixed}).
+    It raises [Region.Bad_length] when [len] lies outside [\[0, max\]],
+    so a corrupt word never reads into a neighbouring object; [8 + max]
+    bytes from [field] must lie inside the object.
+
+    Under CoW it follows the transaction's working copies byte for byte.
+    When one place holds the record's whole [8 + max] extent (no intent
+    overlaps it, or one covers it) the read is still one load. When the
+    extent straddles the edge of a working copy (a field-granular
+    {!add_field}), the length word and each piece of the bytes are loaded
+    from where they live: never main-heap bytes for a redirected range. *)
+val read_prefixed : tx -> Heap.ptr -> int -> max:int -> string
 
 (** Outside-transaction reads of committed state. *)
 
@@ -276,6 +289,11 @@ val peek_int : t -> Heap.ptr -> int -> int
 val peek_bytes : t -> Heap.ptr -> int -> int -> bytes
 
 val peek_string : t -> Heap.ptr -> int -> int -> string
+
+(** [peek_prefixed t p field ~max] — {!read_prefixed} on committed state:
+    one load of [8 + len] bytes, [Region.Bad_length] outside
+    [\[0, max\]]. *)
+val peek_prefixed : t -> Heap.ptr -> int -> max:int -> string
 
 (** [peek_run t p field len] charges one committed load of [len] bytes at
     [field] ({!Kamino_nvm.Region.charge_load}) and returns nothing: the
@@ -335,7 +353,10 @@ val snapshot_read_int64 : snapshot -> Heap.ptr -> int -> int64
 
 val snapshot_read_int : snapshot -> Heap.ptr -> int -> int
 
-val snapshot_read_string : snapshot -> Heap.ptr -> int -> int -> string
+(** [snapshot_read_prefixed s p field ~max] — {!read_prefixed} in the
+    backup image: one load of [8 + len] bytes, [Region.Bad_length] outside
+    [\[0, max\]]. *)
+val snapshot_read_prefixed : snapshot -> Heap.ptr -> int -> max:int -> string
 
 (** The heap root pointer as the snapshot saw it ([Heap.null] if the
     store's creating transaction has not propagated yet). *)

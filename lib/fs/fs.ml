@@ -365,11 +365,9 @@ type slot = {
 
 let rec chain_slot tx name dp idx at prev p =
   if p = Heap.null then { dp; idx; at; prev = Heap.null; de = Heap.null }
-  else
-    let nlen = Engine.read_int tx p d_nlen in
-    if nlen = String.length name && Engine.read_string tx p d_name nlen = name then
-      { dp; idx; at; prev; de = p }
-    else chain_slot tx name dp idx at p (Engine.read_int tx p d_next)
+  else if Engine.read_prefixed tx p d_nlen ~max:max_name_len = name then
+    { dp; idx; at; prev; de = p }
+  else chain_slot tx name dp idx at p (Engine.read_int tx p d_next)
 
 let find_slot tx t ~dir ~name =
   let dp, idx = dir_of_tx tx t dir in
@@ -816,8 +814,7 @@ let readdir_tx tx t ~dir =
       let rec go p acc =
         if p = Heap.null then acc
         else
-          let nlen = Engine.read_int tx p d_nlen in
-          let name = Engine.read_string tx p d_name nlen in
+          let name = Engine.read_prefixed tx p d_nlen ~max:max_name_len in
           go (Engine.read_int tx p d_next)
             ((name, Engine.read_int tx p d_ino) :: acc)
       in
@@ -912,14 +909,11 @@ let lookup t ~dir name =
       match Btree.find idx (hash_name t name) with
       | None -> None
       | Some head ->
-          let nlen_want = String.length name in
           let rec go p =
             if p = Heap.null then None
-            else
-              let nlen = Engine.peek_int e p d_nlen in
-              if nlen = nlen_want && Engine.peek_string e p d_name nlen = name
-              then Some (Engine.peek_int e p d_ino)
-              else go (Engine.peek_int e p d_next)
+            else if Engine.peek_prefixed e p d_nlen ~max:max_name_len = name then
+              Some (Engine.peek_int e p d_ino)
+            else go (Engine.peek_int e p d_next)
           in
           go head)
 

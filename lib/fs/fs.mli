@@ -179,7 +179,11 @@ val mkdir : t -> dir:int -> string -> int
 
 val lookup : t -> dir:int -> string -> int option
 (** Committed-state name lookup (single-shard view; dangling entries of
-    a sharded namespace resolve to [None] only via {!Shard_fs}). *)
+    a sharded namespace resolve to [None] only via {!Shard_fs}). Each
+    dirent on the name's chain costs one load of its length word and name
+    ({!Engine.peek_prefixed}); a length word outside
+    [\[0, Layout.max_name_len\]] raises [Kamino_nvm.Region.Bad_length],
+    as it does in {!readdir} and every in-transaction chain walk. *)
 
 val resolve : t -> string -> int option
 (** ["/a/b/c"]-style path walk from the root (committed state). *)

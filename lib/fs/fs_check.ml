@@ -113,10 +113,12 @@ let fsck_cluster ?(strict_heap = true) fss =
                       if p <> Heap.null then begin
                         claim s claimed.(s) heap p
                           (Printf.sprintf "dirent in dir %d" ino);
-                        let nlen = pk p d_nlen in
-                        if nlen < 1 || nlen > max_name_len then
-                          fail "shard %d: dir %d dirent with name length %d" s ino nlen;
-                        let name = Engine.peek_string e p d_name nlen in
+                        let name =
+                          match Engine.peek_prefixed e p d_nlen ~max:max_name_len with
+                          | name -> name
+                          | exception Kamino_nvm.Region.Bad_length { len; _ } ->
+                              fail "shard %d: dir %d dirent with name length %d" s ino len
+                        in
                         (match Fs.check_name name with
                         | () -> ()
                         | exception Fs.Fs_error m ->

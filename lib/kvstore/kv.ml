@@ -112,8 +112,7 @@ let get t key =
       if vptr = Heap.null then None
       else begin
         Engine.read_lock tx vptr;
-        let len = Engine.read_int tx vptr v_len in
-        Some (Engine.read_string tx vptr v_data len)
+        Some (Engine.read_prefixed tx vptr v_len ~max:t.value_size)
       end)
 
 (* Read-only lookup served from the backup image at the applier's
@@ -135,10 +134,10 @@ let snapshot_get ?clock t key =
         else
           match Btree.find_snapshot snap t.tree key with
           | None -> Some None
-          | Some vptr ->
-              let len = Engine.snapshot_read_int snap vptr v_len in
-              if len < 0 || len > t.value_size then None
-              else Some (Some (Engine.snapshot_read_string snap vptr v_data len)))
+          | Some vptr -> (
+              match Engine.snapshot_read_prefixed snap vptr v_len ~max:t.value_size with
+              | value -> Some (Some value)
+              | exception Kamino_nvm.Region.Bad_length _ -> None))
   with
   | Some result -> result
   | None -> get t key
@@ -159,8 +158,7 @@ let delete t key = Engine.with_tx t.engine (fun tx -> delete_tx tx t key)
 (* Apply [f] in place to the value at [vptr]. *)
 let update_with tx t vptr f =
   Engine.add tx vptr;
-  let len = Engine.read_int tx vptr v_len in
-  let value = f (Engine.read_string tx vptr v_data len) in
+  let value = f (Engine.read_prefixed tx vptr v_len ~max:t.value_size) in
   check_value t value;
   write_value tx vptr value
 
@@ -192,25 +190,22 @@ let value_ptr t key = Btree.find t.tree key
 
 let exists t key = Btree.find t.tree key <> None
 
+(* A committed value: its length word and bytes in one load. *)
+let read_value t vptr = Engine.peek_prefixed t.engine vptr v_len ~max:t.value_size
+
 let iter t f =
-  Btree.iter t.tree (fun key vptr ->
-      let len = Engine.peek_int t.engine vptr v_len in
-      f key (Engine.peek_string t.engine vptr v_data len))
+  Btree.iter t.tree (fun key vptr -> f key (read_value t vptr))
 
 let range t ~lo ~hi =
   let acc = ref [] in
-  Btree.range t.tree ~lo ~hi (fun key vptr ->
-      let len = Engine.peek_int t.engine vptr v_len in
-      acc := (key, Engine.peek_string t.engine vptr v_data len) :: !acc);
+  Btree.range t.tree ~lo ~hi (fun key vptr -> acc := (key, read_value t vptr) :: !acc);
   List.rev !acc
 
 (* Count-bounded committed-state scan (YCSB-E): [count] bindings from the
    first key >= [lo], charged O(tree depth + count) — the walk never
    depends on how many records lie past the window. *)
 let scan t ~lo ~count f =
-  Btree.scan t.tree ~lo ~count (fun key vptr ->
-      let len = Engine.peek_int t.engine vptr v_len in
-      f key (Engine.peek_string t.engine vptr v_data len))
+  Btree.scan t.tree ~lo ~count (fun key vptr -> f key (read_value t vptr))
 
 (* Push the index-shape gauge into the engine's registry. [Btree.depth]
    reads through the cost-free probe path, so syncing gauges cannot

@@ -46,7 +46,9 @@ val delete_tx : Kamino_core.Engine.tx -> t -> int -> bool
     key is absent, inserting the result). *)
 val rmw_tx : Kamino_core.Engine.tx -> t -> int -> (string -> string) -> unit
 
-(** [get t key] reads the committed value. *)
+(** [get t key] reads the committed value: its length word and bytes in
+    one load. Raises [Kamino_nvm.Region.Bad_length] when the value's
+    length word exceeds [value_size] or is negative (a corrupt image). *)
 val get : t -> int -> string option
 
 (** [snapshot_get t key] is a read-only transaction served from the
@@ -56,7 +58,8 @@ val get : t -> int -> string option
     class and never perturbs a writer. Falls back to the locked {!get}
     (behind the same API, counted as [snapshot.fallbacks]) when the
     engine cannot serve snapshots — no full backup, or the store's
-    creating transaction has not propagated yet. [clock] charges the
+    creating transaction has not propagated yet, or the value's length
+    word in the backup image is out of range. [clock] charges the
     snapshot's loads to a dedicated reader clock. [None] can mean
     "absent at the watermark" even while a concurrent insert has already
     committed: that is the documented staleness. *)

@@ -245,6 +245,18 @@ let read_string t off len =
 
 let charge_load t off len = record_load t off len
 
+exception Bad_length of { off : int; len : int; max : int }
+
+let read_prefixed t off ~max =
+  check_range t off 8 "read_prefixed";
+  let len = get_int_le t.volatile off in
+  if len < 0 || len > max then begin
+    record_load_unchecked t 8;
+    raise (Bad_length { off; len; max })
+  end;
+  record_load t off (8 + len);
+  Bytes.sub_string t.volatile (off + 8) len
+
 let read_into t off dst pos len =
   if pos < 0 || len < 0 || pos + len > Bytes.length dst then
     invalid_arg "Region.read_into: destination range out of bounds";

@@ -267,14 +267,103 @@ let test_fsck_detects_corruption () =
       Engine.with_tx e (fun tx ->
           Engine.add tx blk;
           Engine.write_byte tx blk 30 0xAB));
-  expect_violation "dangling dirent" (fun e fs f ->
+  let victim_dirent e fs =
+    let idx = Btree.attach e (Engine.peek_int e (Option.get (Fs.inode_ptr fs (Fs.root_ino fs))) Fs.Layout.i_head) in
+    Option.get (Btree.find idx (Fs.hash_name fs "victim"))
+  in
+  expect_violation "dangling dirent" (fun e fs _ ->
       (* Point the victim's dirent at an inode that does not exist. *)
-      let idx = Btree.attach e (Engine.peek_int e (Option.get (Fs.inode_ptr fs (Fs.root_ino fs))) Fs.Layout.i_head) in
-      let de = Option.get (Btree.find idx (Fs.hash_name fs "victim")) in
-      ignore f;
-      poke_int e de Fs.Layout.d_ino 999_999);
+      poke_int e (victim_dirent e fs) Fs.Layout.d_ino 999_999);
   expect_violation "dropped size" (fun e fs f ->
-      poke_int e (Option.get (Fs.inode_ptr fs f)) Fs.Layout.i_size 3)
+      poke_int e (Option.get (Fs.inode_ptr fs f)) Fs.Layout.i_size 3);
+  List.iter
+    (fun nlen ->
+      expect_violation (Printf.sprintf "name length %d" nlen) (fun e fs _ ->
+          poke_int e (victim_dirent e fs) Fs.Layout.d_nlen nlen))
+    [ Fs.Layout.max_name_len + 1; -1; 0 ]
+
+(* --- length-prefixed names ---------------------------------------------------- *)
+
+(* A field-granular intent redirects part of a dirent under CoW. A name
+   read whose record lies outside it is one load from the main heap; one
+   that straddles its edges reads each part from where it lives. *)
+let test_name_read_straddles_cow () =
+  let e = Engine.create ~config ~kind:Engine.Cow ~seed:3 () in
+  let open Fs.Layout in
+  let name = "alpha-beta-gamma-delta-epsilon" in
+  let de =
+    Engine.with_tx e (fun tx ->
+        let de = Engine.alloc tx dirent_size in
+        Engine.write_int tx de d_nlen (String.length name);
+        Engine.write_string tx de d_name name;
+        de)
+  in
+  let read tx =
+    let l0 = (Engine.main_counters e).Region.loads in
+    let name = Engine.read_prefixed tx de d_nlen ~max:max_name_len in
+    (name, (Engine.main_counters e).Region.loads - l0)
+  in
+  Engine.with_tx e (fun tx ->
+      Engine.add_field tx de d_next 8;
+      Engine.write_int tx de d_next 1;
+      Alcotest.(check (pair string int)) "beside the copy: one load" (name, 1) (read tx));
+  (* The copy holds the length word and the name's first 8 bytes. *)
+  Engine.with_tx e (fun tx ->
+      Engine.add_field tx de d_next (d_name + 8);
+      Engine.write_int tx de d_nlen 13;
+      Engine.write_string tx de d_name "ALPHA-BE";
+      Alcotest.(check string) "straddling the copy's end" "ALPHA-BEta-ga" (fst (read tx)));
+  (* Two copies: the length word, and 8 bytes inside the name, read as
+     main, copy, main. *)
+  let name = "ALPHA-BE" ^ String.sub name 8 22 in
+  let want = String.sub name 0 16 ^ "GAMMA-DE" ^ String.sub name 24 6 in
+  Engine.with_tx e (fun tx ->
+      Engine.add_field tx de d_nlen 8;
+      Engine.write_int tx de d_nlen (String.length name);
+      Engine.add_field tx de (d_name + 16) 8;
+      Engine.write_string tx de (d_name + 16) "GAMMA-DE";
+      Alcotest.(check string) "a copy inside the name" want (fst (read tx)));
+  Alcotest.(check string) "committed" want
+    (Engine.peek_prefixed e de d_nlen ~max:max_name_len)
+
+(* The names as two-load reads see them: the length word, then the bytes,
+   along every collision chain of [dir]'s index. *)
+let two_load_entries e fs dir =
+  let open Fs.Layout in
+  let dp = Option.get (Fs.inode_ptr fs dir) in
+  let acc = ref [] in
+  Btree.iter (Btree.attach e (Engine.peek_int e dp i_head)) (fun _ head ->
+      let rec walk p =
+        if p <> Heap.null then begin
+          let nlen = Engine.peek_int e p d_nlen in
+          acc := (Engine.peek_string e p d_name nlen, Engine.peek_int e p d_ino) :: !acc;
+          walk (Engine.peek_int e p d_next)
+        end
+      in
+      walk head);
+  List.sort compare !acc
+
+(* Random creates and unlinks over a one-bit name hash, so the collision
+   chains are long: lookup, readdir and fsck see what two-load reads do. *)
+let names_qcheck =
+  let pool = Array.init 24 (fun i -> String.make (1 + (i * 7 mod 40)) (Char.chr (97 + i))) in
+  QCheck.Test.make ~name:"lookup, readdir and fsck agree with two-load reads" ~count:25
+    QCheck.(list_of_size (Gen.int_range 0 60) (pair (int_range 0 23) bool))
+    (fun ops ->
+      let e, fs = make_fs ~dir_hash_bits:1 (Plain Engine.Kamino_simple) 7 in
+      let root = Fs.root_ino fs in
+      List.iter
+        (fun (i, add) ->
+          let present = Fs.lookup fs ~dir:root pool.(i) <> None in
+          if add && not present then ignore (Fs.create fs ~dir:root pool.(i))
+          else if present && not add then Fs.unlink fs ~dir:root pool.(i))
+        ops;
+      let want = two_load_entries e fs root in
+      List.sort compare (Fs.readdir fs ~dir:root) = want
+      && Array.for_all
+           (fun n -> Fs.lookup fs ~dir:root n = List.assoc_opt n want)
+           pool
+      && Fs_check.fsck fs = Ok ())
 
 (* --- barrier budget ------------------------------------------------------------ *)
 
@@ -800,6 +889,12 @@ let () =
         [
           Alcotest.test_case "fsck detects planted corruption" `Quick
             test_fsck_detects_corruption;
+        ] );
+      ( "names",
+        [
+          Alcotest.test_case "a name read straddling a CoW copy" `Quick
+            test_name_read_straddles_cow;
+          QCheck_alcotest.to_alcotest names_qcheck;
         ] );
       ("crash-sweep", sweep_cases);
       ( "crash-boundary",

@@ -173,6 +173,123 @@ let test_update_loads () =
   Alcotest.(check int) "put = find + value write" (find + write) put;
   Alcotest.(check (option string)) "updated" (Some "w") (Kv.get kv 77)
 
+let counts e =
+  let c = Engine.main_counters e in
+  (c.Region.loads, c.Region.bytes_loaded)
+
+let measure e f =
+  Engine.drain_backup e;
+  let l0, b0 = counts e in
+  let r = f () in
+  let l1, b1 = counts e in
+  (l1 - l0, b1 - b0, r)
+
+(* A get costs its lookup's and read lock's loads plus one load of the
+   value record: the length word and bytes together, [8 + len] bytes —
+   the bytes the two-load form loads. *)
+let test_get_loads () =
+  let kv = make () in
+  let e = Kv.engine kv in
+  for k = 0 to 199 do
+    Kv.put kv k (String.make (k mod 50) 'v')
+  done;
+  List.iter
+    (fun k ->
+      let find_loads, find_bytes, vptr = measure e (fun () -> Kv.value_ptr kv k) in
+      let lock_loads, lock_bytes, () =
+        measure e (fun () ->
+            Engine.with_tx e (fun tx -> Engine.read_lock tx (Option.get vptr)))
+      in
+      let loads, bytes, v = measure e (fun () -> Kv.get kv k) in
+      let len = k mod 50 in
+      Alcotest.(check (option string)) "value" (Some (String.make len 'v')) v;
+      Alcotest.(check int)
+        (Printf.sprintf "get %d: loads" k)
+        (find_loads + lock_loads + 1)
+        loads;
+      Alcotest.(check int)
+        (Printf.sprintf "get %d: bytes" k)
+        (find_bytes + lock_bytes + 8 + len)
+        bytes)
+    [ 0; 7; 49; 123 ]
+
+(* Inside one leaf, each further key of a scan costs its two index words
+   (already in the leaf's runs) and one value load of [8 + len] bytes. *)
+let test_scan_loads () =
+  let kv = make () in
+  let e = Kv.engine kv in
+  for k = 0 to 9 do
+    Kv.put kv k "twelve bytes"
+  done;
+  let scan count =
+    measure e (fun () -> Kv.scan kv ~lo:2 ~count (fun _ v -> assert (v = "twelve bytes")))
+  in
+  let base_loads, base_bytes, n1 = scan 1 in
+  Alcotest.(check int) "one visited" 1 n1;
+  for m = 2 to 6 do
+    let loads, bytes, n = scan m in
+    Alcotest.(check int) "visited" m n;
+    Alcotest.(check int) (Printf.sprintf "scan %d: loads" m) (base_loads + m - 1) loads;
+    Alcotest.(check int)
+      (Printf.sprintf "scan %d: bytes" m)
+      (base_bytes + ((m - 1) * (16 + 8 + 12)))
+      bytes
+  done
+
+(* Under undo logging the transaction's writes are in place; under CoW
+   they sit in a working copy. Either way a read-modify-write after a put
+   in the same transaction reads the put's bytes. *)
+let test_rmw_sees_own_write () =
+  List.iter
+    (fun kind ->
+      let kv = make ~kind () in
+      let name = Engine.kind_name kind in
+      Kv.put kv 3 "committed";
+      let seen = ref "" in
+      Engine.with_tx (Kv.engine kv) (fun tx ->
+          Kv.put_tx tx kv 3 "in flight";
+          Kv.rmw_tx tx kv 3 (fun s ->
+              seen := s;
+              s ^ "!"));
+      Alcotest.(check string) (name ^ ": rmw read") "in flight" !seen;
+      Alcotest.(check (option string)) (name ^ ": committed") (Some "in flight!")
+        (Kv.get kv 3))
+    [ Engine.Undo_logging; Engine.Cow ]
+
+(* A value length word outside [0, value_size] — written into a crashed
+   image — makes the reads refuse it instead of loading past the record. *)
+let test_corrupt_length () =
+  List.iter
+    (fun bad ->
+      let kv = make () in
+      let e = Kv.engine kv in
+      Kv.put kv 1 "one";
+      Kv.put kv 2 "two";
+      Engine.drain_backup e;
+      let vptr = Option.get (Kv.value_ptr kv 1) in
+      Engine.crash e;
+      (* Both images: an aborted transaction restores the object from
+         the backup. *)
+      List.iter
+        (fun r ->
+          Region.write_int r vptr bad;
+          Region.persist r vptr 8)
+        [ Engine.main_region e; Option.get (Backup.full_region (Option.get (Engine.backup e))) ];
+      Engine.recover e;
+      let kv = Kv.reattach e in
+      let refused what f =
+        match f () with
+        | _ -> Alcotest.failf "%s with length %d: not refused" what bad
+        | exception Region.Bad_length { len; max; _ } ->
+            Alcotest.(check (pair int int)) (what ^ ": refusal") (bad, 256) (len, max)
+      in
+      refused "get" (fun () -> Kv.get kv 1);
+      refused "scan" (fun () -> Kv.scan kv ~lo:0 ~count:2 (fun _ _ -> ()));
+      refused "read_modify_write" (fun () -> Kv.read_modify_write kv 1 Fun.id);
+      Alcotest.(check (option string)) "the neighbour still reads" (Some "two") (Kv.get kv 2);
+      Alcotest.(check bool) "validate reports it" true (Kv.validate kv <> Ok ()))
+    [ 257; -1 ]
+
 let test_crash_recover () =
   for_each atomic_kinds (fun name kv ->
       let e = Kv.engine kv in
@@ -246,10 +363,15 @@ let () =
           Alcotest.test_case "many keys" `Quick test_many_keys;
           Alcotest.test_case "three fences per put and delete" `Quick test_fence_budget;
           Alcotest.test_case "an update loads what a lookup loads" `Quick test_update_loads;
+          Alcotest.test_case "a get is its lookup plus one value load" `Quick test_get_loads;
+          Alcotest.test_case "a scan loads each value once" `Quick test_scan_loads;
+          Alcotest.test_case "read-modify-write sees its own write" `Quick
+            test_rmw_sees_own_write;
         ] );
       ( "durability",
         [
           Alcotest.test_case "crash and recover" `Quick test_crash_recover;
+          Alcotest.test_case "a corrupt length word is refused" `Quick test_corrupt_length;
           Alcotest.test_case "mixed workload with crashes" `Slow
             test_mixed_workload_with_crashes;
         ] );

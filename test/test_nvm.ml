@@ -154,6 +154,51 @@ let test_costs_charged () =
   Alcotest.(check bool) "fence charged" true
     (float_of_int (Clock.now clock - t3) >= c.Cost_model.fence_ns -. 1.0)
 
+(* A length-prefixed record is one load of [8 + len] bytes: the bytes the
+   two-load form (length word, then payload) loads, one load overhead
+   fewer. A length outside [0, max] is refused after loading the word. *)
+let test_read_prefixed () =
+  let one, one_clock = make () and two, two_clock = make () in
+  let name = String.init 32 (fun i -> Char.chr (65 + (i mod 26))) in
+  List.iter
+    (fun r ->
+      Region.write_int r 64 (String.length name);
+      Region.write_string r 72 name;
+      Region.reset_counters r)
+    [ one; two ];
+  let t1 = Clock.now one_clock and t2 = Clock.now two_clock in
+  Alcotest.(check string) "record" name (Region.read_prefixed one 64 ~max:40);
+  let len = Region.read_int two 64 in
+  Alcotest.(check string) "two-load form" name (Region.read_string two 72 len);
+  let c1 = Region.counters one and c2 = Region.counters two in
+  Alcotest.(check int) "one load" 1 c1.Region.loads;
+  Alcotest.(check int) "two loads" 2 c2.Region.loads;
+  Alcotest.(check int) "same bytes" c2.Region.bytes_loaded c1.Region.bytes_loaded;
+  Alcotest.(check int) "8 + len bytes" 40 c1.Region.bytes_loaded;
+  let overhead = int_of_float (Region.cost_model one).Cost_model.load_overhead_ns in
+  Alcotest.(check int) "one load overhead saved"
+    (Clock.now two_clock - t2 - overhead)
+    (Clock.now one_clock - t1);
+  Region.write_int one 0 0;
+  Alcotest.(check string) "empty record" "" (Region.read_prefixed one 0 ~max:40);
+  let refused len =
+    Region.write_int one 0 len;
+    Region.reset_counters one;
+    (match Region.read_prefixed one 0 ~max:40 with
+    | s -> Alcotest.failf "length %d read %S" len s
+    | exception Region.Bad_length { off; len = l; max } ->
+        Alcotest.(check (list int)) "refusal fields" [ 0; len; 40 ] [ off; l; max ]);
+    Alcotest.(check (pair int int)) "the word's load only" (1, 8)
+      ((Region.counters one).Region.loads, (Region.counters one).Region.bytes_loaded)
+  in
+  refused 41;
+  refused (-1);
+  Region.write_int one 4080 16;
+  Alcotest.(check bool) "past the region's end" true
+    (match Region.read_prefixed one 4080 ~max:40 with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let test_clock_switch () =
   let r, clock_a = make () in
   let clock_b = Clock.create () in
@@ -417,6 +462,7 @@ let () =
         [
           Alcotest.test_case "charged to clock" `Quick test_costs_charged;
           Alcotest.test_case "clock switching" `Quick test_clock_switch;
+          Alcotest.test_case "length-prefixed record is one load" `Quick test_read_prefixed;
           Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "at_fence fires once, invisibly" `Quick test_at_fence;
         ] );

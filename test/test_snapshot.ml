@@ -326,6 +326,44 @@ let test_promoted_head_serves () =
   Alcotest.(check (option string))
     "visible after drain" (Some "two'") (Kv.snapshot_get kv 2)
 
+(* A value length word outside [0, value_size] in the backup image: the
+   snapshot read declines instead of loading past the record, and the
+   locked fallback reads the main heap. With the same word in both
+   images, the fallback refuses it too. *)
+let test_corrupt_length_declines () =
+  List.iter
+    (fun bad ->
+      let e = Engine.create ~config ~kind:Engine.Kamino_simple ~seed:5 () in
+      let kv = Kv.create e ~value_size:64 ~node_size:256 in
+      Kv.put kv 1 "one";
+      Kv.put kv 2 "two";
+      Engine.drain_backup e;
+      let vptr = Option.get (Kv.value_ptr kv 1) in
+      Engine.crash e;
+      let corrupt r =
+        Kamino_nvm.Region.write_int r vptr bad;
+        Kamino_nvm.Region.persist r vptr 8
+      in
+      corrupt (Option.get (Backup.full_region (Option.get (Engine.backup e))));
+      Engine.recover e;
+      let kv = Kv.reattach e in
+      let fallbacks () = (Engine.metrics e).Engine.snapshot_fallbacks in
+      let f0 = fallbacks () in
+      Alcotest.(check (option string))
+        (Printf.sprintf "length %d: the fallback reads the main heap" bad)
+        (Some "one") (Kv.snapshot_get kv 1);
+      Alcotest.(check int) "declined" (f0 + 1) (fallbacks ());
+      Alcotest.(check (option string)) "the neighbour is a hit" (Some "two")
+        (Kv.snapshot_get kv 2);
+      Alcotest.(check int) "no further fallback" (f0 + 1) (fallbacks ());
+      corrupt (Engine.main_region e);
+      match Kv.snapshot_get kv 1 with
+      | v -> Alcotest.failf "length %d in both images: read %s" bad (pp_opt v)
+      | exception Kamino_nvm.Region.Bad_length { len; _ } ->
+          Alcotest.(check int) "the fallback refuses it" bad len;
+          Alcotest.(check int) "declined again" (f0 + 2) (fallbacks ()))
+    [ 65; -1 ]
+
 let () =
   let oracle_cases =
     List.map
@@ -343,5 +381,7 @@ let () =
           Alcotest.test_case "reader never waits" `Quick test_reader_never_waits;
           Alcotest.test_case "promoted head serves" `Quick
             test_promoted_head_serves;
+          Alcotest.test_case "a corrupt length word declines" `Quick
+            test_corrupt_length_declines;
         ] );
     ]

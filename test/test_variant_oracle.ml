@@ -246,9 +246,9 @@ let sharded_fingerprint ~domains seed =
    the descriptor itself, behind one more barrier). *)
 let expected_sharded =
   [
-    ("sharded/seed=1", "s0{sim=458589 st=3261 fl=19263 fe=732 cp=1108056 heap=204575df342412d5} s1{sim=458409 st=3328 fl=19313 fe=763 cp=1108056 heap=eb55dbf339d4289} s2{sim=460946 st=2718 fl=18760 fe=559 cp=1097936 heap=1eb6bf8f08051f77} s3{sim=449711 st=2515 fl=18554 fe=513 cp=1093744 heap=16a364e460966d36}");
-    ("sharded/seed=2", "s0{sim=460373 st=3341 fl=19348 fe=755 cp=1110616 heap=204575df342412d5} s1{sim=454258 st=3202 fl=19219 fe=722 cp=1107992 heap=eb55dbf339d4289} s2{sim=463269 st=2790 fl=18822 fe=573 cp=1098880 heap=1eb6bf8f08051f77} s3{sim=453559 st=2648 fl=18679 fe=555 cp=1096656 heap=16a364e460966d36}");
-    ("sharded/seed=3", "s0{sim=458851 st=3230 fl=19221 fe=728 cp=1106472 heap=204575df342412d5} s1{sim=457280 st=3260 fl=19248 fe=733 cp=1106952 heap=eb55dbf339d4289} s2{sim=461355 st=2737 fl=18782 fe=559 cp=1098688 heap=1eb6bf8f08051f77} s3{sim=447402 st=2395 fl=18412 fe=473 cp=1088944 heap=16a364e460966d36}");
+    ("sharded/seed=1", "s0{sim=458485 st=3261 fl=19263 fe=732 cp=1108056 heap=204575df342412d5} s1{sim=458325 st=3328 fl=19313 fe=763 cp=1108056 heap=eb55dbf339d4289} s2{sim=460848 st=2718 fl=18760 fe=559 cp=1097936 heap=1eb6bf8f08051f77} s3{sim=449603 st=2515 fl=18554 fe=513 cp=1093744 heap=16a364e460966d36}");
+    ("sharded/seed=2", "s0{sim=460281 st=3341 fl=19348 fe=755 cp=1110616 heap=204575df342412d5} s1{sim=454156 st=3202 fl=19219 fe=722 cp=1107992 heap=eb55dbf339d4289} s2{sim=463183 st=2790 fl=18822 fe=573 cp=1098880 heap=1eb6bf8f08051f77} s3{sim=453471 st=2648 fl=18679 fe=555 cp=1096656 heap=16a364e460966d36}");
+    ("sharded/seed=3", "s0{sim=458751 st=3230 fl=19221 fe=728 cp=1106472 heap=204575df342412d5} s1{sim=457190 st=3260 fl=19248 fe=733 cp=1106952 heap=eb55dbf339d4289} s2{sim=461259 st=2737 fl=18782 fe=559 cp=1098688 heap=1eb6bf8f08051f77} s3{sim=447282 st=2395 fl=18412 fe=473 cp=1088944 heap=16a364e460966d36}");
   ]
 
 let all_cells () =
