@@ -25,7 +25,7 @@ module Layout = struct
   let sb_hash_bits = 96
   let sb_size = 104
   let magic = 0x4b46_534d (* "KFSM" *)
-  let version = 1
+  let version = 2
 
   (* Inode. *)
   let i_ino = 0
@@ -35,7 +35,8 @@ module Layout = struct
   let i_parent = 32
   let i_gen = 40
   let i_head = 48
-  let inode_size = 56
+  let i_blk0 = 56
+  let inode_size = 64
   let kind_file = 1
   let kind_dir = 2
 
@@ -52,6 +53,18 @@ module Layout = struct
   let e_slot i = 8 + (i * 8)
   let ext_slots = 30
   let ext_size = 8 + (ext_slots * 8)
+
+  (* Block addressing. A file's block pointers sit in a list of holders:
+     holder 0 is the inode, whose one slot [i_blk0] holds block 0; holder
+     [k >= 1] is extent-chain node [k - 1], whose slots hold blocks
+     [1 + ((k - 1) * ext_slots) .. k * ext_slots]. Holder [k] links to
+     holder [k + 1] through its word [link_off k]. A file of [nb] blocks
+     owns [ext_nodes nb] chain nodes: the holder index of its last block,
+     so none for [nb <= 1]. *)
+  let blk_holder b = (b + ext_slots - 1) / ext_slots
+  let blk_slot b = if b = 0 then i_blk0 else e_slot ((b - 1) mod ext_slots)
+  let link_off k = if k = 0 then i_head else e_next
+  let ext_nodes nb = (nb + ext_slots - 2) / ext_slots
 
   let itab_node_size = 512
   let dir_node_size = 256
@@ -186,6 +199,8 @@ let apply_mknod tx t kind ~parent { m_ino; m_ord; m_at } objs =
   let rest =
     match (kind, List.tl objs) with
     | File, rest ->
+        (* [i_blk0] is left as allocated: a fresh object is zeroed, and
+           null is 0. *)
         Engine.write_int tx ip i_parent (-1);
         Engine.write_int tx ip i_head Heap.null;
         rest
@@ -209,14 +224,26 @@ let mknod_tx tx t kind ~parent =
   ignore (apply_mknod tx t kind ~parent m (Engine.alloc_many tx (mknod_sizes kind)));
   m.m_ino
 
+(* The geometry [format] accepts and [attach] trusts: what is wrong with
+   the first word out of range, named as in the superblock. *)
+let geometry_error ~block_size ~hash_bits ~ino_base ~ino_stride =
+  if block_size < 8 || block_size mod 8 <> 0 || block_size > Heap.max_object_size then
+    Some
+      (Printf.sprintf "block_size %d is not a multiple of 8 in 8..%d" block_size
+         Heap.max_object_size)
+  else if hash_bits < 1 || hash_bits > 61 then
+    Some (Printf.sprintf "hash_bits %d is outside 1..61" hash_bits)
+  else if ino_base < 0 || ino_base >= ino_stride then
+    Some
+      (Printf.sprintf "ino_base %d and ino_stride %d break 0 <= ino_base < ino_stride"
+         ino_base ino_stride)
+  else None
+
 let format ?(block_size = 512) ?(dir_hash_bits = 40) ?(ino_base = 0)
     ?(ino_stride = 1) ?(with_root = true) ?(obs_track = 4) engine =
-  if block_size < 8 || block_size mod 8 <> 0 || block_size > Heap.max_object_size
-  then invalid_arg "Fs.format: bad block_size";
-  if dir_hash_bits < 1 || dir_hash_bits > 61 then
-    invalid_arg "Fs.format: dir_hash_bits out of range";
-  if ino_stride < 1 || ino_base < 0 || ino_base >= ino_stride then
-    invalid_arg "Fs.format: need 0 <= ino_base < ino_stride";
+  Option.iter
+    (fun m -> invalid_arg ("Fs.format: " ^ m))
+    (geometry_error ~block_size ~hash_bits:dir_hash_bits ~ino_base ~ino_stride);
   if Engine.root engine <> Heap.null then
     err "Fs.format: heap already has a root";
   let hists, c_blocks, c_extnodes = make_metric_handles engine in
@@ -265,22 +292,34 @@ let format ?(block_size = 512) ?(dir_hash_bits = 40) ?(ino_base = 0)
   if Obs.enabled obs then Obs.name_track obs obs_track "fs.ops";
   t
 
+(* Every header word is checked before any is trusted. A version-1 image
+   kept block 0 in the extent chain, so its files would read as empty. *)
 let attach ?(obs_track = 4) engine =
   let sb = Engine.root engine in
   if sb = Heap.null then err "Fs.attach: heap has no root";
-  if Engine.peek_int engine sb sb_magic <> magic then
-    err "Fs.attach: root object is not a superblock";
+  let word off = Engine.peek_int engine sb off in
+  if word sb_magic <> magic then err "Fs.attach: root object is not a superblock";
+  if word sb_version <> version then
+    err "Fs.attach: superblock version %d, this layout is version %d" (word sb_version)
+      version;
+  let block_size = word sb_block_size and hash_bits = word sb_hash_bits in
+  let base = word sb_ino_base and stride = word sb_ino_stride in
+  Option.iter
+    (fun m -> err "Fs.attach: superblock %s" m)
+    (geometry_error ~block_size ~hash_bits ~ino_base:base ~ino_stride:stride);
+  let itab = word sb_itab in
+  if not (Heap.is_allocated (Engine.heap engine) itab) then
+    err "Fs.attach: superblock itab %d is not an allocated object" itab;
   let hists, c_blocks, c_extnodes = make_metric_handles engine in
-  let hash_bits = Engine.peek_int engine sb sb_hash_bits in
   let t =
     {
       engine;
       sb;
-      itab = Btree.attach engine (Engine.peek_int engine sb sb_itab);
-      block_size = Engine.peek_int engine sb sb_block_size;
+      itab = Btree.attach engine itab;
+      block_size;
       hash_mask = (1 lsl hash_bits) - 1;
-      base = Engine.peek_int engine sb sb_ino_base;
-      stride = Engine.peek_int engine sb sb_ino_stride;
+      base;
+      stride;
       obs_track;
       hists;
       c_blocks;
@@ -429,86 +468,91 @@ let dirent_remove_tx tx t ~dir ~name =
 (* --- File extents --------------------------------------------------------- *)
 
 let blocks_for t size = (size + t.block_size - 1) / t.block_size
-let nodes_for nb = (nb + ext_slots - 1) / ext_slots
 
 let sb_add_int tx t field delta =
   Engine.add tx t.sb;
   Engine.write_int tx t.sb field (Engine.read_int tx t.sb field + delta)
 
-(* One walk of an extent chain: its first [nn] nodes, and into [blks] the
-   pointers of blocks [from_b .. to_b] ([blks.(b - from_b)]), which must
-   lie in those nodes. *)
-let walk_chain tx head ~nn ~from_b ~to_b blks =
+(* A file's holders under {!Layout}'s block addressing: holder 0 is its
+   inode [ip], holder [k >= 1] is [nodes.(k - 1)] of its extent chain. *)
+let holder ip nodes k = if k = 0 then ip else nodes.(k - 1)
+
+(* One walk of a file's block pointers: its first [nn] chain nodes
+   ([i_head] is read only when [nn > 0]), and into [blks] the pointers of
+   blocks [from_b .. to_b] ([blks.(b - from_b)]), which must lie in the
+   inode or those nodes. *)
+let walk_chain tx ip ~nn ~from_b ~to_b blks =
   let nodes = Array.make nn Heap.null in
-  let p = ref head in
-  for i = 0 to nn - 1 do
-    if i > 0 then p := Engine.read_int tx !p e_next;
-    nodes.(i) <- !p;
-    for b = max from_b (i * ext_slots) to min to_b (((i + 1) * ext_slots) - 1) do
-      blks.(b - from_b) <- Engine.read_int tx !p (e_slot (b mod ext_slots))
-    done
+  for k = 1 to nn do
+    nodes.(k - 1) <- Engine.read_int tx (holder ip nodes (k - 1)) (link_off (k - 1))
+  done;
+  for b = from_b to to_b do
+    blks.(b - from_b) <- Engine.read_int tx (holder ip nodes (blk_holder b)) (blk_slot b)
   done;
   nodes
 
+(* Declare the pointer word at [off] in holder [k]. Every caller declared
+   the inode, holder 0, whole, so its words need no field declare (which
+   would still pay the object lookup's loads). *)
+let declare_word tx nodes k off = if k > 0 then Engine.add_field tx nodes.(k - 1) off 8
+
 (* Append zeroed blocks (and chain nodes) to go from [old_nb] to [new_nb]
-   blocks. Only the writes into the pre-existing [tail] node ([Heap.null]
-   for a file without blocks, whose head pointer in [ip] the caller
-   declared) need field declares; one [alloc_many] declares and allocates
-   every new node and block, in the order they are linked. Fresh blocks
-   numbered [from_b ..] are stored into [blks] for the caller's data
-   writes. *)
-let grow tx t ip ~tail ~old_nb ~new_nb ~from_b blks =
+   blocks. [nodes] reaches the holder of the file's last block, which the
+   first new blocks (and the first new node's link) go into. One
+   [alloc_many] declares and allocates every new node and block, in the
+   order they are linked. Fresh blocks numbered [from_b ..] are stored
+   into [blks] for the caller's data writes. *)
+let grow tx t ip nodes ~old_nb ~new_nb ~from_b blks =
   if new_nb > old_nb then begin
-    if tail <> Heap.null then begin
-      let b = ref old_nb in
-      while !b < new_nb && !b mod ext_slots <> 0 do
-        Engine.add_field tx tail (e_slot (!b mod ext_slots)) 8;
-        incr b
-      done;
-      if !b < new_nb then Engine.add_field tx tail e_next 8
-    end;
+    let h = ext_nodes old_nb in
+    let b = ref old_nb in
+    while !b < new_nb && blk_holder !b = h do
+      declare_word tx nodes h (blk_slot !b);
+      incr b
+    done;
+    if !b < new_nb then declare_word tx nodes h (link_off h);
     let sizes = ref [] in
     for b = new_nb - 1 downto old_nb do
       sizes := t.block_size :: !sizes;
-      if b mod ext_slots = 0 then sizes := ext_size :: !sizes
+      if blk_holder b > blk_holder (b - 1) then sizes := ext_size :: !sizes
     done;
     let fresh = Array.of_list (Engine.alloc_many tx !sizes) in
-    let k = ref 0 and cur = ref tail in
+    let k = ref 0 and h = ref h and cur = ref (holder ip nodes h) in
     for b = old_nb to new_nb - 1 do
-      if b mod ext_slots = 0 then begin
+      if blk_holder b > !h then begin
         let n = fresh.(!k) in
         incr k;
-        if !cur = Heap.null then Engine.write_int tx ip i_head n
-        else Engine.write_int tx !cur e_next n;
+        Engine.write_int tx !cur (link_off !h) n;
         Metrics.incr t.c_extnodes;
+        incr h;
         cur := n
       end;
       let blk = fresh.(!k) in
       incr k;
-      Engine.write_int tx !cur (e_slot (b mod ext_slots)) blk;
+      Engine.write_int tx !cur (blk_slot b) blk;
       Metrics.incr t.c_blocks;
       if b >= from_b && b - from_b < Array.length blks then blks.(b - from_b) <- blk
     done
   end
 
 (* Shrink from [old_nb] blocks to [len] bytes: re-zero the kept tail, null
-   freed slots in kept nodes, free dropped blocks, cut the chain and free
-   trailing nodes. Everything is declared before the first write. *)
-let shrink tx t ip ~head ~len ~old_nb =
+   freed slots in kept holders, free dropped blocks, cut the chain after
+   the last kept holder and free the nodes past it. Everything is declared
+   before the first write. *)
+let shrink tx t ip ~len ~old_nb =
   let new_nb = blocks_for t len in
   let tail = len mod t.block_size in
   let zb = if tail <> 0 then new_nb - 1 else new_nb in
-  let keep = nodes_for new_nb and total = nodes_for old_nb in
+  let keep = ext_nodes new_nb and total = ext_nodes old_nb in
   let blks = Array.make (old_nb - zb) Heap.null in
-  let nodes = walk_chain tx head ~nn:total ~from_b:zb ~to_b:(old_nb - 1) blks in
+  let nodes = walk_chain tx ip ~nn:total ~from_b:zb ~to_b:(old_nb - 1) blks in
   if tail <> 0 then Engine.add_field tx blks.(0) tail (t.block_size - tail);
   for b = new_nb to old_nb - 1 do
-    if b / ext_slots < keep then
-      Engine.add_field tx nodes.(b / ext_slots) (e_slot (b mod ext_slots)) 8;
+    if blk_holder b <= keep then declare_word tx nodes (blk_holder b) (blk_slot b);
     Engine.declare_free tx blks.(b - zb)
   done;
   if total > keep then begin
-    if keep > 0 then Engine.add_field tx nodes.(keep - 1) e_next 8;
+    declare_word tx nodes keep (link_off keep);
     for i = keep to total - 1 do
       Engine.declare_free tx nodes.(i)
     done
@@ -516,13 +560,12 @@ let shrink tx t ip ~head ~len ~old_nb =
   if tail <> 0 then
     Engine.write_string tx blks.(0) tail (String.make (t.block_size - tail) '\000');
   for b = new_nb to old_nb - 1 do
-    if b / ext_slots < keep then
-      Engine.write_int tx nodes.(b / ext_slots) (e_slot (b mod ext_slots)) Heap.null;
+    if blk_holder b <= keep then
+      Engine.write_int tx (holder ip nodes (blk_holder b)) (blk_slot b) Heap.null;
     Engine.free tx blks.(b - zb)
   done;
   if total > keep then begin
-    if keep = 0 then Engine.write_int tx ip i_head Heap.null
-    else Engine.write_int tx nodes.(keep - 1) e_next Heap.null;
+    Engine.write_int tx (holder ip nodes keep) (link_off keep) Heap.null;
     for i = keep to total - 1 do
       Engine.free tx nodes.(i)
     done
@@ -550,10 +593,7 @@ let declare_drop_link tx t ~at ~ip =
     let size = Engine.read_int tx ip i_size in
     let nb = blocks_for t size in
     let blks = Array.make nb Heap.null in
-    let nodes =
-      walk_chain tx (Engine.read_int tx ip i_head) ~nn:(nodes_for nb) ~from_b:0
-        ~to_b:(nb - 1) blks
-    in
+    let nodes = walk_chain tx ip ~nn:(ext_nodes nb) ~from_b:0 ~to_b:(nb - 1) blks in
     Array.iter (Engine.declare_free tx) blks;
     Array.iter (Engine.declare_free tx) nodes;
     Engine.declare_free tx ip;
@@ -736,8 +776,7 @@ let write_tx tx t ~ino ~off data =
     let last = if new_nb > old_nb then old_nb - 1 else to_b in
     let blks = Array.make (to_b - from_b + 1) Heap.null in
     let nodes =
-      walk_chain tx (Engine.read_int tx ip i_head) ~nn:(nodes_for (last + 1)) ~from_b
-        ~to_b:(min to_b (old_nb - 1)) blks
+      walk_chain tx ip ~nn:(ext_nodes (last + 1)) ~from_b ~to_b:(min to_b (old_nb - 1)) blks
     in
     if new_size > old_size then Engine.add tx t.sb;
     (* Bytes [lo, hi) of the write land in block [b], at [lo - blo]. *)
@@ -746,8 +785,7 @@ let write_tx tx t ~ino ~off data =
       let lo = max off blo and hi = min (off + len) (blo + t.block_size) in
       Engine.add_field tx blks.(b - from_b) (lo - blo) (hi - lo)
     done;
-    let tail = if new_nb > old_nb && old_nb > 0 then nodes.(Array.length nodes - 1) else Heap.null in
-    grow tx t ip ~tail ~old_nb ~new_nb ~from_b blks;
+    grow tx t ip nodes ~old_nb ~new_nb ~from_b blks;
     for b = from_b to to_b do
       let blo = b * t.block_size in
       let lo = max off blo and hi = min (off + len) (blo + t.block_size) in
@@ -770,14 +808,12 @@ let truncate_tx tx t ~ino ~len =
     Engine.add tx ip;
     Engine.add tx t.sb;
     let old_nb = blocks_for t old_size and new_nb = blocks_for t len in
-    let head = Engine.read_int tx ip i_head in
     if len > old_size then begin
-      let nn = if new_nb > old_nb then nodes_for old_nb else 0 in
-      let nodes = walk_chain tx head ~nn ~from_b:0 ~to_b:(-1) [||] in
-      let tail = if nn > 0 then nodes.(nn - 1) else Heap.null in
-      grow tx t ip ~tail ~old_nb ~new_nb ~from_b:new_nb [||]
+      let nn = if new_nb > old_nb then ext_nodes old_nb else 0 in
+      let nodes = walk_chain tx ip ~nn ~from_b:0 ~to_b:(-1) [||] in
+      grow tx t ip nodes ~old_nb ~new_nb ~from_b:new_nb [||]
     end
-    else shrink tx t ip ~head ~len ~old_nb;
+    else shrink tx t ip ~len ~old_nb;
     Engine.write_int tx ip i_size len;
     sb_add_int tx t sb_data_bytes (len - old_size);
     sb_add_int tx t sb_block_count (new_nb - old_nb)
@@ -796,9 +832,7 @@ let read_op_tx tx t ~ino ~off ~len =
   else begin
     let from_b = off / t.block_size and to_b = (off + len - 1) / t.block_size in
     let blks = Array.make (to_b - from_b + 1) Heap.null in
-    ignore
-      (walk_chain tx (Engine.read_int tx ip i_head) ~nn:(nodes_for (to_b + 1)) ~from_b ~to_b
-         blks);
+    ignore (walk_chain tx ip ~nn:(ext_nodes (to_b + 1)) ~from_b ~to_b blks);
     let buf = Buffer.create len in
     for b = from_b to to_b do
       let blo = b * t.block_size in

@@ -24,20 +24,33 @@
     - {e inode}: ino, kind (file/dir), link count, size (file bytes /
       directory entry count), parent ino (directories; the root is its
       own parent; files carry [-1]), a generation counter bumped by
-      rename, and a head pointer — extent-chain head for files, the
-      directory-index B+Tree descriptor for directories.
+      rename, a head pointer — extent-chain head for files, the
+      directory-index B+Tree descriptor for directories — and
+      [i_blk0], a file's block 0 (64 bytes in all, one size class).
     - {e directory index}: a B+Tree mapping [hash(name) land mask] ->
       head of a chain of {e dirent} objects (collision chain through
       [d_next]); each dirent holds the target ino and the name (up to
       {!Layout.max_name_len} bytes). [dir_hash_bits] can be tiny in
       tests to force collisions.
-    - {e file extents}: a chain of extent nodes, each holding
-      {!Layout.ext_slots} data-block pointers. A file of size [s] owns
-      {e exactly} [ceil(s / block_size)] blocks and exactly the chain
-      nodes those need — no holes ever materialize as missing blocks
+    - {e file blocks}: block 0 hangs off the inode ([i_blk0]); block
+      [b >= 1] sits in slot [(b - 1) mod ext_slots] of extent-chain
+      node [(b - 1) / ext_slots], each node holding
+      {!Layout.ext_slots} data-block pointers ({!Layout.blk_holder},
+      {!Layout.blk_slot}: the one rule every walk, fsck's included,
+      uses). A file of size [s] owns {e exactly} [nb = ceil(s /
+      block_size)] blocks and exactly [ceil((nb - 1) / ext_slots)]
+      chain nodes, so a file of at most one block has no chain and a
+      null [i_head]. No holes ever materialize as missing blocks
       (sparse writes allocate zeroed blocks), slots past EOF are null,
       and bytes past EOF in the last block are zero, which makes torn
       writes visible to fsck.
+
+    Objects per operation on a one-block file: [create] allocates two
+    (inode, dirent), its first [write] one (the block), and [unlink]
+    frees three (inode, block, dirent).
+
+    The superblock's [version] is {!Layout.version} (2; version 1 kept
+    block 0 in the chain). {!attach} refuses any other version.
 
     Transactions follow the engine's granularity argument: metadata
     objects are declared whole (they are a cache line or two), file
@@ -92,6 +105,7 @@ module Layout : sig
   val i_parent : int
   val i_gen : int
   val i_head : int
+  val i_blk0 : int
   val inode_size : int
   val kind_file : int
   val kind_dir : int
@@ -107,6 +121,22 @@ module Layout : sig
   val e_slot : int -> int
   val ext_slots : int
   val ext_size : int
+
+  val blk_holder : int -> int
+  (** Block [b]'s pointer lives in holder [blk_holder b]: holder 0 is the
+      inode, holder [k >= 1] is extent-chain node [k - 1]. *)
+
+  val blk_slot : int -> int
+  (** ... at offset [blk_slot b] there: [i_blk0] for block 0, slot
+      [e_slot ((b - 1) mod ext_slots)] of its node for the rest. *)
+
+  val link_off : int -> int
+  (** Holder [k] links to holder [k + 1] through this word: [i_head] for
+      the inode, [e_next] for a chain node. *)
+
+  val ext_nodes : int -> int
+  (** Chain nodes a file of [nb] blocks owns: [ceil ((nb - 1) / ext_slots)],
+      none for [nb <= 1]. *)
 
   val itab_node_size : int
   val dir_node_size : int
@@ -153,8 +183,13 @@ val format :
 
 (** [attach engine] reopens a formatted filesystem (e.g. a fresh
     process after a crash — within a process, handles survive
-    {!Engine.crash}/{!Engine.recover} unchanged). Raises [Fs_error] if
-    the heap root is not a superblock. *)
+    {!Engine.crash}/{!Engine.recover} unchanged). Raises [Fs_error],
+    naming the word, if the heap root is not a superblock or any header
+    word is out of range: a [version] other than {!Layout.version}, a
+    [block_size] outside [8..Heap.max_object_size] or not a multiple of
+    8, [hash_bits] outside [1..61], [ino_base]/[ino_stride] breaking
+    [0 <= ino_base < ino_stride], or an [itab] descriptor that is not an
+    allocated object. *)
 val attach : ?obs_track:int -> Engine.t -> t
 
 val engine : t -> Engine.t

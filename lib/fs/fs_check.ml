@@ -152,44 +152,40 @@ let fsck_cluster ?(strict_heap = true) fss =
                     !entries info.isize
               end
               else begin
-                (* Regular file: exact extent coverage. *)
+                (* Regular file: exact coverage under {!Fs.Layout}'s
+                   block addressing. Every holder the file owns is walked
+                   (claiming each chain node before following its link,
+                   which bounds a cyclic chain), every slot they hold is
+                   a block below EOF or null, and the last one links
+                   nowhere. *)
                 let size = info.isize in
                 let nb = (size + bs - 1) / bs in
-                let nnodes = (nb + ext_slots - 1) / ext_slots in
+                let nnodes = ext_nodes nb in
                 ndata := !ndata + size;
                 nblocks := !nblocks + nb;
-                let head = pk info.ptr i_head in
-                if nnodes = 0 then begin
-                  if head <> Heap.null then
-                    fail "shard %d: empty file %d has an extent chain" s ino
-                end
-                else begin
-                  let node = ref head in
-                  let last_blk = ref Heap.null in
-                  for ni = 0 to nnodes - 1 do
-                    claim s claimed.(s) heap !node
-                      (Printf.sprintf "extent node %d of file %d" ni ino);
-                    for si = 0 to ext_slots - 1 do
-                      let b = (ni * ext_slots) + si in
-                      let blk = pk !node (e_slot si) in
-                      if b < nb then begin
-                        claim s claimed.(s) heap blk
-                          (Printf.sprintf "block %d of file %d" b ino);
-                        if Heap.capacity heap blk < bs then
-                          fail "shard %d: file %d block %d too small" s ino b;
-                        if b = nb - 1 then last_blk := blk
-                      end
-                      else if blk <> Heap.null then
-                        fail "shard %d: file %d has a block pointer past EOF (slot %d)"
-                          s ino b
-                    done;
-                    let nxt = pk !node e_next in
-                    if ni = nnodes - 1 then begin
-                      if nxt <> Heap.null then
-                        fail "shard %d: file %d extent chain longer than its size" s ino
-                    end
-                    else node := nxt
-                  done;
+                let holders = Array.make (nnodes + 1) info.ptr in
+                for k = 1 to nnodes do
+                  holders.(k) <- pk holders.(k - 1) (link_off (k - 1));
+                  claim s claimed.(s) heap holders.(k)
+                    (Printf.sprintf "extent node %d of file %d" (k - 1) ino)
+                done;
+                (* For a file of at most one block: a null [i_head]. *)
+                if pk holders.(nnodes) (link_off nnodes) <> Heap.null then
+                  fail "shard %d: file %d of %d block(s) has an extent chain longer than %d"
+                    s ino nb nnodes;
+                let last_blk = ref Heap.null in
+                for b = 0 to nnodes * ext_slots do
+                  let blk = pk holders.(blk_holder b) (blk_slot b) in
+                  if b < nb then begin
+                    claim s claimed.(s) heap blk (Printf.sprintf "block %d of file %d" b ino);
+                    if Heap.capacity heap blk < bs then
+                      fail "shard %d: file %d block %d too small" s ino b;
+                    if b = nb - 1 then last_blk := blk
+                  end
+                  else if blk <> Heap.null then
+                    fail "shard %d: file %d has a block pointer past EOF (slot %d)" s ino b
+                done;
+                if nb > 0 then begin
                   (* Bytes past EOF in the last block must be zero — the
                      strongest torn-write detector fsck has. *)
                   let tail = size - ((nb - 1) * bs) in

@@ -22,11 +22,14 @@
       (the root none) and their parent pointers match the referencing
       directory; every parent chain reaches a root — so the namespace
       is one acyclic rooted tree;
-    - every file's extent chain covers exactly [ceil(size/block_size)]
-      blocks — no orphaned or doubly-referenced blocks or chain nodes,
-      slots past EOF null, and every byte past EOF in the last block
-      zero (a torn in-place write that recovery failed to roll back
-      shows up here);
+    - every file's block pointers ([i_blk0], then the extent chain,
+      under {!Fs.Layout.blk_holder}'s addressing) cover exactly
+      [ceil(size/block_size)] blocks — no orphaned or doubly-referenced
+      blocks or chain nodes, a chain exactly as long as the blocks past
+      block 0 need (so a file of at most one block has a null
+      [i_head]), slots past EOF null, and every byte past EOF in the
+      last block zero (a torn in-place write that recovery failed to
+      roll back shows up here);
     - with [strict_heap] (default true), whole-heap accounting: the set
       of objects the filesystem explains (superblock, B+Tree nodes,
       inodes, dirents, extent nodes, data blocks) is {e exactly} the

@@ -262,8 +262,7 @@ let test_fsck_detects_corruption () =
          nonzero byte between the file size and the end of its last
          block. *)
       let ip = Option.get (Fs.inode_ptr fs f) in
-      let head = Engine.peek_int e ip Fs.Layout.i_head in
-      let blk = Engine.peek_int e head (Fs.Layout.e_slot 0) in
+      let blk = Engine.peek_int e ip Fs.Layout.i_blk0 in
       Engine.with_tx e (fun tx ->
           Engine.add tx blk;
           Engine.write_byte tx blk 30 0xAB));
@@ -276,11 +275,193 @@ let test_fsck_detects_corruption () =
       poke_int e (victim_dirent e fs) Fs.Layout.d_ino 999_999);
   expect_violation "dropped size" (fun e fs f ->
       poke_int e (Option.get (Fs.inode_ptr fs f)) Fs.Layout.i_size 3);
+  expect_violation "a 1-block file with an extent chain" (fun e fs f ->
+      let ip = Option.get (Fs.inode_ptr fs f) in
+      poke_int e ip Fs.Layout.i_head (Engine.peek_int e ip Fs.Layout.i_blk0));
+  expect_violation "an empty file with a block 0 pointer" (fun e fs f ->
+      (* What a torn truncate to zero would leave: the freed block still
+         hanging off the inode. *)
+      let ip = Option.get (Fs.inode_ptr fs f) in
+      let blk = Engine.peek_int e ip Fs.Layout.i_blk0 in
+      Fs.truncate fs ~ino:f ~len:0;
+      poke_int e ip Fs.Layout.i_blk0 blk);
   List.iter
     (fun nlen ->
       expect_violation (Printf.sprintf "name length %d" nlen) (fun e fs _ ->
           poke_int e (victim_dirent e fs) Fs.Layout.d_nlen nlen))
     [ Fs.Layout.max_name_len + 1; -1; 0 ]
+
+(* --- attach trusts no header word ------------------------------------------- *)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+let expect_attach_error ctx word e =
+  match Fs.attach e with
+  | _ -> Alcotest.failf "%s: attach accepted the image" ctx
+  | exception Fs.Fs_error m ->
+      if not (contains m word) then Alcotest.failf "%s: error %S does not name %s" ctx m word
+
+(* One superblock word out of range at a time, on an otherwise sound image. *)
+let test_attach_checks_superblock () =
+  let open Fs.Layout in
+  let image () =
+    let e, fs = make_fs (Plain Engine.Kamino_simple) 12 in
+    Fs.write fs ~ino:(Fs.create fs ~dir:(Fs.root_ino fs) "f") ~off:0 "kept";
+    (e, Fs.superblock fs)
+  in
+  let e, _ = image () in
+  let fs = Fs.attach e in
+  Alcotest.(check string) "a sound image attaches" "kept"
+    (Fs.read fs ~ino:(Option.get (Fs.resolve fs "/f")) ~off:0 ~len:10);
+  List.iter
+    (fun (ctx, word, off, v) ->
+      let e, sb = image () in
+      poke_int e sb off v;
+      expect_attach_error ctx word e)
+    [
+      ("version 1", "version", sb_version, 1);
+      ("version 3", "version", sb_version, 3);
+      ("block_size 0", "block_size", sb_block_size, 0);
+      ("block_size 60", "block_size", sb_block_size, 60);
+      ("block_size past the largest object", "block_size", sb_block_size,
+        Heap.max_object_size + 8);
+      ("hash_bits 0", "hash_bits", sb_hash_bits, 0);
+      ("hash_bits 62", "hash_bits", sb_hash_bits, 62);
+      ("negative ino_base", "ino_base", sb_ino_base, -1);
+      ("ino_base equal to ino_stride", "ino_base", sb_ino_base, 1);
+      ("ino_stride 0", "ino_stride", sb_ino_stride, 0);
+      ("null itab", "itab", sb_itab, Heap.null);
+      ("itab inside the heap header", "itab", sb_itab, 8);
+    ];
+  let e, sb = image () in
+  let freed = Engine.with_tx e (fun tx -> Engine.alloc tx 64) in
+  Engine.with_tx e (fun tx ->
+      Engine.declare_free tx freed;
+      Engine.free tx freed);
+  poke_int e sb sb_itab freed;
+  expect_attach_error "itab on a freed object" "itab" e
+
+(* A version-1 image written word by word: its one file keeps block 0 in
+   an extent node behind a 56-byte inode, so under this layout it would
+   read as empty. *)
+let test_attach_refuses_version_1 () =
+  let open Fs.Layout in
+  let e = Engine.create ~config ~kind:Engine.Kamino_simple ~seed:12 () in
+  Engine.with_tx e (fun tx ->
+      let itab = Btree.create tx ~node_size:itab_node_size in
+      let blk = Engine.alloc tx 64 in
+      Engine.write_string tx blk 0 "version one";
+      let node = Engine.alloc tx ext_size in
+      Engine.write_int tx node (e_slot 0) blk;
+      let ip = Engine.alloc tx 56 in
+      List.iter
+        (fun (off, v) -> Engine.write_int tx ip off v)
+        [ (i_ino, 0); (i_kind, kind_file); (i_nlink, 1); (i_size, 11); (i_parent, -1);
+          (i_gen, 0); (i_head, node) ];
+      ignore (Btree.insert tx itab 0 ip);
+      let sb = Engine.alloc tx sb_size in
+      List.iter
+        (fun (off, v) -> Engine.write_int tx sb off v)
+        [ (sb_magic, magic); (sb_version, 1); (sb_itab, Btree.descriptor itab);
+          (sb_next_ord, 1); (sb_ino_base, 0); (sb_ino_stride, 1); (sb_root_ino, -1);
+          (sb_inode_count, 1); (sb_dir_count, 0); (sb_block_count, 1);
+          (sb_data_bytes, 11); (sb_block_size, 64); (sb_hash_bits, 2) ];
+      Engine.set_root tx sb);
+  expect_attach_error "version-1 image" "version" e
+
+(* --- objects per operation ------------------------------------------------------ *)
+
+(* Block 0 hangs off the inode: a one-block file has no extent chain, so
+   its first write allocates only the block and its unlink frees the
+   inode, the block and the dirent. *)
+let test_object_counts () =
+  let e, fs = make_fs ~block_size:512 (Plain Engine.Kamino_simple) 14 in
+  let root = Fs.root_ino fs in
+  let live () = Heap.live_objects (Engine.heap e) in
+  let nodes () =
+    Metrics.fold_counters (Engine.registry e) ~init:0 ~f:(fun acc n v ->
+        if n = "fs.extent_nodes_allocated" then v else acc)
+  in
+  let l0 = live () in
+  let f = Fs.create fs ~dir:root "small" in
+  let l1 = live () in
+  Fs.write fs ~ino:f ~off:0 (String.make 100 's');
+  Alcotest.(check int) "a one-block write allocates one object" 1 (live () - l1);
+  check_fsck fs "one-block file";
+  Fs.unlink fs ~dir:root "small";
+  Alcotest.(check int) "its unlink frees three" 3 (l1 + 1 - live ());
+  Alcotest.(check int) "no extent node allocated" 0 (nodes ());
+  Alcotest.(check int) "live objects back where they started" l0 (live ());
+  let g = Fs.create fs ~dir:root "two" in
+  let l2 = live () in
+  Fs.write fs ~ino:g ~off:0 (String.make 600 't');
+  Alcotest.(check int) "a 2-block file owns one node" 1 (nodes ());
+  Alcotest.(check int) "... and two blocks" 3 (live () - l2);
+  check_fsck fs "two-block file"
+
+(* Random writes, truncates and reads on one file of 0..70 blocks at
+   block_size 64, against a [Bytes] mirror and fsck after every op. Sizes
+   are drawn mostly from both sides of the addressing rule's seams: 0|1
+   blocks (the inode's own slot), 1|2 (the first chain node), 31|32 (the
+   second). *)
+type model_op = Write of int * int | Truncate of int | Read of int * int
+
+let model_max = 70 * 64
+
+let seam_sizes = [ 0; 1; 63; 64; 65; 127; 128; 129; 1983; 1984; 1985; 2047; 2048; 2049; model_max ]
+
+let model_op_gen =
+  let open QCheck.Gen in
+  let size = frequency [ (3, oneofl seam_sizes); (1, int_range 0 model_max) ] in
+  frequency
+    [
+      (3, map2 (fun off len -> Write (off, len)) size (int_range 1 150));
+      (2, map (fun len -> Truncate len) size);
+      (1, map2 (fun off len -> Read (off, len)) size (int_range 0 300));
+    ]
+
+let print_model_op = function
+  | Write (off, len) -> Printf.sprintf "write %d+%d" off len
+  | Truncate len -> Printf.sprintf "truncate %d" len
+  | Read (off, len) -> Printf.sprintf "read %d+%d" off len
+
+let block_seams_qcheck (name, spec) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "block seams: random write, truncate and read (%s)" name)
+    ~count:30
+    QCheck.(make ~print:Print.(list print_model_op) Gen.(list_size (int_range 1 30) model_op_gen))
+    (fun ops ->
+      let _e, fs = make_fs spec 15 in
+      let f = Fs.create fs ~dir:(Fs.root_ino fs) "f" in
+      let mirror = Bytes.make model_max '\000' and size = ref 0 in
+      let contents () = Bytes.sub_string mirror 0 !size in
+      List.iteri
+        (fun i op ->
+          let ctx = Printf.sprintf "op %d (%s)" i (print_model_op op) in
+          (match op with
+          | Write (off, len) ->
+              let off = min off (model_max - len) in
+              let data = String.init len (fun j -> Char.chr (65 + ((i + j) mod 26))) in
+              Fs.write fs ~ino:f ~off data;
+              Bytes.blit_string data 0 mirror off len;
+              size := max !size (off + len)
+          | Truncate len ->
+              Fs.truncate fs ~ino:f ~len;
+              if len < !size then Bytes.fill mirror len (!size - len) '\000';
+              size := len
+          | Read (off, len) ->
+              let lo = min off !size in
+              let want = Bytes.sub_string mirror lo (min len (!size - lo)) in
+              Alcotest.(check string) (ctx ^ ": read") want (Fs.read fs ~ino:f ~off ~len));
+          Alcotest.(check int) (ctx ^ ": size") !size (Fs.stat fs f).Fs.size;
+          Alcotest.(check string) (ctx ^ ": contents") (contents ())
+            (Fs.read fs ~ino:f ~off:0 ~len:model_max);
+          check_fsck fs ctx)
+        ops;
+      true)
 
 (* --- length-prefixed names ---------------------------------------------------- *)
 
@@ -497,6 +678,12 @@ let swept_ops =
       fun fs ->
         Fs.rename fs ~src:(ino fs "/a") ~src_name:"src" ~dst:(ino fs "/b") ~dst_name:"dst" );
     ("rmdir", 1, fun fs -> Fs.rmdir fs ~dir:(Fs.root_ino fs) "e");
+    (* The seams of block addressing: block 0 in the inode, the first
+       chain node, and back. *)
+    ("write-into-empty", 3, fun fs -> Fs.write fs ~ino:(ino fs "/b/empty") ~off:0 "FIRST");
+    ("write-grow-1-to-2", 3, fun fs -> Fs.write fs ~ino:(ino fs "/a/src") ~off:60 "SPILLS");
+    ("truncate-to-0", 4, fun fs -> Fs.truncate fs ~ino:(ino fs "/a/x") ~len:0);
+    ("unlink-1-block", 3, fun fs -> Fs.unlink fs ~dir:(ino fs "/a") "src");
   ]
 
 let fs_base spec crash_mode () =
@@ -511,6 +698,7 @@ let fs_base spec crash_mode () =
   Fs.write fs ~ino:f ~off:0 content;
   Fs.write fs ~ino:(Fs.create fs ~dir:da "src") ~off:0 "SOURCE";
   Fs.write fs ~ino:(Fs.create fs ~dir:db "dst") ~off:0 "TARGET";
+  ignore (Fs.create fs ~dir:db "empty");
   (e, fs)
 
 (* On kinds with an applier the drain after a committed op has fences of
@@ -889,7 +1077,20 @@ let () =
         [
           Alcotest.test_case "fsck detects planted corruption" `Quick
             test_fsck_detects_corruption;
+          Alcotest.test_case "attach checks every superblock word" `Quick
+            test_attach_checks_superblock;
+          Alcotest.test_case "attach refuses a version-1 image" `Quick
+            test_attach_refuses_version_1;
         ] );
+      ( "block addressing",
+        Alcotest.test_case "objects per create, write and unlink" `Quick test_object_counts
+        :: List.map
+             (fun b -> QCheck_alcotest.to_alcotest (block_seams_qcheck b))
+             [
+               ("kamino-simple", Plain Engine.Kamino_simple);
+               ("undo", Plain Engine.Undo_logging);
+               ("cow", Plain Engine.Cow);
+             ] );
       ( "names",
         [
           Alcotest.test_case "a name read straddling a CoW copy" `Quick
