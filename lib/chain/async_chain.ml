@@ -13,8 +13,6 @@ type mode = Traditional | Kamino_chain of { alpha : float option }
 
 type recovery_fault = No_fault | Drop_inflight_on_reboot
 
-exception Corrupt_entry of { node : int; queue_seq : int; reason : string }
-
 type node = {
   id : int;
   engine : Engine.t;
@@ -89,20 +87,22 @@ let envelope t ~seq op =
 
 (* Envelopes are read in place from a queue's slot view. Decoding can fail
    if the slot was corrupted in place (the queue's checksum guards torn
-   publishes, not bit rot under a valid checksum): surface it as a typed
-   error naming the replica and the slot instead of executing garbage. *)
-let corrupt node slot reason =
-  raise (Corrupt_entry { node = node.id; queue_seq = Opqueue.Slot.seq slot; reason })
+   publishes, not bit rot under a valid checksum): raise [Region.Corrupt]
+   naming the replica, the [queue] and the slot instead of executing it. *)
+let corrupt node queue slot ~off what =
+  let seq = Opqueue.Slot.seq slot in
+  let structure = Printf.sprintf "Async_chain node %d %s entry %d" node.id queue seq in
+  Region.corrupt ~structure ~off "%s" what
 
-let envelope_seq node slot =
+let envelope_seq node queue slot =
   if Opqueue.Slot.length slot < 8 then
-    corrupt node slot "Async_chain: envelope shorter than its sequence word";
+    corrupt node queue slot ~off:0 "envelope shorter than its sequence word";
   Int64.to_int (Bytes.get_int64_le (Opqueue.Slot.bytes slot) 0)
 
-let envelope_op node slot =
+let envelope_op node queue slot =
   match Op.decode_sub (Opqueue.Slot.bytes slot) 8 (Opqueue.Slot.length slot - 8) with
   | op -> op
-  | exception Op.Decode_error reason -> corrupt node slot reason
+  | exception Region.Corrupt { off; what; _ } -> corrupt node queue slot ~off what
 
 let length t = Array.length t.nodes
 
@@ -278,7 +278,7 @@ let record_inflight node ~seq payload =
    match is on the envelope's sequence word (the command is not decoded). *)
 let rec gc_inflight node op_seq =
   match Opqueue.peek node.inflight with
-  | Some slot when envelope_seq node slot <= op_seq ->
+  | Some slot when envelope_seq node "inflight" slot <= op_seq ->
       ignore (Opqueue.dequeue node.inflight);
       gc_inflight node op_seq
   | Some _ | None -> ()
@@ -291,8 +291,8 @@ let rec gc_inflight node op_seq =
 let inflight_entries node =
   let acc = ref [] in
   Opqueue.iter node.inflight (fun slot ->
-      let seq = envelope_seq node slot in
-      ignore (envelope_op node slot);
+      let seq = envelope_seq node "inflight" slot in
+      ignore (envelope_op node "inflight" slot);
       acc := (seq, Opqueue.Slot.to_string slot) :: !acc);
   List.rev !acc
 
@@ -335,8 +335,8 @@ and process_input t node =
   match Opqueue.peek node.input with
   | None -> ()
   | Some slot ->
-      let seq = envelope_seq node slot in
-      execute node ~seq (envelope_op node slot);
+      let seq = envelope_seq node "input" slot in
+      execute node ~seq (envelope_op node "input" slot);
       (* A replica with a successor copies the slot out once, as the
          message it records in flight and forwards; a tail forwards to
          nobody, so it copies nothing and records no in-flight entry. *)
@@ -535,7 +535,7 @@ let reboot_now ?(downtime_ns = 0) t i =
         | No_fault -> ());
         node.last_forwarded <- 0;
         Opqueue.iter node.inflight (fun slot ->
-            let s = envelope_seq node slot in
+            let s = envelope_seq node "inflight" slot in
             if s > node.last_forwarded then node.last_forwarded <- s);
         node.up <- true;
         (* Re-drive: execute anything buffered but unexecuted, and re-forward

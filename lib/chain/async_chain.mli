@@ -68,11 +68,9 @@ type mode =
     nothing to re-forward) is not testing anything. *)
 type recovery_fault = No_fault | Drop_inflight_on_reboot
 
-(** A persistent queue slot decoded to garbage (bit rot under a valid
-    queue checksum): surfaced with the replica and the slot's queue
-    sequence number, never executed or re-sent. *)
-exception Corrupt_entry of { node : int; queue_seq : int; reason : string }
-
+(** A queue slot that decodes to garbage is never executed or re-sent:
+    it raises [Region.Corrupt] with [structure] naming the replica, the
+    queue and the queue seq (["Async_chain node 1 input entry 7"]). *)
 type t
 
 (** [obs] (default {!Kamino_obs.Obs.null}) traces the whole chain into one

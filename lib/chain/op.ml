@@ -49,42 +49,41 @@ let encode op =
   add_encoded buf op;
   Buffer.contents buf
 
-exception Decode_error of string
-
-let fail () = raise (Decode_error "Op.decode: malformed command")
+(* [off] is the failing field's position in the buffer. *)
+let fail off what = Kamino_nvm.Region.corrupt ~structure:"Op" ~off "%s" what
 
 let int_at b off = Int64.to_int (Bytes.get_int64_le b off)
 
 let value_at b pos len =
-  if len < 17 then fail ();
+  if len < 17 then fail pos "no value length word";
   let n = int_at b (pos + 9) in
-  if n < 0 || 17 + n <> len then fail ();
+  if n < 0 || 17 + n <> len then fail (pos + 9) "bad value length";
   Bytes.sub_string b (pos + 17) n
 
 (* Every read below stays inside [pos, pos + len), which the entry check
    keeps inside [b]: a malformed command can only fail, never read past
    its bytes. Only values are copied out. *)
 let rec decode_sub b pos len =
-  if pos < 0 || len < 9 || pos > Bytes.length b - len then fail ();
+  if pos < 0 || len < 9 || pos > Bytes.length b - len then fail pos "bad command window";
   let key = int_at b (pos + 1) in
   match Bytes.get b pos with
   | 'P' -> Put (key, value_at b pos len)
   | 'A' -> Append (key, value_at b pos len)
-  | 'D' -> if len <> 9 then fail () else Delete key
+  | 'D' -> if len <> 9 then fail pos "bad delete length" else Delete key
   | 'B' ->
       let count = key in
-      if count < 0 then fail ();
+      if count < 0 then fail (pos + 1) "negative batch count";
       let rec subs off n acc =
-        if n = 0 then if off <> len then fail () else List.rev acc
+        if n = 0 then if off <> len then fail (pos + off) "bytes after the batch" else List.rev acc
         else begin
-          if off + 8 > len then fail ();
+          if off + 8 > len then fail (pos + off) "batch cut inside a length word";
           let sl = int_at b (pos + off) in
-          if sl < 0 || sl > len - off - 8 then fail ();
+          if sl < 0 || sl > len - off - 8 then fail (pos + off) "bad sub-command length";
           subs (off + 8 + sl) (n - 1) (decode_sub b (pos + off + 8) sl :: acc)
         end
       in
       Batch (subs 9 count [])
-  | _ -> fail ()
+  | _ -> fail pos "unknown tag"
 
 let decode s = decode_sub (Bytes.unsafe_of_string s) 0 (String.length s)
 

@@ -32,19 +32,17 @@ val encode : t -> string
     the intermediate string. *)
 val add_encoded : Buffer.t -> t -> unit
 
-(** Raised by {!decode} on malformed wire bytes — a dedicated exception so
-    callers (and tests) don't conflate wire corruption with the generic
-    [Failure] any library function may raise. *)
-exception Decode_error of string
-
-(** [decode s] — inverse of [encode]. Raises {!Decode_error} on garbage. *)
+(** [decode s] — inverse of [encode]. Raises {!Kamino_nvm.Region.Corrupt}
+    ([structure "Op"], [off] at the failing field's byte position) on
+    garbage, never the generic [Failure] any library function may
+    raise. *)
 val decode : string -> t
 
 (** [decode_sub b pos len] decodes the command in [b.[pos .. pos+len)] in
     place: tag, key and lengths are read where they lie and only values
     are copied out. Every read is bounds-checked against that range (and
-    the range against [b]), so garbage raises {!Decode_error} and nothing
-    else. *)
+    the range against [b]), so garbage raises [Region.Corrupt], [off]
+    being a position in [b], and nothing else. *)
 val decode_sub : bytes -> int -> int -> t
 
 val equal : t -> t -> bool

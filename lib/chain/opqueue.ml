@@ -1,7 +1,5 @@
 module Region = Kamino_nvm.Region
 
-exception Corrupt of string
-
 module Slot = struct
   type t = { buf : bytes; mutable seq : int; mutable len : int }
 
@@ -36,7 +34,10 @@ let magic_off = 0
 let config_off = 8
 let head_off = 16
 let tail_off = 24
+let slot_bytes_off = 32
+let n_slots_off = 40
 let header_size = 64
+let structure = "Opqueue"
 
 (* Slot: seq, payload length, checksum, payload. *)
 let s_seq = 0
@@ -94,8 +95,8 @@ let format region ~slot_bytes ~n_slots =
   Region.write_int region head_off 0;
   Region.write_int region tail_off 0;
   (* Config words are recovered from the checksum at open. *)
-  Region.write_int region 32 slot_bytes;
-  Region.write_int region 40 n_slots;
+  Region.write_int region slot_bytes_off slot_bytes;
+  Region.write_int region n_slots_off n_slots;
   Region.persist region 0 header_size;
   make region ~slot_bytes ~n_slots ~head:0 ~tail:0
 
@@ -123,18 +124,19 @@ let load t seq =
 
 let open_existing region =
   if Region.read_int64 region magic_off <> magic_value then
-    raise (Corrupt "Opqueue.open_existing: bad magic");
-  let slot_bytes = Region.read_int region 32 in
-  let n_slots = Region.read_int region 40 in
+    Region.corrupt ~structure ~off:magic_off "bad magic";
+  let slot_bytes = Region.read_int region slot_bytes_off in
+  let n_slots = Region.read_int region n_slots_off in
   if
     Region.read_int64 region config_off <> config_of ~slot_bytes ~n_slots
     || slot_bytes < 0 || n_slots <= 0
     || Region.size region < required_size ~slot_bytes ~n_slots
-  then raise (Corrupt "Opqueue.open_existing: corrupt configuration");
-  let t =
-    make region ~slot_bytes ~n_slots ~head:(Region.read_int region head_off)
-      ~tail:(Region.read_int region tail_off)
-  in
+  then Region.corrupt ~structure ~off:config_off "corrupt configuration";
+  let head = Region.read_int region head_off in
+  let tail = Region.read_int region tail_off in
+  if head < 0 then Region.corrupt ~structure ~off:head_off "head %d is negative" head;
+  if tail < head then Region.corrupt ~structure ~off:tail_off "tail %d is behind head %d" tail head;
+  let t = make region ~slot_bytes ~n_slots ~head ~tail in
   (* The persistent tail never points past a torn entry (entries persist
      before the tail), but be defensive: validate the window. *)
   let rec trim seq = if seq < t.tail && load t seq then trim (seq + 1) else seq in
@@ -171,7 +173,7 @@ let enqueue t payload =
 
 let load_published t seq what =
   if not (load t seq) then
-    raise (Corrupt (Printf.sprintf "Opqueue.%s: corrupt published entry %d" what seq))
+    Region.corrupt ~structure ~off:(slot_off t seq) "%s: corrupt published entry %d" what seq
 
 let peek t =
   if is_empty t then None

@@ -14,13 +14,9 @@
 
 type t
 
-(** A persisted queue image that cannot be read back: a bad magic word, a
-    configuration that fails its check word or describes an impossible
-    geometry, or a published entry (inside
-    the head..tail window) whose checksum no longer matches. Torn
-    {e unpublished} entries are not corruption: [open_existing] trims
-    them. *)
-exception Corrupt of string
+(** [Region.Corrupt] ([structure "Opqueue"]) marks an image that cannot
+    be read back; torn {e unpublished} entries are not corruption:
+    [open_existing] trims them. *)
 
 (** A read-only view of one validated entry. It lives in its queue's
     scratch buffer, so reading an entry copies nothing out of the queue
@@ -55,7 +51,8 @@ val required_size : slot_bytes:int -> n_slots:int -> int
 val format : Kamino_nvm.Region.t -> slot_bytes:int -> n_slots:int -> t
 
 (** Reopen after a crash; drops any torn (unpublished) tail entry. Raises
-    {!Corrupt} on a bad magic word or configuration. *)
+    [Region.Corrupt] on a bad magic word or configuration, a negative
+    head or a tail behind the head. *)
 val open_existing : Kamino_nvm.Region.t -> t
 
 val length : t -> int
@@ -76,7 +73,7 @@ val tail_seq : t -> int
 val enqueue : t -> string -> int
 
 (** [peek t] — a view of the oldest entry. Allocation-free: the option is
-    built once per queue. Raises {!Corrupt} if the entry fails validation. *)
+    built once per queue. Raises [Region.Corrupt] on a bad entry. *)
 val peek : t -> Slot.t option
 
 (** [dequeue t] re-validates the oldest entry (the same loads as [peek]),
@@ -88,8 +85,8 @@ val dequeue : t -> Slot.t option
     queue. *)
 val drop_through : t -> int -> unit
 
-(** [iter t f] visits queued entries oldest-first. Raises {!Corrupt} on an
-    entry that fails validation. *)
+(** [iter t f] visits queued entries oldest-first. Raises [Region.Corrupt]
+    on an entry that fails validation. *)
 val iter : t -> (Slot.t -> unit) -> unit
 
 (** [digest t] fingerprints the queue's region (volatile and persistent

@@ -15,9 +15,9 @@
     change. Reboot recovery consults the marker: a Running intent record
     at node [n] of shard [s] rolls forward iff a valid marker lists
     [(s, n, tx_id)]. A corrupt marker image makes that reboot's recovery
-    hook raise {!Kamino_nvm.Commit_marker.Corrupt} out of {!run}; it is
-    never read as "no marker", which could roll a decided transaction
-    back on some participants. *)
+    hook raise {!Kamino_nvm.Region.Corrupt}, as does any other image it
+    cannot decode, out of {!run}; it is never read as "no marker", which
+    could roll a decided transaction back on some participants. *)
 
 module Op = Kamino_chain.Op
 module Async = Kamino_chain.Async_chain

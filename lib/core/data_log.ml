@@ -34,6 +34,7 @@ let phase_off = 8
 let txid_off = 16
 let count_off = 24
 let arena_start = 64
+let structure = "Data_log"
 
 let entry_header_size = 32
 
@@ -52,12 +53,6 @@ let replay_of_int = function
 
 let phase_to_int = function Idle -> 0 | Running -> 1 | Applying -> 2
 
-let phase_of_int = function
-  | 0 -> Idle
-  | 1 -> Running
-  | 2 -> Applying
-  | n -> failwith (Printf.sprintf "Data_log: corrupt phase %d" n)
-
 let required_size ~arena_bytes = arena_start + arena_bytes
 
 let align8 n = (n + 7) land lnot 7
@@ -73,11 +68,16 @@ let format region =
 
 let open_existing region =
   if Region.read_int64 region magic_off <> magic_value then
-    failwith "Data_log.open_existing: bad magic";
+    Region.corrupt ~structure ~off:magic_off "bad magic";
   { region; active = false; bump = arena_start; entries = []; unflushed = None; created = 0;
     header_written = false; cur_tx_id = 0; shared_now = 0 }
 
-let phase t = phase_of_int (Region.read_int t.region phase_off)
+let phase t =
+  match Region.read_int t.region phase_off with
+  | 0 -> Idle
+  | 1 -> Running
+  | 2 -> Applying
+  | n -> Region.corrupt ~structure ~off:phase_off "phase %d outside 0..2" n
 
 let tx_id t = Region.read_int t.region txid_off
 
@@ -274,28 +274,21 @@ let recover_entries t =
   let txid = tx_id t in
   let size = Region.size t.region in
   let rec walk i pos acc =
-    if i >= n then List.rev acc
-    else begin
-      if pos + entry_header_size > size then List.rev acc
-      else begin
-        let off = Region.read_int t.region (pos + eh_off) in
-        let len = Region.read_int t.region (pos + eh_len) in
-        let stored = Region.read_int64 t.region (pos + eh_check) in
-        let replay = replay_of_int (Region.read_int t.region (pos + eh_replay)) in
-        if len <= 0 || pos + entry_header_size + len > size then List.rev acc
-        else begin
-          match replay with
-          | None -> List.rev acc
-          | Some replay ->
-              let payload_off = pos + entry_header_size in
-              let sum = payload_sum t payload_off len in
-              let next = align8 (payload_off + len) in
-              if stored <> check_of ~tx_id:txid ~off ~len ~replay ~sum then
-                walk (i + 1) next acc
-              else walk (i + 1) next ({ off; len; payload_off; replay } :: acc)
-        end
-      end
-    end
+    if i >= n || pos + entry_header_size > size then List.rev acc
+    else
+      let off = Region.read_int t.region (pos + eh_off) in
+      let len = Region.read_int t.region (pos + eh_len) in
+      let stored = Region.read_int64 t.region (pos + eh_check) in
+      (* [len > size - payload_off], not [payload_off + len > size]: no
+         length word can wrap the check. *)
+      let payload_off = pos + entry_header_size in
+      match replay_of_int (Region.read_int t.region (pos + eh_replay)) with
+      | Some replay when len > 0 && len <= size - payload_off ->
+          let sum = payload_sum t payload_off len in
+          let next = align8 (payload_off + len) in
+          if stored <> check_of ~tx_id:txid ~off ~len ~replay ~sum then walk (i + 1) next acc
+          else walk (i + 1) next ({ off; len; payload_off; replay } :: acc)
+      | Some _ | None -> List.rev acc
   in
   walk 0 arena_start []
 

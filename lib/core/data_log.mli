@@ -38,6 +38,7 @@ val required_size : arena_bytes:int -> int
 
 val format : Kamino_nvm.Region.t -> t
 
+(** Raises [Region.Corrupt] on a bad magic word. *)
 val open_existing : Kamino_nvm.Region.t -> t
 
 (** [begin_tx t ~tx_id] starts building a record. The header becomes durable
@@ -93,6 +94,7 @@ val active_entries : t -> entry list
 
 (** {1 Recovery} *)
 
+(** Raises [Region.Corrupt] on a phase word outside [0..2]. *)
 val phase : t -> phase
 
 val tx_id : t -> int

@@ -621,7 +621,8 @@ let read_prefixed tx p field ~max =
            field-granular [add_field]): the length word, then each piece
            of the bytes, from where it lives. *)
         let len = Int64.to_int (String.get_int64_le (read_pieces t abs (abs + 8)) 0) in
-        if len < 0 || len > max then raise (Region.Bad_length { off = abs; len; max });
+        if len < 0 || len > max then
+          Region.corrupt ~structure:"record" ~off:abs "length %d outside [0, %d]" len max;
         read_pieces t (abs + 8) (abs + 8 + len)
     | i ->
         let reg, off = locate t i abs in

@@ -268,9 +268,9 @@ val read_bytes : tx -> Heap.ptr -> int -> int -> bytes
 (** [read_prefixed tx p field ~max] reads the length-prefixed record at
     [field]: its length word [len], then the [len] bytes after it, charged
     as one load of [8 + len] bytes ({!Kamino_nvm.Region.read_prefixed}).
-    It raises [Region.Bad_length] when [len] lies outside [\[0, max\]],
-    so a corrupt word never reads into a neighbouring object; [8 + max]
-    bytes from [field] must lie inside the object.
+    It raises [Region.Corrupt] when [len] lies outside [\[0, max\]], so a
+    corrupt word never reads into a neighbouring object; [8 + max] bytes
+    from [field] must lie inside the object.
 
     Under CoW it follows the transaction's working copies byte for byte.
     When one place holds the record's whole [8 + max] extent (no intent
@@ -291,8 +291,7 @@ val peek_bytes : t -> Heap.ptr -> int -> int -> bytes
 val peek_string : t -> Heap.ptr -> int -> int -> string
 
 (** [peek_prefixed t p field ~max] — {!read_prefixed} on committed state:
-    one load of [8 + len] bytes, [Region.Bad_length] outside
-    [\[0, max\]]. *)
+    one load of [8 + len] bytes, [Region.Corrupt] outside [\[0, max\]]. *)
 val peek_prefixed : t -> Heap.ptr -> int -> max:int -> string
 
 (** [peek_run t p field len] charges one committed load of [len] bytes at
@@ -354,7 +353,7 @@ val snapshot_read_int64 : snapshot -> Heap.ptr -> int -> int64
 val snapshot_read_int : snapshot -> Heap.ptr -> int -> int
 
 (** [snapshot_read_prefixed s p field ~max] — {!read_prefixed} in the
-    backup image: one load of [8 + len] bytes, [Region.Bad_length] outside
+    backup image: one load of [8 + len] bytes, [Region.Corrupt] outside
     [\[0, max\]]. *)
 val snapshot_read_prefixed : snapshot -> Heap.ptr -> int -> max:int -> string
 
@@ -376,10 +375,10 @@ val crash : t -> unit
     intent-log record whose transaction id it accepts is treated as
     committed and rolled {e forward} — safe only because {!prepare} made
     the record's in-place writes durable before any marker naming it
-    could exist. Raises [Heap.Corrupt], [Intent_log.Corrupt] or
-    [Phash.Corrupt], before recovery writes anything, when the main
-    region's heap metadata, the intent log or a dynamic backup's look-up
-    table cannot be decoded. *)
+    could exist. Raises [Kamino_nvm.Region.Corrupt], the one exception of
+    every decoder, before recovery writes anything, when the main
+    region's heap metadata, the intent log, the data log or a dynamic
+    backup's look-up table cannot be decoded. *)
 val recover : ?promote_running:(int -> bool) -> t -> unit
 
 (** Apply every queued backup task (e.g. before clean shutdown or before

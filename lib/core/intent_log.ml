@@ -6,8 +6,6 @@ type state = Free | Running | Committed | Aborted
 
 type intent = { off : int; len : int }
 
-exception Corrupt of string
-
 type t = {
   region : Region.t;
   max_user_threads : int;
@@ -45,6 +43,7 @@ let threads_off = 16
 let entries_off = 24
 let slots_off = 32
 let header_size = 64
+let structure = "Intent_log"
 
 let scratchpad_size = 64
 let slot_header_size = 64
@@ -70,13 +69,6 @@ let check_of ~tx_id ~off ~len =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   Int64.logxor z (Int64.shift_right_logical z 27)
 
-let state_of_int = function
-  | 0 -> Free
-  | 1 -> Running
-  | 2 -> Committed
-  | 3 -> Aborted
-  | n -> raise (Corrupt (Printf.sprintf "Intent_log: slot state %d outside 0..3" n))
-
 let slot_size_of ~max_tx_entries = slot_header_size + (max_tx_entries * entry_size)
 
 let required_size ~max_user_threads ~max_tx_entries ~n_slots =
@@ -96,7 +88,13 @@ let slot_off t slot = t.slots_start + (slot * t.slot_size)
    branch-free. *)
 
 let slot_state t slot =
-  state_of_int (Region.unsafe_read_int t.region (slot_off t slot + sh_state))
+  let off = slot_off t slot + sh_state in
+  match Region.unsafe_read_int t.region off with
+  | 0 -> Free
+  | 1 -> Running
+  | 2 -> Committed
+  | 3 -> Aborted
+  | n -> Region.corrupt ~structure ~off "slot %d state %d outside 0..3" slot n
 
 let slot_tx_id t slot = Region.unsafe_read_int t.region (slot_off t slot + sh_tx_id)
 
@@ -148,19 +146,19 @@ let format region ~max_user_threads ~max_tx_entries ~n_slots =
 
 let open_existing region =
   if Region.read_int64 region magic_off <> magic_value then
-    raise (Corrupt "Intent_log.open_existing: bad magic");
+    Region.corrupt ~structure ~off:magic_off "bad magic";
   let max_user_threads = Region.read_int region threads_off in
   let max_tx_entries = Region.read_int region entries_off in
   let n_slots = Region.read_int region slots_off in
   if
     Region.read_int64 region checksum_off
     <> checksum_of ~max_user_threads ~max_tx_entries ~n_slots
-  then raise (Corrupt "Intent_log.open_existing: header checksum mismatch");
+  then Region.corrupt ~structure ~off:checksum_off "header checksum mismatch";
   (* The unchecked slot accessors rely on the region covering every slot. *)
   if
     max_user_threads < 0 || max_tx_entries < 0 || n_slots < 0
     || required_size ~max_user_threads ~max_tx_entries ~n_slots > Region.size region
-  then raise (Corrupt "Intent_log.open_existing: header slots overrun the region");
+  then Region.corrupt ~structure ~off:slots_off "header slots overrun the region";
   let t =
     {
       region;

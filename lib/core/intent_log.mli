@@ -36,13 +36,12 @@ val format :
   n_slots:int ->
   t
 
-(** A persisted log image that this build cannot decode. *)
-exception Corrupt of string
-
-(** [open_existing region] re-attaches after a crash. Raises {!Corrupt} on
-    a bad magic word, a header checksum mismatch, a header whose slots
-    overrun the region, or a slot state word outside [0..3] (every slot's
-    state is read here, before anything is written). *)
+(** [open_existing region] re-attaches after a crash. Raises
+    {!Kamino_nvm.Region.Corrupt} ([structure "Intent_log"], [off] at the
+    failing word) on a bad magic word, a header checksum mismatch, a
+    header whose slots overrun the region, or a slot state word outside
+    [0..3] (every slot's state is read here, before anything is
+    written). *)
 val open_existing : Kamino_nvm.Region.t -> t
 
 (** [begin_record t ~tx_id] claims a free slot and writes its header

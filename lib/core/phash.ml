@@ -72,14 +72,13 @@ type t = {
 
 exception Overload of { capacity : int; count : int }
 
-exception Corrupt of string
-
 let magic_value = 0x4B54484153485631L (* "KTHASHV1" *)
 
 let magic_off = 0
 let state_off = 8
 let mig_cursor_off = 16
 let entries_start = 64
+let structure = "Phash"
 
 (* Key words: 0 marks an empty bucket, -1 a tombstone, a positive key a
    live entry. *)
@@ -418,8 +417,8 @@ let rebuild_count t =
   t.count <- !n
 
 let open_existing reg =
-  let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt ("Phash.open_existing: " ^ s))) fmt in
-  if Region.read_int64 reg magic_off <> magic_value then corrupt "bad magic";
+  if Region.read_int64 reg magic_off <> magic_value then
+    Region.corrupt ~structure ~off:magic_off "bad magic";
   let state = Region.read_int reg state_off in
   let armed = state land armed_bit <> 0 in
   let d = (state lsr 48) land 0x3FFF in
@@ -427,13 +426,11 @@ let open_existing reg =
   (* The first table has a power-of-two capacity of at least 16, and each
      doubling doubles it, so [cap] is one too, at least [16 lsl d]. *)
   if cap land (cap - 1) <> 0 || d > 44 || cap asr d < 16 then
-    corrupt "state word %#x: capacity %d is not a power of two of at least 16 lsl %d" state
-      cap d;
+    Region.corrupt ~structure ~off:state_off "state %#x: capacity %d, %d doublings" state cap d;
   let c0 = cap asr d in
   let need = chain_size ~capacity:c0 ~doublings:(if armed then d + 1 else d) in
   if need > Region.size reg then
-    corrupt "state word %#x: table chain needs %d bytes, the region has %d" state need
-      (Region.size reg);
+    Region.corrupt ~structure ~off:state_off "state %#x: tables need %d bytes" state need;
   let off = entries_start + ((cap - c0) * 16) in
   let t =
     {
@@ -460,7 +457,8 @@ let open_existing reg =
     t.nmask <- t.ncap - 1;
     t.noff <- off + (cap * 16);
     t.mig <- Region.read_int reg mig_cursor_off;
-    if t.mig < 0 || t.mig > cap then corrupt "migration cursor %d outside [0, %d]" t.mig cap;
+    if t.mig < 0 || t.mig > cap then
+      Region.corrupt ~structure ~off:mig_cursor_off "migration cursor %d outside [0, %d]" t.mig cap;
     while t.mig >= 0 do
       migrate_step t
     done

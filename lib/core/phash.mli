@@ -49,15 +49,13 @@ val chain_size : capacity:int -> doublings:int -> int
 
 val format : Kamino_nvm.Region.t -> capacity:int -> t
 
-(** A persisted table image that this build cannot decode. *)
-exception Corrupt of string
-
 (** [open_existing region] re-attaches after a crash and finishes an
-    interrupted resize. Raises {!Corrupt}, before writing anything, on a
-    bad magic word, a state word whose capacity is not a power of two of
-    at least 16 (doubled once per completed resize) or whose table chain
-    overruns the region, or an armed migration cursor outside
-    [[0, capacity]]. *)
+    interrupted resize. Raises {!Kamino_nvm.Region.Corrupt}
+    ([structure "Phash"], [off] at the failing word), before writing
+    anything, on a bad magic word, a state word whose capacity is not a
+    power of two of at least 16 (doubled once per completed resize) or
+    whose table chain overruns the region, or an armed migration cursor
+    outside [[0, capacity]]. *)
 val open_existing : Kamino_nvm.Region.t -> t
 
 (** Capacity of the {e active} table (grows across resizes). *)

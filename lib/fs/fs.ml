@@ -1,5 +1,6 @@
 module Engine = Kamino_core.Engine
 module Heap = Kamino_heap.Heap
+module Region = Kamino_nvm.Region
 module Btree = Kamino_index.Btree
 module Obs = Kamino_obs.Obs
 module Metrics = Kamino_obs.Metrics
@@ -224,26 +225,26 @@ let mknod_tx tx t kind ~parent =
   ignore (apply_mknod tx t kind ~parent m (Engine.alloc_many tx (mknod_sizes kind)));
   m.m_ino
 
-(* The geometry [format] accepts and [attach] trusts: what is wrong with
-   the first word out of range, named as in the superblock. *)
-let geometry_error ~block_size ~hash_bits ~ino_base ~ino_stride =
+(* The geometry [format] accepts and [attach] trusts: [fail off msg] on
+   the first word out of range, [off] its superblock offset. *)
+let check_geometry fail ~block_size ~hash_bits ~ino_base ~ino_stride =
   if block_size < 8 || block_size mod 8 <> 0 || block_size > Heap.max_object_size then
-    Some
+    fail sb_block_size
       (Printf.sprintf "block_size %d is not a multiple of 8 in 8..%d" block_size
-         Heap.max_object_size)
-  else if hash_bits < 1 || hash_bits > 61 then
-    Some (Printf.sprintf "hash_bits %d is outside 1..61" hash_bits)
-  else if ino_base < 0 || ino_base >= ino_stride then
-    Some
+         Heap.max_object_size);
+  if hash_bits < 1 || hash_bits > 61 then
+    fail sb_hash_bits (Printf.sprintf "hash_bits %d is outside 1..61" hash_bits);
+  if ino_base < 0 || ino_base >= ino_stride then
+    fail
+      (if ino_stride < 1 then sb_ino_stride else sb_ino_base)
       (Printf.sprintf "ino_base %d and ino_stride %d break 0 <= ino_base < ino_stride"
          ino_base ino_stride)
-  else None
 
 let format ?(block_size = 512) ?(dir_hash_bits = 40) ?(ino_base = 0)
     ?(ino_stride = 1) ?(with_root = true) ?(obs_track = 4) engine =
-  Option.iter
-    (fun m -> invalid_arg ("Fs.format: " ^ m))
-    (geometry_error ~block_size ~hash_bits:dir_hash_bits ~ino_base ~ino_stride);
+  check_geometry
+    (fun _ m -> invalid_arg ("Fs.format: " ^ m))
+    ~block_size ~hash_bits:dir_hash_bits ~ino_base ~ino_stride;
   if Engine.root engine <> Heap.null then
     err "Fs.format: heap already has a root";
   let hists, c_blocks, c_extnodes = make_metric_handles engine in
@@ -298,18 +299,16 @@ let attach ?(obs_track = 4) engine =
   let sb = Engine.root engine in
   if sb = Heap.null then err "Fs.attach: heap has no root";
   let word off = Engine.peek_int engine sb off in
-  if word sb_magic <> magic then err "Fs.attach: root object is not a superblock";
+  let corrupt off m = Region.corrupt ~structure:"Fs superblock" ~off "%s" m in
+  if word sb_magic <> magic then corrupt sb_magic "root object is not a superblock";
   if word sb_version <> version then
-    err "Fs.attach: superblock version %d, this layout is version %d" (word sb_version)
-      version;
+    corrupt sb_version (Printf.sprintf "version %d, not %d" (word sb_version) version);
   let block_size = word sb_block_size and hash_bits = word sb_hash_bits in
   let base = word sb_ino_base and stride = word sb_ino_stride in
-  Option.iter
-    (fun m -> err "Fs.attach: superblock %s" m)
-    (geometry_error ~block_size ~hash_bits ~ino_base:base ~ino_stride:stride);
+  check_geometry corrupt ~block_size ~hash_bits ~ino_base:base ~ino_stride:stride;
   let itab = word sb_itab in
   if not (Heap.is_allocated (Engine.heap engine) itab) then
-    err "Fs.attach: superblock itab %d is not an allocated object" itab;
+    corrupt sb_itab (Printf.sprintf "itab %d is not an allocated object" itab);
   let hists, c_blocks, c_extnodes = make_metric_handles engine in
   let t =
     {

@@ -183,13 +183,13 @@ val format :
 
 (** [attach engine] reopens a formatted filesystem (e.g. a fresh
     process after a crash — within a process, handles survive
-    {!Engine.crash}/{!Engine.recover} unchanged). Raises [Fs_error],
-    naming the word, if the heap root is not a superblock or any header
-    word is out of range: a [version] other than {!Layout.version}, a
-    [block_size] outside [8..Heap.max_object_size] or not a multiple of
-    8, [hash_bits] outside [1..61], [ino_base]/[ino_stride] breaking
-    [0 <= ino_base < ino_stride], or an [itab] descriptor that is not an
-    allocated object. *)
+    {!Engine.crash}/{!Engine.recover} unchanged). Raises [Region.Corrupt],
+    [off] naming the [Layout.sb_*] word, if the heap root is not a
+    superblock or any header word is out of range: a [version] other than
+    {!Layout.version}, a [block_size] outside [8..Heap.max_object_size] or
+    not a multiple of 8, [hash_bits] outside [1..61], [ino_base]/[ino_stride]
+    breaking [0 <= ino_base < ino_stride], or an [itab] descriptor that is
+    not an allocated object. *)
 val attach : ?obs_track:int -> Engine.t -> t
 
 val engine : t -> Engine.t
@@ -217,7 +217,7 @@ val lookup : t -> dir:int -> string -> int option
     a sharded namespace resolve to [None] only via {!Shard_fs}). Each
     dirent on the name's chain costs one load of its length word and name
     ({!Engine.peek_prefixed}); a length word outside
-    [\[0, Layout.max_name_len\]] raises [Kamino_nvm.Region.Bad_length],
+    [\[0, Layout.max_name_len\]] raises [Kamino_nvm.Region.Corrupt],
     as it does in {!readdir} and every in-transaction chain walk. *)
 
 val resolve : t -> string -> int option

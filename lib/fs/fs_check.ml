@@ -116,8 +116,8 @@ let fsck_cluster ?(strict_heap = true) fss =
                         let name =
                           match Engine.peek_prefixed e p d_nlen ~max:max_name_len with
                           | name -> name
-                          | exception Kamino_nvm.Region.Bad_length { len; _ } ->
-                              fail "shard %d: dir %d dirent with name length %d" s ino len
+                          | exception Kamino_nvm.Region.Corrupt { what; _ } ->
+                              fail "shard %d: dir %d dirent name: %s" s ino what
                         in
                         (match Fs.check_name name with
                         | () -> ()

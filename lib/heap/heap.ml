@@ -19,7 +19,7 @@ let data_start_off = 512
 let magic_value = 0x4B414D494E4F5458L (* "KAMINOTX" *)
 let version_value = 2L
 
-exception Corrupt of string
+let structure = "Heap"
 
 (* Size classes, jemalloc-style: multiples of 16 from 32 to 112, then four
    per power of two ([b], [1.25b], [1.5b], [1.75b] for [b] = 128 .. 131072),
@@ -231,15 +231,26 @@ let format region =
   t
 
 let open_existing region =
-  let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt ("Heap.open_existing: " ^ s))) fmt in
+  let size = Region.size region in
   if Region.read_int64 region magic_off <> magic_value then
-    corrupt "bad magic (region was never formatted?)";
+    Region.corrupt ~structure ~off:magic_off "bad magic (region was never formatted?)";
   let version = Region.read_int64 region version_off in
   if version <> version_value then
-    corrupt "unsupported heap version %Ld (this build reads %Ld)" version version_value;
-  let size = Region.read_int region size_off in
-  if size <> Region.size region then
-    corrupt "size word %d disagrees with the %d-byte region" size (Region.size region);
+    Region.corrupt ~structure ~off:version_off "version %Ld, this build reads %Ld" version
+      version_value;
+  let word = Region.read_int region size_off in
+  if word <> size then Region.corrupt ~structure ~off:size_off "size word %d, region %d" word size;
+  (* [alloc] trusts the bump word and the free-list heads. Every value they
+     ever hold, before or after a roll-back, passes; the reads are free. *)
+  let bump = Region.peek_int region bump_off in
+  if bump < data_start_off || bump > size then
+    Region.corrupt ~structure ~off:bump_off "bump pointer %d out of range" bump;
+  for cls = 0 to n_classes - 1 do
+    let p = Region.peek_int region (class_head_off cls) in
+    let last = size - size_classes.(cls) in
+    if p <> null && (p land 15 <> 0 || p < data_start_off + header_size || p > last) then
+      Region.corrupt ~structure ~off:(class_head_off cls) "class %d head %d out of range" cls p
+  done;
   mk_t region
 
 (* Allocation. *)

@@ -40,12 +40,12 @@ val max_object_size : int
     metadata block. Raises [Invalid_argument] if the region is too small. *)
 val format : Kamino_nvm.Region.t -> t
 
-(** A persisted heap image that this build cannot decode. *)
-exception Corrupt of string
-
 (** [open_existing region] attaches to a previously formatted heap, e.g.
-    after a crash. Raises {!Corrupt} on a bad magic number, a version other
-    than this build's, or a size word that disagrees with the region. *)
+    after a crash. Raises [Kamino_nvm.Region.Corrupt] on a bad magic, a
+    version other than this build's, a size word that disagrees with the
+    region, a bump pointer outside [\[data_start, size\]], or a free-list
+    head that is not null or a 16-aligned object of its class inside the
+    data area. *)
 val open_existing : Kamino_nvm.Region.t -> t
 
 (** [class_of_size size] — the index in {!size_classes} of the smallest

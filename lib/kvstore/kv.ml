@@ -137,7 +137,7 @@ let snapshot_get ?clock t key =
           | Some vptr -> (
               match Engine.snapshot_read_prefixed snap vptr v_len ~max:t.value_size with
               | value -> Some (Some value)
-              | exception Kamino_nvm.Region.Bad_length _ -> None))
+              | exception Kamino_nvm.Region.Corrupt _ -> None))
   with
   | Some result -> result
   | None -> get t key

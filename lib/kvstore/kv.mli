@@ -47,8 +47,8 @@ val delete_tx : Kamino_core.Engine.tx -> t -> int -> bool
 val rmw_tx : Kamino_core.Engine.tx -> t -> int -> (string -> string) -> unit
 
 (** [get t key] reads the committed value: its length word and bytes in
-    one load. Raises [Kamino_nvm.Region.Bad_length] when the value's
-    length word exceeds [value_size] or is negative (a corrupt image). *)
+    one load. Raises [Kamino_nvm.Region.Corrupt] when the value's length
+    word exceeds [value_size] or is negative (a corrupt image). *)
 val get : t -> int -> string option
 
 (** [snapshot_get t key] is a read-only transaction served from the

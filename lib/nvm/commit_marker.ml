@@ -1,10 +1,9 @@
-exception Corrupt of string
-
 type t = { region : Region.t; entry_words : int; max_entries : int }
 
 let flag_off = 0
 let count_off = 8
 let entries_off = 16
+let structure = "Commit_marker"
 
 let create ~cost ~crash_mode ~seed ~clock ~entry_words ~max_entries =
   if entry_words < 1 || max_entries < 0 then
@@ -51,7 +50,7 @@ let read t =
   | 1 ->
       let n = Region.read_int m count_off in
       if n < 0 || n > t.max_entries then
-        raise (Corrupt (Printf.sprintf "Commit_marker.read: count %d outside 0..%d" n t.max_entries));
+        Region.corrupt ~structure ~off:count_off "count %d outside 0..%d" n t.max_entries;
       Some
         (Array.init n (fun k -> Array.init t.entry_words (fun j -> Region.read_int m (word_off t k j))))
-  | flag -> raise (Corrupt (Printf.sprintf "Commit_marker.read: flag %d is neither 0 nor 1" flag))
+  | flag -> Region.corrupt ~structure ~off:flag_off "flag %d is neither 0 nor 1" flag

@@ -18,12 +18,6 @@
 
 type t
 
-(** A persisted image that cannot be a record this module wrote: a flag
-    other than [0] or [1], or a count outside [0 .. max_entries].
-    Recovery must not read it as "no marker": that could roll back, on
-    some participants, a transaction that was already decided. *)
-exception Corrupt of string
-
 (** [create ~cost ~crash_mode ~seed ~clock ~entry_words ~max_entries]
     makes a cleared marker in a fresh region of
     [16 + 8 * entry_words * max_entries] bytes rounded up to 4 KiB, whose
@@ -49,7 +43,11 @@ val write : t -> int -> (int -> int -> int) -> unit
 val clear : t -> unit
 
 (** [read t] is [None] when the flag is [0] and [Some entries] when it is
-    [1]. Raises {!Corrupt} on any other flag or an out-of-range count. *)
+    [1]. Raises {!Region.Corrupt} ([structure "Commit_marker"]) on any
+    other flag or a count outside [0 .. max_entries]: an image this module
+    cannot have written. Recovery must not read it as "no marker": that
+    could roll back, on some participants, a transaction that was already
+    decided. *)
 val read : t -> int array array option
 
 (** The marker's region: clock switching, size, digest and counters. *)

@@ -102,8 +102,9 @@ let[@inline] charge t ns =
   t.frac_ns.v <- total -. float_of_int whole;
   if whole > 0 then Clock.advance t.clock whole
 
+(* [len > size - off], not [off + len > size]: no [len] can wrap the sum. *)
 let check_range t off len name =
-  if off < 0 || len < 0 || off + len > t.size then
+  if off < 0 || len < 0 || len > t.size - off then
     invalid_arg (Printf.sprintf "Region.%s: range [%d,+%d) out of bounds (size %d)" name off len t.size)
 
 (* Little-endian int accessors assembled from 16-bit pieces. On a 64-bit
@@ -245,14 +246,17 @@ let read_string t off len =
 
 let charge_load t off len = record_load t off len
 
-exception Bad_length of { off : int; len : int; max : int }
+exception Corrupt of { structure : string; off : int; what : string }
+
+let corrupt ~structure ~off fmt =
+  Printf.ksprintf (fun what -> raise (Corrupt { structure; off; what })) fmt
 
 let read_prefixed t off ~max =
   check_range t off 8 "read_prefixed";
   let len = get_int_le t.volatile off in
   if len < 0 || len > max then begin
     record_load_unchecked t 8;
-    raise (Bad_length { off; len; max })
+    corrupt ~structure:"record" ~off "length %d outside [0, %d]" len max
   end;
   record_load t off (8 + len);
   Bytes.sub_string t.volatile (off + 8) len

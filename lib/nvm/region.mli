@@ -98,21 +98,27 @@ val read_into : t -> int -> bytes -> int -> int -> unit
     buffer allocated. Bounds-checked. *)
 val charge_load : t -> int -> int -> unit
 
+(** The one exception of every decoder of persistent state, raised before
+    it writes anything: the word at [off] (in [structure]'s region unless
+    its decoder says otherwise) cannot have been written by this build. *)
+exception Corrupt of { structure : string; off : int; what : string }
+
+(** [corrupt ~structure ~off fmt ...] raises {!Corrupt}, [what] from [fmt]. *)
+val corrupt : structure:string -> off:int -> ('a, unit, string, 'b) format4 -> 'a
+
 (** {2 Length-prefixed records}
 
     A record is a length word followed by that many bytes: a KV value, a
     directory entry's name. *)
-
-(** A record's length word lies outside [\[0, max\]]. *)
-exception Bad_length of { off : int; len : int; max : int }
 
 (** [read_prefixed t off ~max] reads the record at [off]: the length word
     [len] at [off], then the [len] bytes after it. Both are charged as
     {e one} load of [8 + len] bytes, which loads the same bytes as
     {!read_int} then {!read_string} in one load's overhead. A [len]
     outside [\[0, max\]] charges the word's 8-byte load and raises
-    {!Bad_length}, so a corrupt word can never read past the record's
-    [max] bytes into a neighbouring object. Bounds-checked. *)
+    {!Corrupt} (["record"], ["length <len> outside \[0, <max>\]"]), so a
+    corrupt word can never read past the record's [max] bytes into a
+    neighbouring object. Bounds-checked. *)
 val read_prefixed : t -> int -> max:int -> string
 
 (** {2 Unchecked accessor}

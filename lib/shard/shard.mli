@@ -88,10 +88,10 @@ val crash : t -> unit
 (** Recovers every shard. A valid commit marker promotes its listed
     participants — their Running intent records roll {e forward} — and
     is then cleared; without one every incomplete transaction rolls back
-    as on a standalone engine. Raises {!Kamino_nvm.Commit_marker.Corrupt},
+    as on a standalone engine. Raises {!Kamino_nvm.Region.Corrupt},
     before touching any shard, if the marker's persisted image is
-    corrupt: reading it as "no marker" could roll a decided transaction
-    back on some participants. *)
+    corrupt (reading it as "no marker" could roll a decided transaction
+    back on some participants), and so does a shard's own recovery. *)
 val recover : t -> unit
 
 val drain_backups : t -> unit

@@ -39,7 +39,7 @@ let test_op_decode_garbage () =
         (try
            ignore (Op.decode s);
            false
-         with Op.Decode_error _ -> true))
+         with Region.Corrupt { structure = "Op"; _ } -> true))
     [ ""; "x"; "P\x01"; "Q" ^ String.make 16 '\x00'; "P" ^ String.make 20 '\xff' ]
 
 let test_op_apply () =
@@ -83,7 +83,7 @@ let test_op_golden_encoding () =
 
 (* In-place decoding reads only inside its window: a command embedded in a
    larger buffer decodes, and a window that is negative, runs past the
-   buffer, or cuts the command short raises [Decode_error] — never
+   buffer, or cuts the command short raises [Region.Corrupt] — never
    [Invalid_argument]. *)
 let test_op_decode_sub_bounds () =
   let wire = Op.encode (Op.Batch [ Op.Put (5, "abc"); Op.Delete 6 ]) in
@@ -97,7 +97,7 @@ let test_op_decode_sub_bounds () =
       Alcotest.(check bool) label true
         (match Op.decode_sub b pos len with
         | _ -> false
-        | exception Op.Decode_error _ -> true))
+        | exception Region.Corrupt { structure = "Op"; _ } -> true))
     [
       ("negative position", -1, n);
       ("negative length", 4, -3);
@@ -255,9 +255,9 @@ let test_queue_golden_image () =
 let flip_byte r off = Region.write_byte r off (Region.read_byte r off lxor 0x40)
 
 let raises_corrupt f =
-  match f () with _ -> false | exception Opqueue.Corrupt _ -> true
+  match f () with _ -> false | exception Region.Corrupt { structure = "Opqueue"; _ } -> true
 
-(* Corrupt persistent bytes surface as the typed [Opqueue.Corrupt]. *)
+(* Corrupt persistent bytes surface as the typed [Region.Corrupt]. *)
 let test_queue_corruption_typed () =
   let q, r = make_queue () in
   ignore (Opqueue.enqueue q "first");
@@ -283,7 +283,14 @@ let test_queue_corruption_typed () =
   Region.write_int r 40 0;
   Region.write_int64 r 8 (Int64.of_int ((64 * 31) + 5));
   Alcotest.(check bool) "impossible geometry" true
-    (raises_corrupt (fun () -> Opqueue.open_existing r))
+    (raises_corrupt (fun () -> Opqueue.open_existing r));
+  (* A head word below zero, or past the tail word (at 16 and 24). *)
+  List.iter
+    (fun (what, off, v) ->
+      let _, r = make_queue () in
+      Region.write_int r off v;
+      Alcotest.(check bool) what true (raises_corrupt (fun () -> Opqueue.open_existing r)))
+    [ ("negative head", 16, -3); ("head past the tail", 16, 1); ("negative tail", 24, -1) ]
 
 (* The queue's op path allocates nothing once warm: the checksum fold is
    unboxed, loads land in the queue's scratch buffer and [peek]'s option
@@ -438,10 +445,11 @@ let test_corrupt_input_slot_detected () =
   let qseq = Opqueue.enqueue (Async.input_queue c 1) (seq_header ^ "Zjunk") in
   (match Async.reboot_now c 1 with
   | () -> Alcotest.fail "corrupt slot executed or ignored"
-  | exception Async.Corrupt_entry { node; queue_seq; reason } ->
-      Alcotest.(check int) "names the replica" 1 node;
-      Alcotest.(check int) "names the slot" qseq queue_seq;
-      Alcotest.(check bool) "carries the decoder's reason" true (String.length reason > 0));
+  | exception Region.Corrupt { structure; what; _ } ->
+      Alcotest.(check string) "names the replica and the slot"
+        (Printf.sprintf "Async_chain node 1 input entry %d" qseq)
+        structure;
+      Alcotest.(check bool) "carries the decoder's reason" true (String.length what > 0));
   (* The garbage was never applied: sequence 99 is not in the replica's
      applied set and the committed state still holds only the good write. *)
   Alcotest.(check bool) "phantom sequence not applied" true
@@ -463,9 +471,10 @@ let test_corrupt_input_slot_detected () =
   let expect_corrupt label qseq f =
     match f () with
     | () -> Alcotest.failf "%s: corrupt in-flight slot re-sent" label
-    | exception Async.Corrupt_entry { node; queue_seq; _ } ->
-        Alcotest.(check int) (label ^ ": names the replica") 1 node;
-        Alcotest.(check int) (label ^ ": names the slot") qseq queue_seq
+    | exception Region.Corrupt { structure; _ } ->
+        Alcotest.(check string) (label ^ ": names the replica and the slot")
+          (Printf.sprintf "Async_chain node 1 inflight entry %d" qseq)
+          structure
   in
   let c, qseq = planted (seq_header ^ "Zjunk") in
   expect_corrupt "reboot, garbage command" qseq (fun () -> Async.reboot_now c 1);

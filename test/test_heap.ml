@@ -220,7 +220,7 @@ let test_reopen_preserves_objects () =
 let expect_corrupt what f =
   match f () with
   | _ -> Alcotest.failf "%s: accepted" what
-  | exception Heap.Corrupt _ -> ()
+  | exception Region.Corrupt { structure = "Heap"; _ } -> ()
 
 let test_open_bad_magic () =
   let clock = Clock.create () in
@@ -247,13 +247,36 @@ let test_open_bad_header () =
   expect_corrupt "wrong size word" (fun () -> Heap.open_existing r)
 
 (* The typed error reaches the caller of engine recovery unchanged. *)
+(* Each case pokes one metadata word of a crashed engine's heap; recovery
+   raises [Corrupt] naming that word before it writes anything. The bump
+   word is at 32 and class [c]'s free-list head at [64 + 8c]. *)
 let test_recover_corrupt () =
-  let e = Engine.create ~kind:Engine.Kamino_simple ~seed:1 () in
-  let r = Engine.main_region e in
-  Engine.crash e;
-  Region.write_int64 r 8 1L;
-  Region.persist r 8 8;
-  expect_corrupt "engine recovery of a version-1 heap" (fun () -> Engine.recover e)
+  let size = 1 lsl 20 in
+  let last = 64 + (8 * (Array.length Heap.size_classes - 1)) in
+  List.iter
+    (fun (what, off, v) ->
+      let config = { Engine.default_config with Engine.heap_bytes = size } in
+      let e = Engine.create ~config ~kind:Engine.Kamino_simple ~seed:1 () in
+      let r = Engine.main_region e in
+      Engine.crash e;
+      Region.write_int r off v;
+      Region.persist r off 8;
+      match Engine.recover e with
+      | () -> Alcotest.failf "%s: accepted" what
+      | exception Region.Corrupt { structure = "Heap"; off = o; _ } ->
+          Alcotest.(check int) (what ^ ": names the word") off o)
+    [
+      ("engine recovery of a version-1 heap", 8, 1);
+      ("bump inside the metadata block", 32, 16);
+      ("negative bump", 32, -1);
+      ("bump past the region", 32, max_int);
+      ("class head inside the metadata block", 64, 8);
+      ("class head below the first object", 64, 512);
+      ("misaligned class head", 72, 528 + 8);
+      ("negative class head", 80, -16);
+      ("class head past the region", last, 1 lsl 40);
+      ("largest-class head whose object overruns the region", last, size - 16);
+    ]
 
 let test_live_bytes () =
   let h, _ = make () in

@@ -200,7 +200,7 @@ let test_add_intent_merged_crash_exact () =
 let expect_corrupt what f =
   match f () with
   | _ -> Alcotest.failf "%s: accepted" what
-  | exception Ilog.Corrupt _ -> ()
+  | exception Region.Corrupt { structure = "Intent_log"; _ } -> ()
 
 let test_open_validates () =
   let clock = Clock.create () in

@@ -280,8 +280,9 @@ let test_corrupt_length () =
       let refused what f =
         match f () with
         | _ -> Alcotest.failf "%s with length %d: not refused" what bad
-        | exception Region.Bad_length { len; max; _ } ->
-            Alcotest.(check (pair int int)) (what ^ ": refusal") (bad, 256) (len, max)
+        | exception Region.Corrupt { what = refusal; _ } ->
+            Alcotest.(check string) (what ^ ": refusal")
+              (Printf.sprintf "length %d outside [0, %d]" bad 256) refusal
       in
       refused "get" (fun () -> Kv.get kv 1);
       refused "scan" (fun () -> Kv.scan kv ~lo:0 ~count:2 (fun _ _ -> ()));

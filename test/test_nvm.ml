@@ -41,7 +41,14 @@ let test_bounds_checked () =
     (try
        ignore (Region.read_int64 r (-8));
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* [off + len] would wrap past max_int: the range check itself refuses
+     the read, not [Bytes.sub] after it. *)
+  let r, _ = make ~size:4096 () in
+  Alcotest.check_raises "a length near max_int"
+    (Invalid_argument
+       (Printf.sprintf "Region.read: range [96,+%d) out of bounds (size 4096)" max_int))
+    (fun () -> ignore (Region.read_bytes r 96 max_int))
 
 let test_unflushed_lost_on_crash () =
   let r, _ = make () in
@@ -186,8 +193,10 @@ let test_read_prefixed () =
     Region.reset_counters one;
     (match Region.read_prefixed one 0 ~max:40 with
     | s -> Alcotest.failf "length %d read %S" len s
-    | exception Region.Bad_length { off; len = l; max } ->
-        Alcotest.(check (list int)) "refusal fields" [ 0; len; 40 ] [ off; l; max ]);
+    | exception Region.Corrupt { structure; off; what } ->
+        Alcotest.(check (list string)) "refusal fields"
+          [ "record"; "0"; Printf.sprintf "length %d outside [0, 40]" len ]
+          [ structure; string_of_int off; what ]);
     Alcotest.(check (pair int int)) "the word's load only" (1, 8)
       ((Region.counters one).Region.loads, (Region.counters one).Region.bytes_loaded)
   in
@@ -341,7 +350,7 @@ let show_marker m =
       String.concat ";"
         (Array.to_list
            (Array.map (fun e -> String.concat "," (Array.to_list (Array.map string_of_int e))) es))
-  | exception Commit_marker.Corrupt msg -> Alcotest.failf "recovered marker is corrupt: %s" msg
+  | exception Region.Corrupt { what; _ } -> Alcotest.failf "recovered marker is corrupt: %s" what
 
 let test_marker_roundtrip () =
   let m = make_marker () in
@@ -381,7 +390,7 @@ let test_marker_corrupt () =
     (fun (what, pokes) ->
       match Commit_marker.read (poked pokes) with
       | _ -> Alcotest.failf "%s: read accepted a corrupt marker" what
-      | exception Commit_marker.Corrupt _ -> ())
+      | exception Region.Corrupt { structure = "Commit_marker"; _ } -> ())
     [
       ("flag 2", [ (0, 2) ]);
       ("flag -1", [ (0, -1) ]);

@@ -94,7 +94,7 @@ let test_no_half_inserts_on_crash () =
     | Some v -> Alcotest.(check int) "published value correct" 90 v
   done
 
-(* --- Corrupt images: open_existing raises the typed Corrupt --- *)
+(* --- Corrupt images: open_existing raises the typed Region.Corrupt --- *)
 
 (* Header words (phash.ml): the magic at byte 0, the state word
    [cap | doublings << 48 | armed << 62] at byte 8, the migration cursor
@@ -105,7 +105,7 @@ let state_word ?(doublings = 0) ?(armed = false) cap =
 let expect_corrupt what f =
   match f () with
   | _ -> Alcotest.failf "%s: accepted" what
-  | exception Phash.Corrupt _ -> ()
+  | exception Region.Corrupt { structure = "Phash"; _ } -> ()
 
 (* [corrupted words] formats a 16-bucket table in a region with room for
    one doubling, overwrites the given header words, and reopens it. *)

@@ -681,7 +681,7 @@ let test_corrupt_marker_recover () =
       Shard.crash s;
       match Shard.recover s with
       | () -> Alcotest.failf "%s: recovered from a corrupt marker" what
-      | exception Commit_marker.Corrupt _ -> ())
+      | exception Region.Corrupt { structure = "Commit_marker"; _ } -> ())
     [
       ("flag 2", [ (0, 2) ]);
       ("count -1", [ (0, 1); (8, -1) ]);

@@ -359,8 +359,9 @@ let test_corrupt_length_declines () =
       corrupt (Engine.main_region e);
       match Kv.snapshot_get kv 1 with
       | v -> Alcotest.failf "length %d in both images: read %s" bad (pp_opt v)
-      | exception Kamino_nvm.Region.Bad_length { len; _ } ->
-          Alcotest.(check int) "the fallback refuses it" bad len;
+      | exception Kamino_nvm.Region.Corrupt { what; _ } ->
+          Alcotest.(check string) "the fallback refuses it"
+            (Printf.sprintf "length %d outside [0, 64]" bad) what;
           Alcotest.(check int) "declined again" (f0 + 2) (fallbacks ()))
     [ 65; -1 ]
 
