@@ -61,14 +61,25 @@ type stats = {
    returned. The sweep ends at the first [n] whose [op] and [drain]
    complete; that run also crashes and recovers once more and must show
    the after-state. [on_crash s n] runs extra per-point oracles after the
-   state checks, at every point, the completed run's included. *)
+   state checks, at every point, the completed run's included. [expect]
+   is a model's [(before, after)]: the reference run must show exactly
+   those states. *)
 let sweep ~ctx ~setup ~crash ~recover ~op ~drain ~observe ~check
-    ?(on_crash = fun _ _ -> ()) () =
+    ?(on_crash = fun _ _ -> ()) ?expect () =
   let reference = setup () in
   let before = observe reference in
   op reference;
   drain reference;
   let after = observe reference in
+  Option.iter
+    (fun (want_before, want_after) ->
+      if before <> want_before then
+        Alcotest.failf "%s: the before-state is not the model's:\n%s\nmodel:\n%s" ctx before
+          want_before;
+      if after <> want_after then
+        Alcotest.failf "%s: the after-state is not the model's:\n%s\nmodel:\n%s" ctx after
+          want_after)
+    expect;
   if after = before then Alcotest.failf "%s: the operation changes nothing" ctx;
   let recovery_points = ref 0 and afters = ref 0 and committed = ref 0 in
   let rec go n =
@@ -97,3 +108,12 @@ let sweep ~ctx ~setup ~crash ~recover ~op ~drain ~observe ~check
   in
   let points = go 0 in
   { points; after = !afters - 1; committed = !committed; recovery_points = !recovery_points }
+
+(* The shape a sweep of a transaction should have: some but not all of
+   its crash points roll forward, and at least one crash lands inside a
+   recovery. *)
+let require_split ~ctx st =
+  if st.after < 1 || st.after >= st.points then
+    Alcotest.failf "%s: %d of %d crash points rolled forward; expected some but not all" ctx
+      st.after st.points;
+  if st.recovery_points = 0 then Alcotest.failf "%s: no crash point inside recovery" ctx

@@ -12,7 +12,8 @@
    invisible to every outcome: each seed additionally runs twice, with
    coalescing on and off, and the final committed byte images must be
    identical (the workload's random draws never depend on engine
-   internals, so the two runs build the same model). *)
+   internals, so the two runs build the same model). The object workload,
+   its model and its snapshot-read dimension are {!Tx_model.run_workload}. *)
 
 module Rng = Kamino_sim.Rng
 module Region = Kamino_nvm.Region
@@ -20,7 +21,6 @@ module Commit_marker = Kamino_nvm.Commit_marker
 module Heap = Kamino_heap.Heap
 module Engine = Kamino_core.Engine
 module Applier = Kamino_core.Applier
-module Backup = Kamino_core.Backup
 
 let base_config =
   {
@@ -29,282 +29,6 @@ let base_config =
     log_slots = 16;
     data_log_bytes = 1 lsl 18;
   }
-
-(* Engine builders. The chain head is an [Intent_only] replica that commits
-   a little history and is then promoted to a Kamino-simple head (fresh
-   full backup + applier), which is how §5.2 creates one — from then on it
-   crashes and recovers like any other head. *)
-let make_simple config seed = Engine.create ~config ~kind:Engine.Kamino_simple ~seed ()
-
-let make_dynamic config seed =
-  Engine.create ~config
-    ~kind:(Engine.Kamino_dynamic { alpha = 0.3; policy = Backup.Lru_policy })
-    ~seed ()
-
-let make_chain_head config seed =
-  let e = Engine.create ~config ~kind:Engine.Intent_only ~seed () in
-  for i = 1 to 3 do
-    Engine.with_tx e (fun tx ->
-        let p = Engine.alloc tx 64 in
-        Engine.write_int64 tx p 0 (Int64.of_int i))
-  done;
-  Engine.promote_to_kamino e;
-  e
-
-type model = (Heap.ptr, int * int64) Hashtbl.t
-
-let verify_model e (model : model) context =
-  Hashtbl.iter
-    (fun p (size, stamp) ->
-      if not (Heap.is_allocated (Engine.heap e) p) then
-        Alcotest.failf "%s: committed object %d lost" context p;
-      for w = 0 to (size / 8) - 1 do
-        let v = Engine.peek_int64 e p (w * 8) in
-        if v <> stamp then
-          Alcotest.failf "%s: object %d word %d is %Ld, expected %Ld" context p w v
-            stamp
-      done)
-    model;
-  match Heap.validate (Engine.heap e) with
-  | Ok () -> ()
-  | Error err -> Alcotest.failf "%s: heap invalid: %s" context err
-
-let stamp_object tx p size stamp =
-  for w = 0 to (size / 8) - 1 do
-    Engine.write_int64 tx p (w * 8) stamp
-  done
-
-(* One random transaction. Field-granular updates (several small, possibly
-   overlapping strided declares before the writes) are deliberately common:
-   they are what the coalescer actually merges. Returns the model mutation
-   to apply if the transaction commits. *)
-let random_tx rng e (model : model) =
-  let tx = Engine.begin_tx e in
-  let pending = ref [] in
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) model [] in
-  let keys = List.sort compare keys in
-  let n_ops = 1 + Rng.int rng 3 in
-  for _ = 1 to n_ops do
-    match Rng.int rng 10 with
-    | 0 | 1 ->
-        let size = [| 32; 64; 256 |].(Rng.int rng 3) in
-        let p = Engine.alloc tx size in
-        let stamp = Rng.int64 rng in
-        stamp_object tx p size stamp;
-        pending := `Put (p, size, stamp) :: !pending
-    | 2 when keys <> [] ->
-        let p = List.nth keys (Rng.int rng (List.length keys)) in
-        if not (List.exists (function `Put (q, _, _) | `Del q -> q = p) !pending)
-        then begin
-          Engine.free tx p;
-          pending := `Del p :: !pending
-        end
-    | _ when keys <> [] ->
-        let p = List.nth keys (Rng.int rng (List.length keys)) in
-        if not (List.exists (function `Del q -> q = p | `Put _ -> false) !pending)
-        then begin
-          let size, _ = Hashtbl.find model p in
-          let stamp = Rng.int64 rng in
-          (* Half the time declare word-by-word (adjacent 8-byte intents the
-             log merges), half the time whole-object. *)
-          if Rng.bool rng then
-            for w = 0 to (size / 8) - 1 do
-              Engine.add_field tx p (w * 8) 8
-            done
-          else Engine.add tx p;
-          stamp_object tx p size stamp;
-          pending := `Put (p, size, stamp) :: !pending
-        end
-    | _ -> ()
-  done;
-  (tx, !pending)
-
-let apply_to_model model pending =
-  List.iter
-    (function
-      | `Put (p, size, stamp) -> Hashtbl.replace model p (size, stamp)
-      | `Del p -> Hashtbl.remove model p)
-    (List.rev pending)
-
-let crash_recover e = Engine.crash e; Engine.recover e
-
-(* --- snapshot-read dimension ---------------------------------------------
-
-   Interleaved with the crash workload, snapshot reads get their own
-   serial history: per object, [(task_id, Some (size, stamp))] for each
-   committed (re)stamp and [(task_id, None)] for a free — newest first,
-   task ids from [Applier.last_enqueued] at commit time. A snapshot read
-   of an object must then show, in {e every} word, exactly the stamp of
-   the newest entry at or below the watermark — one uniform committed
-   stamp, so any torn value (words from two different commits, or from
-   an uncommitted write) fails. Entries above the watermark, objects not
-   yet allocated at the watermark, and freed-at-the-watermark objects are
-   skipped: their backup bytes are legitimately indeterminate.
-
-   Recovery resets the dimension: a fresh applier restarts the watermark
-   at (0, 0), and the recovered backup holds the whole durable prefix, so
-   every live object's history collapses to [(0, current committed
-   stamp)] — which the post-recovery sweep then checks against the
-   backup, crashes mid-applier-batch included. *)
-
-type shist = (Heap.ptr, (int * (int * int64) option) list) Hashtbl.t
-
-let task_now e =
-  match Engine.applier e with Some a -> Applier.last_enqueued a | None -> 0
-
-let srecord (sh : shist) e pending =
-  let task = task_now e in
-  List.iter
-    (fun ev ->
-      let p, v =
-        match ev with
-        | `Put (p, size, stamp) -> (p, Some (size, stamp))
-        | `Del p -> (p, None)
-      in
-      Hashtbl.replace sh p
-        ((task, v) :: Option.value ~default:[] (Hashtbl.find_opt sh p)))
-    (List.rev pending)
-
-let reset_shist (sh : shist) (model : model) =
-  Hashtbl.reset sh;
-  Hashtbl.iter
-    (fun p (size, stamp) -> Hashtbl.replace sh p [ (0, Some (size, stamp)) ])
-    model
-
-(* Sweep every tracked object against the backup image at the current
-   watermark. *)
-let snapshot_sweep e (sh : shist) last_wm context =
-  match Engine.snapshot_watermark e with
-  | None -> ()
-  | Some (wm_id, wm_ns) ->
-      let pa, pns = !last_wm in
-      if wm_id < pa || wm_ns < pns then
-        Alcotest.failf "%s: watermark regressed (%d,%d) -> (%d,%d)" context pa
-          pns wm_id wm_ns;
-      last_wm := (wm_id, wm_ns);
-      let enq = task_now e in
-      if wm_id > enq then
-        Alcotest.failf "%s: watermark %d beyond last durable commit %d" context
-          wm_id enq;
-      Hashtbl.iter
-        (fun p entries ->
-          let rec at = function
-            | [] -> None
-            | (task, v) :: rest -> if task <= wm_id then Some v else at rest
-          in
-          match at entries with
-          | Some (Some (size, stamp)) ->
-              let words =
-                Engine.read_tx e (fun snap ->
-                    Some
-                      (List.init (size / 8) (fun w ->
-                           Engine.snapshot_read_int64 snap p (w * 8))))
-              in
-              (match words with
-              | None -> ()
-              | Some ws ->
-                  List.iteri
-                    (fun w v ->
-                      if v <> stamp then
-                        Alcotest.failf
-                          "%s: torn snapshot: object %d word %d is %Ld, \
-                           watermark %d says %Ld"
-                          context p w v wm_id stamp)
-                    ws)
-          | Some None | None -> ())
-        sh
-
-(* One seeded workload; returns the final committed byte image, sorted by
-   object, for cross-run comparison. *)
-let run_workload ~make_engine ~crash_mode ~coalesce ~seed ~rounds context =
-  let config = { base_config with Engine.crash_mode; coalesce_writes = coalesce } in
-  let rng = Rng.create seed in
-  let e = make_engine config (seed + 1000) in
-  let model : model = Hashtbl.create 64 in
-  let sh : shist = Hashtbl.create 64 in
-  let last_wm = ref (-1, -1) in
-  let commit_and_record tx pending =
-    Engine.commit tx;
-    apply_to_model model pending;
-    srecord sh e pending
-  in
-  (* Crash + recover, then re-baseline the snapshot dimension: fresh
-     applier, watermark (0, 0), backup = the whole durable prefix. The
-     immediate sweep is the post-recovery oracle — no torn values even
-     when the crash landed mid-applier-batch. *)
-  let crash_recover_reset ctx =
-    crash_recover e;
-    reset_shist sh model;
-    last_wm := (-1, -1);
-    (match Engine.snapshot_watermark e with
-    | Some ((a, _) as wm) ->
-        if a <> 0 then
-          Alcotest.failf "%s: post-recovery watermark %d <> 0 (fresh applier)"
-            ctx a;
-        if wm > (task_now e, max_int) then
-          Alcotest.failf "%s: post-recovery watermark beyond durable commits"
-            ctx
-    | None -> ());
-    snapshot_sweep e sh last_wm (ctx ^ " (post-recovery snapshot)")
-  in
-  for round = 1 to rounds do
-    let context = Printf.sprintf "%s seed=%d round=%d" context seed round in
-    (match Rng.int rng 12 with
-    | 0 ->
-        (* crash mid-transaction: intents (possibly merged in place) may be
-           unflushed, in-place writes may be torn *)
-        let _tx, _pending = random_tx rng e model in
-        crash_recover_reset context;
-        verify_model e model (context ^ " (mid-tx crash)")
-    | 1 ->
-        (* crash mid-propagation: the write set is committed and queued but
-           nothing has been applied *)
-        let tx, pending = random_tx rng e model in
-        commit_and_record tx pending;
-        crash_recover_reset context;
-        verify_model e model (context ^ " (pre-propagation crash)")
-    | 2 ->
-        (* crash mid-propagation with a partially retired queue: several
-           committed write sets, one applied, the rest still pending *)
-        let tx, pending = random_tx rng e model in
-        commit_and_record tx pending;
-        let tx, pending = random_tx rng e model in
-        commit_and_record tx pending;
-        (match Engine.applier e with
-        | Some a -> ignore (Applier.drain_one a)
-        | None -> ());
-        snapshot_sweep e sh last_wm (context ^ " (mid-batch snapshot)");
-        crash_recover_reset context;
-        verify_model e model (context ^ " (mid-propagation crash)")
-    | 3 ->
-        let tx, _pending = random_tx rng e model in
-        Engine.abort tx;
-        verify_model e model (context ^ " (abort)")
-    | 4 ->
-        let tx, _pending = random_tx rng e model in
-        Engine.abort tx;
-        crash_recover_reset context;
-        verify_model e model (context ^ " (post-abort crash)")
-    | 5 ->
-        let tx, pending = random_tx rng e model in
-        commit_and_record tx pending;
-        crash_recover_reset context;
-        crash_recover_reset context;
-        verify_model e model (context ^ " (double crash)")
-    | _ ->
-        let tx, pending = random_tx rng e model in
-        commit_and_record tx pending);
-    snapshot_sweep e sh last_wm context
-  done;
-  Engine.drain_backup e;
-  verify_model e model (Printf.sprintf "%s seed=%d final" context seed);
-  snapshot_sweep e sh last_wm (Printf.sprintf "%s seed=%d final snapshot" context seed);
-  (match Engine.verify_backup e with
-  | Ok () -> ()
-  | Error err -> Alcotest.failf "%s seed=%d: %s" context seed err);
-  Hashtbl.fold (fun p (size, _) acc -> (p, size, Engine.peek_bytes e p 0 size) :: acc)
-    model []
-  |> List.sort compare
 
 (* --- sharded dimension ----------------------------------------------------- *)
 
@@ -394,17 +118,16 @@ let sharded_case crash_mode () =
 
 let seeds = List.init 17 (fun i -> i + 1)
 
-let matrix_case name make_engine crash_mode () =
+let matrix_case name spec crash_mode () =
   List.iter
     (fun seed ->
-      let image_on =
-        run_workload ~make_engine ~crash_mode ~coalesce:true ~seed ~rounds:40
-          (name ^ "/coalesce")
+      let run coalesce_writes =
+        Tx_model.run_workload ~spec
+          ~config:{ base_config with Engine.crash_mode; coalesce_writes }
+          ~seed ~rounds:40
       in
-      let image_off =
-        run_workload ~make_engine ~crash_mode ~coalesce:false ~seed ~rounds:40
-          (name ^ "/raw")
-      in
+      let image_on = run true (name ^ "/coalesce") in
+      let image_off = run false (name ^ "/raw") in
       if image_on <> image_off then
         Alcotest.failf
           "%s seed=%d: coalescing changed the final committed state (%d vs %d objects)"
@@ -425,20 +148,6 @@ module Fs_check = Kamino_fs.Fs_check
    boundaries. After every
    recovery: {!Fs_check.fsck} plus a full sweep — every directory's
    listing, every file's bytes, every link count. *)
-
-type fs_spec = Fs_plain of Engine.kind | Fs_chain_head
-
-let fs_builders =
-  [
-    ("no-logging", Fs_plain Engine.No_logging, false);
-    ("undo", Fs_plain Engine.Undo_logging, true);
-    ("cow", Fs_plain Engine.Cow, true);
-    ("kamino-simple", Fs_plain Engine.Kamino_simple, true);
-    ( "kamino-dynamic",
-      Fs_plain (Engine.Kamino_dynamic { alpha = 0.3; policy = Backup.Lru_policy }),
-      true );
-    ("chain-head", Fs_chain_head, true);
-  ]
 
 let splice content ~off s =
   let n = max (String.length content) (off + String.length s) in
@@ -464,19 +173,11 @@ let fs_case (kname, spec, atomic) crash_mode () =
           crash_mode;
         }
       in
-      (* The chain head formats while still an [Intent_only] replica and
-         is then promoted (§5.2) — the whole heap stays fs-owned, which
-         the fsck heap-accounting pass insists on. *)
+      (* A chain head formats before its promotion, so the whole heap
+         stays fs-owned, which the fsck heap-accounting pass insists on. *)
       let e, fs =
-        match spec with
-        | Fs_plain kind ->
-            let e = Engine.create ~config ~kind ~seed:(seed + 500) () in
-            (e, Fs.format ~block_size:64 ~dir_hash_bits:2 e)
-        | Fs_chain_head ->
-            let e = Engine.create ~config ~kind:Engine.Intent_only ~seed:(seed + 500) () in
-            let fs = Fs.format ~block_size:64 ~dir_hash_bits:2 e in
-            Engine.promote_to_kamino e;
-            (e, fs)
+        Tx_model.create spec ~config ~seed:(seed + 500)
+          ~init:(Fs.format ~block_size:64 ~dir_hash_bits:2)
       in
       let root = Fs.root_ino fs in
       let rng = Rng.create (seed * 13) in
@@ -537,6 +238,10 @@ let fs_case (kname, spec, atomic) crash_mode () =
         match mismatch () with None -> () | Some m -> Alcotest.failf "%s: %s" ctx m
       in
       let crash () = Engine.crash e in
+      let crash_recover () =
+        crash ();
+        Engine.recover e
+      in
       (* Run one operation; on atomic kinds, now and then crash it (and
          its applier drain) at a random fence, then again inside
          recovery until one completes. A crash past the commit point
@@ -674,14 +379,14 @@ let fs_case (kname, spec, atomic) crash_mode () =
         | 9 ->
             (* Crash at an operation boundary — the only crash point
                No_logging promises anything about. *)
-            crash_recover e;
+            crash_recover ();
             verify (ctx ^ " (boundary crash)")
         | 10 ->
             (* Partially retired applier batch, then the power fails. *)
             (match Engine.applier e with
             | Some a -> ignore (Applier.drain_one a)
             | None -> ());
-            crash_recover e;
+            crash_recover ();
             verify (ctx ^ " (mid-applier crash)")
         | _ when files () <> [] ->
             let f = pick (files ()) in
@@ -795,12 +500,13 @@ let chain_snapshot_case () =
     (Cluster_kv.snapshot_get kv key)
 
 let () =
+  let short =
+    [ ("kamino-simple", "simple"); ("kamino-dynamic", "dynamic"); ("chain-head", "chain-head") ]
+  in
   let kinds =
-    [
-      ("simple", make_simple);
-      ("dynamic", make_dynamic);
-      ("chain-head", make_chain_head);
-    ]
+    List.filter_map
+      (fun (name, spec, _) -> Option.map (fun s -> (s, spec)) (List.assoc_opt name short))
+      Tx_model.kinds
   in
   let modes =
     [
@@ -810,7 +516,7 @@ let () =
   in
   let cases =
     List.concat_map
-      (fun (kname, make_engine) ->
+      (fun (kname, spec) ->
         List.map
           (fun (mname, mode) ->
             let name = Printf.sprintf "%s x %s" kname mname in
@@ -818,7 +524,7 @@ let () =
               (Printf.sprintf "%s (%d seeds, coalescing on+off)" name
                  (List.length seeds))
               `Slow
-              (matrix_case name make_engine mode))
+              (matrix_case name spec mode))
           modes)
       kinds
   in
@@ -839,7 +545,7 @@ let () =
               (Printf.sprintf "fs/%s x %s (6 seeds, random workload)" kname mname)
               `Slow (fs_case builder mode))
           modes)
-      fs_builders
+      Tx_model.kinds
   in
   let chain_snapshot =
     [

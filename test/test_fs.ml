@@ -11,7 +11,6 @@ module Heap = Kamino_heap.Heap
 module Region = Kamino_nvm.Region
 module Commit_marker = Kamino_nvm.Commit_marker
 module Engine = Kamino_core.Engine
-module Backup = Kamino_core.Backup
 module Btree = Kamino_index.Btree
 module Obs = Kamino_obs.Obs
 module Metrics = Kamino_obs.Metrics
@@ -30,35 +29,11 @@ let config =
     data_log_bytes = 2 lsl 20;
   }
 
-(* The six engine kinds of the crash coverage. [atomic] marks the kinds
-   that roll mid-transaction crashes back; [No_logging] is Figure 1's
-   motivation and only survives crashes at operation boundaries. The
-   chain head is an [Intent_only] replica promoted to a Kamino head
-   right after format (§5.2), from then on crashing like any other. *)
-type spec = Plain of Engine.kind | Chain_head
-
-let builders =
-  [
-    ("no-logging", Plain Engine.No_logging, false);
-    ("undo", Plain Engine.Undo_logging, true);
-    ("cow", Plain Engine.Cow, true);
-    ("kamino-simple", Plain Engine.Kamino_simple, true);
-    ( "kamino-dynamic",
-      Plain (Engine.Kamino_dynamic { alpha = 0.3; policy = Backup.Lru_policy }),
-      true );
-    ("chain-head", Chain_head, true);
-  ]
-
+(* The engine kinds of the crash coverage are {!Tx_model.kinds}. *)
 let make_fs ?(config = config) ?(block_size = 64) ?(dir_hash_bits = 2) spec seed =
-  match spec with
-  | Plain kind ->
-      let e = Engine.create ~config ~kind ~seed () in
-      (e, Fs.format ~block_size ~dir_hash_bits e)
-  | Chain_head ->
-      let e = Engine.create ~config ~kind:Engine.Intent_only ~seed () in
-      let fs = Fs.format ~block_size ~dir_hash_bits e in
-      Engine.promote_to_kamino e;
-      (e, fs)
+  Tx_model.create spec ~config ~seed ~init:(Fs.format ~block_size ~dir_hash_bits)
+
+let simple = Tx_model.Plain Engine.Kamino_simple
 
 let check_fsck fs ctx =
   match Fs_check.fsck fs with
@@ -78,7 +53,7 @@ let expect_error f =
 (* --- functional coverage ---------------------------------------------------- *)
 
 let test_tree_ops () =
-  let _e, fs = make_fs ~block_size:128 ~dir_hash_bits:4 (Plain Engine.Kamino_simple) 3 in
+  let _e, fs = make_fs ~block_size:128 ~dir_hash_bits:4 simple 3 in
   let root = Fs.root_ino fs in
   let f1 = Fs.create fs ~dir:root "hello.txt" in
   Fs.write fs ~ino:f1 ~off:0 "hello, world";
@@ -150,7 +125,7 @@ let test_tree_ops () =
   Alcotest.(check bool) "dump renders" true (String.length dump > 0)
 
 let test_errors () =
-  let _e, fs = make_fs ~block_size:128 ~dir_hash_bits:4 (Plain Engine.Kamino_simple) 4 in
+  let _e, fs = make_fs ~block_size:128 ~dir_hash_bits:4 simple 4 in
   let root = Fs.root_ino fs in
   let d = Fs.mkdir fs ~dir:root "d" in
   let f = Fs.create fs ~dir:root "f" in
@@ -205,7 +180,7 @@ let test_errors () =
 (* A one-bit name hash: every directory has at most two B+Tree keys, so
    the dirent collision chains do all the work. *)
 let test_collision_chains () =
-  let _e, fs = make_fs ~block_size:64 ~dir_hash_bits:1 (Plain Engine.Kamino_simple) 5 in
+  let _e, fs = make_fs ~block_size:64 ~dir_hash_bits:1 simple 5 in
   let root = Fs.root_ino fs in
   let names = List.init 20 (Printf.sprintf "file%02d") in
   let inos = List.map (fun n -> (n, Fs.create fs ~dir:root n)) names in
@@ -236,7 +211,7 @@ let poke_int e p off v =
 
 let test_fsck_detects_corruption () =
   let expect_violation name corrupt =
-    let e, fs = make_fs ~block_size:64 ~dir_hash_bits:2 (Plain Engine.Kamino_simple) 6 in
+    let e, fs = make_fs ~block_size:64 ~dir_hash_bits:2 simple 6 in
     let root = Fs.root_ino fs in
     let f = Fs.create fs ~dir:root "victim" in
     Fs.write fs ~ino:f ~off:0 "some file content";
@@ -303,7 +278,7 @@ let expect_attach_error ctx word e =
 let test_attach_checks_superblock () =
   let open Fs.Layout in
   let image () =
-    let e, fs = make_fs (Plain Engine.Kamino_simple) 12 in
+    let e, fs = make_fs simple 12 in
     Fs.write fs ~ino:(Fs.create fs ~dir:(Fs.root_ino fs) "f") ~off:0 "kept";
     (e, Fs.superblock fs)
   in
@@ -372,7 +347,7 @@ let test_attach_refuses_version_1 () =
    its first write allocates only the block and its unlink frees the
    inode, the block and the dirent. *)
 let test_object_counts () =
-  let e, fs = make_fs ~block_size:512 (Plain Engine.Kamino_simple) 14 in
+  let e, fs = make_fs ~block_size:512 simple 14 in
   let root = Fs.root_ino fs in
   let live () = Heap.live_objects (Engine.heap e) in
   let nodes () =
@@ -525,7 +500,7 @@ let names_qcheck =
   QCheck.Test.make ~name:"lookup, readdir and fsck agree with two-load reads" ~count:25
     QCheck.(list_of_size (Gen.int_range 0 60) (pair (int_range 0 23) bool))
     (fun ops ->
-      let e, fs = make_fs ~dir_hash_bits:1 (Plain Engine.Kamino_simple) 7 in
+      let e, fs = make_fs ~dir_hash_bits:1 simple 7 in
       let root = Fs.root_ino fs in
       List.iter
         (fun (i, add) ->
@@ -548,7 +523,7 @@ let names_qcheck =
    the intent-log barrier, the data persist and the commit mark. The trees
    stay small enough that no B+Tree split or merge happens. *)
 let test_fence_budget () =
-  let e, fs = make_fs ~block_size:64 ~dir_hash_bits:40 (Plain Engine.Kamino_simple) 31 in
+  let e, fs = make_fs ~block_size:64 ~dir_hash_bits:40 simple 31 in
   let root = Fs.root_ino fs in
   let three what f =
     Engine.drain_backup e;
@@ -575,7 +550,7 @@ let test_fence_budget () =
    objects as it finds them. Its counts are pinned so they cannot grow; the
    declare-per-object pattern cost 7, 10 and 15 fences on these three. *)
 let test_rename_fences () =
-  let e, fs = make_fs ~block_size:64 ~dir_hash_bits:40 (Plain Engine.Kamino_simple) 31 in
+  let e, fs = make_fs ~block_size:64 ~dir_hash_bits:40 simple 31 in
   let root = Fs.root_ino fs in
   let d = Fs.mkdir fs ~dir:root "d" in
   ignore (Fs.create fs ~dir:root "a");
@@ -628,14 +603,10 @@ let fs_view ~root ~readdir ~stat ~read =
   walk "" root;
   Buffer.contents buf
 
-let check_backup e ctx =
-  match Engine.verify_backup e with
-  | Ok () -> ()
-  | Error err -> Alcotest.failf "%s: backup: %s" ctx err
-
 (* Sweep every fence of [op] (plus the applier drain) on a fresh
    [setup ()], crashes inside recovery included; each crash must recover
-   to exactly the before- or after-state with fsck and the backup clean. *)
+   to exactly the before- or after-state with fsck, the heap and the
+   backup clean. *)
 let fs_sweep ~ctx ~setup ?on_crash op =
   Fence_sweep.sweep ~ctx ~setup
     ~crash:(fun (e, _) -> Engine.crash e)
@@ -647,7 +618,7 @@ let fs_sweep ~ctx ~setup ?on_crash op =
         ~stat:(Fs.stat fs) ~read:(fun ino len -> Fs.read fs ~ino ~off:0 ~len))
     ~check:(fun (e, fs) here ->
       check_fsck fs here;
-      check_backup e here)
+      Tx_model.check_engine e here)
     ?on_crash ()
 
 let content = String.init 300 (fun i -> Char.chr (33 + (i mod 90)))
@@ -713,8 +684,7 @@ let test_crash_every_step (name, spec, atomic) () =
                 min_points;
             if has_applier && st.Fence_sweep.committed = 0 then
               Alcotest.failf "%s: no crash point after the op returned" ctx;
-            if st.Fence_sweep.recovery_points = 0 then
-              Alcotest.failf "%s: no crash point inside recovery" ctx)
+            Fence_sweep.require_split ~ctx st)
           swept_ops)
       crash_modes
   end
@@ -727,7 +697,7 @@ let crash_recover_check e fs ctx =
 (* No_logging only promises durability at operation boundaries; crash
    there, everywhere. *)
 let test_no_logging_boundaries () =
-  let e, fs = make_fs ~block_size:64 ~dir_hash_bits:2 (Plain Engine.No_logging) 8 in
+  let e, fs = make_fs ~block_size:64 ~dir_hash_bits:2 (Tx_model.Plain Engine.No_logging) 8 in
   let root = Fs.root_ino fs in
   let d = Fs.mkdir fs ~dir:root "d" in
   crash_recover_check e fs "no-logging after mkdir";
@@ -1044,7 +1014,7 @@ let () =
                (Printf.sprintf "crash at every step (%s)" name)
                `Slow (test_crash_every_step b))
         else None)
-      builders
+      Tx_model.kinds
   in
   let atomicity_cases =
     List.filter_map
@@ -1055,7 +1025,7 @@ let () =
                (Printf.sprintf "rename all-or-nothing (%s)" name)
                `Quick (test_rename_atomicity b))
         else None)
-      builders
+      Tx_model.kinds
   in
   Alcotest.run "fs"
     [
@@ -1080,11 +1050,11 @@ let () =
         Alcotest.test_case "objects per create, write and unlink" `Quick test_object_counts
         :: List.map
              (fun b -> QCheck_alcotest.to_alcotest (block_seams_qcheck b))
-             [
-               ("kamino-simple", Plain Engine.Kamino_simple);
-               ("undo", Plain Engine.Undo_logging);
-               ("cow", Plain Engine.Cow);
-             ] );
+             (List.filter_map
+                (fun (name, spec, _) ->
+                  if List.mem name [ "kamino-simple"; "undo"; "cow" ] then Some (name, spec)
+                  else None)
+                Tx_model.kinds) );
       ( "names",
         [
           Alcotest.test_case "a name read straddling a CoW copy" `Quick

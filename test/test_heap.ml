@@ -462,28 +462,16 @@ let sweep_heap_tx (name, kind) crash_mode (step, prefix, op) =
     Engine.drain_backup e;
     (e, ps)
   in
-  let check (e, _) here =
-    (match Heap.validate (Engine.heap e) with
-    | Ok () -> ()
-    | Error err -> Alcotest.failf "%s: heap invalid: %s" here err);
-    match Engine.verify_backup e with
-    | Ok () -> ()
-    | Error err -> Alcotest.failf "%s: backup: %s" here err
-  in
   let ctx = Printf.sprintf "%s %s" name step in
-  let st =
-    Fence_sweep.sweep ~ctx ~setup
-      ~crash:(fun (e, _) -> Engine.crash e)
-      ~recover:(fun (e, _) -> Engine.recover e)
-      ~op:(fun (e, ps) -> Engine.with_tx e (fun tx -> op tx ps))
-      ~drain:(fun (e, _) -> Engine.drain_backup e)
-      ~observe:(fun (e, _) -> live_set e)
-      ~check ()
-  in
-  if st.Fence_sweep.after < 1 || st.Fence_sweep.after >= st.Fence_sweep.points then
-    Alcotest.failf "%s: %d of %d crash points rolled forward; expected some but not all" ctx
-      st.Fence_sweep.after st.Fence_sweep.points;
-  if st.Fence_sweep.recovery_points = 0 then Alcotest.failf "%s: no crash point inside recovery" ctx
+  Fence_sweep.require_split ~ctx
+    (Fence_sweep.sweep ~ctx ~setup
+       ~crash:(fun (e, _) -> Engine.crash e)
+       ~recover:(fun (e, _) -> Engine.recover e)
+       ~op:(fun (e, ps) -> Engine.with_tx e (fun tx -> op tx ps))
+       ~drain:(fun (e, _) -> Engine.drain_backup e)
+       ~observe:(fun (e, _) -> live_set e)
+       ~check:(fun (e, _) -> Tx_model.check_engine e)
+       ())
 
 (* [alloc_all]'s pointers: the class objects first, the chain head last. *)
 let class_objects ps = List.filteri (fun i _ -> i < List.length sweep_sizes) ps
