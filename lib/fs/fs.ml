@@ -14,19 +14,15 @@ module Layout = struct
   let sb_magic = 0
   let sb_version = 8
   let sb_itab = 16
-  let sb_next_ord = 24
-  let sb_ino_base = 32
-  let sb_ino_stride = 40
-  let sb_root_ino = 48
-  let sb_inode_count = 56
-  let sb_dir_count = 64
-  let sb_block_count = 72
-  let sb_data_bytes = 80
-  let sb_block_size = 88
-  let sb_hash_bits = 96
-  let sb_size = 104
+  let sb_ino_base = 24
+  let sb_ino_stride = 32
+  let sb_root_ino = 40
+  let sb_block_count = 48
+  let sb_block_size = 56
+  let sb_hash_bits = 64
+  let sb_size = 72
   let magic = 0x4b46_534d (* "KFSM" *)
-  let version = 2
+  let version = 3
 
   (* Inode. *)
   let i_ino = 0
@@ -81,6 +77,9 @@ type t = {
   hash_mask : int;
   base : int;
   stride : int;
+  mutable next_ord : int;
+      (* The inode-number cursor: DRAM only, set past the inode table's
+         largest key at [attach]. *)
   obs_track : int;
   hists : Metrics.hist array;
   c_blocks : Metrics.counter;
@@ -164,11 +163,10 @@ let kind_code = function File -> kind_file | Dir -> kind_dir
    always had.
 
    Making an inode is split in two halves so composite operations can fold
-   its allocation into their own: [plan_mknod] reads the next ordinal and
-   declares the superblock and the inode-table leaf; [apply_mknod] takes
-   its objects ([mknod_sizes]) from the front of an allocation and returns
-   the rest. *)
-type mknod_plan = { m_ino : int; m_ord : int; m_at : Btree.cursor }
+   its allocation into their own: [plan_mknod] takes the next ordinal and
+   declares the inode-table leaf; [apply_mknod] takes its objects
+   ([mknod_sizes]) from the front of an allocation and returns the rest. *)
+type mknod_plan = { m_ino : int; m_at : Btree.cursor }
 
 let mknod_sizes =
   let file = [ inode_size ] in
@@ -181,16 +179,28 @@ let named_sizes =
   let dir = mknod_sizes Dir @ [ dirent_size ] in
   function File -> file | Dir -> dir
 
-let plan_mknod tx t =
-  let m_ord = Engine.read_int tx t.sb sb_next_ord in
-  let m_ino = t.base + (m_ord * t.stride) in
-  let m_at = Btree.seek tx t.itab m_ino in
-  Engine.add tx t.sb;
-  Btree.declare_insert tx m_at;
-  { m_ino; m_ord; m_at }
+(* The ordinal past the inode table's largest committed key. *)
+let ord_after_itab ~base ~stride itab =
+  match Btree.max_key itab with None -> 0 | Some ino -> max 0 (((ino - base) / stride) + 1)
 
-let apply_mknod tx t kind ~parent { m_ino; m_ord; m_at } objs =
-  Engine.write_int tx t.sb sb_next_ord (m_ord + 1);
+(* Only this advances [t.next_ord], so an ordinal taken by a transaction
+   that aborts is skipped. The seek's leaf tells whether the ino is
+   bound: a live binding means another handle on this engine created it,
+   so the cursor jumps past the committed maximum and seeks again. *)
+let rec plan_mknod tx t =
+  let m_ino = t.base + (t.next_ord * t.stride) in
+  t.next_ord <- t.next_ord + 1;
+  let m_at = Btree.seek tx t.itab m_ino in
+  if Btree.found m_at <> Heap.null then begin
+    t.next_ord <- max t.next_ord (ord_after_itab ~base:t.base ~stride:t.stride t.itab);
+    plan_mknod tx t
+  end
+  else begin
+    Btree.declare_insert tx m_at;
+    { m_ino; m_at }
+  end
+
+let apply_mknod tx t kind ~parent { m_ino; m_at } objs =
   let ip = List.hd objs in
   Engine.write_int tx ip i_ino m_ino;
   Engine.write_int tx ip i_kind (kind_code kind);
@@ -213,9 +223,6 @@ let apply_mknod tx t kind ~parent { m_ino; m_ord; m_at } objs =
     | Dir, _ -> assert false
   in
   ignore (Btree.insert_at tx t.itab m_at ip);
-  Engine.write_int tx t.sb sb_inode_count (Engine.read_int tx t.sb sb_inode_count + 1);
-  if kind = Dir then
-    Engine.write_int tx t.sb sb_dir_count (Engine.read_int tx t.sb sb_dir_count + 1);
   rest
 
 (* [format] creates the root directory through this inside the
@@ -255,14 +262,10 @@ let format ?(block_size = 512) ?(dir_hash_bits = 40) ?(ino_base = 0)
         Engine.write_int tx sb sb_magic magic;
         Engine.write_int tx sb sb_version version;
         Engine.write_int tx sb sb_itab (Btree.descriptor itab);
-        Engine.write_int tx sb sb_next_ord 0;
         Engine.write_int tx sb sb_ino_base ino_base;
         Engine.write_int tx sb sb_ino_stride ino_stride;
         Engine.write_int tx sb sb_root_ino (-1);
-        Engine.write_int tx sb sb_inode_count 0;
-        Engine.write_int tx sb sb_dir_count 0;
         Engine.write_int tx sb sb_block_count 0;
-        Engine.write_int tx sb sb_data_bytes 0;
         Engine.write_int tx sb sb_block_size block_size;
         Engine.write_int tx sb sb_hash_bits dir_hash_bits;
         Engine.set_root tx sb;
@@ -275,6 +278,7 @@ let format ?(block_size = 512) ?(dir_hash_bits = 40) ?(ino_base = 0)
             hash_mask = (1 lsl dir_hash_bits) - 1;
             base = ino_base;
             stride = ino_stride;
+            next_ord = 0;
             obs_track;
             hists;
             c_blocks;
@@ -294,7 +298,8 @@ let format ?(block_size = 512) ?(dir_hash_bits = 40) ?(ino_base = 0)
   t
 
 (* Every header word is checked before any is trusted. A version-1 image
-   kept block 0 in the extent chain, so its files would read as empty. *)
+   kept block 0 in the extent chain, so its files would read as empty; a
+   version-2 image kept counters this layout drops. *)
 let attach ?(obs_track = 4) engine =
   let sb = Engine.root engine in
   if sb = Heap.null then err "Fs.attach: heap has no root";
@@ -310,15 +315,17 @@ let attach ?(obs_track = 4) engine =
   if not (Heap.is_allocated (Engine.heap engine) itab) then
     corrupt sb_itab (Printf.sprintf "itab %d is not an allocated object" itab);
   let hists, c_blocks, c_extnodes = make_metric_handles engine in
+  let itab = Btree.attach engine itab in
   let t =
     {
       engine;
       sb;
-      itab = Btree.attach engine itab;
+      itab;
       block_size;
       hash_mask = (1 lsl hash_bits) - 1;
       base;
       stride;
+      next_ord = ord_after_itab ~base ~stride itab;
       obs_track;
       hists;
       c_blocks;
@@ -358,34 +365,51 @@ let inode_at tx t ino =
   if ip = Heap.null then err "Fs: no inode %d" ino;
   (at, ip)
 
-let stat_of_reads ino kind nlink size parent gen =
-  { ino; kind = (if kind = kind_dir then Dir else File); nlink; size; parent; gen }
+let kind_of_code k = if k = kind_dir then Dir else File
 
-let stat_tx tx t ino =
-  let ip = inode_ptr_tx tx t ino in
-  stat_of_reads ino
-    (Engine.read_int tx ip i_kind)
-    (Engine.read_int tx ip i_nlink)
-    (Engine.read_int tx ip i_size)
-    (Engine.read_int tx ip i_parent)
-    (Engine.read_int tx ip i_gen)
+let kind_tx tx t ino = kind_of_code (Engine.read_int tx (inode_ptr_tx tx t ino) i_kind)
+
+let committed_inode t ino =
+  match inode_ptr t ino with None -> err "Fs: no inode %d" ino | Some ip -> ip
+
+let kind_of t ino = kind_of_code (Engine.peek_int t.engine (committed_inode t ino) i_kind)
+let parent_of t ino = Engine.peek_int t.engine (committed_inode t ino) i_parent
+
+(* A directory inode's index. *)
+let dir_index t ip = Btree.attach t.engine (Engine.peek_int t.engine ip i_head)
+
+let dir_index_tx tx t ip = Btree.attach t.engine (Engine.read_int tx ip i_head)
+
+(* A directory's entry count is not stored: it is the length of every
+   collision chain in its index. *)
+let rec chain_length rd p n = if p = Heap.null then n else chain_length rd (rd p d_next) (n + 1)
 
 let stat t ino =
-  match inode_ptr t ino with
-  | None -> err "Fs: no inode %d" ino
-  | Some ip ->
-      let e = t.engine in
-      stat_of_reads ino (Engine.peek_int e ip i_kind)
-        (Engine.peek_int e ip i_nlink)
-        (Engine.peek_int e ip i_size)
-        (Engine.peek_int e ip i_parent)
-        (Engine.peek_int e ip i_gen)
+  let e = t.engine and ip = committed_inode t ino in
+  let kind = kind_of_code (Engine.peek_int e ip i_kind) in
+  let size =
+    match kind with
+    | File -> Engine.peek_int e ip i_size
+    | Dir ->
+        Btree.fold_range (dir_index t ip) ~lo:0 ~hi:max_int ~init:0
+          ~f:(fun n _ head -> chain_length (Engine.peek_int e) head n)
+  in
+  {
+    ino;
+    kind;
+    nlink = Engine.peek_int e ip i_nlink;
+    size;
+    parent = Engine.peek_int e ip i_parent;
+    gen = Engine.peek_int e ip i_gen;
+  }
 
 let dir_of_tx tx t dir =
   let ip = inode_ptr_tx tx t dir in
   if Engine.read_int tx ip i_kind <> kind_dir then
     err "Fs: ino %d is not a directory" dir;
-  (ip, Btree.attach t.engine (Engine.read_int tx ip i_head))
+  dir_index_tx tx t ip
+
+let dir_empty_tx tx t ~ino = Btree.is_empty_tx tx (dir_of_tx tx t ino)
 
 (* --- Dirent chains -------------------------------------------------------- *)
 
@@ -393,42 +417,32 @@ let dir_of_tx tx t dir =
    the directory, one index descent for the name's hash key and one walk
    of its collision chain: [de] is the matching dirent ([Heap.null] if
    none), [prev] its predecessor ([Heap.null] at the chain head). *)
-type slot = {
-  dp : Heap.ptr;
-  idx : Btree.t;
-  at : Btree.cursor;
-  prev : Heap.ptr;
-  de : Heap.ptr;
-}
+type slot = { idx : Btree.t; at : Btree.cursor; prev : Heap.ptr; de : Heap.ptr }
 
-let rec chain_slot tx name dp idx at prev p =
-  if p = Heap.null then { dp; idx; at; prev = Heap.null; de = Heap.null }
-  else if Engine.read_prefixed tx p d_nlen ~max:max_name_len = name then
-    { dp; idx; at; prev; de = p }
-  else chain_slot tx name dp idx at p (Engine.read_int tx p d_next)
+let rec chain_slot tx name idx at prev p =
+  if p = Heap.null then { idx; at; prev = Heap.null; de = Heap.null }
+  else if Engine.read_prefixed tx p d_nlen ~max:max_name_len = name then { idx; at; prev; de = p }
+  else chain_slot tx name idx at p (Engine.read_int tx p d_next)
 
 let find_slot tx t ~dir ~name =
-  let dp, idx = dir_of_tx tx t dir in
+  let idx = dir_of_tx tx t dir in
   let at = Btree.seek tx idx (hash_name t name) in
-  chain_slot tx name dp idx at Heap.null (Btree.found at)
+  chain_slot tx name idx at Heap.null (Btree.found at)
 
 let dirent_lookup_tx tx t ~dir ~name =
   let s = find_slot tx t ~dir ~name in
   if s.de = Heap.null then None else Some (Engine.read_int tx s.de d_ino)
 
-(* Adding a dirent pushes it at the head of its collision chain: the index
-   leaf and the directory's entry count change. *)
-let declare_dirent_add tx s =
-  Btree.declare_insert tx s.at;
-  Engine.add tx s.dp
+(* Adding a dirent pushes it at the head of its collision chain: only the
+   index leaf changes. The directory's inode is not written. *)
+let declare_dirent_add tx s = Btree.declare_insert tx s.at
 
 let apply_dirent_add tx s ~de ~name ~ino =
   Engine.write_int tx de d_next (Btree.found s.at);
   Engine.write_int tx de d_ino ino;
   Engine.write_int tx de d_nlen (String.length name);
   Engine.write_string tx de d_name name;
-  ignore (Btree.insert_at tx s.idx s.at de);
-  Engine.write_int tx s.dp i_size (Engine.read_int tx s.dp i_size + 1)
+  ignore (Btree.insert_at tx s.idx s.at de)
 
 let dirent_add_tx tx t ~dir ~name ~ino =
   check_name name;
@@ -437,23 +451,21 @@ let dirent_add_tx tx t ~dir ~name ~ino =
   apply_dirent_add tx s ~de:(Engine.alloc tx dirent_size) ~name ~ino
 
 (* Removing [s.de] relinks its chain — the predecessor's next pointer, or
-   the index binding (replaced by the successor, or deleted) — frees it
-   and drops the entry count. Returns the successor, read here once. *)
+   the index binding (replaced by the successor, or deleted) — and frees
+   it. Returns the successor, read here once. *)
 let declare_dirent_remove tx s =
   let nxt = Engine.read_int tx s.de d_next in
   if s.prev <> Heap.null then Engine.add_field tx s.prev d_next 8
   else if nxt = Heap.null then Btree.declare_delete tx s.at
   else Btree.declare_insert tx s.at;
   Engine.declare_free tx s.de;
-  Engine.add tx s.dp;
   nxt
 
 let apply_dirent_remove tx s ~nxt =
   if s.prev <> Heap.null then Engine.write_int tx s.prev d_next nxt
   else if nxt = Heap.null then ignore (Btree.delete_at tx s.idx s.at)
   else ignore (Btree.insert_at tx s.idx s.at nxt);
-  Engine.free tx s.de;
-  Engine.write_int tx s.dp i_size (Engine.read_int tx s.dp i_size - 1)
+  Engine.free tx s.de
 
 let dirent_remove_tx tx t ~dir ~name =
   check_name name;
@@ -468,9 +480,11 @@ let dirent_remove_tx tx t ~dir ~name =
 
 let blocks_for t size = (size + t.block_size - 1) / t.block_size
 
-let sb_add_int tx t field delta =
-  Engine.add tx t.sb;
-  Engine.write_int tx t.sb field (Engine.read_int tx t.sb field + delta)
+(* The superblock's exact block count, the one counter it keeps: an
+   operation that changes a file's block count declares the superblock
+   and moves it by [delta]. *)
+let add_block_count tx t delta =
+  Engine.write_int tx t.sb sb_block_count (Engine.read_int tx t.sb sb_block_count + delta)
 
 (* A file's holders under {!Layout}'s block addressing: holder 0 is its
    inode [ip], holder [k >= 1] is [nodes.(k - 1)] of its extent chain. *)
@@ -577,7 +591,6 @@ type drop = {
   d_at : Btree.cursor;
   d_ip : Heap.ptr;
   d_nlink : int;
-  d_size : int;
   d_nodes : Heap.ptr array;
   d_blks : Heap.ptr array;
 }
@@ -586,19 +599,18 @@ let declare_drop_link tx t ~at ~ip =
   let nlink = Engine.read_int tx ip i_nlink in
   if nlink > 1 then begin
     Engine.add tx ip;
-    { d_at = at; d_ip = ip; d_nlink = nlink; d_size = 0; d_nodes = [||]; d_blks = [||] }
+    { d_at = at; d_ip = ip; d_nlink = nlink; d_nodes = [||]; d_blks = [||] }
   end
   else begin
-    let size = Engine.read_int tx ip i_size in
-    let nb = blocks_for t size in
+    let nb = blocks_for t (Engine.read_int tx ip i_size) in
     let blks = Array.make nb Heap.null in
     let nodes = walk_chain tx ip ~nn:(ext_nodes nb) ~from_b:0 ~to_b:(nb - 1) blks in
     Array.iter (Engine.declare_free tx) blks;
     Array.iter (Engine.declare_free tx) nodes;
     Engine.declare_free tx ip;
     Btree.declare_delete tx at;
-    Engine.add tx t.sb;
-    { d_at = at; d_ip = ip; d_nlink = nlink; d_size = size; d_nodes = nodes; d_blks = blks }
+    if nb > 0 then Engine.add tx t.sb;
+    { d_at = at; d_ip = ip; d_nlink = nlink; d_nodes = nodes; d_blks = blks }
   end
 
 let apply_drop_link tx t d =
@@ -608,9 +620,8 @@ let apply_drop_link tx t d =
     Array.iter (Engine.free tx) d.d_nodes;
     Engine.free tx d.d_ip;
     ignore (Btree.delete_at tx t.itab d.d_at);
-    sb_add_int tx t sb_inode_count (-1);
-    sb_add_int tx t sb_block_count (-Array.length d.d_blks);
-    sb_add_int tx t sb_data_bytes (-d.d_size)
+    let nb = Array.length d.d_blks in
+    if nb > 0 then add_block_count tx t (-nb)
   end
 
 (* --- Inode-side primitives ------------------------------------------------ *)
@@ -633,28 +644,26 @@ let drop_file_link_tx tx t ~ino =
   apply_drop_link tx t (declare_drop_link tx t ~at ~ip)
 
 (* Freeing an empty, unlinked directory: its index tree, its inode and its
-   inode-table binding. Returns the index for [apply_free_dir]. *)
-let declare_free_dir tx t ~at ~ip =
-  let idx = Btree.attach t.engine (Engine.read_int tx ip i_head) in
+   inode-table binding. [idx] is its index, which the caller probed
+   empty. *)
+let declare_free_dir tx ~at ~ip idx =
   Btree.declare_destroy_empty tx idx;
   Engine.declare_free tx ip;
-  Btree.declare_delete tx at;
-  Engine.add tx t.sb;
-  idx
+  Btree.declare_delete tx at
 
 let apply_free_dir tx t ~at ~ip idx =
   Btree.destroy_empty tx idx;
   Engine.free tx ip;
-  ignore (Btree.delete_at tx t.itab at);
-  sb_add_int tx t sb_inode_count (-1);
-  sb_add_int tx t sb_dir_count (-1)
+  ignore (Btree.delete_at tx t.itab at)
 
 let free_dir_tx tx t ~ino =
   let at, ip = inode_at tx t ino in
   if Engine.read_int tx ip i_kind <> kind_dir then
     err "Fs: ino %d is not a directory" ino;
-  if Engine.read_int tx ip i_size <> 0 then err "Fs: directory %d not empty" ino;
-  apply_free_dir tx t ~at ~ip (declare_free_dir tx t ~at ~ip)
+  let idx = dir_index_tx tx t ip in
+  if not (Btree.is_empty_tx tx idx) then err "Fs: directory %d not empty" ino;
+  declare_free_dir tx ~at ~ip idx;
+  apply_free_dir tx t ~at ~ip idx
 
 let touch_moved_tx tx t ~ino ~new_parent =
   let ip = inode_ptr_tx tx t ino in
@@ -711,9 +720,10 @@ let rmdir_tx tx t ~dir name =
   if s.de = Heap.null then err "Fs.rmdir: %s: no such entry" name;
   let at, ip = inode_at tx t (Engine.read_int tx s.de d_ino) in
   if Engine.read_int tx ip i_kind <> kind_dir then err "Fs.rmdir: %s is not a directory" name;
-  if Engine.read_int tx ip i_size <> 0 then err "Fs.rmdir: %s not empty" name;
+  let idx = dir_index_tx tx t ip in
+  if not (Btree.is_empty_tx tx idx) then err "Fs.rmdir: %s not empty" name;
   let nxt = declare_dirent_remove tx s in
-  let idx = declare_free_dir tx t ~at ~ip in
+  declare_free_dir tx ~at ~ip idx;
   apply_dirent_remove tx s ~nxt;
   apply_free_dir tx t ~at ~ip idx
 
@@ -737,7 +747,7 @@ let rename_tx tx t ~src ~src_name ~dst ~dst_name =
     ignore (dir_of_tx tx t dst);
     if s.de = Heap.null then err "Fs.rename: %s: no such entry" src_name;
     let m = Engine.read_int tx s.de d_ino in
-    let mkind = (stat_tx tx t m).kind in
+    let mkind = kind_tx tx t m in
     if mkind = Dir then check_no_cycle tx t ~moved:m ~dst;
     (match dirent_lookup_tx tx t ~dir:dst ~name:dst_name with
     | Some c when c = m ->
@@ -745,7 +755,7 @@ let rename_tx tx t ~src ~src_name ~dst ~dst_name =
            inode's own link (possibly freeing it) before re-linking. *)
         err "Fs.rename: %s already names the same inode" dst_name
     | Some c ->
-        if (stat_tx tx t c).kind <> File then
+        if kind_tx tx t c <> File then
           err "Fs.rename: %s exists and is a directory" dst_name;
         if mkind <> File then
           err "Fs.rename: cannot replace %s with a directory" dst_name;
@@ -777,7 +787,7 @@ let write_tx tx t ~ino ~off data =
     let nodes =
       walk_chain tx ip ~nn:(ext_nodes (last + 1)) ~from_b ~to_b:(min to_b (old_nb - 1)) blks
     in
-    if new_size > old_size then Engine.add tx t.sb;
+    if new_nb > old_nb then Engine.add tx t.sb;
     (* Bytes [lo, hi) of the write land in block [b], at [lo - blo]. *)
     for b = from_b to min to_b (old_nb - 1) do
       let blo = b * t.block_size in
@@ -790,11 +800,8 @@ let write_tx tx t ~ino ~off data =
       let lo = max off blo and hi = min (off + len) (blo + t.block_size) in
       Engine.write_string tx blks.(b - from_b) (lo - blo) (String.sub data (lo - off) (hi - lo))
     done;
-    if new_size > old_size then begin
-      Engine.write_int tx ip i_size new_size;
-      sb_add_int tx t sb_data_bytes (new_size - old_size);
-      sb_add_int tx t sb_block_count (new_nb - old_nb)
-    end
+    if new_size > old_size then Engine.write_int tx ip i_size new_size;
+    if new_nb > old_nb then add_block_count tx t (new_nb - old_nb)
   end
 
 let truncate_tx tx t ~ino ~len =
@@ -805,8 +812,8 @@ let truncate_tx tx t ~ino ~len =
   let old_size = Engine.read_int tx ip i_size in
   if len <> old_size then begin
     Engine.add tx ip;
-    Engine.add tx t.sb;
     let old_nb = blocks_for t old_size and new_nb = blocks_for t len in
+    if new_nb <> old_nb then Engine.add tx t.sb;
     if len > old_size then begin
       let nn = if new_nb > old_nb then ext_nodes old_nb else 0 in
       let nodes = walk_chain tx ip ~nn ~from_b:0 ~to_b:(-1) [||] in
@@ -814,8 +821,7 @@ let truncate_tx tx t ~ino ~len =
     end
     else shrink tx t ip ~len ~old_nb;
     Engine.write_int tx ip i_size len;
-    sb_add_int tx t sb_data_bytes (len - old_size);
-    sb_add_int tx t sb_block_count (new_nb - old_nb)
+    if new_nb <> old_nb then add_block_count tx t (new_nb - old_nb)
   end
 
 let read_op_tx tx t ~ino ~off ~len =
@@ -842,7 +848,7 @@ let read_op_tx tx t ~ino ~off ~len =
   end
 
 let readdir_tx tx t ~dir =
-  let _, idx = dir_of_tx tx t dir in
+  let idx = dir_of_tx tx t dir in
   Btree.fold_range_tx tx idx ~lo:0 ~hi:max_int ~init:[] ~f:(fun acc _key head ->
       let rec go p acc =
         if p = Heap.null then acc
@@ -938,8 +944,7 @@ let lookup t ~dir name =
   | Some dp when Engine.peek_int t.engine dp i_kind <> kind_dir -> None
   | Some dp -> (
       let e = t.engine in
-      let idx = Btree.attach e (Engine.peek_int e dp i_head) in
-      match Btree.find idx (hash_name t name) with
+      match Btree.find (dir_index t dp) (hash_name t name) with
       | None -> None
       | Some head ->
           let rec go p =

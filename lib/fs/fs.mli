@@ -14,19 +14,23 @@
     {!Layout} for offsets):
 
     - {e superblock}: anchored at the heap root. Magic, version, the
-      inode-table B+Tree descriptor, the inode-number allocator
-      ([next_ord], [ino_base], [ino_stride] — the stride is how the
-      sharded façade gives each shard its own congruence class), the
-      root directory's ino, and exact counters (inodes, directories,
-      data blocks, file bytes) that fsck recomputes.
+      inode-table B+Tree descriptor, the inode-number class ([ino_base],
+      [ino_stride] — the stride is how the sharded façade gives each
+      shard its own congruence class), the root directory's ino, the
+      exact data-block count that fsck recomputes, and the geometry.
+      Nothing recovery can recompute is persisted: the next inode
+      ordinal is a DRAM cursor, set past the inode table's largest key
+      at {!attach}, so a create does not write the superblock.
     - {e inode table}: a {!Kamino_index.Btree} mapping ino -> inode
       object.
-    - {e inode}: ino, kind (file/dir), link count, size (file bytes /
-      directory entry count), parent ino (directories; the root is its
-      own parent; files carry [-1]), a generation counter bumped by
-      rename, a head pointer — extent-chain head for files, the
-      directory-index B+Tree descriptor for directories — and
-      [i_blk0], a file's block 0 (64 bytes in all, one size class).
+    - {e inode}: ino, kind (file/dir), link count, size (file bytes; 0
+      for a directory, whose entry count {!stat} computes from its
+      index), parent ino (directories; the root is its own parent; files
+      carry [-1]), a generation counter bumped by rename, a head pointer
+      — extent-chain head for files, the directory-index B+Tree
+      descriptor for directories — and [i_blk0], a file's block 0 (64
+      bytes in all, one size class). Adding or removing a dirent writes
+      the directory's index and dirents, never its inode.
     - {e directory index}: a B+Tree mapping [hash(name) land mask] ->
       head of a chain of {e dirent} objects (collision chain through
       [d_next]); each dirent holds the target ino and the name (up to
@@ -49,8 +53,11 @@
     (inode, dirent), its first [write] one (the block), and [unlink]
     frees three (inode, block, dirent).
 
-    The superblock's [version] is {!Layout.version} (2; version 1 kept
-    block 0 in the chain). {!attach} refuses any other version.
+    The superblock's [version] is {!Layout.version} (3; version 2 kept
+    inode, directory and byte counters and the inode cursor in the
+    superblock and each directory's entry count in its inode, version 1
+    also kept block 0 in the chain). {!attach} refuses any other
+    version.
 
     Transactions follow the engine's granularity argument: metadata
     objects are declared whole (they are a cache line or two), file
@@ -84,14 +91,10 @@ module Layout : sig
   val sb_magic : int
   val sb_version : int
   val sb_itab : int
-  val sb_next_ord : int
   val sb_ino_base : int
   val sb_ino_stride : int
   val sb_root_ino : int
-  val sb_inode_count : int
-  val sb_dir_count : int
   val sb_block_count : int
-  val sb_data_bytes : int
   val sb_block_size : int
   val sb_hash_bits : int
   val sb_size : int
@@ -150,7 +153,7 @@ type stat = {
   ino : int;
   kind : kind;
   nlink : int;
-  size : int;  (** file bytes, or directory entry count *)
+  size : int;  (** file bytes, or directory entry count (computed by {!stat}) *)
   parent : int;  (** containing directory (dirs only; root = own ino) *)
   gen : int;  (** bumped by every rename of this inode *)
 }
@@ -183,7 +186,10 @@ val format :
 
 (** [attach engine] reopens a formatted filesystem (e.g. a fresh
     process after a crash — within a process, handles survive
-    {!Engine.crash}/{!Engine.recover} unchanged). Raises [Region.Corrupt],
+    {!Engine.crash}/{!Engine.recover} unchanged) and sets the handle's
+    inode cursor past the inode table's largest key. Several handles may
+    share one engine: a create whose cursor meets a live inode skips
+    past the table's largest key. Raises [Region.Corrupt],
     [off] naming the [Layout.sb_*] word, if the heap root is not a
     superblock or any header word is out of range: a [version] other than
     {!Layout.version}, a [block_size] outside [8..Heap.max_object_size] or
@@ -224,7 +230,11 @@ val resolve : t -> string -> int option
 (** ["/a/b/c"]-style path walk from the root (committed state). *)
 
 val stat : t -> int -> stat
-val stat_tx : Engine.tx -> t -> int -> stat
+(** Committed state. A directory's [size] walks its index and collision
+    chains; {!kind_of} and {!parent_of} read one inode word. *)
+
+val kind_of : t -> int -> kind
+val parent_of : t -> int -> int
 
 val write : t -> ino:int -> off:int -> string -> unit
 (** Write bytes at [off], extending the file as needed; a write past
@@ -290,8 +300,8 @@ val mknod_tx : Engine.tx -> t -> kind -> parent:int -> int
 val dirent_add_tx :
   Engine.tx -> t -> dir:int -> name:string -> ino:int -> unit
 (** Insert a dirent (no existence check beyond name validity — use
-    {!dirent_lookup_tx} first) and bump the directory's entry count.
-    The target inode is untouched (it may live on another shard). *)
+    {!dirent_lookup_tx} first). Neither the directory's inode nor the
+    target inode is written (the target may live on another shard). *)
 
 val dirent_remove_tx :
   Engine.tx -> t -> dir:int -> name:string -> int
@@ -308,9 +318,14 @@ val drop_file_link_tx :
 (** Decrement a regular file's link count; at zero, free the inode,
     extent chain and data blocks and retire it from the inode table. *)
 
+val dir_empty_tx : Engine.tx -> t -> ino:int -> bool
+(** Whether directory [ino] has no entry: a probe of its index root, not
+    a walk. *)
+
 val free_dir_tx : Engine.tx -> t -> ino:int -> unit
 (** Free an {e empty, already unlinked} directory: index tree, inode,
-    inode-table entry. *)
+    inode-table entry. Raises [Fs_error], before any write, if it is not
+    empty. *)
 
 val touch_moved_tx : Engine.tx -> t -> ino:int -> new_parent:int option -> unit
 (** Rename's inode-side half: bump the generation and, for a moved

@@ -62,16 +62,12 @@ let fsck_cluster ?(strict_heap = true) fss =
           | Ok () -> ()
           | Error m -> fail "shard %d: inode table invalid: %s" s m);
           Btree.iter_nodes itab (fun p -> claim s claimed.(s) heap p "itab node");
-          let next_ord = pk sb sb_next_ord in
           Btree.iter itab (fun ino ip ->
               claim s claimed.(s) heap ip (Printf.sprintf "inode %d" ino);
               if pk ip i_ino <> ino then
                 fail "shard %d: inode %d records ino %d" s ino (pk ip i_ino);
               if ino < 0 || ino mod n <> s then
                 fail "shard %d: inode %d is not in this shard's ino class" s ino;
-              if ino / n >= next_ord then
-                fail "shard %d: inode %d at or past the allocator cursor %d" s ino
-                  next_ord;
               let k = pk ip i_kind in
               if k <> kind_file && k <> kind_dir then
                 fail "shard %d: inode %d has kind %d" s ino k;
@@ -85,8 +81,8 @@ let fsck_cluster ?(strict_heap = true) fss =
                 { shard = s; ptr = ip; ikind = k; nlink; isize; parent = pk ip i_parent };
               per_shard_inos.(s) <- ino :: per_shard_inos.(s)))
         fss;
-      (* Pass B: directory indexes, dirent chains, file extents,
-         per-shard counters and heap accounting. *)
+      (* Pass B: directory indexes, dirent chains, file extents, the
+         per-shard block count and heap accounting. *)
       Array.iteri
         (fun s fs ->
           let e = Fs.engine fs in
@@ -94,12 +90,15 @@ let fsck_cluster ?(strict_heap = true) fss =
           let sb = Fs.superblock fs in
           let bs = Fs.block_size fs in
           let pk p off = Engine.peek_int e p off in
-          let ndirs = ref 0 and nblocks = ref 0 and ndata = ref 0 in
+          let nblocks = ref 0 in
           List.iter
             (fun ino ->
               let info = Hashtbl.find inodes ino in
               if info.ikind = kind_dir then begin
-                incr ndirs;
+                (* A directory's size word is unused: its entry count is
+                   its index's. *)
+                if info.isize <> 0 then
+                  fail "shard %d: dir %d has size word %d, not 0" s ino info.isize;
                 let idx = Btree.attach e (pk info.ptr i_head) in
                 (match Btree.validate idx with
                 | Ok () -> ()
@@ -107,7 +106,6 @@ let fsck_cluster ?(strict_heap = true) fss =
                 Btree.iter_nodes idx (fun p ->
                     claim s claimed.(s) heap p (Printf.sprintf "dir %d index node" ino));
                 let names = Hashtbl.create 8 in
-                let entries = ref 0 in
                 Btree.iter idx (fun key head ->
                     let rec walk p =
                       if p <> Heap.null then begin
@@ -129,7 +127,6 @@ let fsck_cluster ?(strict_heap = true) fss =
                         if Hashtbl.mem names name then
                           fail "shard %d: dir %d: duplicate entry %S" s ino name;
                         Hashtbl.add names name ();
-                        incr entries;
                         let target = pk p d_ino in
                         Hashtbl.replace refs target
                           (1 + Option.value ~default:0 (Hashtbl.find_opt refs target));
@@ -146,10 +143,7 @@ let fsck_cluster ?(strict_heap = true) fss =
                         walk (pk p d_next)
                       end
                     in
-                    walk head);
-                if !entries <> info.isize then
-                  fail "shard %d: dir %d holds %d entries, inode says %d" s ino
-                    !entries info.isize
+                    walk head)
               end
               else begin
                 (* Regular file: exact coverage under {!Fs.Layout}'s
@@ -161,7 +155,6 @@ let fsck_cluster ?(strict_heap = true) fss =
                 let size = info.isize in
                 let nb = (size + bs - 1) / bs in
                 let nnodes = ext_nodes nb in
-                ndata := !ndata + size;
                 nblocks := !nblocks + nb;
                 let holders = Array.make (nnodes + 1) info.ptr in
                 for k = 1 to nnodes do
@@ -202,20 +195,9 @@ let fsck_cluster ?(strict_heap = true) fss =
                 end
               end)
             per_shard_inos.(s);
-          (* Exact superblock counters. *)
-          let ninodes = List.length per_shard_inos.(s) in
-          if pk sb sb_inode_count <> ninodes then
-            fail "shard %d: superblock says %d inodes, found %d" s
-              (pk sb sb_inode_count) ninodes;
-          if pk sb sb_dir_count <> !ndirs then
-            fail "shard %d: superblock says %d dirs, found %d" s
-              (pk sb sb_dir_count) !ndirs;
           if pk sb sb_block_count <> !nblocks then
             fail "shard %d: superblock says %d blocks, found %d" s
               (pk sb sb_block_count) !nblocks;
-          if pk sb sb_data_bytes <> !ndata then
-            fail "shard %d: superblock says %d data bytes, found %d" s
-              (pk sb sb_data_bytes) !ndata;
           if strict_heap then begin
             (match Heap.validate heap with
             | Ok () -> ()

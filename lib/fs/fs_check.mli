@@ -8,15 +8,14 @@
 
     Checked invariants:
 
-    - superblock magic/version/geometry, and {e exact} counters: inode,
-      directory and data-block counts and total file bytes all equal
-      the recomputed sums; every allocated ino's ordinal is below the
-      allocator cursor;
+    - superblock magic/version/geometry, and the {e exact} data-block
+      count, which equals the recomputed sum (no other count is
+      persisted);
     - the inode table and every directory index pass
       {!Kamino_index.Btree.validate};
     - every dirent's name is valid and hashes to the B+Tree key it is
-      chained under; names are unique within a directory; entry counts
-      match;
+      chained under; names are unique within a directory; a
+      directory's unused size word is 0;
     - link counts equal dirent references exactly (plus one superblock
       reference for the root); directories have exactly one reference
       (the root none) and their parent pointers match the referencing

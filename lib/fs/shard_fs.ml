@@ -57,6 +57,7 @@ let record fs op ~t0 ~ino ~aux = Fs.record_op fs ~op ~t0 ~ino ~aux
 let lookup t ~dir name = Fs.lookup t.fss.(owner t dir) ~dir name
 let readdir t ~dir = Fs.readdir t.fss.(owner t dir) ~dir
 let stat t ino = Fs.stat t.fss.(owner t ino) ino
+let kind_of t ino = Fs.kind_of t.fss.(owner t ino) ino
 let read t ~ino ~off ~len = Fs.read t.fss.(owner t ino) ~ino ~off ~len
 
 let resolve t path =
@@ -65,7 +66,7 @@ let resolve t path =
   let rec go cur = function
     | [] -> Some cur
     | name :: rest -> (
-        if (stat t cur).Fs.kind <> Fs.Dir then None
+        if kind_of t cur <> Fs.Dir then None
         else
           match lookup t ~dir:cur name with
           | None -> None
@@ -117,8 +118,7 @@ let link t ~ino ~dir name =
   Fs.check_name name;
   let p = owner t dir in
   let f = owner t ino in
-  let st = Fs.stat t.fss.(f) ino in
-  if st.Fs.kind <> Fs.File then err "link: ino %d is not a regular file" ino;
+  if kind_of t ino <> Fs.File then err "link: ino %d is not a regular file" ino;
   if p = f then Fs.link t.fss.(p) ~ino ~dir name
   else begin
     let fsp = t.fss.(p) in
@@ -141,8 +141,7 @@ let unlink t ~dir name =
   | None -> err "unlink: no entry %S" name
   | Some ino ->
       let f = owner t ino in
-      let st = Fs.stat t.fss.(f) ino in
-      if st.Fs.kind <> Fs.File then err "unlink: %S is a directory" name;
+      if kind_of t ino <> Fs.File then err "unlink: %S is a directory" name;
       if p = f then Fs.unlink fsp ~dir name
       else begin
         let t0 = Engine.now (Fs.engine fsp) in
@@ -164,8 +163,7 @@ let rmdir t ~dir name =
   | None -> err "rmdir: no entry %S" name
   | Some ino ->
       let d = owner t ino in
-      let st = Fs.stat t.fss.(d) ino in
-      if st.Fs.kind <> Fs.Dir then err "rmdir: %S is not a directory" name;
+      if kind_of t ino <> Fs.Dir then err "rmdir: %S is not a directory" name;
       if p = d then Fs.rmdir fsp ~dir name
       else begin
         let t0 = Engine.now (Fs.engine fsp) in
@@ -174,8 +172,8 @@ let rmdir t ~dir name =
             (match Fs.dirent_lookup_tx (tx_of p) fsp ~dir ~name with
             | Some i when i = ino -> ()
             | _ -> err "rmdir: entry %S changed underneath" name);
-            let st = Fs.stat_tx (tx_of d) t.fss.(d) ino in
-            if st.Fs.size <> 0 then err "rmdir: %S not empty" name;
+            if not (Fs.dir_empty_tx (tx_of d) t.fss.(d) ~ino) then
+              err "rmdir: %S not empty" name;
             ignore (Fs.dirent_remove_tx (tx_of p) fsp ~dir ~name);
             Fs.free_dir_tx (tx_of d) t.fss.(d) ~ino);
         record fsp Fs.op_rmdir ~t0 ~ino ~aux:dir
@@ -188,8 +186,8 @@ let check_no_cycle t ~moved ~dst =
   let rec up cur fuel =
     if fuel = 0 then err "rename: parent chain does not terminate";
     if cur = moved then err "rename: would move a directory under itself";
-    let st = stat t cur in
-    if st.Fs.parent <> cur then up st.Fs.parent (fuel - 1)
+    let parent = Fs.parent_of t.fss.(owner t cur) cur in
+    if parent <> cur then up parent (fuel - 1)
   in
   up dst 1_000_000
 
@@ -208,18 +206,17 @@ let rename t ~src ~src_name ~dst ~dst_name =
   if src = dst && String.equal src_name dst_name then ()
   else begin
     let pm = owner t m in
-    let mst = Fs.stat t.fss.(pm) m in
+    let mkind = kind_of t m in
     let clobber =
       match Fs.lookup fs_d ~dir:dst dst_name with
       | Some c when c = m -> err "rename: %S already names the same inode" dst_name
       | Some c ->
-          let cst = Fs.stat t.fss.(owner t c) c in
-          if mst.Fs.kind <> Fs.File || cst.Fs.kind <> Fs.File then
+          if mkind <> Fs.File || kind_of t c <> Fs.File then
             err "rename: target %S exists" dst_name;
           Some c
       | None -> None
     in
-    if mst.Fs.kind = Fs.Dir then check_no_cycle t ~moved:m ~dst;
+    if mkind = Fs.Dir then check_no_cycle t ~moved:m ~dst;
     let participants =
       List.sort_uniq compare
         (ps :: pd :: pm
@@ -251,7 +248,7 @@ let rename t ~src ~src_name ~dst ~dst_name =
             Fs.dirent_add_tx (tx_of pd) fs_d ~dir:dst ~name:dst_name
               ~ino:m;
             let new_parent =
-              if mst.Fs.kind = Fs.Dir then Some dst else None
+              if mkind = Fs.Dir then Some dst else None
             in
             Fs.touch_moved_tx (tx_of pm) t.fss.(pm) ~ino:m ~new_parent);
         record fs_s Fs.op_rename ~t0 ~ino:m ~aux:dst

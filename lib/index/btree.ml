@@ -706,6 +706,13 @@ let iter_nodes t f =
   in
   go (root_of r t)
 
+(* An internal root always holds a key and no non-root leaf is empty, so
+   the tree is empty exactly when its root is a keyless leaf. *)
+let is_empty_tx tx t =
+  let r = tx_reader tx in
+  let root = root_of r t in
+  is_leaf r root && nkeys r root = 0
+
 let destroy_empty tx t =
   let r = tx_reader tx in
   let root = root_of r t in

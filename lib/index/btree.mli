@@ -162,6 +162,11 @@ val fold_range_tx :
     every allocated object is referenced by exactly one structure). *)
 val iter_nodes : t -> (Kamino_heap.Heap.ptr -> unit) -> unit
 
+(** [is_empty_tx tx t] — whether the tree holds no key, inside a
+    transaction: three loads (the root pointer, its leaf flag and key
+    count), however large the tree. *)
+val is_empty_tx : Kamino_core.Engine.tx -> t -> bool
+
 (** [destroy_empty tx t] transactionally frees an {e empty} tree — the
     descriptor and its single root leaf. Raises [Invalid_argument] if the
     tree still holds keys (the caller owns emptying it first). The handle

@@ -1050,7 +1050,6 @@ let () =
           Alcotest.test_case "encode/decode roundtrip" `Quick test_op_roundtrip;
           Alcotest.test_case "decode rejects garbage" `Quick test_op_decode_garbage;
           Alcotest.test_case "apply semantics" `Quick test_op_apply;
-          QCheck_alcotest.to_alcotest op_roundtrip_qcheck;
           Alcotest.test_case "golden encoding" `Quick test_op_golden_encoding;
           Alcotest.test_case "in-place decode bounds" `Quick test_op_decode_sub_bounds;
         ] );
@@ -1062,7 +1061,6 @@ let () =
           Alcotest.test_case "drop_through" `Quick test_queue_drop_through;
           Alcotest.test_case "crash durability" `Quick test_queue_crash_durability;
           Alcotest.test_case "torn publishes" `Quick test_queue_torn_publishes;
-          QCheck_alcotest.to_alcotest checksum_qcheck;
           Alcotest.test_case "golden image reopens" `Quick test_queue_golden_image;
           Alcotest.test_case "typed corruption" `Quick test_queue_corruption_typed;
           Alcotest.test_case "zero-allocation op path" `Quick test_queue_zero_alloc;
@@ -1107,7 +1105,6 @@ let () =
           Alcotest.test_case "views" `Quick test_membership_views;
           Alcotest.test_case "neighbours" `Quick test_membership_neighbours;
           Alcotest.test_case "rejoin after removal" `Quick test_membership_rejoin_removed;
-          QCheck_alcotest.to_alcotest membership_interleaving_qcheck;
           Alcotest.test_case "failure detector" `Quick test_membership_failure_detector;
           Alcotest.test_case "heartbeat failure detection (DES)" `Quick
             test_heartbeat_failure_detection_des;
@@ -1120,5 +1117,11 @@ let () =
           Alcotest.test_case "quick reboot mid with incomplete tx" `Quick
             test_quick_reboot_mid_with_incomplete_tx;
           Alcotest.test_case "whole-chain restart" `Quick test_whole_chain_restart;
+        ] );
+      ( "qcheck",
+        [
+          QCheck_alcotest.to_alcotest op_roundtrip_qcheck;
+          QCheck_alcotest.to_alcotest checksum_qcheck;
+          QCheck_alcotest.to_alcotest membership_interleaving_qcheck;
         ] );
     ]

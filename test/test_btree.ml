@@ -688,7 +688,7 @@ let () =
           Alcotest.test_case "validate checks the leaf chain's order" `Quick
             test_validate_chain_order;
         ] );
-      ( "properties",
+      ( "qcheck",
         [
           QCheck_alcotest.to_alcotest (model_qcheck Engine.Undo_logging);
           QCheck_alcotest.to_alcotest (model_qcheck Engine.Cow);

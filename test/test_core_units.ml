@@ -689,12 +689,16 @@ let () =
           Alcotest.test_case "full region recycles the victim's slot" `Quick
             test_backup_recycles_victim_slot;
           Alcotest.test_case "one fence per miss" `Quick test_backup_miss_fences;
-          QCheck_alcotest.to_alcotest storm_qcheck;
           Alcotest.test_case "crash at every fence of an evicting miss" `Quick
             test_backup_miss_fence_sweep;
         ] );
       ( "eviction policy",
         [
+          Alcotest.test_case "LRU vs FIFO victim" `Quick test_backup_policy_victim;
+        ] );
+      ( "qcheck",
+        [
+          QCheck_alcotest.to_alcotest storm_qcheck;
           QCheck_alcotest.to_alcotest
             (pinned_never_evicted_qcheck Backup.Lru_policy
                "LRU: pinned copies survive eviction storms");
@@ -707,6 +711,5 @@ let () =
           QCheck_alcotest.to_alcotest
             (exhaustion_iff_oversubscribed_qcheck Backup.Fifo_policy
                "FIFO: raises iff pinned set exceeds capacity, pressure first");
-          Alcotest.test_case "LRU vs FIFO victim" `Quick test_backup_policy_victim;
         ] );
     ]

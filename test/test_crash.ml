@@ -4,7 +4,8 @@
    matrix's driver) runs against each atomic engine kind while crashes
    are injected at arbitrary points — mid-transaction, right after commit
    (before the backup applier has propagated anything), mid-propagation,
-   after aborts, and twice in a row. After every recovery the test
+   after aborts, and twice in a row, and at every fence of each recovery
+   in turn. After every recovery the test
    asserts the fundamental atomicity contract:
 
    - every committed transaction's effects are intact (values match a model

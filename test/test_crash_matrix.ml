@@ -5,8 +5,10 @@
    delicate — mid-transaction (intent entries possibly merged in place and
    not yet flushed), right after commit (the whole write set queued but not
    propagated), and mid-propagation (the applier's batch partially
-   retired). After each recovery the committed-state model must be intact;
-   at the end the backup invariant must hold.
+   retired) — and each recovery is itself crashed at its first fence,
+   then its second, and so on until one completes. After each recovery
+   the committed-state model must be intact; at the end the backup
+   invariant must hold.
 
    The load-bearing claim of the write-set coalescing work is that it is
    invisible to every outcome: each seed additionally runs twice, with

@@ -376,6 +376,9 @@ let () =
           Alcotest.test_case "abort after a clipped commit" `Quick
             test_abort_after_clipped_commit;
           Alcotest.test_case "crash before the lazy apply" `Quick test_crash_before_apply;
+        ] );
+      ( "qcheck",
+        [
           QCheck_alcotest.to_alcotest prop_simple;
           QCheck_alcotest.to_alcotest prop_chain_head;
         ] );

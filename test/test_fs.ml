@@ -202,6 +202,102 @@ let test_collision_chains () =
     inos;
   check_fsck fs "after chain surgery"
 
+(* --- derived words: the inode cursor and directory sizes ---------------------- *)
+
+(* The inode cursor lives in DRAM and [attach] sets it past the inode
+   table's largest key. So deleting the highest ino and then crashing and
+   attaching may hand its number out again, but never the number of a
+   live inode; and a handle that outlived the crash keeps its own cursor,
+   which a transaction that aborts advances for good. *)
+let test_cursor_after_crash () =
+  let e, fs = make_fs simple 21 in
+  let root = Fs.root_ino fs in
+  let a = Fs.create fs ~dir:root "a" in
+  Fs.write fs ~ino:a ~off:0 "kept";
+  let b = Fs.create fs ~dir:root "b" in
+  Fs.unlink fs ~dir:root "b";
+  Engine.crash e;
+  Engine.recover e;
+  let fresh = Fs.attach e in
+  let c = Fs.create fresh ~dir:root "c" in
+  Alcotest.(check int) "the next create takes the deleted highest ino" b c;
+  Alcotest.(check string) "the live file is intact" "kept" (Fs.read fresh ~ino:a ~off:0 ~len:10);
+  check_fsck fresh "after a create on the attached handle";
+  let tx = Engine.begin_tx e in
+  let aborted = Fs.create_tx tx fs ~dir:root "aborted" in
+  Engine.abort tx;
+  Alcotest.(check bool) "the old handle's cursor was past c" true (aborted > c);
+  let d = Fs.create fs ~dir:root "d" in
+  Alcotest.(check int) "an aborted create's ino is skipped" (aborted + 1) d;
+  Alcotest.(check (option int)) "c still named" (Some c) (Fs.lookup fs ~dir:root "c");
+  check_fsck fs "after creates on both handles"
+
+(* Two handles on one engine, creating in turn: each create's seek finds
+   the binding the other handle made at its cursor and skips past the
+   table's largest key, so no binding is overwritten. *)
+let test_two_handles () =
+  let e, fs1 = make_fs simple 22 in
+  let fs2 = Fs.attach e in
+  let root = Fs.root_ino fs1 in
+  let files =
+    List.init 8 (fun i ->
+        let fs = if i mod 2 = 0 then fs1 else fs2 in
+        let name = Printf.sprintf "h%d" i in
+        let ino = Fs.create fs ~dir:root name in
+        Fs.write fs ~ino ~off:0 name;
+        (name, ino))
+  in
+  let inos = List.map snd files in
+  Alcotest.(check int) "distinct inos" 8 (List.length (List.sort_uniq compare inos));
+  List.iter
+    (fun (name, ino) ->
+      Alcotest.(check (option int)) ("lookup " ^ name) (Some ino) (Fs.lookup fs1 ~dir:root name);
+      Alcotest.(check string) ("read " ^ name) name (Fs.read fs2 ~ino ~off:0 ~len:10))
+    files;
+  check_fsck fs1 "two handles"
+
+(* A directory's size is computed from its index: it equals its readdir
+   length through every operation that adds or drops an entry. A one-bit
+   hash puts most entries on collision chains. *)
+let test_dir_size () =
+  let _e, fs = make_fs ~dir_hash_bits:1 simple 23 in
+  let root = Fs.root_ino fs in
+  let d = Fs.mkdir fs ~dir:root "d" in
+  let sizes ctx =
+    List.iter
+      (fun dir ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s: dir %d" ctx dir)
+          (List.length (Fs.readdir fs ~dir))
+          (Fs.stat fs dir).Fs.size)
+      [ root; d ]
+  in
+  sizes "empty d";
+  let files = List.init 5 (fun i -> Fs.create fs ~dir:d (Printf.sprintf "f%d" i)) in
+  sizes "create";
+  Fs.link fs ~ino:(List.hd files) ~dir:root "hard";
+  sizes "link";
+  Fs.rename fs ~src:d ~src_name:"f1" ~dst:root ~dst_name:"moved";
+  sizes "rename across";
+  Fs.rename fs ~src:d ~src_name:"f2" ~dst:d ~dst_name:"f2b";
+  sizes "rename within";
+  Fs.rename fs ~src:d ~src_name:"f3" ~dst:root ~dst_name:"moved";
+  sizes "rename over a file";
+  Fs.unlink fs ~dir:d "f0";
+  sizes "unlink";
+  Alcotest.(check int) "d holds f2b and f4" 2 (Fs.stat fs d).Fs.size;
+  Alcotest.(check bool) "rmdir refuses a non-empty directory" true
+    (expect_error (fun () -> Fs.rmdir fs ~dir:root "d"));
+  Fs.unlink fs ~dir:d "f2b";
+  Alcotest.(check bool) "... with one entry left" true
+    (expect_error (fun () -> Fs.rmdir fs ~dir:root "d"));
+  Fs.rename fs ~src:d ~src_name:"f4" ~dst:root ~dst_name:"last";
+  sizes "emptied";
+  Fs.rmdir fs ~dir:root "d";
+  Alcotest.(check int) "root after rmdir" (List.length (Fs.readdir fs ~dir:root))
+    (Fs.stat fs root).Fs.size;
+  check_fsck fs "directory sizes"
+
 (* --- the oracle detects planted corruption ---------------------------------- *)
 
 let poke_int e p off v =
@@ -224,14 +320,12 @@ let test_fsck_detects_corruption () =
   in
   expect_violation "inflated nlink" (fun e fs f ->
       poke_int e (Option.get (Fs.inode_ptr fs f)) Fs.Layout.i_nlink 7);
-  expect_violation "skewed inode counter" (fun e fs _ ->
+  expect_violation "skewed block counter" (fun e fs _ ->
       let sb = Fs.superblock fs in
-      poke_int e sb Fs.Layout.sb_inode_count
-        (Engine.peek_int e sb Fs.Layout.sb_inode_count + 1));
-  expect_violation "skewed byte counter" (fun e fs _ ->
-      let sb = Fs.superblock fs in
-      poke_int e sb Fs.Layout.sb_data_bytes
-        (Engine.peek_int e sb Fs.Layout.sb_data_bytes + 8));
+      poke_int e sb Fs.Layout.sb_block_count
+        (Engine.peek_int e sb Fs.Layout.sb_block_count + 1));
+  expect_violation "a directory size word" (fun e fs _ ->
+      poke_int e (Option.get (Fs.inode_ptr fs (Fs.root_ino fs))) Fs.Layout.i_size 2);
   expect_violation "garbage past EOF" (fun e fs f ->
       (* A torn in-place write that recovery failed to roll back: a
          nonzero byte between the file size and the end of its last
@@ -293,7 +387,8 @@ let test_attach_checks_superblock () =
       expect_attach_error ctx off e)
     [
       ("version 1", sb_version, 1);
-      ("version 3", sb_version, 3);
+      ("version 2", sb_version, 2);
+      ("version 4", sb_version, 4);
       ("block_size 0", sb_block_size, 0);
       ("block_size 60", sb_block_size, 60);
       ("block_size past the largest object", sb_block_size, Heap.max_object_size + 8);
@@ -335,9 +430,8 @@ let test_attach_refuses_version_1 () =
       List.iter
         (fun (off, v) -> Engine.write_int tx sb off v)
         [ (sb_magic, magic); (sb_version, 1); (sb_itab, Btree.descriptor itab);
-          (sb_next_ord, 1); (sb_ino_base, 0); (sb_ino_stride, 1); (sb_root_ino, -1);
-          (sb_inode_count, 1); (sb_dir_count, 0); (sb_block_count, 1);
-          (sb_data_bytes, 11); (sb_block_size, 64); (sb_hash_bits, 2) ];
+          (sb_ino_base, 0); (sb_ino_stride, 1); (sb_root_ino, -1); (sb_block_count, 1);
+          (sb_block_size, 64); (sb_hash_bits, 2) ];
       Engine.set_root tx sb);
   expect_attach_error "version-1 image" sb_version e
 
@@ -798,6 +892,14 @@ let test_sharded_basic () =
     (Shard_fs.read t ~ino:f0 ~off:0 ~len:100);
   Shard_fs.link t ~ino:f0 ~dir:root "hard";
   Alcotest.(check int) "cross-shard link" 2 (Shard_fs.stat t f0).Fs.nlink;
+  List.iter
+    (fun dir ->
+      Alcotest.(check int) "dir size is its readdir length"
+        (List.length (Shard_fs.readdir t ~dir))
+        (Shard_fs.stat t dir).Fs.size)
+    [ root; d1; d2 ];
+  Alcotest.(check bool) "sharded rmdir refuses a non-empty directory" true
+    (expect_error (fun () -> Shard_fs.rmdir t ~dir:d1 "dir2"));
   Shard_fs.unlink t ~dir:root "hard";
   Shard_fs.unlink t ~dir:d2 "moved";
   Shard_fs.unlink t ~dir:d2 "deep";
@@ -1037,6 +1139,12 @@ let () =
           Alcotest.test_case "three fences per operation" `Quick test_fence_budget;
           Alcotest.test_case "rename fence counts" `Quick test_rename_fences;
         ] );
+      ( "derived words",
+        [
+          Alcotest.test_case "inode cursor after a crash" `Quick test_cursor_after_crash;
+          Alcotest.test_case "two handles create in turn" `Quick test_two_handles;
+          Alcotest.test_case "directory size is its readdir length" `Quick test_dir_size;
+        ] );
       ( "oracle",
         [
           Alcotest.test_case "fsck detects planted corruption" `Quick
@@ -1047,19 +1155,12 @@ let () =
             test_attach_refuses_version_1;
         ] );
       ( "block addressing",
-        Alcotest.test_case "objects per create, write and unlink" `Quick test_object_counts
-        :: List.map
-             (fun b -> QCheck_alcotest.to_alcotest (block_seams_qcheck b))
-             (List.filter_map
-                (fun (name, spec, _) ->
-                  if List.mem name [ "kamino-simple"; "undo"; "cow" ] then Some (name, spec)
-                  else None)
-                Tx_model.kinds) );
+        [ Alcotest.test_case "objects per create, write and unlink" `Quick test_object_counts ]
+      );
       ( "names",
         [
           Alcotest.test_case "a name read straddling a CoW copy" `Quick
             test_name_read_straddles_cow;
-          QCheck_alcotest.to_alcotest names_qcheck;
         ] );
       ("crash-sweep", sweep_cases);
       ( "crash-boundary",
@@ -1083,4 +1184,13 @@ let () =
             test_fs_tracing_invisible;
           Alcotest.test_case "metrics registry wiring" `Quick test_fs_metrics;
         ] );
+      ( "qcheck",
+        QCheck_alcotest.to_alcotest names_qcheck
+        :: List.map
+             (fun b -> QCheck_alcotest.to_alcotest (block_seams_qcheck b))
+             (List.filter_map
+                (fun (name, spec, _) ->
+                  if List.mem name [ "kamino-simple"; "undo"; "cow" ] then Some (name, spec)
+                  else None)
+                Tx_model.kinds) );
     ]

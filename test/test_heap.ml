@@ -499,7 +499,6 @@ let () =
           Alcotest.test_case "zeroed payloads" `Quick test_alloc_zeroed;
           Alcotest.test_case "size classes" `Quick test_alloc_size_classes;
           Alcotest.test_case "class lookup matches the table" `Quick test_class_lookup;
-          QCheck_alcotest.to_alcotest class_table_qcheck;
           Alcotest.test_case "invalid sizes" `Quick test_alloc_invalid;
           Alcotest.test_case "out of memory" `Quick test_out_of_memory;
           Alcotest.test_case "alloc_ranges predicts" `Quick test_alloc_ranges_predicts;
@@ -527,8 +526,6 @@ let () =
           Alcotest.test_case "valid heap" `Quick test_validate_ok;
           Alcotest.test_case "detects corruption" `Quick test_validate_detects_corruption;
           Alcotest.test_case "iter objects" `Quick test_iter_objects;
-          QCheck_alcotest.to_alcotest alloc_free_qcheck;
-          QCheck_alcotest.to_alcotest class_reuse_qcheck;
         ] );
       ( "fence sweep",
         List.map
@@ -541,4 +538,10 @@ let () =
             ( "kamino-dynamic",
               Engine.Kamino_dynamic { alpha = 0.3; policy = Kamino_core.Backup.Lru_policy } );
           ] );
+      ( "qcheck",
+        [
+          QCheck_alcotest.to_alcotest class_table_qcheck;
+          QCheck_alcotest.to_alcotest alloc_free_qcheck;
+          QCheck_alcotest.to_alcotest class_reuse_qcheck;
+        ] );
     ]

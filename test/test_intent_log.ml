@@ -269,12 +269,15 @@ let () =
           Alcotest.test_case "barriered prefix survives" `Quick test_barriered_intents_survive;
           Alcotest.test_case "slot reuse never resurrects" `Quick
             test_slot_reuse_never_resurrects;
-          QCheck_alcotest.to_alcotest torn_crash_qcheck;
         ] );
       ( "coalescing",
         [
           Alcotest.test_case "add_intent_merged window" `Quick test_add_intent_merged;
           Alcotest.test_case "merged entry recovers exactly" `Quick
             test_add_intent_merged_crash_exact;
+        ] );
+      ( "qcheck",
+        [
+          QCheck_alcotest.to_alcotest torn_crash_qcheck;
         ] );
     ]

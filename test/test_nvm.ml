@@ -462,10 +462,6 @@ let () =
         [
           Alcotest.test_case "word-granular survival" `Quick test_crash_word_granularity;
           Alcotest.test_case "never invents data" `Quick test_crash_never_invents_data;
-          QCheck_alcotest.to_alcotest crash_roundtrip_qcheck;
-          QCheck_alcotest.to_alcotest crash_idempotent_qcheck;
-          QCheck_alcotest.to_alcotest flush_then_crash_qcheck;
-          QCheck_alcotest.to_alcotest partial_flush_qcheck;
         ] );
       ( "costs",
         [
@@ -481,5 +477,12 @@ let () =
           Alcotest.test_case "corrupt flag or count is typed" `Quick test_marker_corrupt;
           Alcotest.test_case "write and clear swept at every fence" `Quick
             test_marker_fence_sweep;
+        ] );
+      ( "qcheck",
+        [
+          QCheck_alcotest.to_alcotest crash_roundtrip_qcheck;
+          QCheck_alcotest.to_alcotest crash_idempotent_qcheck;
+          QCheck_alcotest.to_alcotest flush_then_crash_qcheck;
+          QCheck_alcotest.to_alcotest partial_flush_qcheck;
         ] );
     ]

@@ -497,8 +497,6 @@ let () =
           Alcotest.test_case "counters" `Quick test_metrics_counters;
           Alcotest.test_case "percentiles" `Quick test_metrics_percentiles;
           Alcotest.test_case "0..63 exact" `Quick test_hist_exact_below_64;
-          QCheck_alcotest.to_alcotest test_hist_error_bound;
-          QCheck_alcotest.to_alcotest test_hist_merge;
           Alcotest.test_case "observe allocates nothing" `Quick test_hist_observe_no_alloc;
           Alcotest.test_case "negatives and max_int" `Quick test_hist_extremes;
         ] );
@@ -523,4 +521,9 @@ let () =
         ] );
       ( "registry",
         [ Alcotest.test_case "engine wiring" `Quick test_engine_registry ] );
+      ( "qcheck",
+        [
+          QCheck_alcotest.to_alcotest test_hist_error_bound;
+          QCheck_alcotest.to_alcotest test_hist_merge;
+        ] );
     ]

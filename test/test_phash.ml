@@ -641,7 +641,6 @@ let () =
           Alcotest.test_case "tombstone reuse" `Quick test_tombstone_reuse;
           Alcotest.test_case "invalid key" `Quick test_invalid_key;
           Alcotest.test_case "iter" `Quick test_iter;
-          QCheck_alcotest.to_alcotest model_qcheck;
         ] );
       ( "phash capacity",
         [
@@ -661,7 +660,6 @@ let () =
             test_fresh_tombstone_not_reused;
           Alcotest.test_case "insert into a table of tombstones" `Quick
             test_insert_into_tombstoned_table;
-          QCheck_alcotest.to_alcotest bucket_model_qcheck;
         ] );
       ( "phash corrupt image",
         [
@@ -684,6 +682,11 @@ let () =
           Alcotest.test_case "remove" `Quick test_lru_remove;
           Alcotest.test_case "remove head/tail" `Quick test_lru_remove_head_tail;
           Alcotest.test_case "node words" `Quick test_lru_node_words;
+        ] );
+      ( "qcheck",
+        [
+          QCheck_alcotest.to_alcotest model_qcheck;
+          QCheck_alcotest.to_alcotest bucket_model_qcheck;
           QCheck_alcotest.to_alcotest lru_model_qcheck;
         ] );
     ]

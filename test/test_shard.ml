@@ -858,7 +858,6 @@ let () =
         [
           Alcotest.test_case "bit-identical across domain counts" `Quick
             test_parallel_oracle;
-          QCheck_alcotest.to_alcotest prop_parallel_stream;
           Alcotest.test_case "merged Perfetto trace byte-identical" `Quick
             test_parallel_trace_identity;
           Alcotest.test_case "a raising step re-raises after every join" `Quick
@@ -888,8 +887,12 @@ let () =
         [ Alcotest.test_case "multi_put atomic, crash-safe" `Quick test_multi_put ] );
       ( "snapshot",
         [
-          QCheck_alcotest.to_alcotest prop_snapshot_mirror;
           Alcotest.test_case "multi-get never blocks on multi_put locks" `Quick
             test_snapshot_during_multi_put;
+        ] );
+      ( "qcheck",
+        [
+          QCheck_alcotest.to_alcotest prop_parallel_stream;
+          QCheck_alcotest.to_alcotest prop_snapshot_mirror;
         ] );
     ]

@@ -177,7 +177,6 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick test_pqueue_ordering;
           Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
-          QCheck_alcotest.to_alcotest test_pqueue_qcheck;
         ] );
       ( "event engine",
         [
@@ -185,5 +184,9 @@ let () =
           Alcotest.test_case "cascading" `Quick test_engine_cascading;
           Alcotest.test_case "run_until" `Quick test_engine_run_until;
           Alcotest.test_case "past clamped" `Quick test_engine_past_clamped;
+        ] );
+      ( "qcheck",
+        [
+          QCheck_alcotest.to_alcotest test_pqueue_qcheck;
         ] );
     ]

@@ -230,4 +230,4 @@ let () =
           ])
       Tx_model.kinds
   in
-  Alcotest.run "tree_tx" [ ("crash sweep", tests) ]
+  Alcotest.run "tree_tx" [ ("qcheck", tests) ]

@@ -297,8 +297,9 @@ let snapshot_sweep e (sh : shist) last_wm ctx =
 (* One seeded workload of [rounds] random transactions on a [spec]
    engine, crashing mid-transaction, before propagation, mid-propagation
    (one of two queued write sets applied), after an abort and twice in a
-   row; after each recovery the committed objects must be intact and the
-   snapshot dimension holds. At the end the backup drains and must match.
+   row, and at every fence of each recovery in turn; after each recovery
+   the committed objects must be intact and the snapshot dimension
+   holds. At the end the backup drains and must match.
    Returns the final committed byte image, sorted by object, for
    cross-run comparison. *)
 let run_workload ~spec ~config ~seed ~rounds ctx =
@@ -313,14 +314,19 @@ let run_workload ~spec ~config ~seed ~rounds ctx =
     commit m ~record:(fun p v ->
         Hashtbl.replace sh p ((task, v) :: Option.value ~default:[] (Hashtbl.find_opt sh p)))
   in
-  (* Crash + recover, then re-baseline the snapshot dimension: fresh
-     applier, watermark (0, 0), backup = the whole durable prefix. The
-     immediate sweep is the post-recovery oracle — no torn values even
-     when the crash landed mid-applier-batch. *)
+  (* Crash, then recover with crashes inside recovery itself (each restart
+     one fence further, {!Fence_sweep.recover_chained}), then re-baseline
+     the snapshot dimension: fresh applier, watermark (0, 0), backup = the
+     whole durable prefix. The immediate sweep is the post-recovery
+     oracle — no torn values even when the crash landed mid-applier-batch
+     or mid-recovery. *)
   let crash_recover ctx =
     Engine.crash e;
     crash m;
-    Engine.recover e;
+    ignore
+      (Fence_sweep.recover_chained
+         ~crash:(fun () -> Engine.crash e)
+         ~recover:(fun () -> Engine.recover e));
     reset_shist sh m;
     last_wm := (-1, -1);
     (match Engine.snapshot_watermark e with
