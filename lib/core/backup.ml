@@ -77,11 +77,11 @@ let carve d fl =
     end
     else -1
   in
-  if slot >= 0 then Region.charge d.slots (Region.cost_model d.slots).Cost_model.alloc_ns;
+  if slot >= 0 then Region.charge_alloc d.slots;
   slot
 
 let release d packed =
-  Region.charge d.slots (Region.cost_model d.slots).Cost_model.free_ns;
+  Region.charge_free d.slots;
   let fl = free_list d (slot_bytes (len_of packed)) in
   if fl.depth = Array.length fl.stack then begin
     let grown = Array.make (2 * fl.depth) 0 in

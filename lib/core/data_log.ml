@@ -139,11 +139,10 @@ let add t ~off ~len ~replay ~src =
   (* Serialize on the shared log tail. *)
   let clock = Region.clock t.region in
   ignore (Clock.advance_to clock t.shared_now);
-  let cost = Region.cost_model t.region in
   (* The copying baselines pay log-entry management for every copy they
      create — the allocate/index/deallocate instruction overhead the paper
      measures (NVML allocates log entries from a transactional pool). *)
-  Region.charge t.region cost.Cost_model.log_entry_ns;
+  Region.charge_log_entry t.region;
   let start = t.bump in
   let payload_off = start + entry_header_size in
   let entry_end = align8 (payload_off + len) in
@@ -167,8 +166,7 @@ let add t ~off ~len ~replay ~src =
   (match t.unflushed with
   | Some (lo, hi) ->
       let lines = ((hi - 1) / 64) - (lo / 64) + 1 in
-      if lines <= 4 then
-        Region.charge t.region (cost.Cost_model.clflush_ns *. float_of_int lines);
+      if lines <= 4 then Region.charge_clflush t.region lines;
       Region.persist t.region lo (hi - lo);
       t.unflushed <- None
   | None -> ());

@@ -87,6 +87,8 @@ let root t = Heap.root t.heap
 
 let main_counters = Variant.main_counters
 
+let carry_ns t = Array.fold_left (fun acc r -> acc +. Region.carry_ns r) 0.0 t.all_regions
+
 let storage_bytes = Variant.storage_bytes
 
 (* --- Construction ------------------------------------------------------- *)
@@ -215,7 +217,7 @@ let begin_tx t =
   let id = t.next_tx_id in
   t.next_tx_id <- id + 1;
   let t_begin = Clock.now t.clk in
-  Region.charge t.main (cost t).Cost_model.tx_overhead_ns;
+  Region.charge_tx_begin t.main;
   t.strat.v_begin t ~tx_id:id;
   (* Recycle the engine-owned scratch. Clearing here (not at finish) also
      covers a transaction torn down by [crash], which never finishes.

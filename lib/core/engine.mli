@@ -465,6 +465,14 @@ val storage_bytes : t -> int
     returned record is a fresh snapshot; mutating it affects nothing. *)
 val main_counters : t -> Kamino_nvm.Region.counters
 
+(** The sub-nanosecond carries of every region of the stack, summed
+    ({!Kamino_nvm.Region.carry_ns}). With one client and no wait, a span's
+    clock advance is {!main_counters}' delta dotted with the cost model,
+    plus [lock_ns] per {!Locks.acquisitions}, plus this at the start less
+    this at the end — provided the backup applier did not run inside the
+    span (it charges its own clock, but counts into the same regions). *)
+val carry_ns : t -> float
+
 (** Direct access for white-box tests. *)
 
 val main_region : t -> Kamino_nvm.Region.t

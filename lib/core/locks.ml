@@ -17,6 +17,7 @@ type t = {
   shards : (key, entry) Hashtbl.t array;
   mutable waits : int;
   mutable wait_events : int;
+  mutable acquisitions : int;  (* acquires that charged [cost_ns] *)
 }
 
 let default_shards = 16
@@ -27,6 +28,7 @@ let create ?(shards = default_shards) () =
     shards = Array.init shards (fun _ -> Hashtbl.create (4096 / shards + 1));
     waits = 0;
     wait_events = 0;
+    acquisitions = 0;
   }
 
 let shard_count t = Array.length t.shards
@@ -67,6 +69,7 @@ let acquire_write_e t e ~now ~cost_ns =
   end
   else begin
     record_wait t now avail;
+    t.acquisitions <- t.acquisitions + 1;
     max now avail + int_of_float cost_ns
   end
 
@@ -77,6 +80,7 @@ let acquire_read_e t e ~now ~cost_ns =
   end
   else begin
     record_wait t now e.writer_release;
+    t.acquisitions <- t.acquisitions + 1;
     max now e.writer_release + int_of_float cost_ns
   end
 
@@ -130,6 +134,9 @@ let waits t = t.waits
 
 let wait_events t = t.wait_events
 
+let acquisitions t = t.acquisitions
+
 let reset_stats t =
   t.waits <- 0;
-  t.wait_events <- 0
+  t.wait_events <- 0;
+  t.acquisitions <- 0

@@ -110,4 +110,9 @@ val waits : t -> int
 
 val wait_events : t -> int
 
+(** Acquisitions (read or write) that charged their [cost_ns]: every one
+    but those that met an open-ended {!hold_writes} hold. With no wait,
+    each advances the acquirer's clock by exactly [int_of_float cost_ns]. *)
+val acquisitions : t -> int
+
 val reset_stats : t -> unit

@@ -144,7 +144,7 @@ let hash key =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.to_int (Int64.logand z 0x3FFFFFFFFFFFFFFFL)
 
-let charge_index t = Region.charge t.region (Region.cost_model t.region).Cost_model.index_ns
+let charge_index t = Region.charge_index t.region
 
 (* The table's own fences. Each makes every tombstone written before it
    durable, so their buckets may take new entries again. *)

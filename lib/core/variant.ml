@@ -578,30 +578,8 @@ let pinned t key =
    copy and write-back traffic of the {e system}, most of which lands on
    the backup and log regions, not the main heap. *)
 let main_counters t =
-  let agg =
-    {
-      Region.stores = 0;
-      bytes_stored = 0;
-      loads = 0;
-      bytes_loaded = 0;
-      lines_flushed = 0;
-      fences = 0;
-      bytes_copied = 0;
-      crashes = 0;
-    }
-  in
-  Array.iter
-    (fun r ->
-      let c = Region.counters r in
-      agg.Region.stores <- agg.Region.stores + c.Region.stores;
-      agg.Region.bytes_stored <- agg.Region.bytes_stored + c.Region.bytes_stored;
-      agg.Region.loads <- agg.Region.loads + c.Region.loads;
-      agg.Region.bytes_loaded <- agg.Region.bytes_loaded + c.Region.bytes_loaded;
-      agg.Region.lines_flushed <- agg.Region.lines_flushed + c.Region.lines_flushed;
-      agg.Region.fences <- agg.Region.fences + c.Region.fences;
-      agg.Region.bytes_copied <- agg.Region.bytes_copied + c.Region.bytes_copied;
-      agg.Region.crashes <- agg.Region.crashes + c.Region.crashes)
-    t.all_regions;
+  let agg = Region.zero_counters () in
+  Array.iter (fun r -> Region.add_counters agg (Region.counters r)) t.all_regions;
   agg
 
 let storage_bytes t = Array.fold_left (fun acc r -> acc + Region.size r) 0 t.all_regions

@@ -170,8 +170,6 @@ let account_remove t ~extent_off ~cap ~head_of_chain =
 
 let mark_stats_stale t = t.st_valid <- false
 
-let charge_cost t ns = Region.charge t.region ns
-
 let align16 n = (n + 15) land lnot 15
 
 (* Cost-free whole-heap walk rebuilding the occupancy directory. Stops at
@@ -300,7 +298,7 @@ let alloc_many_ranges t sizes = predict t sizes [] (-1)
 let alloc t size =
   let cls = class_of_size size in
   let capacity = size_classes.(cls) in
-  charge_cost t (Region.cost_model t.region).Cost_model.alloc_ns;
+  Region.charge_alloc t.region;
   let head = free_head t cls in
   let p =
     if head <> null then begin
@@ -352,7 +350,7 @@ let free_ranges t p =
 let free_head_word { off = _; len } = class_head_off (class_of_size (len - header_size))
 
 let free_one t p ~head_of_chain =
-  charge_cost t (Region.cost_model t.region).Cost_model.free_ns;
+  Region.charge_free t.region;
   let cap = capacity t p in
   let cls = class_of_size cap in
   let head = free_head t cls in

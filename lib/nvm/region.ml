@@ -20,6 +20,13 @@ type counters = {
   mutable lines_flushed : int;
   mutable fences : int;
   mutable bytes_copied : int;
+  mutable copies : int;
+  mutable allocs : int;
+  mutable frees : int;
+  mutable index_ops : int;
+  mutable log_entries : int;
+  mutable clflush_lines : int;
+  mutable tx_begins : int;
   mutable crashes : int;
 }
 
@@ -49,7 +56,7 @@ type t = {
   mutable obs_track : int;
 }
 
-let fresh_counters () =
+let zero_counters () =
   {
     stores = 0;
     bytes_stored = 0;
@@ -58,6 +65,13 @@ let fresh_counters () =
     lines_flushed = 0;
     fences = 0;
     bytes_copied = 0;
+    copies = 0;
+    allocs = 0;
+    frees = 0;
+    index_ops = 0;
+    log_entries = 0;
+    clflush_lines = 0;
+    tx_begins = 0;
     crashes = 0;
   }
 
@@ -77,7 +91,7 @@ let create ?(cost = Cost_model.default) ?(crash_mode = Words_survive_randomly) ~
     cost;
     crash_mode;
     rng;
-    counters = fresh_counters ();
+    counters = zero_counters ();
     obs = Obs.null;
     obs_track = 0;
   }
@@ -101,6 +115,35 @@ let[@inline] charge t ns =
   let whole = int_of_float total in
   t.frac_ns.v <- total -. float_of_int whole;
   if whole > 0 then Clock.advance t.clock whole
+
+(* The typed charges: each counts one unit of a {!Cost_model} term and
+   charges its constant, so a clock's advance is the dot product of the
+   counters with the cost model (plus lock costs, waits and the carry). *)
+let charge_alloc t =
+  t.counters.allocs <- t.counters.allocs + 1;
+  charge t t.cost.Cost_model.alloc_ns
+
+let charge_free t =
+  t.counters.frees <- t.counters.frees + 1;
+  charge t t.cost.Cost_model.free_ns
+
+let charge_index t =
+  t.counters.index_ops <- t.counters.index_ops + 1;
+  charge t t.cost.Cost_model.index_ns
+
+let charge_log_entry t =
+  t.counters.log_entries <- t.counters.log_entries + 1;
+  charge t t.cost.Cost_model.log_entry_ns
+
+let charge_clflush t lines =
+  t.counters.clflush_lines <- t.counters.clflush_lines + lines;
+  charge t (t.cost.Cost_model.clflush_ns *. float_of_int lines)
+
+let charge_tx_begin t =
+  t.counters.tx_begins <- t.counters.tx_begins + 1;
+  charge t t.cost.Cost_model.tx_overhead_ns
+
+let carry_ns t = t.frac_ns.v
 
 (* [len > size - off], not [off + len > size]: no [len] can wrap the sum. *)
 let check_range t off len name =
@@ -314,6 +357,7 @@ let blit t ~src ~dst ~len =
   check_range t src len "blit:src";
   check_range t dst len "blit:dst";
   t.counters.bytes_copied <- t.counters.bytes_copied + len;
+  t.counters.copies <- t.counters.copies + 1;
   mark_dirty t dst len;
   charge t (Cost_model.copy_cost t.cost len);
   Bytes.blit t.volatile src t.volatile dst len
@@ -322,6 +366,7 @@ let copy_between ~src ~src_off ~dst ~dst_off ~len =
   check_range src src_off len "copy_between:src";
   check_range dst dst_off len "copy_between:dst";
   dst.counters.bytes_copied <- dst.counters.bytes_copied + len;
+  dst.counters.copies <- dst.counters.copies + 1;
   mark_dirty dst dst_off len;
   charge dst (Cost_model.copy_cost dst.cost len);
   Bytes.blit src.volatile src_off dst.volatile dst_off len
@@ -641,6 +686,23 @@ let peek_int64 t off =
 
 let counters t = t.counters
 
+let add_counters acc c =
+  acc.stores <- acc.stores + c.stores;
+  acc.bytes_stored <- acc.bytes_stored + c.bytes_stored;
+  acc.loads <- acc.loads + c.loads;
+  acc.bytes_loaded <- acc.bytes_loaded + c.bytes_loaded;
+  acc.lines_flushed <- acc.lines_flushed + c.lines_flushed;
+  acc.fences <- acc.fences + c.fences;
+  acc.bytes_copied <- acc.bytes_copied + c.bytes_copied;
+  acc.copies <- acc.copies + c.copies;
+  acc.allocs <- acc.allocs + c.allocs;
+  acc.frees <- acc.frees + c.frees;
+  acc.index_ops <- acc.index_ops + c.index_ops;
+  acc.log_entries <- acc.log_entries + c.log_entries;
+  acc.clflush_lines <- acc.clflush_lines + c.clflush_lines;
+  acc.tx_begins <- acc.tx_begins + c.tx_begins;
+  acc.crashes <- acc.crashes + c.crashes
+
 let reset_counters t =
   let c = t.counters in
   c.stores <- 0;
@@ -650,4 +712,11 @@ let reset_counters t =
   c.lines_flushed <- 0;
   c.fences <- 0;
   c.bytes_copied <- 0;
+  c.copies <- 0;
+  c.allocs <- 0;
+  c.frees <- 0;
+  c.index_ops <- 0;
+  c.log_entries <- 0;
+  c.clflush_lines <- 0;
+  c.tx_begins <- 0;
   c.crashes <- 0

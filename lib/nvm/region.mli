@@ -203,11 +203,37 @@ val is_persisted : t -> int -> int -> bool
 (** [dirty_lines t] counts currently dirty lines. *)
 val dirty_lines : t -> int
 
-(** [charge t ns] charges [ns] (possibly fractional) nanoseconds of CPU work
-    to the region's current clock. Higher layers use it for instruction
-    overheads that belong to the simulated timeline (allocator bookkeeping,
-    index maintenance, lock handling). *)
-val charge : t -> float -> unit
+(** {2 Typed charges}
+
+    Every cost a higher layer charges is one unit of a {!Cost_model}
+    term: the charge counts it in {!counters} and charges the term's
+    constant to the region's current clock, through the same
+    fractional-ns carry as loads and stores. So over a span in which
+    one clock is charged by nothing else, its advance is the counters'
+    dot product with the cost model, plus lock costs and waits, plus the
+    carry at the start less the carry at the end ({!carry_ns}). *)
+
+(** One allocator carve ([alloc_ns]): a heap object or a backup slot. *)
+val charge_alloc : t -> unit
+
+(** One allocator release ([free_ns]). *)
+val charge_free : t -> unit
+
+(** One hash-index operation ([index_ns]). *)
+val charge_index : t -> unit
+
+(** One data-log entry's management ([log_entry_ns]). *)
+val charge_log_entry : t -> unit
+
+(** [charge_clflush t lines] — [lines] serializing CLFLUSHes
+    ([clflush_ns] each). *)
+val charge_clflush : t -> int -> unit
+
+(** One transaction begin ([tx_overhead_ns]). *)
+val charge_tx_begin : t -> unit
+
+(** The sub-nanosecond cost carried into the next charge, in [\[0, 1)]. *)
+val carry_ns : t -> float
 
 (** [digest t] is a hex digest of the volatile and persistent images.
     Cost-free by construction — no simulated time, no counter updates —
@@ -234,9 +260,22 @@ type counters = {
   mutable lines_flushed : int;
   mutable fences : int;
   mutable bytes_copied : int;
+  mutable copies : int;  (** bulk copies ({!blit}, {!copy_between}) *)
+  mutable allocs : int;
+  mutable frees : int;
+  mutable index_ops : int;
+  mutable log_entries : int;
+  mutable clflush_lines : int;
+  mutable tx_begins : int;
   mutable crashes : int;
 }
 
 val counters : t -> counters
+
+(** A fresh all-zero record. *)
+val zero_counters : unit -> counters
+
+(** [add_counters acc c] adds every field of [c] into [acc]. *)
+val add_counters : counters -> counters -> unit
 
 val reset_counters : t -> unit

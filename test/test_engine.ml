@@ -8,6 +8,7 @@ module Heap = Kamino_heap.Heap
 module Engine = Kamino_core.Engine
 module Backup = Kamino_core.Backup
 module Applier = Kamino_core.Applier
+module Locks = Kamino_core.Locks
 
 let small_config =
   {
@@ -680,6 +681,126 @@ let test_declared_free_no_barrier () =
   Alcotest.(check int) "declared free: no barrier" 0 (free_fences ~declared:true);
   Alcotest.(check int) "undeclared free: one barrier" 1 (free_fences ~declared:false)
 
+(* --- the count vector --- *)
+
+(* A clock's advance is linear in what was charged: the regions' counters
+   dotted with the cost model, plus [lock_ns] per lock acquisition, plus
+   the carry the regions held at the start less the carry at the end. The
+   identity holds to the nanosecond when nothing waits and the applier
+   does not run inside the span, so each transaction below starts with
+   the applier drained and the client's clock past the applier's. *)
+let dot (cm : Kamino_nvm.Cost_model.t) (c : Region.counters) =
+  let f = float_of_int in
+  let open Kamino_nvm.Cost_model in
+  (cm.store_overhead_ns *. f c.Region.stores)
+  +. (cm.store_ns_per_byte *. f c.Region.bytes_stored)
+  +. (cm.load_overhead_ns *. f c.Region.loads)
+  +. (cm.load_ns_per_byte *. f c.Region.bytes_loaded)
+  +. (cm.flush_line_ns *. f c.Region.lines_flushed)
+  +. (cm.fence_ns *. f c.Region.fences)
+  +. (cm.copy_overhead_ns *. f c.Region.copies)
+  +. (cm.copy_ns_per_byte *. f c.Region.bytes_copied)
+  +. (cm.alloc_ns *. f c.Region.allocs)
+  +. (cm.free_ns *. f c.Region.frees)
+  +. (cm.index_ns *. f c.Region.index_ops)
+  +. (cm.log_entry_ns *. f c.Region.log_entries)
+  +. (cm.clflush_ns *. f c.Region.clflush_lines)
+  +. (cm.tx_overhead_ns *. f c.Region.tx_begins)
+
+let counters_delta (a : Region.counters) (b : Region.counters) =
+  {
+    Region.stores = b.stores - a.stores;
+    bytes_stored = b.bytes_stored - a.bytes_stored;
+    loads = b.loads - a.loads;
+    bytes_loaded = b.bytes_loaded - a.bytes_loaded;
+    lines_flushed = b.lines_flushed - a.lines_flushed;
+    fences = b.fences - a.fences;
+    bytes_copied = b.bytes_copied - a.bytes_copied;
+    copies = b.copies - a.copies;
+    allocs = b.allocs - a.allocs;
+    frees = b.frees - a.frees;
+    index_ops = b.index_ops - a.index_ops;
+    log_entries = b.log_entries - a.log_entries;
+    clflush_lines = b.clflush_lines - a.clflush_lines;
+    tx_begins = b.tx_begins - a.tx_begins;
+    crashes = b.crashes - a.crashes;
+  }
+
+let test_clock_is_counts_dot_cost () =
+  List.iter
+    (fun kind ->
+      let name = Engine.kind_name kind in
+      let e = make kind in
+      let cm = (Engine.config e).Engine.cost in
+      let lock_ns = float_of_int (int_of_float cm.Kamino_nvm.Cost_model.lock_ns) in
+      let totals = Region.zero_counters () in
+      let measured ctx f =
+        Engine.drain_backup e;
+        Option.iter
+          (fun a -> ignore (Clock.advance_to (Engine.clock e) (Applier.virtual_now a)))
+          (Engine.applier e);
+        let c0 = Engine.main_counters e and k0 = Engine.carry_ns e in
+        let l0 = Locks.acquisitions (Engine.locks e) and w0 = Locks.waits (Engine.locks e) in
+        let t0 = Engine.now e in
+        let r = f () in
+        let d = counters_delta c0 (Engine.main_counters e) in
+        let locks = Locks.acquisitions (Engine.locks e) - l0 in
+        Alcotest.(check int) (Printf.sprintf "%s, %s: no lock wait" name ctx) 0
+          (Locks.waits (Engine.locks e) - w0);
+        let predicted = dot cm d +. (lock_ns *. float_of_int locks) +. k0 -. Engine.carry_ns e in
+        let dt = Engine.now e - t0 in
+        if Float.abs (predicted -. float_of_int dt) > 1e-6 then
+          Alcotest.failf "%s, %s: clock advanced %d ns, counts predict %.9f" name ctx dt
+            predicted;
+        Region.add_counters totals d;
+        r
+      in
+      let ps =
+        measured "allocating tx" (fun () ->
+            Engine.with_tx e (fun tx ->
+                List.map
+                  (fun size ->
+                    let p = Engine.alloc tx size in
+                    Engine.write_string tx p 0 (String.make size 'a');
+                    p)
+                  [ 48; 64; 200; 1000 ]))
+      in
+      let p0, p1, p2, p3 =
+        match ps with [ a; b; c; d ] -> (a, b, c, d) | _ -> assert false
+      in
+      measured "whole and field intents" (fun () ->
+          Engine.with_tx e (fun tx ->
+              Engine.add tx p0;
+              Engine.write_int tx p0 8 7;
+              Engine.add_field tx p2 16 24;
+              Engine.write_string tx p2 16 (String.make 24 'b');
+              Engine.read_lock tx p1;
+              ignore (Engine.read_int tx p1 0)));
+      measured "many fields" (fun () ->
+          Engine.with_tx e (fun tx ->
+              for i = 0 to 9 do
+                Engine.add_field tx p3 (i * 96) 8;
+                Engine.write_int tx p3 (i * 96) i
+              done));
+      measured "free" (fun () ->
+          Engine.with_tx e (fun tx ->
+              Engine.declare_free tx p1;
+              Engine.free tx p1));
+      measured "read-only tx" (fun () ->
+          Engine.with_tx e (fun tx -> ignore (Engine.read_bytes tx p3 0 100)));
+      if List.mem kind atomic_kinds then
+        measured "abort" (fun () ->
+            let tx = Engine.begin_tx e in
+            Engine.add tx p0;
+            Engine.write_int tx p0 0 99;
+            ignore (Engine.alloc tx 96);
+            Engine.abort tx);
+      (* Every term the kind pays showed up at least once. *)
+      Alcotest.(check bool) (name ^ ": allocs, frees and tx begins counted") true
+        (totals.Region.allocs >= 4 && totals.Region.frees >= 1
+        && totals.Region.tx_begins = if List.mem kind atomic_kinds then 6 else 5))
+    (all_kinds @ [ Engine.Intent_only ])
+
 let () =
   Alcotest.run "engine"
     [
@@ -739,5 +860,10 @@ let () =
           Alcotest.test_case "alloc_many fences once" `Quick test_alloc_many_one_barrier;
           Alcotest.test_case "declared free needs no barrier" `Quick
             test_declared_free_no_barrier;
+        ] );
+      ( "counts",
+        [
+          Alcotest.test_case "clock = counts . cost, every kind" `Quick
+            test_clock_is_counts_dot_cost;
         ] );
     ]
