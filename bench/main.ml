@@ -4,7 +4,8 @@
 
    Usage: main.exe [--full] [experiment ...]
    Experiments: fig1 fig12 fig13 fig14 fig15 fig16 fig17 fig18 table1 dep
-                worst micro granularity recovery availability ablations.
+                worst micro granularity recovery availability ablations
+                fs-counts.
                 Default: all of them at scaled-down sizes. *)
 
 let experiments p =
@@ -24,6 +25,7 @@ let experiments p =
     ("granularity", fun () -> Figures.granularity p);
     ("recovery", fun () -> Figures.recovery p);
     ("availability", fun () -> Figures.availability p);
+    ("fs-counts", fun () -> Fs_counts.run ());
     ( "ablations",
       fun () ->
         Figures.ablate_flush p;

@@ -23,19 +23,28 @@
       at {!attach}, so a create does not write the superblock.
     - {e inode table}: a {!Kamino_index.Btree} mapping ino -> inode
       object.
-    - {e inode}: ino, kind (file/dir), link count, size (file bytes; 0
-      for a directory, whose entry count {!stat} computes from its
-      index), parent ino (directories; the root is its own parent; files
-      carry [-1]), a generation counter bumped by rename, a head pointer
-      — extent-chain head for files, the directory-index B+Tree
-      descriptor for directories — and [i_blk0], a file's block 0 (64
-      bytes in all, one size class). Adding or removing a dirent writes
-      the directory's index and dirents, never its inode.
+    - {e inode object} (128 bytes, one size class): the inode's 64 bytes —
+      ino, kind (file/dir), link count, size (file bytes; 0 for a
+      directory, whose entry count {!stat} computes from its index),
+      parent ino (directories; the root is its own parent; files carry
+      [-1]), a generation counter bumped by rename, a head pointer —
+      extent-chain head for files, the directory-index B+Tree descriptor
+      for directories — and [i_blk0], a file's block 0 — then, at
+      {!Layout.i_name}, its {e name slot}: a dirent holding the name
+      [create] or [mkdir] gave it. Adding or removing a dirent writes the
+      directory's index and dirents, never the directory's inode.
     - {e directory index}: a B+Tree mapping [hash(name) land mask] ->
-      head of a chain of {e dirent} objects (collision chain through
-      [d_next]); each dirent holds the target ino and the name (up to
-      {!Layout.max_name_len} bytes). [dir_hash_bits] can be tiny in
-      tests to force collisions.
+      head of a collision chain of dirents linked through [d_next]; each
+      dirent holds the target ino and the name (up to
+      {!Layout.max_name_len} bytes). A chain reference (an index value or
+      a [d_next] word) with bit 0 set names the name slot of the inode
+      object at [r land lnot 1] ({!Layout.slot_ref}); without it, a
+      standalone 64-byte dirent object, which is what [link], [rename]
+      and the sharded façade's cross-shard names make. A name slot is
+      never freed on its own: removing its name relinks the chain and
+      clears its length word, unless the same transaction frees its
+      inode. [dir_hash_bits] can be tiny in tests to force
+      collisions.
     - {e file blocks}: block 0 hangs off the inode ([i_blk0]); block
       [b >= 1] sits in slot [(b - 1) mod ext_slots] of extent-chain
       node [(b - 1) / ext_slots], each node holding
@@ -49,15 +58,16 @@
       and bytes past EOF in the last block are zero, which makes torn
       writes visible to fsck.
 
-    Objects per operation on a one-block file: [create] allocates two
-    (inode, dirent), its first [write] one (the block), and [unlink]
-    frees three (inode, block, dirent).
+    Objects per operation on a one-block file: [create] allocates one
+    (the inode object, name included), its first [write] one (the
+    block), and [unlink] frees two (inode object, block).
 
-    The superblock's [version] is {!Layout.version} (3; version 2 kept
-    inode, directory and byte counters and the inode cursor in the
-    superblock and each directory's entry count in its inode, version 1
-    also kept block 0 in the chain). {!attach} refuses any other
-    version.
+    The superblock's [version] is {!Layout.version} (4; version 3 had
+    64-byte inodes and kept every name in a standalone dirent, version 2
+    also kept inode, directory and byte counters and the inode cursor in
+    the superblock and each directory's entry count in its inode,
+    version 1 also kept block 0 in the chain). {!attach} refuses any
+    other version.
 
     Transactions follow the engine's granularity argument: metadata
     objects are declared whole (they are a cache line or two), file
@@ -109,7 +119,13 @@ module Layout : sig
   val i_gen : int
   val i_head : int
   val i_blk0 : int
+
+  val i_name : int
+  (** The inode object's name slot: a dirent's fields at [i_name + d_*]. *)
+
   val inode_size : int
+  (** The whole inode object: the inode words, then the name slot. *)
+
   val kind_file : int
   val kind_dir : int
 
@@ -119,6 +135,21 @@ module Layout : sig
   val d_name : int
   val max_name_len : int
   val dirent_size : int
+
+  val slot_ref : int -> int
+  (** The dirent reference naming the name slot of inode object [ip]:
+      [ip lor 1]. *)
+
+  val is_slot : int -> bool
+  (** Whether a dirent reference has its tag bit (bit 0) set. *)
+
+  val de_owner : int -> int
+  (** The object a dirent reference's fields live in: the reference with
+      its tag bit cleared. *)
+
+  val de_field : int -> int -> int
+  (** [de_field r f] — the offset of dirent field [f] in [de_owner r]:
+      [i_name + f] for a name slot, [f] for a standalone dirent. *)
 
   val e_next : int
   val e_slot : int -> int
@@ -305,8 +336,14 @@ val dirent_add_tx :
 
 val dirent_remove_tx :
   Engine.tx -> t -> dir:int -> name:string -> int
-(** Remove a dirent and return the ino it referenced. The target inode
-    is untouched. *)
+(** Remove a name and return the ino it referenced. A standalone dirent
+    is freed; a name slot is cleared ([d_nlen = 0]), which writes its
+    inode's object but no inode word. *)
+
+val unlink_tx : Engine.tx -> t -> dir:int -> string -> unit
+(** {!unlink} on a caller-owned transaction: remove a regular file's
+    name and drop its link, both on this filesystem. A name slot whose
+    inode this frees is not cleared first. *)
 
 val dirent_lookup_tx : Engine.tx -> t -> dir:int -> name:string -> int option
 

@@ -36,6 +36,10 @@ let fsck_cluster ?(strict_heap = true) fss =
   let refs : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let child_parent : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let claimed = Array.map (fun _ -> Hashtbl.create 64) fss in
+  (* Per shard: inode object -> ino, and the name slots a reference
+     names. *)
+  let inode_objs = Array.map (fun _ -> Hashtbl.create 64) fss in
+  let slots_named = Array.map (fun _ -> Hashtbl.create 64) fss in
   let per_shard_inos = Array.make n [] in
   let result =
     try
@@ -64,6 +68,10 @@ let fsck_cluster ?(strict_heap = true) fss =
           Btree.iter_nodes itab (fun p -> claim s claimed.(s) heap p "itab node");
           Btree.iter itab (fun ino ip ->
               claim s claimed.(s) heap ip (Printf.sprintf "inode %d" ino);
+              if Heap.capacity heap ip <> inode_size then
+                fail "shard %d: inode %d is a %d-byte object, not %d" s ino
+                  (Heap.capacity heap ip) inode_size;
+              Hashtbl.replace inode_objs.(s) ip ino;
               if pk ip i_ino <> ino then
                 fail "shard %d: inode %d records ino %d" s ino (pk ip i_ino);
               if ino < 0 || ino mod n <> s then
@@ -90,6 +98,7 @@ let fsck_cluster ?(strict_heap = true) fss =
           let sb = Fs.superblock fs in
           let bs = Fs.block_size fs in
           let pk p off = Engine.peek_int e p off in
+          let de_peek r f = pk (de_owner r) (de_field r f) in
           let nblocks = ref 0 in
           List.iter
             (fun ino ->
@@ -109,10 +118,35 @@ let fsck_cluster ?(strict_heap = true) fss =
                 Btree.iter idx (fun key head ->
                     let rec walk p =
                       if p <> Heap.null then begin
-                        claim s claimed.(s) heap p
-                          (Printf.sprintf "dirent in dir %d" ino);
+                        (* A standalone dirent is claimed once; a name slot
+                           lives in an inode object of this shard, is named
+                           at most once (which bounds a cyclic chain, as
+                           the claim does), has a name of 1..max_name_len
+                           bytes and names its own inode. *)
+                        if is_slot p then begin
+                          let ip = de_owner p in
+                          match Hashtbl.find_opt inode_objs.(s) ip with
+                          | None ->
+                              fail "shard %d: dir %d: tagged reference %d names no inode object"
+                                s ino p
+                          | Some owner ->
+                              if Hashtbl.mem slots_named.(s) ip then
+                                fail "shard %d: name slot of inode %d referenced twice" s owner;
+                              Hashtbl.add slots_named.(s) ip ();
+                              let nlen = de_peek p d_nlen in
+                              if nlen < 1 || nlen > max_name_len then
+                                fail "shard %d: dir %d: name slot of inode %d has length %d" s
+                                  ino owner nlen;
+                              if de_peek p d_ino <> owner then
+                                fail "shard %d: dir %d: name slot of inode %d names ino %d" s
+                                  ino owner (de_peek p d_ino)
+                        end
+                        else claim s claimed.(s) heap p (Printf.sprintf "dirent in dir %d" ino);
                         let name =
-                          match Engine.peek_prefixed e p d_nlen ~max:max_name_len with
+                          match
+                            Engine.peek_prefixed e (de_owner p) (de_field p d_nlen)
+                              ~max:max_name_len
+                          with
                           | name -> name
                           | exception Kamino_nvm.Region.Corrupt { what; _ } ->
                               fail "shard %d: dir %d dirent name: %s" s ino what
@@ -127,7 +161,7 @@ let fsck_cluster ?(strict_heap = true) fss =
                         if Hashtbl.mem names name then
                           fail "shard %d: dir %d: duplicate entry %S" s ino name;
                         Hashtbl.add names name ();
-                        let target = pk p d_ino in
+                        let target = de_peek p d_ino in
                         Hashtbl.replace refs target
                           (1 + Option.value ~default:0 (Hashtbl.find_opt refs target));
                         (match Hashtbl.find_opt inodes target with
@@ -140,7 +174,7 @@ let fsck_cluster ?(strict_heap = true) fss =
                                 fail "directory %d referenced from two directories"
                                   target
                               else Hashtbl.add child_parent target ino);
-                        walk (pk p d_next)
+                        walk (de_peek p d_next)
                       end
                     in
                     walk head)
@@ -194,6 +228,14 @@ let fsck_cluster ?(strict_heap = true) fss =
                   end
                 end
               end)
+            per_shard_inos.(s);
+          (* A name slot no reference names is clear. *)
+          List.iter
+            (fun ino ->
+              let ip = (Hashtbl.find inodes ino).ptr in
+              if (not (Hashtbl.mem slots_named.(s) ip)) && pk ip (i_name + d_nlen) <> 0 then
+                fail "shard %d: inode %d: unreferenced name slot has length %d" s ino
+                  (pk ip (i_name + d_nlen)))
             per_shard_inos.(s);
           if pk sb sb_block_count <> !nblocks then
             fail "shard %d: superblock says %d blocks, found %d" s

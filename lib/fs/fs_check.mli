@@ -13,9 +13,15 @@
       persisted);
     - the inode table and every directory index pass
       {!Kamino_index.Btree.validate};
+    - every inode object is {!Fs.Layout.inode_size} bytes;
     - every dirent's name is valid and hashes to the B+Tree key it is
       chained under; names are unique within a directory; a
       directory's unused size word is 0;
+    - every standalone dirent is claimed once; every tagged reference
+      ({!Fs.Layout.is_slot}) names the name slot of an inode object of
+      the same shard, no slot is named twice, a named slot's length is
+      in [1..max_name_len] and its [d_ino] is its own inode's ino, and
+      the slot of every inode no reference names has length 0;
     - link counts equal dirent references exactly (plus one superblock
       reference for the root); directories have exactly one reference
       (the root none) and their parent pointers match the referencing

@@ -23,6 +23,7 @@ module Commit_marker = Kamino_nvm.Commit_marker
 module Heap = Kamino_heap.Heap
 module Engine = Kamino_core.Engine
 module Applier = Kamino_core.Applier
+module Intent_log = Kamino_core.Intent_log
 
 let base_config =
   {
@@ -244,55 +245,89 @@ let fs_case (kname, spec, atomic) crash_mode () =
         crash ();
         Engine.recover e
       in
-      (* Run one operation; on atomic kinds, now and then crash it (and
-         its applier drain) at a random fence, then again inside
-         recovery until one completes. A crash past the commit point
-         keeps the operation, so the recovered fs must match the model
-         before the operation or after it, and the model advances iff
-         the fs shows it; [recovered] rebuilds the operation's result
-         from the recovered fs. Semantic rejections leave both sides
-         untouched. *)
-      let run ctx op ~apply ~recovered =
+      (* Run one operation; on atomic kinds, now and then crash it at a
+         fence drawn from its own span (the fences the last uncrashed
+         operation of its kind issued, plus the first fence of the
+         applier drain after it), then crash again inside recovery until
+         one completes. What the recovered fs must show is decided by the
+         intent log at the crash: an in-flight record durably [Committed]
+         keeps the operation (post-op state only), any other rolls it back
+         (pre-op state only). Kinds without an intent log accept either
+         state. A crash in the drain keeps the operation; [recovered]
+         rebuilds its result from the recovered fs. Semantic rejections
+         leave both sides untouched. *)
+      let spans : (string, int) Hashtbl.t = Hashtbl.create 8 in
+      let fences () = (Engine.main_counters e).Region.fences in
+      let run ctx kind op ~apply ~recovered =
         if atomic && Rng.int rng 4 = 0 then begin
-          let crash_at = Rng.int rng 40 in
-          let recover ctx =
+          let span = Option.value (Hashtbl.find_opt spans kind) ~default:4 in
+          let crash_at = Rng.int rng (span + 1) in
+          let ctx = Printf.sprintf "%s (%s, crash at fence %d of %d)" ctx kind crash_at span in
+          let recover () =
             ignore (Fence_sweep.recover_chained ~crash ~recover:(fun () -> Engine.recover e));
-            let ctx = Printf.sprintf "%s (crash at fence %d)" ctx crash_at in
-            fsck ctx;
-            ctx
+            fsck ctx
           in
+          (* Records at or below [last] belong to earlier transactions. *)
+          let il = Engine.intent_log e in
+          let last = Option.fold ~none:0 ~some:Intent_log.max_tx_id il in
           match Fence_sweep.attempt ~crash crash_at ~drain:(fun () -> Engine.drain_backup e) op with
           | Completed v -> apply v
           | Crashed_in_drain v ->
               (* [op] returned, so it committed: only the post-op state will do. *)
-              let ctx = recover ctx in
+              recover ();
               apply v;
               Option.iter (Alcotest.failf "%s: committed operation lost: %s" ctx) (mismatch ())
           | Crashed_in_op -> (
-              let ctx = recover ctx in
-              match mismatch () with
-              | None -> ()
-              | Some pre -> (
-                  (match recovered () with Some v -> apply v | None -> ());
+              (* Read off the crashed image, before recovery rewrites it. *)
+              let committed =
+                Option.map
+                  (fun il ->
+                    let c = ref false in
+                    Intent_log.iter_records il (fun _ txid state _ ->
+                        if txid > last && state = Intent_log.Committed then c := true);
+                    !c)
+                  il
+              in
+              recover ();
+              let post () =
+                (match recovered () with Some v -> apply v | None -> ());
+                mismatch ()
+              in
+              match committed with
+              | Some false ->
+                  Option.iter
+                    (Alcotest.failf "%s: uncommitted at the crash, but not the pre-op state: %s" ctx)
+                    (mismatch ())
+              | Some true ->
+                  Option.iter
+                    (Alcotest.failf "%s: committed at the crash, but not the post-op state: %s" ctx)
+                    (post ())
+              | None -> (
                   match mismatch () with
                   | None -> ()
-                  | Some post ->
-                      Alcotest.failf "%s: neither the pre-op state (%s) nor the post-op (%s)"
-                        ctx pre post))
+                  | Some pre ->
+                      Option.iter
+                        (Alcotest.failf "%s: neither the pre-op state (%s) nor the post-op (%s)"
+                           ctx pre)
+                        (post ())))
           | exception Fs.Fs_error _ -> ()
         end
-        else
+        else begin
+          let f0 = fences () in
           match op () with
-          | v -> apply v
+          | v ->
+              Hashtbl.replace spans kind (fences () - f0);
+              apply v
           | exception Fs.Fs_error _ -> ()
+        end
       in
-      let run_unit ctx op ~apply = run ctx op ~apply ~recovered:(fun () -> Some ()) in
+      let run_unit ctx kind op ~apply = run ctx kind op ~apply ~recovered:(fun () -> Some ()) in
       for round = 1 to 50 do
         let ctx = Printf.sprintf "fs/%s seed=%d round=%d" kname seed round in
         (match Rng.int rng 12 with
         | 0 | 1 ->
             let dir = pick (dirs ()) and name = gen_name () in
-            run ctx
+            run ctx "create"
               (fun () -> Fs.create fs ~dir name)
               ~recovered:(fun () -> Fs.lookup fs ~dir name)
               ~apply:(fun ino ->
@@ -301,7 +336,7 @@ let fs_case (kname, spec, atomic) crash_mode () =
                 Hashtbl.replace nlinks ino 1)
         | 2 ->
             let dir = pick (dirs ()) and name = gen_name () in
-            run ctx
+            run ctx "mkdir"
               (fun () -> Fs.mkdir fs ~dir name)
               ~recovered:(fun () -> Fs.lookup fs ~dir name)
               ~apply:(fun ino ->
@@ -311,14 +346,14 @@ let fs_case (kname, spec, atomic) crash_mode () =
             let f = pick (files ()) in
             let off = Rng.int rng 300 in
             let s = Printf.sprintf "<%d:%d>" round (Rng.int rng 1000) in
-            run_unit ctx
+            run_unit ctx "write"
               (fun () -> Fs.write fs ~ino:f ~off s)
               ~apply:(fun () ->
                 Hashtbl.replace contents f (splice (Hashtbl.find contents f) ~off s))
         | 5 when files () <> [] ->
             let f = pick (files ()) in
             let len = Rng.int rng 400 in
-            run_unit ctx
+            run_unit ctx "truncate"
               (fun () -> Fs.truncate fs ~ino:f ~len)
               ~apply:(fun () ->
                 Hashtbl.replace contents f (model_truncate (Hashtbl.find contents f) len))
@@ -336,7 +371,7 @@ let fs_case (kname, spec, atomic) crash_mode () =
               let src, src_name, moved = pick candidates in
               let dst = pick (dirs ()) and dst_name = gen_name () in
               let clobbered = Hashtbl.find_opt (Hashtbl.find entries dst) dst_name in
-              run_unit ctx
+              run_unit ctx "rename"
                 (fun () -> Fs.rename fs ~src ~src_name ~dst ~dst_name)
                 ~apply:(fun () ->
                   if not (src = dst && src_name = dst_name) then begin
@@ -350,7 +385,7 @@ let fs_case (kname, spec, atomic) crash_mode () =
         | 7 when files () <> [] ->
             let f = pick (files ()) in
             let dir = pick (dirs ()) and name = gen_name () in
-            run_unit ctx
+            run_unit ctx "link"
               (fun () -> Fs.link fs ~ino:f ~dir name)
               ~apply:(fun () ->
                 Hashtbl.replace (Hashtbl.find entries dir) name f;
@@ -366,13 +401,13 @@ let fs_case (kname, spec, atomic) crash_mode () =
               let name = pick names in
               let target = Hashtbl.find tbl name in
               if Hashtbl.mem entries target then
-                run_unit ctx
+                run_unit ctx "rmdir"
                   (fun () -> Fs.rmdir fs ~dir name)
                   ~apply:(fun () ->
                     Hashtbl.remove tbl name;
                     Hashtbl.remove entries target)
               else
-                run_unit ctx
+                run_unit ctx "unlink"
                   (fun () -> Fs.unlink fs ~dir name)
                   ~apply:(fun () ->
                     Hashtbl.remove tbl name;

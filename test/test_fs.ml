@@ -305,8 +305,15 @@ let poke_int e p off v =
       Engine.add tx p;
       Engine.write_int tx p off v)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 let test_fsck_detects_corruption () =
-  let expect_violation name corrupt =
+  (* [says], when given, is a fragment the violation's message must hold:
+     the rule that caught it. *)
+  let expect_violation ?says name corrupt =
     let e, fs = make_fs ~block_size:64 ~dir_hash_bits:2 simple 6 in
     let root = Fs.root_ino fs in
     let f = Fs.create fs ~dir:root "victim" in
@@ -316,7 +323,10 @@ let test_fsck_detects_corruption () =
     corrupt e fs f;
     match Fs_check.fsck fs with
     | Ok () -> Alcotest.failf "%s: fsck missed the corruption" name
-    | Error _ -> ()
+    | Error m -> (
+        match says with
+        | Some w when not (contains m w) -> Alcotest.failf "%s: %S does not say %S" name m w
+        | _ -> ())
   in
   expect_violation "inflated nlink" (fun e fs f ->
       poke_int e (Option.get (Fs.inode_ptr fs f)) Fs.Layout.i_nlink 7);
@@ -335,13 +345,44 @@ let test_fsck_detects_corruption () =
       Engine.with_tx e (fun tx ->
           Engine.add tx blk;
           Engine.write_byte tx blk 30 0xAB));
-  let victim_dirent e fs =
+  (* The reference naming [name] in the root: its own name slot for a
+     name that [create] made, a standalone dirent for a link. *)
+  let root_dirent ?(name = "victim") e fs =
     let idx = Btree.attach e (Engine.peek_int e (Option.get (Fs.inode_ptr fs (Fs.root_ino fs))) Fs.Layout.i_head) in
-    Option.get (Btree.find idx (Fs.hash_name fs "victim"))
+    let rec find r =
+      if Engine.peek_prefixed e (Fs.Layout.de_owner r) (Fs.Layout.de_field r Fs.Layout.d_nlen)
+           ~max:Fs.Layout.max_name_len
+         = name
+      then r
+      else find (Engine.peek_int e (Fs.Layout.de_owner r) (Fs.Layout.de_field r Fs.Layout.d_next))
+    in
+    find (Option.get (Btree.find idx (Fs.hash_name fs name)))
   in
-  expect_violation "dangling dirent" (fun e fs _ ->
-      (* Point the victim's dirent at an inode that does not exist. *)
-      poke_int e (victim_dirent e fs) Fs.Layout.d_ino 999_999);
+  let victim_dirent e fs = root_dirent e fs in
+  let poke_de e r f v = poke_int e (Fs.Layout.de_owner r) (Fs.Layout.de_field r f) v in
+  expect_violation ~says:"names ino 999999" "a name slot naming a missing inode" (fun e fs _ ->
+      poke_de e (victim_dirent e fs) Fs.Layout.d_ino 999_999);
+  expect_violation ~says:"missing ino" "dangling dirent" (fun e fs f ->
+      (* Point a standalone dirent at an inode that does not exist. *)
+      Fs.link fs ~ino:f ~dir:(Fs.root_ino fs) "hard";
+      let r = root_dirent ~name:"hard" e fs in
+      if Fs.Layout.is_slot r then Alcotest.fail "a link is a name slot";
+      poke_de e r Fs.Layout.d_ino 999_999);
+  expect_violation ~says:"names ino" "a name slot naming another inode" (fun e fs _ ->
+      poke_de e (victim_dirent e fs) Fs.Layout.d_ino
+        (Option.get (Fs.lookup fs ~dir:(Fs.root_ino fs) "d")));
+  expect_violation ~says:"names no inode object" "a tagged reference to a data block"
+    (fun e fs f ->
+      let blk = Engine.peek_int e (Option.get (Fs.inode_ptr fs f)) Fs.Layout.i_blk0 in
+      poke_de e (victim_dirent e fs) Fs.Layout.d_next (Fs.Layout.slot_ref blk));
+  expect_violation ~says:"referenced twice" "a name slot referenced twice" (fun e fs _ ->
+      let r = victim_dirent e fs in
+      poke_de e r Fs.Layout.d_next r);
+  expect_violation ~says:"unreferenced name slot" "an unreferenced name slot with a name"
+    (fun e fs _ ->
+      poke_int e
+        (Option.get (Fs.inode_ptr fs (Fs.root_ino fs)))
+        (Fs.Layout.i_name + Fs.Layout.d_nlen) 3);
   expect_violation "dropped size" (fun e fs f ->
       poke_int e (Option.get (Fs.inode_ptr fs f)) Fs.Layout.i_size 3);
   expect_violation "a 1-block file with an extent chain" (fun e fs f ->
@@ -356,8 +397,8 @@ let test_fsck_detects_corruption () =
       poke_int e ip Fs.Layout.i_blk0 blk);
   List.iter
     (fun nlen ->
-      expect_violation (Printf.sprintf "name length %d" nlen) (fun e fs _ ->
-          poke_int e (victim_dirent e fs) Fs.Layout.d_nlen nlen))
+      expect_violation ~says:"has length" (Printf.sprintf "name length %d" nlen) (fun e fs _ ->
+          poke_de e (victim_dirent e fs) Fs.Layout.d_nlen nlen))
     [ Fs.Layout.max_name_len + 1; -1; 0 ]
 
 (* --- attach trusts no header word ------------------------------------------- *)
@@ -388,7 +429,8 @@ let test_attach_checks_superblock () =
     [
       ("version 1", sb_version, 1);
       ("version 2", sb_version, 2);
-      ("version 4", sb_version, 4);
+      ("version 3", sb_version, 3);
+      ("version 5", sb_version, 5);
       ("block_size 0", sb_block_size, 0);
       ("block_size 60", sb_block_size, 60);
       ("block_size past the largest object", sb_block_size, Heap.max_object_size + 8);
@@ -437,9 +479,11 @@ let test_attach_refuses_version_1 () =
 
 (* --- objects per operation ------------------------------------------------------ *)
 
-(* Block 0 hangs off the inode: a one-block file has no extent chain, so
-   its first write allocates only the block and its unlink frees the
-   inode, the block and the dirent. *)
+(* A created file's name sits in its inode object, and block 0 hangs off
+   the inode: a create allocates one object, a one-block file has no
+   extent chain, so its first write allocates only the block, and its
+   unlink frees the inode object and the block. A hard link is a
+   standalone dirent: one more object, freed with its name. *)
 let test_object_counts () =
   let e, fs = make_fs ~block_size:512 simple 14 in
   let root = Fs.root_ino fs in
@@ -451,11 +495,16 @@ let test_object_counts () =
   let l0 = live () in
   let f = Fs.create fs ~dir:root "small" in
   let l1 = live () in
+  Alcotest.(check int) "a create allocates one object" 1 (l1 - l0);
   Fs.write fs ~ino:f ~off:0 (String.make 100 's');
   Alcotest.(check int) "a one-block write allocates one object" 1 (live () - l1);
   check_fsck fs "one-block file";
+  Fs.link fs ~ino:f ~dir:root "hard";
+  Alcotest.(check int) "a link allocates a dirent" 1 (live () - l1 - 1);
+  Fs.unlink fs ~dir:root "hard";
+  Alcotest.(check int) "... and its unlink frees it" 0 (live () - l1 - 1);
   Fs.unlink fs ~dir:root "small";
-  Alcotest.(check int) "its unlink frees three" 3 (l1 + 1 - live ());
+  Alcotest.(check int) "the last unlink frees two" 2 (l1 + 1 - live ());
   Alcotest.(check int) "no extent node allocated" 0 (nodes ());
   Alcotest.(check int) "live objects back where they started" l0 (live ());
   let g = Fs.create fs ~dir:root "two" in
@@ -577,11 +626,12 @@ let two_load_entries e fs dir =
   let dp = Option.get (Fs.inode_ptr fs dir) in
   let acc = ref [] in
   Btree.iter (Btree.attach e (Engine.peek_int e dp i_head)) (fun _ head ->
-      let rec walk p =
-        if p <> Heap.null then begin
-          let nlen = Engine.peek_int e p d_nlen in
-          acc := (Engine.peek_string e p d_name nlen, Engine.peek_int e p d_ino) :: !acc;
-          walk (Engine.peek_int e p d_next)
+      let rec walk r =
+        if r <> Heap.null then begin
+          let pk f = Engine.peek_int e (de_owner r) (de_field r f) in
+          let name = Engine.peek_string e (de_owner r) (de_field r d_name) (pk d_nlen) in
+          acc := (name, pk d_ino) :: !acc;
+          walk (pk d_next)
         end
       in
       walk head);
@@ -657,9 +707,9 @@ let test_rename_fences () =
   in
   fences "rename in one directory" 4 (fun () ->
       Fs.rename fs ~src:root ~src_name:"a" ~dst:root ~dst_name:"b");
-  fences "rename across directories" 5 (fun () ->
+  fences "rename across directories" 4 (fun () ->
       Fs.rename fs ~src:root ~src_name:"b" ~dst:d ~dst_name:"c");
-  fences "rename over an existing file" 6 (fun () ->
+  fences "rename over an existing file" 4 (fun () ->
       Fs.rename fs ~src:d ~src_name:"c" ~dst:root ~dst_name:"victim");
   Alcotest.(check (list string)) "root entries" [ "d"; "victim" ]
     (List.sort compare (List.map fst (Fs.readdir fs ~dir:root)));
@@ -1106,6 +1156,75 @@ let test_fs_metrics () =
   Alcotest.(check bool) "fsck feeds its histogram" true (Metrics.count hf > 0);
   ignore fs
 
+(* --- name slots ------------------------------------------------------------------ *)
+
+(* A created name lives in its inode's name slot; links, renamed names
+   and cross-shard names are standalone dirents. Every operation that
+   retires or re-homes a slot name, on every kind, then fsck. A one-bit
+   name hash keeps the chains long, so slots sit in the middle of chains
+   and are each other's predecessors. *)
+let test_name_slots () =
+  List.iter
+    (fun (kname, spec, _) ->
+      let _e, fs = make_fs ~dir_hash_bits:1 spec 21 in
+      let root = Fs.root_ino fs in
+      let fsck what = check_fsck fs (Printf.sprintf "%s: %s" kname what) in
+      let check_lookup what dir name want =
+        Alcotest.(check (option int)) (Printf.sprintf "%s: %s" kname what) want
+          (Fs.lookup fs ~dir name)
+      in
+      let d = Fs.mkdir fs ~dir:root "d" in
+      let f = Fs.create fs ~dir:d "f" in
+      Fs.write fs ~ino:f ~off:0 "payload";
+      let g = Fs.create fs ~dir:d "g" in
+      let x = Fs.create fs ~dir:root "x" in
+      ignore (Fs.create fs ~dir:root "y");
+      fsck "creates";
+      Fs.link fs ~ino:f ~dir:root "f-link";
+      Fs.link fs ~ino:x ~dir:d "x-link";
+      fsck "link";
+      Fs.rename fs ~src:d ~src_name:"g" ~dst:root ~dst_name:"g2";
+      fsck "rename of a name slot";
+      check_lookup "renamed away" d "g" None;
+      check_lookup "renamed to" root "g2" (Some g);
+      (* [y] replaces [x]'s slot name; [x] lives on through its link. *)
+      Fs.rename fs ~src:root ~src_name:"y" ~dst:root ~dst_name:"x";
+      fsck "rename over a name slot whose inode keeps a link";
+      Alcotest.(check int) (kname ^ ": clobbered inode's links") 1 (Fs.stat fs x).Fs.nlink;
+      Fs.unlink fs ~dir:d "f";
+      fsck "unlink of a name slot while another link remains";
+      Alcotest.(check int) (kname ^ ": links left") 1 (Fs.stat fs f).Fs.nlink;
+      Alcotest.(check string) (kname ^ ": bytes kept") "payload"
+        (Fs.read fs ~ino:f ~off:0 ~len:100);
+      Fs.unlink fs ~dir:root "f-link";
+      Fs.unlink fs ~dir:d "x-link";
+      fsck "unlink of the last links";
+      Fs.rmdir fs ~dir:root "d";
+      fsck "rmdir";
+      Alcotest.(check (list string)) (kname ^ ": root entries") [ "g2"; "x" ]
+        (List.sort compare (List.map fst (Fs.readdir fs ~dir:root))))
+    Tx_model.kinds;
+  (* Across shards: the name is a standalone dirent on the directory's
+     shard, the inode's name slot stays clear. *)
+  let t =
+    Shard_fs.create ~block_size:64 ~dir_hash_bits:2 ~kind:Engine.Kamino_simple ~seed:17
+      ~shards:3 ()
+  in
+  let root = Shard_fs.root_ino t in
+  let name =
+    List.find
+      (fun n -> (Fs.name_hash_raw n + root) mod 3 <> Shard_fs.owner t root)
+      (List.init 32 (Printf.sprintf "c%02d"))
+  in
+  let ino = Shard_fs.create_file t ~dir:root name in
+  Alcotest.(check bool) "the inode lives on another shard" true
+    (Shard_fs.owner t ino <> Shard_fs.owner t root);
+  Shard_fs.write t ~ino ~off:0 "remote";
+  check_fsck_cluster (Shard_fs.fss t) "cross-shard create";
+  Shard_fs.unlink t ~dir:root name;
+  check_fsck_cluster (Shard_fs.fss t) "cross-shard unlink";
+  Alcotest.(check (option int)) "unlinked" None (Shard_fs.lookup t ~dir:root name)
+
 let () =
   let sweep_cases =
     List.filter_map
@@ -1161,6 +1280,8 @@ let () =
         [
           Alcotest.test_case "a name read straddling a CoW copy" `Quick
             test_name_read_straddles_cow;
+          Alcotest.test_case "name slots: link, rename, unlink, rmdir, cross-shard" `Quick
+            test_name_slots;
         ] );
       ("crash-sweep", sweep_cases);
       ( "crash-boundary",
