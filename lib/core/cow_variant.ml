@@ -10,10 +10,25 @@ open Variant
 
 let begin_ t ~tx_id = Data_log.begin_tx (the_dlog t) ~tx_id
 
+(* The earlier working copies overlapping [off, off+len), in write-set
+   order, or [None] if there are none. A new working copy starts from the
+   transaction's view of its range, so a field written through a narrower
+   copy survives a later declare of the whole object or of an overlapping
+   field. *)
+let overlapping_copies t ~off ~len =
+  let acc = ref [] in
+  for i = t.ws_n - 1 downto 0 do
+    match t.ws.(i).cow with
+    | Some (e : Data_log.entry) when e.off < off + len && off < e.off + e.len -> acc := e :: !acc
+    | _ -> ()
+  done;
+  match !acc with [] -> None | over -> Some over
+
 let declare t _tx ~le:_ ~off ~len ~redirectable =
   if redirectable then
     Some
-      (Data_log.add (the_dlog t) ~off ~len ~replay:Data_log.On_commit ~src:t.main)
+      (Data_log.add ?over:(overlapping_copies t ~off ~len) (the_dlog t) ~off ~len
+         ~replay:Data_log.On_commit ~src:t.main)
   else begin
     ignore
       (Data_log.add (the_dlog t) ~off ~len ~replay:Data_log.On_abort ~src:t.main);

@@ -133,7 +133,19 @@ let seal t entry =
   in
   Region.write_int64 t.region (entry.payload_off - entry_header_size + eh_check) check
 
-let add t ~off ~len ~replay ~src =
+(* Re-source the parts of a fresh payload for [off, off+len) that the
+   entries of [over] cover, in list order. Top-level, not a closure: the
+   no-overlap call must allocate nothing. *)
+let rec overlay t ~off ~len ~payload_off = function
+  | [] -> ()
+  | e :: rest ->
+      let lo = max off e.off and hi = min (off + len) (e.off + e.len) in
+      if lo < hi then
+        Region.blit_uncharged t.region ~src:(e.payload_off + lo - e.off)
+          ~dst:(payload_off + lo - off) ~len:(hi - lo);
+      overlay t ~off ~len ~payload_off rest
+
+let add ?(over = []) t ~off ~len ~replay ~src =
   if not t.active then failwith "Data_log.add: no active transaction";
   ensure_header t;
   (* Serialize on the shared log tail. *)
@@ -152,6 +164,7 @@ let add t ~off ~len ~replay ~src =
   Region.write_int t.region (start + eh_len) len;
   Region.write_int t.region (start + eh_replay) (replay_to_int replay);
   Region.copy_between ~src ~src_off:off ~dst:t.region ~dst_off:payload_off ~len;
+  overlay t ~off ~len ~payload_off over;
   let entry = { off; len; payload_off; replay } in
   seal t entry;
   Region.write_int t.region count_off (List.length t.entries + 1);

@@ -46,11 +46,16 @@ val open_existing : Kamino_nvm.Region.t -> t
     active. *)
 val begin_tx : t -> tx_id:int -> unit
 
-(** [add t ~off ~len ~replay ~src] appends an entry covering main-heap
-    range [off,len] and fills its payload from region [src] (a snapshot for
-    undo, the initial working copy for CoW). Returns the entry. Raises
-    [Failure] if the arena is exhausted. *)
-val add : t -> off:int -> len:int -> replay:replay -> src:Kamino_nvm.Region.t -> entry
+(** [add ?over t ~off ~len ~replay ~src] appends an entry covering
+    main-heap range [off,len] and fills its payload from region [src] (a
+    snapshot for undo, the initial working copy for CoW). Where an entry
+    of [over] (this transaction's, in order; default none) overlaps the
+    range, the payload takes that entry's bytes instead: a CoW working
+    copy starts from the transaction's view. The fill is charged as one
+    copy of [len] bytes either way. Returns the entry. Raises [Failure]
+    if the arena is exhausted. *)
+val add :
+  ?over:entry list -> t -> off:int -> len:int -> replay:replay -> src:Kamino_nvm.Region.t -> entry
 
 (** [payload_write] / [payload_read]: access an entry's payload through the
     log region — the CoW engine redirects transaction reads and writes

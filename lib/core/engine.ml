@@ -353,13 +353,8 @@ let rec declare_ranges tx = function
       declare tx ~off ~len ~redirectable:false;
       declare_ranges tx rest
 
-let chained size = size > Heap.max_object_size
-
-let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l)
-
 (* An allocation stores its allocator word and its whole extent (header
-   words, zeroed payload, chain links), which are exactly its predicted
-   ranges. *)
+   words, zeroed payload), which are exactly its predicted ranges. *)
 let rec mark_ranges t = function
   | [] -> ()
   | { Heap.off; len } :: rest ->
@@ -376,29 +371,20 @@ let mark_free t p extent =
 let rec allocate heap sizes predicted =
   match sizes with
   | [] -> []
-  | size :: sizes when chained size ->
-      let head = Heap.alloc_chain heap size in
-      assert (head = List.hd predicted);
-      head :: allocate heap sizes (drop (List.length (Heap.chain_plan size)) predicted)
   | size :: sizes ->
       let p = Heap.alloc heap size in
       assert (p = List.hd predicted);
       p :: allocate heap sizes (List.tl predicted)
 
-(* Plan, then allocate: predict every allocation (a chained extent link by
-   link), declare all their allocator words and extents, cover them and
-   whatever the transaction declared before with one barrier, then
-   allocate in order. A chain appears or rolls back atomically like any
-   other allocation. *)
+(* Plan, then allocate: predict every allocation, declare all their
+   allocator words and extents, cover them and whatever the transaction
+   declared before with one barrier, then allocate in order. A size above
+   [Heap.max_object_size] makes the prediction raise before anything is
+   declared. *)
 let alloc_many tx sizes =
   active_tx tx;
   let t = tx.owner in
-  let links =
-    if List.exists chained sizes then
-      List.concat_map (fun size -> if chained size then Heap.chain_plan size else [ size ]) sizes
-    else sizes
-  in
-  let predicted, ranges = Heap.alloc_many_ranges t.heap links in
+  let predicted, ranges = Heap.alloc_many_ranges t.heap sizes in
   declare_ranges tx ranges;
   do_barrier tx;
   let ptrs = allocate t.heap sizes predicted in
@@ -433,24 +419,6 @@ let free tx p =
   do_barrier tx;
   Heap.free t.heap p;
   mark_free t p extent
-
-let chain_links t p = Heap.chain_links t.heap p
-
-let chain_size t p = Heap.chain_size t.heap p
-
-let free_chain tx p =
-  active_tx tx;
-  let t = tx.owner in
-  let links = Heap.chain_links t.heap p in
-  List.iter
-    (fun (lp, _, _) ->
-      let extent = Heap.extent t.heap lp in
-      t.strat.v_pre_free t tx extent;
-      declare_ranges tx (Heap.free_ranges t.heap lp);
-      mark_free t lp extent)
-    links;
-  do_barrier tx;
-  Heap.free_chain t.heap p
 
 (* --- Data access -------------------------------------------------------- *)
 
@@ -774,9 +742,6 @@ let abort tx =
   active_tx tx;
   let t = tx.owner in
   t.strat.v_abort t tx;
-  (* Rollback restores allocator words behind the heap's back; the
-     occupancy directory resyncs lazily on the next stats read. *)
-  Heap.mark_stats_stale t.heap;
   Metrics.incr t.m_aborted;
   (if Obs.enabled t.e_obs then
      let nowc = Clock.now t.clk in
@@ -960,9 +925,9 @@ let registry t =
   gauge "locks.wait_events" (Locks.wait_events t.locks);
   gauge "storage.bytes" (storage_bytes t);
   (* Heap occupancy and table-resize gauges are cost-free by construction:
-     [Heap.stats] reads only the volatile directory (resyncing, when stale,
-     through [Region.peek_*]) and [Backup.migrations] is an in-memory
-     counter — calling [registry] cannot drift the A/B words/op gate. *)
+     [Heap.stats] walks the heap through [Region.peek_*] and
+     [Backup.migrations] is an in-memory counter — calling [registry]
+     cannot drift the A/B words/op gate. *)
   let hs = Heap.stats t.heap in
   gauge "heap.segments" hs.Heap.segments_live;
   gauge "heap.live_bytes" hs.Heap.live_bytes;

@@ -167,10 +167,8 @@ val add_field : tx -> Heap.ptr -> int -> int -> unit
 val read_lock : tx -> Heap.ptr -> unit
 
 (** [alloc tx size] — [TX_ZALLOC]: transactionally allocates a zeroed
-    object; undone on abort or crash. Sizes above [Heap.max_object_size]
-    are allocated as a chained extent (a linked list of class-sized links)
-    under one barrier: the returned pointer is the chain head;
-    free it with {!free_chain} and address its payload via {!chain_links}. *)
+    object; undone on abort or crash. Raises [Invalid_argument] for a size
+    above [Heap.max_object_size], before any intent is declared. *)
 val alloc : tx -> int -> Heap.ptr
 
 (** [alloc_many tx sizes] — {!alloc} of every size, in order, behind one
@@ -182,25 +180,14 @@ val alloc : tx -> int -> Heap.ptr
     write set, allocate once, then write in place (DESIGN.md §18). *)
 val alloc_many : tx -> int list -> Heap.ptr list
 
-(** [free tx p] — [TX_FREE]: transactionally frees an object. Refuses
-    members of a chained extent (use {!free_chain} on the head). *)
+(** [free tx p] — [TX_FREE]: transactionally frees an object. Raises
+    [Invalid_argument] if [p] is not an allocated object. *)
 val free : tx -> Heap.ptr -> unit
 
 (** [declare_free tx p] declares the ranges a later [free tx p] modifies
     (its class's free-list head and its extent), so that the [free] itself
     adds no intent and needs no barrier of its own. *)
 val declare_free : tx -> Heap.ptr -> unit
-
-(** [free_chain tx p] transactionally frees every link of the chained
-    extent headed at [p]. *)
-val free_chain : tx -> Heap.ptr -> unit
-
-(** [chain_links t p] — committed-state view of a chained extent:
-    [(link_ptr, data_rel, data_len)] per link (see [Heap.chain_links]). *)
-val chain_links : t -> Heap.ptr -> (Heap.ptr * int * int) list
-
-(** [chain_size t p] — logical byte size of the chained extent at [p]. *)
-val chain_size : t -> Heap.ptr -> int
 
 (** [commit tx] makes the transaction durable and atomic. The critical path
     ends when this returns; lock release may be later (Kamino kinds). A

@@ -48,17 +48,6 @@ let header_size = 16
 let hdr_capacity_rel = 0
 let hdr_flags_rel = 8
 
-(* Flags word values. Bit 0 = allocated; chained extents set an extra bit so
-   a plain [free] cannot silently orphan the rest of a chain. Old images only
-   ever contain 0/1, which decode identically under the [land 1] test. *)
-let chain_head_flag = 3L
-let chain_link_flag = 5L
-
-(* Chain link payload prelude: every link starts with a next pointer; the
-   head additionally records the total logical size. *)
-let chain_head_meta = 16
-let chain_link_meta = 8
-
 (* Index of the highest set bit of [n], for 0 < n < 2^32. *)
 let msb n =
   let n = ref n and r = ref 0 in
@@ -102,120 +91,45 @@ let class_of_size size =
 let is_class_size len =
   len > 0 && len <= max_object_size && size_classes.(class_slot len) = len
 
-(* The class of capacity [cap], or -1 if [cap] is not a class size. *)
-let class_index cap = if is_class_size cap then class_slot cap else -1
-
 let class_head_off cls = free_heads_off + (cls * 8)
 
-(* --- Segment directory and occupancy accounting --------------------------
-
-   Volatile, observability-only state: live objects/bytes, per-class
-   occupancy and per-segment live bytes, maintained incrementally on
-   alloc/free so [stats] is O(1) in steady state and O(heap) only after the
-   allocator was mutated behind our back (crash recovery, abort rollback —
-   the engine calls [mark_stats_stale] there). The resync walk uses the
-   cost-free [Region.peek_*] reads: turning stats on must not charge a
-   single simulated load, or the bit-identity oracles would drift. *)
-
-let seg_shift = 20 (* 1 MiB segments *)
-
-type t = {
-  region : Region.t;
-  mutable st_valid : bool;
-  mutable st_objects : int;
-  mutable st_bytes : int;
-  mutable st_chained : int;
-  st_class : int array; (* live objects per size class *)
-  seg_live : int array; (* live extent bytes per segment *)
-}
-
-type stats = {
-  segments_total : int;
-  segments_live : int;
-  live_objects : int;
-  live_bytes : int;
-  chained_objects : int;
-  per_class : int array;
-}
-
-let mk_t region =
-  let segs = max 1 ((Region.size region + (1 lsl seg_shift) - 1) lsr seg_shift) in
-  {
-    region;
-    st_valid = false;
-    st_objects = 0;
-    st_bytes = 0;
-    st_chained = 0;
-    st_class = Array.make n_classes 0;
-    seg_live = Array.make segs 0;
-  }
-
-let account_add t ~extent_off ~cap ~head_of_chain =
-  t.st_objects <- t.st_objects + 1;
-  t.st_bytes <- t.st_bytes + cap;
-  if head_of_chain then t.st_chained <- t.st_chained + 1;
-  let c = class_index cap in
-  if c >= 0 then t.st_class.(c) <- t.st_class.(c) + 1;
-  let s = extent_off lsr seg_shift in
-  t.seg_live.(s) <- t.seg_live.(s) + header_size + cap
-
-let account_remove t ~extent_off ~cap ~head_of_chain =
-  t.st_objects <- t.st_objects - 1;
-  t.st_bytes <- t.st_bytes - cap;
-  if head_of_chain then t.st_chained <- t.st_chained - 1;
-  let c = class_index cap in
-  if c >= 0 then t.st_class.(c) <- t.st_class.(c) - 1;
-  let s = extent_off lsr seg_shift in
-  t.seg_live.(s) <- t.seg_live.(s) - header_size - cap
-
-let mark_stats_stale t = t.st_valid <- false
+type t = { region : Region.t }
 
 let align16 n = (n + 15) land lnot 15
 
-(* Cost-free whole-heap walk rebuilding the occupancy directory. Stops at
-   anything that does not look like a header so a half-recovered heap cannot
-   spin it; the next successful resync (or explicit validate) reports the
-   truth. *)
-let resync_stats t =
-  Array.fill t.st_class 0 n_classes 0;
-  Array.fill t.seg_live 0 (Array.length t.seg_live) 0;
-  t.st_objects <- 0;
-  t.st_bytes <- 0;
-  t.st_chained <- 0;
-  let limit = Region.peek_int t.region bump_off in
-  let limit = min limit (Region.size t.region) in
-  let rec walk off =
-    let off = align16 off in
-    if off + header_size <= limit then begin
-      let cap = Region.peek_int t.region (off + hdr_capacity_rel) in
-      if cap > 0 && cap <= max_object_size then begin
-        let flags = Region.peek_int64 t.region (off + hdr_flags_rel) in
-        if Int64.logand flags 1L = 1L then
-          account_add t ~extent_off:off ~cap ~head_of_chain:(flags = chain_head_flag);
-        walk (off + header_size + cap)
-      end
-    end
-  in
-  if limit >= data_start_off then walk data_start_off;
-  t.st_valid <- true
+type stats = { segments_live : int; live_objects : int; live_bytes : int }
 
+(* 1 MiB segments: a segment is live when a live object's extent starts in
+   it. *)
+let seg_shift = 20
+
+(* A whole-heap walk through the cost-free [Region.peek_*] reads: reading
+   stats must not charge a single simulated load, or the bit-identity
+   oracles would drift. Stops at anything that does not look like a header
+   so a half-recovered heap cannot spin it. *)
 let stats t =
-  if not t.st_valid then resync_stats t;
-  let live = ref 0 in
-  Array.iter (fun b -> if b > 0 then incr live) t.seg_live;
-  {
-    segments_total = Array.length t.seg_live;
-    segments_live = !live;
-    live_objects = t.st_objects;
-    live_bytes = t.st_bytes;
-    chained_objects = t.st_chained;
-    per_class = Array.copy t.st_class;
-  }
+  let limit = min (Region.peek_int t.region bump_off) (Region.size t.region) in
+  let segments = ref 0 and objects = ref 0 and bytes = ref 0 in
+  let off = ref data_start_off and last_seg = ref (-1) in
+  while !off + header_size <= limit do
+    let cap = Region.peek_int t.region (!off + hdr_capacity_rel) in
+    if cap <= 0 || cap > max_object_size then off := limit
+    else begin
+      if Region.peek_int64 t.region (!off + hdr_flags_rel) = 1L then begin
+        let seg = !off lsr seg_shift in
+        if seg <> !last_seg then incr segments;
+        last_seg := seg;
+        incr objects;
+        bytes := !bytes + cap
+      end;
+      off := align16 (!off + header_size + cap)
+    end
+  done;
+  { segments_live = !segments; live_objects = !objects; live_bytes = !bytes }
 
 let format region =
   if Region.size region < data_start_off + 4096 then
     invalid_arg "Heap.format: region too small";
-  let t = mk_t region in
   Region.write_int64 region magic_off magic_value;
   Region.write_int64 region version_off version_value;
   Region.write_int region size_off (Region.size region);
@@ -225,8 +139,7 @@ let format region =
     Region.write_int region (class_head_off cls) null
   done;
   Region.persist region 0 data_start_off;
-  t.st_valid <- true;
-  t
+  { region }
 
 let open_existing region =
   let size = Region.size region in
@@ -249,7 +162,7 @@ let open_existing region =
     if p <> null && (p land 15 <> 0 || p < data_start_off + header_size || p > last) then
       Region.corrupt ~structure ~off:(class_head_off cls) "class %d head %d out of range" cls p
   done;
-  mk_t region
+  { region }
 
 (* Allocation. *)
 
@@ -300,32 +213,27 @@ let alloc t size =
   let capacity = size_classes.(cls) in
   Region.charge_alloc t.region;
   let head = free_head t cls in
-  let p =
-    if head <> null then begin
-      (* Pop the free list: the object's first payload word links to the next
-         free object of the class. *)
-      let next = Region.read_int t.region head in
-      Region.write_int t.region (class_head_off cls) next;
-      Region.write_int64 t.region (head - header_size + hdr_flags_rel) 1L;
-      Region.fill t.region head capacity 0;
-      head
-    end
-    else begin
-      let b = align16 (bump t) in
-      let extent_len = header_size + capacity in
-      if b + extent_len > Region.size t.region then raise Out_of_memory;
-      Region.write_int t.region bump_off (b + extent_len);
-      Region.write_int t.region (b + hdr_capacity_rel) capacity;
-      Region.write_int64 t.region (b + hdr_flags_rel) 1L;
-      (* A fresh bump object is already zero, but an object being re-formatted
-         after a rollback may not be; zero it for deterministic contents. *)
-      Region.fill t.region (b + header_size) capacity 0;
-      b + header_size
-    end
-  in
-  if t.st_valid then
-    account_add t ~extent_off:(p - header_size) ~cap:capacity ~head_of_chain:false;
-  p
+  if head <> null then begin
+    (* Pop the free list: the object's first payload word links to the next
+       free object of the class. *)
+    let next = Region.read_int t.region head in
+    Region.write_int t.region (class_head_off cls) next;
+    Region.write_int64 t.region (head - header_size + hdr_flags_rel) 1L;
+    Region.fill t.region head capacity 0;
+    head
+  end
+  else begin
+    let b = align16 (bump t) in
+    let extent_len = header_size + capacity in
+    if b + extent_len > Region.size t.region then raise Out_of_memory;
+    Region.write_int t.region bump_off (b + extent_len);
+    Region.write_int t.region (b + hdr_capacity_rel) capacity;
+    Region.write_int64 t.region (b + hdr_flags_rel) 1L;
+    (* A fresh bump object is already zero, but an object being re-formatted
+       after a rollback may not be; zero it for deterministic contents. *)
+    Region.fill t.region (b + header_size) capacity 0;
+    b + header_size
+  end
 
 let capacity t p =
   if p = null then invalid_arg "Heap.capacity: null pointer";
@@ -336,7 +244,7 @@ let header_flags t p =
     Region.read_int64 t.region (p - header_size + hdr_flags_rel)
   else 0L
 
-let is_allocated t p = Int64.logand (header_flags t p) 1L = 1L
+let is_allocated t p = header_flags t p = 1L
 
 let extent t p =
   let cap = capacity t p in
@@ -349,95 +257,16 @@ let free_ranges t p =
 
 let free_head_word { off = _; len } = class_head_off (class_of_size (len - header_size))
 
-let free_one t p ~head_of_chain =
+let free t p =
+  if not (is_allocated t p) then
+    invalid_arg (Printf.sprintf "Heap.free: %d is not an allocated object" p);
   Region.charge_free t.region;
   let cap = capacity t p in
   let cls = class_of_size cap in
   let head = free_head t cls in
   Region.write_int64 t.region (p - header_size + hdr_flags_rel) 0L;
   Region.write_int t.region p head;
-  Region.write_int t.region (class_head_off cls) p;
-  if t.st_valid then account_remove t ~extent_off:(p - header_size) ~cap ~head_of_chain
-
-let free t p =
-  let flags = header_flags t p in
-  if Int64.logand flags 1L <> 1L then
-    invalid_arg (Printf.sprintf "Heap.free: %d is not an allocated object" p);
-  if flags <> 1L then
-    invalid_arg
-      (Printf.sprintf "Heap.free: %d belongs to a chained extent (use free_chain)" p);
-  free_one t p ~head_of_chain:false
-
-(* --- Chained extents ------------------------------------------------------
-
-   Objects larger than [max_object_size] are carved into a linked chain of
-   class-sized links: the head stores [next; total] before its data, every
-   continuation stores [next]. The link sizes are a pure function of the
-   total ([chain_plan]), so predicted ranges, the allocation itself and any
-   later walk all agree without consulting the allocator. *)
-
-let chain_plan size =
-  if size <= 0 then invalid_arg "Heap: object size must be positive";
-  let rec go remaining acc first =
-    if remaining <= 0 then List.rev acc
-    else begin
-      let meta = if first then chain_head_meta else chain_link_meta in
-      let data = min remaining (max_object_size - meta) in
-      go (remaining - data) ((meta + data) :: acc) false
-    end
-  in
-  go size [] true
-
-let alloc_chain t size =
-  let plan = chain_plan size in
-  let links = List.map (fun link_size -> alloc t link_size) plan in
-  (* Wire the chain back-to-front so every next pointer is written exactly
-     once; all writes land inside the extents the caller declared. *)
-  let rec wire = function
-    | [] -> ()
-    | [ last ] ->
-        Region.write_int t.region last null
-    | a :: (b :: _ as rest) ->
-        wire rest;
-        Region.write_int t.region a b
-  in
-  wire links;
-  let head = List.hd links in
-  Region.write_int64 t.region (head - header_size + hdr_flags_rel) chain_head_flag;
-  List.iter
-    (fun p ->
-      if p <> head then Region.write_int64 t.region (p - header_size + hdr_flags_rel) chain_link_flag)
-    links;
-  Region.write_int t.region (head + chain_link_meta) size;
-  if t.st_valid then t.st_chained <- t.st_chained + 1;
-  head
-
-let chain_links t p =
-  let flags = header_flags t p in
-  if flags <> chain_head_flag then
-    invalid_arg (Printf.sprintf "Heap.chain_links: %d is not a chain head" p);
-  let total = Region.read_int t.region (p + chain_link_meta) in
-  let rec go p remaining first acc =
-    let meta = if first then chain_head_meta else chain_link_meta in
-    let data = min remaining (max_object_size - meta) in
-    let acc = (p, meta, data) :: acc in
-    let remaining = remaining - data in
-    if remaining <= 0 then List.rev acc
-    else go (Region.read_int t.region p) remaining false acc
-  in
-  go p total true []
-
-let chain_size t p =
-  let flags = header_flags t p in
-  if flags <> chain_head_flag then
-    invalid_arg (Printf.sprintf "Heap.chain_size: %d is not a chain head" p);
-  Region.read_int t.region (p + chain_link_meta)
-
-let free_chain t p =
-  let links = chain_links t p in
-  List.iteri
-    (fun i (lp, _, _) -> free_one t lp ~head_of_chain:(i = 0))
-    links
+  Region.write_int t.region (class_head_off cls) p
 
 (* Root. *)
 
@@ -461,22 +290,12 @@ let iter_objects t f =
       if off + header_size <= limit then begin
         let cap = Region.read_int t.region (off + hdr_capacity_rel) in
         let flags = Region.read_int64 t.region (off + hdr_flags_rel) in
-        f (off + header_size) ~capacity:cap ~allocated:(Int64.logand flags 1L = 1L);
+        f (off + header_size) ~capacity:cap ~allocated:(flags = 1L);
         walk (off + header_size + cap)
       end
     end
   in
   walk data_start_off
-
-let live_objects t =
-  let n = ref 0 in
-  iter_objects t (fun _ ~capacity:_ ~allocated -> if allocated then incr n);
-  !n
-
-let live_bytes t =
-  let n = ref 0 in
-  iter_objects t (fun _ ~capacity ~allocated -> if allocated then n := !n + capacity);
-  !n
 
 let validate t =
   let error = ref None in
@@ -496,10 +315,8 @@ let validate t =
             let flags = Region.read_int64 t.region (off + hdr_flags_rel) in
             if not (is_class_size cap) then
               fail "object at %d has non-class capacity %d" off cap
-            else if
-              flags <> 0L && flags <> 1L && flags <> chain_head_flag
-              && flags <> chain_link_flag
-            then fail "object at %d has corrupt flags %Ld" off flags
+            else if flags <> 0L && flags <> 1L then
+              fail "object at %d has corrupt flags %Ld" off flags
             else walk (off + header_size + cap)
           end
           else if off <> limit && off + header_size > limit then

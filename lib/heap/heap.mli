@@ -15,8 +15,9 @@
 
     Layout: a 512-byte metadata block (magic, version 2, size, root, bump
     pointer, one free-list head per size class) followed by the object
-    area. Each object has a
-    16-byte header (capacity, allocated flag) in front of its payload. *)
+    area. Each object has a 16-byte header (capacity, then a flags word:
+    1 allocated, 0 free) in front of its payload, and fits one size class:
+    no object is larger than {!max_object_size}. *)
 
 type t
 
@@ -68,14 +69,14 @@ type range = { off : int; len : int }
     [alloc t size] calls over [sizes] will return, in order, and [ranges]
     are the allocator metadata word and the object extent each of them
     will modify (word first, then extent, per allocation). It performs no
-    mutation: engines snapshot/declare the ranges, then call {!alloc} (or
-    {!alloc_chain} for a {!chain_plan}). Raises [Out_of_memory] when the
-    heap cannot hold them all and [Invalid_argument] for sizes above
-    {!max_object_size}. *)
+    mutation: engines snapshot/declare the ranges, then call {!alloc}.
+    Raises [Out_of_memory] when the heap cannot hold them all and
+    [Invalid_argument] for a size above {!max_object_size}. *)
 val alloc_many_ranges : t -> int list -> ptr list * range list
 
 (** [alloc t size] allocates an object with at least [size] payload bytes
-    and returns its pointer. The payload is zeroed. *)
+    and returns its pointer. The payload is zeroed. Raises
+    [Invalid_argument] unless [0 < size <= max_object_size]. *)
 val alloc : t -> int -> ptr
 
 (** [free_ranges t p] returns the ranges {!free} will modify: [p]'s
@@ -90,51 +91,19 @@ val free_ranges : t -> ptr -> range list
 val free_head_word : range -> int
 
 (** [free t p] returns [p]'s object to its size-class free list.
-    Raises [Invalid_argument] if [p] is not an allocated object. *)
+    Raises [Invalid_argument] if [p] is not an allocated object (its
+    header flags word is not 1). *)
 val free : t -> ptr -> unit
 
-(** {1 Chained extents}
-
-    Objects larger than {!max_object_size} are stored as a chain of
-    class-sized links. The head link's payload starts with
-    [[next: 8][total: 8]] before its data; every continuation starts with
-    [[next: 8]]. Link sizes are a pure function of the total, so predicted
-    ranges, the allocation and later walks agree without consulting the
-    allocator. Chain members carry distinct header flags: {!free} refuses
-    them ([free_chain] owns the whole chain) and {!is_allocated} still
-    answers true. *)
-
-(** [chain_plan size] — the link allocation sizes of a [size]-byte chained
-    extent, head first: [alloc_many_ranges t (chain_plan size)] predicts
-    its links. *)
-val chain_plan : int -> int list
-
-(** [alloc_chain t size] allocates the chain and wires next pointers, head
-    flags and the stored total; returns the head pointer. The caller must
-    have declared the ranges of its {!chain_plan} first (engines do). *)
-val alloc_chain : t -> int -> ptr
-
-(** [chain_links t p] — [(link_ptr, data_rel, data_len)] per link in chain
-    order: the payload bytes of link [i] live at
-    [link_ptr + data_rel .. + data_len). Raises [Invalid_argument] unless
-    [p] is a chain head. *)
-val chain_links : t -> ptr -> (ptr * int * int) list
-
-(** [chain_size t p] — the logical byte size the chain was allocated with. *)
-val chain_size : t -> ptr -> int
-
-(** [free_chain t p] frees every link of the chain headed at [p]. *)
-val free_chain : t -> ptr -> unit
-
-(** [capacity t p] is the usable payload size of object [p] (for a chain
-    head: of that link only — see {!chain_size} for the logical size). *)
+(** [capacity t p] is the usable payload size of object [p]. *)
 val capacity : t -> ptr -> int
 
 (** [extent t p] is the byte range covering [p]'s header and payload — what
     engines copy when rolling the object forward or back. *)
 val extent : t -> ptr -> range
 
-(** [is_allocated t p] — used by validation and tests. *)
+(** [is_allocated t p] — whether [p] is an object inside the bump
+    pointer whose header flags word is 1. *)
 val is_allocated : t -> ptr -> bool
 
 (** {1 Root object} *)
@@ -151,32 +120,17 @@ val root_range : t -> range
 
 (** {1 Introspection} *)
 
-(** Occupancy snapshot from the volatile segment directory. Maintained
-    incrementally by alloc/free; rebuilt lazily (cost-free, via
-    [Region.peek_*]) after the allocator was mutated outside the normal
-    paths — crash recovery or abort rollback, where the engine calls
-    {!mark_stats_stale}. Reading stats never charges simulated cost, so
-    metric gauges built on it cannot perturb the bit-identity oracles. *)
+(** Occupancy snapshot, from a walk of every object header through the
+    cost-free [Region.peek_*] reads: reading stats never charges simulated
+    cost, so metric gauges built on it cannot perturb the bit-identity
+    oracles. O(objects); callers read it a few times per run. *)
 type stats = {
-  segments_total : int;  (** 1 MiB segments covering the region *)
-  segments_live : int;  (** segments holding at least one live byte *)
+  segments_live : int;  (** 1 MiB segments in which a live extent starts *)
   live_objects : int;
   live_bytes : int;  (** sum of live payload capacities *)
-  chained_objects : int;  (** chain heads (logical large objects) *)
-  per_class : int array;  (** live objects per entry of {!size_classes} *)
 }
 
 val stats : t -> stats
-
-(** Invalidate the incremental occupancy directory; the next {!stats} call
-    resynchronizes with a cost-free heap walk. *)
-val mark_stats_stale : t -> unit
-
-(** [live_objects t] counts currently allocated objects (walks the heap). *)
-val live_objects : t -> int
-
-(** [live_bytes t] sums payload capacities of allocated objects. *)
-val live_bytes : t -> int
 
 (** [data_start t] is the offset where the object area begins; the
     bytes below it are heap metadata. *)

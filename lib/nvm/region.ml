@@ -362,6 +362,12 @@ let blit t ~src ~dst ~len =
   charge t (Cost_model.copy_cost t.cost len);
   Bytes.blit t.volatile src t.volatile dst len
 
+let blit_uncharged t ~src ~dst ~len =
+  check_range t src len "blit_uncharged:src";
+  check_range t dst len "blit_uncharged:dst";
+  mark_dirty t dst len;
+  Bytes.blit t.volatile src t.volatile dst len
+
 let copy_between ~src ~src_off ~dst ~dst_off ~len =
   check_range src src_off len "copy_between:src";
   check_range dst dst_off len "copy_between:dst";

@@ -145,6 +145,13 @@ val fill : t -> int -> int -> int -> unit
     charging bulk-copy cost and dirtying the destination. *)
 val blit : t -> src:int -> dst:int -> len:int -> unit
 
+(** [blit_uncharged t ~src ~dst ~len] copies within the region like
+    {!blit}, dirtying the destination, but charges and counts nothing. It
+    re-sources part of a copy that was already charged in full — a CoW
+    working copy whose bytes come partly from an earlier working copy —
+    and is not a way to move data for free. *)
+val blit_uncharged : t -> src:int -> dst:int -> len:int -> unit
+
 (** [copy_between ~src ~src_off ~dst ~dst_off ~len] copies between regions
     (volatile images), charging bulk-copy cost to [dst]'s clock and dirtying
     the destination lines. This is the primitive behind Kamino-Tx's

@@ -78,15 +78,15 @@ let test_abort_restores () =
 
 let test_abort_undoes_alloc () =
   for_each_kind atomic_kinds (fun name e ->
-      let live_before = Heap.live_objects (Engine.heap e) in
+      let live () = (Heap.stats (Engine.heap e)).Heap.live_objects in
+      let live_before = live () in
       let tx = Engine.begin_tx e in
       let p = Engine.alloc tx 64 in
       Engine.write_int64 tx p 0 5L;
       Engine.abort tx;
       Alcotest.(check int)
         (name ^ ": allocation rolled back")
-        live_before
-        (Heap.live_objects (Engine.heap e));
+        live_before (live ());
       Alcotest.(check bool) (name ^ ": heap still valid") true
         (Heap.validate (Engine.heap e) = Ok ()))
 
@@ -275,6 +275,69 @@ let test_add_field_whole_object_covers () =
       Engine.add_field tx p 8 8;
       Engine.write_int64 tx p 8 5L);
   Alcotest.(check int64) "covered write committed" 5L (Engine.peek_int64 e p 8)
+
+(* A field written through [add_field] keeps its value when the same
+   transaction then declares a range overlapping it — the whole object or
+   a wider field: in the transaction, once committed, and rolled back by
+   an abort. Under CoW a new working copy starts from the transaction's
+   view of its range, earlier working copies included. *)
+let overlap_declares =
+  [
+    ("whole object", fun tx p -> Engine.add tx p);
+    ("overlapping field", fun tx p -> Engine.add_field tx p 72 24);
+  ]
+
+let overlap_init e =
+  Engine.with_tx e (fun tx ->
+      let p = Engine.alloc tx 128 in
+      Engine.write_int tx p 80 5;
+      p)
+
+let overlap_tx widen tx p =
+  Engine.add_field tx p 80 8;
+  Engine.write_int tx p 80 0;
+  widen tx p
+
+let overlap_engine spec = Tx_model.create spec ~config:small_config ~seed:42 ~init:overlap_init
+
+let test_field_write_survives_overlap () =
+  List.iter
+    (fun (kname, spec, atomic) ->
+      if atomic then
+        List.iter
+          (fun (wname, widen) ->
+            let ctx = Printf.sprintf "%s, %s" kname wname in
+            let e, p = overlap_engine spec in
+            Engine.with_tx e (fun tx ->
+                overlap_tx widen tx p;
+                Alcotest.(check int) (ctx ^ ": read in the transaction") 0
+                  (Engine.read_int tx p 80));
+            Alcotest.(check int) (ctx ^ ": committed") 0 (Engine.peek_int e p 80);
+            let e, p = overlap_engine spec in
+            let tx = Engine.begin_tx e in
+            overlap_tx widen tx p;
+            Engine.abort tx;
+            Alcotest.(check int) (ctx ^ ": abort restores") 5 (Engine.peek_int e p 80))
+          overlap_declares)
+    Tx_model.kinds
+
+(* The same transactions on CoW, crashed at every fence: recovery shows
+   the word as 5 (rolled back) or 0 (committed), never anything else. *)
+let test_field_write_survives_overlap_sweep () =
+  List.iter
+    (fun (wname, widen) ->
+      let ctx = "cow, " ^ wname in
+      Fence_sweep.require_split ~ctx
+        (Fence_sweep.sweep ~ctx
+           ~setup:(fun () -> overlap_engine (Tx_model.Plain Engine.Cow))
+           ~crash:(fun (e, _) -> Engine.crash e)
+           ~recover:(fun (e, _) -> Engine.recover e)
+           ~op:(fun (e, p) -> Engine.with_tx e (fun tx -> overlap_tx widen tx p))
+           ~drain:(fun (e, _) -> Engine.drain_backup e)
+           ~observe:(fun (e, p) -> string_of_int (Engine.peek_int e p 80))
+           ~check:(fun (e, _) -> Tx_model.check_engine e)
+           ~expect:("5", "0") ()))
+    overlap_declares
 
 let test_with_tx_aborts_on_exception () =
   let e = make Engine.Undo_logging in
@@ -570,17 +633,14 @@ let test_clock_switching_multiclient () =
 
 (* --- plan-then-apply allocation --- *)
 
-(* Room for a chained extent, and for the copying kinds to snapshot it. *)
-let alloc_config = { small_config with Engine.heap_bytes = 4 lsl 20; data_log_bytes = 2 lsl 20 }
-
 (* Sizes that pop one class's free list twice, then bump it and another
-   class, then take a chained extent. *)
-let many_sizes = [ 64; 100; 64; 64; 32; Heap.max_object_size + 1000 ]
+   class. *)
+let many_sizes = [ 64; 100; 64; 64; 32 ]
 
 (* An engine whose 64-byte free list holds two objects; returns it with a
    live object. *)
 let seeded ?(seed = 42) kind =
-  let e = Engine.create ~config:alloc_config ~kind ~seed () in
+  let e = Engine.create ~config:small_config ~kind ~seed () in
   let ps = Engine.with_tx e (fun tx -> List.map (Engine.alloc tx) [ 64; 128; 64 ]) in
   Engine.with_tx e (fun tx ->
       Engine.free tx (List.nth ps 0);
@@ -649,7 +709,7 @@ let test_alloc_many_crash_every_step () =
 let fences e = (Engine.main_counters e).Region.fences
 
 (* One barrier covers a whole [alloc_many], where one [alloc] per size
-   pays a barrier each (a chained extent counts as one allocation). *)
+   pays a barrier each. *)
 let test_alloc_many_one_barrier () =
   let fences_of allocate =
     let e, _ = seeded Engine.Kamino_simple in
@@ -663,6 +723,34 @@ let test_alloc_many_one_barrier () =
     (fences_of (fun tx -> Engine.alloc_many tx many_sizes));
   Alcotest.(check int) "sequential allocs: one barrier each" (List.length many_sizes)
     (fences_of (fun tx -> List.map (Engine.alloc tx) many_sizes))
+
+(* A size above [Heap.max_object_size], alone or inside an [alloc_many],
+   is refused with [Invalid_argument] before anything is declared: no
+   store (no intent, no snapshot), no lock. The transaction goes on to
+   allocate a legal size and commit, and the heap validates. *)
+let test_alloc_oversized_refused () =
+  for_each_kind atomic_kinds (fun name e ->
+      let refused tx what allocate =
+        let stores () = (Engine.main_counters e).Region.stores in
+        let locks () = Locks.acquisitions (Engine.locks e) in
+        let s0 = stores () and l0 = locks () in
+        (match allocate tx with
+        | _ -> Alcotest.failf "%s: %s of an oversized object accepted" name what
+        | exception Invalid_argument _ -> ());
+        Alcotest.(check int) (Printf.sprintf "%s: %s stores nothing" name what) s0 (stores ());
+        Alcotest.(check int) (Printf.sprintf "%s: %s takes no lock" name what) l0 (locks ())
+      in
+      let big = Heap.max_object_size + 1 in
+      let p =
+        Engine.with_tx e (fun tx ->
+            refused tx "alloc" (fun tx -> [ Engine.alloc tx big ]);
+            refused tx "alloc_many" (fun tx -> Engine.alloc_many tx [ 64; big ]);
+            let p = Engine.alloc tx 64 in
+            Engine.write_int tx p 0 9;
+            p)
+      in
+      Alcotest.(check int) (name ^ ": legal allocation committed") 9 (Engine.peek_int e p 0);
+      Alcotest.(check bool) (name ^ ": heap valid") true (Heap.validate (Engine.heap e) = Ok ()))
 
 (* A [free] whose ranges were declared ahead of the transaction's barrier
    adds no barrier of its own; an undeclared one does. *)
@@ -819,6 +907,10 @@ let () =
           Alcotest.test_case "add_field crash recovery" `Quick test_add_field_crash_recovery;
           Alcotest.test_case "add_field covered by whole object" `Quick
             test_add_field_whole_object_covers;
+          Alcotest.test_case "field write survives an overlapping declare" `Quick
+            test_field_write_survives_overlap;
+          Alcotest.test_case "field write survives an overlapping declare, every fence" `Quick
+            test_field_write_survives_overlap_sweep;
           Alcotest.test_case "set_root" `Quick test_set_root;
         ] );
       ( "cow",
@@ -858,6 +950,7 @@ let () =
           Alcotest.test_case "crash at every step of alloc_many + declare_free" `Quick
             test_alloc_many_crash_every_step;
           Alcotest.test_case "alloc_many fences once" `Quick test_alloc_many_one_barrier;
+          Alcotest.test_case "oversized allocations refused" `Quick test_alloc_oversized_refused;
           Alcotest.test_case "declared free needs no barrier" `Quick
             test_declared_free_no_barrier;
         ] );

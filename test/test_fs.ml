@@ -487,7 +487,7 @@ let test_attach_refuses_version_1 () =
 let test_object_counts () =
   let e, fs = make_fs ~block_size:512 simple 14 in
   let root = Fs.root_ino fs in
-  let live () = Heap.live_objects (Engine.heap e) in
+  let live () = (Heap.stats (Engine.heap e)).Heap.live_objects in
   let nodes () =
     Metrics.fold_counters (Engine.registry e) ~init:0 ~f:(fun acc n v ->
         if n = "fs.extent_nodes_allocated" then v else acc)

@@ -21,7 +21,7 @@ let test_alloc_basic () =
   Alcotest.(check bool) "non-null" true (p <> Heap.null);
   Alcotest.(check bool) "allocated" true (Heap.is_allocated h p);
   Alcotest.(check int) "rounded to class" 112 (Heap.capacity h p);
-  Alcotest.(check int) "one live object" 1 (Heap.live_objects h)
+  Alcotest.(check int) "one live object" 1 (Heap.stats h).Heap.live_objects
 
 let test_alloc_zeroed () =
   let h, r = make () in
@@ -282,11 +282,11 @@ let test_live_bytes () =
   let h, _ = make () in
   let _ = Heap.alloc h 1024 in
   let p = Heap.alloc h 32 in
-  Alcotest.(check int) "live bytes" (1024 + 32) (Heap.live_bytes h);
+  Alcotest.(check int) "live bytes" (1024 + 32) (Heap.stats h).Heap.live_bytes;
   Heap.free h p;
-  Alcotest.(check int) "after free" 1024 (Heap.live_bytes h)
+  Alcotest.(check int) "after free" 1024 (Heap.stats h).Heap.live_bytes
 
-(* --- Occupancy stats and chained extents --- *)
+(* --- Occupancy stats --- *)
 
 let test_stats_accounting () =
   let h, r = make () in
@@ -303,38 +303,11 @@ let test_stats_accounting () =
   Heap.free h a;
   let s2 = Heap.stats h in
   Alcotest.(check int) "one live after free" 1 s2.Heap.live_objects;
-  (* [Heap.stats] survive a stale -> resync cycle (what reopen does). *)
+  (* [Heap.stats] read the same after reopen. *)
   let h' = Heap.open_existing r in
   let s3 = Heap.stats h' in
-  Alcotest.(check int) "resynced live objects" 1 s3.Heap.live_objects;
-  Alcotest.(check int) "resynced live bytes" s2.Heap.live_bytes s3.Heap.live_bytes
-
-let test_chained_alloc () =
-  let h, r = make ~size:(1 lsl 22) () in
-  let size = Heap.max_object_size + 100_000 in
-  let plan, _ranges = Heap.alloc_many_ranges h (Heap.chain_plan size) in
-  Alcotest.(check bool) "multi-extent plan" true (List.length plan >= 2);
-  let head = Heap.alloc_chain h size in
-  Alcotest.(check bool) "head allocated" true (Heap.is_allocated h head);
-  Alcotest.(check int) "links match plan" (List.length plan)
-    (List.length (Heap.chain_links h head));
-  Alcotest.(check int) "total size recorded" size (Heap.chain_size h head);
-  let s = Heap.stats h in
-  Alcotest.(check int) "chained head counted once" 1 s.Heap.chained_objects;
-  Alcotest.(check bool) "validate accepts chains" true (Heap.validate h = Ok ());
-  (* Chain links are not individually freeable. *)
-  Alcotest.(check bool) "free of head refused" true
-    (try
-       Heap.free h head;
-       false
-     with Invalid_argument _ -> true);
-  (* Chains survive reopen. *)
-  let h' = Heap.open_existing r in
-  Alcotest.(check int) "chain intact after reopen" size (Heap.chain_size h' head);
-  Heap.free_chain h' head;
-  let s' = Heap.stats h' in
-  Alcotest.(check int) "all extents released" 0 s'.Heap.live_objects;
-  Alcotest.(check int) "no chained objects left" 0 s'.Heap.chained_objects
+  Alcotest.(check int) "live objects after reopen" 1 s3.Heap.live_objects;
+  Alcotest.(check int) "live bytes after reopen" s2.Heap.live_bytes s3.Heap.live_bytes
 
 let test_validate_ok () =
   let h, _ = make () in
@@ -352,6 +325,19 @@ let test_validate_detects_corruption () =
   match Heap.validate h with
   | Ok () -> Alcotest.fail "corruption not detected"
   | Error _ -> ()
+
+(* Only 0 (free) and 1 (allocated) are flags words: a header whose flags
+   read 3 fails validation, and freeing its object is refused. *)
+let test_validate_rejects_flags () =
+  let h, r = make () in
+  let p = Heap.alloc h 64 in
+  Region.write_int64 r (p - 8) 3L;
+  (match Heap.validate h with
+  | Ok () -> Alcotest.fail "flags 3 accepted"
+  | Error _ -> ());
+  Alcotest.check_raises "free refused"
+    (Invalid_argument (Printf.sprintf "Heap.free: %d is not an allocated object" p))
+    (fun () -> Heap.free h p)
 
 let test_iter_objects () =
   let h, _ = make () in
@@ -392,7 +378,7 @@ let alloc_free_qcheck =
           end)
         ops;
       Heap.validate h = Ok ()
-      && Heap.live_objects h = Hashtbl.length live
+      && (Heap.stats h).Heap.live_objects = Hashtbl.length live
       && Hashtbl.fold (fun p () acc -> acc && Heap.is_allocated h p) live true)
 
 (* Random allocs and frees across every class: a freed extent is the next
@@ -430,24 +416,20 @@ let class_reuse_qcheck =
         ops;
       !ok && Heap.validate h = Ok ())
 
-(* --- Every fence of an alloc, a free and a free_chain ---
+(* --- Every fence of an alloc and a free ---
 
-   Three transactions, each crashed at every one of its fences (and at
-   every fence of the recoveries after it) in all three crash modes: the
-   first allocates objects in three classes plus a chained extent above
-   [max_object_size], the second frees the three objects, the third frees
-   the chain. After every recovery the heap validates and its live object
-   set is the before- or the after-state (the after-state once the commit
-   has returned). *)
+   Two transactions, each crashed at every one of its fences (and at every
+   fence of the recoveries after it) in all three crash modes: the first
+   allocates objects in three classes, the second frees them. After every
+   recovery the heap validates and its live object set is the before- or
+   the after-state (the after-state once the commit has returned). *)
 
 let sweep_config crash_mode =
   { Engine.default_config with Engine.heap_bytes = 1 lsl 20; log_slots = 16; crash_mode }
 
 let sweep_sizes = [ 72; 264; 1032 ]
 
-let chain_bytes = Heap.max_object_size + 1000
-
-let alloc_all tx = Engine.alloc_many tx (sweep_sizes @ [ chain_bytes ])
+let alloc_all tx = Engine.alloc_many tx sweep_sizes
 
 let live_set e =
   let objs = ref [] in
@@ -473,16 +455,10 @@ let sweep_heap_tx (name, kind) crash_mode (step, prefix, op) =
        ~check:(fun (e, _) -> Tx_model.check_engine e)
        ())
 
-(* [alloc_all]'s pointers: the class objects first, the chain head last. *)
-let class_objects ps = List.filteri (fun i _ -> i < List.length sweep_sizes) ps
-
-let chain_head ps = List.nth ps (List.length sweep_sizes)
-
 let heap_txs =
   [
     ("alloc", false, fun tx _ -> ignore (alloc_all tx));
-    ("free", true, fun tx ps -> List.iter (Engine.free tx) (class_objects ps));
-    ("free_chain", true, fun tx ps -> Engine.free_chain tx (chain_head ps));
+    ("free", true, fun tx ps -> List.iter (Engine.free tx) ps);
   ]
 
 let test_every_fence kind () =
@@ -522,15 +498,15 @@ let () =
       ( "validation",
         [
           Alcotest.test_case "occupancy stats" `Quick test_stats_accounting;
-          Alcotest.test_case "chained extents" `Quick test_chained_alloc;
           Alcotest.test_case "valid heap" `Quick test_validate_ok;
           Alcotest.test_case "detects corruption" `Quick test_validate_detects_corruption;
+          Alcotest.test_case "flags other than 0/1 rejected" `Quick test_validate_rejects_flags;
           Alcotest.test_case "iter objects" `Quick test_iter_objects;
         ] );
       ( "fence sweep",
         List.map
           (fun ((name, _) as kind) ->
-            Alcotest.test_case (name ^ " alloc, free, free_chain") `Quick (test_every_fence kind))
+            Alcotest.test_case (name ^ " alloc, free") `Quick (test_every_fence kind))
           [
             ("undo", Engine.Undo_logging);
             ("cow", Engine.Cow);
