@@ -836,9 +836,23 @@ let fs_cmd =
       value & flag
       & info [ "dump" ] ~doc:"Print the directory tree after the run.")
   in
-  let run kind heap_mb seed rounds crashes dump =
+  let block_size_arg =
+    Arg.(
+      value & opt int 512
+      & info [ "block-size" ] ~docv:"BYTES"
+          ~doc:
+            "Data-block size: a multiple of 8, at most the largest heap object \
+             less one inode. A file's block 0 lives in its inode object, so this \
+             also sets the inode object's size class.")
+  in
+  let run kind heap_mb seed rounds crashes dump block_size =
     let e = Engine.create ~config:(config_of heap_mb) ~kind ~seed () in
-    let fs = Fs.format ~block_size:512 ~dir_hash_bits:6 e in
+    let fs =
+      try Fs.format ~block_size ~dir_hash_bits:6 e
+      with Invalid_argument m ->
+        prerr_endline m;
+        exit 2
+    in
     let root = Fs.root_ino fs in
     let rng = Rng.create (seed + 1) in
     let dirs = ref [ root ] in
@@ -922,7 +936,7 @@ let fs_cmd =
   in
   let term =
     Term.(const run $ engine_arg $ heap_mb_arg $ seed_arg $ rounds_arg $ crashes_arg
-          $ dump_arg)
+          $ dump_arg $ block_size_arg)
   in
   Cmd.v
     (Cmd.info "fs"

@@ -22,7 +22,7 @@ module Layout = struct
   let sb_hash_bits = 64
   let sb_size = 72
   let magic = 0x4b46_534d (* "KFSM" *)
-  let version = 4
+  let version = 5
 
   (* Inode. *)
   let i_ino = 0
@@ -32,9 +32,11 @@ module Layout = struct
   let i_parent = 32
   let i_gen = 40
   let i_head = 48
-  let i_blk0 = 56
+  let i_reserved = 56
   let i_name = 64
   let inode_size = 128
+  let i_data = inode_size
+  let file_inode_size block_size = inode_size + block_size
   let kind_file = 1
   let kind_dir = 2
 
@@ -63,15 +65,20 @@ module Layout = struct
   let ext_slots = 30
   let ext_size = 8 + (ext_slots * 8)
 
-  (* Block addressing. A file's block pointers sit in a list of holders:
-     holder 0 is the inode, whose one slot [i_blk0] holds block 0; holder
-     [k >= 1] is extent-chain node [k - 1], whose slots hold blocks
-     [1 + ((k - 1) * ext_slots) .. k * ext_slots]. Holder [k] links to
+  (* Block addressing. Block 0 of a file lives inline in its inode
+     object, at [i_data]; no pointer to it is stored. Every other block
+     is an object of its own whose pointer sits in an extent-chain node.
+     The file's holders are its inode (holder 0) and its chain nodes
+     (holder [k >= 1] is node [k - 1], whose slots hold blocks
+     [1 + ((k - 1) * ext_slots) .. k * ext_slots]); holder [k] links to
      holder [k + 1] through its word [link_off k]. A file of [nb] blocks
      owns [ext_nodes nb] chain nodes: the holder index of its last block,
-     so none for [nb <= 1]. *)
+     so none for [nb <= 1]. Block [b]'s bytes start at [blk_off b] in the
+     object that holds them: the inode for block 0, the block itself
+     for the rest. *)
   let blk_holder b = (b + ext_slots - 1) / ext_slots
-  let blk_slot b = if b = 0 then i_blk0 else e_slot ((b - 1) mod ext_slots)
+  let blk_slot b = e_slot ((b - 1) mod ext_slots)
+  let blk_off b = if b = 0 then i_data else 0
   let link_off k = if k = 0 then i_head else e_next
   let ext_nodes nb = (nb + ext_slots - 2) / ext_slots
 
@@ -86,6 +93,8 @@ type t = {
   sb : Heap.ptr;
   itab : Btree.t;
   block_size : int;
+  file_sizes : int list;
+      (* What a file's [mknod] allocates: its one inode object. *)
   hash_mask : int;
   base : int;
   stride : int;
@@ -177,13 +186,14 @@ let kind_code = function File -> kind_file | Dir -> kind_dir
    Making an inode is split in two halves so composite operations can fold
    its allocation into their own: [plan_mknod] takes the next ordinal and
    declares the inode-table leaf; [apply_mknod] fills the objects of one
-   allocation of [mknod_sizes] and returns the inode. *)
+   allocation of [mknod_sizes] and returns the inode. A file's inode
+   object carries its block 0; a directory's is [inode_size] bytes and
+   comes with its index's first nodes. *)
 type mknod_plan = { m_ino : int; m_at : Btree.cursor }
 
 let mknod_sizes =
-  let file = [ inode_size ] in
   let dir = inode_size :: Btree.create_sizes ~node_size:dir_node_size in
-  function File -> file | Dir -> dir
+  fun t -> function File -> t.file_sizes | Dir -> dir
 
 (* The ordinal past the inode table's largest committed key. *)
 let ord_after_itab ~base ~stride itab =
@@ -207,8 +217,8 @@ let rec plan_mknod tx t =
   end
 
 (* A fresh object is zeroed, so the words whose value is 0 ([i_size],
-   [i_gen], a file's null [i_head] and [i_blk0], the whole name slot) are
-   left as allocated. *)
+   [i_gen], a file's null [i_head], [i_reserved], the whole name slot and
+   a file's inline block 0) are left as allocated. *)
 let apply_mknod tx t kind ~parent { m_ino; m_at } objs =
   let ip = List.hd objs in
   Engine.write_int tx ip i_ino m_ino;
@@ -228,16 +238,17 @@ let apply_mknod tx t kind ~parent { m_ino; m_at } objs =
    formatting transaction. *)
 let mknod_tx tx t kind ~parent =
   let m = plan_mknod tx t in
-  ignore (apply_mknod tx t kind ~parent m (Engine.alloc_many tx (mknod_sizes kind)));
+  ignore (apply_mknod tx t kind ~parent m (Engine.alloc_many tx (mknod_sizes t kind)));
   m.m_ino
 
 (* The geometry [format] accepts and [attach] trusts: [fail off msg] on
-   the first word out of range, [off] its superblock offset. *)
+   the first word out of range, [off] its superblock offset. A block must
+   fit in one object behind an inode, where a file's block 0 lives. *)
 let check_geometry fail ~block_size ~hash_bits ~ino_base ~ino_stride =
-  if block_size < 8 || block_size mod 8 <> 0 || block_size > Heap.max_object_size then
+  let max_block = Heap.max_object_size - inode_size in
+  if block_size < 8 || block_size mod 8 <> 0 || block_size > max_block then
     fail sb_block_size
-      (Printf.sprintf "block_size %d is not a multiple of 8 in 8..%d" block_size
-         Heap.max_object_size);
+      (Printf.sprintf "block_size %d is not a multiple of 8 in 8..%d" block_size max_block);
   if hash_bits < 1 || hash_bits > 61 then
     fail sb_hash_bits (Printf.sprintf "hash_bits %d is outside 1..61" hash_bits);
   if ino_base < 0 || ino_base >= ino_stride then
@@ -274,6 +285,7 @@ let format ?(block_size = 512) ?(dir_hash_bits = 40) ?(ino_base = 0)
             sb;
             itab;
             block_size;
+            file_sizes = [ file_inode_size block_size ];
             hash_mask = (1 lsl dir_hash_bits) - 1;
             base = ino_base;
             stride = ino_stride;
@@ -296,9 +308,9 @@ let format ?(block_size = 512) ?(dir_hash_bits = 40) ?(ino_base = 0)
   if Obs.enabled obs then Obs.name_track obs obs_track "fs.ops";
   t
 
-(* Every header word is checked before any is trusted. A version-1 image
-   kept block 0 in the extent chain, so its files would read as empty; a
-   version-2 image kept counters this layout drops. *)
+(* Every header word is checked before any is trusted. A version-4 or
+   older image kept block 0 in an object of its own, so its files would
+   read as empty; a version-2 image kept counters this layout drops. *)
 let attach ?(obs_track = 4) engine =
   let sb = Engine.root engine in
   if sb = Heap.null then err "Fs.attach: heap has no root";
@@ -321,6 +333,7 @@ let attach ?(obs_track = 4) engine =
       sb;
       itab;
       block_size;
+      file_sizes = [ file_inode_size block_size ];
       hash_mask = (1 lsl hash_bits) - 1;
       base;
       stride;
@@ -503,7 +516,8 @@ let blocks_for t size = (size + t.block_size - 1) / t.block_size
 
 (* The superblock's exact block count, the one counter it keeps: an
    operation that changes a file's block count declares the superblock
-   and moves it by [delta]. *)
+   and moves it by [delta]. The count is of logical blocks, so block 0
+   counts although it is no object of its own. *)
 let add_block_count tx t delta =
   Engine.write_int tx t.sb sb_block_count (Engine.read_int tx t.sb sb_block_count + delta)
 
@@ -511,17 +525,19 @@ let add_block_count tx t delta =
    inode [ip], holder [k >= 1] is [nodes.(k - 1)] of its extent chain. *)
 let holder ip nodes k = if k = 0 then ip else nodes.(k - 1)
 
-(* One walk of a file's block pointers: its first [nn] chain nodes
-   ([i_head] is read only when [nn > 0]), and into [blks] the pointers of
-   blocks [from_b .. to_b] ([blks.(b - from_b)]), which must lie in the
-   inode or those nodes. *)
+(* One walk of a file's block addresses: its first [nn] chain nodes
+   ([i_head] is read only when [nn > 0]), and into [blks] the object
+   holding each of blocks [from_b .. to_b] ([blks.(b - from_b)]; block
+   [b]'s bytes start at [blk_off b] in it). Block 0's object is [ip]
+   itself; the pointers of the others must lie in those nodes. *)
 let walk_chain tx ip ~nn ~from_b ~to_b blks =
   let nodes = Array.make nn Heap.null in
   for k = 1 to nn do
     nodes.(k - 1) <- Engine.read_int tx (holder ip nodes (k - 1)) (link_off (k - 1))
   done;
   for b = from_b to to_b do
-    blks.(b - from_b) <- Engine.read_int tx (holder ip nodes (blk_holder b)) (blk_slot b)
+    blks.(b - from_b) <-
+      (if b = 0 then ip else Engine.read_int tx nodes.(blk_holder b - 1) (blk_slot b))
   done;
   nodes
 
@@ -530,29 +546,30 @@ let walk_chain tx ip ~nn ~from_b ~to_b blks =
    would still pay the object lookup's loads). *)
 let declare_word tx nodes k off = if k > 0 then Engine.add_field tx nodes.(k - 1) off 8
 
-(* Append zeroed blocks (and chain nodes) to go from [old_nb] to [new_nb]
-   blocks. [nodes] reaches the holder of the file's last block, which the
-   first new blocks (and the first new node's link) go into. One
-   [alloc_many] declares and allocates every new node and block, in the
-   order they are linked. Fresh blocks numbered [from_b ..] are stored
-   into [blks] for the caller's data writes. *)
-let grow tx t ip nodes ~old_nb ~new_nb ~from_b blks =
-  if new_nb > old_nb then begin
-    let h = ext_nodes old_nb in
-    let b = ref old_nb in
+(* Append zeroed blocks (and chain nodes) to go from [have >= 1] to
+   [new_nb] blocks: block 0 is always present, inline. [nodes] reaches
+   the holder of the file's last block, which the first new blocks (and
+   the first new node's link) go into. One [alloc_many] declares and
+   allocates every new node and block, in the order they are linked.
+   Fresh blocks numbered [from_b ..] are stored into [blks] for the
+   caller's data writes. *)
+let grow tx t ip nodes ~have ~new_nb ~from_b blks =
+  if new_nb > have then begin
+    let h = ext_nodes have in
+    let b = ref have in
     while !b < new_nb && blk_holder !b = h do
       declare_word tx nodes h (blk_slot !b);
       incr b
     done;
     if !b < new_nb then declare_word tx nodes h (link_off h);
     let sizes = ref [] in
-    for b = new_nb - 1 downto old_nb do
+    for b = new_nb - 1 downto have do
       sizes := t.block_size :: !sizes;
       if blk_holder b > blk_holder (b - 1) then sizes := ext_size :: !sizes
     done;
     let fresh = Array.of_list (Engine.alloc_many tx !sizes) in
     let k = ref 0 and h = ref h and cur = ref (holder ip nodes h) in
-    for b = old_nb to new_nb - 1 do
+    for b = have to new_nb - 1 do
       if blk_holder b > !h then begin
         let n = fresh.(!k) in
         incr k;
@@ -569,19 +586,20 @@ let grow tx t ip nodes ~old_nb ~new_nb ~from_b blks =
     done
   end
 
-(* Shrink from [old_nb] blocks to [len] bytes: re-zero the kept tail, null
-   freed slots in kept holders, free dropped blocks, cut the chain after
-   the last kept holder and free the nodes past it. Everything is declared
-   before the first write. *)
-let shrink tx t ip ~len ~old_nb =
-  let new_nb = blocks_for t len in
-  let tail = len mod t.block_size in
-  let zb = if tail <> 0 then new_nb - 1 else new_nb in
+(* Shrink from [old_size] to [len < old_size] bytes: re-zero the bytes of
+   the last kept block (block 0 when none is kept) that were below the
+   old EOF, null freed slots in kept holders, free dropped blocks, cut
+   the chain after the last kept holder and free the nodes past it.
+   Everything is declared before the first write. *)
+let shrink tx t ip ~len ~old_size =
+  let old_nb = blocks_for t old_size and new_nb = blocks_for t len in
+  let zb = max new_nb 1 - 1 in
+  let lo = len - (zb * t.block_size) and hi = min t.block_size (old_size - (zb * t.block_size)) in
   let keep = ext_nodes new_nb and total = ext_nodes old_nb in
   let blks = Array.make (old_nb - zb) Heap.null in
   let nodes = walk_chain tx ip ~nn:total ~from_b:zb ~to_b:(old_nb - 1) blks in
-  if tail <> 0 then Engine.add_field tx blks.(0) tail (t.block_size - tail);
-  for b = new_nb to old_nb - 1 do
+  if lo < hi then Engine.add_field tx blks.(0) (blk_off zb + lo) (hi - lo);
+  for b = zb + 1 to old_nb - 1 do
     if blk_holder b <= keep then declare_word tx nodes (blk_holder b) (blk_slot b);
     Engine.declare_free tx blks.(b - zb)
   done;
@@ -591,9 +609,8 @@ let shrink tx t ip ~len ~old_nb =
       Engine.declare_free tx nodes.(i)
     done
   end;
-  if tail <> 0 then
-    Engine.write_string tx blks.(0) tail (String.make (t.block_size - tail) '\000');
-  for b = new_nb to old_nb - 1 do
+  if lo < hi then Engine.write_string tx blks.(0) (blk_off zb + lo) (String.make (hi - lo) '\000');
+  for b = zb + 1 to old_nb - 1 do
     if blk_holder b <= keep then
       Engine.write_int tx (holder ip nodes (blk_holder b)) (blk_slot b) Heap.null;
     Engine.free tx blks.(b - zb)
@@ -606,12 +623,14 @@ let shrink tx t ip ~len ~old_nb =
   end
 
 (* Dropping one link of a regular file; at the last link the file goes:
-   every block, then every chain node, then the inode and its
-   inode-table binding. [d_at]/[d_ip] come from [inode_at]. *)
+   every block past block 0, then every chain node, then the inode
+   object (block 0 with it) and its inode-table binding. [d_at]/[d_ip]
+   come from [inode_at]; [d_nb] is the file's block count. *)
 type drop = {
   d_at : Btree.cursor;
   d_ip : Heap.ptr;
   d_nlink : int;
+  d_nb : int;
   d_nodes : Heap.ptr array;
   d_blks : Heap.ptr array;
 }
@@ -620,18 +639,18 @@ let declare_drop_link tx t ~at ~ip =
   let nlink = Engine.read_int tx ip i_nlink in
   if nlink > 1 then begin
     declare_inode tx ip;
-    { d_at = at; d_ip = ip; d_nlink = nlink; d_nodes = [||]; d_blks = [||] }
+    { d_at = at; d_ip = ip; d_nlink = nlink; d_nb = 0; d_nodes = [||]; d_blks = [||] }
   end
   else begin
     let nb = blocks_for t (Engine.read_int tx ip i_size) in
-    let blks = Array.make nb Heap.null in
-    let nodes = walk_chain tx ip ~nn:(ext_nodes nb) ~from_b:0 ~to_b:(nb - 1) blks in
+    let blks = Array.make (max 0 (nb - 1)) Heap.null in
+    let nodes = walk_chain tx ip ~nn:(ext_nodes nb) ~from_b:1 ~to_b:(nb - 1) blks in
     Array.iter (Engine.declare_free tx) blks;
     Array.iter (Engine.declare_free tx) nodes;
     Engine.declare_free tx ip;
     Btree.declare_delete tx at;
     if nb > 0 then Engine.add tx t.sb;
-    { d_at = at; d_ip = ip; d_nlink = nlink; d_nodes = nodes; d_blks = blks }
+    { d_at = at; d_ip = ip; d_nlink = nlink; d_nb = nb; d_nodes = nodes; d_blks = blks }
   end
 
 let apply_drop_link tx t d =
@@ -641,8 +660,7 @@ let apply_drop_link tx t d =
     Array.iter (Engine.free tx) d.d_nodes;
     Engine.free tx d.d_ip;
     ignore (Btree.delete_at tx t.itab d.d_at);
-    let nb = Array.length d.d_blks in
-    if nb > 0 then add_block_count tx t (-nb)
+    if d.d_nb > 0 then add_block_count tx t (-d.d_nb)
   end
 
 (* --- Inode-side primitives ------------------------------------------------ *)
@@ -705,7 +723,7 @@ let make_tx tx t kind ~dir ~parent ~what name =
   if s.de <> Heap.null then err "Fs.%s: %s exists" what name;
   let m = plan_mknod tx t in
   declare_dirent_add tx s;
-  let ip = apply_mknod tx t kind ~parent m (Engine.alloc_many tx (mknod_sizes kind)) in
+  let ip = apply_mknod tx t kind ~parent m (Engine.alloc_many tx (mknod_sizes t kind)) in
   apply_dirent_add tx s ~de:(slot_ref ip) ~name ~ino:m.m_ino;
   m.m_ino
 
@@ -808,26 +826,29 @@ let write_tx tx t ~ino ~off data =
     let old_size = Engine.read_int tx ip i_size in
     let new_size = max old_size (off + len) in
     let old_nb = blocks_for t old_size and new_nb = blocks_for t new_size in
+    (* Blocks [0, have) exist: block 0 always, inline. *)
+    let have = max old_nb 1 in
     let from_b = off / t.block_size and to_b = (off + len - 1) / t.block_size in
     (* Walk the chain through the written blocks that exist and the tail
        node the file grows from. *)
-    let last = if new_nb > old_nb then old_nb - 1 else to_b in
+    let last = if new_nb > have then have - 1 else to_b in
     let blks = Array.make (to_b - from_b + 1) Heap.null in
     let nodes =
-      walk_chain tx ip ~nn:(ext_nodes (last + 1)) ~from_b ~to_b:(min to_b (old_nb - 1)) blks
+      walk_chain tx ip ~nn:(ext_nodes (last + 1)) ~from_b ~to_b:(min to_b (have - 1)) blks
     in
     if new_nb > old_nb then Engine.add tx t.sb;
-    (* Bytes [lo, hi) of the write land in block [b], at [lo - blo]. *)
-    for b = from_b to min to_b (old_nb - 1) do
+    (* Bytes [lo, hi) of the write land in block [b], at [blk_off b + lo - blo]. *)
+    for b = from_b to min to_b (have - 1) do
       let blo = b * t.block_size in
       let lo = max off blo and hi = min (off + len) (blo + t.block_size) in
-      Engine.add_field tx blks.(b - from_b) (lo - blo) (hi - lo)
+      Engine.add_field tx blks.(b - from_b) (blk_off b + lo - blo) (hi - lo)
     done;
-    grow tx t ip nodes ~old_nb ~new_nb ~from_b blks;
+    grow tx t ip nodes ~have ~new_nb ~from_b blks;
     for b = from_b to to_b do
       let blo = b * t.block_size in
       let lo = max off blo and hi = min (off + len) (blo + t.block_size) in
-      Engine.write_string tx blks.(b - from_b) (lo - blo) (String.sub data (lo - off) (hi - lo))
+      Engine.write_string tx blks.(b - from_b) (blk_off b + lo - blo)
+        (String.sub data (lo - off) (hi - lo))
     done;
     if new_size > old_size then Engine.write_int tx ip i_size new_size;
     if new_nb > old_nb then add_block_count tx t (new_nb - old_nb)
@@ -844,11 +865,13 @@ let truncate_tx tx t ~ino ~len =
     let old_nb = blocks_for t old_size and new_nb = blocks_for t len in
     if new_nb <> old_nb then Engine.add tx t.sb;
     if len > old_size then begin
-      let nn = if new_nb > old_nb then ext_nodes old_nb else 0 in
+      (* The bytes a grow exposes in blocks that exist are zero already. *)
+      let have = max old_nb 1 in
+      let nn = if new_nb > have then ext_nodes have else 0 in
       let nodes = walk_chain tx ip ~nn ~from_b:0 ~to_b:(-1) [||] in
-      grow tx t ip nodes ~old_nb ~new_nb ~from_b:new_nb [||]
+      grow tx t ip nodes ~have ~new_nb ~from_b:new_nb [||]
     end
-    else shrink tx t ip ~len ~old_nb;
+    else shrink tx t ip ~len ~old_size;
     Engine.write_int tx ip i_size len;
     if new_nb <> old_nb then add_block_count tx t (new_nb - old_nb)
   end
@@ -871,7 +894,8 @@ let read_op_tx tx t ~ino ~off ~len =
     for b = from_b to to_b do
       let blo = b * t.block_size in
       let lo = max off blo and hi = min (off + len) (blo + t.block_size) in
-      Buffer.add_bytes buf (Engine.read_bytes tx blks.(b - from_b) (lo - blo) (hi - lo))
+      Buffer.add_bytes buf
+        (Engine.read_bytes tx blks.(b - from_b) (blk_off b + lo - blo) (hi - lo))
     done;
     Buffer.contents buf
   end

@@ -23,15 +23,19 @@
       at {!attach}, so a create does not write the superblock.
     - {e inode table}: a {!Kamino_index.Btree} mapping ino -> inode
       object.
-    - {e inode object} (128 bytes, one size class): the inode's 64 bytes —
-      ino, kind (file/dir), link count, size (file bytes; 0 for a
-      directory, whose entry count {!stat} computes from its index),
-      parent ino (directories; the root is its own parent; files carry
-      [-1]), a generation counter bumped by rename, a head pointer —
-      extent-chain head for files, the directory-index B+Tree descriptor
-      for directories — and [i_blk0], a file's block 0 — then, at
-      {!Layout.i_name}, its {e name slot}: a dirent holding the name
-      [create] or [mkdir] gave it. Adding or removing a dirent writes the
+    - {e inode object}: the inode's 64 bytes — ino, kind (file/dir),
+      link count, size (file bytes; 0 for a directory, whose entry count
+      {!stat} computes from its index), parent ino (directories; the root
+      is its own parent; files carry [-1]), a generation counter bumped
+      by rename, a head pointer — extent-chain head for files, the
+      directory-index B+Tree descriptor for directories — and a reserved
+      word ({!Layout.i_reserved}, zero) — then, at {!Layout.i_name}, its
+      {e name slot}: a dirent holding the name [create] or [mkdir] gave
+      it; then, for a regular file only, its block 0 at
+      {!Layout.i_data}. A directory's inode object is
+      {!Layout.inode_size} (128) bytes, a file's
+      [{!Layout.file_inode_size} block_size] (the 640-byte class at
+      512-byte blocks). Adding or removing a dirent writes the
       directory's index and dirents, never the directory's inode.
     - {e directory index}: a B+Tree mapping [hash(name) land mask] ->
       head of a collision chain of dirents linked through [d_next]; each
@@ -45,29 +49,33 @@
       clears its length word, unless the same transaction frees its
       inode. [dir_hash_bits] can be tiny in tests to force
       collisions.
-    - {e file blocks}: block 0 hangs off the inode ([i_blk0]); block
-      [b >= 1] sits in slot [(b - 1) mod ext_slots] of extent-chain
-      node [(b - 1) / ext_slots], each node holding
-      {!Layout.ext_slots} data-block pointers ({!Layout.blk_holder},
-      {!Layout.blk_slot}: the one rule every walk, fsck's included,
-      uses). A file of size [s] owns {e exactly} [nb = ceil(s /
-      block_size)] blocks and exactly [ceil((nb - 1) / ext_slots)]
-      chain nodes, so a file of at most one block has no chain and a
-      null [i_head]. No holes ever materialize as missing blocks
-      (sparse writes allocate zeroed blocks), slots past EOF are null,
-      and bytes past EOF in the last block are zero, which makes torn
-      writes visible to fsck.
+    - {e file blocks}: block 0 lives inline in the inode object, at
+      [(ip, i_data)], and no pointer to it is stored; block [b >= 1] is
+      an object of its own whose pointer sits in slot
+      [(b - 1) mod ext_slots] of extent-chain node
+      [(b - 1) / ext_slots], each node holding {!Layout.ext_slots}
+      data-block pointers ({!Layout.blk_holder}, {!Layout.blk_slot},
+      {!Layout.blk_off}: the one rule every walk, fsck's included,
+      uses). A file of size [s] has {e exactly} [nb = ceil(s /
+      block_size)] blocks — [nb - 1] of them objects, for [nb >= 1] —
+      and exactly [ceil((nb - 1) / ext_slots)] chain nodes, so a file
+      of at most one block has no chain and a null [i_head]. No holes
+      ever materialize as missing blocks (sparse writes allocate zeroed
+      blocks), slots past EOF are null, and bytes past EOF are zero, in
+      the last block and in the inline block of every file (an empty
+      one included), which makes torn writes visible to fsck.
 
     Objects per operation on a one-block file: [create] allocates one
-    (the inode object, name included), its first [write] one (the
-    block), and [unlink] frees two (inode object, block).
+    (the inode object, name and block 0 included), its [write]s none,
+    and [unlink] frees the one.
 
-    The superblock's [version] is {!Layout.version} (4; version 3 had
-    64-byte inodes and kept every name in a standalone dirent, version 2
-    also kept inode, directory and byte counters and the inode cursor in
-    the superblock and each directory's entry count in its inode,
-    version 1 also kept block 0 in the chain). {!attach} refuses any
-    other version.
+    The superblock's [version] is {!Layout.version} (5; version 4 kept
+    block 0 in an object of its own behind an [i_blk0] pointer at word
+    56, version 3 also had 64-byte inodes and kept every name in a
+    standalone dirent, version 2 also kept inode, directory and byte
+    counters and the inode cursor in the superblock and each
+    directory's entry count in its inode, version 1 also kept block 0
+    in the chain). {!attach} refuses any other version.
 
     Transactions follow the engine's granularity argument: metadata
     objects are declared whole (they are a cache line or two), file
@@ -118,13 +126,24 @@ module Layout : sig
   val i_parent : int
   val i_gen : int
   val i_head : int
-  val i_blk0 : int
+
+  val i_reserved : int
+  (** Word 56, zero in every inode. *)
 
   val i_name : int
   (** The inode object's name slot: a dirent's fields at [i_name + d_*]. *)
 
   val inode_size : int
-  (** The whole inode object: the inode words, then the name slot. *)
+  (** The inode words and the name slot: the whole inode object of a
+      directory. *)
+
+  val i_data : int
+  (** Where a regular file's block 0 starts in its inode object: right
+      behind the name slot, at [inode_size]. *)
+
+  val file_inode_size : int -> int
+  (** [file_inode_size block_size] — the size a regular file's inode
+      object is allocated with: [inode_size + block_size]. *)
 
   val kind_file : int
   val kind_dir : int
@@ -157,12 +176,19 @@ module Layout : sig
   val ext_size : int
 
   val blk_holder : int -> int
-  (** Block [b]'s pointer lives in holder [blk_holder b]: holder 0 is the
-      inode, holder [k >= 1] is extent-chain node [k - 1]. *)
+  (** Block [b] belongs to holder [blk_holder b]: holder 0 is the inode,
+      which holds block 0 inline, holder [k >= 1] is extent-chain node
+      [k - 1], which holds pointers to blocks
+      [1 + ((k - 1) * ext_slots) .. k * ext_slots]. *)
 
   val blk_slot : int -> int
-  (** ... at offset [blk_slot b] there: [i_blk0] for block 0, slot
-      [e_slot ((b - 1) mod ext_slots)] of its node for the rest. *)
+  (** For [b >= 1], the offset of block [b]'s pointer in its holder:
+      slot [e_slot ((b - 1) mod ext_slots)]. *)
+
+  val blk_off : int -> int
+  (** Where block [b]'s bytes start in the object holding them: [i_data]
+      in the inode for block 0, 0 in the block's own object for the
+      rest. *)
 
   val link_off : int -> int
   (** Holder [k] links to holder [k + 1] through this word: [i_head] for
@@ -195,7 +221,8 @@ type stat = {
     superblock (becomes the heap root), inode table, and — unless
     [with_root:false] — the root directory, all in one transaction.
 
-    [block_size] (default 512, multiple of 8) is the data-block payload
+    [block_size] (default 512, multiple of 8, at most
+    [Heap.max_object_size - Layout.inode_size]) is the data-block payload
     size; [dir_hash_bits] (default 40) masks the directory name hash
     ([2] in tests forces collision chains). [ino_base]/[ino_stride]
     (defaults 0/1) put this filesystem's inos on the congruence class
@@ -223,8 +250,9 @@ val format :
     past the table's largest key. Raises [Region.Corrupt],
     [off] naming the [Layout.sb_*] word, if the heap root is not a
     superblock or any header word is out of range: a [version] other than
-    {!Layout.version}, a [block_size] outside [8..Heap.max_object_size] or
-    not a multiple of 8, [hash_bits] outside [1..61], [ino_base]/[ino_stride]
+    {!Layout.version}, a [block_size] outside
+    [8..Heap.max_object_size - Layout.inode_size] (a file's inode object
+    holds its block 0) or not a multiple of 8, [hash_bits] outside [1..61], [ino_base]/[ino_stride]
     breaking [0 <= ino_base < ino_stride], or an [itab] descriptor that is
     not an allocated object. *)
 val attach : ?obs_track:int -> Engine.t -> t
@@ -297,16 +325,17 @@ val link : t -> ino:int -> dir:int -> string -> unit
 (** Hard link (regular files only). *)
 
 val unlink : t -> dir:int -> string -> unit
-(** Drop a regular file's dirent; at link count zero the inode, its
-    extent chain and every data block are freed in the same
-    transaction. *)
+(** Drop a regular file's dirent; at link count zero the inode object
+    (block 0 with it), its extent chain and every other data block are
+    freed in the same transaction. *)
 
 val rmdir : t -> dir:int -> string -> unit
 (** Remove an {e empty} directory (dirent, index tree, inode). *)
 
 val truncate : t -> ino:int -> len:int -> unit
-(** Grow (zero-filled) or shrink; shrinking frees blocks and trailing
-    extent nodes and re-zeroes the kept tail. *)
+(** Grow (zero-filled) or shrink; shrinking frees blocks past block 0
+    and trailing extent nodes and re-zeroes the dropped bytes of the last
+    kept block, or of the inline block 0 below one block. *)
 
 val dump : t -> string
 (** Human-readable recursive tree listing (committed state), entries

@@ -66,11 +66,13 @@ let fsck_cluster ?(strict_heap = true) fss =
           | Ok () -> ()
           | Error m -> fail "shard %d: inode table invalid: %s" s m);
           Btree.iter_nodes itab (fun p -> claim s claimed.(s) heap p "itab node");
+          (* A file's inode object holds its block 0: it is the class of
+             [file_inode_size], a directory's the class of [inode_size]. *)
+          let class_of size = Heap.size_classes.(Heap.class_of_size size) in
+          let file_obj = class_of (file_inode_size (Fs.block_size fs))
+          and dir_obj = class_of inode_size in
           Btree.iter itab (fun ino ip ->
               claim s claimed.(s) heap ip (Printf.sprintf "inode %d" ino);
-              if Heap.capacity heap ip <> inode_size then
-                fail "shard %d: inode %d is a %d-byte object, not %d" s ino
-                  (Heap.capacity heap ip) inode_size;
               Hashtbl.replace inode_objs.(s) ip ino;
               if pk ip i_ino <> ino then
                 fail "shard %d: inode %d records ino %d" s ino (pk ip i_ino);
@@ -79,6 +81,13 @@ let fsck_cluster ?(strict_heap = true) fss =
               let k = pk ip i_kind in
               if k <> kind_file && k <> kind_dir then
                 fail "shard %d: inode %d has kind %d" s ino k;
+              let want = if k = kind_file then file_obj else dir_obj in
+              if Heap.capacity heap ip <> want then
+                fail "shard %d: %s inode %d is a %d-byte object, not %d" s
+                  (if k = kind_file then "file" else "dir")
+                  ino (Heap.capacity heap ip) want;
+              if pk ip i_reserved <> 0 then
+                fail "shard %d: inode %d has reserved word %d, not 0" s ino (pk ip i_reserved);
               let nlink = pk ip i_nlink in
               if nlink < 1 then fail "shard %d: inode %d has nlink %d" s ino nlink;
               let isize = pk ip i_size in
@@ -185,7 +194,7 @@ let fsck_cluster ?(strict_heap = true) fss =
                    (claiming each chain node before following its link,
                    which bounds a cyclic chain), every slot they hold is
                    a block below EOF or null, and the last one links
-                   nowhere. *)
+                   nowhere. Block 0 is inline and has no slot. *)
                 let size = info.isize in
                 let nb = (size + bs - 1) / bs in
                 let nnodes = ext_nodes nb in
@@ -201,7 +210,7 @@ let fsck_cluster ?(strict_heap = true) fss =
                   fail "shard %d: file %d of %d block(s) has an extent chain longer than %d"
                     s ino nb nnodes;
                 let last_blk = ref Heap.null in
-                for b = 0 to nnodes * ext_slots do
+                for b = 1 to nnodes * ext_slots do
                   let blk = pk holders.(blk_holder b) (blk_slot b) in
                   if b < nb then begin
                     claim s claimed.(s) heap blk (Printf.sprintf "block %d of file %d" b ino);
@@ -212,21 +221,23 @@ let fsck_cluster ?(strict_heap = true) fss =
                   else if blk <> Heap.null then
                     fail "shard %d: file %d has a block pointer past EOF (slot %d)" s ino b
                 done;
-                if nb > 0 then begin
-                  (* Bytes past EOF in the last block must be zero — the
-                     strongest torn-write detector fsck has. *)
-                  let tail = size - ((nb - 1) * bs) in
-                  let cap = Heap.capacity heap !last_blk in
-                  if tail < cap then begin
-                    let bytes = Engine.peek_bytes e !last_blk tail (cap - tail) in
+                (* Bytes past EOF must be zero — the strongest torn-write
+                   detector fsck has: from EOF (or the end of block 0) to
+                   the end of the inode object, whatever the size, and to
+                   the end of the last block when it is not block 0. *)
+                let zero_from p ~off ~base =
+                  let cap = Heap.capacity heap p in
+                  if off < cap then
                     Bytes.iteri
                       (fun i c ->
                         if c <> '\000' then
                           fail "shard %d: file %d has nonzero byte %d past EOF" s ino
-                            (tail + i))
-                      bytes
-                  end
-                end
+                            (base + off + i))
+                      (Engine.peek_bytes e p off (cap - off))
+                in
+                zero_from info.ptr ~off:(i_data + min size bs) ~base:(-i_data);
+                if nb > 1 then
+                  zero_from !last_blk ~off:(size - ((nb - 1) * bs)) ~base:((nb - 1) * bs)
               end)
             per_shard_inos.(s);
           (* A name slot no reference names is clear. *)

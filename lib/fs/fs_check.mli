@@ -13,13 +13,17 @@
       persisted);
     - the inode table and every directory index pass
       {!Kamino_index.Btree.validate};
-    - every inode object is {!Fs.Layout.inode_size} bytes;
+    - a regular file's inode object is the size class of
+      [{!Fs.Layout.file_inode_size} block_size] (it holds block 0), a
+      directory's the class of {!Fs.Layout.inode_size}; every inode's
+      reserved word ({!Fs.Layout.i_reserved}) is zero;
     - every dirent's name is valid and hashes to the B+Tree key it is
       chained under; names are unique within a directory; a
       directory's unused size word is 0;
     - every standalone dirent is claimed once; every tagged reference
       ({!Fs.Layout.is_slot}) names the name slot of an inode object of
-      the same shard, no slot is named twice, a named slot's length is
+      the same shard (a reference into an inode object's inline block
+      names none), no slot is named twice, a named slot's length is
       in [1..max_name_len] and its [d_ino] is its own inode's ino, and
       the slot of every inode no reference names has length 0;
     - link counts equal dirent references exactly (plus one superblock
@@ -27,17 +31,19 @@
       (the root none) and their parent pointers match the referencing
       directory; every parent chain reaches a root — so the namespace
       is one acyclic rooted tree;
-    - every file's block pointers ([i_blk0], then the extent chain,
-      under {!Fs.Layout.blk_holder}'s addressing) cover exactly
-      [ceil(size/block_size)] blocks — no orphaned or doubly-referenced
-      blocks or chain nodes, a chain exactly as long as the blocks past
-      block 0 need (so a file of at most one block has a null
-      [i_head]), slots past EOF null, and every byte past EOF in the
-      last block zero (a torn in-place write that recovery failed to
+    - every file's blocks (block 0 inline, then the extent chain's
+      pointers, under {!Fs.Layout.blk_holder}'s addressing) cover
+      exactly [ceil(size/block_size)] blocks — no orphaned or
+      doubly-referenced blocks or chain nodes, a chain exactly as long
+      as the blocks past block 0 need (so a file of at most one block
+      has a null [i_head]), slots past EOF null, and every byte past EOF
+      zero: in the inode object from EOF (or the end of block 0) on,
+      for every file, an empty one included, and in the last block when
+      it is not block 0 (a torn in-place write that recovery failed to
       roll back shows up here);
     - with [strict_heap] (default true), whole-heap accounting: the set
       of objects the filesystem explains (superblock, B+Tree nodes,
-      inodes, dirents, extent nodes, data blocks) is {e exactly} the
+      inodes, dirents, extent nodes, data blocks past block 0) is {e exactly} the
       heap's allocated-object set, and the heap's own structural
       validation passes — nothing leaked, nothing lost. *)
 

@@ -336,15 +336,41 @@ let test_fsck_detects_corruption () =
         (Engine.peek_int e sb Fs.Layout.sb_block_count + 1));
   expect_violation "a directory size word" (fun e fs _ ->
       poke_int e (Option.get (Fs.inode_ptr fs (Fs.root_ino fs))) Fs.Layout.i_size 2);
-  expect_violation "garbage past EOF" (fun e fs f ->
+  let poke_byte e p off v =
+    Engine.with_tx e (fun tx ->
+        Engine.add tx p;
+        Engine.write_byte tx p off v)
+  in
+  (* The pointer to block 1 of [f], grown to two blocks first. *)
+  let second_block e fs f =
+    Fs.write fs ~ino:f ~off:64 "second block";
+    let node = Engine.peek_int e (Option.get (Fs.inode_ptr fs f)) Fs.Layout.i_head in
+    Engine.peek_int e node (Fs.Layout.blk_slot 1)
+  in
+  expect_violation ~says:"past EOF" "garbage past EOF" (fun e fs f ->
       (* A torn in-place write that recovery failed to roll back: a
          nonzero byte between the file size and the end of its last
-         block. *)
-      let ip = Option.get (Fs.inode_ptr fs f) in
-      let blk = Engine.peek_int e ip Fs.Layout.i_blk0 in
-      Engine.with_tx e (fun tx ->
-          Engine.add tx blk;
-          Engine.write_byte tx blk 30 0xAB));
+         block, here the inline block 0. *)
+      poke_byte e (Option.get (Fs.inode_ptr fs f)) (Fs.Layout.i_data + 30) 0xAB);
+  expect_violation ~says:"past EOF" "garbage past EOF in an out-of-line block" (fun e fs f ->
+      poke_byte e (second_block e fs f) 40 0xAB);
+  (* An inode object of the other kind's class, holding the same inode
+     words and name slot, rebound in the inode table. *)
+  let rebind e fs ino size =
+    let words = Engine.peek_bytes e (Option.get (Fs.inode_ptr fs ino)) 0 Fs.Layout.inode_size in
+    Engine.with_tx e (fun tx ->
+        let np = Engine.alloc tx size in
+        Engine.write_bytes tx np 0 words;
+        ignore (Btree.insert tx (Fs.itab fs) ino np))
+  in
+  expect_violation ~says:"file inode" "a file inode of the directory class" (fun e fs f ->
+      rebind e fs f Fs.Layout.inode_size);
+  expect_violation ~says:"dir inode" "a directory inode of the file class" (fun e fs _ ->
+      rebind e fs
+        (Option.get (Fs.lookup fs ~dir:(Fs.root_ino fs) "d"))
+        (Fs.Layout.file_inode_size (Fs.block_size fs)));
+  expect_violation ~says:"reserved word" "a nonzero reserved word" (fun e fs f ->
+      poke_int e (Option.get (Fs.inode_ptr fs f)) Fs.Layout.i_reserved 1);
   (* The reference naming [name] in the root: its own name slot for a
      name that [create] made, a standalone dirent for a link. *)
   let root_dirent ?(name = "victim") e fs =
@@ -373,8 +399,13 @@ let test_fsck_detects_corruption () =
         (Option.get (Fs.lookup fs ~dir:(Fs.root_ino fs) "d")));
   expect_violation ~says:"names no inode object" "a tagged reference to a data block"
     (fun e fs f ->
-      let blk = Engine.peek_int e (Option.get (Fs.inode_ptr fs f)) Fs.Layout.i_blk0 in
+      let blk = second_block e fs f in
       poke_de e (victim_dirent e fs) Fs.Layout.d_next (Fs.Layout.slot_ref blk));
+  expect_violation ~says:"names no inode object" "a tagged reference into an inline block"
+    (fun e fs f ->
+      let ip = Option.get (Fs.inode_ptr fs f) in
+      poke_de e (victim_dirent e fs) Fs.Layout.d_next
+        (Fs.Layout.slot_ref (ip + Fs.Layout.i_data)));
   expect_violation ~says:"referenced twice" "a name slot referenced twice" (fun e fs _ ->
       let r = victim_dirent e fs in
       poke_de e r Fs.Layout.d_next r);
@@ -385,16 +416,13 @@ let test_fsck_detects_corruption () =
         (Fs.Layout.i_name + Fs.Layout.d_nlen) 3);
   expect_violation "dropped size" (fun e fs f ->
       poke_int e (Option.get (Fs.inode_ptr fs f)) Fs.Layout.i_size 3);
-  expect_violation "a 1-block file with an extent chain" (fun e fs f ->
-      let ip = Option.get (Fs.inode_ptr fs f) in
-      poke_int e ip Fs.Layout.i_head (Engine.peek_int e ip Fs.Layout.i_blk0));
-  expect_violation "an empty file with a block 0 pointer" (fun e fs f ->
-      (* What a torn truncate to zero would leave: the freed block still
-         hanging off the inode. *)
-      let ip = Option.get (Fs.inode_ptr fs f) in
-      let blk = Engine.peek_int e ip Fs.Layout.i_blk0 in
+  expect_violation ~says:"extent chain" "a 1-block file with an extent chain" (fun e fs f ->
+      poke_int e (Option.get (Fs.inode_ptr fs f)) Fs.Layout.i_head (Fs.superblock fs));
+  expect_violation ~says:"past EOF" "an empty file with nonzero inline bytes" (fun e fs f ->
+      (* What a torn truncate to zero would leave: the dropped bytes
+         still in the inline block. *)
       Fs.truncate fs ~ino:f ~len:0;
-      poke_int e ip Fs.Layout.i_blk0 blk);
+      poke_byte e (Option.get (Fs.inode_ptr fs f)) Fs.Layout.i_data 1);
   List.iter
     (fun nlen ->
       expect_violation ~says:"has length" (Printf.sprintf "name length %d" nlen) (fun e fs _ ->
@@ -430,10 +458,12 @@ let test_attach_checks_superblock () =
       ("version 1", sb_version, 1);
       ("version 2", sb_version, 2);
       ("version 3", sb_version, 3);
-      ("version 5", sb_version, 5);
+      ("version 4", sb_version, 4);
+      ("version 6", sb_version, 6);
       ("block_size 0", sb_block_size, 0);
       ("block_size 60", sb_block_size, 60);
       ("block_size past the largest object", sb_block_size, Heap.max_object_size + 8);
+      ("block_size with no room for an inode", sb_block_size, Heap.max_object_size);
       ("hash_bits 0", sb_hash_bits, 0);
       ("hash_bits 62", sb_hash_bits, 62);
       ("negative ino_base", sb_ino_base, -1);
@@ -448,7 +478,16 @@ let test_attach_checks_superblock () =
       Engine.declare_free tx freed;
       Engine.free tx freed);
   poke_int e sb sb_itab freed;
-  expect_attach_error "itab on a freed object" sb_itab e
+  expect_attach_error "itab on a freed object" sb_itab e;
+  (* [format] draws the same line: a block fills an object only behind an
+     inode. *)
+  let fresh () = Engine.create ~config ~kind:Engine.Kamino_simple ~seed:12 () in
+  (match Fs.format ~block_size:Heap.max_object_size (fresh ()) with
+  | _ -> Alcotest.fail "format accepted a block the size of the largest object"
+  | exception Invalid_argument _ -> ());
+  let fs = Fs.format ~block_size:(Heap.max_object_size - inode_size) (fresh ()) in
+  Fs.write fs ~ino:(Fs.create fs ~dir:(Fs.root_ino fs) "f") ~off:0 "largest";
+  check_fsck fs "the largest block"
 
 (* A version-1 image written word by word: its one file keeps block 0 in
    an extent node behind a 56-byte inode, so under this layout it would
@@ -479,11 +518,11 @@ let test_attach_refuses_version_1 () =
 
 (* --- objects per operation ------------------------------------------------------ *)
 
-(* A created file's name sits in its inode object, and block 0 hangs off
-   the inode: a create allocates one object, a one-block file has no
-   extent chain, so its first write allocates only the block, and its
-   unlink frees the inode object and the block. A hard link is a
-   standalone dirent: one more object, freed with its name. *)
+(* A created file's name and block 0 sit in its inode object: a create
+   allocates one object, a one-block file has no extent chain, so its
+   write allocates nothing, and its unlink frees the inode object alone.
+   A hard link is a standalone dirent: one more object, freed with its
+   name. A second block is an object of its own, behind a chain node. *)
 let test_object_counts () =
   let e, fs = make_fs ~block_size:512 simple 14 in
   let root = Fs.root_ino fs in
@@ -497,27 +536,27 @@ let test_object_counts () =
   let l1 = live () in
   Alcotest.(check int) "a create allocates one object" 1 (l1 - l0);
   Fs.write fs ~ino:f ~off:0 (String.make 100 's');
-  Alcotest.(check int) "a one-block write allocates one object" 1 (live () - l1);
+  Alcotest.(check int) "a one-block write allocates nothing" 0 (live () - l1);
   check_fsck fs "one-block file";
   Fs.link fs ~ino:f ~dir:root "hard";
-  Alcotest.(check int) "a link allocates a dirent" 1 (live () - l1 - 1);
+  Alcotest.(check int) "a link allocates a dirent" 1 (live () - l1);
   Fs.unlink fs ~dir:root "hard";
-  Alcotest.(check int) "... and its unlink frees it" 0 (live () - l1 - 1);
+  Alcotest.(check int) "... and its unlink frees it" 0 (live () - l1);
   Fs.unlink fs ~dir:root "small";
-  Alcotest.(check int) "the last unlink frees two" 2 (l1 + 1 - live ());
+  Alcotest.(check int) "the last unlink frees one" 1 (l1 - live ());
   Alcotest.(check int) "no extent node allocated" 0 (nodes ());
   Alcotest.(check int) "live objects back where they started" l0 (live ());
   let g = Fs.create fs ~dir:root "two" in
   let l2 = live () in
   Fs.write fs ~ino:g ~off:0 (String.make 600 't');
   Alcotest.(check int) "a 2-block file owns one node" 1 (nodes ());
-  Alcotest.(check int) "... and two blocks" 3 (live () - l2);
+  Alcotest.(check int) "... and one out-of-line block" 2 (live () - l2);
   check_fsck fs "two-block file"
 
 (* Random writes, truncates and reads on one file of 0..70 blocks at
    block_size 64, against a [Bytes] mirror and fsck after every op. Sizes
    are drawn mostly from both sides of the addressing rule's seams: 0|1
-   blocks (the inode's own slot), 1|2 (the first chain node), 31|32 (the
+   blocks (block 0, inline in the inode), 1|2 (the first chain node), 31|32 (the
    second). *)
 type model_op = Write of int * int | Truncate of int | Read of int * int
 
