@@ -279,7 +279,7 @@ let record_inflight node ~seq payload =
 let rec gc_inflight node op_seq =
   match Opqueue.peek node.inflight with
   | Some slot when envelope_seq node "inflight" slot <= op_seq ->
-      ignore (Opqueue.dequeue node.inflight);
+      Opqueue.drop_peeked node.inflight;
       gc_inflight node op_seq
   | Some _ | None -> ()
 
@@ -337,18 +337,22 @@ and process_input t node =
   | Some slot ->
       let seq = envelope_seq node "input" slot in
       execute node ~seq (envelope_op node "input" slot);
-      (* A replica with a successor copies the slot out once, as the
-         message it records in flight and forwards; a tail forwards to
-         nobody, so it copies nothing and records no in-flight entry. *)
+      (* §5.1's order: execute, forward, then move the entry from the
+         input queue to the in-flight queue, so the message leaves as soon
+         as the execute commits. The input entry stays durable until the
+         in-flight copy is: a crash in between re-processes it at reboot,
+         where execute is a no-op and the re-sent forward is discarded
+         downstream by the exec-seq guard. A tail acks before it drops its
+         entry; a crash in between re-acks, which the head ignores. A
+         replica with a successor copies the slot out once, as the message
+         it forwards and records in flight; a tail copies nothing. *)
       (match Membership.successor t.membership node.id with
       | Some nxt ->
           let payload = Opqueue.Slot.to_string slot in
-          record_inflight node ~seq payload;
-          ignore (Opqueue.dequeue node.input);
-          forward t node ~seq nxt payload
-      | None ->
-          ignore (Opqueue.dequeue node.input);
-          finish t node ~seq);
+          forward t node ~seq nxt payload;
+          record_inflight node ~seq payload
+      | None -> finish t node ~seq);
+      Opqueue.drop_peeked node.input;
       process_input t node
 
 and forward_or_finish t node ~seq payload =
@@ -529,8 +533,8 @@ let reboot_now ?(downtime_ns = 0) t i =
                the un-cleaned in-flight window, so a later chain repair has
                nothing to re-forward and stale-dropped operations are lost
                downstream. *)
-            while Opqueue.dequeue node.inflight <> None do
-              ()
+            while Opqueue.peek node.inflight <> None do
+              Opqueue.drop_peeked node.inflight
             done
         | No_fault -> ());
         node.last_forwarded <- 0;

@@ -20,11 +20,14 @@
     - every replica buffers received commands in a persistent {e input
       queue} before processing, executes them {e exactly once} (the
       last-executed sequence number is updated in the same transaction as
-      the command itself), then moves them to a persistent {e in-flight
-      queue} and forwards downstream;
+      the command itself), forwards them downstream as soon as that
+      transaction commits, and only then moves them to a persistent
+      {e in-flight queue} (the head, which has no input queue, records
+      in flight before it forwards);
     - the tail acknowledges completion to the head (which releases locks
       and completes the client) and sends {e cleanup acknowledgments}
-      upstream that garbage-collect the in-flight queues;
+      upstream that garbage-collect the in-flight queues, both before it
+      drops the command from its input queue;
     - the chain's composition is a sequence of {!Membership} views; every
       message is stamped with the sender's view id and receivers drop
       stale-view messages (§5.3). Fail-stop removals install a new view,

@@ -21,7 +21,9 @@ type view = { id : int; members : int list }  (** head first *)
 
 type t
 
-(** [create ~members ~failure_timeout_ns] starts at view 1. *)
+(** [create ~members ~failure_timeout_ns] starts at view 1. Node ids are
+    non-negative and index the per-view neighbour tables, so they should
+    be small; [Invalid_argument] on a negative id. *)
 val create : members:int list -> failure_timeout_ns:int -> t
 
 val current : t -> view
@@ -46,7 +48,9 @@ val rejoin :
   [ `Member of view * int option * int option  (** view, predecessor, successor *)
   | `Removed of view ]
 
-(** Position helpers on the current view. *)
+(** Position helpers on the current view. [predecessor] and [successor]
+    read tables built when the view was installed: they allocate
+    nothing. *)
 
 val is_head : t -> int -> bool
 

@@ -18,6 +18,7 @@ type t = {
      at open. *)
   mutable head : int;
   mutable tail : int;
+  mutable peeked : bool;  (* the last [peek] validated the entry at [head] *)
   (* Scratch reused by every load and store: [slot.buf] receives a
      slot's payload, [check] a computed checksum and [stored] the one read
      back. [some_slot] is [Some slot], built once so that [peek] returns it
@@ -81,6 +82,7 @@ let make region ~slot_bytes ~n_slots ~head ~tail =
     slots_start = header_size;
     head;
     tail;
+    peeked = false;
     slot;
     some_slot = Some slot;
     check = Bytes.create 8;
@@ -176,23 +178,23 @@ let load_published t seq what =
     Region.corrupt ~structure ~off:(slot_off t seq) "%s: corrupt published entry %d" what seq
 
 let peek t =
+  t.peeked <- false;
   if is_empty t then None
   else begin
     load_published t t.head "peek";
+    t.peeked <- true;
     t.some_slot
   end
 
 let advance_head t seq =
   t.head <- seq;
+  t.peeked <- false;
   Region.write_int t.region head_off t.head;
   Region.persist t.region head_off 8
 
-let dequeue t =
-  match peek t with
-  | None -> None
-  | Some s as r ->
-      advance_head t (s.Slot.seq + 1);
-      r
+let drop_peeked t =
+  if not t.peeked then invalid_arg "Opqueue.drop_peeked: no entry peeked";
+  advance_head t (t.head + 1)
 
 let drop_through t seq =
   if seq >= t.head then advance_head t (min (seq + 1) t.tail)

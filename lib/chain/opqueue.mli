@@ -21,7 +21,7 @@ type t
 (** A read-only view of one validated entry. It lives in its queue's
     scratch buffer, so reading an entry copies nothing out of the queue
     beyond that buffer, and the view is overwritten by the next
-    [peek]/[dequeue]/[iter] on the same queue: copy out ({!Slot.to_string})
+    [peek]/[iter] on the same queue: copy out ({!Slot.to_string})
     whatever must outlive it. *)
 module Slot : sig
   type t
@@ -61,7 +61,7 @@ val is_empty : t -> bool
 
 val is_full : t -> bool
 
-(** Sequence number of the next entry to dequeue / the next to enqueue.
+(** Sequence number of the oldest entry / the next to enqueue.
     Sequence numbers are global and never reused. *)
 val head_seq : t -> int
 
@@ -76,9 +76,12 @@ val enqueue : t -> string -> int
     built once per queue. Raises [Region.Corrupt] on a bad entry. *)
 val peek : t -> Slot.t option
 
-(** [dequeue t] re-validates the oldest entry (the same loads as [peek]),
-    durably removes it and returns its view. *)
-val dequeue : t -> Slot.t option
+(** [drop_peeked t] durably removes the oldest entry, which the last
+    [peek] validated, without loading it again: one head-word store,
+    flush and fence, and no load. The entry's view stays readable until
+    the next [peek] or [iter]. Raises [Invalid_argument] unless the last
+    [peek] returned an entry and the head has not moved since. *)
+val drop_peeked : t -> unit
 
 (** [drop_through t seq] durably removes every entry with sequence [<= seq]
     — the §5.1 cleanup acknowledgments garbage-collecting the in-flight

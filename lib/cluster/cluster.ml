@@ -7,23 +7,26 @@
    transactions run the persistent-marker prepare/commit protocol over
    chain *heads*:
 
-     prepare at each participant head, ascending shard id (the op executes
-         inside a prepared-but-undecided engine transaction; the chain
-         wedges so no later sequence number can overtake it)
+     prepare at every participant head at once, one event per
+         participant in ascending shard id (the op executes inside a
+         prepared-but-undecided engine transaction; the chain wedges so
+         no later sequence number can overtake it)
      -> revalidate every participant (a head that died undecided rolled
         its prepared state back, or took it to the grave — re-prepare
         through the *current* head under the same sequence number)
      -> write marker payload ((shard, seq, node, tx_id) per participant),
         flush, fence; set valid flag, flush, fence   <- the commit point
-     -> cluster_commit each participant (commit the prepared transaction
-        if it is still alive, else idempotently re-drive through whatever
-        head the chain has now), unwedge, propagate down the chain
+     -> cluster_commit every participant at once, again one event each
+        (commit the prepared transaction if it is still alive, else
+        idempotently re-drive through whatever head the chain has now),
+        unwedge, propagate down the chain
      -> clear marker, flush, fence
 
-   Every arrow is a separate simulation event separated by an RPC delay,
-   so the chaos explorer can land fail-stops, view changes and head
-   promotions *between* any two protocol steps. Two further rules make the
-   protocol survive head churn:
+   Each arrow is one RPC delay after the last event of the step before
+   it. A fanned-out step is one event per participant, all at the same
+   instant, so the chaos explorer can still land fail-stops, view changes
+   and head promotions *between* any two protocol steps. Two further
+   rules make the protocol survive head churn:
 
    - a participant whose head is mid-promotion (still [Intent_only],
      backup build in flight) cannot prepare; the coordinator retries the
@@ -73,6 +76,7 @@ type cross = {
   x_on_seq : (shard:int -> seq:int -> unit) option;
   x_on_complete : int -> unit;
   mutable x_done : bool;
+  mutable x_left : int;  (* participants yet to finish the fanned-out step *)
 }
 
 type t = {
@@ -108,6 +112,19 @@ let finish_if_acked t x at =
     x.x_on_complete at
   end
 
+(* Run [step t x k] for every participant [k] as its own event, all
+   [delay] from now; the queue breaks ties first in, first out, so they
+   run in ascending shard order. *)
+let fan_out t x ~delay step =
+  x.x_left <- Array.length x.parts;
+  Array.iteri (fun k _ -> Sim.schedule_after t.sim ~delay (fun () -> step t x k)) x.parts
+
+(* One participant finished the fanned-out step: the last one schedules
+   [next] an RPC delay later. *)
+let count_down t x next =
+  x.x_left <- x.x_left - 1;
+  if x.x_left = 0 then Sim.schedule_after t.sim ~delay:t.rpc_ns (fun () -> next t x)
+
 let rec step_prepare t x k =
   let p = x.parts.(k) in
   let ch = t.chains.(p.p_shard) in
@@ -124,9 +141,7 @@ let rec step_prepare t x k =
     p.p_tx_id <- tx_id;
     (match x.x_on_seq with Some f -> f ~shard:p.p_shard ~seq | None -> ());
     x.x_on_step (Prepared p.p_shard);
-    Sim.schedule_after t.sim ~delay:t.rpc_ns (fun () ->
-        if k + 1 < Array.length x.parts then step_prepare t x (k + 1)
-        else step_marker t x)
+    count_down t x step_marker
   end
 
 (* Before the marker persists, every participant must hold a live prepared
@@ -163,7 +178,7 @@ and step_marker t x =
           let p = x.parts.(k) in
           match j with 0 -> p.p_shard | 1 -> p.p_seq | 2 -> p.p_node | _ -> p.p_tx_id);
       x.x_on_step Marker_written;
-      Sim.schedule_after t.sim ~delay:t.rpc_ns (fun () -> step_commit t x 0)
+      fan_out t x ~delay:t.rpc_ns step_commit
 
 and step_commit t x k =
   let p = x.parts.(k) in
@@ -173,9 +188,7 @@ and step_commit t x k =
       finish_if_acked t x at);
   p.p_committed <- true;
   x.x_on_step (Committed p.p_shard);
-  Sim.schedule_after t.sim ~delay:t.rpc_ns (fun () ->
-      if k + 1 < Array.length x.parts then step_commit t x (k + 1)
-      else step_clear t x)
+  count_down t x step_clear
 
 and step_clear t x =
   ignore (Clock.advance_to t.clock (Sim.now t.sim));
@@ -193,7 +206,7 @@ and start_next t =
       | Some x ->
           t.active <- Some x;
           t.outstanding <- x :: t.outstanding;
-          step_prepare t x 0)
+          fan_out t x ~delay:0 step_prepare)
 
 (* After any view change on shard [s]: re-drive every committed-but-
    unacknowledged cluster operation through the chain's new head. The
@@ -373,6 +386,7 @@ let multi_put t ~at ?(on_step = fun _ -> ()) ?on_seq bindings ~on_complete =
           x_on_seq = on_seq;
           x_on_complete = on_complete;
           x_done = false;
+          x_left = 0;
         }
       in
       Sim.schedule t.sim ~at (fun () ->

@@ -6,9 +6,12 @@
     The coordinator is a serialized state machine over the shared
     discrete-event simulation: each protocol step (prepare participant
     [k], persist marker, commit participant [k], clear marker) is its own
-    event separated by an RPC delay, so chaos faults — fail-stops, view
-    changes, reboots, head promotions — can land {e between} any two
-    steps. The protocol survives head churn by re-preparing an undecided
+    event, so chaos faults — fail-stops, view changes, reboots, head
+    promotions — can land {e between} any two steps. The prepares of all
+    participants run at one instant, in ascending shard order; the marker
+    follows the last prepare by an RPC delay, all commits follow the
+    marker by one more at one instant, and the clear follows the commits
+    by one more. The protocol survives head churn by re-preparing an undecided
     participant through its chain's current head (same sequence number)
     before the marker persists, and by re-driving committed-but-
     unacknowledged operations through the new head after every view

@@ -165,7 +165,7 @@ let hash_name t name = name_hash_raw name land t.hash_mask
 let make_metric_handles engine =
   let reg = Engine.registry engine in
   ( Array.map (fun n -> Metrics.hist reg ("fs.op_ns." ^ n)) op_names,
-    Metrics.counter reg "fs.blocks_allocated",
+    Metrics.counter reg "fs.blocks_out_of_line",
     Metrics.counter reg "fs.extent_nodes_allocated" )
 
 let kind_code = function File -> kind_file | Dir -> kind_dir

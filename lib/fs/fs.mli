@@ -89,7 +89,9 @@
     The [*_tx] variants take a caller-owned transaction. The plain
     variants open their own transaction, emit a {!Kamino_obs.Obs.k_fs_op}
     span and feed the [fs.op_ns.<op>] histogram of the engine's metrics
-    registry. Crash tests inject a power failure at every fence of an
+    registry, whose [fs.blocks_out_of_line] and [fs.extent_nodes_allocated]
+    counters count the data blocks allocated outside an inode object and
+    the extent-chain nodes. Crash tests inject a power failure at every fence of an
     operation ({!Kamino_nvm.Region.at_fence}), the applier's and
     recovery's included, and check fsck plus the before-or-after state. *)
 

@@ -157,6 +157,39 @@ let test_multi_put_atomic () =
     (Cluster_kv.get kv ka);
   Alcotest.(check int) "still one cross-chain transaction" 1 (Cluster.crossed c)
 
+(* The 2PC phases fan out: a fault-free multi_put over all three shards
+   prepares every participant at one instant and commits every participant
+   at one instant. The marker follows the prepares by exactly one RPC
+   delay, the commits follow the marker by one more and the clear follows
+   the commits by one more. *)
+let test_phases_fan_out () =
+  let c = make_cluster ~seed:23 () in
+  let rec key_on s k = if Cluster.route c k = s then k else key_on s (k + 1) in
+  let bindings = List.init 3 (fun s -> (key_on s 0, Printf.sprintf "v%d" s)) in
+  let steps = ref [] in
+  Cluster.multi_put c ~at:1_000
+    ~on_step:(fun step -> steps := (step, Sim.now (Cluster.sim c)) :: !steps)
+    bindings ~on_complete:(fun _ -> ());
+  ignore (Cluster.run c);
+  let times f = List.rev (List.filter_map (fun (step, at) -> if f step then Some at else None) !steps) in
+  let prepared = times (function Cluster.Prepared _ -> true | _ -> false)
+  and committed = times (function Cluster.Committed _ -> true | _ -> false)
+  and marker = times (( = ) Cluster.Marker_written)
+  and cleared = times (( = ) Cluster.Marker_cleared) in
+  Alcotest.(check (list int)) "prepares at one instant" [ 1_000; 1_000; 1_000 ] prepared;
+  Alcotest.(check (list int)) "marker one rpc later" [ 1_500 ] marker;
+  Alcotest.(check (list int)) "commits at one instant" [ 2_000; 2_000; 2_000 ] committed;
+  Alcotest.(check (list int)) "clear one rpc later" [ 2_500 ] cleared;
+  Alcotest.(check (list int)) "ascending shard order within an instant" [ 0; 1; 2; 0; 1; 2 ]
+    (List.rev
+       (List.filter_map
+          (fun (step, _) ->
+            match step with Cluster.Prepared s | Cluster.Committed s -> Some s | _ -> None)
+          !steps));
+  match Cluster.verify c with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "cluster verify: %s" e
+
 (* Fail-stop a participant's head between its prepare and the marker
    persist: the coordinator must re-prepare through the promoted head
    (same chain sequence) and the transaction must still commit on every
@@ -380,6 +413,7 @@ let () =
             test_prepare_retries_mid_promotion;
           Alcotest.test_case "writes defer while the head is wedged" `Quick
             test_deferred_during_cluster_hold;
+          Alcotest.test_case "2PC phases fan out" `Quick test_phases_fan_out;
         ] );
       ( "observability",
         [

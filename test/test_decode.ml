@@ -157,14 +157,16 @@ let test_opqueue () =
     let r = region (Opqueue.required_size ~slot_bytes ~n_slots) in
     let q = Opqueue.format r ~slot_bytes ~n_slots in
     List.iter (fun p -> ignore (Opqueue.enqueue q p)) [ "a"; "bb"; "ccc"; "dddd"; "eeeee" ];
-    ignore (Opqueue.dequeue q);
-    ignore (Opqueue.dequeue q);
+    for _ = 1 to 2 do
+      ignore (Opqueue.peek q);
+      Opqueue.drop_peeked q
+    done;
     ( r,
       fun () ->
         let q = Opqueue.open_existing r in
         Opqueue.iter q (fun s -> ignore (Opqueue.Slot.to_string s));
-        while Opqueue.dequeue q <> None do
-          ()
+        while Opqueue.peek q <> None do
+          Opqueue.drop_peeked q
         done;
         ignore (Opqueue.enqueue q "f") )
   in

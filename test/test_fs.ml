@@ -1183,8 +1183,8 @@ let test_fs_metrics () =
   let counter name =
     Metrics.fold_counters reg ~init:0 ~f:(fun acc n v -> if n = name then v else acc)
   in
-  Alcotest.(check bool) "blocks allocated counted" true
-    (counter "fs.blocks_allocated" > 0);
+  Alcotest.(check bool) "out-of-line blocks counted" true
+    (counter "fs.blocks_out_of_line" > 0);
   Alcotest.(check bool) "extent nodes counted" true
     (counter "fs.extent_nodes_allocated" > 0);
   let h = Metrics.hist reg ("fs.op_ns." ^ Fs.op_name Fs.op_create) in
