@@ -18,9 +18,9 @@
      with 2 or more cores (SKIP below that).
    - fs: smallfile and largefile over `lib/fs` on five engine kinds. Every
      cell must pass [Fs_check.fsck] and complete operations.
-   - scale: a 1M-record preload (bulk load, phash split-migration,
-     segmented heap), then YCSB-A and YCSB-E on kamino-dyn-50 and
-     undo-logging. Every cell must complete operations.
+   - scale: a 1M-record preload (bulk load, segmented heap), then YCSB-A
+     and YCSB-E on kamino-dyn-50 and undo-logging. Every cell must
+     complete operations.
 
    Usage: gates.exe [--out PATH]   (default BENCH_gates.json)
    Writes every cell and every failure to PATH. A failure of a modelled

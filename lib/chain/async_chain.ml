@@ -142,9 +142,9 @@ let head_id t =
   | [] -> invalid_arg "Async_chain: the chain has no members left"
 
 let tail_id t =
-  match List.rev (members t) with
-  | tl :: _ -> tl
-  | [] -> invalid_arg "Async_chain: the chain has no members left"
+  match Membership.tail t.membership with
+  | Some tl -> tl
+  | None -> invalid_arg "Async_chain: the chain has no members left"
 
 let storage_bytes t =
   List.fold_left

@@ -2,10 +2,12 @@ type view = { id : int; members : int list }
 
 type t = {
   mutable view : view;
-  (* The current view's neighbours, indexed by node id and built when the
-     view is installed, so that a lookup allocates nothing. *)
+  (* The current view's neighbours, indexed by node id, and its tail,
+     built when the view is installed, so that a lookup allocates
+     nothing. *)
   mutable pred : int option array;
   mutable succ : int option array;
+  mutable tail : int option;
   failure_timeout_ns : int;
   heartbeats : (int, int) Hashtbl.t;  (* node -> last heartbeat time *)
 }
@@ -18,9 +20,10 @@ let set_view t view =
         succ.(a) <- Some b;
         pred.(b) <- Some a;
         link rest
-    | [ _ ] | [] -> ()
+    | [ last ] -> Some last
+    | [] -> None
   in
-  link view.members;
+  t.tail <- link view.members;
   t.view <- view;
   t.pred <- pred;
   t.succ <- succ
@@ -36,6 +39,7 @@ let create ~members ~failure_timeout_ns =
       view = { id = 1; members };
       pred = [||];
       succ = [||];
+      tail = None;
       failure_timeout_ns;
       heartbeats = Hashtbl.create 8;
     }
@@ -68,6 +72,8 @@ let lookup table node = if node >= 0 && node < Array.length table then table.(no
 let predecessor t node = lookup t.pred node
 
 let successor t node = lookup t.succ node
+
+let tail t = t.tail
 
 let rejoin t ~node ~believed_view =
   ignore believed_view;

@@ -48,15 +48,18 @@ val rejoin :
   [ `Member of view * int option * int option  (** view, predecessor, successor *)
   | `Removed of view ]
 
-(** Position helpers on the current view. [predecessor] and [successor]
-    read tables built when the view was installed: they allocate
-    nothing. *)
+(** Position helpers on the current view. [predecessor], [successor]
+    and [tail] read tables built when the view was installed: they
+    allocate nothing. *)
 
 val is_head : t -> int -> bool
 
 val predecessor : t -> int -> int option
 
 val successor : t -> int -> int option
+
+(** The current view's last member; [None] once every member is gone. *)
+val tail : t -> int option
 
 (** {1 Failure detection} *)
 

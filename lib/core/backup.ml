@@ -95,10 +95,10 @@ let create_full region = Full region
 
 let full_region = function Full region -> Some region | Dynamic _ -> None
 
-(* [capacity] is explicit rather than derived from the table region's size:
-   regions are now sized with geometric growth headroom ([Phash.chain_size]),
-   so "region bytes / 32" would no longer name the intended initial
-   capacity. *)
+let dynamic_sizing ~alpha ~heap_bytes =
+  let slots_bytes = max (int_of_float (alpha *. float_of_int heap_bytes)) 65536 in
+  (slots_bytes, max 1024 (slots_bytes / 128))
+
 let create_dynamic ~slots ~table ~capacity ~policy =
   Dynamic
     {
@@ -243,19 +243,12 @@ let drop t ~off =
       match Lru.find d.lru off with n -> drop_node d n | exception Not_found -> ())
 
 (* Publish a mapping and return its bucket, shedding residents if the
-   look-up table itself is the bottleneck. [Phash.Overload] only fires
-   when the table region has no growth headroom left; evicting one entry
-   leaves a reusable tombstone, fenced before the retry may publish into
-   its bucket. An insert that arms a resize makes every remembered bucket
-   stale once the migration completes, so the map forgets them all; the
-   inserts that migrate return [-1]. *)
+   look-up table itself is the bottleneck: on [Phash.Overload], evicting
+   one entry leaves a tombstone, fenced before the retry may publish into
+   its bucket. *)
 let rec publish_mapping d ~key ~value ~locked ~pressure =
-  let resizing = Phash.resizing d.table in
   match Phash.insert d.table ~key ~value with
-  | bucket ->
-      if Phash.resizing d.table && not resizing then
-        Lru.iter d.lru (fun n -> Lru.set_bucket n (-1));
-      bucket
+  | bucket -> bucket
   | exception Phash.Overload _ ->
       release d
         (match evict_unpinned d ~locked with
@@ -263,7 +256,7 @@ let rec publish_mapping d ~key ~value ~locked ~pressure =
             evict_relieved d ~locked ~pressure
               ~what:
                 "Backup: dynamic look-up table exhausted — every resident copy is \
-                 locked and the table region cannot grow"
+                 locked"
         | victim -> victim);
       Phash.fence d.table;
       publish_mapping d ~key ~value ~locked ~pressure
@@ -363,9 +356,7 @@ let evictions t = match t with Full _ -> 0 | Dynamic d -> d.evictions
 
 let resident t = match t with Full _ -> 0 | Dynamic d -> Phash.count d.table
 
-(* Completed incremental resizes of the look-up table (metrics gauge). *)
-let migrations t =
-  match t with Full _ -> 0 | Dynamic d -> Phash.migrations d.table
+let migrations _ = 0
 
 let copy_matches ?len t ~main ~off =
   match t with
@@ -396,10 +387,10 @@ let check_resident t =
       let resident = ref [] in
       Lru.iter d.lru (fun n -> resident := (Lru.key n, Lru.slot n, Lru.bucket n) :: !resident);
       let show (k, v, b) = Printf.sprintf "(key %d, slot word %#x, bucket %d)" k v b in
-      (* Both lists are sorted by key; a remembered bucket may be unknown. *)
+      (* Both lists are sorted by key. *)
       let rec agree = function
         | [], [] -> Ok ()
-        | ((k, v, b) :: rs, (k', v', b') :: es) when k = k' && v = v' && (b = -1 || b = b') ->
+        | ((k, v, b) :: rs, (k', v', b') :: es) when k = k' && v = v' && b = b' ->
             agree (rs, es)
         | r :: _, e :: _ ->
             Error (Printf.sprintf "resident map has %s, the table %s" (show r) (show e))

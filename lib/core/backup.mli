@@ -34,10 +34,18 @@ type policy = Lru_policy | Fifo_policy
     The caller must initialize it (one whole-heap copy) with {!initialize_full}. *)
 val create_full : Kamino_nvm.Region.t -> t
 
-(** [create_dynamic ~slots ~table ~capacity ~policy] — [capacity] is the
-    initial look-up-table capacity. It is explicit (not derived from the
-    table region's size) because table regions are sized with incremental-
-    resize headroom: see {!Phash.chain_size}. *)
+(** [dynamic_sizing ~alpha ~heap_bytes] — the dynamic backup's sizing rule
+    for a main heap of [heap_bytes]: [(slots_bytes, capacity)], a slot
+    heap of [alpha * heap_bytes] bytes, at least 64 KiB, and a look-up
+    table of one bucket per 128 slot bytes, at least 1024 ({!Phash.format}
+    rounds it up to a power of two). The table's region takes
+    {!Phash.required_size}[ ~capacity] bytes. *)
+val dynamic_sizing : alpha:float -> heap_bytes:int -> int * int
+
+(** [create_dynamic ~slots ~table ~capacity ~policy] — a look-up table of
+    [capacity] buckets (rounded up to a power of two) formatted in
+    [table], which must hold {!Phash.required_size}[ ~capacity] bytes. A
+    full table evicts a resident copy to publish a new one. *)
 val create_dynamic :
   slots:Kamino_nvm.Region.t ->
   table:Kamino_nvm.Region.t ->
@@ -138,7 +146,8 @@ val evictions : t -> int
 
 val resident : t -> int
 
-(** Completed incremental resizes of the dynamic look-up table. *)
+(** Always 0: the look-up table never resizes. Kept for the benchmark
+    suite's [backup.migrations] metric. *)
 val migrations : t -> int
 
 (** [copy_matches t ~main ~off] — does the resident copy for the range at
@@ -153,6 +162,6 @@ val dump_mapping : t -> (int * int * int) list
 
 (** [check_resident t] — the dynamic backup's DRAM invariant: the resident
     map and the look-up table hold the same keys with the same packed
-    value each, and every bucket a node remembers is [-1] or the active
-    table's bucket holding its key. Cost-free. [Ok ()] for full backups. *)
+    value each, and every bucket a node remembers is the table's bucket
+    holding its key. Cost-free. [Ok ()] for full backups. *)
 val check_resident : t -> (unit, string) result

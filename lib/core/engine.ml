@@ -139,15 +139,9 @@ let create ?(config = default_config) ?(obs = Obs.null) ?(obs_track = 1) ~kind
         Backup.initialize_full b ~main;
         (Some b, [ r ])
     | Kamino_dynamic { alpha; policy } ->
-        let slots_bytes = max (int_of_float (alpha *. float_of_int config.heap_bytes)) 65536 in
+        let slots_bytes, capacity = Backup.dynamic_sizing ~alpha ~heap_bytes:config.heap_bytes in
         let slots = mk slots_bytes in
-        let capacity = max 1024 (slots_bytes / 128) in
-        (* Headroom for two incremental table doublings when the initial
-           capacity is modest; tables already sized for millions of slots
-           get no extra chain (the region would double for headroom that a
-           bounded slot heap can never need). *)
-        let doublings = if capacity <= 65536 then 2 else 0 in
-        let table = mk (Phash.chain_size ~capacity ~doublings) in
+        let table = mk (Phash.required_size ~capacity) in
         (Some (Backup.create_dynamic ~slots ~table ~capacity ~policy), [ slots; table ])
     | No_logging | Undo_logging | Cow | Intent_only -> (None, [])
   in
@@ -924,13 +918,11 @@ let registry t =
   gauge "locks.wait_ns" (Locks.waits t.locks);
   gauge "locks.wait_events" (Locks.wait_events t.locks);
   gauge "storage.bytes" (storage_bytes t);
-  (* Heap occupancy and table-resize gauges are cost-free by construction:
-     [Heap.stats] walks the heap through [Region.peek_*] and
-     [Backup.migrations] is an in-memory counter — calling [registry]
-     cannot drift the A/B words/op gate. *)
+  (* Heap occupancy gauges are cost-free by construction: [Heap.stats]
+     walks the heap through [Region.peek_*] — calling [registry] cannot
+     drift the A/B words/op gate. *)
   let hs = Heap.stats t.heap in
   gauge "heap.segments" hs.Heap.segments_live;
   gauge "heap.live_bytes" hs.Heap.live_bytes;
   gauge "heap.live_objects" hs.Heap.live_objects;
-  gauge "phash.migrations" (match t.bkp with Some b -> Backup.migrations b | None -> 0);
   t.reg

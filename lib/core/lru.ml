@@ -4,7 +4,7 @@
 type node = {
   key : int;
   slot : int;
-  mutable bucket : int;
+  bucket : int;
   mutable prev : node; (* towards MRU *)
   mutable next : node; (* towards LRU *)
 }
@@ -33,8 +33,6 @@ let key n = n.key
 let slot n = n.slot
 
 let bucket n = n.bucket
-
-let set_bucket n b = n.bucket <- b
 
 let unlink n =
   n.prev.next <- n.next;

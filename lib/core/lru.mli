@@ -37,10 +37,8 @@ val key : node -> int
 (** The copy's packed slot word. *)
 val slot : node -> int
 
-(** The table bucket holding the entry, or [-1] when unknown. *)
+(** The table bucket holding the entry. *)
 val bucket : node -> int
-
-val set_bucket : node -> int -> unit
 
 (** [touch t n] moves [n] to most-recently-used. *)
 val touch : t -> node -> unit

@@ -1,5 +1,4 @@
-(** Persistent open-addressing hash table with crash-safe incremental
-    resize.
+(** Persistent open-addressing hash table of a fixed capacity.
 
     Kamino-Tx-Dynamic's "backup look-up table": maps a main-heap offset to
     the offset of its copy in the partial backup region. The mapping must be
@@ -15,18 +14,11 @@
     The table is the recovery truth, not the lookup path: the dynamic
     backup keeps a DRAM map of its entries ({!Lru}) and probes the table
     only to publish one. {!insert} returns the bucket it published at, and
-    {!take_at} tombstones that bucket with no probe.
+    {!take_at} tombstones that bucket with no probe. Entries never move,
+    so a bucket stays its entry's until the entry is taken.
 
-    When an insert would push the load factor past 7/8 and the region has
-    room for the next table in the geometric chain, the table arms a 2x
-    {e split-migration}: a handful of old buckets are copied per subsequent
-    insert (each batch an idempotent, persisted unit), and one final
-    persisted store of the packed state word swaps generations atomically.
-    A crash at any point either replays the in-flight batch (insert-if-
-    absent, so harmless) or finds the swap already durable. Regions sized
-    with [required_size ~doublings:n] can absorb [n] such doublings;
-    without headroom the table instead raises {!Overload} once genuinely
-    full.
+    The capacity is fixed at {!format}. A full table raises {!Overload};
+    the dynamic backup then evicts a resident and retries.
 
     Keys are positive integers (NVM offsets); 0 marks an empty bucket and -1
     a tombstone. Values are non-negative: [-1] reports absence. A bucket is
@@ -34,31 +26,24 @@
 
 type t
 
-(** Raised by {!insert} when the table is full and cannot grow (no room in
-    the region for the next table of the chain). *)
+(** Raised by {!insert} when every bucket holds a live entry or a
+    tombstone written since the table's last fence. *)
 exception Overload of { capacity : int; count : int }
 
-(** [required_size ~capacity] — [capacity] is rounded up to a power of two. *)
+(** [required_size ~capacity] — the region size of a table of [capacity]
+    buckets, rounded up to a power of two of at least 16. *)
 val required_size : capacity:int -> int
-
-(** [chain_size ~capacity ~doublings] — region size with headroom for
-    [doublings] incremental 2x resizes: the whole geometric chain
-    [c0 + 2*c0 + ... + 2^doublings*c0] of tables.
-    [chain_size ~doublings:0] = {!required_size}. *)
-val chain_size : capacity:int -> doublings:int -> int
 
 val format : Kamino_nvm.Region.t -> capacity:int -> t
 
-(** [open_existing region] re-attaches after a crash and finishes an
-    interrupted resize. Raises {!Kamino_nvm.Region.Corrupt}
-    ([structure "Phash"], [off] at the failing word), before writing
-    anything, on a bad magic word, a state word whose capacity is not a
-    power of two of at least 16 (doubled once per completed resize) or
-    whose table chain overruns the region, or an armed migration cursor
-    outside [[0, capacity]]. *)
+(** [open_existing region] re-attaches after a crash. Raises
+    {!Kamino_nvm.Region.Corrupt} ([structure "Phash"], [off] at the
+    failing word), before writing anything, on a bad magic word, or a
+    state word that is not a power of two of at least 16 or whose buckets
+    overrun the region. *)
 val open_existing : Kamino_nvm.Region.t -> t
 
-(** Capacity of the {e active} table (grows across resizes). *)
+(** The number of buckets. *)
 val capacity : t -> int
 
 val region : t -> Kamino_nvm.Region.t
@@ -66,17 +51,9 @@ val region : t -> Kamino_nvm.Region.t
 (** Number of live entries (maintained volatilely, rebuilt on open). *)
 val count : t -> int
 
-(** Completed incremental resizes (the generation of the active table). *)
-val migrations : t -> int
-
-(** Whether a split-migration is currently in flight. *)
-val resizing : t -> bool
-
-(** [insert t ~key ~value] adds or overwrites, and returns the entry's
-    bucket: where it now lives in the active table, or [-1] when a resize
-    is migrating and the entry went to its target (a bucket of the active
-    table goes stale when the resize completes). Raises {!Overload} when
-    the table is full and the region has no room to grow it. A new
+(** [insert t ~key ~value] adds or overwrites, and returns the bucket
+    holding the entry. Raises {!Overload}, having written nothing, when
+    the key is absent and no bucket is free. A new
     entry's value word is persisted, then its key word is stored and
     flushed with no fence: the entry is durable at the caller's next
     fence, and a crash before it leaves the entry absent, never
@@ -104,9 +81,8 @@ val take : t -> key:int -> int
 (** [take_at t ~key ~bucket] — {!take} at the bucket {!insert} returned
     for [key]: one load checks that the bucket still holds [key], a second
     reads the value, and the same tombstone and flush as {!take} follow,
-    with no index charge. Falls back to {!take} while a resize is armed,
-    when [bucket] lies outside the active table (it is [-1], or a resize
-    completed since), or when the bucket holds another key. *)
+    with no index charge. Falls back to {!take} when [bucket] is not a
+    bucket of the table (say [-1]) or holds another key. *)
 val take_at : t -> key:int -> bucket:int -> int
 
 (** [fence t] fences the table's region. Every tombstone written before it

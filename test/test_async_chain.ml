@@ -997,7 +997,7 @@ let test_membership_rejoin_removed () =
    head-first (a removal keeps the survivors' relative order, an addition
    appends at the tail); and the Figure-9 rejoin contract holds — a node
    removed from the view is always told [`Removed], a member always gets
-   its model-predicted neighbours. *)
+   its model-predicted neighbours and the view its model-predicted tail. *)
 let membership_interleaving_qcheck =
   QCheck.Test.make ~name:"membership: random interleavings keep the view invariants"
     ~count:300
@@ -1055,7 +1055,9 @@ let membership_interleaving_qcheck =
                   let expect_pred = if !idx = 0 then None else List.nth_opt !model (!idx - 1) in
                   let expect_succ = List.nth_opt !model (!idx + 1) in
                   if pred <> expect_pred || succ <> expect_succ then
-                    QCheck.Test.fail_reportf "rejoin neighbours of %d wrong" node)
+                    QCheck.Test.fail_reportf "rejoin neighbours of %d wrong" node;
+                  if Membership.tail m <> List.nth_opt (List.rev !model) 0 then
+                    QCheck.Test.fail_reportf "tail wrong after rejoin of %d" node)
           | _ ->
               (* Validate: the current id passes, anything older is stale
                  and reports the current view. *)

@@ -10,6 +10,7 @@ module Locks = Kamino_core.Locks
 module Applier = Kamino_core.Applier
 module Backup = Kamino_core.Backup
 module Intent_log = Kamino_core.Intent_log
+module Engine = Kamino_core.Engine
 
 (* --- Locks ---------------------------------------------------------------- *)
 
@@ -294,15 +295,15 @@ let test_backup_stale_length_replaced () =
   Alcotest.(check string) "full-length restore" "old-size-contents!"
     (Region.read_string main 2048 18)
 
-(* The resident map against the look-up table through two table
-   doublings, evictions, hits, drops and a reopen. A doubling moves every
-   entry, so the buckets the map remembered from before it are stale once
-   it completes; the map must forget them. *)
-let test_backup_resident_map_resizes () =
+(* The resident map against the look-up table through a full table: a
+   16-bucket table beside room for 40 copies, so every miss past the
+   sixteenth finds the table full, evicts through [Phash.Overload] and
+   retries; then hits, drops and a reopen. *)
+let test_backup_resident_map_full_table () =
   let clock = Clock.create () in
   let mk size = Region.create ~rng:(Rng.create 2) ~clock ~size () in
   let main = mk 65536 and slots = mk (40 * 16) in
-  let table = mk (Kamino_core.Phash.chain_size ~capacity:16 ~doublings:2) in
+  let table = mk (Kamino_core.Phash.required_size ~capacity:16) in
   let b = ref (Backup.create_dynamic ~slots ~table ~capacity:16 ~policy:Backup.Lru_policy) in
   let check ctx =
     match Backup.check_resident !b with Ok () -> () | Error e -> Alcotest.failf "%s: %s" ctx e
@@ -315,9 +316,9 @@ let test_backup_resident_map_resizes () =
     ensure i;
     check (Printf.sprintf "miss %d" i)
   done;
-  Alcotest.(check int) "two doublings" 2 (Backup.migrations !b);
-  Alcotest.(check bool) "evicted" true (Backup.evictions !b > 0);
-  for i = 21 to 60 do
+  Alcotest.(check int) "every miss past the table's capacity evicts" 44 (Backup.evictions !b);
+  Alcotest.(check int) "the table stays full" 16 (Backup.resident !b);
+  for i = 41 to 60 do
     if i mod 3 = 0 then Backup.drop !b ~off:(i * 64) else ensure i;
     check (Printf.sprintf "hit or drop %d" i)
   done;
@@ -329,6 +330,123 @@ let test_backup_resident_map_resizes () =
     ensure i;
     check (Printf.sprintf "miss %d after reopen" i)
   done
+
+(* --- A full look-up table under the engine ---------------------------------
+
+   A kamino-dynamic engine at the 64 KiB slot floor has a 1024-bucket
+   table, and its slots hold 1365 copies of a 32-byte object (48 bytes
+   each, the object's extent): a working set of such objects larger than
+   the table fills the table first, so each miss past it publishes
+   through [Phash.Overload], an eviction, a fence and a retry. *)
+
+let full_table_config =
+  { Engine.default_config with Engine.heap_bytes = 1 lsl 20; log_slots = 16 }
+
+let full_table_kind = Engine.Kamino_dynamic { alpha = 0.01; policy = Backup.Lru_policy }
+
+let full_table_objects = 1200
+
+let full_table_engine ?(crash_mode = Region.Drop_unflushed) () =
+  let e =
+    Engine.create ~config:{ full_table_config with Engine.crash_mode } ~kind:full_table_kind
+      ~seed:5 ()
+  in
+  let ps =
+    List.concat
+      (List.init (full_table_objects / 8) (fun _ ->
+           Engine.with_tx e (fun tx ->
+               List.init 8 (fun _ ->
+                   let p = Engine.alloc tx 32 in
+                   Tx_model.stamp_object tx p 32 0L;
+                   p))))
+  in
+  (e, Array.of_list ps)
+
+(* One transaction that stamps each [(object, stamp)] of [writes]. *)
+let restamp e writes =
+  Engine.with_tx e (fun tx ->
+      List.iter
+        (fun (p, stamp) ->
+          Engine.add tx p;
+          Tx_model.stamp_object tx p 32 stamp)
+        writes)
+
+let backup_of e = Option.get (Engine.backup e)
+
+let test_engine_full_table () =
+  let e, ps = full_table_engine () in
+  let verify ctx =
+    match Engine.verify_backup e with Ok () -> () | Error err -> Alcotest.failf "%s: %s" ctx err
+  in
+  (* Four objects, so up to four full-table misses, per transaction. *)
+  for i = 0 to (full_table_objects / 4) - 1 do
+    restamp e (List.init 4 (fun j -> (ps.((4 * i) + j), Int64.of_int ((4 * i) + j + 1))));
+    verify (Printf.sprintf "transaction %d" i)
+  done;
+  let b = backup_of e in
+  Alcotest.(check bool) "more objects than buckets were copied" true (Backup.misses b > 1024);
+  Alcotest.(check bool) "the table filled and evicted" true (Backup.evictions b > 0);
+  Alcotest.(check int) "one resident per bucket" 1024 (Backup.resident b);
+  Array.iteri
+    (fun i p ->
+      Alcotest.(check int64) (Printf.sprintf "object %d" i) (Int64.of_int (i + 1))
+        (Engine.peek_int64 e p 0))
+    ps
+
+(* Crash at every fence of a restamp whose miss finds the table full:
+   the eviction's fence, the retried insert's value fence, the
+   transaction's own fences and the applier drain's, each under every
+   crash mode, with recoveries that crash at each of their fences in
+   turn. After each, the objects are in the model's before- or
+   after-state, the heap validates and the backup matches main. *)
+let test_engine_full_table_fence_sweep () =
+  let stamp i = Int64.of_int (i + 1) in
+  let setup crash_mode () =
+    let e, ps = full_table_engine ~crash_mode () in
+    Array.iteri (fun i p -> if i > 0 then restamp e [ (p, stamp i) ]) ps;
+    Engine.drain_backup e;
+    (e, Array.to_list (Array.map (fun p -> (p, 32)) ps))
+  in
+  let op (e, ps) = restamp e [ (fst (List.hd ps), 1000L) ] in
+  let _, ps = setup Region.Drop_unflushed () in
+  let m = Tx_model.model () in
+  let model_tx f =
+    Tx_model.begin_tx m;
+    List.iteri f ps;
+    Tx_model.commit m;
+    Tx_model.show_objects m
+  in
+  let before = model_tx (fun i (p, _) -> Tx_model.put m p (32, if i = 0 then 0L else stamp i)) in
+  let after = model_tx (fun i (p, _) -> if i = 0 then Tx_model.put m p (32, 1000L)) in
+  List.iter
+    (fun (mode_name, crash_mode) ->
+      let ctx = "full-table restamp, " ^ mode_name in
+      let reference = setup crash_mode () in
+      let b = backup_of (fst reference) in
+      let evicted = Backup.evictions b in
+      Alcotest.(check int) (ctx ^ ": the table is full") 1024 (Backup.resident b);
+      op reference;
+      Alcotest.(check int) (ctx ^ ": the miss evicts one") (evicted + 1) (Backup.evictions b);
+      let st =
+        Fence_sweep.sweep ~ctx ~setup:(setup crash_mode)
+          ~crash:(fun (e, _) -> Engine.crash e)
+          ~recover:(fun (e, _) -> Engine.recover e)
+          ~op
+          ~drain:(fun (e, _) -> Engine.drain_backup e)
+          ~observe:(fun (e, ps) -> Tx_model.observe_objects e ps)
+          ~expect:(before, after)
+          ~check:(fun (e, _) -> Tx_model.check_engine e)
+          ()
+      in
+      (* The eviction's fence and the retried insert's value fence, three
+         for the transaction and two for the drain. *)
+      Alcotest.(check int) (ctx ^ ": crash points") 7 st.Fence_sweep.points;
+      Fence_sweep.require_split ~ctx st)
+    [
+      ("drop-unflushed", Region.Drop_unflushed);
+      ("lines-survive", Region.Lines_survive_randomly);
+      ("words-survive", Region.Words_survive_randomly);
+    ]
 
 (* --- Eviction-policy properties ------------------------------------------- *)
 
@@ -683,14 +801,18 @@ let () =
           Alcotest.test_case "hit counting" `Quick test_backup_hit_counting;
           Alcotest.test_case "eviction and pressure" `Quick test_backup_eviction_pressure;
           Alcotest.test_case "stale length replaced" `Quick test_backup_stale_length_replaced;
-          Alcotest.test_case "resident map through table resizes" `Quick
-            test_backup_resident_map_resizes;
+          Alcotest.test_case "resident map through a full table" `Quick
+            test_backup_resident_map_full_table;
           Alcotest.test_case "survives crash" `Quick test_backup_survives_crash;
           Alcotest.test_case "full region recycles the victim's slot" `Quick
             test_backup_recycles_victim_slot;
           Alcotest.test_case "one fence per miss" `Quick test_backup_miss_fences;
           Alcotest.test_case "crash at every fence of an evicting miss" `Quick
             test_backup_miss_fence_sweep;
+          Alcotest.test_case "engine: more residents than buckets" `Quick
+            test_engine_full_table;
+          Alcotest.test_case "engine: crash at every fence of a full-table miss" `Quick
+            test_engine_full_table_fence_sweep;
         ] );
       ( "eviction policy",
         [

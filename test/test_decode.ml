@@ -127,13 +127,13 @@ let test_data_log () =
   in
   check_typed "data log" (words ~from:0 8 @ words ~from:64 4) build
 
-(* A table that has resized once; [use] reopens it, then finds, inserts,
-   removes and iterates. *)
+(* A full table; [use] reopens it, then finds, removes, inserts into
+   the bucket the remove freed, and iterates. *)
 let test_phash () =
   let build () =
-    let r = region (Phash.chain_size ~capacity:16 ~doublings:2) in
+    let r = region (Phash.required_size ~capacity:16) in
     let t = Phash.format r ~capacity:16 in
-    for k = 1 to 20 do
+    for k = 1 to 16 do
       ignore (Phash.insert t ~key:k ~value:(k * 10))
     done;
     Phash.fence t;
@@ -142,8 +142,8 @@ let test_phash () =
       fun () ->
         let t = Phash.open_existing r in
         ignore (Phash.find t ~key:3);
-        ignore (Phash.insert t ~key:99 ~value:1);
         ignore (Phash.remove t ~key:5);
+        ignore (Phash.insert t ~key:99 ~value:1);
         Phash.iter t (fun ~key:_ ~value:_ ~bucket:_ -> ()) )
   in
   check_typed "phash" (words ~from:0 8) build

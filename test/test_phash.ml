@@ -96,23 +96,19 @@ let test_no_half_inserts_on_crash () =
 
 (* --- Corrupt images: open_existing raises the typed Region.Corrupt --- *)
 
-(* Header words (phash.ml): the magic at byte 0, the state word
-   [cap | doublings << 48 | armed << 62] at byte 8, the migration cursor
-   at byte 16. *)
-let state_word ?(doublings = 0) ?(armed = false) cap =
-  cap lor (doublings lsl 48) lor if armed then 1 lsl 62 else 0
-
 let expect_corrupt what f =
   match f () with
   | _ -> Alcotest.failf "%s: accepted" what
   | exception Region.Corrupt { structure = "Phash"; _ } -> ()
 
 (* [corrupted words] formats a 16-bucket table in a region with room for
-   one doubling, overwrites the given header words, and reopens it. *)
+   32 buckets, overwrites the given header words, and reopens it. The
+   magic is at byte 0, and the state word, which holds the capacity, at
+   byte 8. *)
 let open_corrupted words =
   let clock = Clock.create () in
   let r =
-    Region.create ~rng:(Rng.create 1) ~clock ~size:(Phash.chain_size ~capacity:16 ~doublings:1) ()
+    Region.create ~rng:(Rng.create 1) ~clock ~size:(Phash.required_size ~capacity:32) ()
   in
   ignore (Phash.format r ~capacity:16);
   List.iter (fun (off, v) -> Region.write_int r off v) words;
@@ -123,26 +119,21 @@ let open_corrupted words =
 let test_corrupt_magic () = expect_corrupt "bad magic" (open_corrupted [ (0, 42) ])
 
 let test_corrupt_capacity () =
-  expect_corrupt "capacity 48" (open_corrupted [ (8, state_word 48) ]);
-  expect_corrupt "capacity 8" (open_corrupted [ (8, state_word 8) ]);
-  expect_corrupt "capacity 0" (open_corrupted [ (8, state_word 0) ]);
-  expect_corrupt "capacity 16 after a doubling (a first table of 8)"
-    (open_corrupted [ (8, state_word ~doublings:1 16) ])
+  expect_corrupt "capacity 48" (open_corrupted [ (8, 48) ]);
+  expect_corrupt "capacity 8" (open_corrupted [ (8, 8) ]);
+  expect_corrupt "capacity 0" (open_corrupted [ (8, 0) ]);
+  expect_corrupt "capacity -16" (open_corrupted [ (8, -16) ]);
+  (* The state word holds the capacity and nothing else. *)
+  expect_corrupt "capacity 16 with bit 48 set" (open_corrupted [ (8, 16 lor (1 lsl 48)) ]);
+  expect_corrupt "capacity 16 with bit 62 set" (open_corrupted [ (8, 16 lor (1 lsl 62)) ]);
+  Alcotest.(check int) "byte 16 is not read" 16 (Phash.capacity (open_corrupted [ (16, -1) ] ()))
 
-let test_corrupt_chain_overrun () =
-  expect_corrupt "a 64-bucket table" (open_corrupted [ (8, state_word 64) ]);
-  expect_corrupt "a 32-bucket table after one doubling, armed"
-    (open_corrupted [ (8, state_word ~doublings:1 ~armed:true 32) ]);
-  (* The region holds exactly the 16- and 32-bucket tables. *)
+let test_corrupt_overrun () =
+  expect_corrupt "a 64-bucket table" (open_corrupted [ (8, 64) ]);
+  expect_corrupt "a 2^60-bucket table" (open_corrupted [ (8, 1 lsl 60) ]);
+  (* The region holds exactly 32 buckets. *)
   Alcotest.(check int) "the largest table that fits opens" 32
-    (Phash.capacity (open_corrupted [ (8, state_word ~doublings:1 32) ] ()))
-
-let test_corrupt_cursor () =
-  let armed = (8, state_word ~armed:true 16) in
-  expect_corrupt "cursor -1" (open_corrupted [ armed; (16, -1) ]);
-  expect_corrupt "cursor past the table" (open_corrupted [ armed; (16, 17) ]);
-  Alcotest.(check int) "a cursor at the end completes the resize" 32
-    (Phash.capacity (open_corrupted [ armed; (16, 16) ] ()))
+    (Phash.capacity (open_corrupted [ (8, 32) ] ()))
 
 (* The typed error reaches the caller of a dynamic backup's reopen. *)
 let test_corrupt_through_backup () =
@@ -156,7 +147,7 @@ let test_corrupt_through_backup () =
   Kamino_core.Backup.ensure_copy b ~main ~off:64 ~len:64
     ~locked:(fun _ -> false)
     ~pressure:ignore;
-  Region.write_int table 8 (state_word 48);
+  Region.write_int table 8 48;
   Region.persist_all table;
   Region.crash table;
   expect_corrupt "Backup.reopen" (fun () -> Kamino_core.Backup.reopen b)
@@ -180,11 +171,11 @@ let model_qcheck =
       Hashtbl.fold (fun k v acc -> acc && Phash.find h ~key:k = Some v) model true
       && Phash.count h = Hashtbl.length model)
 
-(* --- Capacity: overload and incremental resize --- *)
+(* --- Capacity: overload --- *)
 
-(* Fixed-size region (no resize headroom): the table serves load factors
-   0.5 and 0.9 correctly, fills to 1.0, and the insert past full raises
-   the typed [Overload] — never a silent wedge or a string failwith. *)
+(* The table serves load factors 0.5 and 0.9 correctly, fills to 1.0,
+   and the insert past full raises the typed [Overload] — never a silent
+   wedge or a string failwith. *)
 let test_load_factors () =
   let capacity = 64 in
   let check_load h n =
@@ -208,114 +199,11 @@ let test_load_factors () =
   let h, _ = make ~capacity () in
   check_load h capacity;
   (* 1.0: completely full, every key still reachable *)
-  Alcotest.(check bool) "not resizing (no headroom)" false (Phash.resizing h);
   match Phash.insert h ~key:999_999 ~value:1 with
   | _ -> Alcotest.fail "insert past capacity must raise Overload"
   | exception Phash.Overload { capacity = c; count } ->
       Alcotest.(check int) "overload capacity" capacity c;
       Alcotest.(check int) "overload count" capacity count
-
-(* Region sized with [chain_size ~doublings]: crossing the load trigger
-   arms a split migration; inserts keep landing while old entries drain
-   over, and the table ends with doubled capacity and zero loss. *)
-let test_transparent_resize () =
-  let capacity = 32 in
-  let clock = Clock.create () in
-  let r =
-    Region.create ~rng:(Rng.create 3) ~clock
-      ~size:(Phash.chain_size ~capacity ~doublings:2) ()
-  in
-  let h = Phash.format r ~capacity in
-  let n = 100 in
-  (* > 2x initial capacity: needs both doublings *)
-  for k = 1 to n do
-    insert h ~key:(k * 131) ~value:k
-  done;
-  Alcotest.(check int) "count after growth" n (Phash.count h);
-  Alcotest.(check bool) "capacity grew" true (Phash.capacity h > capacity);
-  Alcotest.(check bool) "migrations completed" true (Phash.migrations h >= 1);
-  for k = 1 to n do
-    Alcotest.(check (option int))
-      (Printf.sprintf "key %d after resize" k)
-      (Some k)
-      (Phash.find h ~key:(k * 131))
-  done;
-  (* Overwrites and removes stay correct whatever table a key lives in. *)
-  insert h ~key:131 ~value:1001;
-  Alcotest.(check (option int)) "overwrite post-resize" (Some 1001) (Phash.find h ~key:131);
-  Alcotest.(check bool) "remove post-resize" true (Phash.remove h ~key:(2 * 131));
-  Alcotest.(check (option int)) "removed gone" None (Phash.find h ~key:(2 * 131));
-  Alcotest.(check int) "count tracks" (n - 1) (Phash.count h)
-
-(* Crash at every fence of every insert, under both crash modes — the
-   inserts that arm a doubling and the ones that run a migration batch
-   included — and at every fence of the [open_existing] that recovers
-   from it. Reopening must yield exactly the table before or after the
-   insert, with no migration pending, and the table must keep growing. *)
-type resize_state = { r : Region.t; mutable h : Phash.t }
-
-let test_resize_crash_sweep () =
-  (* capacity 16 with two doublings tops out at 64 slots; 60 inserts cross
-     both arm thresholds (>14 and >28) without overloading the final table. *)
-  let n = 60 in
-  let key k = k * 4093 in
-  let insert s k = insert s.h ~key:(key k) ~value:(k * 3) in
-  let observe s =
-    let found =
-      List.filter_map
-        (fun k -> Option.map (fun v -> (key k, v)) (Phash.find s.h ~key:(key k)))
-        (List.init n succ)
-    in
-    let listed = ref [] in
-    Phash.iter s.h (fun ~key ~value ~bucket:_ -> listed := (key, value) :: !listed);
-    let show l = String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%d:%d" k v) l) in
-    Printf.sprintf "count=%d found=[%s] listed=[%s]" (Phash.count s.h) (show found)
-      (show (List.sort compare !listed))
-  in
-  List.iter
-    (fun (mode_name, crash_mode) ->
-      List.iter
-        (fun seed ->
-          let recovery_points = ref 0 in
-          for i = 1 to n do
-            let setup () =
-              let r =
-                Region.create ~crash_mode ~rng:(Rng.create (seed + (i * 97)))
-                  ~clock:(Clock.create ())
-                  ~size:(Phash.chain_size ~capacity:16 ~doublings:2) ()
-              in
-              let s = { r; h = Phash.format r ~capacity:16 } in
-              for k = 1 to i - 1 do
-                insert s k
-              done;
-              s
-            in
-            let ctx = Printf.sprintf "%s seed=%d insert %d" mode_name seed i in
-            let st =
-              Fence_sweep.sweep ~ctx ~setup
-                ~crash:(fun s -> Region.crash s.r)
-                ~recover:(fun s -> s.h <- Phash.open_existing s.r)
-                ~op:(fun s -> insert s i)
-                ~drain:ignore ~observe
-                ~check:(fun s here ->
-                  Alcotest.(check bool) (here ^ ": no migration pending after reopen") false
-                    (Phash.resizing s.h))
-                ~on_crash:(fun s _ ->
-                  (* The reopened table must keep working, through more growth. *)
-                  for k = Phash.count s.h + 1 to n do
-                    insert s k
-                  done;
-                  Alcotest.(check int) (ctx ^ ": final count") n (Phash.count s.h))
-                ()
-            in
-            recovery_points := !recovery_points + st.Fence_sweep.recovery_points
-          done;
-          (* Reopens that finish an interrupted migration have fences of
-             their own; the sweep must have crashed some of them. *)
-          if !recovery_points = 0 then
-            Alcotest.failf "%s seed=%d: no open_existing fence crashed" mode_name seed)
-        [ 1; 2 ])
-    [ ("drop-unflushed", Region.Drop_unflushed); ("words-survive", Region.Words_survive_randomly) ]
 
 let test_iter () =
   let h, _ = make () in
@@ -345,11 +233,11 @@ let unit_cost =
     index_ns = float_of_int index_ns;
   }
 
-let make_costed ?(doublings = 0) () =
+let make_costed () =
   let clock = Clock.create () in
   let r =
     Region.create ~cost:unit_cost ~rng:(Rng.create 1) ~clock
-      ~size:(Phash.chain_size ~capacity:16 ~doublings) ()
+      ~size:(Phash.required_size ~capacity:16) ()
   in
   (Phash.format r ~capacity:16, r)
 
@@ -366,17 +254,11 @@ let measure r f =
 
 let load_ns = 2 + 8
 
-(* The buckets holding [key] in any table of [r]'s chain, read cost-free. *)
-let buckets_holding r key =
-  List.filter
-    (fun o -> Region.peek_int r o = key)
-    (List.init ((Region.size r - 64) / 16) (fun i -> 64 + (i * 16)))
-
 (* Two tables built by the same inserts, so a [take] on one and a
    [take_at] on the other can be compared byte for byte. *)
-let twin_tables ?doublings keys =
+let twin_tables keys =
   let build () =
-    let h, r = make_costed ?doublings () in
+    let h, r = make_costed () in
     let buckets = List.map (fun k -> (k, Phash.insert h ~key:k ~value:(k / 1000))) keys in
     (h, r, buckets)
   in
@@ -405,64 +287,52 @@ let test_take_at_valid_bucket () =
   Alcotest.(check int) "counted" (Phash.count h') (Phash.count h);
   Alcotest.(check (option int)) "gone" None (Phash.find h ~key:4000)
 
-(* A completed resize moves every entry: the bucket an insert returned
-   before it lies outside the active table, and [take_at] probes. *)
-let test_take_at_after_resize () =
-  let h, r = make_costed ~doublings:1 () in
-  let bucket = Phash.insert h ~key:7000 ~value:7 in
-  let k = ref 1 in
-  while Phash.migrations h = 0 do
-    insert h ~key:(!k * 13) ~value:!k;
-    incr k
-  done;
-  Alcotest.(check bool) "resize completed" false (Phash.resizing h);
-  let live =
-    match buckets_holding r 7000 with
-    | [ old; live ] when old = bucket -> live
-    | l -> Alcotest.failf "expected the old and the live copy, found %d" (List.length l)
+(* [take_at] with a bucket that is not its key's — not a bucket of the
+   table, not aligned to one, or another key's — is [take]: one index
+   charge, and the same bytes, value and writes as [take] on a twin. Only
+   a bucket of the table costs the load that checks its key word first.
+   The other key's entry is untouched. *)
+let test_take_at_stale_bucket () =
+  let keys = List.init 6 (fun i -> (i + 1) * 1000) in
+  List.iter
+    (fun (what, checked, bucket_of) ->
+      let (h, r, buckets), (h', r', _) = twin_tables keys in
+      let bucket = bucket_of buckets in
+      let v, ns, (_, stores, flushed, fences) =
+        measure r (fun () -> Phash.take_at h ~key:4000 ~bucket)
+      in
+      let v', ns', (_, stores', flushed', fences') =
+        measure r' (fun () -> Phash.take h' ~key:4000)
+      in
+      Alcotest.(check int) (what ^ ": one index charge") 1 (ns / index_ns);
+      Alcotest.(check (list int))
+        (what ^ ": take's value and writes, and the key check's load")
+        [ v'; ns' + (checked * load_ns); stores'; flushed'; fences' ]
+        [ v; ns; stores; flushed; fences ];
+      Alcotest.(check int) (what ^ ": value") 4 v;
+      Alcotest.(check string) (what ^ ": same bytes") (Region.digest r') (Region.digest r);
+      Alcotest.(check (option int)) (what ^ ": gone") None (Phash.find h ~key:4000);
+      Alcotest.(check (option int)) (what ^ ": the other key stays") (Some 2)
+        (Phash.find h ~key:2000))
+    [
+      ("bucket -1", 0, fun _ -> -1);
+      ("past the table", 0, fun _ -> 64 + (16 * 16));
+      ("below the table", 0, fun _ -> 48);
+      ("not aligned", 0, fun b -> List.assoc 4000 b + 8);
+      ("another key's bucket", 1, List.assoc 2000);
+    ];
+  (* The key's own bucket, after a fenced take: the key is absent, and
+     [take_at] writes nothing. *)
+  let (h, r, buckets), _ = twin_tables keys in
+  let bucket = List.assoc 4000 buckets in
+  ignore (Phash.remove h ~key:4000);
+  let digest = Region.digest r in
+  let v, _, (_, stores, flushed, fences) =
+    measure r (fun () -> Phash.take_at h ~key:4000 ~bucket)
   in
-  let n = Phash.count h in
-  let v, ns, _ = measure r (fun () -> Phash.take_at h ~key:7000 ~bucket) in
-  Alcotest.(check int) "value" 7 v;
-  Alcotest.(check int) "fell back: one index charge" 1 (ns / index_ns);
-  Alcotest.(check int) "live copy tombstoned" (-1) (Region.peek_int r live);
-  Alcotest.(check int) "stale bucket untouched" 7000 (Region.peek_int r bucket);
-  Alcotest.(check (option int)) "gone" None (Phash.find h ~key:7000);
-  Alcotest.(check int) "counted" (n - 1) (Phash.count h)
-
-(* While a resize is armed, [take_at] is [take]: it tombstones the old
-   copy first, then fences, then the target's. *)
-let test_take_at_during_migration () =
-  (* 14 entries fill 16 buckets to the 7/8 mark, so the next insert arms
-     a doubling and migrates the first batch of 8 buckets. Make it
-     overwrite a key in that batch: the target copy gets the fresher
-     value, and the two copies differ. *)
-  let (h, r, buckets), (h', r', _) =
-    twin_tables ~doublings:1 (List.init 14 (fun i -> (i + 1) * 1000))
-  in
-  let key, _ = List.find (fun (_, b) -> b < 64 + (8 * 16)) buckets in
-  List.iter (fun h -> insert h ~key ~value:99) [ h; h' ];
-  Alcotest.(check bool) "migrating" true (Phash.resizing h);
-  let old, fresh =
-    match buckets_holding r key with [ o; n ] -> (o, n) | _ -> Alcotest.fail "two copies"
-  in
-  Alcotest.(check int) "the old bucket was remembered" old (List.assoc key buckets);
-  let order = ref "" in
-  Region.at_fence 0 (fun () ->
-      order :=
-        Printf.sprintf "old=%d target=%d" (Region.peek_int r old) (Region.peek_int r fresh));
-  let v, ns, (_, stores, flushed, fences) =
-    measure r (fun () -> Phash.take_at h ~key ~bucket:old)
-  in
-  Region.disarm_fence ();
-  let v', ns', (_, stores', flushed', fences') = measure r' (fun () -> Phash.take h' ~key) in
-  Alcotest.(check string) "old tombstone before the fence, target after"
-    (Printf.sprintf "old=-1 target=%d" key) !order;
-  Alcotest.(check (list int)) "take's value, cost and writes"
-    [ v'; ns'; stores'; flushed'; fences' ]
-    [ v; ns; stores; flushed; fences ];
-  Alcotest.(check int) "the fresher value" 99 v;
-  Alcotest.(check string) "same bytes" (Region.digest r') (Region.digest r)
+  Alcotest.(check int) "tombstoned bucket: absent" (-1) v;
+  Alcotest.(check (list int)) "tombstoned bucket: no writes" [ 0; 0; 0 ] [ stores; flushed; fences ];
+  Alcotest.(check string) "tombstoned bucket: same bytes" digest (Region.digest r)
 
 (* A tombstone not yet fenced keeps its bucket from a new entry: a crash
    could otherwise pair the old key word with the new value word. *)
@@ -483,7 +353,7 @@ let test_fresh_tombstone_not_reused () =
    miss that probes the whole table has proved the key absent, and reuses
    the first tombstone instead of raising [Overload]. *)
 let test_insert_into_tombstoned_table () =
-  let h, r = make_costed ~doublings:1 () in
+  let h, r = make_costed () in
   for k = 1 to 10 do
     insert h ~key:k ~value:k
   done;
@@ -503,21 +373,58 @@ let test_insert_into_tombstoned_table () =
   done;
   insert h ~key:absent ~value:1;
   Alcotest.(check (option int)) "inserted" (Some 1) (Phash.find h ~key:absent);
-  Alcotest.(check int) "counted" 11 (Phash.count h);
-  Alcotest.(check bool) "no resize needed" false (Phash.resizing h)
+  Alcotest.(check int) "counted" 11 (Phash.count h)
+
+(* A full table's only answer is [Overload], and the insert that raises
+   it writes nothing: the dynamic backup evicts and retries on the same
+   table, so a failed attempt must leave no store, flush or fence behind.
+   A bucket tombstoned since the last fence counts as full until the
+   table fences; an overwrite needs no free bucket. *)
+let test_overload_writes_nothing () =
+  let h, r = make_costed () in
+  let buckets = List.init 16 (fun i -> Phash.insert h ~key:((i + 1) * 1000) ~value:i) in
+  let refused what key =
+    let digest = Region.digest r in
+    let outcome, _, (_, stores, flushed, fences) =
+      measure r (fun () ->
+          match Phash.insert h ~key ~value:7 with
+          | _ -> None
+          | exception Phash.Overload { capacity; count } -> Some (capacity, count))
+    in
+    Alcotest.(check (option (pair int int))) (what ^ ": Overload") (Some (16, Phash.count h)) outcome;
+    Alcotest.(check (list int)) (what ^ ": no store, flush or fence") [ 0; 0; 0 ]
+      [ stores; flushed; fences ];
+    Alcotest.(check string) (what ^ ": same bytes") digest (Region.digest r)
+  in
+  refused "sixteen live entries" 99_000;
+  Alcotest.(check int) "an overwrite in a full table" (List.nth buckets 4)
+    (Phash.insert h ~key:5000 ~value:55);
+  Alcotest.(check (option int)) "overwritten" (Some 55) (Phash.find h ~key:5000);
+  Alcotest.(check int) "taken" 8 (Phash.take h ~key:9000);
+  refused "fifteen live entries and a fresh tombstone" 99_000;
+  Phash.fence h;
+  Alcotest.(check int) "after the fence the tombstone takes it" (List.nth buckets 8)
+    (Phash.insert h ~key:99_000 ~value:7);
+  Alcotest.(check int) "full again" 16 (Phash.count h);
+  refused "full again" 98_000
 
 (* Interleaved find / insert / take / take_at / remove against a Hashtbl
-   model, through three doublings. [take_at] uses the bucket captured at
-   the key's last insert, which a resize since may have made stale, and
-   every insert's bucket is checked against where the entry lives. *)
+   model, on a 16-bucket table and 60 keys, so the table often fills.
+   [take_at] uses the bucket captured at the key's last insert, and every
+   insert's bucket is checked against where the entry lives. The model
+   counts the tombstones written since the table's last fence: an insert
+   of an absent key raises [Overload] exactly when they and the live
+   entries fill every bucket. *)
 let bucket_model_qcheck =
   QCheck.Test.make ~name:"find/insert/take/take_at/remove match a Hashtbl model" ~count:200
     QCheck.(list_of_size Gen.(20 -- 200) (triple (int_bound 4) (int_bound 59) small_nat))
     (fun ops ->
-      let h, _ = make_costed ~doublings:3 () in
+      let h, _ = make_costed () in
       let model = Hashtbl.create 64 and captured = Hashtbl.create 64 in
+      let fresh = ref 0 in
       let expect k = Option.value (Hashtbl.find_opt model k) ~default:(-1) in
       let forget k =
+        if Hashtbl.mem model k then incr fresh;
         Hashtbl.remove model k;
         Hashtbl.remove captured k
       in
@@ -525,14 +432,21 @@ let bucket_model_qcheck =
         let k = k + 1 in
         match op with
         | 0 -> Phash.find h ~key:k = Hashtbl.find_opt model k
-        | 1 ->
-            let b = Phash.insert h ~key:k ~value:v in
-            Hashtbl.replace model k v;
-            Hashtbl.replace captured k b;
-            let lives_at =
-              List.find_map (fun (k', _, b') -> if k' = k then Some b' else None) (Phash.entries h)
-            in
-            lives_at = Some b && (b >= 0 || Phash.resizing h)
+        | 1 -> (
+            let full = (not (Hashtbl.mem model k)) && Hashtbl.length model + !fresh = 16 in
+            match Phash.insert h ~key:k ~value:v with
+            | b ->
+                Hashtbl.replace model k v;
+                Hashtbl.replace captured k b;
+                fresh := 0;
+                let lives_at =
+                  List.find_map
+                    (fun (k', _, b') -> if k' = k then Some b' else None)
+                    (Phash.entries h)
+                in
+                (not full) && lives_at = Some b
+            | exception Phash.Overload { capacity = 16; count } ->
+                full && count = Hashtbl.length model)
         | 2 ->
             let ok = Phash.take h ~key:k = expect k in
             forget k;
@@ -543,8 +457,12 @@ let bucket_model_qcheck =
             forget k;
             ok
         | _ ->
-            let ok = Phash.remove h ~key:k = Hashtbl.mem model k in
-            forget k;
+            let found = Hashtbl.mem model k in
+            let ok = Phash.remove h ~key:k = found in
+            (* A remove that finds its key fences. *)
+            if found then fresh := 0;
+            Hashtbl.remove model k;
+            Hashtbl.remove captured k;
             ok
       in
       let steps_ok = List.for_all step_ok ops in
@@ -556,6 +474,76 @@ let bucket_model_qcheck =
       && List.sort compare !listed = modelled
       && List.map (fun (k, v, _) -> (k, v)) (Phash.entries h) = modelled
       && Phash.count h = Hashtbl.length model)
+
+(* Crash at every fence of every step of a script that fills a 16-bucket
+   table through takes and tombstone reuse, under both crash modes. Each
+   step ends with the table's fence, so it is atomic: the reopened table
+   holds exactly the entries before or after it. The reopened table must
+   then fill to exactly 16 live entries before [Overload]: its count is
+   rebuilt, and no bucket is lost to a tombstone the crash left. *)
+type sweep_state = { r : Region.t; mutable h : Phash.t }
+
+let full_table_script =
+  List.init 12 (fun k -> `Insert (k + 1))
+  @ [ `Take 3; `Take 7; `Remove 11 ]
+  @ List.init 7 (fun k -> `Insert (k + 13))
+  @ [ `Overwrite 1 ]
+
+let test_full_table_crash_sweep () =
+  let key k = k * 4093 in
+  let apply s step =
+    (match step with
+    | `Insert k -> ignore (Phash.insert s.h ~key:(key k) ~value:(k * 3))
+    | `Overwrite k -> ignore (Phash.insert s.h ~key:(key k) ~value:(k * 5))
+    | `Take k -> ignore (Phash.take s.h ~key:(key k))
+    | `Remove k -> ignore (Phash.remove s.h ~key:(key k)));
+    Phash.fence s.h
+  in
+  let observe s =
+    let show (k, v, _) = Printf.sprintf "%d:%d" k v in
+    Printf.sprintf "count=%d entries=[%s]" (Phash.count s.h)
+      (String.concat " " (List.map show (Phash.entries s.h)))
+  in
+  let fill_to_full ctx s =
+    let next = ref 100 in
+    while Phash.count s.h < 16 do
+      if Phash.find s.h ~key:(key !next) = None then
+        ignore (Phash.insert s.h ~key:(key !next) ~value:!next);
+      incr next
+    done;
+    (match Phash.insert s.h ~key:(key 999) ~value:1 with
+    | _ -> Alcotest.failf "%s: a 17th entry fit" ctx
+    | exception Phash.Overload { count; _ } -> Alcotest.(check int) (ctx ^ ": full") 16 count);
+    Alcotest.(check int) (ctx ^ ": every entry listed") 16 (List.length (Phash.entries s.h))
+  in
+  List.iter
+    (fun (mode_name, crash_mode) ->
+      List.iter
+        (fun seed ->
+          List.iteri
+            (fun i step ->
+              let setup () =
+                let r =
+                  Region.create ~crash_mode ~rng:(Rng.create (seed + (i * 97)))
+                    ~clock:(Clock.create ()) ~size:(Phash.required_size ~capacity:16) ()
+                in
+                let s = { r; h = Phash.format r ~capacity:16 } in
+                List.iteri (fun j step -> if j < i then apply s step) full_table_script;
+                s
+              in
+              let ctx = Printf.sprintf "%s seed=%d step %d" mode_name seed i in
+              ignore
+                (Fence_sweep.sweep ~ctx ~setup
+                   ~crash:(fun s -> Region.crash s.r)
+                   ~recover:(fun s -> s.h <- Phash.open_existing s.r)
+                   ~op:(fun s -> apply s step)
+                   ~drain:ignore ~observe
+                   ~check:(fun _ _ -> ())
+                   ~on_crash:(fun s n -> fill_to_full (Printf.sprintf "%s fence %d" ctx n) s)
+                   ()))
+            full_table_script)
+        [ 1; 2 ])
+    [ ("drop-unflushed", Region.Drop_unflushed); ("words-survive", Region.Words_survive_randomly) ]
 
 (* --- LRU --- *)
 
@@ -602,18 +590,21 @@ let test_lru_remove_head_tail () =
   Alcotest.(check (option int)) "empty" None (candidate q ~locked:unlocked);
   Alcotest.(check int) "length" 0 (Lru.length q)
 
-(* A node keeps the slot word and bucket it was added with; [iter] may
-   rewrite buckets, as a resize makes the backup forget them. *)
+(* A node keeps the slot word and bucket it was added with, through
+   touches and the removal of its neighbours. *)
 let test_lru_node_words () =
   let q = Lru.create () in
-  add_all q [ 1; 2 ];
+  add_all q [ 1; 2; 3 ];
   let n = Lru.find q 2 in
   Alcotest.(check (list int)) "key, slot, bucket" [ 2; 20; 200 ]
     [ Lru.key n; Lru.slot n; Lru.bucket n ];
-  Lru.iter q (fun n -> Lru.set_bucket n (-1));
-  Alcotest.(check (list int)) "buckets forgotten" [ -1; -1 ]
-    [ Lru.bucket (Lru.find q 1); Lru.bucket (Lru.find q 2) ];
-  Alcotest.(check int) "slot kept" 10 (Lru.slot (Lru.find q 1))
+  Lru.touch q (Lru.find q 1);
+  Lru.remove q (Lru.find q 3);
+  Alcotest.(check (list int)) "words kept" [ 10; 100; 20; 200 ]
+    [
+      Lru.slot (Lru.find q 1); Lru.bucket (Lru.find q 1); Lru.slot (Lru.find q 2);
+      Lru.bucket (Lru.find q 2);
+    ]
 
 let lru_model_qcheck =
   QCheck.Test.make ~name:"lru eviction order matches a list model" ~count:100
@@ -646,34 +637,30 @@ let () =
         [
           Alcotest.test_case "load factors 0.5/0.9/1.0 + Overload" `Quick
             test_load_factors;
-          Alcotest.test_case "transparent incremental resize" `Quick
-            test_transparent_resize;
-          Alcotest.test_case "resize crash sweep" `Quick test_resize_crash_sweep;
+          Alcotest.test_case "Overload writes nothing" `Quick test_overload_writes_nothing;
         ] );
       ( "phash buckets",
         [
           Alcotest.test_case "take_at a valid bucket" `Quick test_take_at_valid_bucket;
-          Alcotest.test_case "take_at after a completed resize" `Quick
-            test_take_at_after_resize;
-          Alcotest.test_case "take_at during a migration" `Quick test_take_at_during_migration;
           Alcotest.test_case "fresh tombstone not reused" `Quick
             test_fresh_tombstone_not_reused;
           Alcotest.test_case "insert into a table of tombstones" `Quick
             test_insert_into_tombstoned_table;
+          Alcotest.test_case "take_at with a stale bucket" `Quick test_take_at_stale_bucket;
         ] );
       ( "phash corrupt image",
         [
           Alcotest.test_case "bad magic" `Quick test_corrupt_magic;
           Alcotest.test_case "capacity not a power of two >= 16" `Quick test_corrupt_capacity;
-          Alcotest.test_case "table chain overruns the region" `Quick
-            test_corrupt_chain_overrun;
-          Alcotest.test_case "migration cursor out of range" `Quick test_corrupt_cursor;
+          Alcotest.test_case "buckets overrun the region" `Quick test_corrupt_overrun;
           Alcotest.test_case "typed through Backup.reopen" `Quick test_corrupt_through_backup;
         ] );
       ( "phash durability",
         [
           Alcotest.test_case "persists across crash" `Quick test_persistence_across_crash;
           Alcotest.test_case "no half inserts" `Quick test_no_half_inserts_on_crash;
+          Alcotest.test_case "crash sweep up to a full table" `Quick
+            test_full_table_crash_sweep;
         ] );
       ( "lru",
         [

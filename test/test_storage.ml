@@ -28,15 +28,11 @@ let ilog_bytes cfg =
   Intent_log.required_size ~max_user_threads:8
     ~max_tx_entries:cfg.Engine.max_tx_entries ~n_slots:cfg.Engine.log_slots
 
+(* The intent log and the look-up table, sized by the rule the engine
+   uses. *)
 let dynamic_metadata_bytes cfg ~alpha =
-  let slots_bytes =
-    max (int_of_float (alpha *. float_of_int cfg.Engine.heap_bytes)) 65536
-  in
-  (* Mirrors the engine's sizing: the look-up table region carries headroom
-     for two incremental doublings when its initial capacity is modest. *)
-  let capacity = max 1024 (slots_bytes / 128) in
-  let doublings = if capacity <= 65536 then 2 else 0 in
-  ilog_bytes cfg + Phash.chain_size ~capacity ~doublings
+  let _, capacity = Backup.dynamic_sizing ~alpha ~heap_bytes:cfg.Engine.heap_bytes in
+  ilog_bytes cfg + Phash.required_size ~capacity
 
 (* Churn an engine: committed puts/frees, an abort, a crash + recovery.
    Storage accounting must be invariant under all of it. *)
@@ -140,6 +136,28 @@ let check_dynamic () =
         [ 0.1; 0.25; 0.5; 0.75; 1.0 ])
     heaps
 
+(* The dynamic backup's one sizing rule: a slot heap of alpha * heap, at
+   least 64 KiB, and one bucket per 128 slot bytes, at least 1024, in a
+   table region of exactly [Phash.required_size]. The cases are the slot
+   floor, the scaled Fig 16 heap (48 MiB at alpha 0.1) and the suite's
+   full-scale ycsb-a-uniform-dyn table. *)
+let check_dynamic_sizing () =
+  List.iter
+    (fun (alpha, heap_bytes, slots, capacity, table_bytes) ->
+      let what = Printf.sprintf "alpha=%.2f heap=%d" alpha heap_bytes in
+      Alcotest.(check (pair int int))
+        (what ^ ": slot bytes, buckets")
+        (slots, capacity)
+        (Backup.dynamic_sizing ~alpha ~heap_bytes);
+      Alcotest.(check int) (what ^ ": table region") table_bytes
+        (Phash.required_size ~capacity))
+    [
+      (0.1, 1 lsl 16, 65_536, 1024, 16_448);
+      (0.5, 1 lsl 16, 65_536, 1024, 16_448);
+      (0.1, 48 lsl 20, 5_033_164, 39_321, 1_048_640);
+      (0.5, 128 lsl 20, 67_108_864, 524_288, 8_388_672);
+    ]
+
 (* Promotion (Intent_only -> Kamino-simple head) adds exactly one full
    backup region: the before/after delta is the heap size, nothing else. *)
 let check_promotion () =
@@ -162,5 +180,6 @@ let () =
             check_dynamic;
           Alcotest.test_case "promotion adds exactly one backup" `Quick
             check_promotion;
+          Alcotest.test_case "kamino-dynamic sizing rule" `Quick check_dynamic_sizing;
         ] );
     ]
