@@ -153,7 +153,7 @@ let test_every_fence (name, kind) crash_mode () =
         | Some stamp -> Tx_model.put m p (size, stamp)
         | None -> Tx_model.remove m p)
   in
-  Fence_sweep.require_split ~ctx:name
+  Fence_sweep.require_split ~ctx:name ~last_fence_commits:(kind = Engine.Undo_logging)
     (Fence_sweep.sweep ~ctx:name ~setup
        ~crash:(fun (e, _) -> Engine.crash e)
        ~recover:(fun (e, _) -> Engine.recover e)

@@ -867,7 +867,9 @@ let test_crash_every_step (name, spec, atomic) () =
                 min_points;
             if has_applier && st.Fence_sweep.committed = 0 then
               Alcotest.failf "%s: no crash point after the op returned" ctx;
-            Fence_sweep.require_split ~ctx st)
+            Fence_sweep.require_split ~ctx
+              ~last_fence_commits:(spec = Tx_model.Plain Engine.Undo_logging)
+              st)
           swept_ops)
       crash_modes
   end

@@ -445,7 +445,7 @@ let sweep_heap_tx (name, kind) crash_mode (step, prefix, op) =
     (e, ps)
   in
   let ctx = Printf.sprintf "%s %s" name step in
-  Fence_sweep.require_split ~ctx
+  Fence_sweep.require_split ~ctx ~last_fence_commits:(kind = Engine.Undo_logging)
     (Fence_sweep.sweep ~ctx ~setup
        ~crash:(fun (e, _) -> Engine.crash e)
        ~recover:(fun (e, _) -> Engine.recover e)

@@ -78,6 +78,33 @@ let test_flush_is_line_granular () =
   Alcotest.(check int64) "first word" 1L (Region.read_int64 r 0);
   Alcotest.(check int64) "second word same line" 2L (Region.read_int64 r 8)
 
+(* A flushed line is pending until a fence: a crash before the fence
+   drops it (Drop_unflushed), a fence on any region of the domain makes
+   it durable, and a store after the flush does not change what the
+   fence makes durable. *)
+let test_flush_pending_until_fence () =
+  let r, _ = make () and other, _ = make ~seed:2 () in
+  Region.write_int64 r 0 7L;
+  Region.flush r 0 8;
+  Alcotest.(check bool) "pending is not persisted" false (Region.is_persisted r 0 8);
+  Alcotest.(check int) "pending is not dirty" 0 (Region.dirty_lines r);
+  Region.crash r;
+  Alcotest.(check int64) "flushed, unfenced: lost" 0L (Region.read_int64 r 0);
+  Region.write_int64 r 0 7L;
+  Region.flush r 0 8;
+  Region.fence other;
+  Alcotest.(check bool) "another region's fence commits it" true (Region.is_persisted r 0 8);
+  Region.crash r;
+  Alcotest.(check int64) "flushed, fenced: kept" 7L (Region.read_int64 r 0);
+  Region.write_int64 r 0 8L;
+  Region.flush r 0 8;
+  Region.write_int64 r 8 9L;
+  Region.fence r;
+  Alcotest.(check bool) "the later store is still dirty" false (Region.is_persisted r 0 16);
+  Region.crash r;
+  Alcotest.(check (pair int64 int64)) "the fence kept what the flush wrote back" (8L, 0L)
+    (Region.read_int64 r 0, Region.read_int64 r 8)
+
 let test_is_persisted () =
   let r, _ = make () in
   Region.write_int64 r 0 1L;
@@ -455,6 +482,8 @@ let () =
           Alcotest.test_case "unflushed lost on crash" `Quick test_unflushed_lost_on_crash;
           Alcotest.test_case "persisted survives crash" `Quick test_persisted_survives_crash;
           Alcotest.test_case "flush is line granular" `Quick test_flush_is_line_granular;
+          Alcotest.test_case "flush is pending until a fence" `Quick
+            test_flush_pending_until_fence;
           Alcotest.test_case "is_persisted" `Quick test_is_persisted;
           Alcotest.test_case "dirty lines counted" `Quick test_dirty_lines_counted;
         ] );

@@ -255,11 +255,14 @@ let measure r f =
 let load_ns = 2 + 8
 
 (* Two tables built by the same inserts, so a [take] on one and a
-   [take_at] on the other can be compared byte for byte. *)
+   [take_at] on the other can be compared byte for byte. Each build ends
+   with a fence, so that neither starts with flushed lines that only a
+   later fence (the other build's) makes durable. *)
 let twin_tables keys =
   let build () =
     let h, r = make_costed () in
     let buckets = List.map (fun k -> (k, Phash.insert h ~key:k ~value:(k / 1000))) keys in
+    Region.fence r;
     (h, r, buckets)
   in
   (build (), build ())

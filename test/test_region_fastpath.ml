@@ -9,8 +9,9 @@
 
    This file pins that equivalence down: a reference oracle implements the
    documented semantics in the most literal way possible (a bool per line,
-   one line at a time, ascending), and a seeded random program is run
-   against both. After every operation the dirty-line counts must agree;
+   one line at a time, ascending; a flushed line pending until a fence,
+   and a pending line's flushed content staged when a store lands on it),
+   and a seeded random program is run against both. After every operation the dirty-line counts must agree;
    at checkpoints the volatile image, persistent image, counters and clock
    must be bit-identical. Crashes are driven through identically seeded
    private RNGs, so the comparison also proves the fast scans consume
@@ -49,6 +50,10 @@ type oracle = {
   vol : Bytes.t;
   per : Bytes.t;
   dirty : bool array;  (* one flag per line — no bitset, no watermark *)
+  pending : bool array;  (* flushed, not yet fenced *)
+  mutable staged : (int * Bytes.t) list;
+      (* newest first: a pending line's flushed content, copied when a
+         store lands on it *)
   cost : Cost_model.t;
   mode : Region.crash_mode;
   rng : Rng.t;
@@ -70,6 +75,8 @@ let o_create ~cost ~mode ~rng ~size =
     vol = Bytes.make size '\000';
     per = Bytes.make size '\000';
     dirty = Array.make ((size + line - 1) / line) false;
+    pending = Array.make ((size + line - 1) / line) false;
+    staged = [];
     cost;
     mode;
     rng;
@@ -93,9 +100,15 @@ let o_charge o ns =
   o.frac <- total -. float_of_int whole;
   if whole > 0 then o.clock_ns <- o.clock_ns + whole
 
+let o_line_len o l = min line (o.size - (l * line))
+
 let o_mark_dirty o off len =
   if len > 0 then
     for l = off / line to (off + len - 1) / line do
+      if o.pending.(l) then begin
+        o.staged <- (l, Bytes.sub o.vol (l * line) (o_line_len o l)) :: o.staged;
+        o.pending.(l) <- false
+      end;
       o.dirty.(l) <- true
     done
 
@@ -154,10 +167,8 @@ let o_equal_ranges o off1 off2 len =
   Bytes.sub o.vol off1 len = Bytes.sub o.vol off2 len
 
 let o_flush_line o l =
-  let off = l * line in
-  let len = min line (o.size - off) in
-  Bytes.blit o.vol off o.per off len;
   o.dirty.(l) <- false;
+  o.pending.(l) <- true;
   o.lines_flushed <- o.lines_flushed + 1;
   o_charge o o.cost.Cost_model.flush_line_ns
 
@@ -169,47 +180,60 @@ let o_flush o off len =
 
 let o_fence o =
   o.fences <- o.fences + 1;
-  o_charge o o.cost.Cost_model.fence_ns
+  o_charge o o.cost.Cost_model.fence_ns;
+  List.iter (fun (l, b) -> Bytes.blit b 0 o.per (l * line) (Bytes.length b)) (List.rev o.staged);
+  o.staged <- [];
+  Array.iteri
+    (fun l p ->
+      if p then begin
+        Bytes.blit o.vol (l * line) o.per (l * line) (o_line_len o l);
+        o.pending.(l) <- false
+      end)
+    o.pending
 
 let o_flush_all o =
   for l = 0 to Array.length o.dirty - 1 do
     if o.dirty.(l) then o_flush_line o l
   done
 
+(* One line's crash from [src] (its image, at offset 0). *)
+let o_crash_line o l src =
+  let off = l * line in
+  let len = Bytes.length src in
+  match o.mode with
+  | Region.Lines_survive_randomly -> if Rng.bool o.rng then Bytes.blit src 0 o.per off len
+  | Region.Words_survive_randomly ->
+      for w = 0 to (len / 8) - 1 do
+        let woff = off + (w * 8) in
+        if Bytes.get_int64_le src (w * 8) <> Bytes.get_int64_le o.per woff then
+          if Rng.bool o.rng then Bytes.blit src (w * 8) o.per woff 8
+      done;
+      for b = len / 8 * 8 to len - 1 do
+        if Bytes.get src b <> Bytes.get o.per (off + b) && Rng.bool o.rng then
+          Bytes.set o.per (off + b) (Bytes.get src b)
+      done
+  | Region.Drop_unflushed -> assert false
+
 let o_crash o =
   o.crashes <- o.crashes + 1;
-  (if o.mode <> Region.Drop_unflushed then
+  (if o.mode <> Region.Drop_unflushed then begin
+     List.iter (fun (l, b) -> o_crash_line o l b) (List.rev o.staged);
      for l = 0 to Array.length o.dirty - 1 do
-       if o.dirty.(l) then begin
-         let off = l * line in
-         let len = min line (o.size - off) in
-         match o.mode with
-         | Region.Lines_survive_randomly ->
-             if Rng.bool o.rng then Bytes.blit o.vol off o.per off len
-         | Region.Words_survive_randomly ->
-             for w = 0 to (len / 8) - 1 do
-               let woff = off + (w * 8) in
-               if Bytes.get_int64_le o.vol woff <> Bytes.get_int64_le o.per woff then
-                 if Rng.bool o.rng then Bytes.blit o.vol woff o.per woff 8
-             done;
-             for b = len / 8 * 8 to len - 1 do
-               if
-                 Bytes.get o.vol (off + b) <> Bytes.get o.per (off + b)
-                 && Rng.bool o.rng
-               then Bytes.set o.per (off + b) (Bytes.get o.vol (off + b))
-             done
-         | Region.Drop_unflushed -> assert false
-       end
-     done);
+       if o.dirty.(l) || o.pending.(l) then
+         o_crash_line o l (Bytes.sub o.vol (l * line) (o_line_len o l))
+     done
+   end);
   Bytes.blit o.per 0 o.vol 0 o.size;
-  Array.fill o.dirty 0 (Array.length o.dirty) false
+  Array.fill o.dirty 0 (Array.length o.dirty) false;
+  Array.fill o.pending 0 (Array.length o.pending) false;
+  o.staged <- []
 
 let o_is_persisted o off len =
   if len = 0 then true
   else begin
     let ok = ref true in
     for l = off / line to (off + len - 1) / line do
-      if o.dirty.(l) then ok := false
+      if o.dirty.(l) || o.pending.(l) then ok := false
     done;
     !ok
   end
