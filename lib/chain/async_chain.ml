@@ -256,20 +256,29 @@ let hop_delay t =
   + match t.jitter with Some (rng, amp) when amp > 0 -> Rng.int rng amp | _ -> 0
 
 (* Execute a command exactly once: the last-executed sequence number is
-   part of the same transaction, so a reboot can never double-apply. *)
+   part of the same transaction, so a reboot can never double-apply.
+   Returns whether a transaction ran. One that runs declares at least the
+   exec-seq object, so its first intent barrier fences before its first
+   in-place write. *)
 let execute node ~seq op =
   let already = Engine.peek_int node.engine node.exec_seq_obj 0 in
-  if seq > already then begin
-    Engine.with_tx node.engine (fun tx ->
-        Op.apply_tx tx op node.kv;
-        Engine.add tx node.exec_seq_obj;
-        Engine.write_int tx node.exec_seq_obj 0 seq);
-    Hashtbl.replace node.applied seq ()
-  end
+  seq > already
+  && begin
+       Engine.with_tx node.engine (fun tx ->
+           Op.apply_tx tx op node.kv;
+           Engine.add tx node.exec_seq_obj;
+           Engine.write_int tx node.exec_seq_obj 0 seq);
+       Hashtbl.replace node.applied seq ();
+       true
+     end
 
+(* The in-flight copy is durable before the input entry is dropped (or,
+   at the head, before the op is forwarded): one fence, after the
+   entry's flush. *)
 let record_inflight node ~seq payload =
   if seq > node.last_forwarded then begin
     ignore (Opqueue.enqueue node.inflight payload);
+    Region.fence node.inflight_region;
     node.last_forwarded <- seq
   end
 
@@ -326,7 +335,10 @@ let rec deliver_forward t ~view i payload =
       let node = t.nodes.(i) in
       if node.up && not node.removed then begin
         enter t node;
-        (* Buffer in the persistent input queue before anything else. *)
+        (* Buffer in the persistent input queue before anything else. The
+           entry is flushed here and made durable by the next fence: its
+           transaction's first intent barrier, which precedes every
+           in-place write, the forward and the ack (DESIGN.md par20). *)
         ignore (Opqueue.enqueue node.input payload);
         process_input t node
       end
@@ -336,7 +348,9 @@ and process_input t node =
   | None -> ()
   | Some slot ->
       let seq = envelope_seq node "input" slot in
-      execute node ~seq (envelope_op node "input" slot);
+      (* No transaction, no intent barrier: fence the entry here. *)
+      if not (execute node ~seq (envelope_op node "input" slot)) then
+        Region.fence node.input_region;
       (* §5.1's order: execute, forward, then move the entry from the
          input queue to the in-flight queue, so the message leaves as soon
          as the execute commits. The input entry stays durable until the
@@ -437,7 +451,7 @@ let rec submit_now t ?(on_submit = fun _ -> ()) op ~on_complete =
     t.next_op_seq <- seq + 1;
     on_submit seq;
     let payload = envelope t ~seq op in
-    execute head ~seq op;
+    ignore (execute head ~seq op);
     let keys = Engine.last_write_keys head.engine in
     Hashtbl.replace t.pending seq (keys, on_complete);
     (* Hold the head's write locks until the tail acknowledges. *)
@@ -711,7 +725,7 @@ let cluster_commit ?(on_ack = fun _ -> ()) t ~seq op =
            guarded, so this is an idempotent re-drive. *)
         let already = Engine.peek_int head.engine head.exec_seq_obj 0 in
         if seq > already then begin
-          execute head ~seq op;
+          ignore (execute head ~seq op);
           true
         end
         else false
@@ -731,7 +745,7 @@ let cluster_redrive t ~seq op =
   if head.up && not head.removed then begin
     enter t head;
     let payload = envelope t ~seq op in
-    execute head ~seq op;
+    ignore (execute head ~seq op);
     (match Membership.successor t.membership head.id with
     | Some _ -> record_inflight head ~seq payload
     | None -> ());

@@ -14,8 +14,8 @@ type t = {
   slot_bytes : int;
   n_slots : int;
   slots_start : int;
-  (* head/tail mirrored volatilely; the persistent words are authoritative
-     at open. *)
+  (* [head] mirrors the persistent head word; [tail] is volatile only, and
+     [open_existing] recomputes it from the entries. *)
   mutable head : int;
   mutable tail : int;
   mutable peeked : bool;  (* the last [peek] validated the entry at [head] *)
@@ -34,7 +34,8 @@ let magic_value = 0x4B544F505155455FL (* "KTOPQUE_" *)
 let magic_off = 0
 let config_off = 8
 let head_off = 16
-let tail_off = 24
+(* Word 24 held a persistent tail in earlier builds; it is no longer
+   written or read. *)
 let slot_bytes_off = 32
 let n_slots_off = 40
 let header_size = 64
@@ -95,12 +96,13 @@ let format region ~slot_bytes ~n_slots =
   Region.write_int64 region magic_off magic_value;
   Region.write_int64 region config_off (config_of ~slot_bytes ~n_slots);
   Region.write_int region head_off 0;
-  Region.write_int region tail_off 0;
   (* Config words are recovered from the checksum at open. *)
   Region.write_int region slot_bytes_off slot_bytes;
   Region.write_int region n_slots_off n_slots;
   Region.persist region 0 header_size;
   make region ~slot_bytes ~n_slots ~head:0 ~tail:0
+
+let length t = t.tail - t.head
 
 (* Load slot [seq] into [t.slot] and validate it. The loads (seq, length,
    payload, checksum, with those byte counts and in that order) are the
@@ -135,17 +137,22 @@ let open_existing region =
     || Region.size region < required_size ~slot_bytes ~n_slots
   then Region.corrupt ~structure ~off:config_off "corrupt configuration";
   let head = Region.read_int region head_off in
-  let tail = Region.read_int region tail_off in
   if head < 0 then Region.corrupt ~structure ~off:head_off "head %d is negative" head;
-  if tail < head then Region.corrupt ~structure ~off:tail_off "tail %d is behind head %d" tail head;
-  let t = make region ~slot_bytes ~n_slots ~head ~tail in
-  (* The persistent tail never points past a torn entry (entries persist
-     before the tail), but be defensive: validate the window. *)
-  let rec trim seq = if seq < t.tail && load t seq then trim (seq + 1) else seq in
-  t.tail <- trim t.head;
+  let t = make region ~slot_bytes ~n_slots ~head ~tail:head in
+  (* The entries the head leads to: every one that validates in sequence,
+     at most a full queue. An entry validates by its seq word and its
+     checksum, so a torn enqueue, or a previous lap's entry in the next
+     slot, ends the queue. *)
+  let rec scan seq = if seq - head < n_slots && load t seq then scan (seq + 1) else seq in
+  t.tail <- scan head;
+  (* The head must agree with the entries: the slot before it still holds
+     the entry the head moved past, unless a later lap's enqueue has
+     reused that slot, which only the enqueue of a queue's last free slot
+     does (then the queue holds at least [n_slots - 1] entries). *)
+  if head > 0 && length t < n_slots - 1 && not (load t (head - 1)) then
+    Region.corrupt ~structure ~off:head_off "head %d: entry %d before it does not validate" head
+      (head - 1);
   t
-
-let length t = t.tail - t.head
 
 let is_empty t = length t = 0
 
@@ -166,11 +173,10 @@ let enqueue t payload =
   check_into t.check ~seq (Bytes.unsafe_of_string payload) len;
   Region.write_bytes t.region (off + s_check) t.check;
   Region.write_string t.region (off + slot_header) payload;
-  Region.persist t.region off (slot_header + len);
-  (* Publish: single-word tail update. *)
+  (* The entry publishes itself: it validates once its words are durable,
+     at the caller's next fence. *)
+  Region.flush t.region off (slot_header + len);
   t.tail <- seq + 1;
-  Region.write_int t.region tail_off t.tail;
-  Region.persist t.region tail_off 8;
   seq
 
 let load_published t seq what =

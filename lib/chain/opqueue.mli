@@ -7,10 +7,14 @@
     are instances of this module: a slotted persistent ring of encoded
     commands with globally ordered sequence numbers.
 
-    Crash discipline: an entry (payload + its sequence tag and checksum) is
-    persisted before the tail pointer publishes it; head/tail pointers are
-    single 8-byte words, so every crash leaves a well-formed window of
-    entries, which [open_existing] revalidates entry by entry. *)
+    Crash discipline: an entry (payload, its sequence tag and a checksum
+    over both) publishes itself. [enqueue] flushes it and persists no
+    tail word: the entry is durable at the caller's next fence, and until
+    then a crash keeps it whole or not at all, since a torn entry fails
+    its checksum. The head is a single 8-byte word, stored and persisted
+    by [drop_peeked] / [drop_through]. [open_existing] recomputes the tail
+    by validating entries forward from the head, so every crash leaves a
+    well-formed window. *)
 
 type t
 
@@ -50,9 +54,13 @@ val required_size : slot_bytes:int -> n_slots:int -> int
     command. *)
 val format : Kamino_nvm.Region.t -> slot_bytes:int -> n_slots:int -> t
 
-(** Reopen after a crash; drops any torn (unpublished) tail entry. Raises
-    [Region.Corrupt] on a bad magic word or configuration, a negative
-    head or a tail behind the head. *)
+(** Reopen after a crash: the queue is the entries that validate in
+    sequence from the head word, at most [n_slots]; a torn or never
+    durable entry ends it. Raises [Region.Corrupt] on a bad magic word or
+    configuration, a negative head, or a head the entries disagree with:
+    unless the head is 0, the slot before it must hold the entry with
+    sequence [head - 1], or the queue must hold at least [n_slots - 1]
+    entries (the enqueue of the last free slot reuses that slot). *)
 val open_existing : Kamino_nvm.Region.t -> t
 
 val length : t -> int
@@ -67,9 +75,11 @@ val head_seq : t -> int
 
 val tail_seq : t -> int
 
-(** [enqueue t payload] appends durably; returns the entry's sequence
-    number. Raises [Failure] when full or when the payload exceeds the slot
-    size. *)
+(** [enqueue t payload] appends an entry and flushes it, with no fence:
+    the entry is durable at the caller's next fence (any region's, on the
+    same domain; see {!Kamino_nvm.Region.flush}). Returns the entry's
+    sequence number. Raises [Failure] when full or when the payload
+    exceeds the slot size. *)
 val enqueue : t -> string -> int
 
 (** [peek t] — a view of the oldest entry. Allocation-free: the option is

@@ -3,7 +3,14 @@
    records cannot be resolved locally; the chain layer supplies a peer
    ([Engine.resolve_from_peer]) before the replica rejoins, which is the
    reason Kamino-Tx-Chain needs [f+2] replicas. Aborts are decided at the
-   head and never forwarded, so local rollback is unsupported. *)
+   head and never forwarded, so local rollback is unsupported.
+
+   A record is claimed, barriered before the first in-place write, and
+   released once the write set is durable. Its state word is never
+   advanced past [Running]: no recovery path reads an outcome here, since
+   [resolve_from_peer] copies every record's ranges from the peer
+   whatever its state, and [recover] only reopens the log. So a commit
+   costs the write set's persist and the release, and no commit mark. *)
 
 open Variant
 
@@ -33,9 +40,10 @@ let commit t tx =
       let ilog = the_ilog t in
       do_barrier tx;
       persist_ws t ~in_place_only:false;
-      Intent_log.mark ilog slot Intent_log.Committed;
-      (* No local backup to synchronize: the record only needs to outlive
-         the in-place writes it covers, which are durable now. *)
+      (* No local backup to synchronize and no outcome to record: the
+         record only needs to outlive the in-place writes it covers,
+         which are durable now, and recovery resolves every record from a
+         peer whatever its state. *)
       Intent_log.release ilog slot);
   release_all tx ~write_release:(Clock.now t.clk)
 

@@ -1,3 +1,4 @@
+module Region = Kamino_nvm.Region
 module Clock = Kamino_sim.Clock
 module Metrics = Kamino_obs.Metrics
 module Driver = Kamino_workload.Driver
@@ -96,16 +97,22 @@ let merge_lanes ~total_ops lanes =
 
 (* Run [body d] for every [d < nd]: [d = 0] on the calling domain, the
    rest on spawned ones. Every spawned domain is joined whatever any
-   body raised, then the first exception in domain order is re-raised. *)
+   body raised, then the first exception in domain order is re-raised.
+   Each domain hands its flushed regions off before another may use
+   them: the caller before spawning, a spawned domain when its body
+   ends. *)
 let on_domains nd body =
   let attempt f =
     match f () with () -> None | exception e -> Some (e, Printexc.get_raw_backtrace ())
   in
   let spawned = ref [] in
+  Region.hand_off ();
   let first =
     attempt (fun () ->
         for d = 1 to nd - 1 do
-          spawned := Domain.spawn (fun () -> body d) :: !spawned
+          spawned :=
+            Domain.spawn (fun () -> Fun.protect ~finally:Region.hand_off (fun () -> body d))
+            :: !spawned
         done;
         body 0)
   in

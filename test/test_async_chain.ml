@@ -197,10 +197,11 @@ let test_queue_drop_peeked () =
   done;
   refused "already dropped";
   ignore (Opqueue.enqueue q "f");
+  Region.fence r;
   Region.crash r;
   let q = Opqueue.open_existing r in
   Alcotest.(check (pair int int)) "window" (2, 6) (Opqueue.head_seq q, Opqueue.tail_seq q);
-  Alcotest.(check string) "image" "3c926387c3c11406ad6b634f6398f0cf" (Opqueue.digest q);
+  Alcotest.(check string) "image" "0ae8ac78a9f47399f3d4adac0498b0a1" (Opqueue.digest q);
   Alcotest.(check (option (pair int string))) "oldest entry" (Some (2, "ccc"))
     (entry (Opqueue.peek q))
 
@@ -240,6 +241,55 @@ let test_queue_torn_publishes () =
         | seq -> Alcotest.failf "unexpected seq %d" seq)
   done
 
+(* An enqueue is durable at its caller's next fence, and no earlier: at
+   every fence of an enqueue and that fence (one crash point), in every
+   crash mode and over many crash seeds, the reopened queue holds the new
+   entry whole or not at all. The queue has wrapped, so the slot the
+   entry takes holds the previous lap's entry, and so does the slot after
+   it: neither may extend the reopened queue. *)
+let test_queue_enqueue_fence_sweep () =
+  List.iter
+    (fun crash_mode ->
+      for seed = 1 to 24 do
+        let setup () =
+          let r =
+            Region.create ~crash_mode ~rng:(Rng.create seed) ~clock:(Clock.create ())
+              ~size:(Opqueue.required_size ~slot_bytes:64 ~n_slots:4)
+              ()
+          in
+          let q = Opqueue.format r ~slot_bytes:64 ~n_slots:4 in
+          for k = 0 to 6 do
+            ignore (Opqueue.enqueue q (Printf.sprintf "lap-entry-%d" k));
+            if k <= 4 then Opqueue.drop_through q k
+          done;
+          Region.fence r;
+          (r, ref q)
+        in
+        let ctx = Printf.sprintf "enqueue, seed %d" seed in
+        let st =
+          Fence_sweep.sweep ~ctx ~setup
+            ~crash:(fun (r, _) -> Region.crash r)
+            ~recover:(fun (r, q) -> q := Opqueue.open_existing r)
+            ~op:(fun (r, q) ->
+              ignore (Opqueue.enqueue !q (String.make 40 'n'));
+              Region.fence r)
+            ~drain:ignore
+            ~observe:(fun (_, q) ->
+              let acc = ref [] in
+              Opqueue.iter !q (fun slot ->
+                  acc := Printf.sprintf "%d:%s" (Opqueue.Slot.seq slot) (Opqueue.Slot.to_string slot) :: !acc);
+              Printf.sprintf "[%d,%d) %s" (Opqueue.head_seq !q) (Opqueue.tail_seq !q)
+                (String.concat " " (List.rev !acc)))
+            ~check:(fun _ _ -> ())
+            ~expect:
+              ( "[5,7) 5:lap-entry-5 6:lap-entry-6",
+                "[5,8) 5:lap-entry-5 6:lap-entry-6 7:" ^ String.make 40 'n' )
+            ()
+        in
+        Alcotest.(check int) (ctx ^ ": crash points") 1 st.Fence_sweep.points
+      done)
+    [ Region.Words_survive_randomly; Region.Lines_survive_randomly; Region.Drop_unflushed ]
+
 (* The checksum as first written: a [String.iter] fold over the payload. *)
 let reference_checksum ~seq ~payload =
   let acc = ref (Int64.of_int (seq lxor 0x5EED)) in
@@ -263,7 +313,8 @@ let checksum_qcheck =
 (* A queue image laid out byte for byte as the format defines it — header
    words, then a slot's seq, length, checksum and payload — with the check
    word as a golden constant: an image persisted by an earlier build must
-   reopen and yield its entry. *)
+   reopen and yield its entry. The slot before the head holds the entry
+   the head moved past, as the head rule of [open_existing] requires. *)
 let test_queue_golden_image () =
   let seq = 41 and payload = "KTOPQUE golden payload" in
   let golden_check = 0x84a704efe74cf55dL in
@@ -278,17 +329,21 @@ let test_queue_golden_image () =
   Region.write_int64 r 0 0x4B544F505155455FL;
   Region.write_int64 r 8 (Int64.of_int ((slot_bytes * 31) + (n_slots * 7) + 5));
   Region.write_int r 16 seq;
-  Region.write_int r 24 (seq + 1);
   Region.write_int r 32 slot_bytes;
   Region.write_int r 40 n_slots;
-  let off = 64 + (seq mod n_slots * (24 + slot_bytes)) in
-  Region.write_int r off seq;
-  Region.write_int r (off + 8) (String.length payload);
-  Region.write_int64 r (off + 16) golden_check;
-  Region.write_string r (off + 24) payload;
+  let write_slot seq payload check =
+    let off = 64 + (seq mod n_slots * (24 + slot_bytes)) in
+    Region.write_int r off seq;
+    Region.write_int r (off + 8) (String.length payload);
+    Region.write_int64 r (off + 16) check;
+    Region.write_string r (off + 24) payload
+  in
+  write_slot (seq - 1) "dropped" (Opqueue.checksum ~seq:(seq - 1) "dropped");
+  write_slot seq payload golden_check;
   let q = Opqueue.open_existing r in
   Alcotest.(check (option (pair int string))) "entry reopens" (Some (seq, payload))
-    (entry (Opqueue.peek q))
+    (entry (Opqueue.peek q));
+  Alcotest.(check int) "one entry" 1 (Opqueue.length q)
 
 let flip_byte r off = Region.write_byte r off (Region.read_byte r off lxor 0x40)
 
@@ -323,13 +378,29 @@ let test_queue_corruption_typed () =
   Region.write_int64 r 8 (Int64.of_int ((64 * 31) + 5));
   Alcotest.(check bool) "impossible geometry" true
     (raises_corrupt (fun () -> Opqueue.open_existing r));
-  (* A head word below zero, or past the tail word (at 16 and 24). *)
+  (* A head word (at 16) below zero, or one the entries disagree with:
+     past the last entry, or past a slot that never held its
+     predecessor. A head the entries agree with reopens. *)
+  let head_word v =
+    let q, r = make_queue () in
+    List.iter (fun p -> ignore (Opqueue.enqueue q p)) [ "a"; "b"; "c" ];
+    ignore (Opqueue.peek q);
+    Opqueue.drop_peeked q;
+    Region.write_int r 16 v;
+    r
+  in
   List.iter
-    (fun (what, off, v) ->
-      let _, r = make_queue () in
-      Region.write_int r off v;
+    (fun (what, v) ->
+      let r = head_word v in
       Alcotest.(check bool) what true (raises_corrupt (fun () -> Opqueue.open_existing r)))
-    [ ("negative head", 16, -3); ("head past the tail", 16, 1); ("negative tail", 24, -1) ]
+    [ ("negative head", -3); ("head past the entries", 4); ("head a lap ahead", 9) ];
+  List.iter
+    (fun v ->
+      let q = Opqueue.open_existing (head_word v) in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "head %d agrees with the entries" v)
+        (v, 3) (Opqueue.head_seq q, Opqueue.tail_seq q))
+    [ 0; 1; 2; 3 ]
 
 (* The queue's op path allocates nothing once warm: the checksum fold is
    unboxed, loads land in the queue's scratch buffer and [peek]'s option
@@ -470,6 +541,13 @@ let test_async_repeated_reboots_random () =
    valid queue checksum — must be detected when the rebooting replica
    re-drives its queue, and surfaced with the replica and slot rather than
    silently executed. *)
+(* Enqueue on replica 1's queue [q] and make the entry durable: the
+   enqueue only flushes it, and any fence on the domain commits it. *)
+let plant c q payload =
+  let qseq = Opqueue.enqueue q payload in
+  Region.fence (Engine.main_region (Async.engine_at c 1));
+  qseq
+
 let test_corrupt_input_slot_detected () =
   let c = make_chain () in
   Async.submit c ~at:1_000 (Op.Put (0, "good")) ~on_complete:(fun _ -> ());
@@ -481,7 +559,7 @@ let test_corrupt_input_slot_detected () =
     Bytes.set_int64_le b 0 99L;
     Bytes.to_string b
   in
-  let qseq = Opqueue.enqueue (Async.input_queue c 1) (seq_header ^ "Zjunk") in
+  let qseq = plant c (Async.input_queue c 1) (seq_header ^ "Zjunk") in
   (match Async.reboot_now c 1 with
   | () -> Alcotest.fail "corrupt slot executed or ignored"
   | exception Region.Corrupt { structure; what; _ } ->
@@ -503,7 +581,7 @@ let test_corrupt_input_slot_detected () =
       Async.submit c ~at:(1_000 + (k * 100_000)) (Op.Put (k, "good")) ~on_complete:(fun _ -> ())
     done;
     ignore (Async.run c);
-    let qseq = Opqueue.enqueue (Async.inflight_queue c 1) envelope in
+    let qseq = plant c (Async.inflight_queue c 1) envelope in
     Alcotest.(check bool) "planted behind earlier traffic" true (qseq > 0);
     (c, qseq)
   in
@@ -568,7 +646,7 @@ let test_queue_images_pinned () =
   done;
   ignore (Async.run c);
   let unused = "f621fe13ed680217d93876647fff7cf2"
-  and carried = "a878b0668c2d6b70a4e86063d488434a" in
+  and carried = "b2812f183fd3bed440a045d13878c8cb" in
   List.iteri
     (fun i (input, inflight) ->
       Alcotest.(check string) (Printf.sprintf "node %d input" i) input
@@ -639,6 +717,136 @@ let test_hop_leaves_at_commit () =
         | None -> Alcotest.failf "%s: node %d sent no hop to %d" name i dst
       done)
     [ ("kamino", kamino); ("traditional", Async.Traditional) ]
+
+(* The fences of one isolated replicated write, per role, from the trace
+   of an f=1 chain (node [i]'s regions fence on track [10 (i+1) + 2]),
+   the tail's ack and the cleanup cascade included. Kamino: the head's
+   transaction (4: two intent barriers, the write set's persist, the
+   commit mark), in-flight record (1) and the ack's in-flight drop (1),
+   its backup propagation left queued for its applier; an intent-only
+   replica's transaction (4: two intent barriers, the write set's
+   persist, the release), whose first barrier also makes its input entry
+   durable; the mid's in-flight record, input drop and cleanup drop (1
+   each); the tail's input drop (1). Traditional: an undo transaction (6)
+   at both, whose first data-log persist makes the tail's input entry
+   durable; the head's in-flight record and drop; the tail's input drop.
+   Before input entries and in-flight records shared fences, the opqueue
+   dropped its tail word and intent-only commits their mark, this was
+   7/11/8 and 9/9. *)
+let test_fences_per_role () =
+  List.iter
+    (fun (name, mode, want) ->
+      let obs = Kamino_obs.Obs.create () in
+      let c =
+        Async.create ~engine_config ~obs ~hop_ns:5000 ~rpc_ns:500 ~mode ~f:1 ~value_size:64
+          ~node_size:512 ~seed:13 ()
+      in
+      let fences () =
+        let a = Array.make (Async.length c) 0 in
+        Kamino_obs.Obs.iter obs (fun ~kind ~track ~ts:_ ~dur:_ ~a:_ ~b:_ ~c:_ ->
+            if kind = Kamino_obs.Obs.k_fence then a.((track / 10) - 1) <- a.((track / 10) - 1) + 1);
+        a
+      in
+      (* The setup's transactions leave backup propagation queued at a
+         Kamino head; drain it now so that none of it lands in the write. *)
+      for i = 0 to Async.length c - 1 do
+        Engine.drain_backup (Async.engine_at c i)
+      done;
+      let setup = fences () in
+      Async.submit c ~at:10_000 (Op.Put (3, "isolated")) ~on_complete:(fun _ -> ());
+      ignore (Async.run c);
+      Alcotest.(check (list int)) (name ^ ": fences per role, head first") want
+        (Array.to_list (Array.map2 ( - ) (fences ()) setup)))
+    [ ("kamino", kamino, [ 6; 7; 5 ]); ("traditional", Async.Traditional, [ 8; 7 ]) ]
+
+exception Crashed
+
+(* A replica crashed at every fence of its delivery of one write, then
+   quick-rebooted: no neighbour re-sends anything, so whatever the replica
+   needs to finish the write must have been durable. Its input entry is
+   durable at its first fence (the transaction's first intent barrier or
+   data-log persist): a crash at entry to that fence may lose the write
+   at this replica and downstream (the message is lost in transit, and
+   nothing was applied); a crash at any later fence must still complete
+   it, acked once, with every replica executed through it and
+   consistent. Both crash modes; the sweep ends when the delivery
+   completes without reaching the armed fence. *)
+let test_replica_crash_every_fence () =
+  let write = Op.Put (5, "swept write") in
+  let run_case ~crash_mode ~mode ~victim n =
+    let engine_config = { engine_config with Engine.crash_mode } in
+    let c =
+      Async.create ~engine_config ~hop_ns:5000 ~rpc_ns:500 ~mode ~f:1 ~value_size:64
+        ~node_size:512 ~seed:17 ()
+    in
+    for k = 0 to 3 do
+      Async.submit c ~at:(k * 100_000) (Op.Put (k, "warm")) ~on_complete:(fun _ -> ())
+    done;
+    ignore (Async.run c);
+    let before = Async.executed_seq c 0 in
+    let acks = ref 0 in
+    Async.submit c ~at:(Sim.now (Async.sim c) + 100_000) write ~on_complete:(fun _ -> incr acks);
+    (* Arm the crash for the victim's delivery only: the event right after
+       the one in which its predecessor executed the write. *)
+    let sim = Async.sim c in
+    let armed = ref false in
+    Sim.set_boundary_hook sim
+      (Some
+         (fun () ->
+           if !armed then begin
+             Region.disarm_fence ();
+             armed := false
+           end
+           else if
+             Async.executed_seq c (victim - 1) > before && Async.executed_seq c victim = before
+           then begin
+             Region.at_fence n (fun () ->
+                 (* The rest of the victim's regions crash in [reboot_now]:
+                    nothing runs in between. *)
+                 Engine.crash (Async.engine_at c victim);
+                 raise Crashed);
+             armed := true
+           end));
+    let crashed = match Async.run c with _ -> false | exception Crashed -> true in
+    Sim.set_boundary_hook sim None;
+    Region.disarm_fence ();
+    if crashed then begin
+      Async.reboot_now c victim;
+      ignore (Async.run c)
+    end;
+    (c, before, !acks, crashed)
+  in
+  List.iter
+    (fun (name, mode, victim, points) ->
+      List.iter
+        (fun (mode_name, crash_mode) ->
+          let rec sweep n =
+            let ctx = Printf.sprintf "%s, replica %d, %s, crash at fence %d" name victim mode_name n in
+            let c, before, acks, crashed = run_case ~crash_mode ~mode ~victim n in
+            let seqs = List.init (Async.length c) (Async.executed_seq c) in
+            let lost = Async.executed_seq c victim = before in
+            if crashed && n = 0 && lost then begin
+              Alcotest.(check int) (ctx ^ ": lost in transit, not acked") 0 acks;
+              List.iteri
+                (fun i s ->
+                  if i >= victim then Alcotest.(check int) (ctx ^ ": not executed downstream") before s)
+                seqs
+            end
+            else begin
+              Alcotest.(check int) (ctx ^ ": acked once") 1 acks;
+              Alcotest.(check (list int)) (ctx ^ ": executed everywhere")
+                (List.map (fun _ -> before + 1) seqs)
+                seqs;
+              match Async.replicas_consistent c with
+              | Ok () -> ()
+              | Error e -> Alcotest.failf "%s: %s" ctx e
+            end;
+            if crashed then sweep (n + 1) else n
+          in
+          Alcotest.(check int) (Printf.sprintf "%s, replica %d, %s: crash points" name victim mode_name)
+            points (sweep 0))
+        [ ("words", Region.Words_survive_randomly); ("drop", Region.Drop_unflushed) ])
+    [ ("kamino", kamino, 1, 6); ("kamino", kamino, 2, 5); ("traditional", Async.Traditional, 1, 7) ]
 
 (* --- Chain replication in both modes ---------------------------------------- *)
 
@@ -1146,6 +1354,8 @@ let () =
           Alcotest.test_case "drop_through" `Quick test_queue_drop_through;
           Alcotest.test_case "crash durability" `Quick test_queue_crash_durability;
           Alcotest.test_case "torn publishes" `Quick test_queue_torn_publishes;
+          Alcotest.test_case "enqueue crashed at every fence" `Quick
+            test_queue_enqueue_fence_sweep;
           Alcotest.test_case "golden image reopens" `Quick test_queue_golden_image;
           Alcotest.test_case "typed corruption" `Quick test_queue_corruption_typed;
           Alcotest.test_case "zero-allocation op path" `Quick test_queue_zero_alloc;
@@ -1167,6 +1377,9 @@ let () =
           Alcotest.test_case "per-op allocation bound" `Quick test_chain_op_allocation;
           Alcotest.test_case "queue images pinned" `Quick test_queue_images_pinned;
           Alcotest.test_case "hops leave at commit end" `Quick test_hop_leaves_at_commit;
+          Alcotest.test_case "fences per role" `Quick test_fences_per_role;
+          Alcotest.test_case "replica crashed at every fence of a write" `Quick
+            test_replica_crash_every_fence;
         ] );
       ( "replication",
         [

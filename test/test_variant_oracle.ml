@@ -160,7 +160,11 @@ let fingerprint kind can_abort seed =
    began reading the backup's DRAM resident map instead of probing the
    look-up table, and evictions began tombstoning the bucket a node
    remembers: only sim, loads and bytes_loaded moved (seed 1: sim 273948
-   to 261179, loads 61413 to 61013). *)
+   to 261179, loads 61413 to 61013). The intent-only cells were
+   re-recorded when a commit stopped writing its record's Committed mark,
+   which no recovery path reads: each committing write transaction lost
+   one 8-byte store, one flushed line and one fence (seed 1: fences 254
+   to 200, sim 103225 to 97263); heap= did not move. *)
 let expected =
   [
     ("no-logging/seed=1", "sim=74751 stores=1056 bytes_stored=10704 loads=1417 bytes_loaded=11336 flushed=198 fences=55 copied=0 heap=2069efb6e70cd527");
@@ -178,9 +182,9 @@ let expected =
     ("kamino-dynamic/seed=1", "sim=261179 stores=2185 bytes_stored=85432 loads=61013 bytes_loaded=488104 flushed=1918 fences=311 copied=13304 heap=3402600e0d667a7c");
     ("kamino-dynamic/seed=2", "sim=257754 stores=1979 bytes_stored=82640 loads=60293 bytes_loaded=482344 flushed=1808 fences=315 copied=10712 heap=2781a7a1d38069ae");
     ("kamino-dynamic/seed=3", "sim=124744 stores=2975 bytes_stored=91272 loads=4365 bytes_loaded=34920 flushed=2062 fences=342 copied=16232 heap=1bb003283a02d882");
-    ("intent-only/seed=1", "sim=103225 stores=2809 bytes_stored=24728 loads=2150 bytes_loaded=17200 flushed=524 fences=254 copied=0 heap=2069efb6e70cd527");
-    ("intent-only/seed=2", "sim=93931 stores=2448 bytes_stored=21840 loads=1665 bytes_loaded=13320 flushed=471 fences=227 copied=0 heap=13deed71d51cb41a");
-    ("intent-only/seed=3", "sim=122671 stores=4985 bytes_stored=41856 loads=3864 bytes_loaded=30912 flushed=667 fences=275 copied=0 heap=147adbebe2c787fb");
+    ("intent-only/seed=1", "sim=97263 stores=2755 bytes_stored=24296 loads=2150 bytes_loaded=17200 flushed=470 fences=200 copied=0 heap=2069efb6e70cd527");
+    ("intent-only/seed=2", "sim=88522 stores=2399 bytes_stored=21448 loads=1665 bytes_loaded=13320 flushed=422 fences=178 copied=0 heap=13deed71d51cb41a");
+    ("intent-only/seed=3", "sim=116378 stores=4928 bytes_stored=41400 loads=3864 bytes_loaded=30912 flushed=610 fences=218 copied=0 heap=147adbebe2c787fb");
   ]
 
 (* --- sharded parallel oracle ------------------------------------------------ *)
