@@ -170,7 +170,17 @@ let test_opqueue () =
         done;
         ignore (Opqueue.enqueue q "f") )
   in
-  check_typed "opqueue" (words ~from:0 8 @ words ~from:(64 + (2 * (24 + slot_bytes))) 3) build
+  check_typed "opqueue" (words ~from:0 8 @ words ~from:(64 + (2 * (24 + slot_bytes))) 3) build;
+  (* The head word alone: a head the entries disagree with is typed; one
+     they agree with reopens (0 and 1: the consumed entries are still in
+     their slots). *)
+  List.iter
+    (fun x ->
+      let r, use = build () in
+      Region.write_int r 16 x;
+      let typed = match use () with () -> false | exception Region.Corrupt _ -> true in
+      Alcotest.(check bool) (Printf.sprintf "opqueue head %d typed" x) (x <> 0 && x <> 1) typed)
+    (values 2)
 
 (* A written marker; [use] reads it. The words are the flag, the count
    and every entry word. *)
