@@ -299,6 +299,14 @@ let ensure_copy t ~main ~off ~len ~locked ~pressure =
 
 let is_full t = match t with Full _ -> true | Dynamic _ -> false
 
+let holds_copy t ~off ~len =
+  match t with
+  | Full _ -> true
+  | Dynamic d -> (
+      match Lru.find d.lru off with
+      | n -> len_of (Lru.slot n) = len
+      | exception Not_found -> false)
+
 let has_copy t ~off =
   match t with Full _ -> true | Dynamic d -> Option.is_some (Phash.find d.table ~key:off)
 

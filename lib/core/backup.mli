@@ -102,6 +102,11 @@ val full_region : t -> Kamino_nvm.Region.t option
     [(off, len)] matches. *)
 val is_full : t -> bool
 
+(** [holds_copy t ~off ~len] — would {!ensure_copy} of [(off, len)] hit?
+    Always true for full backups. Reads the resident map only: no table
+    probe, no simulated ns. *)
+val holds_copy : t -> off:int -> len:int -> bool
+
 (** [has_copy t ~off] — does the look-up table map the range starting at
     [off]? Always true for full backups. *)
 val has_copy : t -> off:int -> bool

@@ -59,6 +59,8 @@ let tx_engine tx = tx.owner
 
 let tx_id tx = tx.id
 
+let last_tx_id t = t.next_tx_id - 1
+
 let kind t = t.e_kind
 
 let config t = t.e_config
@@ -770,8 +772,12 @@ let with_tx t f =
       commit tx;
       v
   | exception exn ->
-      if not tx.finished then abort tx;
-      raise exn
+      let bt = Printexc.get_raw_backtrace () in
+      (* A kind that cannot roll back has already finished the handle;
+         the caller's exception is the one to see. *)
+      (if not tx.finished then
+         try abort tx with Error (Abort_unsupported _) -> ());
+      Printexc.raise_with_backtrace exn bt
 
 (* --- Crash and recovery ------------------------------------------------- *)
 
@@ -788,6 +794,24 @@ let recover ?(promote_running = fun _ -> false) t =
   t.active <- None;
   t.heap <- Heap.open_existing t.main;
   t.strat.v_recover t ~promote_running
+
+type durable_outcome = Committed | Aborted | Absent
+
+let durable_outcome t tx_id =
+  match t.e_kind with
+  | Kamino_simple | Kamino_dynamic _ ->
+      let ilog = Intent_log.open_existing (Option.get t.ilog_region) in
+      let outcome = ref Absent in
+      Intent_log.iter_records ilog (fun slot id state intents ->
+          if id = tx_id then
+            outcome :=
+              match state with
+              | Intent_log.Committed when Intent_log.commit_holds ilog slot ~main:t.main intents
+                ->
+                  Committed
+              | _ -> Aborted);
+      !outcome
+  | k -> error (Unsupported ("durable_outcome (" ^ kind_name k ^ ")"))
 
 let drain_backup = Variant.drain_backup
 

@@ -144,6 +144,11 @@ val tx_engine : tx -> t
     sharded commit marker carry). *)
 val tx_id : tx -> int
 
+(** The id {!begin_tx} issued last (0 before the first). A crash keeps
+    it, so the transactions an interrupted operation began are those
+    after the value read before it. *)
+val last_tx_id : t -> int
+
 (** [add tx p] declares a write intent on object [p] (whole extent),
     acquiring its write lock — the [TX_ADD] of Table 2. Idempotent per
     object per transaction. *)
@@ -220,7 +225,10 @@ val prepare : tx -> unit
 val commit_prepared : tx -> unit
 
 (** [with_tx t f] runs [f] in a transaction, committing on return and
-    aborting (then re-raising) on exception. *)
+    aborting on exception, then re-raising that exception with its
+    backtrace. On a kind that cannot roll back ([No_logging],
+    [Intent_only]) the abort only finishes the handle, and its
+    [Abort_unsupported] error does not replace the caller's exception. *)
 val with_tx : t -> (tx -> 'a) -> 'a
 
 (** [set_root tx p] transactionally updates the heap root. *)
@@ -367,6 +375,23 @@ val crash : t -> unit
     region's heap metadata, the intent log, the data log or a dynamic
     backup's look-up table cannot be decoded. *)
 val recover : ?promote_running:(int -> bool) -> t -> unit
+
+(** What recovery will make of a transaction, read off a crashed image. *)
+type durable_outcome =
+  | Committed  (** its record rolls forward *)
+  | Aborted  (** its record rolls back: it is [Running] or [Aborted], or
+                 its sealed commit mark's checksum does not match the image *)
+  | Absent
+      (** no record of it survives: it never made its first barrier
+          durable, or its record was applied and released *)
+
+(** [durable_outcome t tx_id] reads, after {!crash} and before
+    {!recover}, the outcome recovery will give transaction [tx_id]. It
+    decodes the intent log afresh (raising [Kamino_nvm.Region.Corrupt]
+    like {!recover}) and checks a sealed mark's checksum the way recovery
+    does; its loads are charged like recovery's. Kamino-simple and
+    Kamino-dynamic only; any other kind raises [Error (Unsupported _)]. *)
+val durable_outcome : t -> int -> durable_outcome
 
 (** Apply every queued backup task (e.g. before clean shutdown or before
     inspecting the backup in tests). *)

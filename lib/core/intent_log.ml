@@ -1,4 +1,5 @@
 module Region = Kamino_nvm.Region
+module Cost_model = Kamino_nvm.Cost_model
 
 type slot = int
 
@@ -30,6 +31,17 @@ type t = {
   mutable la_idx : int;
   mutable la_off : int;
   mutable la_len : int;
+  (* Slot ([-1] = none) whose header and entries were written back by
+     [flush] and still wait for a fence: the next [barrier] owes one. *)
+  mutable owed_slot : int;
+  (* The logged ranges of the record being built, in log order: slot
+     ([-1] = none), entry count, and each entry's range. A volatile
+     mirror of what the entries say, so the one-fence commit hashes the
+     write set without reading the log back. *)
+  mutable cur_slot : int;
+  mutable cur_n : int;
+  cur_off : int array;
+  cur_len : int array;
 }
 
 let total_bytes intents = List.fold_left (fun acc { len; _ } -> acc + len) 0 intents
@@ -55,6 +67,19 @@ let sh_state = 8
 let sh_count = 16
 
 let state_to_int = function Free -> 0 | Running -> 1 | Committed -> 2 | Aborted -> 3
+
+(* A slot's state word packs the state in its low two bits and, for a
+   [Committed] word written by [seal], a nonzero 60-bit checksum of the
+   write set above them. A two-fence [Committed] word carries no sum;
+   recovery trusts it as is. Any other state carries none either. *)
+let state_bits = 2
+let sum_mask = (1 lsl 60) - 1
+
+(* The checksum of a record's write set: [Region.hash_range] over each
+   logged range of [main], in log order, truncated to 60 bits and never
+   0 (0 marks the two-fence word). *)
+let sum_seed = 0x4B54584C53554D
+let sum_of h = match h land sum_mask with 0 -> 1 | s -> s
 
 (* Per-entry checksum: an entry is only trusted by recovery when this tag,
    derived from the entry contents and the owning transaction id, matches.
@@ -87,14 +112,21 @@ let slot_off t slot = t.slots_start + (slot * t.slot_size)
    accessors are safe and keep these hot helpers allocation- and
    branch-free. *)
 
-let slot_state t slot =
-  let off = slot_off t slot + sh_state in
-  match Region.unsafe_read_int t.region off with
+let state_of_word ~off slot w =
+  let sum = w asr state_bits in
+  match w land 3 with
+  | _ when w < 0 -> Region.corrupt ~structure ~off "slot %d state word %#x is negative" slot w
+  | 2 -> Committed
+  | _ when sum <> 0 ->
+      Region.corrupt ~structure ~off "slot %d state word %#x: a checksum on state %d" slot w
+        (w land 3)
   | 0 -> Free
   | 1 -> Running
-  | 2 -> Committed
-  | 3 -> Aborted
-  | n -> Region.corrupt ~structure ~off "slot %d state %d outside 0..3" slot n
+  | _ -> Aborted
+
+let slot_state t slot =
+  let off = slot_off t slot + sh_state in
+  state_of_word ~off slot (Region.unsafe_read_int t.region off)
 
 let slot_tx_id t slot = Region.unsafe_read_int t.region (slot_off t slot + sh_tx_id)
 
@@ -139,6 +171,11 @@ let format region ~max_user_threads ~max_tx_entries ~n_slots =
       la_idx = 0;
       la_off = 0;
       la_len = 0;
+      owed_slot = -1;
+      cur_slot = -1;
+      cur_n = 0;
+      cur_off = Array.make max_tx_entries 0;
+      cur_len = Array.make max_tx_entries 0;
     }
   in
   rebuild_free t;
@@ -175,6 +212,11 @@ let open_existing region =
       la_idx = 0;
       la_off = 0;
       la_len = 0;
+      owed_slot = -1;
+      cur_slot = -1;
+      cur_n = 0;
+      cur_off = Array.make max_tx_entries 0;
+      cur_len = Array.make max_tx_entries 0;
     }
   in
   rebuild_free t;
@@ -206,6 +248,8 @@ let begin_record t ~tx_id =
       Region.write_int t.region (off + sh_count) 0;
       note_unflushed t slot off (off + slot_header_size);
       t.la_slot <- -1;
+      t.cur_slot <- slot;
+      t.cur_n <- 0;
       Some slot
 
 let add_intent t slot { off; len } =
@@ -224,7 +268,12 @@ let add_intent t slot { off; len } =
   t.la_slot <- slot;
   t.la_idx <- n;
   t.la_off <- off;
-  t.la_len <- len
+  t.la_len <- len;
+  if t.cur_slot = slot then begin
+    t.cur_off.(n) <- off;
+    t.cur_len.(n) <- len;
+    t.cur_n <- n + 1
+  end
 
 (* Append [i], or absorb it into the immediately preceding entry of [slot]
    when the two overlap or adjoin exactly and that entry has never been
@@ -258,6 +307,10 @@ let add_intent_merged t slot ({ off; len } as i) =
       note_unflushed t slot eoff (eoff + entry_size);
       t.la_off <- noff;
       t.la_len <- nlen;
+      if t.cur_slot = slot then begin
+        t.cur_off.(idx) <- noff;
+        t.cur_len.(idx) <- nlen
+      end;
       ({ off = noff; len = nlen }, true)
     end
     else begin
@@ -270,11 +323,24 @@ let add_intent_merged t slot ({ off; len } as i) =
     (i, false)
   end
 
+let flush t slot =
+  if t.uf_slot = slot then begin
+    Region.flush t.region t.uf_lo (t.uf_hi - t.uf_lo);
+    t.uf_slot <- -1;
+    t.la_slot <- -1;
+    t.owed_slot <- slot
+  end
+
 let barrier t slot =
   if t.uf_slot = slot then begin
     Region.persist t.region t.uf_lo (t.uf_hi - t.uf_lo);
     t.uf_slot <- -1;
-    t.la_slot <- -1
+    t.la_slot <- -1;
+    t.owed_slot <- -1
+  end
+  else if t.owed_slot = slot then begin
+    Region.fence t.region;
+    t.owed_slot <- -1
   end
 
 let mark t slot state =
@@ -282,6 +348,32 @@ let mark t slot state =
   let off = slot_off t slot in
   Region.write_int t.region (off + sh_state) (state_to_int state);
   Region.persist t.region (off + sh_state) 8
+
+let seal t slot ~main =
+  let bytes = ref 0 in
+  for i = 0 to t.cur_n - 1 do
+    bytes := !bytes + t.cur_len.(i)
+  done;
+  t.cur_slot = slot && t.uf_slot <> slot && t.owed_slot <> slot
+  && Cost_model.loads_beat_fence (Region.cost_model main) ~loads:t.cur_n ~bytes:!bytes
+  &&
+  let h = ref sum_seed in
+  for i = 0 to t.cur_n - 1 do
+    h := Region.hash_range main t.cur_off.(i) t.cur_len.(i) !h
+  done;
+  let off = slot_off t slot + sh_state in
+  Region.write_int t.region off ((sum_of !h lsl state_bits) lor state_to_int Committed);
+  Region.flush t.region off 8;
+  true
+
+let commit_holds t slot ~main intents =
+  let sum = Region.unsafe_read_int t.region (slot_off t slot + sh_state) asr state_bits in
+  sum = 0
+  || sum
+     = sum_of
+         (List.fold_left
+            (fun h { off; len } -> Region.hash_range main off len h)
+            sum_seed intents)
 
 let release t slot =
   (* Zero the whole header, not just the state word: a later [begin_record]
@@ -306,6 +398,8 @@ let release t slot =
     else false
   in
   if t.la_slot = slot then t.la_slot <- -1;
+  if t.owed_slot = slot then t.owed_slot <- -1;
+  if t.cur_slot = slot then t.cur_slot <- -1;
   let off = slot_off t slot in
   Region.write_int t.region (off + sh_tx_id) 0;
   Region.write_int t.region (off + sh_state) (state_to_int Free);

@@ -12,7 +12,11 @@
     max_user_threads, max_tx_size, log size, state), per-thread scratchpads,
     and the slotted log data area. Slot states: [Free] / [Running] /
     [Committed] / [Aborted]. Recovery scans all non-free slots in
-    transaction-id order. *)
+    transaction-id order.
+
+    A slot's state word is one aligned 8-byte word: the state in its low
+    two bits and, for a [Committed] word written by {!seal}, a nonzero
+    60-bit checksum of the write set above them (DESIGN.md par25). *)
 
 type t
 
@@ -39,9 +43,9 @@ val format :
 (** [open_existing region] re-attaches after a crash. Raises
     {!Kamino_nvm.Region.Corrupt} ([structure "Intent_log"], [off] at the
     failing word) on a bad magic word, a header checksum mismatch, a
-    header whose slots overrun the region, or a slot state word outside
-    [0..3] (every slot's state is read here, before anything is
-    written). *)
+    header whose slots overrun the region, or a slot state word that is
+    negative or carries checksum bits on a state other than [Committed]
+    (every slot's state is read here, before anything is written). *)
 val open_existing : Kamino_nvm.Region.t -> t
 
 (** [begin_record t ~tx_id] claims a free slot and writes its header
@@ -73,9 +77,37 @@ val add_intent_merged : t -> slot -> intent -> intent * bool
     first data write that follows new intents. *)
 val barrier : t -> slot -> unit
 
+(** [flush t slot] writes back the slot header and the entries appended
+    since the previous barrier without fencing them: they become durable
+    at the next fence on the calling domain, whatever region it names.
+    The next {!barrier} of [slot] fences even if nothing was appended
+    since. Does nothing when there is nothing unflushed. *)
+val flush : t -> slot -> unit
+
 (** [mark t slot state] durably records the transaction outcome
     (flush of the header line + fence). *)
 val mark : t -> slot -> state -> unit
+
+(** [seal t slot ~main] is the one-fence commit mark. After the slot's
+    {!barrier}, when hashing [main]'s bytes over the record's logged
+    ranges costs less than a fence ({!Kamino_nvm.Cost_model.loads_beat_fence},
+    one load per range), it hashes them ({!Kamino_nvm.Region.hash_range},
+    in log order, charged as those loads), writes the state word as
+    [Committed] with that checksum, flushes it without a fence and
+    returns [true]: the caller's next fence makes the mark durable
+    together with the write set, which it must flush first. Otherwise it
+    writes nothing and returns [false], and the caller persists the write
+    set and {!mark}s the slot. The ranges come from a volatile mirror of
+    the entries, so the log is not read back. *)
+val seal : t -> slot -> main:Kamino_nvm.Region.t -> bool
+
+(** [commit_holds t slot ~main intents] — does the [Committed] record in
+    [slot], whose entries {!intents} decoded as [intents], commit at
+    recovery? [true] for a {!mark}ed word; for a {!seal}ed one, [true]
+    iff its checksum equals the hash of [main]'s bytes over [intents]
+    now. A crash before the seal's fence can persist the word without
+    some of the write set's lines; such a record rolls back. *)
+val commit_holds : t -> slot -> main:Kamino_nvm.Region.t -> intent list -> bool
 
 (** [release t slot] marks the slot [Free] so it can be reused. Called after
     the coordinator has consumed the record (applied or rolled back). *)

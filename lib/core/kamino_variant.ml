@@ -3,7 +3,9 @@
    holds a pre-transaction copy (a no-op for the full backup outside
    recovery; an on-demand critical-path copy for the dynamic one); writes
    go in place; commit marks the record committed and enqueues the write
-   set to the background {!Applier}. Write locks release only at the
+   set to the background {!Applier}. Where hashing the write set costs
+   less than a fence, the mark carries that hash and shares the write
+   set's fence (DESIGN.md par25). Write locks release only at the
    applier's finish time, so only dependent transactions ever wait for
    copying (§4.3).
 
@@ -12,10 +14,11 @@
    per-object ranges only) share every path below; [~dynamic] selects the
    granularity rules.
 
-   Commit is split into prepare (write set durable, outcome undecided) and
-   finalize (mark committed, enqueue propagation, release) so the sharded
-   façade can interleave a persistent cross-shard commit marker between
-   the two — [v_commit] is exactly prepare followed by finalize. *)
+   The two-phase path splits commit into prepare (write set durable,
+   outcome undecided) and commit_prepared (mark committed, enqueue
+   propagation, release) so the sharded façade can interleave a
+   persistent cross-shard commit marker between the two. There the
+   marker decides the outcome, so the mark keeps its own fence. *)
 
 open Variant
 
@@ -53,15 +56,20 @@ let declare ~dynamic t tx ~le ~off ~len ~redirectable:_ =
      if last > Applier.applied_through appl then Applier.sync_through appl last
    end);
   let slot = claim_slot tx in
-  Backup.ensure_copy b ~main:t.main ~off ~len ~locked:(pinned t)
-    ~pressure:(fun () -> Applier.drain appl);
-  (* A dynamic miss leaves its mapping's key word flushed but unfenced.
-     A dynamic intent never merges, so this append always leaves the
-     record unflushed, and the barrier before the first in-place write
-     always fences: that fence makes the mapping durable (DESIGN.md
-     par17). *)
+  (* A dynamic miss publishes its mapping with the key word flushed but
+     unfenced, and the next fence on this domain (a later miss's, or the
+     barrier's) makes it durable. Recovery forgets only mappings that a
+     durable intent names, so a miss appends and flushes its entry first:
+     the miss's own fence makes the entry durable before the key word is
+     written. The flush leaves the barrier owing a fence, so the barrier
+     before the first in-place write still fences, which makes the last
+     miss's key word durable (DESIGN.md par17). *)
+  let miss = not (Backup.holds_copy b ~off ~len) in
   log_intent t slot ~mergeable:((not dynamic) && t.e_config.coalesce_writes) ~off
     ~len;
+  if miss then Intent_log.flush (the_ilog t) slot;
+  Backup.ensure_copy b ~main:t.main ~off ~len ~locked:(pinned t)
+    ~pressure:(fun () -> Applier.drain appl);
   None
 
 let barrier t tx =
@@ -79,12 +87,11 @@ let prepare t tx =
       do_barrier tx;
       persist_ws t ~in_place_only:false
 
-(* Phase two: decide commit, hand the write set to the applier, release
-   the locks at the applier's finish time (the paper's rule: write locks
+(* After the commit mark: hand the write set to the applier, release the
+   locks at the applier's finish time (the paper's rule: write locks
    release only once main and backup agree on the write set). *)
-let finalize ~dynamic t tx slot =
-  let ilog = the_ilog t and appl = the_appl t in
-  Intent_log.mark ilog slot Intent_log.Committed;
+let hand_to_applier ~dynamic t tx slot =
+  let appl = the_appl t in
   let iranges =
     if (not dynamic) && t.e_config.coalesce_writes then
       (* Full backups copy at byte granularity, so the task carries only
@@ -125,20 +132,32 @@ let finalize ~dynamic t tx slot =
    end);
   release_all tx ~write_release:finish_at
 
+(* The write set is flushed, then either sealed under one fence or
+   fenced and marked. A sealed mark can persist before some of the
+   write set's lines; recovery then finds the hash wrong and rolls the
+   record back, so the fence that orders them is not needed. *)
 let commit ~dynamic t tx =
   match tx.slot with
   | None ->
       (* Read-only transaction: the log was never touched. *)
       release_all tx ~write_release:(Clock.now t.clk)
   | Some slot ->
+      let ilog = the_ilog t in
       do_barrier tx;
-      persist_ws t ~in_place_only:false;
-      finalize ~dynamic t tx slot
+      let n = flush_ws t ~in_place_only:false in
+      if Intent_log.seal ilog slot ~main:t.main then Region.fence t.main
+      else begin
+        if n > 0 then Region.fence t.main;
+        Intent_log.mark ilog slot Intent_log.Committed
+      end;
+      hand_to_applier ~dynamic t tx slot
 
 let commit_prepared ~dynamic t tx =
   match tx.slot with
   | None -> release_all tx ~write_release:(Clock.now t.clk)
-  | Some slot -> finalize ~dynamic t tx slot
+  | Some slot ->
+      Intent_log.mark (the_ilog t) slot Intent_log.Committed;
+      hand_to_applier ~dynamic t tx slot
 
 let abort t tx =
   (match tx.slot with
@@ -169,7 +188,10 @@ let recover t ~promote_running =
   (* Records are visited in transaction order; committed ones roll the
      backup forward, incomplete or aborted ones roll the main heap back.
      The locking discipline guarantees the two sets of ranges are
-     disjoint. [promote_running] is the sharded commit marker's decision:
+     disjoint. A sealed [Committed] record whose hash does not match the
+     image lost some of its write set at the crash and rolls back like an
+     aborted one; every verdict is read before any record is resolved.
+     [promote_running] is the sharded commit marker's decision:
      a [Running] record it claims was part of a marked cross-shard commit
      had its in-place writes made durable by [prepare] before the marker
      was written, so rolling it {e forward} is safe — the main heap
@@ -178,6 +200,13 @@ let recover t ~promote_running =
      once before its slot is released. *)
   let pending = ref [] in
   Intent_log.iter_records ilog (fun slot txid state intents ->
+      let state =
+        match state with
+        | Intent_log.Committed when not (Intent_log.commit_holds ilog slot ~main:t.main intents)
+          ->
+            Intent_log.Aborted
+        | s -> s
+      in
       pending := (slot, txid, state, intents) :: !pending);
   List.iter
     (fun (slot, txid, state, intents) ->

@@ -387,13 +387,14 @@ let do_barrier tx =
     tx.needs_barrier <- false
   end
 
-(* Flush the write set's ranges (declaration order) against the main heap,
-   fencing iff at least one range was selected. The fence condition tracks
+(* Flush the write set's ranges (declaration order) against the main heap
+   and return how many were selected; [persist_ws] then fences iff at
+   least one was. The fence condition tracks
    the {e range list}, not the lines actually flushed — a commit whose
    ranges are already clean still fences, exactly as the list-based
    predecessor of this function did. [in_place_only] restricts to ranges
    without a CoW redirection. *)
-let persist_ws t ~in_place_only =
+let flush_ws t ~in_place_only =
   let n = ref 0 in
   for i = 0 to t.ws_n - 1 do
     let r = t.ws.(i) in
@@ -402,7 +403,9 @@ let persist_ws t ~in_place_only =
       Region.flush t.main r.r_off r.r_len
     end
   done;
-  if !n > 0 then Region.fence t.main
+  !n
+
+let persist_ws t ~in_place_only = if flush_ws t ~in_place_only > 0 then Region.fence t.main
 
 (* Intent-log slot of [tx], claimed on first use so read-only transactions
    never touch the log region. How a free slot is obtained under pressure

@@ -257,6 +257,10 @@ val emit_runs : t -> irec -> int -> int
     (dispatches to {!field-v_barrier}). *)
 val do_barrier : tx -> unit
 
+(** Flush the write set's ranges against the main heap, without a fence;
+    returns how many ranges were selected. *)
+val flush_ws : t -> in_place_only:bool -> int
+
 (** Flush the write set's ranges against the main heap, fencing iff at
     least one range was selected. *)
 val persist_ws : t -> in_place_only:bool -> unit

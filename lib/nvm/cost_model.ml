@@ -56,6 +56,10 @@ let load_cost t len = t.load_overhead_ns +. (t.load_ns_per_byte *. float_of_int 
 
 let copy_cost t len = t.copy_overhead_ns +. (t.copy_ns_per_byte *. float_of_int len)
 
+let loads_beat_fence t ~loads ~bytes =
+  (float_of_int loads *. t.load_overhead_ns) +. (t.load_ns_per_byte *. float_of_int bytes)
+  < t.fence_ns
+
 let pp fmt t =
   Format.fprintf fmt
     "{flush_line=%.0fns fence=%.0fns copy=%.2fns/B alloc=%.0fns index=%.0fns}"

@@ -56,4 +56,10 @@ val load_cost : t -> int -> float
 (** Cost in ns of copying [len] bytes with memcpy. *)
 val copy_cost : t -> int -> float
 
+(** [loads_beat_fence t ~loads ~bytes] — do [loads] loads of [bytes]
+    bytes in all cost less than one fence? The one-fence commit's test:
+    it hashes its write set (charged as loads) only where that is cheaper
+    than the fence the hash replaces. *)
+val loads_beat_fence : t -> loads:int -> bytes:int -> bool
+
 val pp : Format.formatter -> t -> unit

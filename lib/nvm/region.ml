@@ -418,6 +418,39 @@ let equal_ranges a aoff b boff len =
   in
   word_eq 0 && byte_eq (words lsl 3)
 
+(* One 63-bit mixing step: xor in a word, multiply by an odd constant,
+   fold the high bits down. Each step is a bijection of [h] for a given
+   word, so a difference anywhere survives to the end. Immediate-int
+   arithmetic only. *)
+let mix h w =
+  let h = (h lxor w) * 0x27BB2EE687B0B0FD in
+  h lxor (h lsr 29)
+
+(* A whole little-endian word as an unboxed [int64]: one load instead of
+   [get_int_le]'s four, and, consumed by [Int64] primitives at once, no
+   allocation. *)
+external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let hash_range t off len h =
+  check_range t off len "hash_range";
+  record_load_unchecked t len;
+  let v = t.volatile in
+  let words = len lsr 3 in
+  let h = ref (mix h len) in
+  for i = 0 to words - 1 do
+    let o = off + (i lsl 3) in
+    let x = if Sys.big_endian then swap64 (unsafe_get64 v o) else unsafe_get64 v o in
+    (* A 63-bit int drops the word's top bit; fold it in as a constant. *)
+    let top = Int64.to_int (Int64.shift_right_logical x 63) in
+    h := mix !h (Int64.to_int x lxor (top * 0x1D8E4E27C47D124F))
+  done;
+  let tail = ref 0 in
+  for i = len - 1 downto words lsl 3 do
+    tail := (!tail lsl 8) lor Bytes.get_uint8 v (off + i)
+  done;
+  if len land 7 <> 0 then mix !h !tail else !h
+
 let fill t off len byte =
   record_store t off len;
   Bytes.fill t.volatile off len (Char.chr (byte land 0xff))

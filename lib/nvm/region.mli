@@ -139,6 +139,16 @@ val unsafe_read_int : t -> int -> int
     unchanged. *)
 val equal_ranges : t -> int -> t -> int -> int -> bool
 
+(** [hash_range t off len h] folds the [len] bytes at [off] of the
+    volatile image into the running hash [h] and returns the new hash:
+    seed it with any int, chain ranges by passing the result on. It is
+    charged as one load of [len] bytes, like a {!read_into} of the range,
+    and allocates nothing. The hash is 63 bits wide, every bit of the
+    range counts, and [len] is folded in first, so moving bytes between
+    chained ranges changes it. Not cryptographic: it rejects torn
+    persists, not adversaries. Bounds-checked. *)
+val hash_range : t -> int -> int -> int -> int
+
 (** [fill t off len byte] stores [len] copies of [byte]. *)
 val fill : t -> int -> int -> int -> unit
 

@@ -438,9 +438,10 @@ let test_engine_full_table_fence_sweep () =
           ~check:(fun (e, _) -> Tx_model.check_engine e)
           ()
       in
-      (* The eviction's fence and the retried insert's value fence, three
-         for the transaction and two for the drain. *)
-      Alcotest.(check int) (ctx ^ ": crash points") 7 st.Fence_sweep.points;
+      (* The eviction's fence and the retried insert's value fence, two
+         for the transaction (the intent barrier, then one fence for the
+         write set and its sealed commit mark) and two for the drain. *)
+      Alcotest.(check int) (ctx ^ ": crash points") 6 st.Fence_sweep.points;
       Fence_sweep.require_split ~ctx st)
     [
       ("drop-unflushed", Region.Drop_unflushed);
@@ -758,6 +759,58 @@ let test_backup_miss_fence_sweep () =
         ])
     [ ("first-eviction", [], 4096, 3); ("spare-reuse", [ 4096 ], 5120, 2) ]
 
+(* A transaction whose declares miss twice, crashed at every fence.
+   Each miss publishes its mapping with the key word flushed only, so the
+   second miss's fence makes the first mapping durable. Its intent entry
+   must be durable by then, or recovery cannot roll the range back and
+   forget the copy: the allocation rolls back, a later allocation of
+   another class re-carves the space with other extent boundaries, and
+   the orphaned copy goes stale. So after every recovery a 208 B object,
+   carved over the two 48 B extents, is written in full, and the backup
+   must still match main. *)
+let test_two_miss_orphan_sweep () =
+  let kind = Engine.Kamino_dynamic { alpha = 0.3; policy = Backup.Lru_policy } in
+  List.iter
+    (fun (mode_name, crash_mode) ->
+      let setup () =
+        let e =
+          Engine.create
+            ~config:{ full_table_config with Engine.crash_mode }
+            ~kind ~seed:14 ()
+        in
+        ignore (Engine.with_tx e (fun tx -> Engine.alloc tx 32));
+        Engine.drain_backup e;
+        e
+      in
+      let misses e = Backup.misses (backup_of e) in
+      let reference = setup () in
+      let m0 = misses reference in
+      let two = Engine.with_tx reference (fun tx -> Engine.alloc_many tx [ 48; 48 ]) in
+      Alcotest.(check bool) (mode_name ^ ": the extents miss") true (misses reference - m0 >= 2);
+      let ctx = "two-miss allocation, " ^ mode_name in
+      let st =
+        Fence_sweep.sweep ~ctx ~setup ~crash:Engine.crash
+          ~recover:(fun e -> Engine.recover e)
+          ~op:(fun e -> ignore (Engine.with_tx e (fun tx -> Engine.alloc_many tx [ 48; 48 ])))
+          ~drain:Engine.drain_backup
+          ~observe:(fun e ->
+            String.concat " " (List.map (fun p -> string_of_bool (Heap.is_allocated (Engine.heap e) p)) two))
+          ~check:(fun e here -> Tx_model.check_engine e here)
+          ~on_crash:(fun e n ->
+            let here = Printf.sprintf "%s, crash at fence %d, re-carved" ctx n in
+            Engine.with_tx e (fun tx ->
+                let p = Engine.alloc tx 208 in
+                Tx_model.stamp_object tx p 208 0x5eedL);
+            Tx_model.check_engine e here)
+          ()
+      in
+      Fence_sweep.require_split ~ctx st)
+    [
+      ("drop-unflushed", Region.Drop_unflushed);
+      ("lines-survive", Region.Lines_survive_randomly);
+      ("words-survive", Region.Words_survive_randomly);
+    ]
+
 let test_backup_survives_crash () =
   let b, main = make_dynamic () in
   Region.write_string main 512 "precious";
@@ -813,6 +866,8 @@ let () =
             test_backup_miss_fence_sweep;
           Alcotest.test_case "engine: more residents than buckets" `Quick
             test_engine_full_table;
+          Alcotest.test_case "engine: two misses, crashed at every fence" `Quick
+            test_two_miss_orphan_sweep;
           Alcotest.test_case "engine: crash at every fence of a full-table miss" `Quick
             test_engine_full_table_fence_sweep;
         ] );

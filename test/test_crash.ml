@@ -230,10 +230,10 @@ let test_evicting_put_every_fence crash_mode () =
       ~drain:(fun s -> Engine.drain_backup s.k_e)
       ~observe ~expect:(before, after) ~check ()
   in
-  (* The put: the miss's value fence, the intent-log barrier, the write
-     set's persist and the commit mark; the drain: the backup's settle and
-     the slot's release. *)
-  Alcotest.(check int) "evicting put: crash points" 6 st.Fence_sweep.points;
+  (* The put: the miss's value fence, the intent-log barrier, and one
+     fence for the write set and its sealed commit mark; the drain: the
+     backup's settle and the slot's release. *)
+  Alcotest.(check int) "evicting put: crash points" 5 st.Fence_sweep.points;
   Fence_sweep.require_split ~ctx:"evicting put" st
 
 let () =

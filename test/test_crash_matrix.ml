@@ -163,6 +163,16 @@ let model_truncate content len =
   if len <= String.length content then String.sub content 0 len
   else content ^ String.make (len - String.length content) '\000'
 
+(* Seeds per fs row: 6 unless [CRASH_MATRIX_SEEDS] says otherwise (the
+   nightly workflow runs 80). *)
+let fs_seeds =
+  match Sys.getenv_opt "CRASH_MATRIX_SEEDS" with
+  | None | Some "" -> 6
+  | Some n -> (
+      match int_of_string_opt n with
+      | Some n when n > 0 -> n
+      | _ -> invalid_arg ("CRASH_MATRIX_SEEDS: not a positive count: " ^ n))
+
 let fs_case (kname, spec, atomic) crash_mode () =
   List.iter
     (fun seed ->
@@ -249,13 +259,15 @@ let fs_case (kname, spec, atomic) crash_mode () =
          fence drawn from its own span (the fences the last uncrashed
          operation of its kind issued, plus the first fence of the
          applier drain after it), then crash again inside recovery until
-         one completes. What the recovered fs must show is decided by the
-         intent log at the crash: an in-flight record durably [Committed]
-         keeps the operation (post-op state only), any other rolls it back
-         (pre-op state only). Kinds without an intent log accept either
-         state. A crash in the drain keeps the operation; [recovered]
-         rebuilds its result from the recovered fs. Semantic rejections
-         leave both sides untouched. *)
+         one completes. What the recovered fs must show is decided by
+         {!Engine.durable_outcome} on the crashed image: a transaction of
+         the operation that recovery will roll forward keeps the operation
+         (post-op state only); otherwise it rolls back (pre-op state only).
+         Kinds it does not cover (undo, CoW) accept either state. A crash
+         in the drain keeps the operation; [recovered] rebuilds its result
+         from the recovered fs. After every recovery the backup must agree
+         with main ({!Engine.verify_backup}, after a drain). Semantic
+         rejections leave both sides untouched. *)
       let spans : (string, int) Hashtbl.t = Hashtbl.create 8 in
       let fences () = (Engine.main_counters e).Region.fences in
       let run ctx kind op ~apply ~recovered =
@@ -265,11 +277,13 @@ let fs_case (kname, spec, atomic) crash_mode () =
           let ctx = Printf.sprintf "%s (%s, crash at fence %d of %d)" ctx kind crash_at span in
           let recover () =
             ignore (Fence_sweep.recover_chained ~crash ~recover:(fun () -> Engine.recover e));
-            fsck ctx
+            fsck ctx;
+            match Engine.verify_backup e with
+            | Ok () -> ()
+            | Error err -> Alcotest.failf "%s: backup: %s" ctx err
           in
-          (* Records at or below [last] belong to earlier transactions. *)
-          let il = Engine.intent_log e in
-          let last = Option.fold ~none:0 ~some:Intent_log.max_tx_id il in
+          (* The operation's transactions are the ones begun after [last]. *)
+          let last = Engine.last_tx_id e in
           match Fence_sweep.attempt ~crash crash_at ~drain:(fun () -> Engine.drain_backup e) op with
           | Completed v -> apply v
           | Crashed_in_drain v ->
@@ -280,13 +294,13 @@ let fs_case (kname, spec, atomic) crash_mode () =
           | Crashed_in_op -> (
               (* Read off the crashed image, before recovery rewrites it. *)
               let committed =
-                Option.map
-                  (fun il ->
-                    let c = ref false in
-                    Intent_log.iter_records il (fun _ txid state _ ->
-                        if txid > last && state = Intent_log.Committed then c := true);
-                    !c)
-                  il
+                match Engine.kind e with
+                | Engine.Kamino_simple | Engine.Kamino_dynamic _ ->
+                    Some
+                      (List.exists
+                         (fun id -> Engine.durable_outcome e id = Engine.Committed)
+                         (List.init (Engine.last_tx_id e - last) (fun i -> last + 1 + i)))
+                | _ -> None
               in
               recover ();
               let post () =
@@ -438,7 +452,7 @@ let fs_case (kname, spec, atomic) crash_mode () =
       match Engine.verify_backup e with
       | Ok () -> ()
       | Error err -> Alcotest.failf "fs/%s seed=%d: backup: %s" kname seed err)
-    (List.init 6 (fun i -> i + 1))
+    (List.init fs_seeds (fun i -> i + 1))
 
 (* --- chain snapshots across a view change ---------------------------------- *)
 
@@ -579,7 +593,7 @@ let () =
         List.map
           (fun (mname, mode) ->
             Alcotest.test_case
-              (Printf.sprintf "fs/%s x %s (6 seeds, random workload)" kname mname)
+              (Printf.sprintf "fs/%s x %s (%d seeds, random workload)" kname mname fs_seeds)
               `Slow (fs_case builder mode))
           modes)
       Tx_model.kinds

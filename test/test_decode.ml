@@ -237,6 +237,156 @@ let test_fs_superblock () =
   done;
   Alcotest.(check bool) "fs superblock: some flips are typed errors" true (!typed > 0)
 
+(* --- packed intent-log state words ---
+
+   A slot's state word packs a 60-bit checksum above the state. Hostile
+   words written over every occupied slot of a crashed engine image (a
+   sealed commit not yet applied, and an in-flight transaction): a
+   checksum on [Free], [Running] or [Aborted], a negative word, a
+   [Committed] word with no checksum (the two-fence mark) and one with a
+   wrong checksum. Recovery must raise [Corrupt] or leave an engine whose
+   heap validates and whose backup matches main. *)
+
+let state_words_kinds =
+  [
+    ("kamino-simple", Engine.Kamino_simple);
+    ("kamino-dynamic", Engine.Kamino_dynamic { alpha = 0.5; policy = Kamino_core.Backup.Lru_policy });
+  ]
+
+let engine_config crash_mode =
+  { Engine.default_config with Engine.heap_bytes = 1 lsl 18; log_slots = 8; crash_mode }
+
+let test_state_words () =
+  let sum = (1 lsl 60) - 1 in
+  let hostile =
+    [ (1 lsl 2) lor 1; (1 lsl 40) lor 1; (sum lsl 2) lor 1; (7 lsl 2) lor 0; (sum lsl 2) lor 3; -1;
+      2; (12345 lsl 2) lor 2 ]
+  in
+  List.iter
+    (fun (name, kind) ->
+      let image () =
+        let e = Engine.create ~config:(engine_config Region.Drop_unflushed) ~kind ~seed:7 () in
+        let ps =
+          Engine.with_tx e (fun tx ->
+              List.map
+                (fun size ->
+                  let p = Engine.alloc tx size in
+                  Engine.write_int64 tx p 0 1L;
+                  p)
+                [ 48; 200; 48 ])
+        in
+        Engine.drain_backup e;
+        Engine.with_tx e (fun tx ->
+            Engine.add tx (List.nth ps 0);
+            Engine.write_int64 tx (List.nth ps 0) 0 2L;
+            ignore (Engine.alloc tx 96));
+        let tx = Engine.begin_tx e in
+        Engine.add tx (List.nth ps 1);
+        Engine.write_int64 tx (List.nth ps 1) 8 3L;
+        Engine.crash e;
+        e
+      in
+      (* Every occupied slot's state word, from the log header's layout. *)
+      let state_words e =
+        let r = Ilog.region (Option.get (Engine.intent_log e)) in
+        let threads = Region.peek_int r 16 and entries = Region.peek_int r 24 in
+        let slots = Region.peek_int r 32 in
+        List.filter_map
+          (fun s ->
+            let off = 64 + (threads * 64) + (s * (64 + (entries * 24))) + 8 in
+            if Region.peek_int r off <> 0 then Some off else None)
+          (List.init slots Fun.id)
+      in
+      let offs = state_words (image ()) in
+      Alcotest.(check int) (name ^ ": two occupied slots") 2 (List.length offs);
+      let typed = ref 0 in
+      List.iter
+        (fun off ->
+          List.iter
+            (fun w ->
+              let e = image () in
+              let r = Ilog.region (Option.get (Engine.intent_log e)) in
+              Region.write_int r off w;
+              Region.persist_all r;
+              let here = Printf.sprintf "%s: state word %d = %#x" name off w in
+              match Engine.recover e with
+              | () -> Tx_model.check_engine e here
+              | exception Region.Corrupt _ -> incr typed
+              | exception x -> Alcotest.failf "%s raised %s" here (Printexc.to_string x))
+            hostile)
+        offs;
+      (* A checksum on a state other than Committed, and a negative word:
+         six of the eight values, on both slots. *)
+      Alcotest.(check int) (name ^ ": typed refusals") 12 !typed)
+    state_words_kinds
+
+(* --- torn sealed commits ---
+
+   A one-word update crashed at its sealed fence, the one that makes its
+   write set and its commit mark durable together, under
+   [Words_survive_randomly] across pinned seeds. Whatever subset of the
+   pending words survived, [Engine.durable_outcome] decides the state:
+   the after-state when it says committed, the before-state otherwise.
+   Both must occur, and so must a torn commit: a [Committed] word that
+   reached the medium without the update. *)
+let test_torn_commits () =
+  List.iter
+    (fun (name, kind) ->
+      let setup seed =
+        let e =
+          Engine.create ~config:(engine_config Region.Words_survive_randomly) ~kind ~seed ()
+        in
+        let p =
+          Engine.with_tx e (fun tx ->
+              let p = Engine.alloc tx 24 in
+              Engine.write_int64 tx p 0 1L;
+              p)
+        in
+        Engine.drain_backup e;
+        (e, p)
+      in
+      let op (e, p) =
+        Engine.with_tx e (fun tx ->
+            Engine.add tx p;
+            Engine.write_int64 tx p 0 2L)
+      in
+      let observe (e, p) = Engine.peek_int64 e p 0 in
+      let reference = setup 1 in
+      let fences () = (Engine.main_counters (fst reference)).Region.fences in
+      let f0 = fences () in
+      op reference;
+      let sealed_fence = fences () - f0 - 1 in
+      let committed = ref 0 and rolled_back = ref 0 and torn = ref 0 in
+      for seed = 1 to 64 do
+        let ((e, _) as s) = setup seed in
+        let here = Printf.sprintf "%s seed %d" name seed in
+        match Fence_sweep.attempt ~crash:(fun () -> Engine.crash e) sealed_fence (fun () -> op s) with
+        | Fence_sweep.Crashed_in_op ->
+            let id = Engine.last_tx_id e in
+            let marked = ref false in
+            Ilog.iter_records (Option.get (Engine.intent_log e)) (fun _ txid state _ ->
+                if txid = id && state = Ilog.Committed then marked := true);
+            let outcome = Engine.durable_outcome e id in
+            Engine.recover e;
+            Tx_model.check_engine e here;
+            let want, tally =
+              match outcome with
+              | Engine.Committed -> (2L, committed)
+              | Engine.Aborted | Engine.Absent ->
+                  if !marked then incr torn;
+                  (1L, rolled_back)
+            in
+            incr tally;
+            Alcotest.(check int64) here want (observe s)
+        | _ -> Alcotest.failf "%s: the sealed fence is not the transaction's last" here
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d committed, %d rolled back (%d torn commits)" name !committed
+           !rolled_back !torn)
+        true
+        (!committed > 0 && !rolled_back > 0 && !torn > 0))
+    state_words_kinds
+
 let () =
   Alcotest.run "decode"
     [
@@ -249,5 +399,10 @@ let () =
           Alcotest.test_case "opqueue" `Quick test_opqueue;
           Alcotest.test_case "commit marker" `Quick test_commit_marker;
           Alcotest.test_case "fs superblock" `Quick test_fs_superblock;
+        ] );
+      ( "sealed commit marks",
+        [
+          Alcotest.test_case "hostile state words" `Quick test_state_words;
+          Alcotest.test_case "torn commits at the sealed fence" `Quick test_torn_commits;
         ] );
     ]

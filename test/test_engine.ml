@@ -355,7 +355,126 @@ let test_with_tx_aborts_on_exception () =
    with Failure _ -> ());
   Alcotest.(check int64) "exception rolled back" 10L (Engine.peek_int64 e p 0)
 
+(* A kind that cannot roll back finishes the handle on abort; the
+   caller's exception, not [Abort_unsupported], must come out of
+   [with_tx]. *)
+let test_with_tx_keeps_exception () =
+  List.iter
+    (fun kind ->
+      let e = make kind in
+      let name = Engine.kind_name kind in
+      let p = Engine.with_tx e (fun tx -> Engine.alloc tx 64) in
+      match
+        Engine.with_tx e (fun tx ->
+            Engine.add tx p;
+            Engine.write_int64 tx p 0 1L;
+            raise Exit)
+      with
+      | () -> Alcotest.failf "%s: no exception" name
+      | exception Exit -> ()
+      | exception x -> Alcotest.failf "%s: %s replaced Exit" name (Printexc.to_string x))
+    [ Engine.Intent_only; Engine.No_logging ]
+
 (* --- Kamino-specific behaviour --- *)
+
+(* A commit seals its mark under the write set's fence when hashing the
+   write set (one load per logged range) costs less than that fence, and
+   otherwise marks it under a fence of its own. *)
+let test_sealed_commit_rule () =
+  let cm = small_config.Engine.cost in
+  let beats bytes = Kamino_nvm.Cost_model.loads_beat_fence cm ~loads:1 ~bytes in
+  Alcotest.(check (pair bool bool)) "one range: 1959 B beat a fence, 1960 B do not" (true, false)
+    (beats 1959, beats 1960);
+  List.iter
+    (fun kind ->
+      let e = make kind in
+      let name = Engine.kind_name kind in
+      let small, big =
+        Engine.with_tx e (fun tx -> (Engine.alloc tx 256, Engine.alloc tx 4096))
+      in
+      let fences f =
+        Engine.drain_backup e;
+        let before = (Engine.main_counters e).Region.fences in
+        Engine.with_tx e f;
+        (Engine.main_counters e).Region.fences - before
+      in
+      (* Warm the dynamic backup's copies, so no miss fences below. *)
+      ignore (fences (fun tx -> Engine.add tx small; Engine.add tx big));
+      Alcotest.(check int) (name ^ ": 256 B sealed, two fences") 2
+        (fences (fun tx ->
+             Engine.add tx small;
+             Engine.write_int64 tx small 0 1L));
+      Alcotest.(check int) (name ^ ": 4 KiB marked, three fences") 3
+        (fences (fun tx ->
+             Engine.add tx big;
+             Engine.write_int64 tx big 0 1L)))
+    [ Engine.Kamino_simple; Engine.Kamino_dynamic { alpha = 0.5; policy = Backup.Lru_policy } ]
+
+(* [durable_outcome] on a crashed image: a sealed commit not yet applied
+   rolls forward, an in-flight record and a sealed mark whose write set
+   no longer hashes to its checksum roll back, and a released or unknown
+   transaction is absent. Recovery then does exactly that. *)
+let test_durable_outcome () =
+  List.iter
+    (fun kind ->
+      let name = Engine.kind_name kind in
+      let e =
+        Engine.create
+          ~config:{ small_config with Engine.crash_mode = Region.Drop_unflushed }
+          ~kind ~seed:42 ()
+      in
+      let p, q, r =
+        Engine.with_tx e (fun tx ->
+            let p = Engine.alloc tx 64 and q = Engine.alloc tx 64 and r = Engine.alloc tx 64 in
+            List.iter (fun x -> Engine.write_int64 tx x 0 1L) [ p; q; r ];
+            (p, q, r))
+      in
+      Engine.drain_backup e;
+      let released = Engine.last_tx_id e in
+      let set x v =
+        Engine.with_tx e (fun tx ->
+            Engine.add tx x;
+            Engine.write_int64 tx x 0 v;
+            Engine.write_int64 tx x 8 v)
+      in
+      set p 2L;
+      let sealed = Engine.last_tx_id e in
+      set r 2L;
+      let torn = Engine.last_tx_id e in
+      (* The torn mark: one of r's bytes reverts after its fence, as if
+         the line had never been written back. *)
+      let main = Engine.main_region e in
+      Region.write_int64 main r 1L;
+      Region.persist main r 8;
+      let tx = Engine.begin_tx e in
+      Engine.add tx q;
+      Engine.write_int64 tx q 0 2L;
+      let running = Engine.last_tx_id e in
+      Engine.crash e;
+      let outcome id =
+        match Engine.durable_outcome e id with
+        | Engine.Committed -> "committed"
+        | Engine.Aborted -> "aborted"
+        | Engine.Absent -> "absent"
+      in
+      Alcotest.(check (list string))
+        (name ^ ": released, sealed, torn, running, unknown")
+        [ "absent"; "committed"; "aborted"; "aborted"; "absent" ]
+        (List.map outcome [ released; sealed; torn; running; running + 1 ]);
+      Engine.recover e;
+      Alcotest.(check (list int64))
+        (name ^ ": p rolled forward, r and q back")
+        [ 2L; 2L; 1L; 0L; 1L ]
+        (List.map
+           (fun (x, w) -> Engine.peek_int64 e x w)
+           [ (p, 0); (p, 8); (r, 0); (r, 8); (q, 0) ]);
+      Alcotest.(check bool) (name ^ ": backup agrees") true (Engine.verify_backup e = Ok ()))
+    [ Engine.Kamino_simple; Engine.Kamino_dynamic { alpha = 0.5; policy = Backup.Lru_policy } ];
+  let e = make Engine.Undo_logging in
+  Alcotest.(check bool) "undo: unsupported" true
+    (match Engine.durable_outcome e 1 with
+    | _ -> false
+    | exception Engine.Error (Engine.Unsupported _) -> true)
 
 let test_kamino_backup_catches_up () =
   let e = make Engine.Kamino_simple in
@@ -901,6 +1020,8 @@ let () =
           Alcotest.test_case "abort undoes free" `Quick test_abort_undoes_free;
           Alcotest.test_case "free then realloc" `Quick test_free_then_realloc;
           Alcotest.test_case "no-logging abort raises" `Quick test_no_logging_abort_raises;
+          Alcotest.test_case "with_tx keeps the exception of a kind without abort" `Quick
+            test_with_tx_keeps_exception;
           Alcotest.test_case "with_tx aborts on exception" `Quick
             test_with_tx_aborts_on_exception;
           Alcotest.test_case "add_field semantics" `Quick test_add_field_semantics;
@@ -926,6 +1047,10 @@ let () =
         ] );
       ( "kamino",
         [
+          Alcotest.test_case "sealed commit only where hashing beats a fence" `Quick
+            test_sealed_commit_rule;
+          Alcotest.test_case "durable_outcome reads the crashed image" `Quick
+            test_durable_outcome;
           Alcotest.test_case "backup catches up" `Quick test_kamino_backup_catches_up;
           Alcotest.test_case "abort after committed predecessor" `Quick
             test_kamino_abort_after_committed_predecessor;

@@ -708,30 +708,33 @@ let names_qcheck =
 let test_fence_budget () =
   let e, fs = make_fs ~block_size:64 ~dir_hash_bits:40 simple 31 in
   let root = Fs.root_ino fs in
-  let three what f =
+  (* The intent barrier, and one fence for the write set and its sealed
+     commit mark. *)
+  let two what f =
     Engine.drain_backup e;
     let before = (Engine.main_counters e).Region.fences in
     let r = f () in
-    Alcotest.(check int) (what ^ ": fences") 3 ((Engine.main_counters e).Region.fences - before);
+    Alcotest.(check int) (what ^ ": fences") 2 ((Engine.main_counters e).Region.fences - before);
     r
   in
-  let d = three "mkdir" (fun () -> Fs.mkdir fs ~dir:root "d") in
-  let f = three "create" (fun () -> Fs.create fs ~dir:d "f") in
-  three "write (growing)" (fun () -> Fs.write fs ~ino:f ~off:0 "hello");
-  three "write (in place)" (fun () -> Fs.write fs ~ino:f ~off:1 "ELL");
-  three "link" (fun () -> Fs.link fs ~ino:f ~dir:root "hard");
-  three "truncate (grow)" (fun () -> Fs.truncate fs ~ino:f ~len:200);
-  three "truncate (shrink)" (fun () -> Fs.truncate fs ~ino:f ~len:10);
+  let d = two "mkdir" (fun () -> Fs.mkdir fs ~dir:root "d") in
+  let f = two "create" (fun () -> Fs.create fs ~dir:d "f") in
+  two "write (growing)" (fun () -> Fs.write fs ~ino:f ~off:0 "hello");
+  two "write (in place)" (fun () -> Fs.write fs ~ino:f ~off:1 "ELL");
+  two "link" (fun () -> Fs.link fs ~ino:f ~dir:root "hard");
+  two "truncate (grow)" (fun () -> Fs.truncate fs ~ino:f ~len:200);
+  two "truncate (shrink)" (fun () -> Fs.truncate fs ~ino:f ~len:10);
   Alcotest.(check string) "content" ("hELLo" ^ String.make 5 '\000')
     (Fs.read fs ~ino:f ~off:0 ~len:100);
-  three "unlink (one of two links)" (fun () -> Fs.unlink fs ~dir:root "hard");
-  three "unlink (last link)" (fun () -> Fs.unlink fs ~dir:d "f");
-  three "rmdir" (fun () -> Fs.rmdir fs ~dir:root "d");
+  two "unlink (one of two links)" (fun () -> Fs.unlink fs ~dir:root "hard");
+  two "unlink (last link)" (fun () -> Fs.unlink fs ~dir:d "f");
+  two "rmdir" (fun () -> Fs.rmdir fs ~dir:root "d");
   check_fsck fs "after the budgeted ops"
 
 (* [rename] may keep more than one barrier: it still declares some of its
    objects as it finds them. Its counts are pinned so they cannot grow; the
-   declare-per-object pattern cost 7, 10 and 15 fences on these three. *)
+   declare-per-object pattern cost 7, 10 and 15 fences on these three, and
+   the two-fence commit 4 each. *)
 let test_rename_fences () =
   let e, fs = make_fs ~block_size:64 ~dir_hash_bits:40 simple 31 in
   let root = Fs.root_ino fs in
@@ -744,11 +747,11 @@ let test_rename_fences () =
     f ();
     Alcotest.(check int) (what ^ ": fences") n ((Engine.main_counters e).Region.fences - before)
   in
-  fences "rename in one directory" 4 (fun () ->
+  fences "rename in one directory" 3 (fun () ->
       Fs.rename fs ~src:root ~src_name:"a" ~dst:root ~dst_name:"b");
-  fences "rename across directories" 4 (fun () ->
+  fences "rename across directories" 3 (fun () ->
       Fs.rename fs ~src:root ~src_name:"b" ~dst:d ~dst_name:"c");
-  fences "rename over an existing file" 4 (fun () ->
+  fences "rename over an existing file" 3 (fun () ->
       Fs.rename fs ~src:d ~src_name:"c" ~dst:root ~dst_name:"victim");
   Alcotest.(check (list string)) "root entries" [ "d"; "victim" ]
     (List.sort compare (List.map fst (Fs.readdir fs ~dir:root)));
@@ -1296,7 +1299,7 @@ let () =
           Alcotest.test_case "tree of ops" `Quick test_tree_ops;
           Alcotest.test_case "error paths" `Quick test_errors;
           Alcotest.test_case "collision chains" `Quick test_collision_chains;
-          Alcotest.test_case "three fences per operation" `Quick test_fence_budget;
+          Alcotest.test_case "two fences per operation" `Quick test_fence_budget;
           Alcotest.test_case "rename fence counts" `Quick test_rename_fences;
         ] );
       ( "derived words",

@@ -247,6 +247,120 @@ let test_recover_corrupt () =
   Region.persist_all r;
   expect_corrupt "engine recovery" (fun () -> Kamino_core.Engine.recover e)
 
+(* --- the sealed commit mark --- *)
+
+(* A main region with known bytes, on the log's cost model. *)
+let make_main () =
+  let m = Region.create ~rng:(Rng.create 9) ~clock:(Clock.create ()) ~size:65536 () in
+  for i = 0 to 4095 do
+    Region.write_byte m i (i * 7)
+  done;
+  Region.persist_all m;
+  m
+
+(* The first record claims slot 0; its state word follows the 64-byte
+   header, four scratchpads and its transaction id. *)
+let state_word = 64 + (4 * 64) + 8
+
+(* The seal writes one word: [Committed] with a nonzero checksum of the
+   logged ranges, in log order (the merged entry included), flushed but
+   not fenced; [commit_holds] recomputes it from the image. *)
+let test_seal_roundtrip () =
+  let log, r = make () in
+  let main = make_main () in
+  let slot = Option.get (Ilog.begin_record log ~tx_id:1) in
+  Ilog.add_intent log slot (intent 100 32);
+  ignore (Ilog.add_intent_merged log slot (intent 132 8));
+  Ilog.add_intent log slot (intent 1000 17);
+  Ilog.barrier log slot;
+  let fences = (Region.counters r).Region.fences in
+  let loads = (Region.counters main).Region.loads in
+  Alcotest.(check bool) "sealed" true (Ilog.seal log slot ~main);
+  Alcotest.(check int) "no fence" fences (Region.counters r).Region.fences;
+  Alcotest.(check int) "one load per logged range" (loads + 2) (Region.counters main).Region.loads;
+  Alcotest.(check bool) "flushed, not durable" false (Region.is_persisted r state_word 8);
+  let w = Region.peek_int r state_word in
+  Alcotest.(check int) "state bits" 2 (w land 3);
+  Alcotest.(check bool) "a checksum" true (w lsr 2 <> 0);
+  Alcotest.(check bool) "decodes as Committed" true (Ilog.slot_state log slot = Ilog.Committed);
+  let holds () = Ilog.commit_holds log slot ~main (Ilog.intents log slot) in
+  Alcotest.(check bool) "holds" true (holds ());
+  Region.write_byte main 1016 0xff;
+  Alcotest.(check bool) "a changed byte in the last range breaks it" false (holds ());
+  Region.write_byte main 1016 ((1016 * 7) land 0xff);
+  Alcotest.(check bool) "restored" true (holds ());
+  Region.write_byte main 99 0xff;
+  Alcotest.(check bool) "bytes outside the ranges do not count" true (holds ());
+  Alcotest.(check bool) "one range fewer does not match" false
+    (Ilog.commit_holds log slot ~main (List.tl (Ilog.intents log slot)))
+
+(* Where hashing would cost a fence or more, the seal writes nothing and
+   the caller marks the slot; a marked word carries no checksum and holds
+   whatever the bytes. *)
+let test_seal_declines () =
+  let log, r = make () in
+  let main = make_main () in
+  let slot = Option.get (Ilog.begin_record log ~tx_id:1) in
+  Ilog.add_intent log slot (intent 0 4096);
+  Ilog.barrier log slot;
+  let stores = (Region.counters r).Region.stores in
+  let loads = (Region.counters main).Region.loads in
+  Alcotest.(check bool) "declined" false (Ilog.seal log slot ~main);
+  Alcotest.(check int) "nothing stored" stores (Region.counters r).Region.stores;
+  Alcotest.(check int) "nothing loaded" loads (Region.counters main).Region.loads;
+  Alcotest.(check bool) "still running" true (Ilog.slot_state log slot = Ilog.Running);
+  Ilog.mark log slot Ilog.Committed;
+  Alcotest.(check int) "plain Committed word" 2 (Region.peek_int r state_word);
+  Region.write_byte main 5 0xff;
+  Alcotest.(check bool) "a marked record holds" true
+    (Ilog.commit_holds log slot ~main (Ilog.intents log slot))
+
+(* Hostile state words decode to [Corrupt], never to a state: a
+   checksum on any state but [Committed], or a negative word. A
+   [Committed] word with any checksum decodes. *)
+let test_state_word_decode () =
+  List.iter
+    (fun (w, ok) ->
+      let log, r = make () in
+      let slot = Option.get (Ilog.begin_record log ~tx_id:3) in
+      Ilog.add_intent log slot (intent 64 8);
+      Ilog.barrier log slot;
+      Region.write_int r state_word w;
+      Region.persist_all r;
+      match Ilog.open_existing r with
+      | _ -> if not ok then Alcotest.failf "word %#x decoded" w
+      | exception Region.Corrupt _ -> if ok then Alcotest.failf "word %#x refused" w)
+    [
+      (2, true);
+      ((1 lsl 2) lor 2, true);
+      ((((1 lsl 60) - 1) lsl 2) lor 2, true);
+      ((1 lsl 2) lor 0, false);
+      ((1 lsl 40) lor 1, false);
+      ((5 lsl 2) lor 3, false);
+      (-1, false);
+      (min_int lor 2, false);
+    ]
+
+(* [flush] writes the record back without a fence, and the next barrier
+   fences even with nothing appended since. *)
+let test_flush_owes_a_fence () =
+  let log, r = make ~crash_mode:Region.Drop_unflushed () in
+  let slot = Option.get (Ilog.begin_record log ~tx_id:4) in
+  Ilog.add_intent log slot (intent 64 8);
+  let c = Region.counters r in
+  let fences = c.Region.fences in
+  Ilog.flush log slot;
+  Alcotest.(check int) "flush: no fence" fences c.Region.fences;
+  Ilog.barrier log slot;
+  Alcotest.(check int) "barrier: one fence" (fences + 1) c.Region.fences;
+  Ilog.barrier log slot;
+  Alcotest.(check int) "then nothing" (fences + 1) c.Region.fences;
+  Region.crash r;
+  let log' = Ilog.open_existing r in
+  let seen = ref [] in
+  Ilog.iter_records log' (fun _ txid _ intents -> seen := (txid, List.length intents) :: !seen);
+  Alcotest.(check (list (pair int int))) "durable" [ (4, 1) ] !seen
+
 let () =
   Alcotest.run "intent_log"
     [
@@ -269,6 +383,13 @@ let () =
           Alcotest.test_case "barriered prefix survives" `Quick test_barriered_intents_survive;
           Alcotest.test_case "slot reuse never resurrects" `Quick
             test_slot_reuse_never_resurrects;
+        ] );
+      ( "sealed commit",
+        [
+          Alcotest.test_case "seal and commit_holds" `Quick test_seal_roundtrip;
+          Alcotest.test_case "seal declines above a fence" `Quick test_seal_declines;
+          Alcotest.test_case "state word decode" `Quick test_state_word_decode;
+          Alcotest.test_case "flush owes a fence" `Quick test_flush_owes_a_fence;
         ] );
       ( "coalescing",
         [

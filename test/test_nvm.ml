@@ -191,6 +191,47 @@ let test_costs_charged () =
 (* A length-prefixed record is one load of [8 + len] bytes: the bytes the
    two-load form (length word, then payload) loads, one load overhead
    fewer. A length outside [0, max] is refused after loading the word. *)
+(* [hash_range]: one charged load of [len] bytes, no allocation, a pure
+   function of the volatile bytes and the length, and every byte counts,
+   unaligned tails included. *)
+let test_hash_range () =
+  let r, clock = make () in
+  for i = 0 to 255 do
+    Region.write_byte r i (i * 13)
+  done;
+  Region.reset_counters r;
+  let t0 = Clock.now clock in
+  let words0 = Gc.minor_words () in
+  let h = Region.hash_range r 3 101 17 in
+  let words = Gc.minor_words () -. words0 in
+  let c = Region.counters r in
+  Alcotest.(check (pair int int)) "one load of len bytes" (1, 101) (c.Region.loads, c.Region.bytes_loaded);
+  Alcotest.(check int) "charged as that load"
+    (int_of_float (Cost_model.load_cost (Region.cost_model r) 101))
+    (Clock.now clock - t0);
+  Alcotest.(check bool) "allocates nothing" true (words = 0.);
+  Alcotest.(check int) "deterministic" h (Region.hash_range r 3 101 17);
+  Alcotest.(check bool) "seeded" true (h <> Region.hash_range r 3 101 18);
+  Alcotest.(check bool) "keyed by length" true
+    (Region.hash_range r 3 100 17 <> Region.hash_range r 3 101 17);
+  List.iter
+    (fun off ->
+      Region.write_byte r off 0xEE;
+      Alcotest.(check bool) (Printf.sprintf "byte %d counts" off) true
+        (h <> Region.hash_range r 3 101 17);
+      Region.write_byte r off (off * 13))
+    [ 3; 50; 96; 103 ];
+  Alcotest.(check int) "restored" h (Region.hash_range r 3 101 17);
+  (* Byte 10 (130) is the top byte of a word: its top bit alone counts. *)
+  Region.write_byte r 10 (130 lxor 0x80);
+  Alcotest.(check bool) "a word's top bit counts" true (h <> Region.hash_range r 3 101 17);
+  Region.write_byte r 10 130;
+  Alcotest.(check bool) "out of bounds raises" true
+    (try
+       ignore (Region.hash_range r 4090 16 0);
+       false
+     with Invalid_argument _ -> true)
+
 let test_read_prefixed () =
   let one, one_clock = make () and two, two_clock = make () in
   let name = String.init 32 (fun i -> Char.chr (65 + (i mod 26))) in
@@ -497,6 +538,7 @@ let () =
           Alcotest.test_case "charged to clock" `Quick test_costs_charged;
           Alcotest.test_case "clock switching" `Quick test_clock_switch;
           Alcotest.test_case "length-prefixed record is one load" `Quick test_read_prefixed;
+          Alcotest.test_case "hash_range is one charged load" `Quick test_hash_range;
           Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "at_fence fires once, invisibly" `Quick test_at_fence;
         ] );
