@@ -20,7 +20,8 @@ set -euo pipefail
 record=${1:?usage: bench/check_gates.sh RECORD RUN}
 run=${2:?usage: bench/check_gates.sh RECORD RUN}
 
-unmodelled='["words_per_op", "wall_s", "wall_ops_per_s", "wall_speedup"]'
+unmodelled='["words_per_op", "wall_s", "wall_ops_per_s", "wall_speedup", "wall_speedup_min",
+  "wall_speedup_max", "wall_trials_s"]'
 
 # One line per cell: its identifying fields, then the rest as JSON.
 cell_id='[.part, .engine, .workload, .mode, (.shards // empty | "shards=\(.)"),

@@ -487,6 +487,26 @@ let read t ~at key ~on_result =
 let redrive_inflight t node =
   List.iter (fun (seq, payload) -> forward_or_finish t node ~seq payload) (inflight_entries node)
 
+(* The rejoin of a rebooted successor reaches predecessor [p]. A write
+   [p] forwarded before the reboot (through [sent]) that the successor
+   did not execute (past [executed]) may have been lost in transit; [p]'s
+   in-flight window still holds it (entries stay until the tail's
+   cleanup), so [p] sends exactly those entries again. Later forwards
+   reached a replica that was up. The re-sends ride [p]'s forward link
+   and are validated like any delivery. *)
+let deliver_rejoin t ~view p ~executed ~sent =
+  match Membership.validate t.membership ~view_id:view with
+  | `Stale _ -> t.stale_drops <- t.stale_drops + 1
+  | `Current ->
+      let node = t.nodes.(p) in
+      if node.up && not node.removed then begin
+        enter t node;
+        List.iter
+          (fun (seq, payload) ->
+            if seq > executed && seq <= sent then forward_or_finish t node ~seq payload)
+          (inflight_entries node)
+      end
+
 (* §5.3 quick reboot: crash and recover in place, without a view change.
    The rejoin handshake tells a node that was fail-stopped while dark that
    it is out (Figure 9's `Removed answer); it then stays dark. *)
@@ -560,7 +580,16 @@ let reboot_now ?(downtime_ns = 0) t i =
            everything not yet cleaned (duplicates are deduplicated downstream
            by the executed-sequence check). *)
         process_input t node;
-        redrive_inflight t node
+        redrive_inflight t node;
+        match pred with
+        | Some p ->
+            let view = view_id t
+            and executed = executed_seq t i
+            and sent = t.nodes.(p).last_forwarded in
+            Sim.schedule t.sim
+              ~at:(Clock.now node.clock + hop_delay t)
+              (fun () -> deliver_rejoin t ~view p ~executed ~sent)
+        | None -> ()
   end
 
 let quick_reboot ?(downtime_ns = 0) t ~at i =

@@ -123,9 +123,12 @@ val read : t -> at:int -> int -> on_result:(string option -> int -> unit) -> uni
     at virtual time [at]: the replica reopens its persistent queues,
     resolves incomplete transactions (with a local backup: locally;
     otherwise from a chain neighbour), re-executes anything received but
-    unexecuted, and re-forwards anything not yet cleaned. A replica that
-    was fail-stopped while dark learns [`Removed] from the rejoin
-    handshake and stays out. *)
+    unexecuted, and re-forwards anything not yet cleaned. One hop after
+    the rejoin, its predecessor sends again the in-flight entries it had
+    forwarded before the reboot and the replica had not executed, so a
+    write lost in transit is not lost for good. A replica that was
+    fail-stopped while dark learns [`Removed] from the rejoin handshake
+    and stays out. *)
 val quick_reboot : ?downtime_ns:int -> t -> at:int -> int -> unit
 
 (** [reboot_now t i] — the same, applied immediately (event-boundary
