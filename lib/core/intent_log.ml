@@ -430,6 +430,8 @@ let intents t slot =
 
 let free_slots t = Queue.length t.free
 
+let slot_count t = t.n_slots
+
 let occupied_slots t =
   let slots = ref [] in
   for s = t.n_slots - 1 downto 0 do

@@ -122,6 +122,9 @@ val intents : t -> slot -> intent list
 (** Number of currently free slots. *)
 val free_slots : t -> int
 
+(** Number of slots, free or not. Volatile: reads no NVM. *)
+val slot_count : t -> int
+
 (** [iter_records t f] calls [f slot tx_id state intents] for every non-free
     slot, ordered by ascending transaction id — the recovery scan. *)
 val iter_records : t -> (slot -> int -> state -> intent list -> unit) -> unit

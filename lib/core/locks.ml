@@ -107,6 +107,10 @@ let held_by_active_tx t key =
   | Some e -> e.active
   | None -> false
 
+let wait_until t ~now until =
+  record_wait t now until;
+  max now until
+
 let last_writer_task t key =
   match Hashtbl.find_opt (shard t key) key with
   | Some e -> e.last_task

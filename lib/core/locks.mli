@@ -96,6 +96,12 @@ val release_held_writes : t -> key list -> at:int -> unit
     matching [release_writes]. *)
 val held_by_active_tx : t -> key -> bool
 
+(** [wait_until t ~now until] is [max now until], counted in {!waits}
+    and {!wait_events} as a wait when [until > now]. No acquisition is
+    charged or counted: for a wait on something other than a table lock
+    (the allocator's volatile mutex that [Engine.reserve] models). *)
+val wait_until : t -> now:int -> int -> int
+
 (** [last_writer_task t key] / [set_last_writer_task t key id] track the id
     of the most recent backup-applier task covering [key], so lock
     acquisition can force the applier to catch up on exactly that object. *)

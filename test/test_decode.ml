@@ -28,6 +28,12 @@ let words ~from n = List.init n (fun i -> from + (8 * i))
 
 let region size = Region.create ~rng:(Rng.create 1) ~clock:(Clock.create ()) ~size ()
 
+(* One object through the heap's allocation path: reserve, then publish. *)
+let alloc h size =
+  let r = Heap.reserve h [ size ] in
+  Heap.publish h r;
+  List.hd r.Heap.ptrs
+
 (* [sweep name words build] builds a fresh image per case: [build ()]
    returns the region holding the words and the function that opens and
    uses it. Returns how many cases raised [Corrupt]. *)
@@ -62,14 +68,14 @@ let test_heap () =
   let build () =
     let r = region (4 lsl 20) in
     let h = Heap.format r in
-    let ps = List.map (Heap.alloc h) [ 32; 32; 100; 1000; 5000; 32 ] in
+    let ps = List.map (alloc h) [ 32; 32; 100; 1000; 5000; 32 ] in
     List.iteri (fun i p -> if i mod 2 = 0 then Heap.free h p) ps;
     Region.persist_all r;
     ( r,
       fun () ->
         let h = Heap.open_existing r in
         ignore (Heap.validate h);
-        Array.iter (fun c -> ignore (Heap.alloc h c)) Heap.size_classes )
+        Array.iter (fun c -> ignore (alloc h c)) Heap.size_classes )
   in
   let metadata = Heap.data_start (Heap.format (region 8192)) in
   check_typed "heap" (words ~from:0 (metadata / 8)) build

@@ -118,7 +118,7 @@ let test_alloc () =
   let e = make () in
   ignore (committed_alloc e 64);
   Engine.with_tx e (fun tx ->
-      let _, predicted = Heap.alloc_many_ranges (Engine.heap e) [ 256 ] in
+      let predicted = (Heap.reserve (Engine.heap e) [ 256 ]).Heap.ranges in
       let p = Engine.alloc tx 256 in
       Alcotest.check ranges "bump word and whole extent" predicted (Engine.dirty_ranges tx);
       Alcotest.check range "the extent is the new object's" (extent e p)
@@ -127,7 +127,7 @@ let test_alloc () =
   let q = committed_alloc e 256 in
   Engine.with_tx e (fun tx -> Engine.free tx q);
   Engine.with_tx e (fun tx ->
-      let _, predicted = Heap.alloc_many_ranges (Engine.heap e) [ 256 ] in
+      let predicted = (Heap.reserve (Engine.heap e) [ 256 ]).Heap.ranges in
       Alcotest.(check int) "reuses the freed object" q (Engine.alloc tx 256);
       Alcotest.check ranges "class head word and whole extent" predicted
         (Engine.dirty_ranges tx))

@@ -15,9 +15,20 @@ let make ?(size = 1 lsl 20) () =
   in
   (Heap.format r, r)
 
+(* One object through the heap's allocation path: reserve, then publish. *)
+let alloc h size =
+  let r = Heap.reserve h [ size ] in
+  Heap.publish h r;
+  List.hd r.Heap.ptrs
+
+(* A reservation's pointers and ranges, never published. *)
+let plan h sizes =
+  let r = Heap.reserve h sizes in
+  (r.Heap.ptrs, r.Heap.ranges)
+
 let test_alloc_basic () =
   let h, _ = make () in
-  let p = Heap.alloc h 100 in
+  let p = alloc h 100 in
   Alcotest.(check bool) "non-null" true (p <> Heap.null);
   Alcotest.(check bool) "allocated" true (Heap.is_allocated h p);
   Alcotest.(check int) "rounded to class" 112 (Heap.capacity h p);
@@ -25,10 +36,10 @@ let test_alloc_basic () =
 
 let test_alloc_zeroed () =
   let h, r = make () in
-  let p = Heap.alloc h 64 in
+  let p = alloc h 64 in
   Region.write_string r p "garbage!";
   Heap.free h p;
-  let q = Heap.alloc h 64 in
+  let q = alloc h 64 in
   Alcotest.(check int) "reused slot" p q;
   Alcotest.(check string) "payload zeroed on reuse"
     (String.make 8 '\000')
@@ -38,7 +49,7 @@ let test_alloc_size_classes () =
   let h, _ = make () in
   List.iter
     (fun (req, expect) ->
-      let p = Heap.alloc h req in
+      let p = alloc h req in
       Alcotest.(check int) (Printf.sprintf "capacity for %d" req) expect (Heap.capacity h p))
     [
       (1, 32);
@@ -96,12 +107,12 @@ let test_alloc_invalid () =
   let h, _ = make () in
   Alcotest.(check bool) "zero size rejected" true
     (try
-       ignore (Heap.alloc h 0);
+       ignore (alloc h 0);
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "oversized rejected" true
     (try
-       ignore (Heap.alloc h (Heap.max_object_size + 1));
+       ignore (alloc h (Heap.max_object_size + 1));
        false
      with Invalid_argument _ -> true)
 
@@ -110,24 +121,24 @@ let test_out_of_memory () =
   Alcotest.(check bool) "exhaustion raises Out_of_memory" true
     (try
        for _ = 1 to 10000 do
-         ignore (Heap.alloc h 1024)
+         ignore (alloc h 1024)
        done;
        false
      with Out_of_memory -> true)
 
 let test_free_and_reuse () =
   let h, _ = make () in
-  let p1 = Heap.alloc h 256 in
-  let p2 = Heap.alloc h 256 in
+  let p1 = alloc h 256 in
+  let p2 = alloc h 256 in
   Heap.free h p1;
   Alcotest.(check bool) "freed not allocated" false (Heap.is_allocated h p1);
   Alcotest.(check bool) "other untouched" true (Heap.is_allocated h p2);
-  let p3 = Heap.alloc h 256 in
+  let p3 = alloc h 256 in
   Alcotest.(check int) "LIFO reuse of freed slot" p1 p3
 
 let test_free_invalid () =
   let h, _ = make () in
-  let p = Heap.alloc h 64 in
+  let p = alloc h 64 in
   Heap.free h p;
   Alcotest.(check bool) "double free rejected" true
     (try
@@ -144,53 +155,53 @@ let test_alloc_ranges_predicts () =
   let h, _ = make () in
   (* bump-allocation case *)
   let p, ranges =
-    match Heap.alloc_many_ranges h [ 100 ] with [ p ], r -> (p, r) | _ -> assert false
+    match plan h [ 100 ] with [ p ], r -> (p, r) | _ -> assert false
   in
-  Alcotest.(check int) "prediction matches" p (Heap.alloc h 100);
+  Alcotest.(check int) "prediction matches" p (alloc h 100);
   Alcotest.(check int) "two ranges (bump + extent)" 2 (List.length ranges);
   (* free-list case *)
   Heap.free h p;
   let q, ranges' =
-    match Heap.alloc_many_ranges h [ 100 ] with [ q ], r -> (q, r) | _ -> assert false
+    match plan h [ 100 ] with [ q ], r -> (q, r) | _ -> assert false
   in
   Alcotest.(check int) "reuse predicted" p q;
   Alcotest.(check int) "two ranges (head + extent)" 2 (List.length ranges');
-  Alcotest.(check int) "prediction matches on reuse" q (Heap.alloc h 100);
+  Alcotest.(check int) "prediction matches on reuse" q (alloc h 100);
   (* A mixed sequence: two pops from one class's free list, then bump
      allocations of that class and another. *)
-  let a = Heap.alloc h 100 and b = Heap.alloc h 100 in
+  let a = alloc h 100 and b = alloc h 100 in
   Heap.free h a;
   Heap.free h b;
   let sizes = [ 100; 30; 100; 100; 30 ] in
-  let ptrs, ranges = Heap.alloc_many_ranges h sizes in
+  let ptrs, ranges = plan h sizes in
   Alcotest.(check int) "one word and one extent per allocation" 10 (List.length ranges);
-  Alcotest.(check (list int)) "sequence predicted" ptrs (List.map (Heap.alloc h) sizes)
+  Alcotest.(check (list int)) "sequence predicted" ptrs (List.map (alloc h) sizes)
 
-(* Prediction writes nothing, and it fails as a whole when the sequence
-   does not fit even though each allocation alone would. *)
-let test_alloc_many_ranges_pure () =
+(* A reservation writes nothing, and it fails as a whole when the
+   sequence does not fit even though each allocation alone would. *)
+let test_reserve_pure () =
   let h, r = make ~size:8192 () in
-  let p = Heap.alloc h 64 in
+  let p = alloc h 64 in
   Heap.free h p;
   let image () = Region.read_bytes r 0 (Region.size r) in
   let before = image () in
-  ignore (Heap.alloc_many_ranges h [ 64; 64; 1024; 32 ]);
+  ignore (plan h [ 64; 64; 1024; 32 ]);
   Alcotest.(check bool) "prediction leaves the image unchanged" true
     (Bytes.equal before (image ()));
   Alcotest.(check bool) "too many for the heap raises Out_of_memory" true
     (try
-       ignore (Heap.alloc_many_ranges h (List.init 16 (fun _ -> 1024)));
+       ignore (plan h (List.init 16 (fun _ -> 1024)));
        false
      with Out_of_memory -> true);
   Alcotest.(check bool) "a failed prediction leaves the image unchanged" true
     (Bytes.equal before (image ()));
-  match Heap.alloc_many_ranges h [ 1024 ] with
-  | [ q ], _ -> Alcotest.(check int) "one alone still fits" q (Heap.alloc h 1024)
+  match plan h [ 1024 ] with
+  | [ q ], _ -> Alcotest.(check int) "one alone still fits" q (alloc h 1024)
   | _ -> Alcotest.fail "one pointer per size"
 
 let test_extent_covers_header_and_payload () =
   let h, _ = make () in
-  let p = Heap.alloc h 500 in
+  let p = alloc h 500 in
   let { Heap.off; len } = Heap.extent h p in
   Alcotest.(check int) "extent starts at header" (p - 16) off;
   Alcotest.(check int) "extent length" (16 + 512) len
@@ -198,7 +209,7 @@ let test_extent_covers_header_and_payload () =
 let test_root () =
   let h, r = make () in
   Alcotest.(check int) "null root initially" Heap.null (Heap.root h);
-  let p = Heap.alloc h 64 in
+  let p = alloc h 64 in
   Heap.set_root h p;
   Alcotest.(check int) "root set" p (Heap.root h);
   (* the root pointer is persisted by set_root *)
@@ -208,7 +219,7 @@ let test_root () =
 
 let test_reopen_preserves_objects () =
   let h, r = make () in
-  let p = Heap.alloc h 64 in
+  let p = alloc h 64 in
   Region.write_string r p "persistent";
   Heap.set_root h p;
   Region.persist_all r;
@@ -280,8 +291,8 @@ let test_recover_corrupt () =
 
 let test_live_bytes () =
   let h, _ = make () in
-  let _ = Heap.alloc h 1024 in
-  let p = Heap.alloc h 32 in
+  let _ = alloc h 1024 in
+  let p = alloc h 32 in
   Alcotest.(check int) "live bytes" (1024 + 32) (Heap.stats h).Heap.live_bytes;
   Heap.free h p;
   Alcotest.(check int) "after free" 1024 (Heap.stats h).Heap.live_bytes
@@ -292,8 +303,8 @@ let test_stats_accounting () =
   let h, r = make () in
   let s0 = Heap.stats h in
   Alcotest.(check int) "fresh heap has no live objects" 0 s0.Heap.live_objects;
-  let a = Heap.alloc h 100 in
-  let b = Heap.alloc h 1000 in
+  let a = alloc h 100 in
+  let b = alloc h 1000 in
   let s1 = Heap.stats h in
   Alcotest.(check int) "two live" 2 s1.Heap.live_objects;
   Alcotest.(check int) "live bytes tracks capacities"
@@ -311,7 +322,7 @@ let test_stats_accounting () =
 
 let test_validate_ok () =
   let h, _ = make () in
-  let ps = List.init 20 (fun i -> Heap.alloc h ((i mod 5) + 1 * 100)) in
+  let ps = List.init 20 (fun i -> alloc h ((i mod 5) + 1 * 100)) in
   List.iteri (fun i p -> if i mod 3 = 0 then Heap.free h p) ps;
   match Heap.validate h with
   | Ok () -> ()
@@ -319,7 +330,7 @@ let test_validate_ok () =
 
 let test_validate_detects_corruption () =
   let h, r = make () in
-  let p = Heap.alloc h 64 in
+  let p = alloc h 64 in
   (* corrupt the capacity word of the object header *)
   Region.write_int r (p - 16) 12345;
   match Heap.validate h with
@@ -330,7 +341,7 @@ let test_validate_detects_corruption () =
    read 3 fails validation, and freeing its object is refused. *)
 let test_validate_rejects_flags () =
   let h, r = make () in
-  let p = Heap.alloc h 64 in
+  let p = alloc h 64 in
   Region.write_int64 r (p - 8) 3L;
   (match Heap.validate h with
   | Ok () -> Alcotest.fail "flags 3 accepted"
@@ -341,8 +352,8 @@ let test_validate_rejects_flags () =
 
 let test_iter_objects () =
   let h, _ = make () in
-  let p1 = Heap.alloc h 64 in
-  let p2 = Heap.alloc h 128 in
+  let p1 = alloc h 64 in
+  let p2 = alloc h 128 in
   Heap.free h p1;
   let seen = ref [] in
   Heap.iter_objects h (fun p ~capacity ~allocated -> seen := (p, capacity, allocated) :: !seen);
@@ -364,7 +375,7 @@ let alloc_free_qcheck =
         (fun (is_alloc, n) ->
           if is_alloc || !live_list = [] then begin
             let size = (n mod 2000) + 1 in
-            let p = Heap.alloc h size in
+            let p = alloc h size in
             Hashtbl.replace live p ();
             live_list := p :: !live_list
           end
@@ -404,7 +415,7 @@ let class_reuse_qcheck =
               live := rest
           | _ ->
               let cls = Heap.class_of_size size in
-              let p = Heap.alloc h size in
+              let p = alloc h size in
               (match freed.(cls) with
               | q :: rest ->
                   if p <> q then ok := false;
@@ -478,7 +489,7 @@ let () =
           Alcotest.test_case "invalid sizes" `Quick test_alloc_invalid;
           Alcotest.test_case "out of memory" `Quick test_out_of_memory;
           Alcotest.test_case "alloc_ranges predicts" `Quick test_alloc_ranges_predicts;
-          Alcotest.test_case "alloc_many_ranges is pure" `Quick test_alloc_many_ranges_pure;
+          Alcotest.test_case "a reservation is pure" `Quick test_reserve_pure;
           Alcotest.test_case "extent" `Quick test_extent_covers_header_and_payload;
         ] );
       ( "free",
