@@ -3,7 +3,7 @@
    (the shell follows [irec.cow]), and commit applies the copies to the
    originals before the locks release — critical-path copying moved to the
    commit side (Figure 5's CoW timeline). Non-redirectable ranges
-   (allocator metadata, fresh extents, the root pointer) get undo
+   (fresh and freed extents, the root pointer) get undo
    snapshots and are edited in place. *)
 
 open Variant

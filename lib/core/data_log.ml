@@ -66,11 +66,15 @@ let format region =
   { region; active = false; bump = arena_start; entries = []; unflushed = None; created = 0;
     header_written = false; cur_tx_id = 0; shared_now = 0 }
 
+(* The header may hold a record that recovery is about to replay:
+   [header_written] lets that recovery's [finish] reset it durably, or
+   the record would be replayed again at the next crash, over
+   transactions that committed after it. *)
 let open_existing region =
   if Region.read_int64 region magic_off <> magic_value then
     Region.corrupt ~structure ~off:magic_off "bad magic";
   { region; active = false; bump = arena_start; entries = []; unflushed = None; created = 0;
-    header_written = false; cur_tx_id = 0; shared_now = 0 }
+    header_written = true; cur_tx_id = 0; shared_now = 0 }
 
 let phase t =
   match Region.read_int t.region phase_off with

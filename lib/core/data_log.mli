@@ -27,7 +27,7 @@ type phase = Idle | Running | Applying
 
 (** When an entry's payload is copied back over the main heap:
     [On_abort] for undo-style snapshots (also used by the CoW engine for
-    allocator metadata, which is edited in place), [On_commit] for CoW
+    fresh and freed extents, which are edited in place), [On_commit] for CoW
     working copies (redo-style). Recovery applies [On_abort] entries of a
     [Running] record and [On_commit] entries of an [Applying] record. *)
 type replay = On_abort | On_commit

@@ -289,8 +289,8 @@ let store_insert tx tree key =
   ignore (Btree.insert_at tx tree at vptr);
   vptr
 
-(* A split-free insert writes the leaf, the allocator word and the value
-   extent, and nothing else: the descriptor holds no count, so it is not
+(* A split-free insert writes the leaf and the value extent, and nothing
+   else (the allocator keeps no persistent word): the descriptor holds no count, so it is not
    in the write set. A root split still declares it, for the root
    pointer. *)
 let test_insert_write_set () =
@@ -313,7 +313,7 @@ let test_insert_write_set () =
   let split_free =
     intents_of obs (fun () -> Engine.with_tx e (fun tx -> vptr := store_insert tx tree 10))
   in
-  Alcotest.(check int) "three intents" 3 (List.length split_free);
+  Alcotest.(check int) "two intents" 2 (List.length split_free);
   Alcotest.(check bool) "the leaf" true (List.mem leaf split_free);
   Alcotest.(check bool) "the value extent" true (List.mem (extent !vptr) split_free);
   Alcotest.(check bool) "no descriptor" false (List.mem desc split_free);

@@ -76,6 +76,22 @@ let test_recovery_running_entries () =
   Alcotest.(check (list int)) "both persisted entries recovered" [ 100; 200 ]
     (List.map (fun e -> e.Dlog.off) entries)
 
+(* A recovery that replays a record ends with [finish] on the handle it
+   opened, which must reset the header durably: a record left at rest
+   would be replayed again at the next crash, over transactions that
+   committed after it. *)
+let test_recovery_finish_resets () =
+  let log, main, lr = make_pair ~crash_mode:Region.Drop_unflushed () in
+  Dlog.begin_tx log ~tx_id:6;
+  ignore (Dlog.add log ~off:100 ~len:4 ~replay:Dlog.On_abort ~src:main);
+  Region.crash lr;
+  let log' = Dlog.open_existing lr in
+  List.iter (fun e -> Dlog.apply_entry log' e ~dst:main) (Dlog.recover_entries log');
+  Dlog.finish log';
+  Region.crash lr;
+  Alcotest.(check bool) "idle at the next crash" true
+    (Dlog.phase (Dlog.open_existing lr) = Dlog.Idle)
+
 let test_recovery_applying_phase () =
   let log, main, lr = make_pair ~crash_mode:Region.Drop_unflushed () in
   Region.write_string main 64 "old-value";
@@ -183,6 +199,8 @@ let () =
         [
           Alcotest.test_case "running entries" `Quick test_recovery_running_entries;
           Alcotest.test_case "applying phase" `Quick test_recovery_applying_phase;
+          Alcotest.test_case "a recovery's finish resets the header" `Quick
+            test_recovery_finish_resets;
           Alcotest.test_case "replay flags persisted" `Quick test_replay_flags_persisted;
           Alcotest.test_case "torn payload rejected" `Quick test_torn_payload_rejected;
           Alcotest.test_case "finish resets" `Quick test_finish_resets;

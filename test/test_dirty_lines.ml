@@ -118,33 +118,23 @@ let test_alloc () =
   let e = make () in
   ignore (committed_alloc e 64);
   Engine.with_tx e (fun tx ->
-      let predicted = (Heap.reserve (Engine.heap e) [ 256 ]).Heap.ranges in
       let p = Engine.alloc tx 256 in
-      Alcotest.check ranges "bump word and whole extent" predicted (Engine.dirty_ranges tx);
-      Alcotest.check range "the extent is the new object's" (extent e p)
-        (List.nth predicted 1));
-  (* A free-list pop stores the class head word and the whole extent. *)
+      Alcotest.check ranges "the whole fresh extent, no allocator word" [ extent e p ]
+        (Engine.dirty_ranges tx));
+  (* A reused extent stores its whole extent too, and nothing else. *)
   let q = committed_alloc e 256 in
   Engine.with_tx e (fun tx -> Engine.free tx q);
   Engine.with_tx e (fun tx ->
-      let predicted = (Heap.reserve (Engine.heap e) [ 256 ]).Heap.ranges in
       Alcotest.(check int) "reuses the freed object" q (Engine.alloc tx 256);
-      Alcotest.check ranges "class head word and whole extent" predicted
-        (Engine.dirty_ranges tx))
+      Alcotest.check ranges "the whole reused extent" [ extent e q ] (Engine.dirty_ranges tx))
 
 let test_free () =
   let e = make () in
   let p = committed_alloc e 256 in
-  Alcotest.(check int) "p-8 .. p+8 within one line" ((p - 8) / 64) ((p + 7) / 64);
-  let head_word, ext =
-    match Heap.free_ranges (Engine.heap e) p with
-    | [ w; x ] -> (w, x)
-    | _ -> Alcotest.fail "free_ranges shape"
-  in
-  let expected = [ head_word; lines ext ~first:((p - 8) / 64) ~last:((p - 8) / 64) ] in
+  let expected = [ lines (extent e p) ~first:((p - 8) / 64) ~last:((p - 8) / 64) ] in
   Engine.with_tx e (fun tx ->
       Engine.free tx p;
-      Alcotest.check ranges "class head word plus one header/link line" expected
+      Alcotest.check ranges "the flags word's line, no free-list head" expected
         (Engine.dirty_ranges tx));
   (* Declaring the free ahead (plan-then-apply) marks the same bytes. *)
   let e = make () in
