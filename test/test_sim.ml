@@ -4,6 +4,7 @@ module Rng = Kamino_sim.Rng
 module Clock = Kamino_sim.Clock
 module Pqueue = Kamino_sim.Pqueue
 module Engine = Kamino_sim.Engine
+module Max_heap = Kamino_sim.Max_heap
 
 let test_rng_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
@@ -115,6 +116,31 @@ let test_pqueue_qcheck =
       in
       drain [] = List.sort compare prios)
 
+(* A max-heap hands out its largest element first, whatever the
+   insertion order and however inserts and pops interleave. *)
+let test_max_heap_qcheck =
+  QCheck.Test.make ~name:"max_heap pops in descending order" ~count:200
+    QCheck.(list (pair small_int bool))
+    (fun ops ->
+      let h = Max_heap.create () and model = ref [] and ok = ref true in
+      List.iter
+        (fun (v, pop) ->
+          if pop && !model <> [] then begin
+            let top = List.fold_left max min_int !model in
+            ok := !ok && Max_heap.pop_max h = top;
+            let rec drop = function [] -> [] | x :: r -> if x = top then r else x :: drop r in
+            model := drop !model
+          end
+          else begin
+            Max_heap.insert h v;
+            model := v :: !model
+          end)
+        ops;
+      let rec drain acc =
+        if Max_heap.is_empty h then List.rev acc else drain (Max_heap.pop_max h :: acc)
+      in
+      !ok && drain [] = List.sort (fun a b -> compare b a) !model)
+
 let test_engine_ordering () =
   let e = Engine.create () in
   let log = ref [] in
@@ -188,5 +214,6 @@ let () =
       ( "qcheck",
         [
           QCheck_alcotest.to_alcotest test_pqueue_qcheck;
+          QCheck_alcotest.to_alcotest test_max_heap_qcheck;
         ] );
     ]
