@@ -8,7 +8,6 @@
 open Bechamel
 module Engine = Kamino_core.Engine
 module Backup = Kamino_core.Backup
-module Region = Kamino_nvm.Region
 
 let kinds =
   [
@@ -46,96 +45,7 @@ let update_test (name, kind) =
          (* Keep the applier queue and intent log bounded. *)
          if !i mod 64 = 0 then Engine.drain_backup e))
 
-(* Large-write-set A/B run for the coalescing + batching pipeline: every
-   transaction declares many overlapping field-granular intents, and the
-   applier is drained every few dozen transactions so multi-task batches
-   form. Returns the simulated NVM traffic (aggregate counters over heap,
-   log and backup regions) attributable to the update phase. *)
-let coalescing_run ~coalesce =
-  let config =
-    {
-      config with
-      Engine.max_tx_entries = 256;
-      log_slots = 64;
-      coalesce_writes = coalesce;
-    }
-  in
-  let e = Engine.create ~config ~kind:Engine.Kamino_simple ~seed:7 () in
-  (* 8 disjoint groups of 8 objects, used round-robin: consecutive
-     transactions are independent, so their tasks queue up at the applier
-     (the dependency rule only forces immediate catch-up when an object is
-     re-touched, one full round later) and the periodic drains see
-     multi-task batches. *)
-  let groups =
-    Array.init 8 (fun _ ->
-        Engine.with_tx e (fun tx -> List.init 8 (fun _ -> Engine.alloc tx 1024)))
-  in
-  Engine.drain_backup e;
-  let base = Engine.main_counters e in
-  for i = 1 to 256 do
-    let objs = groups.(i mod 8) in
-    Engine.with_tx e (fun tx ->
-        (* Declare first, write after: consecutive declares keep the log's
-           entry-merge window open (the pre-write barrier closes it). The
-           8-byte fields at stride 4 overlap pairwise, so the coalesced
-           write set covers barely half the raw declared bytes. *)
-        List.iter
-          (fun p ->
-            for f = 0 to 23 do
-              Engine.add_field tx p (4 * f) 8
-            done)
-          objs;
-        List.iteri
-          (fun j p ->
-            for f = 0 to 23 do
-              Engine.write_int64 tx p (4 * f) (Int64.of_int ((i * 31) + j + f))
-            done)
-          objs);
-    if i mod 32 = 0 then Engine.drain_backup e
-  done;
-  Engine.drain_backup e;
-  let c = Engine.main_counters e in
-  let m = Engine.metrics e in
-  ( c.Region.bytes_copied - base.Region.bytes_copied,
-    c.Region.lines_flushed - base.Region.lines_flushed,
-    m.Engine.ranges_coalesced,
-    m.Engine.tasks_batched,
-    m.Engine.bytes_saved )
-
-let coalescing_report () =
-  Common.header
-    "Write-set coalescing + batched propagation: NVM traffic, coalescing on vs off";
-  let on = coalescing_run ~coalesce:true in
-  let off = coalescing_run ~coalesce:false in
-  let row name (copied, flushed, rc, tb, bs) =
-    [
-      name;
-      string_of_int copied;
-      string_of_int flushed;
-      string_of_int rc;
-      string_of_int tb;
-      string_of_int bs;
-    ]
-  in
-  let pct a b =
-    if b = 0 then "n/a"
-    else Printf.sprintf "%+.1f%%" (100.0 *. float_of_int (a - b) /. float_of_int b)
-  in
-  let c_on, f_on, _, _, _ = on and c_off, f_off, _, _, _ = off in
-  Common.print_table
-    ~cols:
-      [
-        "coalescing";
-        "bytes_copied";
-        "lines_flushed";
-        "ranges_coalesced";
-        "tasks_batched";
-        "bytes_saved";
-      ]
-    [ row "on" on; row "off" off; [ "delta"; pct c_on c_off; pct f_on f_off; ""; ""; "" ] ]
-
 let run () =
-  coalescing_report ();
   Common.header "Microbenchmark: real wall-clock ns per 1 KB-object update transaction";
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]

@@ -1,13 +1,15 @@
 (* kamino — command-line driver for the Kamino-Tx simulation stack.
 
    Subcommands:
-     ycsb        run a YCSB workload against the key-value store
-     tpcc        run the TPC-C-lite mix
-     crash-test  hammer an engine with random transactions + crash injection
-     chain       run a replicated (chain) workload
-     fs          run a filesystem workload over lib/fs, fsck it, dump the tree
-     trace       run a traced YCSB workload, export a Perfetto timeline
-     info        print the cost model and storage layout constants *)
+     ycsb     run a YCSB workload against the key-value store
+     tpcc     run the TPC-C-lite mix
+     fuzz     random KV transactions with crash injection, verified per seed
+     chain    run a replicated (chain) workload
+     chaos    random fault schedules against the replicated chain
+     cluster  random fault schedules against the sharded chain cluster
+     fs       run a filesystem workload over lib/fs, fsck it, dump the tree
+     trace    run a traced YCSB workload, export a Perfetto timeline
+     info     print the cost model and storage layout constants *)
 
 module Rng = Kamino_sim.Rng
 module Clock = Kamino_sim.Clock
@@ -391,56 +393,6 @@ let tpcc_cmd =
   in
   Cmd.v (Cmd.info "tpcc" ~doc:"Run the TPC-C-lite transaction mix.") term
 
-(* --- crash-test ------------------------------------------------------------ *)
-
-let crash_test_cmd =
-  let rounds_arg =
-    Arg.(value & opt int 200 & info [ "rounds" ] ~docv:"N" ~doc:"Transactions to run.")
-  in
-  let run kind rounds heap_mb seed =
-    (match kind with
-    | Engine.No_logging | Engine.Intent_only ->
-        prerr_endline "crash-test requires an engine that can recover";
-        exit 1
-    | _ -> ());
-    let e = Engine.create ~config:(config_of heap_mb) ~kind ~seed () in
-    let kv = Kv.create e ~value_size:256 ~node_size:512 in
-    let rng = Rng.create (seed + 1) in
-    let model = Hashtbl.create 64 in
-    let kv = ref kv in
-    let crashes = ref 0 in
-    for round = 1 to rounds do
-      let k = Rng.int rng 100 in
-      (match Rng.int rng 3 with
-      | 0 ->
-          let v = Printf.sprintf "r%d" round in
-          Kv.put !kv k v;
-          Hashtbl.replace model k v
-      | 1 ->
-          ignore (Kv.delete !kv k);
-          Hashtbl.remove model k
-      | _ -> ignore (Kv.get !kv k));
-      if Rng.int rng 20 = 0 then begin
-        incr crashes;
-        Engine.crash e;
-        Engine.recover e;
-        kv := Kv.reattach e
-      end
-    done;
-    let lost = ref 0 in
-    Hashtbl.iter (fun k v -> if Kv.get !kv k <> Some v then incr lost) model;
-    Printf.printf "%d transactions, %d crashes injected: %s (%d committed keys, %d lost)\n"
-      rounds !crashes
-      (if !lost = 0 && Kv.validate !kv = Ok () then "CONSISTENT" else "CORRUPTED")
-      (Hashtbl.length model) !lost;
-    if !lost > 0 then exit 1
-  in
-  let term = Term.(const run $ engine_arg $ rounds_arg $ heap_mb_arg $ seed_arg) in
-  Cmd.v
-    (Cmd.info "crash-test"
-       ~doc:"Run random transactions with crash injection and verify atomicity.")
-    term
-
 (* --- chain ------------------------------------------------------------------ *)
 
 let chain_cmd =
@@ -528,20 +480,22 @@ let chain_cmd =
 
 let fuzz_cmd =
   let seeds_arg =
-    Arg.(value & opt int 50 & info [ "seeds" ] ~docv:"N" ~doc:"Distinct RNG seeds to fuzz.")
+    Arg.(
+      value & opt int 50
+      & info [ "seeds" ] ~docv:"N" ~doc:"Distinct RNG seeds to fuzz: SEED, SEED+1, ...")
   in
   let rounds_arg =
     Arg.(
       value & opt int 100 & info [ "rounds" ] ~docv:"N" ~doc:"Transactions per seed.")
   in
-  let run kind seeds rounds =
+  let run kind first seeds rounds =
     (match kind with
     | Engine.No_logging | Engine.Intent_only ->
         prerr_endline "fuzz requires an engine that can recover";
         exit 1
     | _ -> ());
     let failures = ref 0 in
-    for seed = 1 to seeds do
+    for seed = first to first + seeds - 1 do
       let e =
         Engine.create ~config:(config_of 8) ~kind ~seed ()
       in
@@ -591,12 +545,14 @@ let fuzz_cmd =
       exit 1
     end
   in
-  let term = Term.(const run $ engine_arg $ seeds_arg $ rounds_arg) in
+  let term = Term.(const run $ engine_arg $ seed_arg $ seeds_arg $ rounds_arg) in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
-         "Fuzz an engine across many seeds: random transactions, random crash \
-          injection, full state verification per seed.")
+         "Fuzz an engine across many seeds: random KV transactions, random crash \
+          injection, and per seed the committed keys, the store's structure and \
+          the backup verified; exits 1 on any divergence. $(b,--seed) S \
+          $(b,--seeds) 1 replays seed S.")
     term
 
 (* --- chaos campaigns: chaos, cluster --------------------------------------- *)
@@ -967,7 +923,6 @@ let () =
       [
         ycsb_cmd;
         tpcc_cmd;
-        crash_test_cmd;
         fuzz_cmd;
         chain_cmd;
         chaos_cmd;

@@ -13,7 +13,11 @@ type t = {
   mutable active : bool;
   mutable bump : int;  (* next free arena offset, reset per transaction *)
   mutable entries : entry list;  (* reverse order *)
-  mutable unflushed : (int * int) option;  (* dirty span awaiting barrier *)
+  (* The dirty span [uf_lo, uf_hi) awaiting the barrier, empty when
+     [uf_hi] = 0: two ints, not an optional pair, so that noting a CoW
+     write's bytes allocates nothing. *)
+  mutable uf_lo : int;
+  mutable uf_hi : int;
   mutable created : int;
   (* Header writes are deferred to the first [add] so read-only
      transactions never touch the log region (NVML's undo log is likewise
@@ -63,7 +67,7 @@ let format region =
   Region.write_int region txid_off 0;
   Region.write_int region count_off 0;
   Region.persist region 0 arena_start;
-  { region; active = false; bump = arena_start; entries = []; unflushed = None; created = 0;
+  { region; active = false; bump = arena_start; entries = []; uf_lo = 0; uf_hi = 0; created = 0;
     header_written = false; cur_tx_id = 0; shared_now = 0 }
 
 (* The header may hold a record that recovery is about to replay:
@@ -73,7 +77,7 @@ let format region =
 let open_existing region =
   if Region.read_int64 region magic_off <> magic_value then
     Region.corrupt ~structure ~off:magic_off "bad magic";
-  { region; active = false; bump = arena_start; entries = []; unflushed = None; created = 0;
+  { region; active = false; bump = arena_start; entries = []; uf_lo = 0; uf_hi = 0; created = 0;
     header_written = true; cur_tx_id = 0; shared_now = 0 }
 
 let phase t =
@@ -109,9 +113,14 @@ let check_of ~tx_id ~off ~len ~replay ~sum =
   Int64.logxor z (Int64.shift_right_logical z 27)
 
 let note_unflushed t lo hi =
-  match t.unflushed with
-  | Some (l, h) -> t.unflushed <- Some (min l lo, max h hi)
-  | None -> t.unflushed <- Some (lo, hi)
+  if t.uf_hi = 0 then begin
+    t.uf_lo <- lo;
+    t.uf_hi <- hi
+  end
+  else begin
+    t.uf_lo <- min t.uf_lo lo;
+    t.uf_hi <- max t.uf_hi hi
+  end
 
 let begin_tx t ~tx_id =
   if t.active then failwith "Data_log.begin_tx: a transaction is already active";
@@ -180,76 +189,32 @@ let add ?(over = []) t ~off ~len ~replay ~src =
      through the serializing CLFLUSH path; larger ones use non-temporal
      stores, whose persistence cost is the copy bandwidth already charged
      plus the fence. *)
-  (match t.unflushed with
-  | Some (lo, hi) ->
-      let lines = ((hi - 1) / 64) - (lo / 64) + 1 in
-      if lines <= 4 then Region.charge_clflush t.region lines;
-      Region.persist t.region lo (hi - lo);
-      t.unflushed <- None
-  | None -> ());
+  let lo = t.uf_lo and hi = t.uf_hi in
+  let lines = ((hi - 1) / 64) - (lo / 64) + 1 in
+  if lines <= 4 then Region.charge_clflush t.region lines;
+  Region.persist t.region lo (hi - lo);
+  t.uf_hi <- 0;
   t.shared_now <- Clock.now clock;
   entry
 
-let payload_write_bytes t entry rel b =
-  if rel < 0 || rel + Bytes.length b > entry.len then
-    invalid_arg "Data_log.payload_write_bytes: out of entry range";
-  Region.write_bytes t.region (entry.payload_off + rel) b;
-  note_unflushed t (entry.payload_off + rel) (entry.payload_off + rel + Bytes.length b)
-
-let payload_write_string t entry rel s =
-  if rel < 0 || rel + String.length s > entry.len then
-    invalid_arg "Data_log.payload_write_string: out of entry range";
-  Region.write_string t.region (entry.payload_off + rel) s;
-  note_unflushed t (entry.payload_off + rel) (entry.payload_off + rel + String.length s)
-
-let payload_write_int64 t entry rel v =
-  if rel < 0 || rel + 8 > entry.len then
-    invalid_arg "Data_log.payload_write_int64: out of entry range";
-  Region.write_int64 t.region (entry.payload_off + rel) v;
-  note_unflushed t (entry.payload_off + rel) (entry.payload_off + rel + 8)
-
-let payload_write_int t entry rel v =
-  if rel < 0 || rel + 8 > entry.len then
-    invalid_arg "Data_log.payload_write_int: out of entry range";
-  Region.write_int t.region (entry.payload_off + rel) v;
-  note_unflushed t (entry.payload_off + rel) (entry.payload_off + rel + 8)
-
-let payload_write_byte t entry rel v =
-  if rel < 0 || rel + 1 > entry.len then
-    invalid_arg "Data_log.payload_write_byte: out of entry range";
-  Region.write_byte t.region (entry.payload_off + rel) v;
-  note_unflushed t (entry.payload_off + rel) (entry.payload_off + rel + 1)
-
-let payload_read_bytes t entry rel len =
-  if rel < 0 || rel + len > entry.len then
-    invalid_arg "Data_log.payload_read_bytes: out of entry range";
-  Region.read_bytes t.region (entry.payload_off + rel) len
-
-let payload_read_int64 t entry rel =
-  if rel < 0 || rel + 8 > entry.len then
-    invalid_arg "Data_log.payload_read_int64: out of entry range";
-  Region.read_int64 t.region (entry.payload_off + rel)
-
-let payload_read_int t entry rel =
-  if rel < 0 || rel + 8 > entry.len then
-    invalid_arg "Data_log.payload_read_int: out of entry range";
-  Region.read_int t.region (entry.payload_off + rel)
-
-let payload_read_byte t entry rel =
-  if rel < 0 || rel + 1 > entry.len then
-    invalid_arg "Data_log.payload_read_byte: out of entry range";
-  Region.read_byte t.region (entry.payload_off + rel)
+(* Where byte [rel] of the range [entry] covers lives in the log region,
+   for an access of [len] bytes. A write's bytes wait for the next
+   barrier. *)
+let payload_at t entry ~rel ~len ~write =
+  if rel < 0 || rel + len > entry.len then invalid_arg "Data_log.payload_at: out of entry range";
+  let off = entry.payload_off + rel in
+  if write then note_unflushed t off (off + len);
+  off
 
 let reseal t entry =
   seal t entry;
   note_unflushed t (entry.payload_off - entry_header_size) entry.payload_off
 
 let barrier t =
-  match t.unflushed with
-  | Some (lo, hi) ->
-      Region.persist t.region lo (hi - lo);
-      t.unflushed <- None
-  | None -> ()
+  if t.uf_hi > 0 then begin
+    Region.persist t.region t.uf_lo (t.uf_hi - t.uf_lo);
+    t.uf_hi <- 0
+  end
 
 let mark_applying t =
   barrier t;
@@ -270,7 +235,7 @@ let finish t =
   t.active <- false;
   t.entries <- [];
   t.bump <- arena_start;
-  t.unflushed <- None;
+  t.uf_hi <- 0;
   t.header_written <- false
 
 let active_entries t = List.rev t.entries

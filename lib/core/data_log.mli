@@ -57,26 +57,12 @@ val begin_tx : t -> tx_id:int -> unit
 val add :
   ?over:entry list -> t -> off:int -> len:int -> replay:replay -> src:Kamino_nvm.Region.t -> entry
 
-(** [payload_write] / [payload_read]: access an entry's payload through the
-    log region — the CoW engine redirects transaction reads and writes
-    here. Offsets are relative to the covered main-heap range. *)
-val payload_write_bytes : t -> entry -> int -> bytes -> unit
-
-val payload_write_string : t -> entry -> int -> string -> unit
-
-val payload_write_int64 : t -> entry -> int -> int64 -> unit
-
-val payload_write_int : t -> entry -> int -> int -> unit
-
-val payload_write_byte : t -> entry -> int -> int -> unit
-
-val payload_read_bytes : t -> entry -> int -> int -> bytes
-
-val payload_read_int64 : t -> entry -> int -> int64
-
-val payload_read_int : t -> entry -> int -> int
-
-val payload_read_byte : t -> entry -> int -> int
+(** [payload_at t entry ~rel ~len ~write] is the log-region offset of
+    byte [rel] of the main-heap range [entry] covers: the CoW engine
+    redirects a transaction's access of [len] bytes there. With [~write],
+    those bytes are persisted at the next {!barrier}. Raises
+    [Invalid_argument] unless [rel, rel+len) lies inside the range. *)
+val payload_at : t -> entry -> rel:int -> len:int -> write:bool -> int
 
 (** [reseal t entry] recomputes the entry's checksum after its payload was
     modified (CoW writes). Cheap; durable at the next {!barrier}. *)

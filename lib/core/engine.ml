@@ -34,7 +34,6 @@ type config = Variant.config = {
   crash_mode : Region.crash_mode;
   flush_per_intent : bool;
   global_pending : bool;
-  coalesce_writes : bool;
 }
 
 let default_config = Variant.default_config
@@ -486,77 +485,60 @@ let rec publish_stranded tx above = function
 
 (* --- Data access -------------------------------------------------------- *)
 
-(* Each accessor below resolves the covering intent by index and branches
-   on its CoW redirection inline — a generic closure-threaded [write_via]/
-   [read_via] formulation dominated per-access allocation on the hot read
-   path (every B+Tree key comparison lands here). [-1] means "no covering
-   intent": reads fall through to the main heap, writes are an intent
-   violation. *)
+(* Where bytes [x, x+len) live for the transaction, given the index [i]
+   of their covering intent ([-1]: none): in the working copy of intent
+   [i] under CoW, in the main heap otherwise. [home] names the region and
+   [locate] the offset in it; a located write on a working copy waits for
+   the next barrier. Every access below resolves through this pair, which
+   returns a region and an int rather than a tuple: a generic
+   closure-threaded [write_via]/[read_via] formulation dominated
+   per-access allocation on the hot read path (every B+Tree key
+   comparison lands here). *)
+let cow_of t i = if i < 0 then None else t.ws.(i).cow
 
-(* Resolving the covering intent also marks the written lines dirty in it. *)
-let check_write_idx tx abs len =
+let home t i = match cow_of t i with None -> t.main | Some _ -> Option.get t.dlog_region
+
+let locate t i x len ~write =
+  match cow_of t i with
+  | None -> x
+  | Some entry -> Data_log.payload_at (the_dlog t) entry ~rel:(x - t.ws.(i).r_off) ~len ~write
+
+(* A write's covering intent, with the written lines marked dirty in it,
+   after the barrier that makes the intent durable first. A write that no
+   intent covers is an intent violation. *)
+let write_idx tx abs len =
+  active_tx tx;
   let t = tx.owner in
   let i = covering_idx t abs len in
   if i >= 0 then mark_lines (Array.unsafe_get t.ws i) abs len
   else error (Missing_intent { off = abs; len });
+  do_barrier tx;
   i
 
-let cow_of t i = if i < 0 then None else t.ws.(i).cow
-
 let write_int64 tx p field v =
-  active_tx tx;
-  let t = tx.owner in
-  let abs = p + field in
-  let i = check_write_idx tx abs 8 in
-  do_barrier tx;
-  match cow_of t i with
-  | None -> Region.write_int64 t.main abs v
-  | Some entry ->
-      Data_log.payload_write_int64 (the_dlog t) entry (abs - t.ws.(i).r_off) v
+  let t = tx.owner and abs = p + field in
+  let i = write_idx tx abs 8 in
+  Region.write_int64 (home t i) (locate t i abs 8 ~write:true) v
 
 let write_int tx p field v =
-  active_tx tx;
-  let t = tx.owner in
-  let abs = p + field in
-  let i = check_write_idx tx abs 8 in
-  do_barrier tx;
-  match cow_of t i with
-  | None -> Region.write_int t.main abs v
-  | Some entry ->
-      Data_log.payload_write_int (the_dlog t) entry (abs - t.ws.(i).r_off) v
+  let t = tx.owner and abs = p + field in
+  let i = write_idx tx abs 8 in
+  Region.write_int (home t i) (locate t i abs 8 ~write:true) v
 
 let write_bytes tx p field b =
-  active_tx tx;
-  let t = tx.owner in
-  let abs = p + field in
-  let i = check_write_idx tx abs (Bytes.length b) in
-  do_barrier tx;
-  match cow_of t i with
-  | None -> Region.write_bytes t.main abs b
-  | Some entry ->
-      Data_log.payload_write_bytes (the_dlog t) entry (abs - t.ws.(i).r_off) b
+  let t = tx.owner and abs = p + field and len = Bytes.length b in
+  let i = write_idx tx abs len in
+  Region.write_bytes (home t i) (locate t i abs len ~write:true) b
 
 let write_string tx p field s =
-  active_tx tx;
-  let t = tx.owner in
-  let abs = p + field in
-  let i = check_write_idx tx abs (String.length s) in
-  do_barrier tx;
-  match cow_of t i with
-  | None -> Region.write_string t.main abs s
-  | Some entry ->
-      Data_log.payload_write_string (the_dlog t) entry (abs - t.ws.(i).r_off) s
+  let t = tx.owner and abs = p + field and len = String.length s in
+  let i = write_idx tx abs len in
+  Region.write_string (home t i) (locate t i abs len ~write:true) s
 
 let write_byte tx p field v =
-  active_tx tx;
-  let t = tx.owner in
-  let abs = p + field in
-  let i = check_write_idx tx abs 1 in
-  do_barrier tx;
-  match cow_of t i with
-  | None -> Region.write_byte t.main abs v
-  | Some entry ->
-      Data_log.payload_write_byte (the_dlog t) entry (abs - t.ws.(i).r_off) v
+  let t = tx.owner and abs = p + field in
+  let i = write_idx tx abs 1 in
+  Region.write_byte (home t i) (locate t i abs 1 ~write:true) v
 
 (* Reads consult the write set only to follow CoW redirections; when the
    transaction has none ([ws_cow_n] = 0 — always, outside the CoW engine),
@@ -564,47 +546,35 @@ let write_byte tx p field v =
 
 let read_int64 tx p field =
   active_tx tx;
-  let t = tx.owner in
-  let abs = p + field in
+  let t = tx.owner and abs = p + field in
   if t.ws_cow_n = 0 then Region.read_int64 t.main abs
   else
     let i = covering_idx t abs 8 in
-    match cow_of t i with
-    | None -> Region.read_int64 t.main abs
-    | Some entry ->
-        Data_log.payload_read_int64 (the_dlog t) entry (abs - t.ws.(i).r_off)
+    Region.read_int64 (home t i) (locate t i abs 8 ~write:false)
 
 let read_int tx p field =
   active_tx tx;
-  let t = tx.owner in
-  let abs = p + field in
+  let t = tx.owner and abs = p + field in
   if t.ws_cow_n = 0 then Region.read_int t.main abs
   else
     let i = covering_idx t abs 8 in
-    match cow_of t i with
-    | None -> Region.read_int t.main abs
-    | Some entry ->
-        Data_log.payload_read_int (the_dlog t) entry (abs - t.ws.(i).r_off)
+    Region.read_int (home t i) (locate t i abs 8 ~write:false)
 
 let read_bytes tx p field len =
   active_tx tx;
-  let t = tx.owner in
-  let abs = p + field in
+  let t = tx.owner and abs = p + field in
   if t.ws_cow_n = 0 then Region.read_bytes t.main abs len
   else
     let i = covering_idx t abs len in
-    match cow_of t i with
-    | None -> Region.read_bytes t.main abs len
-    | Some entry ->
-        Data_log.payload_read_bytes (the_dlog t) entry (abs - t.ws.(i).r_off) len
+    Region.read_bytes (home t i) (locate t i abs len ~write:false) len
 
-(* Where byte [x] lives for the transaction: in the working copy of
-   intent [i] under CoW, in the main heap otherwise. *)
-let locate t i x =
-  match cow_of t i with
-  | None -> (t.main, x)
-  | Some entry ->
-      (Option.get t.dlog_region, entry.Data_log.payload_off + (x - t.ws.(i).r_off))
+let read_byte tx p field =
+  active_tx tx;
+  let t = tx.owner and abs = p + field in
+  if t.ws_cow_n = 0 then Region.read_byte t.main abs
+  else
+    let i = covering_idx t abs 1 in
+    Region.read_byte (home t i) (locate t i abs 1 ~write:false)
 
 (* The newest intent overlapping [lo, hi) when it covers the whole run,
    [-1] when none overlaps it, [-2] when the run straddles the edge of
@@ -635,8 +605,7 @@ let read_pieces t lo hi =
       let i = covering_idx t x 1 in
       let e = if i < 0 then hi else min hi (t.ws.(i).r_off + t.ws.(i).r_len) in
       let e = piece_end t.ws x e (i + 1) t.ws_n in
-      let reg, off = locate t i x in
-      Region.read_into reg off buf (x - lo) (e - x);
+      Region.read_into (home t i) (locate t i x (e - x) ~write:false) buf (x - lo) (e - x);
       fill e
     end
   in
@@ -645,8 +614,7 @@ let read_pieces t lo hi =
 
 let read_prefixed tx p field ~max =
   active_tx tx;
-  let t = tx.owner in
-  let abs = p + field in
+  let t = tx.owner and abs = p + field in
   if t.ws_cow_n = 0 then Region.read_prefixed t.main abs ~max
   else
     match run_idx t.ws abs (abs + 8 + max) (t.ws_n - 1) with
@@ -658,21 +626,7 @@ let read_prefixed tx p field ~max =
         if len < 0 || len > max then
           Region.corrupt ~structure:"record" ~off:abs "length %d outside [0, %d]" len max;
         read_pieces t (abs + 8) (abs + 8 + len)
-    | i ->
-        let reg, off = locate t i abs in
-        Region.read_prefixed reg off ~max
-
-let read_byte tx p field =
-  active_tx tx;
-  let t = tx.owner in
-  let abs = p + field in
-  if t.ws_cow_n = 0 then Region.read_byte t.main abs
-  else
-    let i = covering_idx t abs 1 in
-    match cow_of t i with
-    | None -> Region.read_byte t.main abs
-    | Some entry ->
-        Data_log.payload_read_byte (the_dlog t) entry (abs - t.ws.(i).r_off)
+    | i -> Region.read_prefixed (home t i) (locate t i abs (8 + max) ~write:false) ~max
 
 (* --- Snapshot reads (MVCC-lite) ------------------------------------------ *)
 

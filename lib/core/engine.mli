@@ -59,13 +59,12 @@ type config = Variant.config = {
   global_pending : bool;
       (** ablation: treat the whole heap as one pending unit — every
           transaction waits for full backup catch-up (coarse blocking) *)
-  coalesce_writes : bool;
-      (** coalesce each transaction's write set (sort + merge overlapping
-          and adjacent ranges, with a 64 B line-granularity threshold for
-          same-object gaps) before it reaches the intent log and the
-          applier, and merge consecutive applier tasks into one copy pass
-          when draining. Off = the raw per-declare path, for A/B benches. *)
 }
+(** Engine sizes, cost model and ablations. No field chooses the write
+    path: a full backup's intents merge in the log as they are declared,
+    its commit hands the applier the write set's dirty-line runs,
+    coalesced, and the applier copies a batch of tasks in one pass;
+    dynamic backups keep exact per-object ranges. *)
 
 val default_config : config
 

@@ -26,7 +26,7 @@ let declare t tx ~le:_ ~off ~len ~redirectable:_ =
   (* Record the intent, edit in place; the chain's neighbours stand in
      for the backup at recovery. *)
   let slot = claim_slot tx in
-  log_intent t slot ~mergeable:t.e_config.coalesce_writes ~off ~len;
+  log_intent t slot ~mergeable:true ~off ~len;
   None
 
 let barrier t tx =

@@ -65,8 +65,7 @@ let declare ~dynamic t tx ~le ~off ~len ~redirectable:_ =
      before the first in-place write still fences, which makes the last
      miss's key word durable (DESIGN.md par17). *)
   let miss = not (Backup.holds_copy b ~off ~len) in
-  log_intent t slot ~mergeable:((not dynamic) && t.e_config.coalesce_writes) ~off
-    ~len;
+  log_intent t slot ~mergeable:(not dynamic) ~off ~len;
   if miss then Intent_log.flush (the_ilog t) slot;
   Backup.ensure_copy b ~main:t.main ~off ~len ~locked:(pinned t)
     ~pressure:(fun () -> Applier.drain appl);
@@ -93,7 +92,7 @@ let prepare t tx =
 let hand_to_applier ~dynamic t tx slot =
   let appl = the_appl t in
   let iranges =
-    if (not dynamic) && t.e_config.coalesce_writes then
+    if not dynamic then
       (* Full backups copy at byte granularity, so the task carries only
          the lines the transaction wrote, coalesced (DESIGN.md par19).
          Dynamic backups need the raw per-object ranges. *)

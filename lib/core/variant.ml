@@ -48,7 +48,6 @@ type config = {
   crash_mode : Region.crash_mode;
   flush_per_intent : bool;
   global_pending : bool;
-  coalesce_writes : bool;
 }
 
 let default_config =
@@ -61,7 +60,6 @@ let default_config =
     crash_mode = Region.Words_survive_randomly;
     flush_per_intent = false;
     global_pending = false;
-    coalesce_writes = true;
   }
 
 (* --- Typed errors -------------------------------------------------------- *)
@@ -738,34 +736,27 @@ let make_applier t =
     (match tasks with
     | [ { Applier.ranges = raw; _ } ] ->
         (* Singleton batch: a task's ranges are already merged (full
-           backup), distinct objects (dynamic) or deliberately raw
-           (coalescing off), so skip the cross-task machinery. This is the
-           common shape when a lock conflict syncs one queued task. *)
+           backup) or distinct objects (dynamic), so skip the cross-task
+           machinery. This is the common shape when a lock conflict syncs
+           one queued task. *)
         propagate_ranges b t.main raw
-    | _ when t.e_config.coalesce_writes && Backup.is_full b -> apply_full_batch t b tasks
+    | _ when Backup.is_full b -> apply_full_batch t b tasks
     | _ ->
         let raw = List.concat_map (fun task -> task.Applier.ranges) tasks in
-        let ranges =
-          if not t.e_config.coalesce_writes then raw
-          else begin
-            let seen = Hashtbl.create 16 in
-            let merged =
-              List.filter
-                (fun { Intent_log.off; len } ->
-                  if Hashtbl.mem seen (off, len) then false
-                  else begin
-                    Hashtbl.add seen (off, len) ();
-                    true
-                  end)
-                raw
-            in
-            Metrics.add t.m_ranges_coalesced (List.length raw - List.length merged);
-            Metrics.add t.m_bytes_saved
-              (Intent_log.total_bytes raw - Intent_log.total_bytes merged);
-            merged
-          end
+        let seen = Hashtbl.create 16 in
+        let merged =
+          List.filter
+            (fun { Intent_log.off; len } ->
+              if Hashtbl.mem seen (off, len) then false
+              else begin
+                Hashtbl.add seen (off, len) ();
+                true
+              end)
+            raw
         in
-        propagate_ranges b t.main ranges);
+        Metrics.add t.m_ranges_coalesced (List.length raw - List.length merged);
+        Metrics.add t.m_bytes_saved (Intent_log.total_bytes raw - Intent_log.total_bytes merged);
+        propagate_ranges b t.main merged);
     release_tasks ilog tasks
   in
   Applier.create ~regions:t.all_regions ~apply

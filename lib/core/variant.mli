@@ -52,7 +52,6 @@ type config = {
   crash_mode : Region.crash_mode;
   flush_per_intent : bool;
   global_pending : bool;
-  coalesce_writes : bool;
 }
 
 val default_config : config

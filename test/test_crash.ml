@@ -37,7 +37,7 @@ let atomic_kinds =
     Tx_model.kinds
 
 let crash_test (name, kind) seed () =
-  ignore (Tx_model.run_workload ~spec:(Plain kind) ~config ~seed ~rounds:60 name)
+  Tx_model.run_workload ~spec:(Plain kind) ~config ~seed ~rounds:60 name
 
 (* A focused regression: commit several dependent updates to one object with
    crashes between them; the surviving value must always be the last

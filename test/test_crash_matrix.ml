@@ -1,4 +1,4 @@
-(* Randomized crash matrix: engine kind x crash mode x coalescing flag.
+(* Randomized crash matrix: engine kind x crash mode.
 
    For every cell of the matrix, seeded workloads run random transactions
    and crash the machine at the points the coalescing pipeline makes
@@ -8,14 +8,8 @@
    retired) — and each recovery is itself crashed at its first fence,
    then its second, and so on until one completes. After each recovery
    the committed-state model must be intact; at the end the backup
-   invariant must hold.
-
-   The load-bearing claim of the write-set coalescing work is that it is
-   invisible to every outcome: each seed additionally runs twice, with
-   coalescing on and off, and the final committed byte images must be
-   identical (the workload's random draws never depend on engine
-   internals, so the two runs build the same model). The object workload,
-   its model and its snapshot-read dimension are {!Tx_model.run_workload}. *)
+   invariant must hold. The object workload, its model and its
+   snapshot-read dimension are {!Tx_model.run_workload}. *)
 
 module Rng = Kamino_sim.Rng
 module Region = Kamino_nvm.Region
@@ -124,17 +118,8 @@ let seeds = List.init 17 (fun i -> i + 1)
 let matrix_case name spec crash_mode () =
   List.iter
     (fun seed ->
-      let run coalesce_writes =
-        Tx_model.run_workload ~spec
-          ~config:{ base_config with Engine.crash_mode; coalesce_writes }
-          ~seed ~rounds:40
-      in
-      let image_on = run true (name ^ "/coalesce") in
-      let image_off = run false (name ^ "/raw") in
-      if image_on <> image_off then
-        Alcotest.failf
-          "%s seed=%d: coalescing changed the final committed state (%d vs %d objects)"
-          name seed (List.length image_on) (List.length image_off))
+      Tx_model.run_workload ~spec ~config:{ base_config with Engine.crash_mode } ~seed ~rounds:40
+        name)
     seeds
 
 (* --- filesystem dimension --------------------------------------------------- *)
@@ -572,8 +557,7 @@ let () =
           (fun (mname, mode) ->
             let name = Printf.sprintf "%s x %s" kname mname in
             Alcotest.test_case
-              (Printf.sprintf "%s (%d seeds, coalescing on+off)" name
-                 (List.length seeds))
+              (Printf.sprintf "%s (%d seeds)" name (List.length seeds))
               `Slow
               (matrix_case name spec mode))
           modes)

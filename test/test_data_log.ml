@@ -25,16 +25,19 @@ let test_snapshot_roundtrip () =
   Alcotest.(check bool) "idle after finish" true (Dlog.phase log = Dlog.Idle)
 
 let test_payload_access () =
-  let log, main, _ = make_pair () in
+  let log, main, lr = make_pair () in
   Region.write_int64 main 256 111L;
   Dlog.begin_tx log ~tx_id:1;
   let e = Dlog.add log ~off:256 ~len:64 ~replay:Dlog.On_commit ~src:main in
-  Alcotest.(check int64) "copy holds original" 111L (Dlog.payload_read_int64 log e 0);
-  Dlog.payload_write_int64 log e 0 222L;
-  Alcotest.(check int64) "copy updated" 222L (Dlog.payload_read_int64 log e 0);
+  let at rel len ~write = Dlog.payload_at log e ~rel ~len ~write in
+  Alcotest.(check int) "byte rel of the copy" (e.Dlog.payload_off + 8) (at 8 3 ~write:false);
+  Alcotest.(check int64) "copy holds original" 111L (Region.read_int64 lr (at 0 8 ~write:false));
+  Region.write_int64 lr (at 0 8 ~write:true) 222L;
+  Alcotest.(check int64) "copy updated" 222L (Region.read_int64 lr (at 0 8 ~write:false));
   Alcotest.(check int64) "main untouched" 111L (Region.read_int64 main 256);
-  Dlog.payload_write_bytes log e 8 (Bytes.of_string "abc");
-  Alcotest.(check bytes) "bytes io" (Bytes.of_string "abc") (Dlog.payload_read_bytes log e 8 3);
+  Region.write_bytes lr (at 8 3 ~write:true) (Bytes.of_string "abc");
+  Alcotest.(check bytes) "bytes io" (Bytes.of_string "abc")
+    (Region.read_bytes lr (at 8 3 ~write:false) 3);
   Dlog.apply_entry log e ~dst:main;
   Alcotest.(check int64) "applied to main" 222L (Region.read_int64 main 256);
   Dlog.finish log
@@ -43,11 +46,16 @@ let test_payload_bounds () =
   let log, main, _ = make_pair () in
   Dlog.begin_tx log ~tx_id:1;
   let e = Dlog.add log ~off:0 ~len:16 ~replay:Dlog.On_commit ~src:main in
-  Alcotest.(check bool) "oob write rejected" true
-    (try
-       Dlog.payload_write_int64 log e 12 0L;
-       false
-     with Invalid_argument _ -> true);
+  let rejected rel len ~write =
+    try
+      ignore (Dlog.payload_at log e ~rel ~len ~write);
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "oob write rejected" true (rejected 12 8 ~write:true);
+  Alcotest.(check bool) "oob read rejected" true (rejected 9 8 ~write:false);
+  Alcotest.(check bool) "negative offset rejected" true (rejected (-1) 1 ~write:false);
+  Alcotest.(check bool) "last word accepted" false (rejected 8 8 ~write:true);
   Dlog.finish log
 
 let test_double_begin_rejected () =
@@ -98,7 +106,8 @@ let test_recovery_applying_phase () =
   Region.persist_all main;
   Dlog.begin_tx log ~tx_id:4;
   let e = Dlog.add log ~off:64 ~len:9 ~replay:Dlog.On_commit ~src:main in
-  Dlog.payload_write_bytes log e 0 (Bytes.of_string "new-value");
+  Region.write_bytes lr (Dlog.payload_at log e ~rel:0 ~len:9 ~write:true)
+    (Bytes.of_string "new-value");
   Dlog.reseal log e;
   Dlog.barrier log;
   Dlog.mark_applying log;
@@ -115,6 +124,29 @@ let test_recovery_applying_phase () =
       Region.persist main e.Dlog.off e.Dlog.len)
     entries;
   Alcotest.(check string) "redo applied" "new-value" (Region.read_string main 64 9)
+
+(* The [add] persists the copy, so only a write's note makes the barrier
+   flush what the transaction writes into it afterwards. The write here
+   lands past the line of the entry header, which the reseal flushes
+   anyway: noted, the redo survives the crash; at a read-side offset, the
+   crash drops the bytes and the entry fails its checksum. *)
+let test_write_note ~write () =
+  let log, main, lr = make_pair ~crash_mode:Region.Drop_unflushed () in
+  Region.persist_all main;
+  Dlog.begin_tx log ~tx_id:4;
+  let e = Dlog.add log ~off:1024 ~len:128 ~replay:Dlog.On_commit ~src:main in
+  Region.write_string lr (Dlog.payload_at log e ~rel:64 ~len:9 ~write) "new-value";
+  Dlog.reseal log e;
+  Dlog.barrier log;
+  Dlog.mark_applying log;
+  Region.crash lr;
+  Region.crash main;
+  let log' = Dlog.open_existing lr in
+  let entries = Dlog.recover_entries log' in
+  Alcotest.(check int) "entries recovered" (if write then 1 else 0) (List.length entries);
+  List.iter (fun e -> Dlog.apply_entry log' e ~dst:main) entries;
+  Alcotest.(check string) "main after redo" (if write then "new-value" else String.make 9 '\000')
+    (Region.read_string main (1024 + 64) 9)
 
 let test_replay_flags_persisted () =
   let log, main, lr = make_pair ~crash_mode:Region.Drop_unflushed () in
@@ -199,6 +231,8 @@ let () =
         [
           Alcotest.test_case "running entries" `Quick test_recovery_running_entries;
           Alcotest.test_case "applying phase" `Quick test_recovery_applying_phase;
+          Alcotest.test_case "a noted write survives" `Quick (test_write_note ~write:true);
+          Alcotest.test_case "an unnoted write is lost" `Quick (test_write_note ~write:false);
           Alcotest.test_case "a recovery's finish resets the header" `Quick
             test_recovery_finish_resets;
           Alcotest.test_case "replay flags persisted" `Quick test_replay_flags_persisted;

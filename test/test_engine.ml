@@ -174,6 +174,92 @@ let test_write_without_intent_rejected () =
          with Engine.Error (Engine.Missing_intent _) -> true);
       (try Engine.abort tx with _ -> ()))
 
+(* --- typed accessors --- *)
+
+(* Every typed accessor on every kind, through one field-granular intent,
+   [16, 64) of a 128 B object: writes at its first and last bytes and in
+   between, read back inside the transaction (a [read_prefixed] whose
+   bound runs past the field reads in pieces under CoW). Under CoW the
+   main heap keeps the old bytes until commit. After a commit the heap
+   holds the new bytes; after an abort, on kinds that roll back, the old
+   ones. *)
+let test_typed_accessors () =
+  let field = 16 and flen = 48 in
+  let expected =
+    let b = Bytes.make flen '\000' in
+    Bytes.set_int64_le b 0 0x1122334455667788L;
+    Bytes.set_int64_le b 8 (-42L);
+    Bytes.blit_string "abcd" 0 b 16 4;
+    Bytes.set_int64_le b 24 14L;
+    Bytes.blit_string "efghijklmnopqr" 0 b 32 14;
+    Bytes.set_uint8 b 47 0xA5;
+    b
+  in
+  List.iter
+    (fun kind ->
+      let name = Engine.kind_name kind in
+      let e = make kind in
+      let p = Engine.with_tx e (fun tx -> Engine.alloc tx 128) in
+      let old = Engine.peek_bytes e p field flen in
+      let run ~commit =
+        let ctx = Printf.sprintf "%s, %s" name (if commit then "commit" else "abort") in
+        let tx = Engine.begin_tx e in
+        Engine.add_field tx p field flen;
+        Engine.write_int64 tx p field 0x1122334455667788L;
+        Engine.write_int tx p (field + 8) (-42);
+        Engine.write_bytes tx p (field + 16) (Bytes.of_string "abcd");
+        Engine.write_int64 tx p (field + 24) 14L;
+        Engine.write_string tx p (field + 32) "efghijklmnopqr";
+        Engine.write_byte tx p (field + flen - 1) 0xA5;
+        Alcotest.(check int64) (ctx ^ ": read_int64, first byte") 0x1122334455667788L
+          (Engine.read_int64 tx p field);
+        Alcotest.(check int) (ctx ^ ": read_int") (-42) (Engine.read_int tx p (field + 8));
+        Alcotest.(check bytes) (ctx ^ ": read_bytes") (Bytes.of_string "abcd")
+          (Engine.read_bytes tx p (field + 16) 4);
+        Alcotest.(check int) (ctx ^ ": read_byte, last byte") 0xA5
+          (Engine.read_byte tx p (field + flen - 1));
+        Alcotest.(check string) (ctx ^ ": read_prefixed inside the field") "efghijklmnopqr"
+          (Engine.read_prefixed tx p (field + 24) ~max:14);
+        Alcotest.(check string) (ctx ^ ": read_prefixed past the field") "efghijklmnopqr"
+          (Engine.read_prefixed tx p (field + 24) ~max:64);
+        Alcotest.(check bytes) (ctx ^ ": the whole field") expected
+          (Engine.read_bytes tx p field flen);
+        Alcotest.(check bytes) (ctx ^ ": the main heap inside the transaction")
+          (if kind = Engine.Cow then old else expected)
+          (Engine.peek_bytes e p field flen);
+        if commit then Engine.commit tx else Engine.abort tx;
+        Alcotest.(check bytes) (ctx ^ ": the main heap after")
+          (if commit then expected else old)
+          (Engine.peek_bytes e p field flen)
+      in
+      if List.mem kind atomic_kinds then run ~commit:false;
+      run ~commit:true)
+    (all_kinds @ [ Engine.Intent_only ])
+
+(* A write that straddles two field intents has no covering intent,
+   except on kamino-dynamic, whose [add_field] declares the whole object. *)
+let test_straddling_write () =
+  List.iter
+    (fun kind ->
+      let name = Engine.kind_name kind in
+      let e = make kind in
+      let p = Engine.with_tx e (fun tx -> Engine.alloc tx 64) in
+      let tx = Engine.begin_tx e in
+      Engine.add_field tx p 0 16;
+      Engine.add_field tx p 16 16;
+      let raised =
+        try
+          Engine.write_int64 tx p 12 7L;
+          None
+        with Engine.Error (Engine.Missing_intent { off; len }) -> Some (off - p, len)
+      in
+      let object_granular = match kind with Engine.Kamino_dynamic _ -> true | _ -> false in
+      Alcotest.(check (option (pair int int))) (name ^ ": straddling write")
+        (if object_granular then None else Some (12, 8))
+        raised;
+      Engine.commit tx)
+    (all_kinds @ [ Engine.Intent_only ])
+
 let test_serial_tx_enforced () =
   let e = make Engine.Kamino_simple in
   let _tx = Engine.begin_tx e in
@@ -1387,6 +1473,13 @@ let () =
           Alcotest.test_case "write without intent rejected" `Quick
             test_write_without_intent_rejected;
           Alcotest.test_case "serial transactions enforced" `Quick test_serial_tx_enforced;
+        ] );
+      ( "accessors",
+        [
+          Alcotest.test_case "typed accessors on a field intent, every kind" `Quick
+            test_typed_accessors;
+          Alcotest.test_case "a write straddling two field intents, every kind" `Quick
+            test_straddling_write;
         ] );
       ( "kamino",
         [

@@ -177,9 +177,11 @@ let check e (m : objects) ctx =
    operations in both: allocate and stamp, free an object this
    transaction has not touched, or restamp one it has not freed. A
    restamp declares the whole object half the time, and otherwise
-   field by field (adjacent intents, which the coalescer merges) in at
-   most 32 fields, so a transaction stays within the intent log's
-   per-slot entry budget with coalescing off. *)
+   field by field (adjacent intents, which the intent log merges) in at
+   most 32 fields of at least 8 bytes, the stamp word. No budget needs
+   the bound: merged field intents take one log entry, and a
+   kamino-dynamic [add_field] declares the whole object. It stays so
+   the seeded workloads stay as they are. *)
 let random_tx rng e (m : objects) =
   let tx = Engine.begin_tx e in
   begin_tx m;
@@ -299,9 +301,7 @@ let snapshot_sweep e (sh : shist) last_wm ctx =
    (one of two queued write sets applied), after an abort and twice in a
    row, and at every fence of each recovery in turn; after each recovery
    the committed objects must be intact and the snapshot dimension
-   holds. At the end the backup drains and must match.
-   Returns the final committed byte image, sorted by object, for
-   cross-run comparison. *)
+   holds. At the end the backup drains and must match. *)
 let run_workload ~spec ~config ~seed ~rounds ctx =
   let rng = Rng.create seed in
   let e, () = create spec ~config ~seed:(seed + 1000) ~init:history in
@@ -381,5 +381,4 @@ let run_workload ~spec ~config ~seed ~rounds ctx =
   Engine.drain_backup e;
   check e m (Printf.sprintf "%s seed=%d final" ctx seed);
   snapshot_sweep e sh last_wm (Printf.sprintf "%s seed=%d final snapshot" ctx seed);
-  check_engine e (Printf.sprintf "%s seed=%d final" ctx seed);
-  List.map (fun (p, (size, _)) -> (p, size, Engine.peek_bytes e p 0 size)) (bindings m)
+  check_engine e (Printf.sprintf "%s seed=%d final" ctx seed)
